@@ -44,6 +44,7 @@ from .solver import (
     default_cavity_bcs,
     heat_solve,
     newton_solve,
+    ns_jacobian,
     ns_residual,
     transport_integrate,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "load_config",
     "make_observations",
     "newton_solve",
+    "ns_jacobian",
     "ns_residual",
     "read_field_csv",
     "reference_field",

@@ -31,6 +31,7 @@ from .solver import (
     default_cavity_bcs,
     heat_solve,
     newton_solve,
+    ns_jacobian,
     transport_integrate,
 )
 from .tape import Tape, finite_difference_check
@@ -70,8 +71,9 @@ def _parser():
     fwd_p.add_argument("--verbose", action="store_true",
                        help="print the Newton trace as JSON lines")
     fwd_p.add_argument("--dump-matrix", action="store_true",
-                       help="export the last factorized system matrix in "
-                            "MatrixMarket format")
+                       help="export the constrained Newton Jacobian of the "
+                            "flow at the converged state in MatrixMarket "
+                            "format")
 
     gc_p = sub.add_parser("gradcheck",
                           help="compare the full-chain gradient with "
@@ -82,12 +84,14 @@ def _parser():
     return p
 
 
-def _forward_fields(cfg, coefficient=None):
-    """One forward solve; returns (grid, fields, newton trace, tape).
+def _forward_fields(cfg, coefficient=None, jacobian=False):
+    """One forward solve; returns (grid, fields, newton trace, matrix).
 
     ``coefficient`` overrides the reference field. For the conjugate-heat
     experiment the flow runs at unit viscosity and the coefficient is the
-    conductivity, matching the inversion protocol.
+    conductivity, matching the inversion protocol.  ``matrix`` is the
+    constrained Newton Jacobian at the converged flow when ``jacobian`` is
+    set, else None.
     """
     grid = StructuredGrid(cfg.grid_n)
     constants = cfg.physics()
@@ -99,8 +103,11 @@ def _forward_fields(cfg, coefficient=None):
         nu = np.ones(grid.n_nodes)
     else:
         nu = coefficient
-    state = newton_solve(t, grid, t.constant(nu), constants, bcs,
-                         cfg.newton(), beta=cfg.beta)
+    nu_ref = t.constant(nu)
+    state = newton_solve(t, grid, nu_ref, constants, bcs, cfg.newton(),
+                         beta=cfg.beta)
+    matrix = (ns_jacobian(t, grid, state, nu_ref, constants, bcs,
+                          beta=cfg.beta) if jacobian else None)
     fields = {"u": t.value(state.u), "v": t.value(state.v),
               "p": t.value(state.p)}
     if cfg.experiment == "conjugate_heat":
@@ -112,14 +119,7 @@ def _forward_fields(cfg, coefficient=None):
                                  n_steps=cfg.transport_steps)
         fields["w1"] = t.value(pt.w1)
         fields["w2"] = t.value(pt.w2)
-    return grid, fields, state.trace, t
-
-
-def _last_solve_matrix(tape):
-    for node in reversed(tape.nodes):
-        if node.op == "sparse_solve":
-            return node.ctx["pattern"].to_scipy(node.ctx["data"])
-    raise ContractError("no linear solve recorded on the tape")
+    return grid, fields, state.trace, matrix
 
 
 def _write_report_files(out_dir, cfg, rep):
@@ -183,7 +183,8 @@ def _cmd_run(args):
 def _cmd_forward(args):
     bundle = load_config(args.config)
     cfg = bundle.configs[0].resolved()
-    grid, fields, trace, tape = _forward_fields(cfg)
+    grid, fields, trace, matrix = _forward_fields(cfg,
+                                                  jacobian=args.dump_matrix)
     out_dir = args.out or bundle.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     for comp, values in fields.items():
@@ -197,8 +198,7 @@ def _cmd_forward(args):
             if args.verbose:
                 print(line)
     if args.dump_matrix:
-        scipy.io.mmwrite(os.path.join(out_dir, "system_matrix.mtx"),
-                         _last_solve_matrix(tape))
+        scipy.io.mmwrite(os.path.join(out_dir, "system_matrix.mtx"), matrix)
     print(f"{cfg.experiment} forward solve -> {out_dir} "
           f"({len(trace)} Newton iterations)")
     return EXIT_OK
@@ -209,9 +209,9 @@ def _corrupt_backward(name):
 
     The default target is the loss-side ``square``: every observation
     mismatch flows through it exactly once, so the corruption cannot cancel.
-    (Corrupting the linear-solve rule instead is nearly invisible: at a
-    converged Newton fixed point the identity and solve paths cancel the
-    perturbation to first order.)
+    Any other registered operator can be named, for example ``steady_flow``,
+    whose backward rule is the whole implicit-function adjoint of a flow
+    solve: every viscosity gradient passes through it once.
     """
     if name == "1":
         name = "square"

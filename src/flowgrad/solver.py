@@ -1,11 +1,15 @@
 """Forward solvers recorded on the tape.
 
 ``newton_solve`` iterates x_{k+1} = x_k - J(x_k)^-1 F(x_k) for the coupled
-[u; v; p] system.  Every iteration's assembly, constraint application, and
-linear solve is a tape operator, so the backward pass differentiates through
-each iteration rather than invoking an implicit-function shortcut.  The
-momentum Jacobian carries the full convection linearization: advection
-C(u_k, v_k) plus the four reaction blocks from the iterate gradients.
+[u; v; p] system.  The iterations run off the caller's tape: each iterate's
+residual and Jacobian come from the assembly, ``pack_system`` and
+``constrain_system`` forward rules on a throwaway tape.  The caller's tape
+records one ``steady_flow`` operator from the viscosity to the converged
+state, whose backward rule is the implicit-function adjoint: one transpose
+solve with J(x*) and one vector-Jacobian product of the residual with
+respect to the viscosity.  The momentum Jacobian carries the full
+convection linearization: advection C(u_k, v_k) plus the four reaction
+blocks from the iterate gradients.
 
 Continuity rows carry pressure stabilization (a pressure stiffness weighted
 by beta h^2 / nu) so the equal-order discretization is solvable; the 1/nu
@@ -35,7 +39,14 @@ from .assembly import (
 )
 from .errors import ContractError, NewtonDivergedError, NumericError
 from .grid import cavity_velocity_bcs, uniform_boundary_bc
-from .sparse import SparseBlock, sparse_solve, spmv_fixed, spmv_pattern
+from .sparse import (
+    LuFactors,
+    SparseBlock,
+    sparse_solve,
+    spmv_fixed,
+    spmv_pattern,
+)
+from .tape import Tape, register_op
 
 __all__ = [
     "PhysicsConstants",
@@ -45,6 +56,7 @@ __all__ = [
     "ParticleState",
     "default_cavity_bcs",
     "ns_residual",
+    "ns_jacobian",
     "newton_solve",
     "heat_solve",
     "transport_integrate",
@@ -78,8 +90,10 @@ class NewtonConfig:
     max_iter: int = 10
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ContractError("Newton tolerance must be positive")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ContractError(
+                f"Newton tolerance must be finite and positive, got "
+                f"{self.tol_residual!r}")
         if self.max_iter < 1:
             raise ContractError("Newton needs at least one iteration")
 
@@ -160,6 +174,8 @@ class _NsSetup:
                                np.array([2 * n + bc.pressure_pin])])
         self.plan = constraint_plan(self.sys_pattern, cidx)
         self.zero_vals = np.zeros(cidx.size)
+        self.cidx = cidx
+        self.cvals = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
 
         mass = gops.scipy_matrix(gops.m_data)
         self.load_u = mass @ _nodal(constants.body_force_f, n)
@@ -172,9 +188,16 @@ class _NsSetup:
         return assemble_diffusion_block(tape, self.gops.grid, coef)
 
 
-def _residual(tape, setup, c_ref, k_ref, stab_ref, u, v, p):
-    """Stacked [momentum-x; momentum-y; continuity] with Dirichlet rows zeroed."""
+def _residual(tape, setup, nu, u, v, p):
+    """Stacked [momentum-x; momentum-y; continuity] with Dirichlet rows zeroed.
+
+    Returns the residual and the data refs of the blocks C(u, v), K(nu) and
+    the pressure stabilization, which the Newton Jacobian reuses.
+    """
     pat = setup.gops.pattern
+    c_ref = tape.apply("convection_block", (u, v), {"gops": setup.gops})
+    k_ref = assemble_diffusion_block(tape, setup.gops.grid, nu).ref
+    stab_ref = setup.stab_block(tape, nu).ref
     fu = ops.add(tape, spmv_pattern(tape, SparseBlock(pat, c_ref), u),
                  spmv_pattern(tape, SparseBlock(pat, k_ref), u))
     fu = ops.add(tape, fu, spmv_fixed(tape, setup.gx_m, p))
@@ -193,18 +216,128 @@ def _residual(tape, setup, c_ref, k_ref, stab_ref, u, v, p):
     res = ops.set_at(tape, full, setup.plan.idx, zeros)
     if not np.all(np.isfinite(tape.value(res))):
         raise NumericError("non-finite residual")
-    return res
+    return res, (c_ref, k_ref, stab_ref)
 
 
 def ns_residual(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
     """Public residual evaluation for a given state (see ``_residual``)."""
     setup = _NsSetup(grid, bc, constants, beta)
-    c_ref = tape.apply("convection_block", (state.u, state.v),
-                       {"gops": setup.gops})
-    kblock = assemble_diffusion_block(tape, grid, nu_nodal)
-    stab = setup.stab_block(tape, nu_nodal)
-    return _residual(tape, setup, c_ref, kblock.ref, stab.ref,
-                     state.u, state.v, state.p)
+    return _residual(tape, setup, nu_nodal, state.u, state.v, state.p)[0]
+
+
+def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
+    """Constrained Newton matrix J(x) at ``state`` as a scipy CSR matrix.
+
+    This is the matrix the steady-flow adjoint factorizes when ``state`` is
+    a converged solution.  It is evaluated off ``tape``, which is only read.
+    """
+    setup = _NsSetup(grid, bc, constants, beta)
+    x = np.concatenate([tape.value(r) for r in (state.u, state.v, state.p)])
+    return _Linearization(setup, tape.value(nu_nodal), x).jacobian()[0]
+
+
+class _Linearization:
+    """F(x, nu) at one state x = [u; v; p], recorded on a tape of its own.
+
+    ``nu`` is a variable of that tape, so the adjoint can take
+    (dF/dnu)^T lam from the same recording that gives J(x).
+    """
+
+    def __init__(self, setup, nu, x):
+        self.setup = setup
+        t = self.tape = Tape()
+        n = setup.n
+        self.nu = t.variable(nu)
+        self.u, self.v, self.p = (t.constant(x[k * n:(k + 1) * n])
+                                  for k in range(3))
+        self.f_ref, self.blocks = _residual(t, setup, self.nu, self.u,
+                                            self.v, self.p)
+
+    def residual_norm(self):
+        return float(np.max(np.abs(self.tape.value(self.f_ref))))
+
+    def jacobian(self):
+        """(constrained J(x) as scipy CSR, constrained F(x)).
+
+        The momentum blocks carry the full convection linearization:
+        advection C(u, v) plus the four reaction blocks from the state
+        gradients.
+        """
+        t, setup = self.tape, self.setup
+        grid = setup.gops.grid
+        c_ref, k_ref, stab_ref = self.blocks
+        rux = assemble_reaction_block(t, grid, self.u, 0)
+        ruy = assemble_reaction_block(t, grid, self.u, 1)
+        rvx = assemble_reaction_block(t, grid, self.v, 0)
+        rvy = assemble_reaction_block(t, grid, self.v, 1)
+        ck = ops.add(t, c_ref, k_ref)
+        juu = ops.add(t, ck, rux.ref)
+        jvv = ops.add(t, ck, rvy.ref)
+        placements = [
+            (setup.bmap[0][0], juu), (setup.bmap[0][1], ruy.ref),
+            (setup.bmap[1][0], rvx.ref), (setup.bmap[1][1], jvv),
+            (setup.bmap[2][2], stab_ref),
+        ]
+        sys_block = pack_system(t, setup.sys_pattern, placements,
+                                setup.const_sys)
+        blk_c, rhs_c = constrain_system(t, setup.plan, sys_block.ref,
+                                        self.f_ref, setup.zero_vals)
+        return (blk_c.pattern.to_scipy(t.value(blk_c.ref)), t.value(rhs_c))
+
+
+def _steady_flow_fwd(v, ctx):
+    """Newton iteration x <- x - J(x)^-1 F(x) from the Dirichlet data.
+
+    Each iterate lives on a throwaway tape, so only the current iterate and
+    one factorization are alive at a time.
+    """
+    nu = v[0]
+    setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
+    x = np.zeros(3 * setup.n)
+    x[setup.cidx] = setup.cvals
+    lin = _Linearization(setup, nu, x)
+    res_norm = lin.residual_norm()
+    trace = ctx["trace"] = []
+    for it in range(1, config.max_iter + 1):
+        matrix, rhs = lin.jacobian()
+        delta = LuFactors(matrix).solve(rhs)
+        if not np.all(np.isfinite(delta)):
+            raise NumericError("Newton step is not finite")
+        x = x - delta
+        x[setup.cidx] = setup.cvals
+        lin = _Linearization(setup, nu, x)
+        res_norm = lin.residual_norm()
+        trace.append((it, res_norm))
+        if trace_cb is not None:
+            trace_cb(it, res_norm)
+        if res_norm < config.tol_residual:
+            ctx["nu"], ctx["x"] = nu, x
+            return x
+
+    raise NewtonDivergedError(
+        f"Newton did not reach {config.tol_residual:g} in {config.max_iter} "
+        f"iterations (last residual {res_norm:.3e})",
+        last_residual=res_norm, iterations=config.max_iter)
+
+
+def _steady_flow_bwd(g, ctx):
+    """Implicit-function adjoint at the converged state x*.
+
+    F(x*(nu), nu) = 0 gives dx*/dnu = -J^-1 dF/dnu, so the gradient is
+    -(dF/dnu)^T lam with lam = J(x*)^-T g: one factorization and one
+    transpose solve, whatever the number of Newton iterations.  The
+    constrained J stands in for dF/dx: its eliminated columns multiply the
+    prescribed values, which do not move with nu, and the Dirichlet rows of
+    F are identically zero, so lam adds nothing there.
+    """
+    lin = _Linearization(ctx["setup"], ctx["nu"], ctx["x"])
+    lam = LuFactors(lin.jacobian()[0]).solve_transpose(g)
+    t = lin.tape
+    weighted = ops.dot(t, t.constant(lam), lin.f_ref)
+    return (-t.backward(weighted)[lin.nu],)
+
+
+register_op("steady_flow", _steady_flow_fwd, _steady_flow_bwd)
 
 
 def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
@@ -213,68 +346,19 @@ def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
 
     Always performs at least one iteration; convergence is judged on the
     post-update residual, so a state that already solves the system reports
-    one iteration.  Raises on nonconvergence with the last residual attached.
+    one iteration.  Raises on nonconvergence with the last residual attached,
+    leaving ``tape`` as it was.  On convergence the tape gains one
+    ``steady_flow`` node from ``nu_nodal`` to [u; v; p] plus three slices,
+    however many iterations were needed.
     """
     config = config or NewtonConfig()
     setup = _NsSetup(grid, bc, constants, beta)
-    gops = setup.gops
+    ctx = {"setup": setup, "config": config, "trace_cb": trace_cb}
+    x = tape.apply("steady_flow", (nu_nodal,), ctx)
     n = setup.n
-
-    u_vals = tape.constant(bc.u.vals)
-    v_vals = tape.constant(bc.v.vals)
-    pin_idx = np.array([bc.pressure_pin])
-    pin_zero = tape.constant(np.zeros(1))
-
-    u = ops.set_at(tape, tape.constant(np.zeros(n)), bc.u.idx, u_vals)
-    v = ops.set_at(tape, tape.constant(np.zeros(n)), bc.v.idx, v_vals)
-    p = ops.set_at(tape, tape.constant(np.zeros(n)), pin_idx, pin_zero)
-
-    kblock = assemble_diffusion_block(tape, grid, nu_nodal)
-    stab = setup.stab_block(tape, nu_nodal)
-    c_ref = tape.apply("convection_block", (u, v), {"gops": gops})
-    f_ref = _residual(tape, setup, c_ref, kblock.ref, stab.ref, u, v, p)
-
-    trace = []
-    res_norm = float(np.max(np.abs(tape.value(f_ref))))
-    for it in range(1, config.max_iter + 1):
-        rux = assemble_reaction_block(tape, grid, u, 0)
-        ruy = assemble_reaction_block(tape, grid, u, 1)
-        rvx = assemble_reaction_block(tape, grid, v, 0)
-        rvy = assemble_reaction_block(tape, grid, v, 1)
-        ck = ops.add(tape, c_ref, kblock.ref)
-        juu = ops.add(tape, ck, rux.ref)
-        jvv = ops.add(tape, ck, rvy.ref)
-        placements = [
-            (setup.bmap[0][0], juu), (setup.bmap[0][1], ruy.ref),
-            (setup.bmap[1][0], rvx.ref), (setup.bmap[1][1], jvv),
-            (setup.bmap[2][2], stab.ref),
-        ]
-        sys_block = pack_system(tape, setup.sys_pattern, placements,
-                                setup.const_sys)
-        blk_c, rhs_c = constrain_system(tape, setup.plan, sys_block.ref,
-                                        f_ref, setup.zero_vals)
-        delta = sparse_solve(tape, blk_c, rhs_c)
-
-        du = ops.slice1d(tape, delta, 0, n)
-        dv = ops.slice1d(tape, delta, n, 2 * n)
-        dp = ops.slice1d(tape, delta, 2 * n, 3 * n)
-        u = ops.set_at(tape, ops.sub(tape, u, du), bc.u.idx, u_vals)
-        v = ops.set_at(tape, ops.sub(tape, v, dv), bc.v.idx, v_vals)
-        p = ops.set_at(tape, ops.sub(tape, p, dp), pin_idx, pin_zero)
-
-        c_ref = tape.apply("convection_block", (u, v), {"gops": gops})
-        f_ref = _residual(tape, setup, c_ref, kblock.ref, stab.ref, u, v, p)
-        res_norm = float(np.max(np.abs(tape.value(f_ref))))
-        trace.append((it, res_norm))
-        if trace_cb is not None:
-            trace_cb(it, res_norm)
-        if res_norm < config.tol_residual:
-            return NSState(u, v, p, it, res_norm, trace)
-
-    raise NewtonDivergedError(
-        f"Newton did not reach {config.tol_residual:g} in {config.max_iter} "
-        f"iterations (last residual {res_norm:.3e})",
-        last_residual=res_norm, iterations=config.max_iter)
+    trace = ctx["trace"]
+    u, v, p = (ops.slice1d(tape, x, k * n, (k + 1) * n) for k in range(3))
+    return NSState(u, v, p, len(trace), trace[-1][1], trace)
 
 
 def heat_solve(tape, grid, ns, k_nodal, constants, bc_t=None):

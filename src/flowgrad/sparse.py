@@ -5,8 +5,9 @@ sparsity pattern lives as a 1-d data array on the tape plus a shared
 :class:`SparsePattern`; :class:`SparseBlock` bundles the two.  The adjoint of
 ``x = solve(A, b)`` needs one transpose solve: with ``lam = A^-T g``,
 ``d loss/d b = lam`` and ``d loss/d A_ij = -lam_i x_j`` restricted to the
-stored pattern.  The backward pass refactorizes from the recorded data rather
-than caching the forward factorization.
+stored pattern.  The forward pass keeps its factorization in the node context
+and the backward pass uses it for the transpose solve, then drops it, so each
+recorded system is factorized once.
 """
 
 from dataclasses import dataclass
@@ -260,13 +261,14 @@ def _sparse_solve_fwd(v, ctx):
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise NumericError("sparse_solve produced non-finite solution")
-    ctx["data"], ctx["x"] = data, x
+    ctx["data"], ctx["x"], ctx["lu"] = data, x, lu
     return x
 
 
 def _sparse_solve_bwd(g, ctx):
     pattern: SparsePattern = ctx["pattern"]
-    lu = LuFactors(pattern.to_scipy(ctx["data"]))
+    # a repeated backward pass over the same tape refactorizes
+    lu = ctx.pop("lu", None) or LuFactors(pattern.to_scipy(ctx["data"]))
     lam = lu.solve_transpose(g)
     gdata = -lam[pattern.rows] * ctx["x"][pattern.indices]
     return gdata, lam

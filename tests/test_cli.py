@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 import scipy.io
 
 from flowgrad.cli import main
@@ -122,6 +123,15 @@ def test_forward_dump_matrix_is_loadable(tmp_path):
     assert np.all(np.isfinite(matrix.data))
 
 
+@pytest.mark.parametrize("command", ["run", "forward"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_newton_tol_exits_2_without_files(tmp_path, command, tol):
+    cfg = _config(tmp_path, SMALL + f"\n[solver]\nnewton_tol = {tol}\n")
+    out = tmp_path / "never"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_forward_writes_temperature_for_heat(tmp_path):
     cfg = _config(tmp_path, "[experiment]\nname = conjugate_heat\n\n[grid]\nn = 6\n")
     out = tmp_path / "heat"
@@ -157,6 +167,12 @@ def test_gradcheck_corrupted_backward_exits_1(tmp_path, monkeypatch):
     # the corruption is restored before returning
     monkeypatch.delenv("FLOWGRAD_CORRUPT_BACKWARD")
     assert main(["gradcheck", "--config", cfg, "--samples", "3"]) == 0
+
+
+def test_gradcheck_corrupted_flow_adjoint_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "steady_flow")
+    assert main(["gradcheck", "--config", _config(tmp_path),
+                 "--samples", "3"]) == 1
 
 
 def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch):

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from flowgrad.errors import ContractError
 from flowgrad.experiments import (
     ExperimentConfig,
     add_noise,
+    build_problem,
     compute_loss,
     make_observations,
     reference_field,
@@ -288,3 +290,35 @@ def test_observation_noise_recorded_in_report():
     rep = run_experiment(cfg)
     assert rep.observations.noise_epsilon == 0.01
     assert rep.config_echo["noise_epsilon"] == 0.01
+
+
+# --- factorizations per objective evaluation
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return calls
+
+
+def test_cavity_objective_factorizes_once_per_newton_step_plus_adjoint(
+        monkeypatch):
+    problem = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
+    calls = _count_splu(monkeypatch)
+    problem.objective(problem.theta0)
+    assert problem.eval_note["newton"] > 1
+    assert len(calls) == problem.eval_note["newton"] + 1
+
+
+def test_heat_objective_factorizes_once(monkeypatch):
+    problem = build_problem(ExperimentConfig("conjugate_heat", grid_n=6,
+                                             n_points=12))
+    calls = _count_splu(monkeypatch)
+    problem.objective(problem.theta0)
+    assert len(calls) == 1

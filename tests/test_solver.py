@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from flowgrad import ops
-from flowgrad.errors import NewtonDivergedError, SingularMatrixError
+from flowgrad.errors import (
+    ContractError,
+    NewtonDivergedError,
+    SingularMatrixError,
+)
 from flowgrad.grid import DirichletSpec, StructuredGrid, uniform_boundary_bc
 from flowgrad.solver import (
     NewtonConfig,
@@ -127,6 +131,39 @@ def test_newton_divergence_reports_last_residual():
         solve_cavity(g, np.ones(g.n_nodes), config=NewtonConfig(1e-14, 1))
     assert err.value.iterations == 1
     assert np.isfinite(err.value.last_residual)
+
+
+def test_newton_divergence_leaves_tape_unchanged():
+    g = StructuredGrid(9)
+    t = Tape()
+    nu = t.variable(np.ones(g.n_nodes))
+    before = len(t)
+    with pytest.raises(NewtonDivergedError):
+        newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
+                     NewtonConfig(1e-14, 2))
+    assert len(t) == before
+
+
+def test_newton_tape_length_independent_of_iterations():
+    g = StructuredGrid(7)
+    t = Tape()
+    nu = t.variable(np.ones(g.n_nodes))
+    added = []
+    iterations = []
+    for lid in (0.0, 1.0):
+        before = len(t)
+        state = newton_solve(t, g, nu, PhysicsConstants(),
+                             default_cavity_bcs(g, lid))
+        added.append(len(t) - before)
+        iterations.append(state.newton_iterations_used)
+    assert iterations[0] == 1 and iterations[1] > 1
+    assert added[0] == added[1]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_newton_config_rejects_bad_tolerance(tol):
+    with pytest.raises(ContractError):
+        NewtonConfig(tol)
 
 
 def test_newton_gradient_reaches_viscosity():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+import scipy.sparse.linalg
 
 from flowgrad import ops
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
@@ -158,6 +159,28 @@ def test_sparse_solve_gradient_matches_fd():
 
     theta0 = np.concatenate([m.data, b])
     assert finite_difference_check(f, theta0, indices=range(0, theta0.size, 7)) < 1e-6
+
+
+def test_sparse_solve_factorizes_once_and_releases_lu(monkeypatch):
+    m = _random_spd_like(12, seed=18)
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    t = Tape()
+    data = t.variable(m.data)
+    x_ref = sparse_solve(t, SparseBlock(m.pattern, data), t.variable(np.ones(12)))
+    loss = ops.dot(t, x_ref, x_ref)
+    first = t.backward(loss)
+    assert len(calls) == 1
+    assert not any(isinstance(v, LuFactors) for v in t.nodes[x_ref].ctx.values())
+    # a second backward pass over the same tape refactorizes
+    np.testing.assert_array_equal(t.backward(loss)[data], first[data])
+    assert len(calls) == 2
 
 
 def test_spmv_pattern_adjoint_matches_dense_identities():
