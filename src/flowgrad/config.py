@@ -26,6 +26,7 @@ into a sweep (one run per level, shared everything else).
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -100,6 +101,13 @@ class ConfigBundle:
         return len(self.configs) > 1
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _parse_value(raw, kind, where):
     try:
         if kind is str:
@@ -107,14 +115,14 @@ def _parse_value(raw, kind, where):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         if kind == "bool":
             word = raw.strip().lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[word]
         if kind == "float_list":
-            values = tuple(float(part) for part in raw.split(","))
+            values = tuple(_finite(part) for part in raw.split(","))
             if not values:
                 raise ValueError("empty list")
             return values

@@ -19,8 +19,9 @@ inverse-crime caveat applies; errors quoted against the reference field).
 """
 
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -218,6 +219,16 @@ class ExperimentConfig:
             raise ContractError(
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {EXPERIMENTS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and value is not None and not math.isfinite(value):
+                raise ContractError(f"{f.name} must be finite, got {value}")
+        # a zero stabilization weight leaves the pressure oscillating, and the
+        # particle recursion needs a forward time step
+        for name in ("beta", "dt"):
+            if not getattr(self, name) > 0.0:
+                raise ContractError(
+                    f"{name} must be positive, got {getattr(self, name)}")
 
     def resolved(self):
         """A copy with every ``None`` replaced by its experiment default."""
@@ -263,6 +274,7 @@ class RunReport:
     n_steps: int
     n_evals: int
     rejections: int
+    line_search: dict
     prediction_mse_percent: dict = None
     presolve_newton_iters: int = None
     theta: np.ndarray = None
@@ -286,6 +298,7 @@ class RunReport:
             "n_steps": self.n_steps,
             "n_evals": self.n_evals,
             "rejections": self.rejections,
+            "line_search": self.line_search,
         }
         if self.prediction_mse_percent is not None:
             payload["prediction_mse_percent"] = self.prediction_mse_percent
@@ -456,6 +469,11 @@ def run_experiment(config, progress=None):
         config_echo=echo, converged=result.converged,
         stop_reason=result.stop_reason, n_steps=result.n_steps,
         n_evals=result.n_evals, rejections=result.rejections,
+        line_search={
+            "evals_per_step": list(result.evals_per_step),
+            "rejected_trials": [
+                {"step": step, "alpha": alpha, "reason": reason}
+                for step, alpha, reason in result.rejected_trials]},
         prediction_mse_percent=prediction_mse,
         presolve_newton_iters=problem.presolve_newton_iters,
         theta=result.theta, estimate_nodal=estimate,

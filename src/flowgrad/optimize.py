@@ -6,12 +6,22 @@ sitting on their bound with an outward-pointing gradient are frozen for the
 step, trial steps are capped where a free variable would cross its bound, and
 convergence is judged on the projected gradient.
 
+The step length comes from a strong Wolfe line search that interpolates
+instead of doubling and bisecting: every trial returns its loss and its slope
+along the direction, and the next trial is the minimizer of the cubic through
+two known points (Nocedal & Wright, *Numerical Optimization*, Alg. 3.5/3.6
+with the interpolation of section 3.5).  Safeguards keep the search
+convergent: an extrapolated step grows by a factor between 1.1 and 4, a zoom
+trial stays inside the middle 80% of its bracket, and the zoom bisects when
+the cubic has no minimizer or one end of the bracket is a rejected trial.
+
 A trial evaluation that raises a solver error (Newton nonconvergence,
 singular Jacobian, non-finite values) is treated as infinite loss: the trial
 is rejected and the step shrunk toward the current iterate.  Twenty rejected
 trials within one line search abort the run with diagnostics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +57,15 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizeResult:
+    """Outcome of one optimization.
+
+    ``evals_per_step`` holds the objective evaluations of each accepted step's
+    line search, so ``1 + sum(evals_per_step) == n_evals`` (the 1 is the
+    starting point).  ``rejected_trials`` lists every rejected trial as
+    ``(step, alpha, reason)``, the reason being the solver exception's class
+    name or ``"non-finite"``.
+    """
+
     theta: np.ndarray
     loss: float
     loss_history: list
@@ -56,7 +75,12 @@ class OptimizeResult:
     stop_reason: str
     projected_grad_norm: float
     n_evals: int
-    rejections: int
+    evals_per_step: list
+    rejected_trials: list
+
+    @property
+    def rejections(self):
+        return len(self.rejected_trials)
 
 
 def _bounds_array(lower_bounds, n):
@@ -142,7 +166,8 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     initial_loss = f
     history = []
     pairs = []
-    total_rejections = 0
+    evals_per_step = []
+    rejected_trials = []
 
     def projected_grad(xc, gc):
         return xc - np.maximum(xc - gc, lb)
@@ -151,7 +176,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     if pg_norm < config.tol_projected_grad:
         return OptimizeResult(x, f, history, initial_loss, 0, True,
                               "projected gradient below tolerance", pg_norm,
-                              evals[0], 0)
+                              evals[0], evals_per_step, rejected_trials)
 
     stop_reason = "step limit reached"
     converged = False
@@ -188,10 +213,11 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             alpha0 = min(1.0, 1.0 / max(1e-12, float(np.max(np.abs(d)))),
                          alpha_max)
 
-        accepted, rejections = _wolfe_search(
-            evaluate, x, d, f, g, dphi0, alpha0, alpha_max, lb, config, step)
-        total_rejections += rejections
-        alpha, f_new, g_new = accepted
+        evals_before = evals[0]
+        alpha, f_new, g_new = _wolfe_search(
+            evaluate, x, d, f, g, dphi0, alpha0, alpha_max, lb, config, step,
+            rejected_trials)
+        evals_per_step.append(evals[0] - evals_before)
         x_new = np.maximum(x + alpha * d, lb)
 
         if config.debug_fd_check:
@@ -223,14 +249,50 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             break
 
     return OptimizeResult(x, f, history, initial_loss, steps, converged,
-                          stop_reason, pg_norm, evals[0], total_rejections)
+                          stop_reason, pg_norm, evals[0], evals_per_step,
+                          rejected_trials)
+
+
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic through ``(a, fa)`` and ``(b, fb)`` with slopes
+    ``da`` and ``db`` (Nocedal & Wright, *Numerical Optimization*, eq. 3.59).
+
+    Returns None when the cubic has no local minimizer (negative
+    discriminant) or the formula breaks down (coincident points, zero or
+    non-finite denominator, non-finite result).
+    """
+    if a == b:
+        return None
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:  # also rejects NaN
+        return None
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    denom = db - da + 2.0 * d2
+    if denom == 0.0:
+        return None
+    alpha = b - (b - a) * (db + d2 - d1) / denom
+    return float(alpha) if math.isfinite(alpha) else None
 
 
 def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
-                  config, step):
-    """Strong Wolfe search with the rejection protocol folded in.
+                  config, step, rejected):
+    """Strong Wolfe search with cubic interpolation and the rejection
+    protocol folded in.
 
-    Returns ((alpha, f, g), rejections).  Raises LineSearchError when no
+    Every trial keeps its loss f and slope phi' = g.d.  While a trial passes
+    the sufficient-decrease test but is still too short (phi' < 0), the next
+    trial is the minimizer of the cubic through the previous and current
+    (f, phi'), clamped to [1.1, 4] times the current step and kept below
+    ``min(alpha_max, 0.999 * ceil)``, ``ceil`` being the shortest rejected
+    step; a cubic without a minimizer extrapolates by the full factor 4.  Once a bracket holds an acceptable step, the zoom
+    trial is the cubic minimizer through both ends, clamped into the middle
+    80% of the bracket so the interval shrinks by at least a tenth each time.
+    It bisects when that minimizer is undefined or when the far end is a
+    rejected trial, which has no f or g.
+
+    Each rejected trial is appended to ``rejected`` as ``(step, alpha,
+    reason)``.  Returns ``(alpha, f, g)``.  Raises LineSearchError when no
     acceptable point exists within the evaluation budget or after 20
     rejected (failed or non-finite) trials.
     """
@@ -250,69 +312,86 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     ceil = [np.inf]
 
     def phi(alpha):
-        """None signals a rejected trial (solver failure or non-finite loss)."""
+        """A point ``(alpha, f, g, phi')``, or None for a rejected trial
+        (solver failure or non-finite loss)."""
         if budget[0] <= 0:
             fail("evaluation budget exhausted")
         budget[0] -= 1
         try:
             f_a, g_a = evaluate(np.maximum(x + alpha * d, lb))
-        except NumericError:
-            f_a, g_a = np.inf, None
+        except NumericError as exc:
+            f_a, g_a, reason = np.inf, None, type(exc).__name__
+        else:
+            reason = "non-finite"
         if not np.isfinite(f_a):
             rejections[0] += 1
+            rejected.append((step, float(alpha), reason))
             ceil[0] = min(ceil[0], alpha)
             if rejections[0] >= _MAX_REJECTIONS:
                 fail(f"{_MAX_REJECTIONS} rejected trial steps")
             return None
-        return f_a, g_a, float(g_a @ d)
+        return alpha, f_a, g_a, float(g_a @ d)
 
     def armijo(alpha, f_a):
         return f_a <= f0 + c1 * alpha * dphi0
 
-    def zoom(lo, f_lo, g_lo, hi):
+    def zoom_trial(lo, hi):
+        trial = None
+        if hi[1] is not None:  # a rejected trial has no f or g
+            trial = _cubic_min(lo[0], lo[1], lo[3], hi[0], hi[1], hi[3])
+        if trial is None:
+            return 0.5 * (lo[0] + hi[0])
+        margin = 0.1 * (hi[0] - lo[0])
+        inner, outer = sorted((lo[0] + margin, hi[0] - margin))
+        return min(max(trial, inner), outer)
+
+    def zoom(lo, hi):
         # invariant: lo satisfies the sufficient-decrease condition (or is 0)
         for _ in range(_MAX_SEARCH_EVALS):
-            if abs(hi - lo) < 1e-14 * max(1.0, abs(lo)):
+            if abs(hi[0] - lo[0]) < 1e-14 * max(1.0, abs(lo[0])):
                 break
-            alpha = 0.5 * (lo + hi)
-            res = phi(alpha)
-            if res is None:
-                hi = alpha  # shrink toward the acceptable end
+            alpha = zoom_trial(lo, hi)
+            point = phi(alpha)
+            if point is None:
+                hi = (alpha, None, None, None)  # shrink toward the acceptable end
                 continue
-            f_a, g_a, dphi_a = res
-            if not armijo(alpha, f_a) or f_a >= f_lo:
-                hi = alpha
+            _, f_a, g_a, dphi_a = point
+            if not armijo(alpha, f_a) or f_a >= lo[1]:
+                hi = point
             else:
                 if abs(dphi_a) <= -c2 * dphi0:
                     return alpha, f_a, g_a
-                if dphi_a * (hi - lo) >= 0.0:
+                if dphi_a * (hi[0] - lo[0]) >= 0.0:
                     hi = lo
-                lo, f_lo, g_lo = alpha, f_a, g_a
-        if lo > 0.0 and f_lo < f0:
-            return lo, f_lo, g_lo
+                lo = point
+        if lo[0] > 0.0 and lo[1] < f0:
+            return lo[:3]
         fail("zoom could not find an acceptable point")
 
-    alpha_prev, f_prev, g_prev = 0.0, f0, g0
+    prev = (0.0, f0, g0, dphi0)
     alpha = alpha0
     first = True
     for _ in range(_MAX_SEARCH_EVALS):
-        res = phi(alpha)
-        if res is None:
-            alpha = 0.5 * (alpha_prev + alpha)  # halve toward the last good point
+        point = phi(alpha)
+        if point is None:
+            alpha = 0.5 * (prev[0] + alpha)  # halve toward the last good point
             continue
-        f_a, g_a, dphi_a = res
-        if not armijo(alpha, f_a) or (f_a >= f_prev and not first):
-            return zoom(alpha_prev, f_prev, g_prev, alpha), rejections[0]
+        _, f_a, g_a, dphi_a = point
+        if not armijo(alpha, f_a) or (f_a >= prev[1] and not first):
+            return zoom(prev, point)
         if abs(dphi_a) <= -c2 * dphi0:
-            return (alpha, f_a, g_a), rejections[0]
+            return alpha, f_a, g_a
         if dphi_a >= 0.0:
-            return zoom(alpha, f_a, g_a, alpha_prev), rejections[0]
+            return zoom(point, prev)
         cap = min(alpha_max, 0.999 * ceil[0])
         if alpha >= cap:
             # pressed against a bound or a failure barrier: sufficient
             # decrease is all we can ask
-            return (alpha, f_a, g_a), rejections[0]
-        alpha_prev, f_prev, g_prev = alpha, f_a, g_a
-        alpha = min(2.0 * alpha, cap)
+            return alpha, f_a, g_a
+        trial = _cubic_min(prev[0], prev[1], prev[3], alpha, f_a, dphi_a)
+        if trial is None:
+            trial = 4.0 * alpha
+        alpha = min(max(trial, 1.1 * alpha), 4.0 * alpha, cap)
+        prev = point
         first = False
     fail("bracketing budget exhausted")

@@ -7,6 +7,7 @@ import pytest
 import scipy.io
 
 from flowgrad.cli import main
+from flowgrad.config import _SCHEMA, load_config
 from flowgrad.experiments import reference_field
 from flowgrad.grid import StructuredGrid, read_field_csv
 
@@ -129,6 +130,30 @@ def test_non_finite_newton_tol_exits_2_without_files(tmp_path, command, tol):
     cfg = _config(tmp_path, SMALL + f"\n[solver]\nnewton_tol = {tol}\n")
     out = tmp_path / "never"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key, (_, kind) in keys.items()
+               if kind in (float, "float_list")]
+# keys whose physics forbids zero or negative values
+_SIGNED = {"noise_epsilon": ["-0.01"], "newton_tol": ["0", "-1e-8"],
+           "beta": ["0", "-0.01"], "dt": ["0", "-0.1"]}
+_INVALID_FLOATS = [(section, key, value) for section, key in _FLOAT_KEYS
+                   for value in ["nan", "inf", "-inf"] + _SIGNED.get(key, [])]
+
+
+@pytest.mark.parametrize("section,key,value", _INVALID_FLOATS,
+                         ids=[f"{k}={v}" for _, k, v in _INVALID_FLOATS])
+def test_invalid_float_value_exits_2_without_files(tmp_path, section, key,
+                                                   value):
+    base = "[experiment]\nname = cavity_viscosity\n\n[grid]\nn = 6\n"
+    # the same file with a valid value loads, so exit 2 is due to the value
+    load_config(_config(tmp_path, base + f"\n[{section}]\n{key} = 1.0\n",
+                        name="ok.ini"))
+    cfg = _config(tmp_path, base + f"\n[{section}]\n{key} = {value}\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

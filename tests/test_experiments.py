@@ -1,12 +1,14 @@
 """Observation synthesis, loss plumbing, and the experiment protocol."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from flowgrad.errors import ContractError
+from flowgrad import experiments
+from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
     ExperimentConfig,
     add_noise,
@@ -197,6 +199,24 @@ def test_unknown_experiment_rejected():
         ExperimentConfig(experiment="magnetohydrodynamics")
 
 
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
+                 if f.type is float]
+
+
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_field_rejected(name, value):
+    with pytest.raises(ContractError, match=name):
+        ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["beta", "dt"])
+@pytest.mark.parametrize("value", [0.0, -0.1])
+def test_non_positive_beta_and_dt_rejected(name, value):
+    with pytest.raises(ContractError, match=f"{name} must be positive"):
+        ExperimentConfig(**{name: value})
+
+
 def test_full_grid_default_tracks_grid_size():
     cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6).resolved()
     assert cfg.n_points == 36
@@ -266,6 +286,40 @@ def test_report_json_contract():
     assert payload["config_echo"]["init_seed"] == 3
     assert payload["config_echo"]["obs_seed"] == 7
     assert len(payload["loss_history"]) == rep.n_steps
+
+
+def test_report_records_line_search(monkeypatch):
+    # the first trial step of the first line search fails like a diverged
+    # Newton solve; the report names it and the search recovers
+    real_build = experiments.build_problem
+
+    def build_with_one_failure(config):
+        problem = real_build(config)
+        objective = problem.objective
+        calls = [0]
+
+        def flaky(theta):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise NewtonDivergedError("forced", last_residual=1.0,
+                                          iterations=10)
+            return objective(theta)
+
+        problem.objective = flaky
+        return problem
+
+    monkeypatch.setattr(experiments, "build_problem", build_with_one_failure)
+    cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6, max_steps=4)
+    rep = run_experiment(cfg)
+    block = json.loads(rep.to_json())["line_search"]
+    assert block == rep.line_search
+    assert rep.rejections == 1
+    [trial] = block["rejected_trials"]
+    assert trial["step"] == 1 and trial["alpha"] > 0.0
+    assert trial["reason"] == "NewtonDivergedError"
+    assert len(block["evals_per_step"]) == rep.n_steps
+    assert 1 + sum(block["evals_per_step"]) == rep.n_evals
+    assert block["evals_per_step"][0] >= 2
 
 
 def test_conjugate_heat_reports_presolve():

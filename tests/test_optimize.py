@@ -7,7 +7,12 @@ from flowgrad.errors import (
     NewtonDivergedError,
     NumericError,
 )
-from flowgrad.optimize import OptimizerConfig, lbfgs_optimize
+from flowgrad.optimize import (
+    OptimizerConfig,
+    _cubic_min,
+    _wolfe_search,
+    lbfgs_optimize,
+)
 
 
 def quadratic(center):
@@ -104,6 +109,99 @@ def test_twenty_rejections_raise_line_search_error():
     with pytest.raises(LineSearchError) as err:
         lbfgs_optimize(f, np.array([0.0]))
     assert err.value.diagnostics["rejections"] == 20
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_rejected_trials_and_evals_per_step_recorded(failure):
+    # the landscape of test_solver_failures_are_rejected_then_recovered,
+    # failing either by a solver error or by a NaN
+    failed = []
+
+    def f(x):
+        if x[0] < 0.05:
+            failed.append(x[0])
+            if failure == "raise":
+                raise NewtonDivergedError("diverged")
+            return np.nan, np.array([np.nan])
+        d = x[0] - 0.1
+        return float(d * d), np.array([2.0 * d])
+
+    res = lbfgs_optimize(f, np.array([1.0]))
+    assert len(res.evals_per_step) == res.n_steps
+    assert 1 + sum(res.evals_per_step) == res.n_evals
+    assert failed
+    assert res.rejections == len(res.rejected_trials) == len(failed)
+    reason = "NewtonDivergedError" if failure == "raise" else "non-finite"
+    for step, alpha, why in res.rejected_trials:
+        assert 1 <= step <= res.n_steps
+        assert alpha > 0.0
+        assert why == reason
+
+
+def test_cubic_min_recovers_cubic_minimizer():
+    # p(a) = a^3 - 3a has its local minimum at a = 1
+    def p(a):
+        return a ** 3 - 3.0 * a, 3.0 * a * a - 3.0
+
+    for lo, hi in [(0.0, 2.0), (2.0, 0.0), (-0.5, 3.0), (0.9, 1.2)]:
+        alpha = _cubic_min(lo, *p(lo), hi, *p(hi))
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cubic_min_none_without_minimizer():
+    # p(a) = a^3 + a is increasing everywhere: negative discriminant
+    def p(a):
+        return a ** 3 + a, 3.0 * a * a + 1.0
+
+    assert _cubic_min(0.0, *p(0.0), 1.0, *p(1.0)) is None
+    assert _cubic_min(1.0, *p(1.0), 1.0, *p(1.0)) is None
+
+
+def _search_quadratic(alpha0):
+    """Line search along d = 1 from x = 0 on (x - 1)^2, minimum at alpha 1."""
+    calls = []
+
+    def evaluate(theta):
+        calls.append(float(theta[0]))
+        d = theta - 1.0
+        return float(d @ d), 2.0 * d
+
+    x = np.zeros(1)
+    d = np.ones(1)
+    f0, g0 = 1.0, np.array([-2.0])
+    alpha, f, g = _wolfe_search(evaluate, x, d, f0, g0, float(g0 @ d),
+                                alpha0, np.inf, np.full(1, -np.inf),
+                                OptimizerConfig(), 1, [])
+    return alpha, calls
+
+
+def test_search_interpolates_back_from_overlong_trial():
+    # bisection from 100x the minimizer needed 7 evaluations
+    alpha, calls = _search_quadratic(100.0)
+    assert len(calls) == 3
+    assert alpha == pytest.approx(1.0)
+
+
+def test_search_extrapolates_from_short_trial():
+    # doubling from 1/64 of the minimizer needed 4 evaluations
+    alpha, calls = _search_quadratic(1.0 / 64.0)
+    assert calls == [1.0 / 64.0, 4.0 / 64.0, 16.0 / 64.0]
+    assert alpha == 0.25
+
+
+def test_accepted_steps_satisfy_strong_wolfe():
+    cfg = OptimizerConfig()
+    x0 = np.array([-1.2, 1.0])
+    seen = [(x0, *rosenbrock(x0))]
+    res = lbfgs_optimize(rosenbrock, x0, cfg,
+                         callback=lambda k, x, f, g: seen.append((x, f, g)))
+    assert res.n_steps > 10
+    for (x_a, f_a, g_a), (x_b, f_b, g_b) in zip(seen, seen[1:]):
+        s = x_b - x_a  # alpha * d
+        slope0 = float(g_a @ s)
+        assert slope0 < 0.0
+        assert f_b <= f_a + cfg.c1 * slope0
+        assert abs(float(g_b @ s)) <= cfg.c2 * abs(slope0)
 
 
 def test_non_finite_start_rejected():
