@@ -26,7 +26,7 @@ try:
     import numba
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
+except ImportError:  # numba is the optional `numba` extra
     numba = None
     HAS_NUMBA = False
 

@@ -120,25 +120,19 @@ class GridOperators:
         n = base.n_rows
         row_len = np.diff(base.indptr)
         sys_indptr = np.concatenate([[0], np.cumsum(np.tile(3 * row_len, 3))])
-        sys_indices = np.empty(3 * base.nnz * 3, dtype=np.int32)
-        at = 0
-        for _ in range(3):
-            for i in range(n):
-                cols = base.indices[base.indptr[i]:base.indptr[i + 1]]
-                for bc in range(3):
-                    sys_indices[at:at + cols.size] = cols + bc * n
-                    at += cols.size
-        sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices,
-                                           validate=False)
         offset_in_row = np.arange(base.nnz) - base.indptr[base.rows]
+        sys_indices = np.empty(3 * base.nnz * 3, dtype=np.int32)
         blockmap = []
         for br in range(3):
             row_maps = []
             for bc in range(3):
                 pos = (sys_indptr[br * n + base.rows]
-                       + bc * row_len[base.rows] + offset_in_row)
-                row_maps.append(pos.astype(np.intp))
+                       + bc * row_len[base.rows] + offset_in_row).astype(np.intp)
+                sys_indices[pos] = base.indices + bc * n
+                row_maps.append(pos)
             blockmap.append(row_maps)
+        sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices,
+                                           validate=False)
         self._system = (sys_pattern, blockmap)
         return self._system
 
@@ -349,12 +343,16 @@ def constraint_plan(pattern, idx):
     col_entries = np.flatnonzero(cmask[pattern.indices] & ~cmask[pattern.rows])
     col_rows = pattern.rows[col_entries].astype(np.intp)
     col_slot = np.searchsorted(idx, pattern.indices[col_entries])
-    diag_pos = np.empty(idx.size, dtype=np.intp)
-    for s, c in enumerate(idx):
-        k = pattern.entry_index(c, c)
-        if k < 0:
-            raise ContractError(f"pattern has no diagonal entry for row {c}")
-        diag_pos[s] = k
+    # rows are non-decreasing and columns increase within a row, so the keys
+    # row * n_cols + col are sorted over the whole pattern
+    keys = pattern.rows.astype(np.int64) * pattern.n_cols + pattern.indices
+    diag_keys = idx.astype(np.int64) * (pattern.n_cols + 1)
+    diag_pos = np.searchsorted(keys, diag_keys).astype(np.intp)
+    found = diag_pos < keys.size
+    found[found] = keys[diag_pos[found]] == diag_keys[found]
+    if not found.all():
+        raise ContractError(
+            f"pattern has no diagonal entry for row {idx[~found][0]}")
     return ConstraintPlan(pattern, idx, row_entries, col_entries,
                           col_rows, col_slot, diag_pos)
 

@@ -223,12 +223,17 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type is float and value is not None and not math.isfinite(value):
                 raise ContractError(f"{f.name} must be finite, got {value}")
-        # a zero stabilization weight leaves the pressure oscillating, and the
-        # particle recursion needs a forward time step
-        for name in ("beta", "dt"):
+        # a zero stabilization weight leaves the pressure oscillating, the
+        # particle recursion needs a forward time step, and the pointwise
+        # model's lower bound is what keeps its coefficient positive
+        for name in ("beta", "dt", "pointwise_lower_bound"):
             if not getattr(self, name) > 0.0:
                 raise ContractError(
                     f"{name} must be positive, got {getattr(self, name)}")
+        # a floor below zero would let the clamped coefficient go negative
+        if not self.clamp_floor >= 0.0:
+            raise ContractError(
+                f"clamp_floor must be nonnegative, got {self.clamp_floor}")
 
     def resolved(self):
         """A copy with every ``None`` replaced by its experiment default."""

@@ -29,7 +29,7 @@ from flowgrad.assembly import (
 )
 from flowgrad.errors import ContractError
 from flowgrad.grid import DirichletSpec, StructuredGrid
-from flowgrad.sparse import SparseBlock, sparse_solve
+from flowgrad.sparse import CsrMatrix, SparseBlock, sparse_solve
 from flowgrad.tape import Tape, finite_difference_check
 
 _GP = 1.0 / np.sqrt(3.0)
@@ -306,6 +306,30 @@ def test_pack_system_places_blocks():
     np.testing.assert_allclose(grads[a_ref], 2.0, rtol=0, atol=0)
 
 
+def test_system_layout_matches_row_loop():
+    # reference: walk the system rows in order and lay out each base row's
+    # columns once per block column
+    g = StructuredGrid(13, 9)
+    gops = operators_for(g)
+    sys_pattern, bmap = gops.system_layout()
+    base, n = gops.pattern, g.n_nodes
+    expected = []
+    for _ in range(3):
+        for i in range(n):
+            cols = base.indices[base.indptr[i]:base.indptr[i + 1]]
+            for bc in range(3):
+                expected.append(cols + bc * n)
+    expected = np.concatenate(expected)
+    assert sys_pattern.indices.dtype == expected.dtype == np.int32
+    np.testing.assert_array_equal(sys_pattern.indices, expected)
+    for br in range(3):
+        for bc in range(3):
+            np.testing.assert_array_equal(sys_pattern.rows[bmap[br][bc]],
+                                          base.rows + br * n)
+            np.testing.assert_array_equal(sys_pattern.indices[bmap[br][bc]],
+                                          base.indices + bc * n)
+
+
 def test_constrain_empty_spec_is_identity():
     g = StructuredGrid(3)
     gops = operators_for(g)
@@ -426,3 +450,29 @@ def test_constraint_plan_rejects_duplicates_and_range():
         constraint_plan(gops.pattern, np.array([1, 1]))
     with pytest.raises(ContractError):
         constraint_plan(gops.pattern, np.array([99]))
+
+
+def test_constraint_plan_diagonal_matches_entry_lookup():
+    g = StructuredGrid(13, 9)
+    sys_pattern, _ = operators_for(g).system_layout()
+    rng = np.random.default_rng(12)
+    cidx = rng.choice(sys_pattern.n_rows, size=150, replace=False)
+    plan = constraint_plan(sys_pattern, cidx)
+    expected = np.array([sys_pattern.entry_index(c, c) for c in np.sort(cidx)])
+    assert plan.diag_pos.dtype == np.intp
+    np.testing.assert_array_equal(plan.diag_pos, expected)
+    # the last row constrained too: its diagonal is the last stored entry
+    last = sys_pattern.n_rows - 1
+    assert constraint_plan(sys_pattern, [last]).diag_pos[0] == sys_pattern.nnz - 1
+
+
+def test_constraint_plan_rejects_missing_diagonal():
+    pattern = CsrMatrix.from_dense(np.array([[1.0, 1.0, 0.0],
+                                             [1.0, 0.0, 1.0],
+                                             [0.0, 1.0, 1.0]])).pattern
+    with pytest.raises(ContractError, match="row 1"):
+        constraint_plan(pattern, np.array([0, 1]))
+    # a missing diagonal in the last row sorts past every stored entry
+    pattern = CsrMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]])).pattern
+    with pytest.raises(ContractError, match="row 1"):
+        constraint_plan(pattern, np.array([1]))

@@ -138,7 +138,8 @@ _FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
                if kind in (float, "float_list")]
 # keys whose physics forbids zero or negative values
 _SIGNED = {"noise_epsilon": ["-0.01"], "newton_tol": ["0", "-1e-8"],
-           "beta": ["0", "-0.01"], "dt": ["0", "-0.1"]}
+           "beta": ["0", "-0.01"], "dt": ["0", "-0.1"],
+           "clamp_floor": ["-1"], "pointwise_lower_bound": ["0", "-1"]}
 _INVALID_FLOATS = [(section, key, value) for section, key in _FLOAT_KEYS
                    for value in ["nan", "inf", "-inf"] + _SIGNED.get(key, [])]
 

@@ -210,11 +210,17 @@ def test_non_finite_float_field_rejected(name, value):
         ExperimentConfig(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["beta", "dt"])
+@pytest.mark.parametrize("name", ["beta", "dt", "pointwise_lower_bound"])
 @pytest.mark.parametrize("value", [0.0, -0.1])
 def test_non_positive_beta_and_dt_rejected(name, value):
     with pytest.raises(ContractError, match=f"{name} must be positive"):
         ExperimentConfig(**{name: value})
+
+
+def test_negative_clamp_floor_rejected():
+    assert ExperimentConfig(clamp_floor=0.0).clamp_floor == 0.0
+    with pytest.raises(ContractError, match="clamp_floor must be nonnegative"):
+        ExperimentConfig(clamp_floor=-1.0)
 
 
 def test_full_grid_default_tracks_grid_size():

@@ -19,6 +19,14 @@ import scipy.sparse.linalg
 
 from flowgrad import ops
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
+from flowgrad.experiments import reference_field
+from flowgrad.grid import StructuredGrid
+from flowgrad.solver import (
+    PhysicsConstants,
+    default_cavity_bcs,
+    newton_solve,
+    ns_jacobian,
+)
 from flowgrad.sparse import (
     CsrMatrix,
     LuFactors,
@@ -114,6 +122,91 @@ def test_singular_dependent_rows_reports_pivot():
     with pytest.raises(SingularMatrixError) as err:
         LuFactors(scipy.sparse.csr_matrix(dense))
     assert 0 <= err.value.pivot_index <= 2
+
+
+def _cavity_jacobian(n):
+    """Constrained Newton matrix J(x*) of the reference-viscosity cavity."""
+    grid = StructuredGrid(n)
+    t = Tape()
+    nu = t.constant(reference_field("cavity_viscosity", grid.coords))
+    bc = default_cavity_bcs(grid)
+    state = newton_solve(t, grid, nu, PhysicsConstants(), bc)
+    return ns_jacobian(t, grid, state, nu, PhysicsConstants(), bc)
+
+
+def test_lu_cavity_fill_and_transpose_residual():
+    jac = _cavity_jacobian(21)
+    lu = LuFactors(jac)
+    colamd = scipy.sparse.linalg.splu(jac.tocsc())
+    fill = lu._lu.L.nnz + lu._lu.U.nnz
+    assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+    b = np.random.default_rng(19).normal(size=jac.shape[0])
+    x = lu.solve_transpose(b)
+    assert np.max(np.abs(b - jac.T @ x)) < 1e-10 * np.max(np.abs(b))
+
+
+def test_lu_zero_diagonal_factorizes():
+    # a cyclic permutation plus a coupling: nonsingular, every diagonal zero
+    n = 9
+    dense = np.zeros((n, n))
+    dense[np.arange(n), (np.arange(n) + 1) % n] = 2.0 + np.arange(n)
+    dense[np.arange(n), (np.arange(n) + 4) % n] = 0.5
+    assert np.all(np.diag(dense) == 0.0)
+    lu = LuFactors(scipy.sparse.csr_matrix(dense))
+    b = np.random.default_rng(20).normal(size=n)
+    np.testing.assert_allclose(lu.solve(b), np.linalg.solve(dense, b),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(lu.solve_transpose(b),
+                               np.linalg.solve(dense.T, b),
+                               rtol=1e-12, atol=1e-12)
+
+
+class _SkewedSolve:
+    """SuperLU stand-in whose first ``bad_calls`` solves return ``x * factor``."""
+
+    def __init__(self, lu, factor, bad_calls):
+        self.lu, self.factor, self.bad_calls, self.calls = lu, factor, bad_calls, 0
+
+    def solve(self, b, trans="N"):
+        self.calls += 1
+        x = self.lu.solve(b, trans=trans)
+        return x * self.factor if self.calls <= self.bad_calls else x
+
+
+def _skewed_splu(monkeypatch, factor, bad_calls):
+    splu = scipy.sparse.linalg.splu
+    made = []
+
+    def wrapped(*args, **kwargs):
+        made.append(_SkewedSolve(splu(*args, **kwargs), factor, bad_calls))
+        return made[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", wrapped)
+    return made
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_lu_refinement_repairs_perturbed_solve(monkeypatch, trans):
+    m = _random_spd_like(20, seed=21)
+    made = _skewed_splu(monkeypatch, 1.0 + 1e-5, bad_calls=1)
+    lu = LuFactors(m)
+    b = np.random.default_rng(22).normal(size=20)
+    dense = m.to_dense().T if trans else m.to_dense()
+    x = lu.solve_transpose(b) if trans else lu.solve(b)
+    assert made[0].calls == 2
+    np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-12,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_lu_unrepairable_solve_raises(monkeypatch, trans):
+    m = _random_spd_like(20, seed=23)
+    made = _skewed_splu(monkeypatch, -1.0, bad_calls=2)
+    lu = LuFactors(m)
+    b = np.random.default_rng(24).normal(size=20)
+    with pytest.raises(NumericError, match="residual"):
+        lu.solve_transpose(b) if trans else lu.solve(b)
+    assert made[0].calls == 2
 
 
 def test_sparse_solve_adjoint_matches_dense_identities():
