@@ -7,8 +7,6 @@ uses is decided once at import time:
 * ``FLOWGRAD_NO_NUMBA=1`` forces the numpy fallback even when numba is
   installed (useful for debugging and for the benchmark in ``benchmarks/``).
 * If numba is missing the fallback is selected silently.
-* ``FLOWGRAD_THREADS=N`` caps the numba thread pool.  The shipped kernels are
-  serial (deterministic accumulation order), so this is a cap, not a demand.
 """
 
 import os
@@ -31,17 +29,6 @@ except ImportError:  # numba is the optional `numba` extra
     HAS_NUMBA = False
 
 USE_NUMBA = HAS_NUMBA and NUMBA_REQUESTED
-
-THREAD_CAP = 0
-if HAS_NUMBA:
-    raw = os.environ.get("FLOWGRAD_THREADS", "").strip()
-    if raw:
-        try:
-            THREAD_CAP = int(raw)
-        except ValueError:
-            THREAD_CAP = 0
-    if THREAD_CAP > 0:
-        numba.set_num_threads(min(THREAD_CAP, numba.config.NUMBA_NUM_THREADS))
 
 
 def njit(func):

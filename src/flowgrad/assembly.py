@@ -40,12 +40,16 @@ __all__ = [
 
 
 class GridOperators:
-    """Shared pattern, scatter maps, and constant blocks for one grid."""
+    """Shared pattern, scatter maps, and constant blocks for one grid.
+
+    Keeps only the grid's ``n_nodes`` and ``elems``, never the grid itself:
+    the grid holds its operators (see ``operators_for``), so a reference
+    back would make a cycle that only the cycle collector frees.
+    """
 
     def __init__(self, grid):
-        self.grid = grid
-        n = grid.n_nodes
-        elems = grid.elems
+        n = self.n_nodes = grid.n_nodes
+        elems = self.elems = grid.elems
         q = grid.quad
 
         rows16 = np.repeat(elems, 4, axis=1)
@@ -97,13 +101,13 @@ class GridOperators:
 
     def at_quad(self, nodal, table):
         """Per-element quadrature values of a nodal field (table = n or dndx/y)."""
-        return nodal[self.grid.elems] @ table.T
+        return nodal[self.elems] @ table.T
 
     def quad_to_nodal(self, gq, table):
         """Adjoint of ``at_quad``: scatter quadrature gradients to nodes."""
         contrib = gq @ table
-        return np.bincount(self.grid.elems.ravel(), weights=contrib.ravel(),
-                           minlength=self.grid.n_nodes)
+        return np.bincount(self.elems.ravel(), weights=contrib.ravel(),
+                           minlength=self.n_nodes)
 
     def scipy_matrix(self, data):
         return self.pattern.to_scipy(data)
@@ -152,10 +156,10 @@ def operators_for(grid):
 def _diffusion_block_fwd(v, ctx):
     gops: GridOperators = ctx["gops"]
     coef = v[0]
-    if coef.shape != (gops.grid.n_nodes,):
+    if coef.shape != (gops.n_nodes,):
         raise ContractError(
             f"diffusion block: coefficient length {coef.shape} != "
-            f"n_nodes {gops.grid.n_nodes}")
+            f"n_nodes {gops.n_nodes}")
     coef_q = gops.at_quad(coef, gops.n_tab)
     elem = kernels.diffusion_fwd(coef_q, gops.wdet, gops.dndx_tab, gops.dndy_tab)
     return gops.scatter(elem)
@@ -171,7 +175,7 @@ def _diffusion_block_bwd(g, ctx):
 def _convection_block_fwd(v, ctx):
     gops: GridOperators = ctx["gops"]
     u, w = v
-    if u.shape != (gops.grid.n_nodes,) or w.shape != (gops.grid.n_nodes,):
+    if u.shape != (gops.n_nodes,) or w.shape != (gops.n_nodes,):
         raise ContractError("convection block: velocity fields must be nodal")
     uq = gops.at_quad(u, gops.n_tab)
     vq = gops.at_quad(w, gops.n_tab)
@@ -192,7 +196,7 @@ def _convection_block_bwd(g, ctx):
 def _reaction_block_fwd(v, ctx):
     gops: GridOperators = ctx["gops"]
     w = v[0]
-    if w.shape != (gops.grid.n_nodes,):
+    if w.shape != (gops.n_nodes,):
         raise ContractError("reaction block: field must be nodal")
     table = gops.dndx_tab if ctx["axis"] == 0 else gops.dndy_tab
     gq = gops.at_quad(w, table)

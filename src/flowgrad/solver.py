@@ -152,6 +152,7 @@ class _NsSetup:
 
     def __init__(self, grid, bc, constants, beta):
         gops = operators_for(grid)
+        self.grid = grid
         self.gops = gops
         n = grid.n_nodes
         self.n = n
@@ -185,7 +186,7 @@ class _NsSetup:
         """Pressure stabilization stiffness weighted by beta h^2 / nu."""
         coef = ops.div(tape, tape.constant(np.full(self.n, self.stab_coef)),
                        nu_nodal)
-        return assemble_diffusion_block(tape, self.gops.grid, coef)
+        return assemble_diffusion_block(tape, self.grid, coef)
 
 
 def _residual(tape, setup, nu, u, v, p):
@@ -196,7 +197,7 @@ def _residual(tape, setup, nu, u, v, p):
     """
     pat = setup.gops.pattern
     c_ref = tape.apply("convection_block", (u, v), {"gops": setup.gops})
-    k_ref = assemble_diffusion_block(tape, setup.gops.grid, nu).ref
+    k_ref = assemble_diffusion_block(tape, setup.grid, nu).ref
     stab_ref = setup.stab_block(tape, nu).ref
     fu = ops.add(tape, spmv_pattern(tape, SparseBlock(pat, c_ref), u),
                  spmv_pattern(tape, SparseBlock(pat, k_ref), u))
@@ -264,7 +265,7 @@ class _Linearization:
         gradients.
         """
         t, setup = self.tape, self.setup
-        grid = setup.gops.grid
+        grid = setup.grid
         c_ref, k_ref, stab_ref = self.blocks
         rux = assemble_reaction_block(t, grid, self.u, 0)
         ruy = assemble_reaction_block(t, grid, self.u, 1)

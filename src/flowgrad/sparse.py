@@ -58,10 +58,16 @@ def _validate_csr(n_rows, n_cols, indptr, indices, data=None):
         raise ContractError(f"indptr[-1] = {indptr[-1]} != nnz = {indices.shape[0]}")
     if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
         raise ContractError(f"column index outside [0, {n_cols})")
-    for i in range(n_rows):
-        row = indices[indptr[i]:indptr[i + 1]]
-        if np.any(np.diff(row) <= 0):
-            raise ContractError(f"row {i}: column indices not strictly increasing")
+    # step k goes from entry k to entry k + 1; steps into a row start are
+    # not constrained.  Signed steps: unsigned indices would wrap around.
+    starts = indptr[1:-1]
+    crosses_row = np.zeros(max(indices.shape[0] - 1, 0), dtype=bool)
+    crosses_row[starts[(starts > 0) & (starts < indices.shape[0])] - 1] = True
+    steps = np.diff(indices.astype(np.int64))
+    bad = np.flatnonzero((steps <= 0) & ~crosses_row)
+    if bad.size:
+        i = np.searchsorted(indptr, bad[0], side="right") - 1
+        raise ContractError(f"row {i}: column indices not strictly increasing")
     if data is not None and np.asarray(data).shape != (indices.shape[0],):
         raise ContractError(f"data length {np.asarray(data).shape} != nnz {indices.shape[0]}")
 

@@ -14,7 +14,7 @@ Closed forms for a single square element with unit coefficient:
 import numpy as np
 import pytest
 
-from flowgrad import ops
+from flowgrad import kernels, ops
 from flowgrad.assembly import (
     assemble_advection_diffusion,
     assemble_convection_blocks,
@@ -476,3 +476,29 @@ def test_constraint_plan_rejects_missing_diagonal():
     pattern = CsrMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]])).pattern
     with pytest.raises(ContractError, match="row 1"):
         constraint_plan(pattern, np.array([1]))
+
+
+# --- kernel variants
+
+
+_KERNEL_ARGS = {
+    "diffusion_fwd": ("q", "w", "dx", "dy"),
+    "diffusion_bwd": ("g", "w", "dx", "dy"),
+    "advection_fwd": ("q", "q", "w", "n", "dx", "dy"),
+    "advection_bwd": ("g", "w", "n", "dx", "dy"),
+    "coefmass_fwd": ("q", "w", "n"),
+    "coefmass_bwd": ("g", "w", "n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ARGS))
+def test_kernel_variants_agree(name):
+    # the loop variant is called directly: it is what numba would compile
+    rng = np.random.default_rng(sorted(_KERNEL_ARGS).index(name))
+    shapes = {"q": (7, 4), "g": (7, 4, 4), "w": (4,), "n": (4, 4),
+              "dx": (4, 4), "dy": (4, 4)}
+    args = [rng.normal(size=shapes[a]) for a in _KERNEL_ARGS[name]]
+    np_fn = kernels.KERNEL_PAIRS[name][0]
+    loop_fn = getattr(kernels, f"_{name}_loop")
+    np.testing.assert_allclose(np_fn(*args), loop_fn(*args),
+                               rtol=1e-13, atol=1e-13)

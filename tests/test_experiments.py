@@ -1,13 +1,16 @@
 """Observation synthesis, loss plumbing, and the experiment protocol."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from flowgrad import experiments
+from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
     ExperimentConfig,
@@ -382,3 +385,34 @@ def test_heat_objective_factorizes_once(monkeypatch):
     calls = _count_splu(monkeypatch)
     problem.objective(problem.theta0)
     assert len(calls) == 1
+
+
+# --- memory: problems are freed by reference counting
+
+
+@pytest.mark.parametrize("experiment", ["cavity_viscosity", "conjugate_heat",
+                                        "passive_transport"])
+def test_run_leaves_no_cyclic_garbage(experiment):
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12, max_steps=2)
+    gc.collect()
+    gc.disable()
+    try:
+        problem = build_problem(cfg)
+        problem.objective(problem.theta0)
+        del problem
+        run_experiment(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_grid_with_operators_freed_without_collector():
+    gc.disable()
+    try:
+        grid = StructuredGrid(5)
+        operators_for(grid)
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()

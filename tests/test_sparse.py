@@ -69,6 +69,47 @@ def test_invalid_structure_rejected():
         CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0]))
 
 
+def test_unsorted_row_reported_by_number():
+    # row 1 is empty and the step from row 0 into row 2 goes down, which is
+    # allowed; row 2 goes down from column 2 to column 1
+    for dtype in (np.int32, np.uint32):
+        with pytest.raises(ContractError, match=r"^row 2: column indices "
+                                                r"not strictly increasing"):
+            CsrMatrix(4, 4, np.array([0, 2, 2, 4, 5]),
+                      np.array([1, 3, 2, 1, 0], dtype=dtype), np.ones(5))
+
+
+def _first_unsorted_row(indptr, indices):
+    for i in range(indptr.size - 1):
+        if np.any(np.diff(indices[indptr[i]:indptr[i + 1]]) <= 0):
+            return i
+    return None
+
+
+def test_row_order_check_matches_row_loop():
+    # random structures with empty rows, some with one entry overwritten;
+    # the row-by-row loop is the reference
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(300):
+        counts = rng.integers(0, 4, size=rng.integers(1, 7))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = np.concatenate(
+            [np.sort(rng.choice(6, c, replace=False)) for c in counts])
+        indices = indices.astype(np.int64)
+        if indices.size and rng.random() < 0.5:
+            indices[rng.integers(indices.size)] = rng.integers(6)
+        expected = _first_unsorted_row(indptr, indices)
+        outcomes.add(expected is None)
+        data = np.ones(indices.size)
+        if expected is None:
+            CsrMatrix(counts.size, 6, indptr, indices, data)
+        else:
+            with pytest.raises(ContractError, match=rf"^row {expected}: "):
+                CsrMatrix(counts.size, 6, indptr, indices, data)
+    assert outcomes == {True, False}
+
+
 def test_spmv_matches_dense():
     m = _random_spd_like(12, seed=3)
     x = np.random.default_rng(4).normal(size=12)
