@@ -37,6 +37,7 @@ from .grid import StructuredGrid, read_field_csv, write_field_csv
 from .models import eval_field_on_grid, init_params
 from .optimize import OptimizeResult, OptimizerConfig, lbfgs_optimize
 from .solver import (
+    LinearSolveCounts,
     NewtonConfig,
     NSState,
     ParticleState,
@@ -63,6 +64,7 @@ __all__ = [
     "GraphError",
     "InverseProblem",
     "LineSearchError",
+    "LinearSolveCounts",
     "NSState",
     "NewtonConfig",
     "NewtonDivergedError",

@@ -31,6 +31,7 @@ from .grid import StructuredGrid, uniform_boundary_bc
 from .models import eval_field_on_grid, init_params
 from .optimize import OptimizerConfig, lbfgs_optimize
 from .solver import (
+    LinearSolveCounts,
     NewtonConfig,
     NSState,
     PhysicsConstants,
@@ -280,6 +281,7 @@ class RunReport:
     n_evals: int
     rejections: int
     line_search: dict
+    linear_solves: dict
     prediction_mse_percent: dict = None
     presolve_newton_iters: int = None
     theta: np.ndarray = None
@@ -304,6 +306,7 @@ class RunReport:
             "n_evals": self.n_evals,
             "rejections": self.rejections,
             "line_search": self.line_search,
+            "linear_solves": self.linear_solves,
         }
         if self.prediction_mse_percent is not None:
             payload["prediction_mse_percent"] = self.prediction_mse_percent
@@ -317,12 +320,12 @@ def _frozen_state(tape, fields):
                    tape.constant(fields["p"]), 0, 0.0)
 
 
-def _solve_flow_values(grid, nu_nodal, cfg, constants):
+def _solve_flow_values(grid, nu_nodal, cfg, constants, counts):
     """Plain forward cavity solve; returns nodal value arrays."""
     t = Tape()
     state = newton_solve(t, grid, t.constant(nu_nodal), constants,
                          default_cavity_bcs(grid, cfg.lid_speed), cfg.newton(),
-                         beta=cfg.beta)
+                         beta=cfg.beta, counts=counts)
     return {"u": t.value(state.u).copy(), "v": t.value(state.v).copy(),
             "p": t.value(state.p).copy()}, state.newton_iterations_used
 
@@ -333,7 +336,9 @@ class InverseProblem:
 
     ``objective(theta) -> (loss, gradient)`` rebuilds the tape-recorded
     forward chain on every call; ``eval_note["newton"]`` holds the Newton
-    iteration count of the most recent evaluation.
+    iteration count of the most recent evaluation.  ``linear_solves`` totals
+    the linear solves of every flow solve and adjoint of the problem, the
+    synthesis included.
     """
 
     config: ExperimentConfig
@@ -345,6 +350,7 @@ class InverseProblem:
     reference_nodal: np.ndarray
     synthetic: dict
     eval_note: dict
+    linear_solves: LinearSolveCounts
     presolve_newton_iters: int = None
 
 
@@ -360,15 +366,17 @@ def build_problem(config):
 
     presolve_iters = None
     frozen_fields = None
+    counts = LinearSolveCounts()
 
     # --- synthesis with the reference coefficient
     if cfg.experiment == "cavity_viscosity":
-        synth, _ = _solve_flow_values(grid, ref_nodal, cfg, constants)
+        synth, _ = _solve_flow_values(grid, ref_nodal, cfg, constants,
+                                      counts)
     elif cfg.experiment == "conjugate_heat":
         # the momentum system does not involve the unknown conductivity, so
         # the flow is computed once with unit viscosity and reused everywhere
         frozen_fields, presolve_iters = _solve_flow_values(
-            grid, np.ones(grid.n_nodes), cfg, constants)
+            grid, np.ones(grid.n_nodes), cfg, constants, counts)
         t = Tape()
         temp = heat_solve(t, grid, _frozen_state(t, frozen_fields),
                           t.constant(ref_nodal), constants, heat_bc)
@@ -376,7 +384,7 @@ def build_problem(config):
     else:
         t = Tape()
         state = newton_solve(t, grid, t.constant(ref_nodal), constants, bcs,
-                             ncfg, beta=cfg.beta)
+                             ncfg, beta=cfg.beta, counts=counts)
         pt = transport_integrate(t, state, constants, dt=cfg.dt,
                                  n_steps=cfg.transport_steps)
         synth = {"u": t.value(state.u).copy(), "v": t.value(state.v).copy(),
@@ -399,7 +407,7 @@ def build_problem(config):
         coef = eval_field_on_grid(t, model, th, grid)
         if cfg.experiment == "cavity_viscosity":
             state = newton_solve(t, grid, coef, constants, bcs, ncfg,
-                                 beta=cfg.beta)
+                                 beta=cfg.beta, counts=counts)
             eval_note["newton"] = state.newton_iterations_used
             predicted = {"u": state.u, "v": state.v}
         elif cfg.experiment == "conjugate_heat":
@@ -408,7 +416,7 @@ def build_problem(config):
             predicted = {"u": ns.u, "v": ns.v, "T": temp}
         else:
             state = newton_solve(t, grid, coef, constants, bcs, ncfg,
-                                 beta=cfg.beta)
+                                 beta=cfg.beta, counts=counts)
             eval_note["newton"] = state.newton_iterations_used
             pt = transport_integrate(t, state, constants, dt=cfg.dt,
                                      n_steps=cfg.transport_steps)
@@ -420,7 +428,7 @@ def build_problem(config):
     return InverseProblem(
         config=cfg, grid=grid, objective=objective, theta0=theta0,
         model=model, observations=obs, reference_nodal=ref_nodal,
-        synthetic=synth, eval_note=eval_note,
+        synthetic=synth, eval_note=eval_note, linear_solves=counts,
         presolve_newton_iters=presolve_iters)
 
 
@@ -458,7 +466,8 @@ def run_experiment(config, progress=None):
 
     prediction_mse = None
     if cfg.experiment == "cavity_viscosity":
-        resolved, _ = _solve_flow_values(grid, estimate, cfg, cfg.physics())
+        resolved, _ = _solve_flow_values(grid, estimate, cfg, cfg.physics(),
+                                         problem.linear_solves)
         prediction_mse = {name: relative_mse(resolved[name],
                                              problem.synthetic[name])
                           for name in ("u", "v", "p")}
@@ -479,6 +488,7 @@ def run_experiment(config, progress=None):
             "rejected_trials": [
                 {"step": step, "alpha": alpha, "reason": reason}
                 for step, alpha, reason in result.rejected_trials]},
+        linear_solves=asdict(problem.linear_solves),
         prediction_mse_percent=prediction_mse,
         presolve_newton_iters=problem.presolve_newton_iters,
         theta=result.theta, estimate_nodal=estimate,

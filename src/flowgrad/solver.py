@@ -11,6 +11,15 @@ respect to the viscosity.  The momentum Jacobian carries the full
 convection linearization: advection C(u_k, v_k) plus the four reaction
 blocks from the iterate gradients.
 
+A flow solve factorizes one Jacobian, J(x_0) at the first step (a chord /
+Shamanskii-style reuse; Kelley, *Iterative Methods for Linear and Nonlinear
+Equations*, 1995).  Later steps solve with J(x_k), and the adjoint with
+J(x*)^T, by iterative refinement against those factors, to the same
+residual test as a direct LU solve, so Newton stays a full Newton method.
+When refinement stalls, as it does at low viscosity where convection moves
+the Jacobian far from J(x_0), the factors are dropped and each remaining
+step, and the adjoint, factorizes its own matrix.
+
 Continuity rows carry pressure stabilization (a pressure stiffness weighted
 by beta h^2 / nu) so the equal-order discretization is solvable; the 1/nu
 scaling keeps the divergence perturbation viscosity-independent, so the
@@ -51,6 +60,7 @@ from .tape import Tape, register_op
 __all__ = [
     "PhysicsConstants",
     "NewtonConfig",
+    "LinearSolveCounts",
     "CavityBCs",
     "NSState",
     "ParticleState",
@@ -110,6 +120,21 @@ class CavityBCs:
 def default_cavity_bcs(grid, lid_speed=1.0):
     u_bc, v_bc = cavity_velocity_bcs(grid, lid_speed)
     return CavityBCs(u_bc, v_bc, pressure_pin=0)
+
+
+@dataclass
+class LinearSolveCounts:
+    """Running totals of the linear solves of Newton steps and adjoints.
+
+    ``factorizations`` counts fresh LU factorizations, ``recycled_solves``
+    the solves met by refinement against the factors of an earlier Jacobian
+    and ``stalls`` the refinements that failed and were followed by a fresh
+    factorization.
+    """
+
+    factorizations: int = 0
+    recycled_solves: int = 0
+    stalls: int = 0
 
 
 @dataclass
@@ -229,8 +254,8 @@ def ns_residual(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
 def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
     """Constrained Newton matrix J(x) at ``state`` as a scipy CSR matrix.
 
-    This is the matrix the steady-flow adjoint factorizes when ``state`` is
-    a converged solution.  It is evaluated off ``tape``, which is only read.
+    This is the matrix the steady-flow adjoint solves with when ``state``
+    is a converged solution.  It is evaluated off ``tape``, which is only read.
     """
     setup = _NsSetup(grid, bc, constants, beta)
     x = np.concatenate([tape.value(r) for r in (state.u, state.v, state.p)])
@@ -241,7 +266,9 @@ class _Linearization:
     """F(x, nu) at one state x = [u; v; p], recorded on a tape of its own.
 
     ``nu`` is a variable of that tape, so the adjoint can take
-    (dF/dnu)^T lam from the same recording that gives J(x).
+    (dF/dnu)^T lam from the same recording that gives J(x).  The tape holds
+    views of ``x``, so ``x`` must not change while the linearization is in
+    use.
     """
 
     def __init__(self, setup, nu, x):
@@ -286,25 +313,69 @@ class _Linearization:
         return (blk_c.pattern.to_scipy(t.value(blk_c.ref)), t.value(rhs_c))
 
 
+def _refined(lu, matrix, b, transpose, counts):
+    """Solve with ``matrix`` by refinement against ``lu``; None on a stall.
+
+    Also None, with nothing counted, when there are no factors to refine
+    against.
+    """
+    if lu is None:
+        return None
+    x = (lu.solve_transpose if transpose else lu.solve)(b, matrix)
+    if x is None:
+        counts.stalls += 1
+    else:
+        counts.recycled_solves += 1
+    return x
+
+
+def _factorized(matrix, counts):
+    counts.factorizations += 1
+    return LuFactors(matrix)
+
+
 def _steady_flow_fwd(v, ctx):
     """Newton iteration x <- x - J(x)^-1 F(x) from the Dirichlet data.
 
-    Each iterate lives on a throwaway tape, so only the current iterate and
-    one factorization are alive at a time.
+    Step 1 factorizes J(x_0); later steps solve with J(x_k) by iterative
+    refinement against those factors.  When refinement stalls the factors
+    are dropped and each later step factorizes its own J(x_k) and releases
+    it, so at most one factorization is alive at a time.  On convergence
+    ``ctx["lu"]`` keeps the step-1 factors for the adjoint.  Each iterate
+    is linearized on a throwaway tape.
+
+    The iterate is updated in place and a stall drops the linearization
+    with the factors, so nothing allocated after the factors outlives them:
+    the heap can then shrink before the next factorization instead of
+    leaving it a hole to fragment (each SuperLU factorization reserves far
+    more memory than it touches).
     """
     nu = v[0]
     setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
+    counts = ctx["counts"]
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
     lin = _Linearization(setup, nu, x)
     res_norm = lin.residual_norm()
     trace = ctx["trace"] = []
+    lu = None
     for it in range(1, config.max_iter + 1):
         matrix, rhs = lin.jacobian()
-        delta = LuFactors(matrix).solve(rhs)
+        if it == 1:
+            lu = _factorized(matrix, counts)
+            delta = lu.solve(rhs)
+        else:
+            delta = _refined(lu, matrix, rhs, False, counts)
+        if delta is None:
+            if lu is not None:
+                # a stall: drop the factors and what was allocated after them
+                lin = matrix = rhs = lu = None
+                lin = _Linearization(setup, nu, x)
+                matrix, rhs = lin.jacobian()
+            delta = _factorized(matrix, counts).solve(rhs)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
-        x = x - delta
+        x -= delta
         x[setup.cidx] = setup.cvals
         lin = _Linearization(setup, nu, x)
         res_norm = lin.residual_norm()
@@ -312,7 +383,7 @@ def _steady_flow_fwd(v, ctx):
         if trace_cb is not None:
             trace_cb(it, res_norm)
         if res_norm < config.tol_residual:
-            ctx["nu"], ctx["x"] = nu, x
+            ctx["nu"], ctx["x"], ctx["lu"] = nu, x, lu
             return x
 
     raise NewtonDivergedError(
@@ -325,14 +396,21 @@ def _steady_flow_bwd(g, ctx):
     """Implicit-function adjoint at the converged state x*.
 
     F(x*(nu), nu) = 0 gives dx*/dnu = -J^-1 dF/dnu, so the gradient is
-    -(dF/dnu)^T lam with lam = J(x*)^-T g: one factorization and one
-    transpose solve, whatever the number of Newton iterations.  The
-    constrained J stands in for dF/dx: its eliminated columns multiply the
-    prescribed values, which do not move with nu, and the Dirichlet rows of
-    F are identically zero, so lam adds nothing there.
+    -(dF/dnu)^T lam with lam = J(x*)^-T g: one transpose solve, by
+    refinement against the forward's step-1 factors when it kept them,
+    else (or when refinement stalls) with a fresh factorization of J(x*).
+    The constrained J stands in for dF/dx: its eliminated columns multiply
+    the prescribed values, which do not move with nu, and the Dirichlet rows
+    of F are identically zero, so lam adds nothing there.
     """
+    counts = ctx["counts"]
     lin = _Linearization(ctx["setup"], ctx["nu"], ctx["x"])
-    lam = LuFactors(lin.jacobian()[0]).solve_transpose(g)
+    matrix = lin.jacobian()[0]
+    # popped, so the factors die with this solve; a repeated backward pass
+    # over the same tape factorizes J(x*)
+    lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
+    if lam is None:
+        lam = _factorized(matrix, counts).solve_transpose(g)
     t = lin.tape
     weighted = ops.dot(t, t.constant(lam), lin.f_ref)
     return (-t.backward(weighted)[lin.nu],)
@@ -342,7 +420,7 @@ register_op("steady_flow", _steady_flow_fwd, _steady_flow_bwd)
 
 
 def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
-                 beta=DEFAULT_BETA, trace_cb=None):
+                 beta=DEFAULT_BETA, trace_cb=None, counts=None):
     """Newton iteration for the steady velocity-pressure system.
 
     Always performs at least one iteration; convergence is judged on the
@@ -350,11 +428,14 @@ def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
     one iteration.  Raises on nonconvergence with the last residual attached,
     leaving ``tape`` as it was.  On convergence the tape gains one
     ``steady_flow`` node from ``nu_nodal`` to [u; v; p] plus three slices,
-    however many iterations were needed.
+    however many iterations were needed.  ``counts``, a
+    :class:`LinearSolveCounts`, accumulates the factorizations, recycled
+    solves and stalls of the Newton steps and of the node's backward pass.
     """
     config = config or NewtonConfig()
     setup = _NsSetup(grid, bc, constants, beta)
-    ctx = {"setup": setup, "config": config, "trace_cb": trace_cb}
+    ctx = {"setup": setup, "config": config, "trace_cb": trace_cb,
+           "counts": counts if counts is not None else LinearSolveCounts()}
     x = tape.apply("steady_flow", (nu_nodal,), ctx)
     n = setup.n
     trace = ctx["trace"]

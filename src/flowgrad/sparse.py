@@ -13,9 +13,16 @@ Every matrix factorized here is a structurally symmetric finite-element
 matrix, so :class:`LuFactors` runs SuperLU's symmetric path: approximate
 minimum degree ordering on A+A^T and pivots taken from the diagonal.  That
 gives about 45% less fill than COLAMD with partial pivoting on the cavity
-Jacobian, but no bound on element growth, so each solve checks
-``max|b - A x| <= 1e-8 max|b|``, does one step of iterative refinement when
-the check fails, and raises :class:`NumericError` when it fails again.
+Jacobian, but no bound on element growth, so every solve is iterative
+refinement x <- x + LU^-1 (b - A x) from x = 0 until
+``max|b - A x| <= 1e-8 max|b|``; with the factorized matrix itself the first
+sweep is the direct solve and usually meets the test.  The same sweeps solve
+with a *nearby* matrix, such as a later Newton Jacobian, using these factors
+as the approximate inverse.  Sweeps are capped; when refinement stalls a
+solve with the factorized matrix raises :class:`NumericError` and a solve
+with a nearby matrix returns None, so the caller can factorize that matrix.
+SuperLU is handed the CSR arrays of A as the CSC arrays of A^T, which
+avoids a format conversion; the solves swap ``trans`` to match.
 """
 
 from dataclasses import dataclass
@@ -46,13 +53,20 @@ _PIVOT_DIAG_LIMIT = 2000
 # Largest accepted max|b - A x| of an LU solve, relative to max|b|.
 _RESIDUAL_TOL = 1e-8
 
+# Most refinement sweeps of one solve, the first being the plain LU solve.
+# With the factorized matrix itself one or two suffice.  Against the step-1
+# Jacobian of a cavity Newton solve, the later steps and the adjoint take
+# four at the reference viscosity and about eight at nu = 0.1.
+_MAX_SWEEPS = 10
+
 
 def _validate_csr(n_rows, n_cols, indptr, indices, data=None):
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
     if indptr.shape != (n_rows + 1,):
         raise ContractError(f"indptr length {indptr.shape[0]} != n_rows + 1 = {n_rows + 1}")
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+    # signed steps: a decreasing unsigned indptr would wrap around
+    if indptr[0] != 0 or np.any(np.diff(indptr.astype(np.int64)) < 0):
         raise ContractError("indptr must start at 0 and be non-decreasing")
     if indptr[-1] != indices.shape[0]:
         raise ContractError(f"indptr[-1] = {indptr[-1]} != nnz = {indices.shape[0]}")
@@ -231,7 +245,9 @@ class LuFactors:
     """LU factorization of a square sparse matrix with forward/transpose solves.
 
     Symmetric-mode SuperLU with residual-checked solves; see the module
-    docstring.
+    docstring.  ``solve`` and ``solve_transpose`` also take a nearby matrix
+    of the same size, which they solve with by iterative refinement against
+    these factors.
     """
 
     def __init__(self, matrix):
@@ -246,12 +262,13 @@ class LuFactors:
         if not np.all(np.isfinite(sp.data)):
             raise NumericError("matrix has non-finite entries")
         self.n = sp.shape[0]
-        self._a = sp.tocsc()
+        self._a = sp
         try:
-            # SuperLU skips an exactly zero diagonal even at threshold 0, so a
+            # factors of A^T, from the CSR arrays of A read as CSC.  SuperLU
+            # skips an exactly zero diagonal even at threshold 0, so a
             # nonsingular matrix with zero diagonal entries still factorizes
             self._lu = scipy.sparse.linalg.splu(
-                self._a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                sp.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
         except RuntimeError as exc:
             pivot = _diagnose_pivot(sp)
@@ -260,30 +277,63 @@ class LuFactors:
                 pivot_index=pivot,
             ) from exc
 
-    def _solve_checked(self, b, trans):
+    def _refine(self, a, b, transpose):
+        """x with max|b - a x| <= 1e-8 max|b|, or None when refinement stalls.
+
+        Sweeps x <- x + LU^-1 (b - a x) from x = 0 with these factors, or
+        their transpose, as the approximate inverse.  Refinement stalls when
+        the residual, shrinking further at the rate of the last sweep, would
+        not meet the bound within ``_MAX_SWEEPS`` sweeps; a residual that
+        grows or is NaN stalls at once.
+        """
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):
             raise ContractError(f"rhs length {b.shape} != {self.n}")
-        a = self._a.T if trans == "T" else self._a
+        if a.shape != (self.n, self.n):
+            raise ContractError(f"matrix shape {a.shape} != factors "
+                                f"{(self.n, self.n)}")
+        # the factors are those of A^T, so "T" solves with A
+        trans = "N" if transpose else "T"
+        a = a.T if transpose else a
         tol = _RESIDUAL_TOL * np.max(np.abs(b), initial=0.0)
-        x = self._lu.solve(b, trans=trans)
-        r = b - a @ x
-        # written so that a NaN residual fails the test
-        if not np.max(np.abs(r), initial=0.0) <= tol:
+        x = np.zeros(self.n)
+        r, last = b, np.inf
+        for sweep in range(1, _MAX_SWEEPS + 1):
             x = x + self._lu.solve(r, trans=trans)
             r = b - a @ x
             res = np.max(np.abs(r), initial=0.0)
-            if not res <= tol:
-                raise NumericError(
-                    f"LU solve residual {res:.3g} exceeds {tol:.3g} after one "
-                    f"step of iterative refinement")
+            if res <= tol:
+                return x
+            # written so that a NaN residual stalls
+            rate = res / last
+            if not (rate < 1.0 and res * rate ** (_MAX_SWEEPS - sweep) <= tol):
+                return None
+            last = res
+        return None
+
+    def _solve(self, b, matrix, transpose):
+        if matrix is not None:
+            return self._refine(matrix, b, transpose)
+        x = self._refine(self._a, b, transpose)
+        if x is None:
+            raise NumericError(
+                f"LU solve residual stays above {_RESIDUAL_TOL:g} max|b| under "
+                f"iterative refinement")
         return x
 
-    def solve(self, b):
-        return self._solve_checked(b, "N")
+    def solve(self, b, matrix=None):
+        """x with A x = b, or with ``matrix`` x = b when a matrix is given.
 
-    def solve_transpose(self, b):
-        return self._solve_checked(b, "T")
+        Solving with the factorized A raises :class:`NumericError` when
+        refinement stalls.  Solving with another ``matrix`` (a scipy sparse
+        matrix close to A) returns None instead, so the caller can factorize
+        it.
+        """
+        return self._solve(b, matrix, False)
+
+    def solve_transpose(self, b, matrix=None):
+        """x with A^T x = b, or ``matrix``^T x = b; see :meth:`solve`."""
+        return self._solve(b, matrix, True)
 
 
 # ---------------------------------------------------------------------------

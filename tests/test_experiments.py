@@ -23,6 +23,7 @@ from flowgrad.experiments import (
     run_experiment,
 )
 from flowgrad.grid import StructuredGrid
+from flowgrad.sparse import LuFactors
 from flowgrad.tape import Tape
 
 
@@ -331,6 +332,28 @@ def test_report_records_line_search(monkeypatch):
     assert block["evals_per_step"][0] >= 2
 
 
+@pytest.mark.parametrize("experiment", ["cavity_viscosity",
+                                        "passive_transport"])
+def test_report_counts_linear_solves(monkeypatch, experiment):
+    calls = _count_splu(monkeypatch)
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12, max_steps=3)
+    rep = run_experiment(cfg)
+    block = json.loads(rep.to_json())["linear_solves"]
+    assert block == rep.linear_solves
+    assert set(block) == {"factorizations", "recycled_solves", "stalls"}
+    # every factorization of the run is one of a flow solve or its adjoint
+    assert block["factorizations"] == len(calls)
+    assert block["recycled_solves"] > 0
+    if experiment == "cavity_viscosity":
+        # no stall: the synthesis, each evaluation and the final prediction
+        # solve factorize once
+        assert block["stalls"] == 0
+        assert block["factorizations"] == 2 + rep.n_evals
+    else:
+        # viscosities near 0.01 make refinement stall at Newton step 2
+        assert block["stalls"] > 0
+
+
 def test_conjugate_heat_reports_presolve():
     cfg = ExperimentConfig(experiment="conjugate_heat", grid_n=6,
                            max_steps=4, n_points=10)
@@ -370,13 +393,38 @@ def _count_splu(monkeypatch):
     return calls
 
 
-def test_cavity_objective_factorizes_once_per_newton_step_plus_adjoint(
-        monkeypatch):
+def test_cavity_objective_factorizes_once(monkeypatch):
+    # Newton steps 2.. and the adjoint refine against the step-1 factors
     problem = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
     calls = _count_splu(monkeypatch)
     problem.objective(problem.theta0)
     assert problem.eval_note["newton"] > 1
-    assert len(calls) == problem.eval_note["newton"] + 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("experiment", ["cavity_viscosity",
+                                        "passive_transport"])
+def test_objective_keeps_no_state_across_evaluations(monkeypatch, experiment):
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    problem = build_problem(ExperimentConfig(experiment, grid_n=6,
+                                             n_points=12))
+    monkeypatch.setattr(experiments, "Tape", RecordingTape)
+    theta = problem.theta0
+    other = theta + 0.05 * np.random.default_rng(3).normal(size=theta.size)
+    first, _, third = (problem.objective(th) for th in (theta, other, theta))
+    assert first[0] == third[0]
+    np.testing.assert_array_equal(first[1], third[1])
+    flows = [node for t in tapes for node in t.nodes
+             if node.op == "steady_flow"]
+    assert len(flows) == 3
+    assert not any(isinstance(v, LuFactors)
+                   for node in flows for v in node.ctx.values())
 
 
 def test_heat_objective_factorizes_once(monkeypatch):

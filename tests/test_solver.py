@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from flowgrad import ops
+from flowgrad import ops, solver
 from flowgrad.errors import (
     ContractError,
     NewtonDivergedError,
@@ -9,6 +10,7 @@ from flowgrad.errors import (
 )
 from flowgrad.grid import DirichletSpec, StructuredGrid, uniform_boundary_bc
 from flowgrad.solver import (
+    LinearSolveCounts,
     NewtonConfig,
     NSState,
     PhysicsConstants,
@@ -176,6 +178,88 @@ def test_newton_gradient_reaches_viscosity():
     gnu = grads[nu]
     assert np.all(np.isfinite(gnu))
     assert np.max(np.abs(gnu)) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one factorization per flow solve
+
+
+def _fresh_lu_newton(grid, nu_nodal, tol=1e-8, max_iter=10):
+    """Reference Newton iteration that factorizes every J(x_k) anew."""
+    setup = solver._NsSetup(grid, default_cavity_bcs(grid),
+                            PhysicsConstants(), solver.DEFAULT_BETA)
+    x = np.zeros(3 * setup.n)
+    x[setup.cidx] = setup.cvals
+    for _ in range(max_iter):
+        jac, res = solver._Linearization(setup, nu_nodal, x).jacobian()
+        x = x - scipy.sparse.linalg.spsolve(jac.tocsc(), res)
+        x[setup.cidx] = setup.cvals
+        if solver._Linearization(setup, nu_nodal, x).residual_norm() < tol:
+            return x
+    raise AssertionError("reference Newton did not converge")
+
+
+def _steady_flow_ctx(tape):
+    [node] = [n for n in tape.nodes if n.op == "steady_flow"]
+    return node.ctx
+
+
+@pytest.mark.parametrize("low_viscosity", [False, True])
+def test_newton_matches_fresh_lu_newton(low_viscosity):
+    # at the reference viscosity every later step refines against the
+    # step-1 factors; at nu = 0.01 convection moves J(x_2) too far from
+    # J(x_0), refinement stalls and each later step factorizes its own J
+    g = StructuredGrid(9)
+    nu_nodal = (np.full(g.n_nodes, 0.01) if low_viscosity
+                else reference_viscosity(g.coords))
+    counts = LinearSolveCounts()
+    t = Tape()
+    nu = t.variable(nu_nodal)
+    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
+                         counts=counts)
+    iters = state.newton_iterations_used
+    assert iters >= 2
+    if low_viscosity:
+        assert (counts.factorizations, counts.recycled_solves,
+                counts.stalls) == (iters, 0, 1)
+        assert _steady_flow_ctx(t)["lu"] is None
+    else:
+        assert (counts.factorizations, counts.recycled_solves,
+                counts.stalls) == (1, iters - 1, 0)
+    x = np.concatenate([t.value(r) for r in (state.u, state.v, state.p)])
+    expected = _fresh_lu_newton(g, nu_nodal)
+    np.testing.assert_allclose(x, expected, rtol=0.0,
+                               atol=1e-8 * np.max(np.abs(expected)))
+
+    # the adjoint refines against the kept factors, or factorizes J(x*)
+    before = (counts.factorizations, counts.recycled_solves)
+    t.backward(ops.dot(t, state.u, state.u))
+    assert (counts.factorizations, counts.recycled_solves) == (
+        (before[0] + 1, before[1]) if low_viscosity
+        else (before[0], before[1] + 1))
+    assert "lu" not in _steady_flow_ctx(t)
+
+
+def test_adjoint_stall_refactorizes():
+    # factors of another Jacobian of the same size make the adjoint's
+    # refinement stall; the fresh factorization of J(x*) then gives the
+    # gradient a repeated backward pass (which always factorizes) gives
+    g = StructuredGrid(7)
+    t = Tape()
+    nu = t.variable(reference_viscosity(g.coords))
+    counts = LinearSolveCounts()
+    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
+                         counts=counts)
+    loss = ops.dot(t, state.u, state.u)
+    ctx = _steady_flow_ctx(t)
+    other, _ = solver._Linearization(ctx["setup"], np.full(g.n_nodes, 1e-3),
+                                     ctx["x"]).jacobian()
+    ctx["lu"] = solver.LuFactors(other)
+    before = (counts.factorizations, counts.stalls)
+    stalled = t.backward(loss)[nu]
+    assert (counts.factorizations, counts.stalls) == (before[0] + 1,
+                                                      before[1] + 1)
+    np.testing.assert_array_equal(stalled, t.backward(loss)[nu])
 
 
 # ---------------------------------------------------------------------------

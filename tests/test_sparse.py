@@ -17,7 +17,7 @@ import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
-from flowgrad import ops
+from flowgrad import ops, solver, sparse
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
 from flowgrad.grid import StructuredGrid
@@ -67,6 +67,14 @@ def test_invalid_structure_rejected():
         CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 5]), np.array([1.0, 2.0]))
     with pytest.raises(ContractError):
         CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32])
+def test_decreasing_indptr_rejected(dtype):
+    # a uint32 indptr that goes down from 2 to 1 used to wrap and pass
+    with pytest.raises(ContractError, match="non-decreasing"):
+        CsrMatrix(3, 3, np.array([0, 2, 1, 3], dtype=dtype),
+                  np.array([0, 1, 2]), np.ones(3))
 
 
 def test_unsorted_row_reported_by_number():
@@ -248,6 +256,54 @@ def test_lu_unrepairable_solve_raises(monkeypatch, trans):
     with pytest.raises(NumericError, match="residual"):
         lu.solve_transpose(b) if trans else lu.solve(b)
     assert made[0].calls == 2
+
+
+def _cavity_newton_jacobians(n, steps):
+    """J(x_0), ..., J(x_steps) along the reference-viscosity cavity Newton."""
+    grid = StructuredGrid(n)
+    nu = reference_field("cavity_viscosity", grid.coords)
+    setup = solver._NsSetup(grid, default_cavity_bcs(grid), PhysicsConstants(),
+                            solver.DEFAULT_BETA)
+    x = np.zeros(3 * setup.n)
+    x[setup.cidx] = setup.cvals
+    jacobians = []
+    for _ in range(steps + 1):
+        jac, res = solver._Linearization(setup, nu, x).jacobian()
+        jacobians.append(jac)
+        x = x - scipy.sparse.linalg.spsolve(jac.tocsc(), res)
+        x[setup.cidx] = setup.cvals
+    return jacobians
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_refinement_against_nearby_factors(monkeypatch, trans):
+    # the step-1 factors solve with the step-3 Jacobian J(x_2), or its
+    # transpose, to the residual bound within the sweep cap
+    j0, _, j2 = _cavity_newton_jacobians(21, 2)
+    made = _skewed_splu(monkeypatch, 1.0, bad_calls=0)
+    lu = LuFactors(j0)
+    b = np.random.default_rng(25).normal(size=j0.shape[0])
+    x = lu.solve_transpose(b, j2) if trans else lu.solve(b, j2)
+    a = j2.T if trans else j2
+    assert np.max(np.abs(b - a @ x)) <= 1e-8 * np.max(np.abs(b))
+    assert 2 <= made[0].calls <= sparse._MAX_SWEEPS
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_refinement_stall_reported_without_raising(trans):
+    m = _random_spd_like(20, seed=26)
+    # dominated by -20 I where m is dominated by +20 I
+    unrelated = -_random_spd_like(20, seed=27).to_scipy()
+    nan_entry = m.to_scipy().copy()
+    nan_entry.data[3] = np.nan
+    lu = LuFactors(m)
+    b = np.random.default_rng(28).normal(size=20)
+    solve = lu.solve_transpose if trans else lu.solve
+    assert solve(b, unrelated) is None
+    assert solve(b, nan_entry) is None
+    # the factorized matrix itself, given as a nearby matrix, is solved
+    np.testing.assert_allclose(solve(b, m.to_scipy()), solve(b), rtol=0.0,
+                               atol=0.0)
 
 
 def test_sparse_solve_adjoint_matches_dense_identities():
