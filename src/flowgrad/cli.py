@@ -25,15 +25,9 @@ import scipy.io
 from . import tape as tape_module
 from .config import load_config
 from .errors import ConfigError, ContractError, FlowgradError
-from .experiments import build_problem, reference_field, run_experiment
-from .grid import StructuredGrid, uniform_boundary_bc, write_field_csv
-from .solver import (
-    default_cavity_bcs,
-    heat_solve,
-    newton_solve,
-    ns_jacobian,
-    transport_integrate,
-)
+from .experiments import (SPECS, ForwardChain, build_problem,
+                          reference_field, run_experiment)
+from .grid import StructuredGrid, write_field_csv
 from .tape import Tape, finite_difference_check
 
 __all__ = ["main"]
@@ -44,8 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 _GRADCHECK_TOL = 1e-4
-_COEF_NAMES = {"cavity_viscosity": "nu", "conjugate_heat": "k",
-               "passive_transport": "nu"}
 
 
 def _parser():
@@ -84,48 +76,10 @@ def _parser():
     return p
 
 
-def _forward_fields(cfg, coefficient=None, jacobian=False):
-    """One forward solve; returns (grid, fields, newton trace, matrix).
-
-    ``coefficient`` overrides the reference field. For the conjugate-heat
-    experiment the flow runs at unit viscosity and the coefficient is the
-    conductivity, matching the inversion protocol.  ``matrix`` is the
-    constrained Newton Jacobian at the converged flow when ``jacobian`` is
-    set, else None.
-    """
-    grid = StructuredGrid(cfg.grid_n)
-    constants = cfg.physics()
-    bcs = default_cavity_bcs(grid, cfg.lid_speed)
-    if coefficient is None:
-        coefficient = reference_field(cfg.experiment, grid.coords)
-    t = Tape()
-    if cfg.experiment == "conjugate_heat":
-        nu = np.ones(grid.n_nodes)
-    else:
-        nu = coefficient
-    nu_ref = t.constant(nu)
-    state = newton_solve(t, grid, nu_ref, constants, bcs, cfg.newton(),
-                         beta=cfg.beta)
-    matrix = (ns_jacobian(t, grid, state, nu_ref, constants, bcs,
-                          beta=cfg.beta) if jacobian else None)
-    fields = {"u": t.value(state.u), "v": t.value(state.v),
-              "p": t.value(state.p)}
-    if cfg.experiment == "conjugate_heat":
-        temp = heat_solve(t, grid, state, t.constant(coefficient), constants,
-                          uniform_boundary_bc(grid, cfg.heat_bc_value))
-        fields["T"] = t.value(temp)
-    elif cfg.experiment == "passive_transport":
-        pt = transport_integrate(t, state, constants, dt=cfg.dt,
-                                 n_steps=cfg.transport_steps)
-        fields["w1"] = t.value(pt.w1)
-        fields["w2"] = t.value(pt.w2)
-    return grid, fields, state.trace, matrix
-
-
 def _write_report_files(out_dir, cfg, rep):
     os.makedirs(out_dir, exist_ok=True)
     grid = StructuredGrid(cfg.grid_n)
-    name = _COEF_NAMES[rep.experiment]
+    name = SPECS[rep.experiment].coef_name
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(rep.to_json())
         fh.write("\n")
@@ -138,11 +92,9 @@ def _write_report_files(out_dir, cfg, rep):
     with open(os.path.join(out_dir, "theta.csv"), "w") as fh:
         for value in rep.theta:
             fh.write(f"{value:.17g}\n")
-    if rep.experiment == "cavity_viscosity":
-        _, fields, _, _ = _forward_fields(cfg, coefficient=rep.estimate_nodal)
-        for comp in ("u", "v", "p"):
-            write_field_csv(os.path.join(out_dir, f"{comp}_prediction.csv"),
-                            grid, fields[comp], name=comp)
+    for comp, values in rep.predicted_nodal.items():
+        write_field_csv(os.path.join(out_dir, f"{comp}_prediction.csv"),
+                        grid, values, name=comp)
 
 
 def _run_single(cfg, out_dir, args):
@@ -183,24 +135,27 @@ def _cmd_run(args):
 def _cmd_forward(args):
     bundle = load_config(args.config)
     cfg = bundle.configs[0].resolved()
-    grid, fields, trace, matrix = _forward_fields(cfg,
-                                                  jacobian=args.dump_matrix)
+    chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
+    t = Tape()
+    coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
+    fields, flow = chain(t, coef)
     out_dir = args.out or bundle.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
-    for comp, values in fields.items():
-        write_field_csv(os.path.join(out_dir, f"{comp}.csv"), grid, values,
-                        name=comp)
+    for comp, ref in fields.items():
+        write_field_csv(os.path.join(out_dir, f"{comp}.csv"), chain.grid,
+                        t.value(ref), name=comp)
     with open(os.path.join(out_dir, "newton_trace.jsonl"), "w") as fh:
-        for iteration, residual in trace:
+        for iteration, residual in flow.trace:
             line = json.dumps({"iteration": iteration,
                                "residual_norm": residual})
             fh.write(line + "\n")
             if args.verbose:
                 print(line)
     if args.dump_matrix:
-        scipy.io.mmwrite(os.path.join(out_dir, "system_matrix.mtx"), matrix)
+        scipy.io.mmwrite(os.path.join(out_dir, "system_matrix.mtx"),
+                         chain.jacobian(t, flow, coef))
     print(f"{cfg.experiment} forward solve -> {out_dir} "
-          f"({len(trace)} Newton iterations)")
+          f"({len(flow.trace)} Newton iterations)")
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
-"""Inverse-problem drivers: observations, loss, and the experiment protocol.
+"""Inverse-problem drivers: the experiment table, observations, loss, protocol.
 
-Three experiments share one protocol: synthesize observations by a forward
-solve with the hard-coded reference coefficient field, sample and optionally
-perturb them, then fit a coefficient model by L-BFGS on the tape-recorded
-forward simulation.
+Each experiment is one :class:`ExperimentSpec` in ``SPECS``, and all follow
+one protocol.  The spec's forward chain maps a nodal coefficient field to
+predicted nodal fields.  Run at the spec's reference coefficient it
+synthesizes the data, which are sampled and optionally perturbed; recorded
+on the tape at a coefficient model's output it is the objective that L-BFGS
+fits.  Adding an experiment means adding one spec.
 
   cavity_viscosity   unknown viscosity nu(x, y); lid-driven cavity velocities
                      observed (both components).
@@ -38,12 +40,16 @@ from .solver import (
     default_cavity_bcs,
     heat_solve,
     newton_solve,
+    ns_jacobian,
     transport_integrate,
 )
 from .tape import Tape
 
 __all__ = [
     "EXPERIMENTS",
+    "SPECS",
+    "ExperimentSpec",
+    "ForwardChain",
     "ObservationSet",
     "ExperimentConfig",
     "InverseProblem",
@@ -57,41 +63,95 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = ("cavity_viscosity", "conjugate_heat", "passive_transport")
 
-_COMPONENT_DEFAULTS = {
-    "cavity_viscosity": ("u", "v"),
-    "conjugate_heat": ("u", "v", "T"),
-    "passive_transport": ("w1", "w2"),
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Everything that sets one experiment apart from the others.
+
+    ``forward(tape, chain, coef)`` records, from the nodal coefficient
+    ``coef``, every predicted nodal field and returns them by name with the
+    :class:`NSState` of the flow used (``chain`` is a :class:`ForwardChain`).
+    ``variant`` to ``init_seed`` default the config fields of those names;
+    ``n_points = None`` observes every node.  ``report_fields`` are
+    predicted at the final estimate.  A ``frozen_viscosity`` means the flow
+    does not involve the coefficient: it is solved once at that viscosity.
+    """
+
+    reference: object
+    coef_name: str
+    forward: object
+    variant: str
+    components: tuple
+    n_points: int
+    offset: float
+    init_scale: float
+    init_seed: int
+    report_fields: tuple = ()
+    frozen_viscosity: float = None
+
+
+def _flow_fields(flow):
+    return {"u": flow.u, "v": flow.v, "p": flow.p}
+
+
+def _cavity_forward(tape, chain, nu):
+    flow = chain.solve_flow(tape, nu)
+    return _flow_fields(flow), flow
+
+
+def _heat_forward(tape, chain, k):
+    flow = chain.frozen_flow(tape)
+    temp = heat_solve(tape, chain.grid, flow, k, chain.constants,
+                      chain.heat_bc)
+    return dict(_flow_fields(flow), T=temp), flow
+
+
+def _transport_forward(tape, chain, nu):
+    flow = chain.solve_flow(tape, nu)
+    pt = transport_integrate(tape, flow, chain.constants, dt=chain.cfg.dt,
+                             n_steps=chain.cfg.transport_steps)
+    return dict(_flow_fields(flow), w1=pt.w1, w2=pt.w2), flow
+
+
+# Recovery quality of the cavity inversion varies strongly across weight
+# draws (the problem is underdetermined from velocities alone); its default
+# init seed was selected by a sweep over draws.  The transport coefficient
+# sits near 0.01, so its initial network output must stay well under the
+# offset to keep the clamp inactive at the start.
+SPECS = {
+    "cavity_viscosity": ExperimentSpec(
+        reference=lambda x, y: 1.0 + 6.0 * x ** 2 + x / (1.0 + 2.0 * y ** 2),
+        coef_name="nu", forward=_cavity_forward, variant="dnn2d",
+        components=("u", "v"), n_points=None, offset=1.0, init_scale=1.0,
+        init_seed=21, report_fields=("u", "v", "p")),
+    "conjugate_heat": ExperimentSpec(
+        reference=lambda x, y: 1.0 + x ** 2 + x / (1.0 + y ** 2),
+        coef_name="k", forward=_heat_forward, variant="dnn2d",
+        components=("u", "v", "T"), n_points=40, offset=1.0, init_scale=1.0,
+        init_seed=3, frozen_viscosity=1.0),
+    "passive_transport": ExperimentSpec(
+        reference=lambda x, y: 0.01 + 0.01 / (1.0 + x ** 2),
+        coef_name="nu", forward=_transport_forward, variant="dnn_layered",
+        components=("w1", "w2"), n_points=22, offset=0.01, init_scale=0.1,
+        init_seed=3),
 }
-_POINT_DEFAULTS = {"cavity_viscosity": None, "conjugate_heat": 40,
-                   "passive_transport": 22}
-_OFFSET_DEFAULTS = {"cavity_viscosity": 1.0, "conjugate_heat": 1.0,
-                    "passive_transport": 0.01}
-# the transport coefficient sits near 0.01, so initial network output must
-# stay well under the offset to keep the clamp inactive at the start
-_SCALE_DEFAULTS = {"cavity_viscosity": 1.0, "conjugate_heat": 1.0,
-                   "passive_transport": 0.1}
-_VARIANT_DEFAULTS = {"cavity_viscosity": "dnn2d", "conjugate_heat": "dnn2d",
-                     "passive_transport": "dnn_layered"}
-# recovery quality of the cavity inversion varies strongly across weight
-# draws (the problem is underdetermined from velocities alone); the default
-# seed was selected by a sweep over draws
-_INIT_SEED_DEFAULTS = {"cavity_viscosity": 21, "conjugate_heat": 3,
-                       "passive_transport": 3}
+EXPERIMENTS = tuple(SPECS)
+
+# config fields whose ``None`` takes the value of the spec field of that name
+_SPEC_DEFAULTS = ("variant", "components", "n_points", "offset",
+                  "init_scale", "init_seed")
+
+
+def _spec(experiment):
+    if experiment not in SPECS:
+        raise ContractError(f"unknown experiment {experiment!r}; "
+                            f"expected one of {EXPERIMENTS}")
+    return SPECS[experiment]
 
 
 def reference_field(experiment, coords):
     """The hard-coded ground-truth coefficient field of each experiment."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    if experiment == "cavity_viscosity":
-        return 1.0 + 6.0 * x ** 2 + x / (1.0 + 2.0 * y ** 2)
-    if experiment == "conjugate_heat":
-        return 1.0 + x ** 2 + x / (1.0 + y ** 2)
-    if experiment == "passive_transport":
-        return 0.01 + 0.01 / (1.0 + x ** 2)
-    raise ContractError(f"unknown experiment {experiment!r}")
+    return _spec(experiment).reference(coords[:, 0], coords[:, 1])
 
 
 @dataclass(frozen=True)
@@ -216,10 +276,7 @@ class ExperimentConfig:
     debug_fd_check: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ContractError(
-                f"unknown experiment {self.experiment!r}; "
-                f"expected one of {EXPERIMENTS}")
+        _spec(self.experiment)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and value is not None and not math.isfinite(value):
@@ -231,29 +288,28 @@ class ExperimentConfig:
             if not getattr(self, name) > 0.0:
                 raise ContractError(
                     f"{name} must be positive, got {getattr(self, name)}")
-        # a floor below zero would let the clamped coefficient go negative
-        if not self.clamp_floor >= 0.0:
-            raise ContractError(
-                f"clamp_floor must be nonnegative, got {self.clamp_floor}")
+        # a floor below zero would let the clamped coefficient go negative;
+        # numpy seeds its generators from nonnegative integers only, and a
+        # negative scale would give the weight draw an empty range
+        for name in ("clamp_floor", "obs_seed", "init_seed", "init_scale"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ContractError(
+                    f"{name} must be nonnegative, got {value}")
 
     def resolved(self):
         """A copy with every ``None`` replaced by its experiment default."""
-        exp = self.experiment
-        fills = {}
-        if self.variant is None:
-            fills["variant"] = _VARIANT_DEFAULTS[exp]
-        if self.components is None:
-            fills["components"] = _COMPONENT_DEFAULTS[exp]
-        if self.n_points is None:
-            pts = _POINT_DEFAULTS[exp]
-            fills["n_points"] = self.grid_n ** 2 if pts is None else pts
-        if self.offset is None:
-            fills["offset"] = _OFFSET_DEFAULTS[exp]
-        if self.init_scale is None:
-            fills["init_scale"] = _SCALE_DEFAULTS[exp]
-        if self.init_seed is None:
-            fills["init_seed"] = _INIT_SEED_DEFAULTS[exp]
-        return replace(self, **fills) if fills else self
+        spec = SPECS[self.experiment]
+        fills = {name: getattr(spec, name) for name in _SPEC_DEFAULTS
+                 if getattr(self, name) is None}
+        if "n_points" in fills and fills["n_points"] is None:
+            fills["n_points"] = self.grid_n ** 2
+        cfg = replace(self, **fills) if fills else self
+        if cfg.transport_steps < 1:
+            raise ContractError(
+                f"transport_steps must be at least 1, got "
+                f"{cfg.transport_steps}")
+        return cfg
 
     def physics(self):
         return PhysicsConstants(rho=self.rho, cp=self.cp,
@@ -288,6 +344,7 @@ class RunReport:
     estimate_nodal: np.ndarray = None
     reference_nodal: np.ndarray = None
     observations: ObservationSet = None
+    predicted_nodal: dict = None  # the spec's report fields at the estimate
 
     def to_json(self):
         payload = {
@@ -315,19 +372,63 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _frozen_state(tape, fields):
-    return NSState(tape.constant(fields["u"]), tape.constant(fields["v"]),
-                   tape.constant(fields["p"]), 0, 0.0)
+class ForwardChain:
+    """An experiment's forward chain on one grid and config.
 
+    ``chain(tape, coef)`` runs the spec's ``forward`` and returns
+    ``(fields, flow)``.  Every flow solve adds to ``counts``.  A spec with a
+    ``frozen_viscosity`` has its flow solved here, once.
+    """
 
-def _solve_flow_values(grid, nu_nodal, cfg, constants, counts):
-    """Plain forward cavity solve; returns nodal value arrays."""
-    t = Tape()
-    state = newton_solve(t, grid, t.constant(nu_nodal), constants,
-                         default_cavity_bcs(grid, cfg.lid_speed), cfg.newton(),
-                         beta=cfg.beta, counts=counts)
-    return {"u": t.value(state.u).copy(), "v": t.value(state.v).copy(),
-            "p": t.value(state.p).copy()}, state.newton_iterations_used
+    def __init__(self, cfg, grid):
+        self.spec = SPECS[cfg.experiment]
+        self.cfg = cfg
+        self.grid = grid
+        self.constants = cfg.physics()
+        self.newton = cfg.newton()
+        self.bcs = default_cavity_bcs(grid, cfg.lid_speed)
+        self.heat_bc = uniform_boundary_bc(grid, cfg.heat_bc_value)
+        self.counts = LinearSolveCounts()
+        self.frozen_nu = self.frozen_fields = self.frozen_trace = None
+        if self.spec.frozen_viscosity is not None:
+            self.frozen_nu = np.full(grid.n_nodes, self.spec.frozen_viscosity)
+            t = Tape()
+            flow = self.solve_flow(t, t.constant(self.frozen_nu))
+            self.frozen_fields = {name: t.value(ref)
+                                  for name, ref in _flow_fields(flow).items()}
+            self.frozen_trace = flow.trace
+
+    def __call__(self, tape, coef):
+        return self.spec.forward(tape, self, coef)
+
+    def solve_flow(self, tape, nu):
+        """Newton solve of the lid-driven flow at nodal viscosity ``nu``."""
+        return newton_solve(tape, self.grid, nu, self.constants, self.bcs,
+                            self.newton, beta=self.cfg.beta,
+                            counts=self.counts)
+
+    def frozen_flow(self, tape):
+        """The presolved flow as constants of ``tape``.
+
+        It spends no Newton iterations of its own and carries the trace of
+        the presolve.
+        """
+        u, v, p = (tape.constant(self.frozen_fields[name])
+                   for name in ("u", "v", "p"))
+        return NSState(u, v, p, 0, 0.0, self.frozen_trace)
+
+    def jacobian(self, tape, flow, coef):
+        """Constrained Newton matrix at ``flow``, which ``self(tape, coef)``
+        returned, as a scipy CSR matrix."""
+        nu = coef if self.frozen_nu is None else tape.constant(self.frozen_nu)
+        return ns_jacobian(tape, self.grid, flow, nu, self.constants,
+                           self.bcs, beta=self.cfg.beta)
+
+    def values(self, coef_nodal):
+        """Every predicted field at a fixed coefficient, as nodal arrays."""
+        t = Tape()
+        predicted, _ = self(t, t.constant(coef_nodal))
+        return {name: t.value(ref) for name, ref in predicted.items()}
 
 
 @dataclass
@@ -338,7 +439,7 @@ class InverseProblem:
     forward chain on every call; ``eval_note["newton"]`` holds the Newton
     iteration count of the most recent evaluation.  ``linear_solves`` totals
     the linear solves of every flow solve and adjoint of the problem, the
-    synthesis included.
+    synthesis included.  ``forward`` is the chain the objective runs.
     """
 
     config: ExperimentConfig
@@ -352,43 +453,26 @@ class InverseProblem:
     eval_note: dict
     linear_solves: LinearSolveCounts
     presolve_newton_iters: int = None
+    forward: ForwardChain = None
 
 
 def build_problem(config):
-    """Synthesize observations and close over the experiment objective."""
+    """Synthesize observations and close over the experiment objective.
+
+    The synthetic data are every field of the forward chain at the
+    reference coefficient; the objective runs the same chain at the
+    model's coefficient.
+    """
     cfg = config.resolved()
     grid = StructuredGrid(cfg.grid_n)
-    constants = cfg.physics()
-    ncfg = cfg.newton()
-    bcs = default_cavity_bcs(grid, cfg.lid_speed)
-    heat_bc = uniform_boundary_bc(grid, cfg.heat_bc_value)
+    # checked before any solve; a forward solve alone observes nothing
+    if not 1 <= cfg.n_points <= grid.n_nodes:
+        raise ContractError(
+            f"n_points must be between 1 and the {grid.n_nodes} nodes of "
+            f"the grid, got {cfg.n_points}")
+    chain = ForwardChain(cfg, grid)
     ref_nodal = reference_field(cfg.experiment, grid.coords)
-
-    presolve_iters = None
-    frozen_fields = None
-    counts = LinearSolveCounts()
-
-    # --- synthesis with the reference coefficient
-    if cfg.experiment == "cavity_viscosity":
-        synth, _ = _solve_flow_values(grid, ref_nodal, cfg, constants,
-                                      counts)
-    elif cfg.experiment == "conjugate_heat":
-        # the momentum system does not involve the unknown conductivity, so
-        # the flow is computed once with unit viscosity and reused everywhere
-        frozen_fields, presolve_iters = _solve_flow_values(
-            grid, np.ones(grid.n_nodes), cfg, constants, counts)
-        t = Tape()
-        temp = heat_solve(t, grid, _frozen_state(t, frozen_fields),
-                          t.constant(ref_nodal), constants, heat_bc)
-        synth = dict(frozen_fields, T=t.value(temp).copy())
-    else:
-        t = Tape()
-        state = newton_solve(t, grid, t.constant(ref_nodal), constants, bcs,
-                             ncfg, beta=cfg.beta, counts=counts)
-        pt = transport_integrate(t, state, constants, dt=cfg.dt,
-                                 n_steps=cfg.transport_steps)
-        synth = {"u": t.value(state.u).copy(), "v": t.value(state.v).copy(),
-                 "w1": t.value(pt.w1).copy(), "w2": t.value(pt.w2).copy()}
+    synth = chain.values(ref_nodal)
 
     obs = make_observations(grid, synth, cfg.n_points, cfg.components,
                             cfg.obs_seed)
@@ -405,22 +489,8 @@ def build_problem(config):
         t = Tape()
         th = t.variable(theta)
         coef = eval_field_on_grid(t, model, th, grid)
-        if cfg.experiment == "cavity_viscosity":
-            state = newton_solve(t, grid, coef, constants, bcs, ncfg,
-                                 beta=cfg.beta, counts=counts)
-            eval_note["newton"] = state.newton_iterations_used
-            predicted = {"u": state.u, "v": state.v}
-        elif cfg.experiment == "conjugate_heat":
-            ns = _frozen_state(t, frozen_fields)
-            temp = heat_solve(t, grid, ns, coef, constants, heat_bc)
-            predicted = {"u": ns.u, "v": ns.v, "T": temp}
-        else:
-            state = newton_solve(t, grid, coef, constants, bcs, ncfg,
-                                 beta=cfg.beta, counts=counts)
-            eval_note["newton"] = state.newton_iterations_used
-            pt = transport_integrate(t, state, constants, dt=cfg.dt,
-                                     n_steps=cfg.transport_steps)
-            predicted = {"w1": pt.w1, "w2": pt.w2}
+        predicted, flow = chain(t, coef)
+        eval_note["newton"] = flow.newton_iterations_used
         loss = compute_loss(t, predicted, obs)
         grads = t.backward(loss)
         return float(t.value(loss)[0]), grads[th]
@@ -428,8 +498,10 @@ def build_problem(config):
     return InverseProblem(
         config=cfg, grid=grid, objective=objective, theta0=theta0,
         model=model, observations=obs, reference_nodal=ref_nodal,
-        synthetic=synth, eval_note=eval_note, linear_solves=counts,
-        presolve_newton_iters=presolve_iters)
+        synthetic=synth, eval_note=eval_note, linear_solves=chain.counts,
+        presolve_newton_iters=(None if chain.frozen_trace is None
+                               else len(chain.frozen_trace)),
+        forward=chain)
 
 
 def run_experiment(config, progress=None):
@@ -464,13 +536,11 @@ def run_experiment(config, progress=None):
     estimate = t.value(est_ref).copy()
     mse = relative_mse(estimate, problem.reference_nodal)
 
-    prediction_mse = None
-    if cfg.experiment == "cavity_viscosity":
-        resolved, _ = _solve_flow_values(grid, estimate, cfg, cfg.physics(),
-                                         problem.linear_solves)
-        prediction_mse = {name: relative_mse(resolved[name],
-                                             problem.synthetic[name])
-                          for name in ("u", "v", "p")}
+    report_fields = problem.forward.spec.report_fields
+    predicted = problem.forward.values(estimate) if report_fields else {}
+    predicted = {name: predicted[name] for name in report_fields}
+    prediction_mse = {name: relative_mse(values, problem.synthetic[name])
+                      for name, values in predicted.items()} or None
 
     echo = asdict(cfg)
     echo["components"] = list(cfg.components)
@@ -493,4 +563,4 @@ def run_experiment(config, progress=None):
         presolve_newton_iters=problem.presolve_newton_iters,
         theta=result.theta, estimate_nodal=estimate,
         reference_nodal=problem.reference_nodal,
-        observations=problem.observations)
+        observations=problem.observations, predicted_nodal=predicted)

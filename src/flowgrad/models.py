@@ -25,8 +25,6 @@ __all__ = [
     "init_params",
     "mlp_eval",
     "eval_field_on_grid",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 HIDDEN = (20, 20, 20)
@@ -184,32 +182,3 @@ def eval_field_on_grid(tape, model, theta_ref, grid):
     model.note_clamp(tape.nodes[clamped_ref].ctx["clamped"], grid.n_nodes)
     return clamped_ref
 
-
-def save_checkpoint(path, model, theta):
-    """Header line ``variant,layer_sizes,seed`` then little-endian float64."""
-    theta = np.asarray(theta, dtype=np.float64)
-    sizes = ("x".join(str(s) for s in model.layout.sizes)
-             if model.layout else str(model.n_params))
-    with open(path, "wb") as fh:
-        fh.write(f"{model.variant},{sizes},{model.seed}\n".encode("ascii"))
-        fh.write(theta.astype("<f8").tobytes())
-
-
-def load_checkpoint(path):
-    """Returns (variant, sizes list, seed, theta)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        raw = fh.read()
-    parts = header.split(",")
-    if len(parts) != 3:
-        raise ContractError(f"malformed checkpoint header {header!r}")
-    variant, sizes_txt, seed = parts[0], parts[1], int(parts[2])
-    if variant not in VARIANTS:
-        raise ContractError(f"unknown checkpoint variant {variant!r}")
-    sizes = [int(s) for s in sizes_txt.split("x")]
-    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    expected = (MlpLayout(tuple(sizes)).n_params if len(sizes) > 1 else sizes[0])
-    if theta.shape != (expected,):
-        raise ContractError(
-            f"checkpoint has {theta.shape[0]} values, layout expects {expected}")
-    return variant, sizes, seed, theta

@@ -5,11 +5,18 @@ import json
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse.linalg
 
 from flowgrad.cli import main
 from flowgrad.config import _SCHEMA, load_config
-from flowgrad.experiments import reference_field
+from flowgrad.experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    ForwardChain,
+    reference_field,
+)
 from flowgrad.grid import StructuredGrid, read_field_csv
+from flowgrad.tape import Tape
 
 SMALL = """
 [experiment]
@@ -29,6 +36,27 @@ def _config(tmp_path, text=SMALL, name="cfg.ini"):
     return str(path)
 
 
+def _small(experiment):
+    """SMALL for any experiment; the heat default of 40 points needs more
+    than 6x6 nodes."""
+    text = SMALL.replace("cavity_viscosity", experiment)
+    if experiment == "conjugate_heat":
+        text += "\n[observations]\nn_points = 12\n"
+    return text
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return calls
+
+
 # --- run
 
 
@@ -43,6 +71,15 @@ def test_run_writes_report_and_fields(tmp_path):
                  "theta.csv", "u_prediction.csv", "v_prediction.csv",
                  "p_prediction.csv"):
         assert (out / name).exists()
+
+
+def test_run_reports_every_factorization(tmp_path, monkeypatch):
+    # the prediction CSVs come from the solve the report already counts
+    calls = _count_splu(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", _config(tmp_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["linear_solves"]["factorizations"] == len(calls)
 
 
 def test_field_csv_round_trips_reference_exactly(tmp_path):
@@ -139,7 +176,8 @@ _FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
 # keys whose physics forbids zero or negative values
 _SIGNED = {"noise_epsilon": ["-0.01"], "newton_tol": ["0", "-1e-8"],
            "beta": ["0", "-0.01"], "dt": ["0", "-0.1"],
-           "clamp_floor": ["-1"], "pointwise_lower_bound": ["0", "-1"]}
+           "clamp_floor": ["-1"], "pointwise_lower_bound": ["0", "-1"],
+           "init_scale": ["-1"]}
 _INVALID_FLOATS = [(section, key, value) for section, key in _FLOAT_KEYS
                    for value in ["nan", "inf", "-inf"] + _SIGNED.get(key, [])]
 
@@ -155,6 +193,43 @@ def test_invalid_float_value_exits_2_without_files(tmp_path, section, key,
     cfg = _config(tmp_path, base + f"\n[{section}]\n{key} = {value}\n")
     out = tmp_path / "never"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_forward_writes_every_field_of_the_chain(tmp_path, experiment):
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", _config(tmp_path, _small(experiment)),
+                 "--out", str(out)]) == 0
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12).resolved()
+    chain = ForwardChain(cfg, StructuredGrid(6))
+    t = Tape()
+    fields, _ = chain(t, t.constant(reference_field(experiment,
+                                                    chain.grid.coords)))
+    assert {p.name for p in out.glob("*.csv")} == {f"{c}.csv" for c in fields}
+    for comp, ref in fields.items():
+        _, values = read_field_csv(out / f"{comp}.csv")
+        assert np.array_equal(values, t.value(ref))
+
+
+_TRANSPORT = "[experiment]\nname = passive_transport\n"
+
+
+@pytest.mark.parametrize("command", ["run", "gradcheck"])
+@pytest.mark.parametrize("text", [
+    "[observations]\nseed = -1\n", "[model]\ninit_seed = -1\n",
+    "[solver]\ntransport_steps = 0\n",
+    # 4 nodes are fewer than the 22 points the experiment observes
+    "[grid]\nn = 2\n"],
+    ids=["seed", "init_seed", "transport_steps", "n_points"])
+def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
+                                                command, text):
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path, _TRANSPORT + text)
+    out = tmp_path / "never"
+    extra = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", cfg] + extra) == 2
+    assert calls == []
     assert not out.exists()
 
 
@@ -176,9 +251,10 @@ def test_forward_writes_particles_for_transport(tmp_path):
 # --- gradcheck
 
 
-def test_gradcheck_passes_clean_build(tmp_path):
-    assert main(["gradcheck", "--config", _config(tmp_path),
-                 "--samples", "3"]) == 0
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_gradcheck_passes_clean_build(tmp_path, experiment):
+    cfg = _config(tmp_path, _small(experiment))
+    assert main(["gradcheck", "--config", cfg, "--samples", "3"]) == 0
 
 
 def test_gradcheck_zero_samples_exits_2(tmp_path):

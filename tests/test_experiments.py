@@ -13,6 +13,7 @@ from flowgrad import experiments
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     add_noise,
     build_problem,
@@ -227,6 +228,34 @@ def test_negative_clamp_floor_rejected():
         ExperimentConfig(clamp_floor=-1.0)
 
 
+@pytest.mark.parametrize("name", ["obs_seed", "init_seed", "init_scale"])
+def test_negative_seed_or_init_scale_rejected(name):
+    assert getattr(ExperimentConfig(**{name: 0}), name) == 0
+    with pytest.raises(ContractError, match=f"{name} must be nonnegative"):
+        ExperimentConfig(**{name: -1})
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_transport_steps_below_one_rejected(steps):
+    cfg = ExperimentConfig(experiment="passive_transport",
+                           transport_steps=steps)
+    with pytest.raises(ContractError, match="transport_steps"):
+        cfg.resolved()
+
+
+@pytest.mark.parametrize("experiment,grid_n,n_points", [
+    ("cavity_viscosity", 6, 0), ("cavity_viscosity", 6, 37),
+    ("passive_transport", 2, None), ("conjugate_heat", 6, None)])
+def test_observation_count_outside_grid_rejected_before_solving(
+        monkeypatch, experiment, grid_n, n_points):
+    # the defaults of 22 and 40 points do not fit on 4 or 36 nodes either
+    calls = _count_splu(monkeypatch)
+    cfg = ExperimentConfig(experiment, grid_n=grid_n, n_points=n_points)
+    with pytest.raises(ContractError, match="n_points must be between 1"):
+        build_problem(cfg)
+    assert calls == []
+
+
 def test_full_grid_default_tracks_grid_size():
     cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6).resolved()
     assert cfg.n_points == 36
@@ -235,26 +264,19 @@ def test_full_grid_default_tracks_grid_size():
 # --- run_experiment protocol
 
 
-def test_reference_field_as_estimate_reproduces_observations():
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_reference_field_as_estimate_reproduces_observations(experiment):
     # identical deterministic solves make the loss exactly zero
-    from flowgrad.solver import default_cavity_bcs, newton_solve
-
-    grid = StructuredGrid(6)
-    cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6).resolved()
-    nu = reference_field("cavity_viscosity", grid.coords)
-
-    def solve_values():
-        t = Tape()
-        s = newton_solve(t, grid, t.constant(nu), cfg.physics(),
-                         default_cavity_bcs(grid), cfg.newton(), beta=cfg.beta)
-        return t, s
-
-    t1, s1 = solve_values()
-    synth = {"u": t1.value(s1.u), "v": t1.value(s1.v)}
-    obs = make_observations(grid, synth, grid.n_nodes, ("u", "v"), seed=0)
-    t2, s2 = solve_values()
-    loss = compute_loss(t2, {"u": s2.u, "v": s2.v}, obs)
-    assert t2.value(loss)[0] == 0.0
+    problem = build_problem(ExperimentConfig(experiment, grid_n=7))
+    nu = reference_field(experiment, problem.grid.coords)
+    assert np.array_equal(nu, problem.reference_nodal)
+    t = Tape()
+    predicted, _ = problem.forward(t, t.constant(nu))
+    assert set(predicted) == set(problem.synthetic)
+    for name, ref in predicted.items():
+        np.testing.assert_array_equal(t.value(ref), problem.synthetic[name])
+    loss = compute_loss(t, predicted, problem.observations)
+    assert t.value(loss)[0] == 0.0
     assert relative_mse(nu, nu) == 0.0
 
 

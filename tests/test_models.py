@@ -1,4 +1,4 @@
-"""Field-model tests: layouts, initialization, MLP evaluation, checkpoints."""
+"""Field-model tests: layouts, initialization, MLP evaluation."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,7 @@ from flowgrad.models import (
     MlpLayout,
     eval_field_on_grid,
     init_params,
-    load_checkpoint,
     mlp_eval,
-    save_checkpoint,
 )
 from flowgrad.tape import Tape, finite_difference_check
 
@@ -155,37 +153,6 @@ def test_bad_variant_and_missing_node_count():
         init_params("cnn", seed=0)
     with pytest.raises(ContractError):
         init_params("pointwise", seed=0)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    model, theta = init_params("dnn_layered", seed=11)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, theta)
-    variant, sizes, seed, back = load_checkpoint(path)
-    assert variant == "dnn_layered"
-    assert sizes == [1, 20, 20, 20, 1]
-    assert seed == 11
-    np.testing.assert_array_equal(back, theta)
-
-
-def test_checkpoint_roundtrip_pointwise(tmp_path):
-    model, theta = init_params("pointwise", seed=3, n_nodes=16)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, theta)
-    variant, sizes, seed, back = load_checkpoint(path)
-    assert variant == "pointwise"
-    assert sizes == [16]
-    np.testing.assert_array_equal(back, theta)
-
-
-def test_checkpoint_bad_header(tmp_path):
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(b"only-one-field\n")
-    with pytest.raises(ContractError):
-        load_checkpoint(path)
-    path.write_bytes(b"dnn2d,2x20x20x20x1,1\n" + b"\x00" * 8)
-    with pytest.raises(ContractError):
-        load_checkpoint(path)
 
 
 def test_tanh_bound_is_enforced():
