@@ -296,6 +296,12 @@ class ExperimentConfig:
             if value is not None and not value >= 0:
                 raise ContractError(
                     f"{name} must be nonnegative, got {value}")
+        # checked here as well as in OptimizerConfig, so a run stops before
+        # the synthesis solve
+        for name in ("max_steps", "memory"):
+            if getattr(self, name) < 1:
+                raise ContractError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
     def resolved(self):
         """A copy with every ``None`` replaced by its experiment default."""

@@ -11,14 +11,16 @@ respect to the viscosity.  The momentum Jacobian carries the full
 convection linearization: advection C(u_k, v_k) plus the four reaction
 blocks from the iterate gradients.
 
-A flow solve factorizes one Jacobian, J(x_0) at the first step (a chord /
-Shamanskii-style reuse; Kelley, *Iterative Methods for Linear and Nonlinear
-Equations*, 1995).  Later steps solve with J(x_k), and the adjoint with
-J(x*)^T, by iterative refinement against those factors, to the same
-residual test as a direct LU solve, so Newton stays a full Newton method.
-When refinement stalls, as it does at low viscosity where convection moves
-the Jacobian far from J(x_0), the factors are dropped and each remaining
-step, and the adjoint, factorizes its own matrix.
+A flow solve factorizes a Jacobian only when the factors it holds stop
+working (a Shamanskii-style reuse with refresh; Kelley, *Iterative Methods
+for Linear and Nonlinear Equations*, 1995).  Step 1 factorizes J(x_0).
+Later steps solve with J(x_k), and the adjoint with J(x*)^T, by iterative
+refinement against the factors held, to the same residual test as a direct
+LU solve, so Newton stays a full Newton method.  When refinement stalls, as
+it does at low viscosity where convection moves the Jacobian far from
+J(x_0), the solver factorizes the current J(x_k) and re-anchors on it: those
+factors serve the remaining steps and the adjoint.  A flow solve therefore
+factorizes 1 + (its stalls) times.
 
 Continuity rows carry pressure stabilization (a pressure stiffness weighted
 by beta h^2 / nu) so the equal-order discretization is solvable; the 1/nu
@@ -51,6 +53,7 @@ from .grid import cavity_velocity_bcs, uniform_boundary_bc
 from .sparse import (
     LuFactors,
     SparseBlock,
+    release_free_memory,
     sparse_solve,
     spmv_fixed,
     spmv_pattern,
@@ -129,7 +132,8 @@ class LinearSolveCounts:
     ``factorizations`` counts fresh LU factorizations, ``recycled_solves``
     the solves met by refinement against the factors of an earlier Jacobian
     and ``stalls`` the refinements that failed and were followed by a fresh
-    factorization.
+    factorization, which the solve then re-anchors on.  Each flow solve
+    factorizes once plus once per stall.
     """
 
     factorizations: int = 0
@@ -337,18 +341,20 @@ def _factorized(matrix, counts):
 def _steady_flow_fwd(v, ctx):
     """Newton iteration x <- x - J(x)^-1 F(x) from the Dirichlet data.
 
-    Step 1 factorizes J(x_0); later steps solve with J(x_k) by iterative
-    refinement against those factors.  When refinement stalls the factors
-    are dropped and each later step factorizes its own J(x_k) and releases
-    it, so at most one factorization is alive at a time.  On convergence
-    ``ctx["lu"]`` keeps the step-1 factors for the adjoint.  Each iterate
-    is linearized on a throwaway tape.
+    Every step solves with J(x_k) by iterative refinement against the
+    factors held, the anchor.  Step 1 has none and factorizes J(x_0).  When
+    refinement stalls, the old factors are dropped and J(x_k) is factorized;
+    those factors are the anchor from then on, so at most one factorization
+    is alive at a time.  On convergence ``ctx["lu"]`` keeps the last anchor
+    for the adjoint.  Each iterate is linearized on a throwaway tape.
 
     The iterate is updated in place and a stall drops the linearization
     with the factors, so nothing allocated after the factors outlives them:
     the heap can then shrink before the next factorization instead of
     leaving it a hole to fragment (each SuperLU factorization reserves far
-    more memory than it touches).
+    more memory than it touches).  The factors kept for the adjoint do
+    outlive what the rest of the tape allocates, so the backward hands their
+    free pages back once it is done with them.
     """
     nu = v[0]
     setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
@@ -361,18 +367,15 @@ def _steady_flow_fwd(v, ctx):
     lu = None
     for it in range(1, config.max_iter + 1):
         matrix, rhs = lin.jacobian()
-        if it == 1:
-            lu = _factorized(matrix, counts)
-            delta = lu.solve(rhs)
-        else:
-            delta = _refined(lu, matrix, rhs, False, counts)
+        delta = _refined(lu, matrix, rhs, False, counts)
         if delta is None:
             if lu is not None:
                 # a stall: drop the factors and what was allocated after them
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
                 matrix, rhs = lin.jacobian()
-            delta = _factorized(matrix, counts).solve(rhs)
+            lu = _factorized(matrix, counts)
+            delta = lu.solve(rhs)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
         x -= delta
@@ -397,7 +400,7 @@ def _steady_flow_bwd(g, ctx):
 
     F(x*(nu), nu) = 0 gives dx*/dnu = -J^-1 dF/dnu, so the gradient is
     -(dF/dnu)^T lam with lam = J(x*)^-T g: one transpose solve, by
-    refinement against the forward's step-1 factors when it kept them,
+    refinement against the forward's last anchor factors when it kept them,
     else (or when refinement stalls) with a fresh factorization of J(x*).
     The constrained J stands in for dF/dx: its eliminated columns multiply
     the prescribed values, which do not move with nu, and the Dirichlet rows
@@ -409,6 +412,8 @@ def _steady_flow_bwd(g, ctx):
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape factorizes J(x*)
     lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
+    # the factors died below the rest of the tape: return their pages
+    release_free_memory()
     if lam is None:
         lam = _factorized(matrix, counts).solve_transpose(g)
     t = lin.tape

@@ -20,11 +20,13 @@ sweep is the direct solve and usually meets the test.  The same sweeps solve
 with a *nearby* matrix, such as a later Newton Jacobian, using these factors
 as the approximate inverse.  Sweeps are capped; when refinement stalls a
 solve with the factorized matrix raises :class:`NumericError` and a solve
-with a nearby matrix returns None, so the caller can factorize that matrix.
+with a nearby matrix returns None, so the caller can factorize that matrix
+and keep its factors for the matrices that follow.
 SuperLU is handed the CSR arrays of A as the CSC arrays of A^T, which
 avoids a format conversion; the solves swap ``trans`` to match.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "SparsePattern",
     "SparseBlock",
     "LuFactors",
+    "release_free_memory",
     "sparse_solve",
     "spmv_pattern",
     "spmv_fixed",
@@ -327,13 +330,34 @@ class LuFactors:
         Solving with the factorized A raises :class:`NumericError` when
         refinement stalls.  Solving with another ``matrix`` (a scipy sparse
         matrix close to A) returns None instead, so the caller can factorize
-        it.
+        it and solve with its factors from then on.
         """
         return self._solve(b, matrix, False)
 
     def solve_transpose(self, b, matrix=None):
         """x with A^T x = b, or ``matrix``^T x = b; see :meth:`solve`."""
         return self._solve(b, matrix, True)
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def release_free_memory():
+    """Hand the whole free pages inside the C heap back to the system.
+
+    A SuperLU factorization reserves far more heap than it touches (about
+    23 MB against 1.6 MB for the 1,323 unknowns of a 21x21 flow).  Factors
+    freed while later allocations still sit above them leave that
+    reservation as a hole the allocator keeps mapped; small allocations
+    scattered into it over later solves then raise the resident set step by
+    step.  glibc's ``malloc_trim`` returns the free pages of such holes.
+    With another C library this does nothing.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,10 @@ _TRANSPORT = "[experiment]\nname = passive_transport\n"
     "[observations]\nseed = -1\n", "[model]\ninit_seed = -1\n",
     "[solver]\ntransport_steps = 0\n",
     # 4 nodes are fewer than the 22 points the experiment observes
-    "[grid]\nn = 2\n"],
-    ids=["seed", "init_seed", "transport_steps", "n_points"])
+    "[grid]\nn = 2\n",
+    "[optimizer]\nmax_steps = 0\n", "[optimizer]\nmemory = 0\n"],
+    ids=["seed", "init_seed", "transport_steps", "n_points", "max_steps",
+         "memory"])
 def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
                                                 command, text):
     calls = _count_splu(monkeypatch)

@@ -24,6 +24,7 @@ from flowgrad.experiments import (
     run_experiment,
 )
 from flowgrad.grid import StructuredGrid
+from flowgrad.models import eval_field_on_grid
 from flowgrad.sparse import LuFactors
 from flowgrad.tape import Tape
 
@@ -235,6 +236,13 @@ def test_negative_seed_or_init_scale_rejected(name):
         ExperimentConfig(**{name: -1})
 
 
+@pytest.mark.parametrize("name", ["max_steps", "memory"])
+def test_max_steps_or_memory_below_one_rejected(name):
+    assert getattr(ExperimentConfig(**{name: 1}), name) == 1
+    with pytest.raises(ContractError, match=f"{name} must be at least 1"):
+        ExperimentConfig(**{name: 0})
+
+
 @pytest.mark.parametrize("steps", [0, -3])
 def test_transport_steps_below_one_rejected(steps):
     cfg = ExperimentConfig(experiment="passive_transport",
@@ -358,6 +366,14 @@ def test_report_records_line_search(monkeypatch):
                                         "passive_transport"])
 def test_report_counts_linear_solves(monkeypatch, experiment):
     calls = _count_splu(monkeypatch)
+    solves = []
+    newton_solve = experiments.newton_solve
+
+    def counting_newton_solve(*args, **kwargs):
+        solves.append(1)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "newton_solve", counting_newton_solve)
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12, max_steps=3)
     rep = run_experiment(cfg)
     block = json.loads(rep.to_json())["linear_solves"]
@@ -365,15 +381,19 @@ def test_report_counts_linear_solves(monkeypatch, experiment):
     assert set(block) == {"factorizations", "recycled_solves", "stalls"}
     # every factorization of the run is one of a flow solve or its adjoint
     assert block["factorizations"] == len(calls)
+    # each flow solve factorizes once, and once more at each stall, whose
+    # factors it keeps; the adjoint refines against them
+    assert block["factorizations"] == len(solves) + block["stalls"]
     assert block["recycled_solves"] > 0
     if experiment == "cavity_viscosity":
         # no stall: the synthesis, each evaluation and the final prediction
         # solve factorize once
         assert block["stalls"] == 0
-        assert block["factorizations"] == 2 + rep.n_evals
+        assert len(solves) == 2 + rep.n_evals
     else:
         # viscosities near 0.01 make refinement stall at Newton step 2
         assert block["stalls"] > 0
+        assert len(solves) == 1 + rep.n_evals
 
 
 def test_conjugate_heat_reports_presolve():
@@ -447,6 +467,34 @@ def test_objective_keeps_no_state_across_evaluations(monkeypatch, experiment):
     assert len(flows) == 3
     assert not any(isinstance(v, LuFactors)
                    for node in flows for v in node.ctx.values())
+
+
+def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
+    # at viscosities near 0.01 Newton stalls on 6x6 and factorizes the
+    # Jacobian of the stalled step; the adjoint refines against those
+    # factors and pops them from the context
+    problem = build_problem(ExperimentConfig("passive_transport", grid_n=6,
+                                             n_points=12))
+    counts = problem.linear_solves
+    calls = _count_splu(monkeypatch)
+    t = Tape()
+    coef = eval_field_on_grid(t, problem.model, t.variable(problem.theta0),
+                              problem.grid)
+    before = dataclasses.replace(counts)
+    predicted, flow = problem.forward(t, coef)
+    stalls = counts.stalls - before.stalls
+    assert stalls >= 1
+    assert len(calls) == counts.factorizations - before.factorizations
+    assert len(calls) == 1 + stalls
+    assert (counts.recycled_solves - before.recycled_solves
+            == flow.newton_iterations_used - 1 - stalls)
+
+    forward = dataclasses.replace(counts)
+    t.backward(compute_loss(t, predicted, problem.observations))
+    assert counts == dataclasses.replace(
+        forward, recycled_solves=forward.recycled_solves + 1)
+    [node] = [n for n in t.nodes if n.op == "steady_flow"]
+    assert not any(isinstance(v, LuFactors) for v in node.ctx.values())
 
 
 def test_heat_objective_factorizes_once(monkeypatch):

@@ -208,7 +208,8 @@ def _steady_flow_ctx(tape):
 def test_newton_matches_fresh_lu_newton(low_viscosity):
     # at the reference viscosity every later step refines against the
     # step-1 factors; at nu = 0.01 convection moves J(x_2) too far from
-    # J(x_0), refinement stalls and each later step factorizes its own J
+    # J(x_0), refinement stalls and the solve re-anchors on J(x_2): it
+    # factorizes once plus once per stall and refines every other step
     g = StructuredGrid(9)
     nu_nodal = (np.full(g.n_nodes, 0.01) if low_viscosity
                 else reference_viscosity(g.coords))
@@ -220,9 +221,9 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     iters = state.newton_iterations_used
     assert iters >= 2
     if low_viscosity:
-        assert (counts.factorizations, counts.recycled_solves,
-                counts.stalls) == (iters, 0, 1)
-        assert _steady_flow_ctx(t)["lu"] is None
+        assert counts.stalls >= 1
+        assert (counts.factorizations, counts.recycled_solves) == (
+            1 + counts.stalls, iters - 1 - counts.stalls)
     else:
         assert (counts.factorizations, counts.recycled_solves,
                 counts.stalls) == (1, iters - 1, 0)
@@ -231,12 +232,12 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     np.testing.assert_allclose(x, expected, rtol=0.0,
                                atol=1e-8 * np.max(np.abs(expected)))
 
-    # the adjoint refines against the kept factors, or factorizes J(x*)
+    # the adjoint refines against the last anchor and pops it
+    assert isinstance(_steady_flow_ctx(t)["lu"], solver.LuFactors)
     before = (counts.factorizations, counts.recycled_solves)
     t.backward(ops.dot(t, state.u, state.u))
     assert (counts.factorizations, counts.recycled_solves) == (
-        (before[0] + 1, before[1]) if low_viscosity
-        else (before[0], before[1] + 1))
+        before[0], before[1] + 1)
     assert "lu" not in _steady_flow_ctx(t)
 
 
