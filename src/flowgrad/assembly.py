@@ -11,7 +11,9 @@ CSR data; backward runs the same maps in reverse.
 The coupled velocity-pressure system is a 3x3 grid of base-pattern blocks
 over unknowns [u; v; p].  ``pack_system`` gathers block data arrays into the
 system CSR data array through precomputed index maps, and
-``constrain_system`` imposes Dirichlet rows/columns differentiably.
+``constrain_system`` imposes Dirichlet rows/columns differentiably.  The
+system is factorized in a nested-dissection order of the grid's nodes
+(``GridOperators.system_order``).
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractError
-from .sparse import SparseBlock, SparsePattern
+from .sparse import SparseBlock, SparsePattern, SymmetricOrder
 from .tape import register_op
 
 __all__ = [
@@ -39,15 +41,44 @@ __all__ = [
 ]
 
 
-class GridOperators:
-    """Shared pattern, scatter maps, and constant blocks for one grid.
+# Most grid shapes whose operators are kept for reuse at once.
+_SHARED_SHAPES = 4
+_OPERATORS = {}  # (nx, ny) -> GridOperators, least recently used first
 
-    Keeps only the grid's ``n_nodes`` and ``elems``, never the grid itself:
-    the grid holds its operators (see ``operators_for``), so a reference
-    back would make a cycle that only the cycle collector frees.
+
+def _dissect(nx, ix0, ix1, iy0, iy1, out):
+    """Append the nodes of the box [ix0, ix1) x [iy0, iy1), separators last.
+
+    The Q1 stencil couples only adjacent grid lines, so the middle grid line
+    across the longer side separates the two halves.  A module-level
+    function: a closure that calls itself is a reference cycle.
+    """
+    wx, wy = ix1 - ix0, iy1 - iy0
+    if wx * wy <= 4:
+        for iy in range(iy0, iy1):
+            out.extend(range(iy * nx + ix0, iy * nx + ix1))
+    elif wx >= wy:
+        mid = (ix0 + ix1) // 2
+        _dissect(nx, ix0, mid, iy0, iy1, out)
+        _dissect(nx, mid + 1, ix1, iy0, iy1, out)
+        out.extend(range(iy0 * nx + mid, iy1 * nx + mid, nx))
+    else:
+        mid = (iy0 + iy1) // 2
+        _dissect(nx, ix0, ix1, iy0, mid, out)
+        _dissect(nx, ix0, ix1, mid + 1, iy1, out)
+        out.extend(range(mid * nx + ix0, mid * nx + ix1))
+
+
+class GridOperators:
+    """Shared pattern, scatter maps, and constant blocks for one grid shape.
+
+    Everything here depends on the grid's shape only, so ``operators_for``
+    shares one instance among the grids of a shape.  It keeps the shape,
+    ``n_nodes`` and ``elems``, never a grid.
     """
 
     def __init__(self, grid):
+        self.shape = (grid.nx, grid.ny)
         n = self.n_nodes = grid.n_nodes
         elems = self.elems = grid.elems
         q = grid.quad
@@ -84,7 +115,7 @@ class GridOperators:
         self.gx_data = self.scatter(np.ascontiguousarray(dx_elem.swapaxes(1, 2)))
         self.gy_data = self.scatter(np.ascontiguousarray(dy_elem.swapaxes(1, 2)))
 
-        self._system = None
+        self._system = self._order = None
 
     @property
     def nnz(self):
@@ -140,13 +171,32 @@ class GridOperators:
         self._system = (sys_pattern, blockmap)
         return self._system
 
+    def system_order(self):
+        """Nested-dissection :class:`SymmetricOrder` of the system pattern.
+
+        Both halves of a box are numbered before the grid line that
+        separates them, down to boxes of at most 4 nodes, numbered
+        row-major.  The u, v and p unknowns of each node are adjacent.
+        """
+        if self._order is None:
+            nodes = []
+            _dissect(self.shape[0], 0, self.shape[0], 0, self.shape[1], nodes)
+            perm = (np.array(nodes)[:, None]
+                    + self.n_nodes * np.arange(3)).ravel()
+            self._order = SymmetricOrder.create(self.system_layout()[0], perm)
+        return self._order
+
 
 def operators_for(grid):
-    """Memoized GridOperators for a grid instance."""
-    ops = getattr(grid, "_operators", None)
-    if ops is None:
-        ops = GridOperators(grid)
-        grid._operators = ops
+    """The GridOperators of the grid's shape, shared by every such grid.
+
+    The last ``_SHARED_SHAPES`` shapes used are kept, so building a second
+    problem on the same grid shape reuses patterns, blocks and the order.
+    """
+    ops = _OPERATORS.pop((grid.nx, grid.ny), None) or GridOperators(grid)
+    _OPERATORS[ops.shape] = ops
+    if len(_OPERATORS) > _SHARED_SHAPES:
+        del _OPERATORS[next(iter(_OPERATORS))]
     return ops
 
 

@@ -134,6 +134,9 @@ def _cmd_run(args):
 
 def _cmd_forward(args):
     bundle = load_config(args.config)
+    # a spec default that does not fit the grid is no error here, as this
+    # command observes nothing; a count the file sets is checked as by run
+    bundle.configs[0].check_n_points()
     cfg = bundle.configs[0].resolved()
     chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
     t = Tape()

@@ -317,6 +317,18 @@ class ExperimentConfig:
                 f"{cfg.transport_steps}")
         return cfg
 
+    def check_n_points(self):
+        """Raise unless ``n_points`` is unset or fits the grid's nodes.
+
+        ``build_problem`` checks the resolved count; the ``forward``
+        command, which observes nothing, checks only a count that was set.
+        """
+        n_nodes = self.grid_n ** 2
+        if self.n_points is not None and not 1 <= self.n_points <= n_nodes:
+            raise ContractError(
+                f"n_points must be between 1 and the {n_nodes} nodes of "
+                f"the grid, got {self.n_points}")
+
     def physics(self):
         return PhysicsConstants(rho=self.rho, cp=self.cp,
                                 heat_source_q=self.heat_source,
@@ -471,11 +483,7 @@ def build_problem(config):
     """
     cfg = config.resolved()
     grid = StructuredGrid(cfg.grid_n)
-    # checked before any solve; a forward solve alone observes nothing
-    if not 1 <= cfg.n_points <= grid.n_nodes:
-        raise ContractError(
-            f"n_points must be between 1 and the {grid.n_nodes} nodes of "
-            f"the grid, got {cfg.n_points}")
+    cfg.check_n_points()
     chain = ForwardChain(cfg, grid)
     ref_nodal = reference_field(cfg.experiment, grid.coords)
     synth = chain.values(ref_nodal)

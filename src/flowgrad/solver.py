@@ -20,7 +20,8 @@ LU solve, so Newton stays a full Newton method.  When refinement stalls, as
 it does at low viscosity where convection moves the Jacobian far from
 J(x_0), the solver factorizes the current J(x_k) and re-anchors on it: those
 factors serve the remaining steps and the adjoint.  A flow solve therefore
-factorizes 1 + (its stalls) times.
+factorizes 1 + (its stalls) times, each time in the nested-dissection order
+of the grid (``GridOperators.system_order``).
 
 Continuity rows carry pressure stabilization (a pressure stiffness weighted
 by beta h^2 / nu) so the equal-order discretization is solvable; the 1/nu
@@ -40,8 +41,6 @@ import numpy as np
 from . import ops
 from .assembly import (
     assemble_advection_diffusion,
-    assemble_diffusion_block,
-    assemble_reaction_block,
     apply_dirichlet,
     constraint_plan,
     constrain_system,
@@ -176,16 +175,23 @@ def _nodal(value, n):
     return value
 
 
+# Most flow setups kept for reuse at once.
+_SHARED_SETUPS = 4
+_SETUPS = {}  # value key of the inputs -> _NsSetup, least recently used first
+
+
 class _NsSetup:
-    """Constant matrices, system maps, and the constraint plan for one solve."""
+    """Constant matrices, system maps, the constraint plan and the LU order
+    of the flow system on one grid shape with one set of Dirichlet data,
+    constants and stabilization weight (see ``_setup_for``)."""
 
     def __init__(self, grid, bc, constants, beta):
         gops = operators_for(grid)
-        self.grid = grid
         self.gops = gops
         n = grid.n_nodes
         self.n = n
         self.sys_pattern, self.bmap = gops.system_layout()
+        self.order = gops.system_order()
         self.stab_coef = beta * grid.hx * grid.hy
 
         const = np.zeros(self.sys_pattern.nnz)
@@ -215,7 +221,24 @@ class _NsSetup:
         """Pressure stabilization stiffness weighted by beta h^2 / nu."""
         coef = ops.div(tape, tape.constant(np.full(self.n, self.stab_coef)),
                        nu_nodal)
-        return assemble_diffusion_block(tape, self.grid, coef)
+        return tape.apply("diffusion_block", (coef,), {"gops": self.gops})
+
+
+def _setup_for(grid, bc, constants, beta):
+    """The shared :class:`_NsSetup` of these inputs, built on first use.
+
+    Keyed by value, so every flow solve of a problem, and every problem of
+    the same shape and data, reuses one setup; the last ``_SHARED_SETUPS``
+    are kept.
+    """
+    key = (grid.nx, grid.ny, constants, float(beta), int(bc.pressure_pin),
+           *(a.tobytes() for spec in (bc.u, bc.v)
+             for a in (spec.idx, spec.vals)))
+    setup = _SETUPS.pop(key, None) or _NsSetup(grid, bc, constants, beta)
+    _SETUPS[key] = setup
+    if len(_SETUPS) > _SHARED_SETUPS:
+        del _SETUPS[next(iter(_SETUPS))]
+    return setup
 
 
 def _residual(tape, setup, nu, u, v, p):
@@ -226,8 +249,8 @@ def _residual(tape, setup, nu, u, v, p):
     """
     pat = setup.gops.pattern
     c_ref = tape.apply("convection_block", (u, v), {"gops": setup.gops})
-    k_ref = assemble_diffusion_block(tape, setup.grid, nu).ref
-    stab_ref = setup.stab_block(tape, nu).ref
+    k_ref = tape.apply("diffusion_block", (nu,), {"gops": setup.gops})
+    stab_ref = setup.stab_block(tape, nu)
     fu = ops.add(tape, spmv_pattern(tape, SparseBlock(pat, c_ref), u),
                  spmv_pattern(tape, SparseBlock(pat, k_ref), u))
     fu = ops.add(tape, fu, spmv_fixed(tape, setup.gx_m, p))
@@ -251,7 +274,7 @@ def _residual(tape, setup, nu, u, v, p):
 
 def ns_residual(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
     """Public residual evaluation for a given state (see ``_residual``)."""
-    setup = _NsSetup(grid, bc, constants, beta)
+    setup = _setup_for(grid, bc, constants, beta)
     return _residual(tape, setup, nu_nodal, state.u, state.v, state.p)[0]
 
 
@@ -261,7 +284,7 @@ def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
     This is the matrix the steady-flow adjoint solves with when ``state``
     is a converged solution.  It is evaluated off ``tape``, which is only read.
     """
-    setup = _NsSetup(grid, bc, constants, beta)
+    setup = _setup_for(grid, bc, constants, beta)
     x = np.concatenate([tape.value(r) for r in (state.u, state.v, state.p)])
     return _Linearization(setup, tape.value(nu_nodal), x).jacobian()[0]
 
@@ -296,18 +319,16 @@ class _Linearization:
         gradients.
         """
         t, setup = self.tape, self.setup
-        grid = setup.grid
         c_ref, k_ref, stab_ref = self.blocks
-        rux = assemble_reaction_block(t, grid, self.u, 0)
-        ruy = assemble_reaction_block(t, grid, self.u, 1)
-        rvx = assemble_reaction_block(t, grid, self.v, 0)
-        rvy = assemble_reaction_block(t, grid, self.v, 1)
+        rux, ruy, rvx, rvy = (
+            t.apply("reaction_block", (w,), {"gops": setup.gops, "axis": axis})
+            for w in (self.u, self.v) for axis in (0, 1))
         ck = ops.add(t, c_ref, k_ref)
-        juu = ops.add(t, ck, rux.ref)
-        jvv = ops.add(t, ck, rvy.ref)
+        juu = ops.add(t, ck, rux)
+        jvv = ops.add(t, ck, rvy)
         placements = [
-            (setup.bmap[0][0], juu), (setup.bmap[0][1], ruy.ref),
-            (setup.bmap[1][0], rvx.ref), (setup.bmap[1][1], jvv),
+            (setup.bmap[0][0], juu), (setup.bmap[0][1], ruy),
+            (setup.bmap[1][0], rvx), (setup.bmap[1][1], jvv),
             (setup.bmap[2][2], stab_ref),
         ]
         sys_block = pack_system(t, setup.sys_pattern, placements,
@@ -333,9 +354,9 @@ def _refined(lu, matrix, b, transpose, counts):
     return x
 
 
-def _factorized(matrix, counts):
+def _factorized(setup, matrix, counts):
     counts.factorizations += 1
-    return LuFactors(matrix)
+    return LuFactors(matrix, setup.order)
 
 
 def _steady_flow_fwd(v, ctx):
@@ -353,8 +374,12 @@ def _steady_flow_fwd(v, ctx):
     the heap can then shrink before the next factorization instead of
     leaving it a hole to fragment (each SuperLU factorization reserves far
     more memory than it touches).  The factors kept for the adjoint do
-    outlive what the rest of the tape allocates, so the backward hands their
-    free pages back once it is done with them.
+    outlive what the rest of the tape allocates.  When they were made at a
+    stall, ``ctx["re_anchored"]`` tells the backward to hand their free
+    pages back once it is done with them: only such factors, which live
+    through transport's particle recursion, were seen to let the resident
+    set creep from call to call, and a trim after every adjoint cost about
+    2% of a 41x41 cavity evaluation.
     """
     nu = v[0]
     setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
@@ -364,17 +389,18 @@ def _steady_flow_fwd(v, ctx):
     lin = _Linearization(setup, nu, x)
     res_norm = lin.residual_norm()
     trace = ctx["trace"] = []
-    lu = None
+    lu, re_anchored = None, False
     for it in range(1, config.max_iter + 1):
         matrix, rhs = lin.jacobian()
         delta = _refined(lu, matrix, rhs, False, counts)
         if delta is None:
-            if lu is not None:
+            re_anchored = lu is not None
+            if re_anchored:
                 # a stall: drop the factors and what was allocated after them
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
                 matrix, rhs = lin.jacobian()
-            lu = _factorized(matrix, counts)
+            lu = _factorized(setup, matrix, counts)
             delta = lu.solve(rhs)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
@@ -387,6 +413,7 @@ def _steady_flow_fwd(v, ctx):
             trace_cb(it, res_norm)
         if res_norm < config.tol_residual:
             ctx["nu"], ctx["x"], ctx["lu"] = nu, x, lu
+            ctx["re_anchored"] = re_anchored
             return x
 
     raise NewtonDivergedError(
@@ -406,16 +433,18 @@ def _steady_flow_bwd(g, ctx):
     the prescribed values, which do not move with nu, and the Dirichlet rows
     of F are identically zero, so lam adds nothing there.
     """
-    counts = ctx["counts"]
-    lin = _Linearization(ctx["setup"], ctx["nu"], ctx["x"])
+    counts, setup = ctx["counts"], ctx["setup"]
+    lin = _Linearization(setup, ctx["nu"], ctx["x"])
     matrix = lin.jacobian()[0]
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape factorizes J(x*)
     lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
-    # the factors died below the rest of the tape: return their pages
-    release_free_memory()
+    if ctx.pop("re_anchored", False):
+        # factors made at a stall lived through the rest of the forward
+        # chain and died below what it allocated: return their pages
+        release_free_memory()
     if lam is None:
-        lam = _factorized(matrix, counts).solve_transpose(g)
+        lam = _factorized(setup, matrix, counts).solve_transpose(g)
     t = lin.tape
     weighted = ops.dot(t, t.constant(lam), lin.f_ref)
     return (-t.backward(weighted)[lin.nu],)
@@ -438,7 +467,7 @@ def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
     solves and stalls of the Newton steps and of the node's backward pass.
     """
     config = config or NewtonConfig()
-    setup = _NsSetup(grid, bc, constants, beta)
+    setup = _setup_for(grid, bc, constants, beta)
     ctx = {"setup": setup, "config": config, "trace_cb": trace_cb,
            "counts": counts if counts is not None else LinearSolveCounts()}
     x = tape.apply("steady_flow", (nu_nodal,), ctx)

@@ -14,7 +14,7 @@ Closed forms for a single square element with unit coefficient:
 import numpy as np
 import pytest
 
-from flowgrad import kernels, ops
+from flowgrad import assembly, kernels, ops
 from flowgrad.assembly import (
     assemble_advection_diffusion,
     assemble_convection_blocks,
@@ -328,6 +328,49 @@ def test_system_layout_matches_row_loop():
                                           base.rows + br * n)
             np.testing.assert_array_equal(sys_pattern.indices[bmap[br][bc]],
                                           base.indices + bc * n)
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9), (2, 2)])
+def test_system_order_keeps_node_unknowns_adjacent(shape):
+    g = StructuredGrid(*shape)
+    n = g.n_nodes
+    perm = operators_for(g).system_order().perm
+    np.testing.assert_array_equal(np.sort(perm), np.arange(3 * n))
+    by_node = perm.reshape(-1, 3)
+    assert np.all(by_node[:, 0] < n)
+    np.testing.assert_array_equal(by_node[:, 1:],
+                                  by_node[:, :1] + n * np.arange(1, 3))
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9), (41, 41)])
+def test_system_order_top_separator_splits_grid(shape):
+    # the middle grid line across the longer side is numbered last, after
+    # the two halves it separates; no stencil entry couples the halves
+    g = StructuredGrid(*shape)
+    gops = operators_for(g)
+    nodes = gops.system_order().perm[::3]
+    along = g.coords[:, 0] if g.nx >= g.ny else g.coords[:, 1]
+    line = np.round(along * (max(shape) - 1)).astype(int)
+    mid = max(shape) // 2
+    width = min(shape)
+    first, second = mid * width, (max(shape) - mid - 1) * width
+    assert np.all(line[nodes[:first]] < mid)
+    assert np.all(line[nodes[first:first + second]] > mid)
+    assert np.all(line[nodes[first + second:]] == mid)
+    side = np.zeros(g.n_nodes, dtype=int)
+    side[nodes[:first]], side[nodes[first:first + second]] = 1, 2
+    pattern = gops.pattern
+    assert not np.any(side[pattern.rows] * side[pattern.indices] == 2)
+
+
+def test_operators_shared_per_grid_shape():
+    gops = operators_for(StructuredGrid(5))
+    assert operators_for(StructuredGrid(5)) is gops
+    assert operators_for(StructuredGrid(5, 6)) is not gops
+    for n in range(7, 8 + assembly._SHARED_SHAPES):
+        operators_for(StructuredGrid(n))
+    assert len(assembly._OPERATORS) == assembly._SHARED_SHAPES
+    assert operators_for(StructuredGrid(5)) is not gops
 
 
 def test_constrain_empty_spec_is_identity():

@@ -235,6 +235,19 @@ def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", ["0", "37"])
+def test_forward_rejects_set_observation_count_outside_grid(
+        tmp_path, monkeypatch, points):
+    # run and gradcheck reject it too; the heat default of 40 points on a
+    # 6x6 grid is no error for forward (next test)
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path, SMALL + f"\n[observations]\nn_points = {points}\n")
+    out = tmp_path / "never"
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
 def test_forward_writes_temperature_for_heat(tmp_path):
     cfg = _config(tmp_path, "[experiment]\nname = conjugate_heat\n\n[grid]\nn = 6\n")
     out = tmp_path / "heat"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from flowgrad import experiments
+from flowgrad import experiments, solver
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
@@ -433,6 +433,28 @@ def _count_splu(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     return calls
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_flow_setup_built_once(monkeypatch, experiment):
+    # every flow solve of a problem, and of a second problem that differs
+    # only in its noise, reuses the setup of the first solve
+    built = []
+    init = solver._NsSetup.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(solver, "_SETUPS", {})
+    monkeypatch.setattr(solver._NsSetup, "__init__", counting_init)
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
+    problem = build_problem(cfg)
+    problem.objective(problem.theta0)
+    problem.objective(problem.theta0)
+    again = build_problem(dataclasses.replace(cfg, noise_epsilon=0.01))
+    again.objective(again.theta0)
+    assert built == [1]
 
 
 def test_cavity_objective_factorizes_once(monkeypatch):

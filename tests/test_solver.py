@@ -205,11 +205,15 @@ def _steady_flow_ctx(tape):
 
 
 @pytest.mark.parametrize("low_viscosity", [False, True])
-def test_newton_matches_fresh_lu_newton(low_viscosity):
+def test_newton_matches_fresh_lu_newton(monkeypatch, low_viscosity):
     # at the reference viscosity every later step refines against the
     # step-1 factors; at nu = 0.01 convection moves J(x_2) too far from
     # J(x_0), refinement stalls and the solve re-anchors on J(x_2): it
-    # factorizes once plus once per stall and refines every other step
+    # factorizes once plus once per stall and refines every other step.
+    # Only re-anchored factors have their heap pages returned.
+    trims = []
+    monkeypatch.setattr(solver, "release_free_memory",
+                        lambda: trims.append(1))
     g = StructuredGrid(9)
     nu_nodal = (np.full(g.n_nodes, 0.01) if low_viscosity
                 else reference_viscosity(g.coords))
@@ -239,6 +243,27 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     assert (counts.factorizations, counts.recycled_solves) == (
         before[0], before[1] + 1)
     assert "lu" not in _steady_flow_ctx(t)
+    assert len(trims) == int(low_viscosity)
+
+
+def test_flow_factorizes_in_grid_order(monkeypatch):
+    # every Newton and adjoint factorization is of P J P^T in the grid's
+    # nested-dissection order, not minimum degree
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(*args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    g = StructuredGrid(7)
+    t = Tape()
+    nu = t.variable(np.full(g.n_nodes, 0.01))
+    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g))
+    t.backward(ops.dot(t, state.u, state.u))
+    t.backward(ops.dot(t, state.u, state.u))
+    assert len(specs) >= 3 and set(specs) == {"NATURAL"}
 
 
 def test_adjoint_stall_refactorizes():

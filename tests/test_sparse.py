@@ -18,6 +18,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from flowgrad import ops, solver, sparse
+from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
 from flowgrad.grid import StructuredGrid
@@ -31,6 +32,7 @@ from flowgrad.sparse import (
     CsrMatrix,
     LuFactors,
     SparseBlock,
+    SymmetricOrder,
     sparse_solve,
     spmv_fixed,
     spmv_pattern,
@@ -192,6 +194,61 @@ def test_lu_cavity_fill_and_transpose_residual():
     b = np.random.default_rng(19).normal(size=jac.shape[0])
     x = lu.solve_transpose(b)
     assert np.max(np.abs(b - jac.T @ x)) < 1e-10 * np.max(np.abs(b))
+
+
+def test_symmetric_order_gathers_permuted_matrix():
+    m = _random_spd_like(30, seed=29).to_scipy()
+    m = m + m.T
+    perm = np.random.default_rng(30).permutation(30)
+    order = SymmetricOrder.create(CsrMatrix.from_scipy(m).pattern, perm)
+    assert order.gather.dtype == np.int32
+    # a valid CSR pattern with sorted rows, holding P A P^T
+    permuted = CsrMatrix(30, 30, order.indptr, order.indices,
+                         m.data[order.gather])
+    np.testing.assert_array_equal(permuted.to_dense(),
+                                  m.toarray()[np.ix_(perm, perm)])
+    assert permuted.nnz == m.nnz
+    np.testing.assert_array_equal(order.perm[order.inverse], np.arange(30))
+    with pytest.raises(ContractError, match="permutation"):
+        SymmetricOrder.create(order.pattern, np.zeros(30, dtype=int))
+
+
+@pytest.fixture(scope="module")
+def cavity_41():
+    """The 41x41 reference cavity Jacobian and its grid's order."""
+    return (_cavity_jacobian(41),
+            operators_for(StructuredGrid(41)).system_order())
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_ordered_lu_solves_cavity_jacobian(cavity_41, trans):
+    jac, order = cavity_41
+    lu = LuFactors(jac, order)
+    b = np.random.default_rng(31).normal(size=jac.shape[0])
+    x = lu.solve_transpose(b) if trans else lu.solve(b)
+    a = jac.T if trans else jac
+    assert np.max(np.abs(b - a @ x)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_ordered_lu_fills_less_than_minimum_degree(cavity_41):
+    jac, order = cavity_41
+    nested = LuFactors(jac, order)._lu
+    mmd = LuFactors(jac)._lu
+    assert (nested.L.nnz + nested.U.nnz
+            <= 0.95 * (mmd.L.nnz + mmd.U.nnz))
+
+
+def test_ordered_lu_rejects_other_pattern():
+    jac = _cavity_jacobian(6)
+    order = operators_for(StructuredGrid(6)).system_order()
+    # the constrained Jacobian stores the zeros of its eliminated columns
+    pruned = jac.copy()
+    pruned.eliminate_zeros()
+    assert pruned.shape == jac.shape and pruned.nnz < jac.nnz
+    with pytest.raises(ContractError, match="pattern"):
+        LuFactors(pruned, order)
+    with pytest.raises(ContractError, match="pattern"):
+        LuFactors(_cavity_jacobian(7), order)
 
 
 def test_lu_zero_diagonal_factorizes():
