@@ -332,7 +332,9 @@ def assemble_grad_div_blocks(grid):
 # system packing
 
 def _pack_system_fwd(v, ctx):
-    out = ctx["base"].copy()
+    out = np.zeros(ctx["nnz"])
+    for pos, data in ctx["constants"]:
+        np.add.at(out, pos, data)
     for data, pos in zip(v, ctx["maps"]):
         if data.shape != pos.shape:
             raise ContractError(
@@ -348,17 +350,19 @@ def _pack_system_bwd(g, ctx):
 register_op("pack_system", _pack_system_fwd, _pack_system_bwd)
 
 
-def pack_system(tape, sys_pattern, placements, const_data=None):
+def pack_system(tape, sys_pattern, placements, constants=()):
     """Assemble system CSR data from blocks.
 
     ``placements`` is a list of (position map, data ref) pairs; gradients
-    flow back to every placed block.  ``const_data`` holds contributions of
-    constant blocks already mapped to system positions.
+    flow back to every placed block.  ``constants`` is a list of (position
+    map, data array) pairs of constant blocks.  Keeping these as block
+    arrays rather than as one system-sized array saves a system-length
+    array for every shared flow setup.
     """
-    base = np.zeros(sys_pattern.nnz) if const_data is None else const_data
     maps = [pos for pos, _ in placements]
     refs = tuple(ref for _, ref in placements)
-    ref = tape.apply("pack_system", refs, {"maps": maps, "base": base})
+    ref = tape.apply("pack_system", refs, {
+        "maps": maps, "nnz": sys_pattern.nnz, "constants": constants})
     return SparseBlock(sys_pattern, ref)
 
 

@@ -194,17 +194,14 @@ class _NsSetup:
         self.order = gops.system_order()
         self.stab_coef = beta * grid.hx * grid.hy
 
-        const = np.zeros(self.sys_pattern.nnz)
-        np.add.at(const, self.bmap[0][2], -(1.0 / constants.rho) * gops.gx_data)
-        np.add.at(const, self.bmap[1][2], -(1.0 / constants.rho) * gops.gy_data)
-        np.add.at(const, self.bmap[2][0], gops.dx_data)
-        np.add.at(const, self.bmap[2][1], gops.dy_data)
-        self.const_sys = const
-
         self.gx_m = gops.scipy_matrix(-(1.0 / constants.rho) * gops.gx_data)
         self.gy_m = gops.scipy_matrix(-(1.0 / constants.rho) * gops.gy_data)
         self.dx = gops.scipy_matrix(gops.dx_data)
         self.dy = gops.scipy_matrix(gops.dy_data)
+        # the pressure-gradient and divergence blocks of the Jacobian
+        self.const_blocks = [
+            (self.bmap[0][2], self.gx_m.data), (self.bmap[1][2], self.gy_m.data),
+            (self.bmap[2][0], self.dx.data), (self.bmap[2][1], self.dy.data)]
 
         cidx = np.concatenate([bc.u.idx, bc.v.idx + n,
                                np.array([2 * n + bc.pressure_pin])])
@@ -332,7 +329,7 @@ class _Linearization:
             (setup.bmap[2][2], stab_ref),
         ]
         sys_block = pack_system(t, setup.sys_pattern, placements,
-                                setup.const_sys)
+                                setup.const_blocks)
         blk_c, rhs_c = constrain_system(t, setup.plan, sys_block.ref,
                                         self.f_ref, setup.zero_vals)
         return (blk_c.pattern.to_scipy(t.value(blk_c.ref)), t.value(rhs_c))

@@ -288,10 +288,9 @@ def test_pack_system_places_blocks():
 
     t = Tape()
     a_ref = t.variable(a_data)
-    const = np.zeros(sys_pattern.nnz)
-    np.add.at(const, bmap[2][2], gops.s_data)
     sys_block = pack_system(t, sys_pattern, [(bmap[0][0], a_ref),
-                                             (bmap[1][2], a_ref)], const)
+                                             (bmap[1][2], a_ref)],
+                            [(bmap[2][2], gops.s_data)])
     dense = sys_block.pattern.to_scipy(t.value(sys_block.ref)).toarray()
     a_dense = gops.scipy_matrix(a_data).toarray()
     s_dense = gops.scipy_matrix(gops.s_data).toarray()
