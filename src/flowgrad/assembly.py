@@ -355,9 +355,8 @@ def pack_system(tape, sys_pattern, placements, constants=()):
 
     ``placements`` is a list of (position map, data ref) pairs; gradients
     flow back to every placed block.  ``constants`` is a list of (position
-    map, data array) pairs of constant blocks.  Keeping these as block
-    arrays rather than as one system-sized array saves a system-length
-    array for every shared flow setup.
+    map, data array) pairs of constant blocks; as block arrays they cost a
+    caller that keeps them (the shared flow setup) no system-length array.
     """
     maps = [pos for pos, _ in placements]
     refs = tuple(ref for _, ref in placements)
