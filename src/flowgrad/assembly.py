@@ -31,10 +31,8 @@ __all__ = [
     "ConstraintPlan",
     "constraint_plan",
     "assemble_diffusion_block",
-    "assemble_convection_blocks",
     "assemble_reaction_block",
     "assemble_advection_diffusion",
-    "assemble_grad_div_blocks",
     "pack_system",
     "constrain_system",
     "apply_dirichlet",
@@ -277,27 +275,6 @@ def assemble_diffusion_block(tape, grid, coeff_at_nodes):
     return SparseBlock(gops.pattern, ref)
 
 
-def assemble_convection_blocks(tape, grid, u_k, v_k):
-    """Advection block C(u_k, v_k) plus the four linearized reaction blocks.
-
-    C_ij = sum_q w (u_k dphi_j/dx + v_k dphi_j/dy) phi_i.  The reaction
-    blocks are mass-type matrices weighted by an iterate derivative,
-    R(g)_ij = sum_q w g(x_q) phi_j phi_i, returned as a dict with keys
-    "ux", "uy", "vx", "vy" for g = du/dx, du/dy, dv/dx, dv/dy; the full
-    Newton linearization places them at the (u,u), (u,v), (v,u), (v,v)
-    Jacobian slots respectively.
-    """
-    gops = operators_for(grid)
-    cref = tape.apply("convection_block", (u_k, v_k), {"gops": gops})
-    reactions = {
-        "ux": assemble_reaction_block(tape, grid, u_k, 0),
-        "uy": assemble_reaction_block(tape, grid, u_k, 1),
-        "vx": assemble_reaction_block(tape, grid, v_k, 0),
-        "vy": assemble_reaction_block(tape, grid, v_k, 1),
-    }
-    return SparseBlock(gops.pattern, cref), reactions
-
-
 def assemble_reaction_block(tape, grid, w, axis):
     """Mass block weighted by the quadrature values of d(w)/d(axis)."""
     gops = operators_for(grid)
@@ -314,18 +291,6 @@ def assemble_advection_diffusion(tape, grid, u, v, k_at_nodes, rho_cp=1.0):
     kblock = assemble_diffusion_block(tape, grid, k_at_nodes)
     data = _ops.add(tape, _ops.scale(tape, cref, float(rho_cp)), kblock.ref)
     return SparseBlock(gops.pattern, data)
-
-
-def assemble_grad_div_blocks(grid):
-    """Constant pressure-gradient (Gx, Gy) and divergence (Dx, Dy) matrices.
-
-    Gx_ij = sum_q w dphi_i/dx phi_j (derivative on the test function, used in
-    momentum rows scaled by -1/rho); Dx = Gx^T (derivative on the trial
-    function, used in continuity rows).  Returned as scipy CSR matrices.
-    """
-    gops = operators_for(grid)
-    return (gops.scipy_matrix(gops.gx_data), gops.scipy_matrix(gops.gy_data),
-            gops.scipy_matrix(gops.dx_data), gops.scipy_matrix(gops.dy_data))
 
 
 # ---------------------------------------------------------------------------

@@ -282,8 +282,8 @@ class ExperimentConfig:
             if f.type is float and value is not None and not math.isfinite(value):
                 raise ContractError(f"{f.name} must be finite, got {value}")
         # a zero stabilization weight leaves the pressure oscillating, the
-        # particle recursion needs a forward time step, and the pointwise
-        # model's lower bound is what keeps its coefficient positive
+        # particle transport's implicit-Euler steps go forward in time, and
+        # the pointwise model's lower bound keeps its coefficient positive
         for name in ("beta", "dt", "pointwise_lower_bound"):
             if not getattr(self, name) > 0.0:
                 raise ContractError(

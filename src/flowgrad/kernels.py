@@ -1,184 +1,73 @@
-"""Element-matrix kernels, each in two interchangeable variants.
+"""Element-matrix kernels, each one matrix product with a reference tensor.
 
-Every kernel exists as a vectorized numpy implementation and an explicit-loop
-implementation compiled with numba when available (see :mod:`flowgrad.accel`).
-The active variant is chosen once at import time; the ``KERNEL_PAIRS``
-registry keeps both reachable so tests can assert they agree and the
-benchmark can time them head to head.
+An element matrix is a sum over quadrature points of a field value times a
+fixed product of shape-function tables (Kirby & Logg, *A compiler for
+variational forms*, ACM TOMS 2006).  Flattening each (4, 4) product to 16
+entries gives a (4 points, 16 entries) reference tensor T, so a kernel is
+
+    forward:  out = ((field * wdet) @ T).reshape(n_elems, 4, 4)
+    backward: gfield = (gelem.reshape(n_elems, 16) @ T.T) * wdet
+
+and the backward is the transpose of the forward, since every kernel is
+linear in its field.  T is built from the tables passed in, so the kernels
+keep the tables as arguments.
 
 Shapes: ``coefq``/``uq``/``vq``/``gq`` are per-element quadrature values
 (n_elems, 4); element matrices are (n_elems, 4, 4); ``wdet`` is (4,) and the
 shape tables ``n``/``dndx``/``dndy`` are (4 points, 4 nodes).
-
-All kernels are linear in their field argument, so each backward is the same
-contraction with gradient and field swapped.
 """
 
 import numpy as np
-
-from .accel import USE_NUMBA, njit
 
 __all__ = [
     "diffusion_fwd", "diffusion_bwd",
     "advection_fwd", "advection_bwd",
     "coefmass_fwd", "coefmass_bwd",
-    "KERNEL_PAIRS",
 ]
 
 
-# ---------------------------------------------------------------------------
+def _outer(a, b):
+    """Reference tensor T[q, 4 i + j] = a[q, i] b[q, j]."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+def _forward(field, wdet, tensor):
+    return ((field * wdet) @ tensor).reshape(-1, 4, 4)
+
+
+def _backward(gelem, wdet, tensor):
+    return (gelem.reshape(-1, 16) @ tensor.T) * wdet
+
+
 # diffusion: out[e,i,j] = sum_q wdet[q] coefq[e,q] (dndx[q,i] dndx[q,j]
 #                                                   + dndy[q,i] dndy[q,j])
 
-def _diffusion_fwd_np(coefq, wdet, dndx, dndy):
-    grad2 = np.einsum("qi,qj->qij", dndx, dndx) + np.einsum("qi,qj->qij", dndy, dndy)
-    return np.einsum("eq,qij->eij", coefq * wdet, grad2)
+def diffusion_fwd(coefq, wdet, dndx, dndy):
+    return _forward(coefq, wdet, _outer(dndx, dndx) + _outer(dndy, dndy))
 
 
-def _diffusion_bwd_np(gelem, wdet, dndx, dndy):
-    grad2 = np.einsum("qi,qj->qij", dndx, dndx) + np.einsum("qi,qj->qij", dndy, dndy)
-    return np.einsum("eij,qij->eq", gelem, grad2) * wdet
+def diffusion_bwd(gelem, wdet, dndx, dndy):
+    return _backward(gelem, wdet, _outer(dndx, dndx) + _outer(dndy, dndy))
 
 
-def _diffusion_fwd_loop(coefq, wdet, dndx, dndy):
-    n_elems = coefq.shape[0]
-    out = np.zeros((n_elems, 4, 4))
-    for e in range(n_elems):
-        for q in range(4):
-            c = wdet[q] * coefq[e, q]
-            for i in range(4):
-                for j in range(4):
-                    out[e, i, j] += c * (dndx[q, i] * dndx[q, j]
-                                         + dndy[q, i] * dndy[q, j])
-    return out
-
-
-def _diffusion_bwd_loop(gelem, wdet, dndx, dndy):
-    n_elems = gelem.shape[0]
-    out = np.zeros((n_elems, 4))
-    for e in range(n_elems):
-        for q in range(4):
-            acc = 0.0
-            for i in range(4):
-                for j in range(4):
-                    acc += gelem[e, i, j] * (dndx[q, i] * dndx[q, j]
-                                             + dndy[q, i] * dndy[q, j])
-            out[e, q] = acc * wdet[q]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # advection: out[e,i,j] = sum_q wdet[q] n[q,i] (uq[e,q] dndx[q,j]
 #                                               + vq[e,q] dndy[q,j])
 
-def _advection_fwd_np(uq, vq, wdet, n, dndx, dndy):
-    return (np.einsum("eq,qi,qj->eij", uq * wdet, n, dndx)
-            + np.einsum("eq,qi,qj->eij", vq * wdet, n, dndy))
+def advection_fwd(uq, vq, wdet, n, dndx, dndy):
+    return (_forward(uq, wdet, _outer(n, dndx))
+            + _forward(vq, wdet, _outer(n, dndy)))
 
 
-def _advection_bwd_np(gelem, wdet, n, dndx, dndy):
-    gu = np.einsum("eij,qi,qj->eq", gelem, n, dndx) * wdet
-    gv = np.einsum("eij,qi,qj->eq", gelem, n, dndy) * wdet
-    return gu, gv
+def advection_bwd(gelem, wdet, n, dndx, dndy):
+    return (_backward(gelem, wdet, _outer(n, dndx)),
+            _backward(gelem, wdet, _outer(n, dndy)))
 
 
-def _advection_fwd_loop(uq, vq, wdet, n, dndx, dndy):
-    n_elems = uq.shape[0]
-    out = np.zeros((n_elems, 4, 4))
-    for e in range(n_elems):
-        for q in range(4):
-            wu = wdet[q] * uq[e, q]
-            wv = wdet[q] * vq[e, q]
-            for i in range(4):
-                for j in range(4):
-                    out[e, i, j] += n[q, i] * (wu * dndx[q, j] + wv * dndy[q, j])
-    return out
-
-
-def _advection_bwd_loop(gelem, wdet, n, dndx, dndy):
-    n_elems = gelem.shape[0]
-    gu = np.zeros((n_elems, 4))
-    gv = np.zeros((n_elems, 4))
-    for e in range(n_elems):
-        for q in range(4):
-            au = 0.0
-            av = 0.0
-            for i in range(4):
-                for j in range(4):
-                    au += gelem[e, i, j] * n[q, i] * dndx[q, j]
-                    av += gelem[e, i, j] * n[q, i] * dndy[q, j]
-            gu[e, q] = au * wdet[q]
-            gv[e, q] = av * wdet[q]
-    return gu, gv
-
-
-# ---------------------------------------------------------------------------
 # coefficient-weighted mass: out[e,i,j] = sum_q wdet[q] gq[e,q] n[q,i] n[q,j]
 
-def _coefmass_fwd_np(gq, wdet, n):
-    nn = np.einsum("qi,qj->qij", n, n)
-    return np.einsum("eq,qij->eij", gq * wdet, nn)
+def coefmass_fwd(gq, wdet, n):
+    return _forward(gq, wdet, _outer(n, n))
 
 
-def _coefmass_bwd_np(gelem, wdet, n):
-    nn = np.einsum("qi,qj->qij", n, n)
-    return np.einsum("eij,qij->eq", gelem, nn) * wdet
-
-
-def _coefmass_fwd_loop(gq, wdet, n):
-    n_elems = gq.shape[0]
-    out = np.zeros((n_elems, 4, 4))
-    for e in range(n_elems):
-        for q in range(4):
-            c = wdet[q] * gq[e, q]
-            for i in range(4):
-                for j in range(4):
-                    out[e, i, j] += c * n[q, i] * n[q, j]
-    return out
-
-
-def _coefmass_bwd_loop(gelem, wdet, n):
-    n_elems = gelem.shape[0]
-    out = np.zeros((n_elems, 4))
-    for e in range(n_elems):
-        for q in range(4):
-            acc = 0.0
-            for i in range(4):
-                for j in range(4):
-                    acc += gelem[e, i, j] * n[q, i] * n[q, j]
-            out[e, q] = acc * wdet[q]
-    return out
-
-
-_diffusion_fwd_jit = njit(_diffusion_fwd_loop)
-_diffusion_bwd_jit = njit(_diffusion_bwd_loop)
-_advection_fwd_jit = njit(_advection_fwd_loop)
-_advection_bwd_jit = njit(_advection_bwd_loop)
-_coefmass_fwd_jit = njit(_coefmass_fwd_loop)
-_coefmass_bwd_jit = njit(_coefmass_bwd_loop)
-
-# (numpy variant, loop variant) per kernel; the loop variant is jit-compiled
-# when numba is active, plain Python otherwise
-KERNEL_PAIRS = {
-    "diffusion_fwd": (_diffusion_fwd_np, _diffusion_fwd_jit),
-    "diffusion_bwd": (_diffusion_bwd_np, _diffusion_bwd_jit),
-    "advection_fwd": (_advection_fwd_np, _advection_fwd_jit),
-    "advection_bwd": (_advection_bwd_np, _advection_bwd_jit),
-    "coefmass_fwd": (_coefmass_fwd_np, _coefmass_fwd_jit),
-    "coefmass_bwd": (_coefmass_bwd_np, _coefmass_bwd_jit),
-}
-
-if USE_NUMBA:
-    diffusion_fwd = _diffusion_fwd_jit
-    diffusion_bwd = _diffusion_bwd_jit
-    advection_fwd = _advection_fwd_jit
-    advection_bwd = _advection_bwd_jit
-    coefmass_fwd = _coefmass_fwd_jit
-    coefmass_bwd = _coefmass_bwd_jit
-else:
-    diffusion_fwd = _diffusion_fwd_np
-    diffusion_bwd = _diffusion_bwd_np
-    advection_fwd = _advection_fwd_np
-    advection_bwd = _advection_bwd_np
-    coefmass_fwd = _coefmass_fwd_np
-    coefmass_bwd = _coefmass_bwd_np
+def coefmass_bwd(gelem, wdet, n):
+    return _backward(gelem, wdet, _outer(n, n))

@@ -30,8 +30,8 @@ large-viscosity solution approaches the Stokes solution.  The pressure gauge
 is fixed by pinning one node.
 
 ``heat_solve`` is one differentiable linear solve for the temperature;
-``transport_integrate`` advances nodal particle velocities by implicit
-Euler.
+``transport_integrate`` gives the nodal particle velocities after a number
+of implicit-Euler steps in the steady flow, in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +52,6 @@ from .grid import cavity_velocity_bcs, uniform_boundary_bc
 from .sparse import (
     LuFactors,
     SparseBlock,
-    release_free_memory,
     sparse_solve,
     spmv_fixed,
     spmv_pattern,
@@ -152,18 +151,10 @@ class NSState:
 
 @dataclass
 class ParticleState:
-    w1_steps: list
-    w2_steps: list
+    w1: int
+    w2: int
     dt: float
     n_steps: int
-
-    @property
-    def w1(self):
-        return self.w1_steps[-1]
-
-    @property
-    def w2(self):
-        return self.w2_steps[-1]
 
 
 def _nodal(value, n):
@@ -370,13 +361,7 @@ def _steady_flow_fwd(v, ctx):
     with the factors, so nothing allocated after the factors outlives them:
     the heap can then shrink before the next factorization instead of
     leaving it a hole to fragment (each SuperLU factorization reserves far
-    more memory than it touches).  The factors kept for the adjoint do
-    outlive what the rest of the tape allocates.  When they were made at a
-    stall, ``ctx["re_anchored"]`` tells the backward to hand their free
-    pages back once it is done with them: only such factors, which live
-    through transport's particle recursion, were seen to let the resident
-    set creep from call to call, and a trim after every adjoint cost about
-    2% of a 41x41 cavity evaluation.
+    more memory than it touches).
     """
     nu = v[0]
     setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
@@ -386,13 +371,12 @@ def _steady_flow_fwd(v, ctx):
     lin = _Linearization(setup, nu, x)
     res_norm = lin.residual_norm()
     trace = ctx["trace"] = []
-    lu, re_anchored = None, False
+    lu = None
     for it in range(1, config.max_iter + 1):
         matrix, rhs = lin.jacobian()
         delta = _refined(lu, matrix, rhs, False, counts)
         if delta is None:
-            re_anchored = lu is not None
-            if re_anchored:
+            if lu is not None:
                 # a stall: drop the factors and what was allocated after them
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
@@ -410,7 +394,6 @@ def _steady_flow_fwd(v, ctx):
             trace_cb(it, res_norm)
         if res_norm < config.tol_residual:
             ctx["nu"], ctx["x"], ctx["lu"] = nu, x, lu
-            ctx["re_anchored"] = re_anchored
             return x
 
     raise NewtonDivergedError(
@@ -436,10 +419,6 @@ def _steady_flow_bwd(g, ctx):
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape factorizes J(x*)
     lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
-    if ctx.pop("re_anchored", False):
-        # factors made at a stall lived through the rest of the forward
-        # chain and died below what it allocated: return their pages
-        release_free_memory()
     if lam is None:
         lam = _factorized(setup, matrix, counts).solve_transpose(g)
     t = lin.tape
@@ -486,42 +465,32 @@ def heat_solve(tape, grid, ns, k_nodal, constants, bc_t=None):
     return sparse_solve(tape, blk_c, rhs_c)
 
 
-def transport_integrate(tape, ns, constants, w_init=None, dt=0.1, n_steps=50,
-                        kappa_refs=None):
-    """Implicit-Euler recursion for nodal particle velocities.
+def transport_integrate(tape, ns, constants, w_init=None, dt=0.1, n_steps=50):
+    """``n_steps`` implicit-Euler steps for nodal particle velocities.
 
-    w^{m+1} = (w^m + dt (kappa u + q)) / (1 + dt kappa) per component;
-    ``kappa_refs`` optionally supplies on-tape kappa scalars so sensitivities
-    to the coupling rates are available.
+    Each component follows w^{m+1} = (w^m + dt (kappa u + q)) / (1 + dt kappa)
+    with the flow held fixed, whose closed form is
+
+        w^N = r^N w^0 + (1 - r^N) (u + q / kappa),  r = 1 / (1 + dt kappa).
+
+    r^N is taken as exp(-N log1p(dt kappa)) and 1 - r^N by ``expm1``, so a
+    tiny dt kappa stays accurate.  Each component is one scale of the flow
+    velocity plus a constant on the tape, whatever ``n_steps`` is.
     """
     if dt <= 0:
         raise ContractError("time step must be positive")
     if n_steps < 1:
         raise ContractError("need at least one transport step")
     n = tape.value(ns.u).shape[0]
-    if kappa_refs is None:
-        k1 = tape.constant([constants.kappa1])
-        k2 = tape.constant([constants.kappa2])
-    else:
-        k1, k2 = kappa_refs
+    w_init = (0.0, 0.0) if w_init is None else w_init
 
-    def advance(w, vel_ref, kappa_ref, q):
-        num = ops.add(tape, w, ops.scale(tape, ops.mul(tape, kappa_ref, vel_ref), dt))
-        if q:
-            num = ops.add_scalar(tape, num, dt * q)
-        den = ops.add_scalar(tape, ops.scale(tape, kappa_ref, dt), 1.0)
-        return ops.div(tape, num, den)
+    def relax(vel_ref, w0, kappa, q):
+        log_rn = -n_steps * np.log1p(dt * kappa)
+        rn, one_minus_rn = np.exp(log_rn), -np.expm1(log_rn)
+        offset = rn * _nodal(w0, n) + one_minus_rn * (q / kappa)
+        return ops.add(tape, ops.scale(tape, vel_ref, one_minus_rn),
+                       tape.constant(offset))
 
-    if w_init is None:
-        w1 = tape.constant(np.zeros(n))
-        w2 = tape.constant(np.zeros(n))
-    else:
-        w1 = tape.constant(_nodal(w_init[0], n))
-        w2 = tape.constant(_nodal(w_init[1], n))
-    w1_steps, w2_steps = [w1], [w2]
-    for _ in range(n_steps):
-        w1 = advance(w1, ns.u, k1, constants.q1)
-        w2 = advance(w2, ns.v, k2, constants.q2)
-        w1_steps.append(w1)
-        w2_steps.append(w2)
-    return ParticleState(w1_steps, w2_steps, dt, n_steps)
+    w1 = relax(ns.u, w_init[0], constants.kappa1, constants.q1)
+    w2 = relax(ns.v, w_init[1], constants.kappa2, constants.q2)
+    return ParticleState(w1, w2, dt, n_steps)

@@ -33,7 +33,6 @@ their transpose, which avoids a format conversion; the solves swap ``trans``
 to match.
 """
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,6 @@ __all__ = [
     "SparseBlock",
     "SymmetricOrder",
     "LuFactors",
-    "release_free_memory",
     "sparse_solve",
     "spmv_pattern",
     "spmv_fixed",
@@ -403,27 +401,6 @@ class LuFactors:
     def solve_transpose(self, b, matrix=None):
         """x with A^T x = b, or ``matrix``^T x = b; see :meth:`solve`."""
         return self._solve(b, matrix, True)
-
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-def release_free_memory():
-    """Hand the whole free pages inside the C heap back to the system.
-
-    A SuperLU factorization reserves far more heap than it touches (about
-    23 MB against 1.6 MB for the 1,323 unknowns of a 21x21 flow).  Factors
-    freed while later allocations still sit above them leave that
-    reservation as a hole the allocator keeps mapped; small allocations
-    scattered into it over later solves then raise the resident set step by
-    step.  glibc's ``malloc_trim`` returns the free pages of such holes.
-    With another C library this does nothing.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 # ---------------------------------------------------------------------------

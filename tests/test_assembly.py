@@ -17,9 +17,7 @@ import pytest
 from flowgrad import assembly, kernels, ops
 from flowgrad.assembly import (
     assemble_advection_diffusion,
-    assemble_convection_blocks,
     assemble_diffusion_block,
-    assemble_grad_div_blocks,
     assemble_reaction_block,
     apply_dirichlet,
     constraint_plan,
@@ -84,6 +82,27 @@ def _block_dense(tape, block):
     return block.pattern.to_scipy(tape.value(block.ref)).toarray()
 
 
+def _convection(tape, grid, u, v):
+    """Advection block C(u, v) and the four reaction blocks of the Newton
+    linearization, keyed "ux", "uy", "vx", "vy" for du/dx ... dv/dy."""
+    gops = operators_for(grid)
+    cref = tape.apply("convection_block", (u, v), {"gops": gops})
+    reactions = {
+        "ux": assemble_reaction_block(tape, grid, u, 0),
+        "uy": assemble_reaction_block(tape, grid, u, 1),
+        "vx": assemble_reaction_block(tape, grid, v, 0),
+        "vy": assemble_reaction_block(tape, grid, v, 1),
+    }
+    return SparseBlock(gops.pattern, cref), reactions
+
+
+def _grad_div(grid):
+    """Pressure-gradient (Gx, Gy) and divergence (Dx, Dy) matrices."""
+    gops = operators_for(grid)
+    return tuple(gops.scipy_matrix(data) for data in (
+        gops.gx_data, gops.gy_data, gops.dx_data, gops.dy_data))
+
+
 def test_single_element_unit_stiffness_closed_form():
     g = StructuredGrid(2)
     t = Tape()
@@ -127,14 +146,14 @@ def test_multi_element_blocks_match_dense_oracle():
 
     t = Tape()
     kblock = assemble_diffusion_block(t, g, t.constant(coef))
-    cblock, _ = assemble_convection_blocks(t, g, t.constant(u), t.constant(v))
+    cblock, _ = _convection(t, g, t.constant(u), t.constant(v))
     np.testing.assert_allclose(_block_dense(t, kblock), k_d, rtol=0, atol=1e-13)
     np.testing.assert_allclose(_block_dense(t, cblock), c_d, rtol=0, atol=1e-13)
 
     gops = operators_for(g)
     np.testing.assert_allclose(gops.scipy_matrix(gops.m_data).toarray(), m_d,
                                rtol=0, atol=1e-14)
-    gx, gy, dx, dy = assemble_grad_div_blocks(g)
+    gx, gy, dx, dy = _grad_div(g)
     np.testing.assert_allclose(dx.toarray(), dx_d, rtol=0, atol=1e-14)
     np.testing.assert_allclose(gx.toarray(), gx_d, rtol=0, atol=1e-14)
     np.testing.assert_allclose(gx.toarray(), dx.toarray().T, rtol=0, atol=0)
@@ -157,14 +176,14 @@ def test_convection_zero_velocity_and_constant_velocity():
     g = StructuredGrid(3)
     t = Tape()
     zero = t.constant(np.zeros(9))
-    cblock, reactions = assemble_convection_blocks(t, g, zero, zero)
+    cblock, reactions = _convection(t, g, zero, zero)
     assert np.all(t.value(cblock.ref) == 0.0)
     for r in reactions.values():
         assert np.all(t.value(r.ref) == 0.0)
 
     one = t.constant(np.ones(9))
-    cblock1, reactions1 = assemble_convection_blocks(t, g, one, zero)
-    _, _, dx, _ = assemble_grad_div_blocks(g)
+    cblock1, reactions1 = _convection(t, g, one, zero)
+    _, _, dx, _ = _grad_div(g)
     np.testing.assert_allclose(_block_dense(t, cblock1), dx.toarray(),
                                rtol=0, atol=1e-14)
     for r in reactions1.values():
@@ -182,14 +201,14 @@ def test_reaction_of_linear_field_is_mass_matrix():
 
 def test_constant_pressure_gradient_vanishes_on_interior_rows():
     g = StructuredGrid(5)
-    gx, _, _, _ = assemble_grad_div_blocks(g)
+    gx, _, _, _ = _grad_div(g)
     r = gx @ np.ones(g.n_nodes)
     np.testing.assert_allclose(r[g.interior], 0.0, rtol=0, atol=1e-14)
 
 
 def test_divergence_of_linear_u_is_mass_action_on_ones():
     g = StructuredGrid(3)
-    _, _, dx, _ = assemble_grad_div_blocks(g)
+    _, _, dx, _ = _grad_div(g)
     gops = operators_for(g)
     m = gops.scipy_matrix(gops.m_data)
     np.testing.assert_allclose(dx @ g.coords[:, 0], m @ np.ones(g.n_nodes),
@@ -232,7 +251,7 @@ def test_convection_blocks_gradient_matches_fd():
         th = t.variable(theta)
         u = ops.slice1d(t, th, 0, g.n_nodes)
         v = ops.slice1d(t, th, g.n_nodes, 2 * g.n_nodes)
-        cblock, reactions = assemble_convection_blocks(t, g, u, v)
+        cblock, reactions = _convection(t, g, u, v)
         acc = ops.vsum(t, cblock.ref)
         for r in reactions.values():
             acc = ops.add(t, acc, ops.vsum(t, ops.square(t, r.ref)))
@@ -273,7 +292,7 @@ def test_advection_diffusion_limits():
     np.testing.assert_allclose(t.value(pure_k.ref), t.value(kblock.ref),
                                rtol=0, atol=0)
     pure_c = assemble_advection_diffusion(t, g, ones, zero, t.constant(np.zeros(9)))
-    cblock, _ = assemble_convection_blocks(t, g, ones, zero)
+    cblock, _ = _convection(t, g, ones, zero)
     np.testing.assert_allclose(t.value(pure_c.ref), t.value(cblock.ref),
                                rtol=0, atol=0)
 
@@ -520,27 +539,29 @@ def test_constraint_plan_rejects_missing_diagonal():
         constraint_plan(pattern, np.array([1]))
 
 
-# --- kernel variants
+# --- kernels
 
 
-_KERNEL_ARGS = {
-    "diffusion_fwd": ("q", "w", "dx", "dy"),
-    "diffusion_bwd": ("g", "w", "dx", "dy"),
-    "advection_fwd": ("q", "q", "w", "n", "dx", "dy"),
-    "advection_bwd": ("g", "w", "n", "dx", "dy"),
-    "coefmass_fwd": ("q", "w", "n"),
-    "coefmass_bwd": ("g", "w", "n"),
+_KERNEL_TABLES = {
+    "diffusion": ("dndx", "dndy"),
+    "advection": ("n", "dndx", "dndy"),
+    "coefmass": ("n",),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_KERNEL_ARGS))
-def test_kernel_variants_agree(name):
-    # the loop variant is called directly: it is what numba would compile
-    rng = np.random.default_rng(sorted(_KERNEL_ARGS).index(name))
-    shapes = {"q": (7, 4), "g": (7, 4, 4), "w": (4,), "n": (4, 4),
-              "dx": (4, 4), "dy": (4, 4)}
-    args = [rng.normal(size=shapes[a]) for a in _KERNEL_ARGS[name]]
-    np_fn = kernels.KERNEL_PAIRS[name][0]
-    loop_fn = getattr(kernels, f"_{name}_loop")
-    np.testing.assert_allclose(np_fn(*args), loop_fn(*args),
-                               rtol=1e-13, atol=1e-13)
+@pytest.mark.parametrize("name", sorted(_KERNEL_TABLES))
+def test_kernel_backward_is_adjoint(name):
+    # each kernel is linear in its fields, so <bwd(G), f> = <G, fwd(f)>
+    rng = np.random.default_rng(sorted(_KERNEL_TABLES).index(name))
+    n_fields = 2 if name == "advection" else 1
+    fields = [rng.normal(size=(7, 4)) for _ in range(n_fields)]
+    gelem = rng.normal(size=(7, 4, 4))
+    wdet = rng.normal(size=4)
+    tables = [rng.normal(size=(4, 4)) for _ in _KERNEL_TABLES[name]]
+    out = getattr(kernels, f"{name}_fwd")(*fields, wdet, *tables)
+    grads = getattr(kernels, f"{name}_bwd")(gelem, wdet, *tables)
+    grads = grads if isinstance(grads, tuple) else (grads,)
+    assert out.shape == gelem.shape and len(grads) == n_fields
+    lhs = sum(np.sum(gf * f) for gf, f in zip(grads, fields))
+    rhs = np.sum(gelem * out)
+    assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))

@@ -519,6 +519,29 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
     assert not any(isinstance(v, LuFactors) for v in node.ctx.values())
 
 
+def test_transport_tape_does_not_grow_with_steps(monkeypatch):
+    # the particle transport is in closed form, so an absurd step count
+    # costs nothing; after very many steps the particles move with the flow
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(experiments, "Tape", RecordingTape)
+    lengths = []
+    for steps in (1, 50, 10 ** 9):
+        problem = build_problem(ExperimentConfig(
+            "passive_transport", grid_n=6, n_points=12, transport_steps=steps))
+        problem.objective(problem.theta0)
+        lengths.append(len(tapes[-1].nodes))
+    assert lengths[0] == lengths[1] == lengths[2]
+    synth = problem.synthetic
+    np.testing.assert_array_equal(synth["w1"], synth["u"])
+    np.testing.assert_array_equal(synth["w2"], synth["v"])
+
+
 def test_heat_objective_factorizes_once(monkeypatch):
     problem = build_problem(ExperimentConfig("conjugate_heat", grid_n=6,
                                              n_points=12))
