@@ -549,6 +549,39 @@ _KERNEL_TABLES = {
 }
 
 
+# each kernel written out index by index, independent of the reference tensor
+_KERNEL_ORACLES = {
+    "diffusion_fwd": (("q", "w", "dx", "dy"), lambda c, w, dx, dy:
+                      np.einsum("eq,qi,qj->eij", c * w, dx, dx)
+                      + np.einsum("eq,qi,qj->eij", c * w, dy, dy)),
+    "diffusion_bwd": (("g", "w", "dx", "dy"), lambda g, w, dx, dy:
+                      (np.einsum("eij,qi,qj->eq", g, dx, dx)
+                       + np.einsum("eij,qi,qj->eq", g, dy, dy)) * w),
+    "advection_fwd": (("q", "q", "w", "n", "dx", "dy"), lambda u, v, w, n, dx, dy:
+                      np.einsum("eq,qi,qj->eij", u * w, n, dx)
+                      + np.einsum("eq,qi,qj->eij", v * w, n, dy)),
+    "advection_bwd": (("g", "w", "n", "dx", "dy"), lambda g, w, n, dx, dy:
+                      (np.einsum("eij,qi,qj->eq", g, n, dx) * w,
+                       np.einsum("eij,qi,qj->eq", g, n, dy) * w)),
+    "coefmass_fwd": (("q", "w", "n"), lambda c, w, n:
+                     np.einsum("eq,qi,qj->eij", c * w, n, n)),
+    "coefmass_bwd": (("g", "w", "n"), lambda g, w, n:
+                     np.einsum("eij,qi,qj->eq", g, n, n) * w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ORACLES))
+def test_kernel_variants_agree(name):
+    # the matrix-product kernel against the index-by-index einsum oracle
+    rng = np.random.default_rng(sorted(_KERNEL_ORACLES).index(name))
+    shapes = {"q": (7, 4), "g": (7, 4, 4), "w": (4,), "n": (4, 4),
+              "dx": (4, 4), "dy": (4, 4)}
+    arg_kinds, oracle = _KERNEL_ORACLES[name]
+    args = [rng.normal(size=shapes[a]) for a in arg_kinds]
+    np.testing.assert_allclose(getattr(kernels, name)(*args), oracle(*args),
+                               rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("name", sorted(_KERNEL_TABLES))
 def test_kernel_backward_is_adjoint(name):
     # each kernel is linear in its fields, so <bwd(G), f> = <G, fwd(f)>
