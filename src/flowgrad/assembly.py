@@ -31,7 +31,6 @@ __all__ = [
     "ConstraintPlan",
     "constraint_plan",
     "assemble_diffusion_block",
-    "assemble_reaction_block",
     "assemble_advection_diffusion",
     "pack_system",
     "constrain_system",
@@ -164,8 +163,7 @@ class GridOperators:
                 sys_indices[pos] = base.indices + bc * n
                 row_maps.append(pos)
             blockmap.append(row_maps)
-        sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices,
-                                           validate=False)
+        sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices)
         self._system = (sys_pattern, blockmap)
         return self._system
 
@@ -272,13 +270,6 @@ def assemble_diffusion_block(tape, grid, coeff_at_nodes):
     """
     gops = operators_for(grid)
     ref = tape.apply("diffusion_block", (coeff_at_nodes,), {"gops": gops})
-    return SparseBlock(gops.pattern, ref)
-
-
-def assemble_reaction_block(tape, grid, w, axis):
-    """Mass block weighted by the quadrature values of d(w)/d(axis)."""
-    gops = operators_for(grid)
-    ref = tape.apply("reaction_block", (w,), {"gops": gops, "axis": int(axis)})
     return SparseBlock(gops.pattern, ref)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ContractError
-from .sparse import CsrMatrix
 
 __all__ = [
     "StructuredGrid",
@@ -125,12 +124,6 @@ class StructuredGrid:
             mask[self.boundary_nodes(side)] = True
         return np.flatnonzero(mask)
 
-    @property
-    def interior(self):
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.all_boundary] = False
-        return np.flatnonzero(mask)
-
 
 @dataclass(frozen=True)
 class DirichletSpec:
@@ -149,12 +142,6 @@ class DirichletSpec:
         order = np.argsort(idx)
         object.__setattr__(self, "idx", idx[order])
         object.__setattr__(self, "vals", vals[order])
-
-    def combine(self, other):
-        if np.intersect1d(self.idx, other.idx).size:
-            raise ContractError("combining constraints that share nodes")
-        return DirichletSpec(np.concatenate([self.idx, other.idx]),
-                             np.concatenate([self.vals, other.vals]))
 
 
 def cavity_velocity_bcs(grid, lid_speed=1.0):
@@ -198,7 +185,8 @@ def read_field_csv(path):
 
 
 def interpolation_matrix(grid, points):
-    """Sparse (n_points, n_nodes) matrix of bilinear interpolation weights.
+    """Sorted scipy CSR (n_points, n_nodes) matrix of bilinear interpolation
+    weights.
 
     Evaluating ``P @ field`` samples a nodal field at arbitrary in-domain
     points; applied on the tape via ``spmv_fixed`` the adjoint is ``P^T``.
@@ -221,13 +209,14 @@ def interpolation_matrix(grid, points):
             rows.append(p)
             cols.append(int(grid.elems[elem, a]))
             vals.append(weights[a])
-    sp = scipy.sparse.coo_matrix((vals, (rows, cols)),
+    sp = scipy.sparse.csr_matrix((vals, (rows, cols)),
                                  shape=(points.shape[0], grid.n_nodes))
-    return CsrMatrix.from_scipy(sp)
+    sp.sort_indices()
+    return sp
 
 
 def interpolate_at_points(tape, grid, field_ref, points):
-    """Sample a nodal field node at arbitrary points, differentiably.
+    """Sample a nodal field at arbitrary points, differentiably.
 
     Records a fixed-matrix product with the bilinear weight matrix, so the
     backward pass scatters point gradients to the surrounding nodes.

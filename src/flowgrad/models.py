@@ -54,16 +54,6 @@ class MlpLayout:
             yield at, w_stop, w_stop + fo, fi, fo
             at = w_stop + fo
 
-    def unflatten(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.n_params,):
-            raise ContractError(
-                f"parameter length {theta.shape} != layout size {self.n_params}")
-        out = []
-        for w0, w1, b1, fi, fo in self.slices():
-            out.append((theta[w0:w1].reshape(fi, fo), theta[w1:b1]))
-        return out
-
     def flatten(self, layers):
         parts = []
         for w, b in layers:

@@ -15,9 +15,9 @@ from .errors import ContractError
 from .tape import register_op
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "scale", "add_scalar",
+    "add", "sub", "div", "scale", "add_scalar",
     "dot", "vsum", "tanh", "clamp_min", "square",
-    "matmul", "matvec", "add_rowvec",
+    "matmul", "add_rowvec",
     "reshape", "slice1d", "concat1d", "gather", "set_at",
 ]
 
@@ -63,18 +63,6 @@ def _sub_bwd(g, ctx):
     return _reduce_to(g, ctx["sa"]), _reduce_to(-g, ctx["sb"])
 
 
-def _mul_fwd(v, ctx):
-    a, b = v
-    _bcast_shape(a, b, "mul")
-    ctx["a"], ctx["b"] = a, b
-    return a * b
-
-
-def _mul_bwd(g, ctx):
-    a, b = ctx["a"], ctx["b"]
-    return _reduce_to(g * b, a.shape), _reduce_to(g * a, b.shape)
-
-
 def _div_fwd(v, ctx):
     a, b = v
     _bcast_shape(a, b, "div")
@@ -85,14 +73,6 @@ def _div_fwd(v, ctx):
 def _div_bwd(g, ctx):
     a, b = ctx["a"], ctx["b"]
     return _reduce_to(g / b, a.shape), _reduce_to(-g * a / (b * b), b.shape)
-
-
-def _neg_fwd(v, ctx):
-    return -v[0]
-
-
-def _neg_bwd(g, ctx):
-    return (-g,)
 
 
 def _scale_fwd(v, ctx):
@@ -182,18 +162,6 @@ def _matmul_fwd(v, ctx):
 def _matmul_bwd(g, ctx):
     a, b = ctx["a"], ctx["b"]
     return g @ b.T, a.T @ g
-
-
-def _matvec_fwd(v, ctx):
-    a, x = v
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ContractError(f"op 'matvec': incompatible shapes {a.shape} and {x.shape}")
-    ctx["a"], ctx["x"] = a, x
-    return a @ x
-
-
-def _matvec_bwd(g, ctx):
-    return np.outer(g, ctx["x"]), ctx["a"].T @ g
 
 
 def _add_rowvec_fwd(v, ctx):
@@ -288,9 +256,7 @@ def _set_at_bwd(g, ctx):
 
 register_op("add", _add_fwd, _add_bwd)
 register_op("sub", _sub_fwd, _sub_bwd)
-register_op("mul", _mul_fwd, _mul_bwd)
 register_op("div", _div_fwd, _div_bwd)
-register_op("neg", _neg_fwd, _neg_bwd)
 register_op("scale", _scale_fwd, _scale_bwd)
 register_op("add_scalar", _add_scalar_fwd, _add_scalar_bwd)
 register_op("square", _square_fwd, _square_bwd)
@@ -299,7 +265,6 @@ register_op("vsum", _vsum_fwd, _vsum_bwd)
 register_op("tanh", _tanh_fwd, _tanh_bwd)
 register_op("clamp_min", _clamp_min_fwd, _clamp_min_bwd)
 register_op("matmul", _matmul_fwd, _matmul_bwd)
-register_op("matvec", _matvec_fwd, _matvec_bwd)
 register_op("add_rowvec", _add_rowvec_fwd, _add_rowvec_bwd)
 register_op("reshape", _reshape_fwd, _reshape_bwd)
 register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
@@ -321,16 +286,8 @@ def sub(tape, a, b):
     return tape.apply("sub", (a, b), ctx)
 
 
-def mul(tape, a, b):
-    return tape.apply("mul", (a, b))
-
-
 def div(tape, a, b):
     return tape.apply("div", (a, b))
-
-
-def neg(tape, a):
-    return tape.apply("neg", (a,))
 
 
 def scale(tape, a, c):
@@ -364,10 +321,6 @@ def clamp_min(tape, a, floor):
 
 def matmul(tape, a, b):
     return tape.apply("matmul", (a, b))
-
-
-def matvec(tape, a, x):
-    return tape.apply("matvec", (a, x))
 
 
 def add_rowvec(tape, x, b):

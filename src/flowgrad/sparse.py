@@ -1,8 +1,9 @@
-"""Sparse CSR containers, LU factorization, and differentiable sparse ops.
+"""Sparse patterns, LU factorization, and differentiable sparse ops.
 
-The tape never stores sparse matrices directly.  A matrix with a fixed
-sparsity pattern lives as a 1-d data array on the tape plus a shared
-:class:`SparsePattern`; :class:`SparseBlock` bundles the two.  The adjoint of
+A matrix off the tape is a scipy sparse matrix.  The tape never stores
+sparse matrices directly: a matrix with a fixed sparsity pattern lives as a
+1-d data array on the tape plus a shared :class:`SparsePattern`;
+:class:`SparseBlock` bundles the two.  The adjoint of
 ``x = solve(A, b)`` needs one transpose solve: with ``lam = A^-T g``,
 ``d loss/d b = lam`` and ``d loss/d A_ij = -lam_i x_j`` restricted to the
 stored pattern.  The forward pass keeps its factorization in the node context
@@ -36,7 +37,6 @@ to match.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -44,7 +44,6 @@ from .errors import ContractError, NumericError, SingularMatrixError
 from .tape import register_op
 
 __all__ = [
-    "CsrMatrix",
     "SparsePattern",
     "SparseBlock",
     "SymmetricOrder",
@@ -52,7 +51,6 @@ __all__ = [
     "sparse_solve",
     "spmv_pattern",
     "spmv_fixed",
-    "write_matrix_market",
 ]
 
 # Above this size the dense pivot diagnostic is skipped and the pivot index
@@ -67,32 +65,6 @@ _RESIDUAL_TOL = 1e-8
 # Jacobian of a cavity Newton solve, the later steps and the adjoint take
 # four at the reference viscosity and about eight at nu = 0.1.
 _MAX_SWEEPS = 10
-
-
-def _validate_csr(n_rows, n_cols, indptr, indices, data=None):
-    indptr = np.asarray(indptr)
-    indices = np.asarray(indices)
-    if indptr.shape != (n_rows + 1,):
-        raise ContractError(f"indptr length {indptr.shape[0]} != n_rows + 1 = {n_rows + 1}")
-    # signed steps: a decreasing unsigned indptr would wrap around
-    if indptr[0] != 0 or np.any(np.diff(indptr.astype(np.int64)) < 0):
-        raise ContractError("indptr must start at 0 and be non-decreasing")
-    if indptr[-1] != indices.shape[0]:
-        raise ContractError(f"indptr[-1] = {indptr[-1]} != nnz = {indices.shape[0]}")
-    if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
-        raise ContractError(f"column index outside [0, {n_cols})")
-    # step k goes from entry k to entry k + 1; steps into a row start are
-    # not constrained.  Signed steps: unsigned indices would wrap around.
-    starts = indptr[1:-1]
-    crosses_row = np.zeros(max(indices.shape[0] - 1, 0), dtype=bool)
-    crosses_row[starts[(starts > 0) & (starts < indices.shape[0])] - 1] = True
-    steps = np.diff(indices.astype(np.int64))
-    bad = np.flatnonzero((steps <= 0) & ~crosses_row)
-    if bad.size:
-        i = np.searchsorted(indptr, bad[0], side="right") - 1
-        raise ContractError(f"row {i}: column indices not strictly increasing")
-    if data is not None and np.asarray(data).shape != (indices.shape[0],):
-        raise ContractError(f"data length {np.asarray(data).shape} != nnz {indices.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -110,13 +82,35 @@ class SparsePattern:
     rows: np.ndarray
 
     @classmethod
-    def create(cls, n_rows, n_cols, indptr, indices, validate=True):
-        indptr = np.asarray(indptr, dtype=np.int32)
-        indices = np.asarray(indices, dtype=np.int32)
-        if validate:
-            _validate_csr(n_rows, n_cols, indptr, indices)
+    def create(cls, n_rows, n_cols, indptr, indices):
+        """A validated pattern: raises :class:`ContractError` unless the
+        arrays are CSR with strictly increasing columns in every row."""
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
+        if indptr.shape != (n_rows + 1,):
+            raise ContractError(
+                f"indptr length {indptr.shape[0]} != n_rows + 1 = {n_rows + 1}")
+        # signed steps: a decreasing unsigned indptr would wrap around
+        if indptr[0] != 0 or np.any(np.diff(indptr.astype(np.int64)) < 0):
+            raise ContractError("indptr must start at 0 and be non-decreasing")
+        if indptr[-1] != indices.shape[0]:
+            raise ContractError(
+                f"indptr[-1] = {indptr[-1]} != nnz = {indices.shape[0]}")
+        if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
+            raise ContractError(f"column index outside [0, {n_cols})")
+        # step k goes from entry k to entry k + 1; steps into a row start are
+        # not constrained.  Signed steps: unsigned indices would wrap around.
+        starts = indptr[1:-1]
+        crosses_row = np.zeros(max(indices.shape[0] - 1, 0), dtype=bool)
+        crosses_row[starts[(starts > 0) & (starts < indices.shape[0])] - 1] = True
+        steps = np.diff(indices.astype(np.int64))
+        bad = np.flatnonzero((steps <= 0) & ~crosses_row)
+        if bad.size:
+            i = np.searchsorted(indptr, bad[0], side="right") - 1
+            raise ContractError(f"row {i}: column indices not strictly increasing")
+        indptr = indptr.astype(np.int32)
         rows = np.repeat(np.arange(n_rows, dtype=np.int32), np.diff(indptr))
-        return cls(n_rows, n_cols, indptr, indices, rows)
+        return cls(n_rows, n_cols, indptr, indices.astype(np.int32), rows)
 
     @property
     def nnz(self):
@@ -126,80 +120,6 @@ class SparsePattern:
         return scipy.sparse.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
         )
-
-    def entry_index(self, i, j):
-        """Position of entry (i, j) in the data array, or -1 if not stored."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = lo + np.searchsorted(self.indices[lo:hi], j)
-        if k < hi and self.indices[k] == j:
-            return int(k)
-        return -1
-
-
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Immutable CSR matrix used outside the tape (constants, export, tests)."""
-
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    def __post_init__(self):
-        _validate_csr(self.n_rows, self.n_cols, self.indptr, self.indices, self.data)
-
-    @classmethod
-    def from_dense(cls, dense):
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise ContractError("from_dense expects a 2-d array")
-        sp = scipy.sparse.csr_matrix(dense)
-        sp.sort_indices()
-        return cls(dense.shape[0], dense.shape[1], sp.indptr.astype(np.int32),
-                   sp.indices.astype(np.int32), sp.data.astype(np.float64))
-
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals):
-        """Build from triplets; duplicate (row, col) entries are summed."""
-        sp = scipy.sparse.coo_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n_rows, n_cols)
-        ).tocsr()
-        sp.sum_duplicates()
-        sp.sort_indices()
-        return cls(n_rows, n_cols, sp.indptr.astype(np.int32),
-                   sp.indices.astype(np.int32), sp.data.astype(np.float64))
-
-    @classmethod
-    def from_scipy(cls, sp):
-        sp = sp.tocsr()
-        sp.sum_duplicates()
-        sp.sort_indices()
-        return cls(sp.shape[0], sp.shape[1], sp.indptr.astype(np.int32),
-                   sp.indices.astype(np.int32), sp.data.astype(np.float64))
-
-    @property
-    def nnz(self):
-        return self.data.shape[0]
-
-    @property
-    def pattern(self):
-        return SparsePattern.create(self.n_rows, self.n_cols, self.indptr,
-                                    self.indices, validate=False)
-
-    def to_scipy(self):
-        return scipy.sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
-        )
-
-    def to_dense(self):
-        return self.to_scipy().toarray()
-
-    def spmv(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_cols,):
-            raise ContractError(f"spmv: vector length {x.shape} != n_cols {self.n_cols}")
-        return self.to_scipy() @ x
 
 
 @dataclass(frozen=True)
@@ -238,13 +158,12 @@ class SymmetricOrder:
                 "pattern")
         inverse = np.empty(n, dtype=np.intp)
         inverse[perm] = np.arange(n)
-        rows = inverse[pattern.rows]
-        cols = inverse[pattern.indices]
-        # (row, column) keys are distinct, so the sort is unambiguous
-        gather = np.argsort(rows.astype(np.int64) * n + cols).astype(np.int32)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        return cls(pattern, perm, inverse, indptr.astype(np.int32),
-                   cols[gather].astype(np.int32), gather)
+        # P A P^T of a matrix whose data are the entry positions of A
+        permuted = pattern.to_scipy(np.arange(pattern.nnz))[perm][:, perm]
+        permuted.sort_indices()
+        return cls(pattern, perm, inverse, permuted.indptr.astype(np.int32),
+                   permuted.indices.astype(np.int32),
+                   permuted.data.astype(np.int32))
 
 
 def _first_zero_pivot(dense):
@@ -299,12 +218,9 @@ class LuFactors:
     """
 
     def __init__(self, matrix, order=None):
-        if isinstance(matrix, CsrMatrix):
-            sp = matrix.to_scipy()
-        elif scipy.sparse.issparse(matrix):
-            sp = matrix.tocsr()
-        else:
+        if not scipy.sparse.issparse(matrix):
             raise ContractError(f"cannot factorize {type(matrix).__name__}")
+        sp = matrix.tocsr()
         if sp.shape[0] != sp.shape[1]:
             raise ContractError(f"matrix is not square: {sp.shape}")
         if not np.all(np.isfinite(sp.data)):
@@ -476,14 +392,6 @@ def spmv_pattern(tape, block: SparseBlock, x):
 
 
 def spmv_fixed(tape, matrix, x):
-    """Record ``y = A x`` for a constant matrix (gradient to ``x`` only)."""
-    if isinstance(matrix, CsrMatrix):
-        matrix = matrix.to_scipy()
+    """Record ``y = A x`` for a constant scipy sparse matrix (gradient to
+    ``x`` only)."""
     return tape.apply("spmv_fixed", (x,), {"matrix": matrix.tocsr()})
-
-
-def write_matrix_market(path, matrix):
-    """Export to MatrixMarket coordinate format with full float64 precision."""
-    if isinstance(matrix, CsrMatrix):
-        matrix = matrix.to_scipy()
-    scipy.io.mmwrite(str(path), matrix.tocoo(), precision=17)

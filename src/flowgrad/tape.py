@@ -23,7 +23,6 @@ __all__ = [
     "TapeNode",
     "OpDef",
     "register_op",
-    "op_registry",
     "finite_difference_check",
 ]
 
@@ -49,10 +48,6 @@ def register_op(name, forward, backward):
     if name in _REGISTRY:
         raise ContractError(f"operator {name!r} is already registered")
     _REGISTRY[name] = OpDef(forward, backward)
-
-
-def op_registry():
-    return dict(_REGISTRY)
 
 
 @dataclass

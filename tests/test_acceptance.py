@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+import scipy.sparse
 
 from flowgrad import ops
 from flowgrad.experiments import (
@@ -26,7 +27,7 @@ from flowgrad.solver import (
     heat_solve,
     newton_solve,
 )
-from flowgrad.sparse import CsrMatrix, SparseBlock, sparse_solve
+from flowgrad.sparse import SparseBlock, SparsePattern, sparse_solve
 from flowgrad.tape import Tape, finite_difference_check
 
 
@@ -153,8 +154,8 @@ def _dense_solve_adjoint_gap(n, seed):
     np.fill_diagonal(mask, True)
     dense = np.where(mask, rng.normal(size=(n, n)), 0.0)
     dense[np.diag_indices(n)] += n
-    csr = CsrMatrix.from_dense(dense)
-    pattern = csr.pattern
+    csr = scipy.sparse.csr_matrix(dense)
+    pattern = SparsePattern.create(n, n, csr.indptr, csr.indices)
     b = rng.normal(size=n)
     c = rng.normal(size=n)
 

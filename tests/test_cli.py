@@ -159,6 +159,14 @@ def test_forward_dump_matrix_is_loadable(tmp_path):
     # three unknowns per node on a 6x6 grid
     assert matrix.shape == (108, 108)
     assert np.all(np.isfinite(matrix.data))
+    # exactly the Jacobian at the converged state of the same forward solve
+    cfg = load_config(_config(tmp_path)).configs[0].resolved()
+    chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
+    t = Tape()
+    coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
+    _, flow = chain(t, coef)
+    jac = chain.jacobian(t, flow, coef)
+    np.testing.assert_allclose(matrix.toarray(), jac.toarray(), rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("command", ["run", "forward"])

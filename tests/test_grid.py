@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from flowgrad import ops
 from flowgrad.errors import ContractError
@@ -65,8 +66,10 @@ def test_boundary_sets():
     np.testing.assert_array_equal(g.boundary_nodes("left"), [0, 4, 8])
     np.testing.assert_array_equal(g.boundary_nodes("right"), [3, 7, 11])
     assert g.all_boundary.size == 2 * 4 + 2 * 3 - 4
-    assert np.intersect1d(g.all_boundary, g.interior).size == 0
-    assert g.all_boundary.size + g.interior.size == g.n_nodes
+    # the boundary lists each node once; the other nodes are 5 and 6
+    np.testing.assert_array_equal(np.unique(g.all_boundary), g.all_boundary)
+    interior = np.setdiff1d(np.arange(g.n_nodes), g.all_boundary)
+    np.testing.assert_array_equal(interior, [5, 6])
     with pytest.raises(ContractError):
         g.boundary_nodes("front")
 
@@ -77,11 +80,6 @@ def test_dirichlet_spec_validation():
     a = DirichletSpec(np.array([3, 1]), np.array([30.0, 10.0]))
     np.testing.assert_array_equal(a.idx, [1, 3])
     np.testing.assert_array_equal(a.vals, [10.0, 30.0])
-    b = DirichletSpec(np.array([3]), np.array([0.0]))
-    with pytest.raises(ContractError):
-        a.combine(b)
-    c = a.combine(DirichletSpec(np.array([2]), np.array([20.0])))
-    np.testing.assert_array_equal(c.idx, [1, 2, 3])
 
 
 def test_cavity_bcs_lid_on_bottom_edge():
@@ -133,7 +131,8 @@ def test_interpolation_at_node_is_exact():
     rng = np.random.default_rng(1)
     field = rng.normal(size=g.n_nodes)
     p = interpolation_matrix(g, g.coords[[0, 5, 11, 15]])
-    np.testing.assert_allclose(p.spmv(field), field[[0, 5, 11, 15]],
+    assert isinstance(p, scipy.sparse.csr_matrix) and p.has_sorted_indices
+    np.testing.assert_allclose(p @ field, field[[0, 5, 11, 15]],
                                rtol=0, atol=1e-14)
 
 
@@ -141,7 +140,7 @@ def test_interpolation_reproduces_linear_field():
     g = StructuredGrid(6)
     field = g.coords[:, 0].copy()
     p = interpolation_matrix(g, np.array([[0.3, 0.7]]))
-    assert p.spmv(field)[0] == pytest.approx(0.3, abs=1e-14)
+    assert (p @ field)[0] == pytest.approx(0.3, abs=1e-14)
 
 
 def _shape_oracle(xi, eta):
@@ -154,7 +153,7 @@ def test_interpolation_matches_shape_function_oracle():
     rng = np.random.default_rng(2)
     field = rng.normal(size=g.n_nodes)
     points = rng.uniform(0.01, 0.99, size=(20, 2))
-    got = interpolation_matrix(g, points).spmv(field)
+    got = interpolation_matrix(g, points) @ field
     for k, (x, y) in enumerate(points):
         ex = min(int(x / g.hx), g.nx - 2)
         ey = min(int(y / g.hy), g.ny - 2)
@@ -184,7 +183,7 @@ def test_interpolate_at_points_backward_is_transpose():
     loss = ops.dot(t, t.constant(c), vals)
     grads = t.backward(loss)
     p = interpolation_matrix(g, points)
-    np.testing.assert_allclose(grads[field], p.to_dense().T @ c,
+    np.testing.assert_allclose(grads[field], p.toarray().T @ c,
                                rtol=0, atol=1e-14)
 
 

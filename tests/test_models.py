@@ -28,7 +28,9 @@ def test_flatten_unflatten_roundtrip():
     layout = MlpLayout((2, 20, 20, 20, 1))
     rng = np.random.default_rng(0)
     theta = rng.normal(size=layout.n_params)
-    np.testing.assert_array_equal(layout.flatten(layout.unflatten(theta)), theta)
+    layers = [(theta[w0:w1].reshape(fi, fo), theta[w1:b1])
+              for w0, w1, b1, fi, fo in layout.slices()]
+    np.testing.assert_array_equal(layout.flatten(layers), theta)
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -41,14 +43,14 @@ def test_init_deterministic_and_seed_sensitive():
 
 def test_init_xavier_bounds_and_zero_biases():
     model, theta = init_params("dnn2d", seed=1)
-    for (w, b), (fi, fo) in zip(model.layout.unflatten(theta),
-                                zip(model.layout.sizes, model.layout.sizes[1:])):
+    slices = list(model.layout.slices())
+    for w0, w1, b1, fi, fo in slices:
         bound = np.sqrt(6.0 / (fi + fo))
-        assert np.max(np.abs(w)) <= bound
-        np.testing.assert_array_equal(b, np.zeros(fo))
+        assert np.max(np.abs(theta[w0:w1])) <= bound
+        np.testing.assert_array_equal(theta[w1:b1], np.zeros(fo))
     # the 20 -> 20 bound from the definition
-    w2 = model.layout.unflatten(theta)[1][0]
-    assert np.max(np.abs(w2)) <= np.sqrt(6.0 / 40.0)
+    w0, w1, _, _, _ = slices[1]
+    assert np.max(np.abs(theta[w0:w1])) <= np.sqrt(6.0 / 40.0)
 
 
 def test_zero_params_give_zero_raw_output():

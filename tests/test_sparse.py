@@ -1,4 +1,4 @@
-"""Sparse container, LU, and adjoint tests.
+"""Sparse pattern, LU, and adjoint tests.
 
 Dense oracles: for x = A^-1 b with loss = c . x, the adjoint identities are
   d loss/d b    = A^-T c
@@ -9,14 +9,16 @@ and for y = A x with loss = c . y,
 Both are checked entrywise against numpy.linalg solves.
 """
 
-import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
+import flowgrad
 from flowgrad import ops, solver, sparse
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
@@ -29,54 +31,55 @@ from flowgrad.solver import (
     ns_jacobian,
 )
 from flowgrad.sparse import (
-    CsrMatrix,
     LuFactors,
     SparseBlock,
+    SparsePattern,
     SymmetricOrder,
     sparse_solve,
     spmv_fixed,
     spmv_pattern,
-    write_matrix_market,
 )
 from flowgrad.tape import Tape, finite_difference_check
 
 
 def _random_spd_like(n, seed, density=0.3):
+    """Sorted scipy CSR matrix, diagonally dominant by about n."""
     rng = np.random.default_rng(seed)
     sp = scipy.sparse.random(n, n, density=density, random_state=rng, format="csr")
-    sp = sp + n * scipy.sparse.eye(n, format="csr")
-    return CsrMatrix.from_scipy(sp)
+    sp = (sp + n * scipy.sparse.eye(n, format="csr")).tocsr()
+    sp.sort_indices()
+    return sp
+
+
+def _pattern(m):
+    return SparsePattern.create(m.shape[0], m.shape[1], m.indptr, m.indices)
 
 
 def test_dense_roundtrip():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-    m = CsrMatrix.from_dense(dense)
-    np.testing.assert_array_equal(m.to_dense(), dense)
-    assert m.nnz == 4
-
-
-def test_from_coo_sums_duplicates():
-    m = CsrMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(m.to_dense(), [[0.0, 5.0], [4.0, 0.0]])
+    m = scipy.sparse.csr_matrix(dense)
+    pattern = _pattern(m)
+    np.testing.assert_array_equal(pattern.to_scipy(m.data).toarray(), dense)
+    assert pattern.nnz == 4
 
 
 def test_invalid_structure_rejected():
     with pytest.raises(ContractError):
-        CsrMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
+        SparsePattern.create(2, 2, np.array([0, 1]), np.array([0]))
     with pytest.raises(ContractError):
-        CsrMatrix(2, 2, np.array([0, 2, 2]), np.array([1, 0]), np.array([1.0, 2.0]))
+        SparsePattern.create(2, 2, np.array([0, 2, 2]), np.array([1, 0]))
     with pytest.raises(ContractError):
-        CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 5]), np.array([1.0, 2.0]))
+        SparsePattern.create(2, 2, np.array([0, 1, 2]), np.array([0, 5]))
     with pytest.raises(ContractError):
-        CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0]))
+        SparsePattern.create(2, 2, np.array([0, 1, 2]), np.array([0]))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint32])
 def test_decreasing_indptr_rejected(dtype):
     # a uint32 indptr that goes down from 2 to 1 used to wrap and pass
     with pytest.raises(ContractError, match="non-decreasing"):
-        CsrMatrix(3, 3, np.array([0, 2, 1, 3], dtype=dtype),
-                  np.array([0, 1, 2]), np.ones(3))
+        SparsePattern.create(3, 3, np.array([0, 2, 1, 3], dtype=dtype),
+                             np.array([0, 1, 2]))
 
 
 def test_unsorted_row_reported_by_number():
@@ -85,8 +88,8 @@ def test_unsorted_row_reported_by_number():
     for dtype in (np.int32, np.uint32):
         with pytest.raises(ContractError, match=r"^row 2: column indices "
                                                 r"not strictly increasing"):
-            CsrMatrix(4, 4, np.array([0, 2, 2, 4, 5]),
-                      np.array([1, 3, 2, 1, 0], dtype=dtype), np.ones(5))
+            SparsePattern.create(4, 4, np.array([0, 2, 2, 4, 5]),
+                                 np.array([1, 3, 2, 1, 0], dtype=dtype))
 
 
 def _first_unsorted_row(indptr, indices):
@@ -111,29 +114,22 @@ def test_row_order_check_matches_row_loop():
             indices[rng.integers(indices.size)] = rng.integers(6)
         expected = _first_unsorted_row(indptr, indices)
         outcomes.add(expected is None)
-        data = np.ones(indices.size)
         if expected is None:
-            CsrMatrix(counts.size, 6, indptr, indices, data)
+            SparsePattern.create(counts.size, 6, indptr, indices)
         else:
             with pytest.raises(ContractError, match=rf"^row {expected}: "):
-                CsrMatrix(counts.size, 6, indptr, indices, data)
+                SparsePattern.create(counts.size, 6, indptr, indices)
     assert outcomes == {True, False}
 
 
 def test_spmv_matches_dense():
     m = _random_spd_like(12, seed=3)
     x = np.random.default_rng(4).normal(size=12)
-    np.testing.assert_allclose(m.spmv(x), m.to_dense() @ x, rtol=1e-13)
+    t = Tape()
+    y = spmv_fixed(t, m, t.constant(x))
+    np.testing.assert_allclose(t.value(y), m.toarray() @ x, rtol=1e-13)
     with pytest.raises(ContractError):
-        m.spmv(np.zeros(5))
-
-
-def test_entry_index_lookup():
-    m = CsrMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    p = m.pattern
-    assert p.entry_index(0, 0) == 0
-    assert p.entry_index(1, 1) == 1
-    assert p.entry_index(0, 1) == -1
+        spmv_fixed(t, m, t.constant(np.zeros(5)))
 
 
 def test_lu_solve_matches_dense():
@@ -141,10 +137,10 @@ def test_lu_solve_matches_dense():
     rng = np.random.default_rng(6)
     b = rng.normal(size=20)
     lu = LuFactors(m)
-    np.testing.assert_allclose(lu.solve(b), np.linalg.solve(m.to_dense(), b),
+    np.testing.assert_allclose(lu.solve(b), np.linalg.solve(m.toarray(), b),
                                rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(lu.solve_transpose(b),
-                               np.linalg.solve(m.to_dense().T, b),
+                               np.linalg.solve(m.toarray().T, b),
                                rtol=1e-10, atol=1e-12)
 
 
@@ -197,20 +193,45 @@ def test_lu_cavity_fill_and_transpose_residual():
 
 
 def test_symmetric_order_gathers_permuted_matrix():
-    m = _random_spd_like(30, seed=29).to_scipy()
+    m = _random_spd_like(30, seed=29)
     m = m + m.T
     perm = np.random.default_rng(30).permutation(30)
-    order = SymmetricOrder.create(CsrMatrix.from_scipy(m).pattern, perm)
+    order = SymmetricOrder.create(_pattern(m), perm)
     assert order.gather.dtype == np.int32
     # a valid CSR pattern with sorted rows, holding P A P^T
-    permuted = CsrMatrix(30, 30, order.indptr, order.indices,
-                         m.data[order.gather])
-    np.testing.assert_array_equal(permuted.to_dense(),
-                                  m.toarray()[np.ix_(perm, perm)])
+    permuted = SparsePattern.create(30, 30, order.indptr, order.indices)
     assert permuted.nnz == m.nnz
+    np.testing.assert_array_equal(
+        permuted.to_scipy(m.data[order.gather]).toarray(),
+        m.toarray()[np.ix_(perm, perm)])
     np.testing.assert_array_equal(order.perm[order.inverse], np.arange(30))
     with pytest.raises(ContractError, match="permutation"):
         SymmetricOrder.create(order.pattern, np.zeros(30, dtype=int))
+
+
+def _key_sort_order(pattern, perm):
+    """(inverse, indptr, indices, gather) of P A P^T by sorting the permuted
+    entries on their (row, column) key."""
+    n = pattern.n_rows
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[perm] = np.arange(n)
+    rows = inverse[pattern.rows]
+    cols = inverse[pattern.indices]
+    gather = np.argsort(rows.astype(np.int64) * n + cols).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return (inverse, indptr.astype(np.int32), cols[gather].astype(np.int32),
+            gather)
+
+
+def test_system_order_matches_key_sort():
+    order = operators_for(StructuredGrid(21)).system_order()
+    inverse, indptr, indices, gather = _key_sort_order(order.pattern,
+                                                       order.perm)
+    np.testing.assert_array_equal(order.perm[inverse], np.arange(3 * 21 * 21))
+    for got, expected in ((order.inverse, inverse), (order.indptr, indptr),
+                          (order.indices, indices), (order.gather, gather)):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +318,7 @@ def test_lu_refinement_repairs_perturbed_solve(monkeypatch, trans):
     made = _skewed_splu(monkeypatch, 1.0 + 1e-5, bad_calls=1)
     lu = LuFactors(m)
     b = np.random.default_rng(22).normal(size=20)
-    dense = m.to_dense().T if trans else m.to_dense()
+    dense = m.toarray().T if trans else m.toarray()
     x = lu.solve_transpose(b) if trans else lu.solve(b)
     assert made[0].calls == 2
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-12,
@@ -350,8 +371,8 @@ def test_refinement_against_nearby_factors(monkeypatch, trans):
 def test_refinement_stall_reported_without_raising(trans):
     m = _random_spd_like(20, seed=26)
     # dominated by -20 I where m is dominated by +20 I
-    unrelated = -_random_spd_like(20, seed=27).to_scipy()
-    nan_entry = m.to_scipy().copy()
+    unrelated = -_random_spd_like(20, seed=27)
+    nan_entry = m.copy()
     nan_entry.data[3] = np.nan
     lu = LuFactors(m)
     b = np.random.default_rng(28).normal(size=20)
@@ -359,7 +380,7 @@ def test_refinement_stall_reported_without_raising(trans):
     assert solve(b, unrelated) is None
     assert solve(b, nan_entry) is None
     # the factorized matrix itself, given as a nearby matrix, is solved
-    np.testing.assert_allclose(solve(b, m.to_scipy()), solve(b), rtol=0.0,
+    np.testing.assert_allclose(solve(b, m), solve(b), rtol=0.0,
                                atol=0.0)
 
 
@@ -373,16 +394,16 @@ def test_sparse_solve_adjoint_matches_dense_identities():
     t = Tape()
     data = t.variable(m.data)
     rhs = t.variable(b)
-    x_ref = sparse_solve(t, SparseBlock(m.pattern, data), rhs)
+    x_ref = sparse_solve(t, SparseBlock(_pattern(m), data), rhs)
     loss = ops.dot(t, t.constant(c), x_ref)
     grads = t.backward(loss)
 
-    dense = m.to_dense()
+    dense = m.toarray()
     x = np.linalg.solve(dense, b)
     lam = np.linalg.solve(dense.T, c)
     np.testing.assert_allclose(t.value(x_ref), x, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(grads[rhs], lam, rtol=1e-10, atol=1e-12)
-    pat = m.pattern
+    pat = _pattern(m)
     expected = -lam[pat.rows] * x[pat.indices]
     np.testing.assert_allclose(grads[data], expected, rtol=1e-10, atol=1e-12)
 
@@ -400,7 +421,7 @@ def test_sparse_solve_gradient_matches_fd():
         th = t.variable(theta)
         data = ops.slice1d(t, th, 0, nnz)
         rhs = ops.slice1d(t, th, nnz, nnz + n)
-        x = sparse_solve(t, SparseBlock(m.pattern, data), rhs)
+        x = sparse_solve(t, SparseBlock(_pattern(m), data), rhs)
         loss = ops.dot(t, t.constant(c), x)
         return t.value(loss)[0], t.backward(loss)[th]
 
@@ -420,7 +441,7 @@ def test_sparse_solve_factorizes_once_and_releases_lu(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     t = Tape()
     data = t.variable(m.data)
-    x_ref = sparse_solve(t, SparseBlock(m.pattern, data), t.variable(np.ones(12)))
+    x_ref = sparse_solve(t, SparseBlock(_pattern(m), data), t.variable(np.ones(12)))
     loss = ops.dot(t, x_ref, x_ref)
     first = t.backward(loss)
     assert len(calls) == 1
@@ -440,13 +461,13 @@ def test_spmv_pattern_adjoint_matches_dense_identities():
     t = Tape()
     data = t.variable(m.data)
     x = t.variable(x0)
-    y = spmv_pattern(t, SparseBlock(m.pattern, data), x)
+    y = spmv_pattern(t, SparseBlock(_pattern(m), data), x)
     loss = ops.dot(t, t.constant(c), y)
     grads = t.backward(loss)
 
-    dense = m.to_dense()
+    dense = m.toarray()
     np.testing.assert_allclose(grads[x], dense.T @ c, rtol=1e-12, atol=1e-13)
-    pat = m.pattern
+    pat = _pattern(m)
     np.testing.assert_allclose(grads[data], c[pat.rows] * x0[pat.indices],
                                rtol=1e-12, atol=1e-13)
 
@@ -462,23 +483,23 @@ def test_spmv_fixed_backward_is_transpose_matvec():
     y = spmv_fixed(t, m, x)
     loss = ops.dot(t, t.constant(c), y)
     grads = t.backward(loss)
-    np.testing.assert_allclose(grads[x], m.to_dense().T @ c, rtol=1e-12, atol=1e-13)
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    m = _random_spd_like(9, seed=16)
-    path = tmp_path / "matrix.mtx"
-    write_matrix_market(path, m)
-    back = scipy.io.mmread(io.StringIO(path.read_text()))
-    np.testing.assert_allclose(back.toarray(), m.to_dense(), rtol=0, atol=0)
+    np.testing.assert_allclose(grads[x], m.toarray().T @ c, rtol=1e-12, atol=1e-13)
 
 
 def test_pattern_shared_between_blocks():
     m = _random_spd_like(6, seed=17)
-    pat = m.pattern
+    pat = _pattern(m)
     assert pat.nnz == m.nnz
     assert pat.rows.shape == (m.nnz,)
     # rows must agree with indptr expansion
     for k in range(pat.nnz):
         i = pat.rows[k]
         assert pat.indptr[i] <= k < pat.indptr[i + 1]
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # only the CLI's --dump-matrix needs the MatrixMarket writer
+    code = "import sys, flowgrad; assert 'scipy.io' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(flowgrad.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
