@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -484,6 +485,16 @@ def test_spmv_fixed_backward_is_transpose_matvec():
     loss = ops.dot(t, t.constant(c), y)
     grads = t.backward(loss)
     np.testing.assert_allclose(grads[x], m.toarray().T @ c, rtol=1e-12, atol=1e-13)
+
+
+def test_matrix_market_roundtrip(tmp_path):
+    # the CLI's --dump-matrix writes with scipy.io.mmwrite at its default
+    # precision; a matrix rebuilt from its pattern must read back bit for bit
+    m = _random_spd_like(9, seed=16)
+    path = tmp_path / "matrix.mtx"
+    scipy.io.mmwrite(path, _pattern(m).to_scipy(m.data))
+    back = scipy.io.mmread(path)
+    np.testing.assert_allclose(back.toarray(), m.toarray(), rtol=0, atol=0)
 
 
 def test_pattern_shared_between_blocks():
