@@ -4,14 +4,17 @@ All node-pair blocks (stiffness, advection, reaction, mass, pressure
 gradient, divergence) share one CSR pattern derived from element
 connectivity.  ``GridOperators`` precomputes that pattern, the
 element-to-entry scatter map ``pos16``, and the constant blocks.  The
-coefficient-dependent blocks are tape operators: forward interpolates the
+diffusion and advection blocks are tape operators: forward interpolates the
 nodal field to quadrature points, runs an element kernel, and scatters into
 CSR data; backward runs the same maps in reverse.
 
 The coupled velocity-pressure system is a 3x3 grid of base-pattern blocks
-over unknowns [u; v; p].  ``pack_system`` gathers block data arrays into the
-system CSR data array through precomputed index maps, and
-``constrain_system`` imposes Dirichlet rows/columns differentiably.  The
+over unknowns [u; v; p].  ``GridOperators.system_layout`` maps each block's
+entries to their positions in the system CSR data array, where the Newton
+solver places plain block arrays; ``GridOperators.reaction`` gives the
+convection linearization's reaction blocks off the tape.
+``constrain_system`` imposes Dirichlet rows/columns differentiably, and
+``ConstraintPlan.identity_rows`` is its matrix half on a plain array.  The
 system is factorized in a nested-dissection order of the grid's nodes
 (``GridOperators.system_order``).
 """
@@ -32,7 +35,6 @@ __all__ = [
     "constraint_plan",
     "assemble_diffusion_block",
     "assemble_advection_diffusion",
-    "pack_system",
     "constrain_system",
     "apply_dirichlet",
 ]
@@ -137,6 +139,13 @@ class GridOperators:
         return np.bincount(self.elems.ravel(), weights=contrib.ravel(),
                            minlength=self.n_nodes)
 
+    def reaction(self, w, axis):
+        """Mass block weighted by the quadrature values of dw/dx (axis 0) or
+        dw/dy (axis 1), as plain CSR data."""
+        table = self.dndx_tab if axis == 0 else self.dndy_tab
+        return self.scatter(kernels.coefmass_fwd(self.at_quad(w, table),
+                                                 self.wdet, self.n_tab))
+
     def scipy_matrix(self, data):
         return self.pattern.to_scipy(data)
 
@@ -239,26 +248,8 @@ def _convection_block_bwd(g, ctx):
             gops.quad_to_nodal(gvq, gops.n_tab))
 
 
-def _reaction_block_fwd(v, ctx):
-    gops: GridOperators = ctx["gops"]
-    w = v[0]
-    if w.shape != (gops.n_nodes,):
-        raise ContractError("reaction block: field must be nodal")
-    table = gops.dndx_tab if ctx["axis"] == 0 else gops.dndy_tab
-    gq = gops.at_quad(w, table)
-    return gops.scatter(kernels.coefmass_fwd(gq, gops.wdet, gops.n_tab))
-
-
-def _reaction_block_bwd(g, ctx):
-    gops: GridOperators = ctx["gops"]
-    table = gops.dndx_tab if ctx["axis"] == 0 else gops.dndy_tab
-    ggq = kernels.coefmass_bwd(gops.gather(g), gops.wdet, gops.n_tab)
-    return (gops.quad_to_nodal(ggq, table),)
-
-
 register_op("diffusion_block", _diffusion_block_fwd, _diffusion_block_bwd)
 register_op("convection_block", _convection_block_fwd, _convection_block_bwd)
-register_op("reaction_block", _reaction_block_fwd, _reaction_block_bwd)
 
 
 def assemble_diffusion_block(tape, grid, coeff_at_nodes):
@@ -285,43 +276,6 @@ def assemble_advection_diffusion(tape, grid, u, v, k_at_nodes, rho_cp=1.0):
 
 
 # ---------------------------------------------------------------------------
-# system packing
-
-def _pack_system_fwd(v, ctx):
-    out = np.zeros(ctx["nnz"])
-    for pos, data in ctx["constants"]:
-        np.add.at(out, pos, data)
-    for data, pos in zip(v, ctx["maps"]):
-        if data.shape != pos.shape:
-            raise ContractError(
-                f"pack_system: block data length {data.shape} != map {pos.shape}")
-        np.add.at(out, pos, data)
-    return out
-
-
-def _pack_system_bwd(g, ctx):
-    return tuple(g[pos] for pos in ctx["maps"])
-
-
-register_op("pack_system", _pack_system_fwd, _pack_system_bwd)
-
-
-def pack_system(tape, sys_pattern, placements, constants=()):
-    """Assemble system CSR data from blocks.
-
-    ``placements`` is a list of (position map, data ref) pairs; gradients
-    flow back to every placed block.  ``constants`` is a list of (position
-    map, data array) pairs of constant blocks; as block arrays they cost a
-    caller that keeps them (the shared flow setup) no system-length array.
-    """
-    maps = [pos for pos, _ in placements]
-    refs = tuple(ref for _, ref in placements)
-    ref = tape.apply("pack_system", refs, {
-        "maps": maps, "nnz": sys_pattern.nnz, "constants": constants})
-    return SparseBlock(sys_pattern, ref)
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet constraints
 
 @dataclass(frozen=True)
@@ -340,6 +294,13 @@ class ConstraintPlan:
     col_rows: np.ndarray
     col_slot: np.ndarray
     diag_pos: np.ndarray
+
+    def identity_rows(self, data):
+        """Zero the constrained rows and eliminated columns of ``data`` in
+        place and set the constrained diagonal entries to 1."""
+        data[self.col_entries] = 0.0
+        data[self.row_entries] = 0.0
+        data[self.diag_pos] = 1.0
 
 
 def constraint_plan(pattern, idx):
@@ -382,9 +343,7 @@ def _constrain_fwd(v, ctx):
     if plan.col_entries.size:
         moved = d[plan.col_entries] * vals[plan.col_slot]
         r -= np.bincount(plan.col_rows, weights=moved, minlength=n)
-        d[plan.col_entries] = 0.0
-    d[plan.row_entries] = 0.0
-    d[plan.diag_pos] = 1.0
+    plan.identity_rows(d)
     r[plan.idx] = vals
     return np.concatenate([d, r])
 

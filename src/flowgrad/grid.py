@@ -194,6 +194,8 @@ def interpolation_matrix(grid, points):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ContractError("points must have shape (n_points, 2)")
+    if not np.all(np.isfinite(points)):
+        raise ContractError("interpolation points must be finite")
     if np.any(points < -1e-12) or np.any(points > 1 + 1e-12):
         raise ContractError("interpolation point outside the unit square")
 

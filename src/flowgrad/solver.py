@@ -2,14 +2,14 @@
 
 ``newton_solve`` iterates x_{k+1} = x_k - J(x_k)^-1 F(x_k) for the coupled
 [u; v; p] system.  The iterations run off the caller's tape: each iterate's
-residual and Jacobian come from the assembly, ``pack_system`` and
-``constrain_system`` forward rules on a throwaway tape.  The caller's tape
-records one ``steady_flow`` operator from the viscosity to the converged
-state, whose backward rule is the implicit-function adjoint: one transpose
-solve with J(x*) and one vector-Jacobian product of the residual with
-respect to the viscosity.  The momentum Jacobian carries the full
-convection linearization: advection C(u_k, v_k) plus the four reaction
-blocks from the iterate gradients.
+residual is recorded on a throwaway tape, and its Jacobian is assembled as
+plain arrays from the residual's recorded blocks, since only (dF/dnu)^T lam
+is ever differentiated.  The caller's tape records one ``steady_flow``
+operator from the viscosity to the converged state, whose backward rule
+is the implicit-function adjoint: one transpose solve with J(x*) and one
+vector-Jacobian product of the residual with respect to the viscosity.
+The momentum Jacobian carries the full convection linearization: advection
+C(u_k, v_k) plus the four reaction blocks from the iterate gradients.
 
 A flow solve factorizes a Jacobian only when the factors it holds stop
 working (a Shamanskii-style reuse with refresh; Kelley, *Iterative Methods
@@ -43,9 +43,7 @@ from .assembly import (
     assemble_advection_diffusion,
     apply_dirichlet,
     constraint_plan,
-    constrain_system,
     operators_for,
-    pack_system,
 )
 from .errors import ContractError, NewtonDivergedError, NumericError
 from .grid import cavity_velocity_bcs, uniform_boundary_bc
@@ -197,7 +195,6 @@ class _NsSetup:
         cidx = np.concatenate([bc.u.idx, bc.v.idx + n,
                                np.array([2 * n + bc.pressure_pin])])
         self.plan = constraint_plan(self.sys_pattern, cidx)
-        self.zero_vals = np.zeros(cidx.size)
         self.cidx = cidx
         self.cvals = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
 
@@ -281,9 +278,9 @@ class _Linearization:
     """F(x, nu) at one state x = [u; v; p], recorded on a tape of its own.
 
     ``nu`` is a variable of that tape, so the adjoint can take
-    (dF/dnu)^T lam from the same recording that gives J(x).  The tape holds
-    views of ``x``, so ``x`` must not change while the linearization is in
-    use.
+    (dF/dnu)^T lam from the recording; J(x) is built off the tape from the
+    block values the recording holds.  The tape holds views of ``x``, so
+    ``x`` must not change while the linearization is in use.
     """
 
     def __init__(self, setup, nu, x):
@@ -300,30 +297,30 @@ class _Linearization:
         return float(np.max(np.abs(self.tape.value(self.f_ref))))
 
     def jacobian(self):
-        """(constrained J(x) as scipy CSR, constrained F(x)).
+        """(constrained J(x) as scipy CSR, constrained F(x)), off the tape.
 
         The momentum blocks carry the full convection linearization:
         advection C(u, v) plus the four reaction blocks from the state
-        gradients.
+        gradients.  Each block's system positions are distinct, so adding it
+        to zeros writes 0.0 + value.  F's Dirichlet rows are already zero, so
+        it is its own constrained right-hand side: eliminating columns whose
+        prescribed values are zero moves nothing.
         """
         t, setup = self.tape, self.setup
-        c_ref, k_ref, stab_ref = self.blocks
-        rux, ruy, rvx, rvy = (
-            t.apply("reaction_block", (w,), {"gops": setup.gops, "axis": axis})
-            for w in (self.u, self.v) for axis in (0, 1))
-        ck = ops.add(t, c_ref, k_ref)
-        juu = ops.add(t, ck, rux)
-        jvv = ops.add(t, ck, rvy)
-        placements = [
-            (setup.bmap[0][0], juu), (setup.bmap[0][1], ruy),
-            (setup.bmap[1][0], rvx), (setup.bmap[1][1], jvv),
-            (setup.bmap[2][2], stab_ref),
-        ]
-        sys_block = pack_system(t, setup.sys_pattern, placements,
-                                setup.const_blocks)
-        blk_c, rhs_c = constrain_system(t, setup.plan, sys_block.ref,
-                                        self.f_ref, setup.zero_vals)
-        return (blk_c.pattern.to_scipy(t.value(blk_c.ref)), t.value(rhs_c))
+        gops, bmap = setup.gops, setup.bmap
+        c, k, stab = (t.value(ref) for ref in self.blocks)
+        u, v = t.value(self.u), t.value(self.v)
+        rux, ruy, rvx, rvy = (gops.reaction(w, axis)
+                              for w in (u, v) for axis in (0, 1))
+        ck = c + k
+        data = np.zeros(setup.sys_pattern.nnz)
+        for pos, block in (*setup.const_blocks,
+                           (bmap[0][0], ck + rux), (bmap[0][1], ruy),
+                           (bmap[1][0], rvx), (bmap[1][1], ck + rvy),
+                           (bmap[2][2], stab)):
+            data[pos] += block
+        setup.plan.identity_rows(data)
+        return setup.sys_pattern.to_scipy(data), t.value(self.f_ref)
 
 
 def _refined(lu, matrix, b, transpose, counts):

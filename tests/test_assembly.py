@@ -23,7 +23,6 @@ from flowgrad.assembly import (
     constraint_plan,
     constrain_system,
     operators_for,
-    pack_system,
 )
 from flowgrad.errors import ContractError
 from flowgrad.grid import DirichletSpec, StructuredGrid
@@ -82,25 +81,19 @@ def _block_dense(tape, block):
     return block.pattern.to_scipy(tape.value(block.ref)).toarray()
 
 
-def _reaction(tape, grid, w, axis):
-    """Mass block weighted by the quadrature values of d(w)/d(axis)."""
+def _reactions(grid, u, v):
+    """The four reaction blocks of the Newton linearization as CSR data,
+    keyed "ux", "uy", "vx", "vy" for du/dx ... dv/dy."""
     gops = operators_for(grid)
-    ref = tape.apply("reaction_block", (w,), {"gops": gops, "axis": axis})
-    return SparseBlock(gops.pattern, ref)
+    return {"ux": gops.reaction(u, 0), "uy": gops.reaction(u, 1),
+            "vx": gops.reaction(v, 0), "vy": gops.reaction(v, 1)}
 
 
 def _convection(tape, grid, u, v):
-    """Advection block C(u, v) and the four reaction blocks of the Newton
-    linearization, keyed "ux", "uy", "vx", "vy" for du/dx ... dv/dy."""
+    """Advection block C(u, v)."""
     gops = operators_for(grid)
     cref = tape.apply("convection_block", (u, v), {"gops": gops})
-    reactions = {
-        "ux": _reaction(tape, grid, u, 0),
-        "uy": _reaction(tape, grid, u, 1),
-        "vx": _reaction(tape, grid, v, 0),
-        "vy": _reaction(tape, grid, v, 1),
-    }
-    return SparseBlock(gops.pattern, cref), reactions
+    return SparseBlock(gops.pattern, cref)
 
 
 def _grad_div(grid):
@@ -153,7 +146,7 @@ def test_multi_element_blocks_match_dense_oracle():
 
     t = Tape()
     kblock = assemble_diffusion_block(t, g, t.constant(coef))
-    cblock, _ = _convection(t, g, t.constant(u), t.constant(v))
+    cblock = _convection(t, g, t.constant(u), t.constant(v))
     np.testing.assert_allclose(_block_dense(t, kblock), k_d, rtol=0, atol=1e-13)
     np.testing.assert_allclose(_block_dense(t, cblock), c_d, rtol=0, atol=1e-13)
 
@@ -183,27 +176,26 @@ def test_convection_zero_velocity_and_constant_velocity():
     g = StructuredGrid(3)
     t = Tape()
     zero = t.constant(np.zeros(9))
-    cblock, reactions = _convection(t, g, zero, zero)
+    cblock = _convection(t, g, zero, zero)
     assert np.all(t.value(cblock.ref) == 0.0)
-    for r in reactions.values():
-        assert np.all(t.value(r.ref) == 0.0)
+    for r in _reactions(g, np.zeros(9), np.zeros(9)).values():
+        assert np.all(r == 0.0)
 
     one = t.constant(np.ones(9))
-    cblock1, reactions1 = _convection(t, g, one, zero)
+    cblock1 = _convection(t, g, one, zero)
     _, _, dx, _ = _grad_div(g)
     np.testing.assert_allclose(_block_dense(t, cblock1), dx.toarray(),
                                rtol=0, atol=1e-14)
-    for r in reactions1.values():
-        np.testing.assert_allclose(t.value(r.ref), 0.0, rtol=0, atol=1e-13)
+    for r in _reactions(g, np.ones(9), np.zeros(9)).values():
+        np.testing.assert_allclose(r, 0.0, rtol=0, atol=1e-13)
 
 
 def test_reaction_of_linear_field_is_mass_matrix():
     # w = x has dw/dx = 1, so R equals the mass matrix
     g = StructuredGrid(4)
-    t = Tape()
-    block = _reaction(t, g, t.constant(g.coords[:, 0].copy()), 0)
     gops = operators_for(g)
-    np.testing.assert_allclose(t.value(block.ref), gops.m_data, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(gops.reaction(g.coords[:, 0].copy(), 0),
+                               gops.m_data, rtol=0, atol=1e-13)
 
 
 def test_constant_pressure_gradient_vanishes_on_interior_rows():
@@ -259,10 +251,8 @@ def test_convection_blocks_gradient_matches_fd():
         th = t.variable(theta)
         u = ops.slice1d(t, th, 0, g.n_nodes)
         v = ops.slice1d(t, th, g.n_nodes, 2 * g.n_nodes)
-        cblock, reactions = _convection(t, g, u, v)
-        acc = ops.vsum(t, cblock.ref)
-        for r in reactions.values():
-            acc = ops.add(t, acc, ops.vsum(t, ops.square(t, r.ref)))
+        cblock = _convection(t, g, u, v)
+        acc = ops.vsum(t, ops.square(t, cblock.ref))
         return t.value(acc)[0], t.backward(acc)[th]
 
     idx = range(0, theta0.size, 9)
@@ -300,36 +290,9 @@ def test_advection_diffusion_limits():
     np.testing.assert_allclose(t.value(pure_k.ref), t.value(kblock.ref),
                                rtol=0, atol=0)
     pure_c = assemble_advection_diffusion(t, g, ones, zero, t.constant(np.zeros(9)))
-    cblock, _ = _convection(t, g, ones, zero)
+    cblock = _convection(t, g, ones, zero)
     np.testing.assert_allclose(t.value(pure_c.ref), t.value(cblock.ref),
                                rtol=0, atol=0)
-
-
-def test_pack_system_places_blocks():
-    g = StructuredGrid(3)
-    gops = operators_for(g)
-    sys_pattern, bmap = gops.system_layout()
-    n = g.n_nodes
-    rng = np.random.default_rng(3)
-    a_data = rng.normal(size=gops.nnz)
-
-    t = Tape()
-    a_ref = t.variable(a_data)
-    sys_block = pack_system(t, sys_pattern, [(bmap[0][0], a_ref),
-                                             (bmap[1][2], a_ref)],
-                            [(bmap[2][2], gops.s_data)])
-    dense = sys_block.pattern.to_scipy(t.value(sys_block.ref)).toarray()
-    a_dense = gops.scipy_matrix(a_data).toarray()
-    s_dense = gops.scipy_matrix(gops.s_data).toarray()
-    np.testing.assert_allclose(dense[:n, :n], a_dense, rtol=0, atol=0)
-    np.testing.assert_allclose(dense[n:2 * n, 2 * n:], a_dense, rtol=0, atol=0)
-    np.testing.assert_allclose(dense[2 * n:, 2 * n:], s_dense, rtol=0, atol=0)
-    assert np.all(dense[:n, n:] == 0.0) and np.all(dense[n:2 * n, :2 * n] == 0.0)
-
-    # backward sums gradients over every placement of the same block
-    loss = ops.vsum(t, sys_block.ref)
-    grads = t.backward(loss)
-    np.testing.assert_allclose(grads[a_ref], 2.0, rtol=0, atol=0)
 
 
 def test_system_layout_matches_row_loop():

@@ -166,8 +166,9 @@ def test_interpolation_matches_shape_function_oracle():
 
 def test_interpolation_rejects_outside_points():
     g = StructuredGrid(4)
-    with pytest.raises(ContractError):
-        interpolation_matrix(g, np.array([[1.2, 0.5]]))
+    for point in ([1.2, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ContractError):
+            interpolation_matrix(g, np.array([[0.5, 0.5], point]))
 
 
 def test_interpolate_at_points_backward_is_transpose():

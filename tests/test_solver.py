@@ -17,6 +17,7 @@ from flowgrad.solver import (
     default_cavity_bcs,
     heat_solve,
     newton_solve,
+    ns_jacobian,
     ns_residual,
     transport_integrate,
 )
@@ -183,6 +184,37 @@ def test_newton_gradient_reaches_viscosity():
 
 # ---------------------------------------------------------------------------
 # one factorization per flow solve
+
+
+def test_newton_jacobian_matches_residual_differences():
+    # F is quadratic in x, so central differences are exact up to roundoff
+    g = StructuredGrid(6)
+    n = g.n_nodes
+    rng = np.random.default_rng(12)
+    nu = rng.uniform(1.0, 2.0, n)
+    bc = default_cavity_bcs(g)
+    cidx = np.concatenate([bc.u.idx, bc.v.idx + n, [2 * n + bc.pressure_pin]])
+    x = rng.normal(size=3 * n)
+    x[cidx] = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
+    free = np.setdiff1d(np.arange(3 * n), cidx)
+    d = np.zeros(3 * n)
+    d[free] = rng.normal(size=free.size)
+
+    def at(state_x):
+        t = Tape()
+        u, v, p = (t.constant(state_x[k * n:(k + 1) * n]) for k in range(3))
+        return t, NSState(u, v, p, 0, 0.0), t.constant(nu)
+
+    def residual(state_x):
+        t, state, nu_ref = at(state_x)
+        return t.value(ns_residual(t, g, state, nu_ref, PhysicsConstants(), bc))
+
+    h = 1e-3
+    fd = (residual(x + h * d) - residual(x - h * d)) / (2 * h)
+    t, state, nu_ref = at(x)
+    jd = ns_jacobian(t, g, state, nu_ref, PhysicsConstants(), bc) @ d
+    err = np.max(np.abs(jd[free] - fd[free])) / np.max(np.abs(fd[free]))
+    assert err < 1e-10
 
 
 def _fresh_lu_newton(grid, nu_nodal, tol=1e-8, max_iter=10):

@@ -9,7 +9,9 @@ and for y = A x with loss = c . y,
 Both are checked entrywise against numpy.linalg solves.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -514,3 +516,15 @@ def test_import_leaves_scipy_io_unloaded():
     src = os.path.dirname(os.path.dirname(flowgrad.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_every_all_entry_exists():
+    # the benchmark's tracer looks up every __all__ entry of the modules it
+    # instruments, so a stale entry breaks every traced run
+    modules = [flowgrad] + [importlib.import_module(f"flowgrad.{m.name}")
+                            for m in pkgutil.iter_modules(flowgrad.__path__)]
+    assert len(modules) > 1
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing
