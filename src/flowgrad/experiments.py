@@ -18,6 +18,9 @@ fits.  Adding an experiment means adding one spec.
 Observation synthesis uses the same grid and discretization as the
 inversion, so data are exactly reproducible by the model class (the usual
 inverse-crime caveat applies; errors quoted against the reference field).
+The reference solves, the synthesis and a frozen flow, depend only on the
+physics fields of a config, so problems that differ only in their
+observations, noise or model share them (``_reference_for``).
 """
 
 import json
@@ -395,10 +398,13 @@ class ForwardChain:
 
     ``chain(tape, coef)`` runs the spec's ``forward`` and returns
     ``(fields, flow)``.  Every flow solve adds to ``counts``.  A spec with a
-    ``frozen_viscosity`` has its flow solved here, once.
+    ``frozen_viscosity`` has its flow presolved once: ``frozen`` holds its
+    ``u``, ``v`` and ``p`` as read-only arrays and its Newton trace as a
+    tuple.  A ``frozen`` given, from an earlier chain of the same physics,
+    is used instead of the presolve, which is then not counted.
     """
 
-    def __init__(self, cfg, grid):
+    def __init__(self, cfg, grid, frozen=None):
         self.spec = SPECS[cfg.experiment]
         self.cfg = cfg
         self.grid = grid
@@ -407,14 +413,17 @@ class ForwardChain:
         self.bcs = default_cavity_bcs(grid, cfg.lid_speed)
         self.heat_bc = uniform_boundary_bc(grid, cfg.heat_bc_value)
         self.counts = LinearSolveCounts()
-        self.frozen_nu = self.frozen_fields = self.frozen_trace = None
+        self.frozen_nu = self.frozen = None
         if self.spec.frozen_viscosity is not None:
             self.frozen_nu = np.full(grid.n_nodes, self.spec.frozen_viscosity)
-            t = Tape()
-            flow = self.solve_flow(t, t.constant(self.frozen_nu))
-            self.frozen_fields = {name: t.value(ref)
-                                  for name, ref in _flow_fields(flow).items()}
-            self.frozen_trace = flow.trace
+            self.frozen = self._presolve() if frozen is None else frozen
+
+    def _presolve(self):
+        t = Tape()
+        flow = self.solve_flow(t, t.constant(self.frozen_nu))
+        return ({name: _read_only(t.value(ref))
+                 for name, ref in _flow_fields(flow).items()},
+                tuple(flow.trace))
 
     def __call__(self, tape, coef):
         return self.spec.forward(tape, self, coef)
@@ -431,9 +440,9 @@ class ForwardChain:
         It spends no Newton iterations of its own and carries the trace of
         the presolve.
         """
-        u, v, p = (tape.constant(self.frozen_fields[name])
-                   for name in ("u", "v", "p"))
-        return NSState(u, v, p, 0, 0.0, self.frozen_trace)
+        saved, trace = self.frozen
+        u, v, p = (tape.constant(saved[name]) for name in ("u", "v", "p"))
+        return NSState(u, v, p, 0, 0.0, trace)
 
     def jacobian(self, tape, flow, coef):
         """Constrained Newton matrix at ``flow``, which ``self(tape, coef)``
@@ -449,6 +458,57 @@ class ForwardChain:
         return {name: t.value(ref) for name, ref in predicted.items()}
 
 
+def _read_only(values):
+    """An owned, read-only copy of ``values``."""
+    values = np.array(values, dtype=np.float64)
+    values.flags.writeable = False
+    return values
+
+
+# Config fields that never reach the forward chain at the reference
+# coefficient; every other field, one added later included, keys the
+# reference solves.
+_DATA_FIELDS = frozenset((
+    "variant", "n_points", "components", "noise_epsilon", "obs_seed",
+    "init_seed", "init_scale", "offset", "clamp_floor",
+    "pointwise_lower_bound", "max_steps", "memory", "debug_fd_check"))
+# Most reference states kept for reuse at once.
+_SHARED_REFERENCES = 4
+_REFERENCES = {}  # value key of the physics -> _Reference, least recently used first
+
+
+@dataclass(frozen=True)
+class _Reference:
+    """The reference solves of one physics: the chain's ``frozen`` flow
+    (None without a frozen viscosity) and every predicted field at the
+    reference coefficient, all as read-only arrays."""
+
+    frozen: tuple
+    synthetic: dict
+
+
+def _reference_for(cfg, grid):
+    """The shared :class:`_Reference` of a resolved config, solved on first
+    use on a chain of its own, whose solves no problem counts.
+
+    Keyed by the exact values of the physics fields (``repr`` tells 0.0
+    from -0.0), so a sweep over noise levels and observation draws solves
+    its reference once; the last ``_SHARED_REFERENCES`` are kept.
+    """
+    key = tuple((f.name, repr(getattr(cfg, f.name))) for f in fields(cfg)
+                if f.name not in _DATA_FIELDS)
+    ref = _REFERENCES.pop(key, None)
+    if ref is None:
+        chain = ForwardChain(cfg, grid)
+        synth = chain.values(reference_field(cfg.experiment, grid.coords))
+        ref = _Reference(chain.frozen, {name: _read_only(values)
+                                        for name, values in synth.items()})
+    _REFERENCES[key] = ref
+    if len(_REFERENCES) > _SHARED_REFERENCES:
+        del _REFERENCES[next(iter(_REFERENCES))]
+    return ref
+
+
 @dataclass
 class InverseProblem:
     """The optimizable core of one experiment.
@@ -456,8 +516,12 @@ class InverseProblem:
     ``objective(theta) -> (loss, gradient)`` rebuilds the tape-recorded
     forward chain on every call; ``eval_note["newton"]`` holds the Newton
     iteration count of the most recent evaluation.  ``linear_solves`` totals
-    the linear solves of every flow solve and adjoint of the problem, the
-    synthesis included.  ``forward`` is the chain the objective runs.
+    the linear solves of the inversion: every objective evaluation and its
+    adjoint, and the final prediction.  The reference solves (the frozen
+    flow and the synthesis) are data synthesis, shared among problems of
+    the same physics, and not counted; ``presolve_newton_iters`` is the
+    Newton iteration count of the frozen flow.  ``synthetic`` holds
+    read-only arrays.  ``forward`` is the chain the objective runs.
     """
 
     config: ExperimentConfig
@@ -479,14 +543,17 @@ def build_problem(config):
 
     The synthetic data are every field of the forward chain at the
     reference coefficient; the objective runs the same chain at the
-    model's coefficient.
+    model's coefficient.  The reference solves are shared, bit for bit,
+    with recent problems of the same physics (see ``_reference_for``), so a
+    sweep over noise levels and observation draws solves them once.
     """
     cfg = config.resolved()
     grid = StructuredGrid(cfg.grid_n)
     cfg.check_n_points()
-    chain = ForwardChain(cfg, grid)
+    ref = _reference_for(cfg, grid)
+    chain = ForwardChain(cfg, grid, ref.frozen)
     ref_nodal = reference_field(cfg.experiment, grid.coords)
-    synth = chain.values(ref_nodal)
+    synth = dict(ref.synthetic)
 
     obs = make_observations(grid, synth, cfg.n_points, cfg.components,
                             cfg.obs_seed)
@@ -513,8 +580,8 @@ def build_problem(config):
         config=cfg, grid=grid, objective=objective, theta0=theta0,
         model=model, observations=obs, reference_nodal=ref_nodal,
         synthetic=synth, eval_note=eval_note, linear_solves=chain.counts,
-        presolve_newton_iters=(None if chain.frozen_trace is None
-                               else len(chain.frozen_trace)),
+        presolve_newton_iters=(None if chain.frozen is None
+                               else len(chain.frozen[1])),
         forward=chain)
 
 

@@ -199,18 +199,14 @@ def interpolation_matrix(grid, points):
     if np.any(points < -1e-12) or np.any(points > 1 + 1e-12):
         raise ContractError("interpolation point outside the unit square")
 
-    rows, cols, vals = [], [], []
-    for p, (x, y) in enumerate(points):
-        ex = min(int(np.clip(x, 0, 1) / grid.hx), grid.nx - 2)
-        ey = min(int(np.clip(y, 0, 1) / grid.hy), grid.ny - 2)
-        xi = 2.0 * (x - ex * grid.hx) / grid.hx - 1.0
-        eta = 2.0 * (y - ey * grid.hy) / grid.hy - 1.0
-        weights = _shape_values(xi, eta)
-        elem = ey * (grid.nx - 1) + ex
-        for a in range(4):
-            rows.append(p)
-            cols.append(int(grid.elems[elem, a]))
-            vals.append(weights[a])
+    x, y = points[:, 0], points[:, 1]
+    ex = np.minimum((np.clip(x, 0, 1) / grid.hx).astype(np.intp), grid.nx - 2)
+    ey = np.minimum((np.clip(y, 0, 1) / grid.hy).astype(np.intp), grid.ny - 2)
+    xi = 2.0 * (x - ex * grid.hx) / grid.hx - 1.0
+    eta = 2.0 * (y - ey * grid.hy) / grid.hy - 1.0
+    rows = np.repeat(np.arange(points.shape[0]), 4)
+    cols = grid.elems[ey * (grid.nx - 1) + ex].ravel()
+    vals = _shape_values(xi, eta).T.ravel()
     sp = scipy.sparse.csr_matrix((vals, (rows, cols)),
                                  shape=(points.shape[0], grid.n_nodes))
     sp.sort_indices()

@@ -7,12 +7,14 @@ import pytest
 import scipy.io
 import scipy.sparse.linalg
 
+from flowgrad import experiments
 from flowgrad.cli import main
 from flowgrad.config import _SCHEMA, load_config
 from flowgrad.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     ForwardChain,
+    build_problem,
     reference_field,
 )
 from flowgrad.grid import StructuredGrid, read_field_csv
@@ -74,12 +76,27 @@ def test_run_writes_report_and_fields(tmp_path):
 
 
 def test_run_reports_every_factorization(tmp_path, monkeypatch):
-    # the prediction CSVs come from the solve the report already counts
+    # the prediction CSVs come from the solve the report already counts;
+    # the reference solves are data synthesis, shared by later runs of the
+    # same physics in the process, and not counted
     calls = _count_splu(monkeypatch)
-    out = tmp_path / "out"
-    assert main(["run", "--config", _config(tmp_path), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["linear_solves"]["factorizations"] == len(calls)
+    path = _config(tmp_path)
+    reports = []
+    for run in ("cold", "warm"):
+        del calls[:]
+        out = tmp_path / run
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+        reports[-1]["splu"] = len(calls)
+    cold, warm = reports
+    assert warm["splu"] == warm["linear_solves"]["factorizations"]
+    assert warm["linear_solves"] == cold["linear_solves"]
+    # the reference solves alone, in a cold build
+    experiments._REFERENCES.clear()
+    del calls[:]
+    build_problem(load_config(path).configs[0])
+    assert len(calls) >= 1
+    assert cold["splu"] == cold["linear_solves"]["factorizations"] + len(calls)
 
 
 def test_field_csv_round_trips_reference_exactly(tmp_path):

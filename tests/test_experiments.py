@@ -313,6 +313,12 @@ def test_runs_are_deterministic():
     assert a.loss_history == b.loss_history
     assert np.array_equal(a.theta, b.theta)
     assert a.relative_mse_percent == b.relative_mse_percent
+    # the first run solved the reference, the second shared it: their
+    # report.json agrees but for the wall clock
+    reports = [json.loads(rep.to_json()) for rep in (a, b)]
+    for payload in reports:
+        del payload["wall_clock_seconds"]
+    assert reports[0] == reports[1]
 
 
 def test_report_json_contract():
@@ -366,18 +372,17 @@ def test_report_records_line_search(monkeypatch):
                                         "passive_transport"])
 def test_report_counts_linear_solves(monkeypatch, experiment):
     calls = _count_splu(monkeypatch)
-    solves = []
-    newton_solve = experiments.newton_solve
-
-    def counting_newton_solve(*args, **kwargs):
-        solves.append(1)
-        return newton_solve(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "newton_solve", counting_newton_solve)
+    solves = _count_newton_solves(monkeypatch)
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12, max_steps=3)
+    cold = run_experiment(cfg)
+    cold_calls, cold_solves = len(calls), len(solves)
+    del calls[:], solves[:]
+    # the second run shares the reference solves, so every solve it makes
+    # is the inversion's
     rep = run_experiment(cfg)
     block = json.loads(rep.to_json())["linear_solves"]
-    assert block == rep.linear_solves
+    assert block == rep.linear_solves == cold.linear_solves
+    assert rep.n_evals == cold.n_evals
     assert set(block) == {"factorizations", "recycled_solves", "stalls"}
     # every factorization of the run is one of a flow solve or its adjoint
     assert block["factorizations"] == len(calls)
@@ -385,15 +390,20 @@ def test_report_counts_linear_solves(monkeypatch, experiment):
     # factors it keeps; the adjoint refines against them
     assert block["factorizations"] == len(solves) + block["stalls"]
     assert block["recycled_solves"] > 0
+    # the cold run also solved the reference flow, which is not counted
+    assert cold_solves == len(solves) + 1
+    assert cold_calls > len(calls)
     if experiment == "cavity_viscosity":
-        # no stall: the synthesis, each evaluation and the final prediction
-        # solve factorize once
+        # no stall: each evaluation and the final prediction solve
+        # factorize once, and so does the synthesis
         assert block["stalls"] == 0
-        assert len(solves) == 2 + rep.n_evals
-    else:
-        # viscosities near 0.01 make refinement stall at Newton step 2
-        assert block["stalls"] > 0
         assert len(solves) == 1 + rep.n_evals
+        assert cold_calls == len(calls) + 1
+    else:
+        # viscosities near 0.01 make refinement stall at Newton step 2; no
+        # field is predicted after the fit
+        assert block["stalls"] > 0
+        assert len(solves) == rep.n_evals
 
 
 def test_conjugate_heat_reports_presolve():
@@ -418,6 +428,135 @@ def test_observation_noise_recorded_in_report():
     rep = run_experiment(cfg)
     assert rep.observations.noise_epsilon == 0.01
     assert rep.config_echo["noise_epsilon"] == 0.01
+
+
+# --- reference solves shared among problems of the same physics
+
+
+def _count_newton_solves(monkeypatch):
+    solves = []
+    newton_solve = experiments.newton_solve
+
+    def counting_newton_solve(*args, **kwargs):
+        solves.append(1)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "newton_solve", counting_newton_solve)
+    return solves
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_warm_build_reproduces_cold_build(monkeypatch, experiment):
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12,
+                           noise_epsilon=0.01)
+    cold = build_problem(cfg)
+    solves = _count_newton_solves(monkeypatch)
+    warm = build_problem(cfg)
+    assert solves == []
+    assert set(warm.synthetic) == set(cold.synthetic)
+    for name, values in cold.synthetic.items():
+        assert warm.synthetic[name].tobytes() == values.tobytes()
+    obs_cold, obs_warm = cold.observations, warm.observations
+    np.testing.assert_array_equal(obs_warm.locations, obs_cold.locations)
+    for comp in obs_cold.components:
+        assert (obs_warm.values[comp].tobytes()
+                == obs_cold.values[comp].tobytes())
+    assert warm.presolve_newton_iters == cold.presolve_newton_iters
+    assert (cold.presolve_newton_iters is None) == (experiment
+                                                    != "conjugate_heat")
+    loss_cold, grad_cold = cold.objective(cold.theta0)
+    loss_warm, grad_warm = warm.objective(warm.theta0)
+    assert loss_warm.hex() == loss_cold.hex()
+    assert grad_warm.tobytes() == grad_cold.tobytes()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_shared_reference_is_read_only_and_owned(experiment):
+    problem = build_problem(ExperimentConfig(experiment, grid_n=6,
+                                             n_points=12))
+    with pytest.raises(ValueError):
+        problem.synthetic["u"][0] = 1.0
+    problem.synthetic["u"] = np.zeros(problem.grid.n_nodes)
+    [ref] = experiments._REFERENCES.values()
+    assert np.any(ref.synthetic["u"] != 0.0)
+    arrays = list(ref.synthetic.values())
+    if ref.frozen is not None:
+        arrays += list(ref.frozen[0].values())
+        assert isinstance(ref.frozen[1], tuple)
+    # owned copies, not views into a tape
+    assert all(a.base is None and not a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("experiment, name, value", [
+    ("cavity_viscosity", "grid_n", 7),
+    ("cavity_viscosity", "lid_speed", 0.5),
+    ("cavity_viscosity", "beta", 0.02),
+    ("cavity_viscosity", "newton_tol", 1e-9),
+    ("cavity_viscosity", "newton_max_iter", 12),
+    ("conjugate_heat", "rho", 2.0),
+    ("conjugate_heat", "cp", 2.0),
+    ("conjugate_heat", "heat_source", 2.0),
+    ("conjugate_heat", "heat_bc_value", 0.5),
+    ("conjugate_heat", "heat_bc_value", -0.0),
+    ("passive_transport", "dt", 0.2),
+    ("passive_transport", "transport_steps", 10),
+    ("passive_transport", "kappa1", 2.0),
+    ("passive_transport", "kappa2", 2.0),
+])
+def test_physics_change_solves_the_reference_again(monkeypatch, experiment,
+                                                   name, value):
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
+    build_problem(cfg)
+    solves = _count_newton_solves(monkeypatch)
+    build_problem(dataclasses.replace(cfg, **{name: value}))
+    assert solves == [1]
+    assert len(experiments._REFERENCES) == 2
+
+
+def test_every_physics_field_is_checked():
+    # each config field outside the data fields keys the reference solves
+    # and has a case in the test above
+    checked = {"experiment", "grid_n", "lid_speed", "beta", "newton_tol",
+               "newton_max_iter", "rho", "cp", "heat_source", "heat_bc_value",
+               "dt", "transport_steps", "kappa1", "kappa2"}
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert names - experiments._DATA_FIELDS == checked
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("name, value", [
+    ("obs_seed", 8), ("noise_epsilon", 0.05), ("n_points", 10),
+    ("init_seed", 5)])
+def test_data_change_shares_the_reference(monkeypatch, experiment, name,
+                                          value):
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
+    first = build_problem(cfg)
+    solves = _count_newton_solves(monkeypatch)
+    calls = _count_splu(monkeypatch)
+    second = build_problem(dataclasses.replace(cfg, **{name: value}))
+    assert solves == [] and calls == []
+    assert len(experiments._REFERENCES) == 1
+    for comp, values in first.synthetic.items():
+        assert second.synthetic[comp] is values
+
+
+def test_at_most_four_references_kept(monkeypatch):
+    solves = _count_newton_solves(monkeypatch)
+
+    def solved(n):
+        before = len(solves)
+        build_problem(ExperimentConfig("cavity_viscosity", grid_n=n,
+                                       n_points=9))
+        return len(solves) - before
+
+    assert [solved(n) for n in (6, 7, 8, 9)] == [1, 1, 1, 1]
+    assert len(experiments._REFERENCES) == 4
+    # a hit makes 6 the most recently used, so 10 drops 7
+    assert solved(6) == 0
+    assert solved(10) == 1
+    assert len(experiments._REFERENCES) == 4
+    assert [solved(n) for n in (6, 8, 9, 10, 7)] == [0, 0, 0, 0, 1]
+    assert len(experiments._REFERENCES) == 4
 
 
 # --- factorizations per objective evaluation
@@ -455,6 +594,10 @@ def test_flow_setup_built_once(monkeypatch, experiment):
     again = build_problem(dataclasses.replace(cfg, noise_epsilon=0.01))
     again.objective(again.theta0)
     assert built == [1]
+    if experiment == "conjugate_heat":
+        # its only flow solve is the presolve of the first build, which the
+        # second problem shares
+        assert again.forward.frozen is problem.forward.frozen
 
 
 def test_cavity_objective_factorizes_once(monkeypatch):

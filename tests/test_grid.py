@@ -164,6 +164,47 @@ def test_interpolation_matches_shape_function_oracle():
         assert got[k] == pytest.approx(expected, abs=1e-14)
 
 
+def _interpolation_loop(grid, points):
+    """The per-point construction of the interpolation matrix, as an oracle."""
+    rows, cols, vals = [], [], []
+    for p, (x, y) in enumerate(points):
+        ex = min(int(np.clip(x, 0, 1) / grid.hx), grid.nx - 2)
+        ey = min(int(np.clip(y, 0, 1) / grid.hy), grid.ny - 2)
+        xi = 2.0 * (x - ex * grid.hx) / grid.hx - 1.0
+        eta = 2.0 * (y - ey * grid.hy) / grid.hy - 1.0
+        weights = _shape_oracle(xi, eta)
+        elem = ey * (grid.nx - 1) + ex
+        for a in range(4):
+            rows.append(p)
+            cols.append(int(grid.elems[elem, a]))
+            vals.append(weights[a])
+    sp = scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                 shape=(len(points), grid.n_nodes))
+    sp.sort_indices()
+    return sp
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 5), (7, 4), (2, 3)])
+def test_interpolation_matrix_matches_point_loop(nx, ny):
+    g = StructuredGrid(nx, ny)
+    rng = np.random.default_rng(4)
+    on_edges = np.column_stack([rng.uniform(size=8), np.zeros(8)])
+    on_edges = np.concatenate([on_edges, on_edges[:, ::-1],
+                               1.0 - on_edges, (1.0 - on_edges)[:, ::-1]])
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    points = np.concatenate([
+        rng.uniform(size=(50, 2)), g.coords, on_edges, corners,
+        # grid lines inside the square, and points a roundoff outside it
+        np.column_stack([g.coords[:, 0], rng.uniform(size=g.n_nodes)]),
+        [[-1e-13, 0.5], [0.5, 1.0 + 1e-13]]])
+    for pts in (points, points[:0]):
+        got, want = interpolation_matrix(g, pts), _interpolation_loop(g, pts)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.shape == want.shape
+
+
 def test_interpolation_rejects_outside_points():
     g = StructuredGrid(4)
     for point in ([1.2, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
