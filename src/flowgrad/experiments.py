@@ -18,9 +18,10 @@ fits.  Adding an experiment means adding one spec.
 Observation synthesis uses the same grid and discretization as the
 inversion, so data are exactly reproducible by the model class (the usual
 inverse-crime caveat applies; errors quoted against the reference field).
-The reference solves, the synthesis and a frozen flow, depend only on the
-physics fields of a config, so problems that differ only in their
-observations, noise or model share them (``_reference_for``).
+The grid, the boundary data, the reference coefficient and the reference
+solves (the synthesis and a frozen flow) depend only on the physics fields
+of a config, so problems that differ only in their observations, noise or
+model share them, read-only (``_reference_for``).
 """
 
 import json
@@ -32,10 +33,11 @@ import numpy as np
 
 from . import ops
 from .errors import ContractError
-from .grid import StructuredGrid, uniform_boundary_bc
+from .grid import DirichletSpec, StructuredGrid, uniform_boundary_bc
 from .models import eval_field_on_grid, init_params
 from .optimize import OptimizerConfig, lbfgs_optimize
 from .solver import (
+    CavityBCs,
     LinearSolveCounts,
     NewtonConfig,
     NSState,
@@ -171,7 +173,8 @@ class ObservationSet:
         locations = np.asarray(self.locations, dtype=np.intp)
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "components", tuple(self.components))
-        if np.unique(locations).size != locations.size:
+        ordered = np.sort(locations, axis=None)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ContractError("observation locations must be distinct")
         for comp in self.components:
             vals = np.asarray(self.values[comp], dtype=np.float64)
@@ -397,21 +400,26 @@ class ForwardChain:
     """An experiment's forward chain on one grid and config.
 
     ``chain(tape, coef)`` runs the spec's ``forward`` and returns
-    ``(fields, flow)``.  Every flow solve adds to ``counts``.  A spec with a
+    ``(fields, flow)``.  Every flow solve adds to ``counts``.  The boundary
+    data are ``bcs`` (a :class:`CavityBCs` for the flow) and ``heat_bc``
+    (the heat wall :class:`DirichletSpec`).  A spec with a
     ``frozen_viscosity`` has its flow presolved once: ``frozen`` holds its
     ``u``, ``v`` and ``p`` as read-only arrays and its Newton trace as a
-    tuple.  A ``frozen`` given, from an earlier chain of the same physics,
-    is used instead of the presolve, which is then not counted.
+    tuple.  ``bcs``, ``heat_bc`` and ``frozen`` given, from an earlier chain
+    of the same physics, are shared instead of built; a shared ``frozen``
+    replaces the presolve, which is then not counted.
     """
 
-    def __init__(self, cfg, grid, frozen=None):
+    def __init__(self, cfg, grid, bcs=None, heat_bc=None, frozen=None):
         self.spec = SPECS[cfg.experiment]
         self.cfg = cfg
         self.grid = grid
         self.constants = cfg.physics()
         self.newton = cfg.newton()
-        self.bcs = default_cavity_bcs(grid, cfg.lid_speed)
-        self.heat_bc = uniform_boundary_bc(grid, cfg.heat_bc_value)
+        self.bcs = (default_cavity_bcs(grid, cfg.lid_speed) if bcs is None
+                    else bcs)
+        self.heat_bc = (uniform_boundary_bc(grid, cfg.heat_bc_value)
+                        if heat_bc is None else heat_bc)
         self.counts = LinearSolveCounts()
         self.frozen_nu = self.frozen = None
         if self.spec.frozen_viscosity is not None:
@@ -479,30 +487,40 @@ _REFERENCES = {}  # value key of the physics -> _Reference, least recently used 
 
 @dataclass(frozen=True)
 class _Reference:
-    """The reference solves of one physics: the chain's ``frozen`` flow
+    """Everything of one physics that its problems share, all read-only:
+    the grid, the chain's boundary data (``bcs`` and ``heat_bc``), the
+    reference coefficient ``reference_nodal``, the chain's ``frozen`` flow
     (None without a frozen viscosity) and every predicted field at the
-    reference coefficient, all as read-only arrays."""
+    reference coefficient (``synthetic``)."""
 
+    grid: StructuredGrid
+    bcs: CavityBCs
+    heat_bc: DirichletSpec
+    reference_nodal: np.ndarray
     frozen: tuple
     synthetic: dict
 
 
-def _reference_for(cfg, grid):
-    """The shared :class:`_Reference` of a resolved config, solved on first
-    use on a chain of its own, whose solves no problem counts.
+def _reference_for(cfg):
+    """The shared :class:`_Reference` of a resolved config, built and solved
+    on first use on a chain of its own, whose solves no problem counts.
 
     Keyed by the exact values of the physics fields (``repr`` tells 0.0
-    from -0.0), so a sweep over noise levels and observation draws solves
-    its reference once; the last ``_SHARED_REFERENCES`` are kept.
+    from -0.0), so a sweep over noise levels and observation draws builds
+    its grid and boundary data and solves its reference once; the last
+    ``_SHARED_REFERENCES`` are kept.
     """
     key = tuple((f.name, repr(getattr(cfg, f.name))) for f in fields(cfg)
                 if f.name not in _DATA_FIELDS)
     ref = _REFERENCES.pop(key, None)
     if ref is None:
+        grid = StructuredGrid(cfg.grid_n)
         chain = ForwardChain(cfg, grid)
-        synth = chain.values(reference_field(cfg.experiment, grid.coords))
-        ref = _Reference(chain.frozen, {name: _read_only(values)
-                                        for name, values in synth.items()})
+        coef = _read_only(reference_field(cfg.experiment, grid.coords))
+        synth = chain.values(coef)
+        ref = _Reference(grid, chain.bcs, chain.heat_bc, coef, chain.frozen,
+                         {name: _read_only(values)
+                          for name, values in synth.items()})
     _REFERENCES[key] = ref
     if len(_REFERENCES) > _SHARED_REFERENCES:
         del _REFERENCES[next(iter(_REFERENCES))]
@@ -520,8 +538,10 @@ class InverseProblem:
     adjoint, and the final prediction.  The reference solves (the frozen
     flow and the synthesis) are data synthesis, shared among problems of
     the same physics, and not counted; ``presolve_newton_iters`` is the
-    Newton iteration count of the frozen flow.  ``synthetic`` holds
-    read-only arrays.  ``forward`` is the chain the objective runs.
+    Newton iteration count of the frozen flow.  ``grid``,
+    ``reference_nodal``, the arrays of ``synthetic`` and the boundary data
+    of ``forward`` are shared among problems of the same physics and
+    read-only.  ``forward`` is the chain the objective runs.
     """
 
     config: ExperimentConfig
@@ -543,16 +563,18 @@ def build_problem(config):
 
     The synthetic data are every field of the forward chain at the
     reference coefficient; the objective runs the same chain at the
-    model's coefficient.  The reference solves are shared, bit for bit,
-    with recent problems of the same physics (see ``_reference_for``), so a
-    sweep over noise levels and observation draws solves them once.
+    model's coefficient.  The grid, the boundary data, the reference
+    coefficient and the reference solves are shared, bit for bit and
+    read-only, with recent problems of the same physics (see
+    ``_reference_for``), so a sweep over noise levels and observation
+    draws builds and solves them once.  A warm build only draws the
+    observations, adds their noise and initialises the model.
     """
     cfg = config.resolved()
-    grid = StructuredGrid(cfg.grid_n)
     cfg.check_n_points()
-    ref = _reference_for(cfg, grid)
-    chain = ForwardChain(cfg, grid, ref.frozen)
-    ref_nodal = reference_field(cfg.experiment, grid.coords)
+    ref = _reference_for(cfg)
+    grid = ref.grid
+    chain = ForwardChain(cfg, grid, ref.bcs, ref.heat_bc, ref.frozen)
     synth = dict(ref.synthetic)
 
     obs = make_observations(grid, synth, cfg.n_points, cfg.components,
@@ -578,7 +600,7 @@ def build_problem(config):
 
     return InverseProblem(
         config=cfg, grid=grid, objective=objective, theta0=theta0,
-        model=model, observations=obs, reference_nodal=ref_nodal,
+        model=model, observations=obs, reference_nodal=ref.reference_nodal,
         synthetic=synth, eval_note=eval_note, linear_solves=chain.counts,
         presolve_newton_iters=(None if chain.frozen is None
                                else len(chain.frozen[1])),

@@ -5,6 +5,9 @@ sweeps x fastest.  Every element is the same ``hx`` by ``hy`` rectangle, so
 shape-function derivatives and quadrature weights are computed once on the
 reference element and shared by all elements.  Local corner order is
 counter-clockwise from the lower-left: (-1,-1), (1,-1), (1,1), (-1,1).
+
+A grid and a :class:`DirichletSpec` hold read-only arrays, so problems of
+one physics can share them (see ``experiments._reference_for``).
 """
 
 from dataclasses import dataclass
@@ -61,6 +64,11 @@ class QuadratureData:
     wdet: np.ndarray
 
 
+def _freeze(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _quadrature(hx, hy):
     pts = np.array([(sx * _GP, sy * _GP) for sy in (-1, 1) for sx in (-1, 1)])
     n = np.empty((4, 4))
@@ -72,11 +80,15 @@ def _quadrature(hx, hy):
         dndx[q] = dxi * (2.0 / hx)
         dndy[q] = deta * (2.0 / hy)
     wdet = np.full(4, hx * hy / 4.0)
+    _freeze(pts, n, dndx, dndy, wdet)
     return QuadratureData(pts, n, dndx, dndy, wdet)
 
 
 class StructuredGrid:
-    """Uniform quad mesh of the unit square with nx-by-ny nodes."""
+    """Uniform quad mesh of the unit square with nx-by-ny nodes.
+
+    ``coords``, ``elems`` and the ``quad`` arrays are read-only.
+    """
 
     def __init__(self, nx, ny=None):
         ny = nx if ny is None else ny
@@ -95,10 +107,8 @@ class StructuredGrid:
         n00 = (ey * self.nx + ex).ravel()
         self.elems = np.column_stack([n00, n00 + 1, n00 + self.nx + 1, n00 + self.nx])
 
+        _freeze(self.coords, self.elems)
         self.quad = _quadrature(self.hx, self.hy)
-        # physical quadrature-point coordinates, flattened (n_elems * 4, 2)
-        corner_xy = self.coords[self.elems]
-        self.qpoints = np.einsum("qa,eac->eqc", self.quad.n, corner_xy).reshape(-1, 2)
 
     def node(self, ix, iy):
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
@@ -127,7 +137,8 @@ class StructuredGrid:
 
 @dataclass(frozen=True)
 class DirichletSpec:
-    """Node indices and prescribed values for one scalar unknown field."""
+    """Node indices and prescribed values for one scalar unknown field, as
+    read-only arrays sorted by node."""
 
     idx: np.ndarray
     vals: np.ndarray
@@ -137,11 +148,13 @@ class DirichletSpec:
         vals = np.asarray(self.vals, dtype=np.float64)
         if idx.shape != vals.shape or idx.ndim != 1:
             raise ContractError("index and value arrays must be equal-length 1-d")
-        if np.unique(idx).size != idx.size:
-            raise ContractError("duplicate constrained node")
         order = np.argsort(idx)
-        object.__setattr__(self, "idx", idx[order])
-        object.__setattr__(self, "vals", vals[order])
+        idx, vals = idx[order], vals[order]
+        if np.any(idx[1:] == idx[:-1]):
+            raise ContractError("duplicate constrained node")
+        _freeze(idx, vals)
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "vals", vals)
 
 
 def cavity_velocity_bcs(grid, lid_speed=1.0):

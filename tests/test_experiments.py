@@ -15,6 +15,7 @@ from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    ObservationSet,
     add_noise,
     build_problem,
     compute_loss,
@@ -23,7 +24,7 @@ from flowgrad.experiments import (
     relative_mse,
     run_experiment,
 )
-from flowgrad.grid import StructuredGrid
+from flowgrad.grid import DirichletSpec, StructuredGrid
 from flowgrad.models import eval_field_on_grid
 from flowgrad.sparse import LuFactors
 from flowgrad.tape import Tape
@@ -51,6 +52,15 @@ def test_subsample_is_distinct_and_in_range():
     assert obs.n_points == 40
     assert np.unique(obs.locations).size == 40
     assert obs.locations.min() >= 0 and obs.locations.max() < 441
+
+
+def test_duplicate_location_rejected():
+    values = {"u": np.zeros(4)}
+    ObservationSet(np.array([3, 1, 7, 0]), ("u",), values)
+    with pytest.raises(ContractError, match="distinct"):
+        ObservationSet(np.array([3, 1, 7, 3]), ("u",), values)
+    with pytest.raises(ContractError, match="distinct"):
+        ObservationSet(np.array([5, 5]), ("u",), {"u": np.zeros(2)})
 
 
 def test_same_seed_same_locations():
@@ -94,6 +104,18 @@ def test_noise_is_bounded_multiplicative():
         ratio = noisy.values[comp] / obs.values[comp]
         assert np.all(np.abs(ratio - 1.0) <= 0.05)
     assert noisy.noise_epsilon == 0.05
+
+
+def test_noise_overflow_rejected():
+    # 1e308 (1 + eta) with |eta| <= 0.5 stays below the largest double
+    # (1.8e308); at 1.7e308 this draw overflows
+    locations = np.arange(8)
+    obs = ObservationSet(locations, ("u",), {"u": np.full(8, 1e308)})
+    assert np.all(np.isfinite(add_noise(obs, 0.5, seed=0).values["u"]))
+    big = ObservationSet(locations, ("u",), {"u": np.full(8, 1.7e308)})
+    with np.errstate(over="ignore"), pytest.raises(
+            ContractError, match="non-finite observation"):
+        add_noise(big, 0.5, seed=0)
 
 
 def test_noise_deterministic_per_seed():
@@ -453,6 +475,7 @@ def test_warm_build_reproduces_cold_build(monkeypatch, experiment):
     solves = _count_newton_solves(monkeypatch)
     warm = build_problem(cfg)
     assert solves == []
+    assert warm.reference_nodal.tobytes() == cold.reference_nodal.tobytes()
     assert set(warm.synthetic) == set(cold.synthetic)
     for name, values in cold.synthetic.items():
         assert warm.synthetic[name].tobytes() == values.tobytes()
@@ -476,15 +499,49 @@ def test_shared_reference_is_read_only_and_owned(experiment):
                                              n_points=12))
     with pytest.raises(ValueError):
         problem.synthetic["u"][0] = 1.0
+    with pytest.raises(ValueError):
+        problem.grid.coords[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        problem.reference_nodal[0] = 0.0
     problem.synthetic["u"] = np.zeros(problem.grid.n_nodes)
     [ref] = experiments._REFERENCES.values()
     assert np.any(ref.synthetic["u"] != 0.0)
-    arrays = list(ref.synthetic.values())
+    arrays = [ref.reference_nodal, *ref.synthetic.values()]
     if ref.frozen is not None:
         arrays += list(ref.frozen[0].values())
         assert isinstance(ref.frozen[1], tuple)
     # owned copies, not views into a tape
     assert all(a.base is None and not a.flags.writeable for a in arrays)
+
+
+def _count_grids_and_dirichlet_specs(monkeypatch):
+    made = {"grids": 0, "dirichlet_specs": 0}
+    grid_init = StructuredGrid.__init__
+    spec_post_init = DirichletSpec.__post_init__
+
+    def counting_grid_init(self, *args, **kwargs):
+        made["grids"] += 1
+        grid_init(self, *args, **kwargs)
+
+    def counting_spec_post_init(self):
+        made["dirichlet_specs"] += 1
+        spec_post_init(self)
+
+    monkeypatch.setattr(StructuredGrid, "__init__", counting_grid_init)
+    monkeypatch.setattr(DirichletSpec, "__post_init__",
+                        counting_spec_post_init)
+    return made
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_warm_build_makes_no_grid_or_boundary_data(monkeypatch, experiment):
+    made = _count_grids_and_dirichlet_specs(monkeypatch)
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
+    build_problem(cfg)
+    # the grid, the u and v walls of the flow and the heat wall
+    assert made == {"grids": 1, "dirichlet_specs": 3}
+    build_problem(dataclasses.replace(cfg, obs_seed=8, noise_epsilon=0.01))
+    assert made == {"grids": 1, "dirichlet_specs": 3}
 
 
 @pytest.mark.parametrize("experiment, name, value", [
@@ -506,11 +563,12 @@ def test_shared_reference_is_read_only_and_owned(experiment):
 def test_physics_change_solves_the_reference_again(monkeypatch, experiment,
                                                    name, value):
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
-    build_problem(cfg)
+    first = build_problem(cfg)
     solves = _count_newton_solves(monkeypatch)
-    build_problem(dataclasses.replace(cfg, **{name: value}))
+    second = build_problem(dataclasses.replace(cfg, **{name: value}))
     assert solves == [1]
     assert len(experiments._REFERENCES) == 2
+    assert second.grid is not first.grid
 
 
 def test_every_physics_field_is_checked():
@@ -538,6 +596,10 @@ def test_data_change_shares_the_reference(monkeypatch, experiment, name,
     assert len(experiments._REFERENCES) == 1
     for comp, values in first.synthetic.items():
         assert second.synthetic[comp] is values
+    assert second.grid is first.grid
+    assert second.reference_nodal is first.reference_nodal
+    assert second.forward.bcs is first.forward.bcs
+    assert second.forward.heat_bc is first.forward.heat_bc
 
 
 def test_at_most_four_references_kept(monkeypatch):

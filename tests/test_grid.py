@@ -52,11 +52,27 @@ def test_quadrature_partition_of_unity():
 
 def test_quadrature_points_cover_elements():
     g = StructuredGrid(3)
-    assert g.qpoints.shape == (16, 2)
+    # physical quadrature points, (n_elems * 4, 2), element by element
+    qpoints = np.einsum("qa,eac->eqc", g.quad.n,
+                        g.coords[g.elems]).reshape(-1, 2)
+    assert qpoints.shape == (16, 2)
     # all quadrature points strictly inside their element, hence the domain
-    assert g.qpoints.min() > 0 and g.qpoints.max() < 1
+    assert qpoints.min() > 0 and qpoints.max() < 1
     # first element occupies [0, .5]^2
-    assert np.all(g.qpoints[:4] < 0.5)
+    assert np.all(qpoints[:4] < 0.5)
+
+
+def test_grid_and_dirichlet_arrays_are_read_only():
+    # problems of one physics share a grid and its boundary data
+    g = StructuredGrid(4)
+    q = g.quad
+    u_bc, v_bc = cavity_velocity_bcs(g)
+    arrays = (g.coords, g.elems, q.points, q.n, q.dndx, q.dndy, q.wdet,
+              u_bc.idx, u_bc.vals, v_bc.idx, v_bc.vals)
+    assert not any(a.flags.writeable for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_boundary_sets():
