@@ -24,6 +24,7 @@ of a config, so problems that differ only in their observations, noise or
 model share them, read-only (``_reference_for``).
 """
 
+import copy
 import json
 import math
 import time
@@ -159,6 +160,12 @@ def reference_field(experiment, coords):
     return _spec(experiment).reference(coords[:, 0], coords[:, 1])
 
 
+def _check_finite(values, components):
+    for comp in components:
+        if not np.all(np.isfinite(values[comp])):
+            raise ContractError(f"non-finite observation in {comp!r}")
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Sampled node indices with observed values per component."""
@@ -182,8 +189,7 @@ class ObservationSet:
                 raise ContractError(
                     f"component {comp!r} has {vals.shape} values for "
                     f"{locations.shape} locations")
-            if not np.all(np.isfinite(vals)):
-                raise ContractError(f"non-finite observation in {comp!r}")
+        _check_finite(self.values, self.components)
 
     @property
     def n_points(self):
@@ -211,7 +217,11 @@ def make_observations(grid, reference_solution, n_points, components, seed):
 
 
 def add_noise(obs, epsilon, seed):
-    """Multiplicative noise: value * (1 + eta), eta ~ Uniform[-eps, eps]."""
+    """Multiplicative noise: value * (1 + eta), eta ~ Uniform[-eps, eps].
+
+    The copy keeps the locations ``obs`` validated; only its values, which
+    can overflow, are checked again.
+    """
     if epsilon < 0:
         raise ContractError("noise level must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -219,7 +229,11 @@ def add_noise(obs, epsilon, seed):
     for comp in obs.components:
         eta = rng.uniform(-epsilon, epsilon, size=obs.n_points)
         values[comp] = obs.values[comp] * (1.0 + eta)
-    return replace(obs, values=values, noise_epsilon=float(epsilon))
+    _check_finite(values, obs.components)
+    noisy = copy.copy(obs)
+    object.__setattr__(noisy, "values", values)
+    object.__setattr__(noisy, "noise_epsilon", float(epsilon))
+    return noisy
 
 
 def compute_loss(tape, predicted, obs):

@@ -129,12 +129,14 @@ class LinearSolveCounts:
     the solves met by refinement against the factors of an earlier Jacobian
     and ``stalls`` the refinements that failed and were followed by a fresh
     factorization, which the solve then re-anchors on.  Each flow solve
-    factorizes once plus once per stall.
+    factorizes once plus once per stall.  ``sweeps`` totals the refinement
+    sweeps of every one of these solves, a stalled or failed one included.
     """
 
     factorizations: int = 0
     recycled_solves: int = 0
     stalls: int = 0
+    sweeps: int = 0
 
 
 @dataclass
@@ -323,6 +325,15 @@ class _Linearization:
         return setup.sys_pattern.to_scipy(data), t.value(self.f_ref)
 
 
+def _swept(lu, b, transpose, counts, matrix=None):
+    """``lu``'s solve (see :meth:`LuFactors.solve`), its sweeps counted."""
+    before = lu.sweeps
+    try:
+        return (lu.solve_transpose if transpose else lu.solve)(b, matrix)
+    finally:
+        counts.sweeps += lu.sweeps - before
+
+
 def _refined(lu, matrix, b, transpose, counts):
     """Solve with ``matrix`` by refinement against ``lu``; None on a stall.
 
@@ -331,7 +342,7 @@ def _refined(lu, matrix, b, transpose, counts):
     """
     if lu is None:
         return None
-    x = (lu.solve_transpose if transpose else lu.solve)(b, matrix)
+    x = _swept(lu, b, transpose, counts, matrix)
     if x is None:
         counts.stalls += 1
     else:
@@ -379,7 +390,7 @@ def _steady_flow_fwd(v, ctx):
                 lin = _Linearization(setup, nu, x)
                 matrix, rhs = lin.jacobian()
             lu = _factorized(setup, matrix, counts)
-            delta = lu.solve(rhs)
+            delta = _swept(lu, rhs, False, counts)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
         x -= delta
@@ -417,7 +428,7 @@ def _steady_flow_bwd(g, ctx):
     # over the same tape factorizes J(x*)
     lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
     if lam is None:
-        lam = _factorized(setup, matrix, counts).solve_transpose(g)
+        lam = _swept(_factorized(setup, matrix, counts), g, True, counts)
     t = lin.tape
     weighted = ops.dot(t, t.constant(lam), lin.f_ref)
     return (-t.backward(weighted)[lin.nu],)
@@ -437,7 +448,8 @@ def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
     ``steady_flow`` node from ``nu_nodal`` to [u; v; p] plus three slices,
     however many iterations were needed.  ``counts``, a
     :class:`LinearSolveCounts`, accumulates the factorizations, recycled
-    solves and stalls of the Newton steps and of the node's backward pass.
+    solves, stalls and refinement sweeps of the Newton steps and of the
+    node's backward pass.
     """
     config = config or NewtonConfig()
     setup = _setup_for(grid, bc, constants, beta)

@@ -19,19 +19,27 @@ flow Jacobian comes with the nested-dissection order of its grid (George,
 minimum degree it has 7% less fill and factorizes 11-25% faster at 41x41,
 18% and 35% at 81x81.  Any other matrix is ordered by minimum degree on
 A+A^T.  Either order gives about 45% less fill than COLAMD with partial
-pivoting on the cavity Jacobian, but no bound on element growth, so every
-solve is iterative refinement x <- x + LU^-1 (b - A x) from x = 0 until
-``max|b - A x| <= 1e-8 max|b|``; with the factorized matrix itself the first
-sweep is the direct solve and usually meets the test.  The same sweeps solve
-with a *nearby* matrix, such as a later Newton Jacobian, using these factors
-as the approximate inverse.  Sweeps are capped; when refinement stalls a
-solve with the factorized matrix raises :class:`NumericError` and a solve
-with a nearby matrix returns None, so the caller can factorize that matrix
-and keep its factors for the matrices that follow.  Residuals are always
-those of the unpermuted A; only the LU application permutes.
-SuperLU is handed the CSR arrays of A (or of P A P^T) as the CSC arrays of
-their transpose, which avoids a format conversion; the solves swap ``trans``
-to match.
+pivoting on the cavity Jacobian, but no bound on element growth.
+
+SuperLU factorizes A in single precision, which halves the factors' value
+storage, and every solve is iterative refinement in double precision
+(mixed-precision refinement: Langou et al., *Exploiting the performance of
+32 bit floating point arithmetic in obtaining 64 bit accuracy*, SC 2006;
+Carson & Higham, SIAM J. Sci. Comput. 2018): x <- x + LU^-1 (b - A x)
+from x = 0 until ``max|b - A x| <= 1e-8 max|b|``, with the residual taken
+in double against the double A.  With the factorized matrix itself the
+first sweep is the direct solve, accurate to single precision only, so a
+solve takes two to four sweeps, and a matrix whose condition number nears
+the inverse of the single-precision roundoff (about 1e7) can fail the test
+where double-precision factors would meet it.  The same sweeps solve with a
+*nearby* matrix, such as a later Newton Jacobian, using these factors as
+the approximate inverse.  Sweeps are capped; when refinement stalls a solve
+with the factorized matrix raises :class:`NumericError` and a solve with a
+nearby matrix returns None, so the caller can factorize that matrix and
+keep its factors for the matrices that follow.  Residuals are always those
+of the unpermuted A; only the LU application permutes.  SuperLU is handed
+the CSR arrays of A (or of P A P^T) as the CSC arrays of their transpose,
+which avoids a format conversion; the solves swap ``trans`` to match.
 """
 
 from dataclasses import dataclass
@@ -61,10 +69,16 @@ _PIVOT_DIAG_LIMIT = 2000
 _RESIDUAL_TOL = 1e-8
 
 # Most refinement sweeps of one solve, the first being the plain LU solve.
-# With the factorized matrix itself one or two suffice.  Against the step-1
-# Jacobian of a cavity Newton solve, the later steps and the adjoint take
-# four at the reference viscosity and about eight at nu = 0.1.
+# With the factorized matrix itself the single-precision factors take two to
+# four (three on the converged cavity Jacobian at 21x21 to 161x161).
+# Against the step-1 Jacobian of a 41x41 cavity Newton solve, the later
+# steps and the adjoint take four at the reference viscosity and eight at
+# nu = 0.1.
 _MAX_SWEEPS = 10
+
+# Largest magnitude a matrix entry may have to be factorized in single
+# precision.
+_SINGLE_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -209,12 +223,14 @@ def _diagnose_pivot(sp):
 class LuFactors:
     """LU factorization of a square sparse matrix with forward/transpose solves.
 
-    Symmetric-mode SuperLU with residual-checked solves; see the module
-    docstring.  With an ``order`` (a :class:`SymmetricOrder` of the
-    matrix's own pattern) it factorizes P A P^T in that order, else A in
-    minimum degree order.  ``solve`` and ``solve_transpose`` also take a
-    nearby matrix of the same size, which they solve with by iterative
-    refinement against these factors.
+    Symmetric-mode SuperLU in single precision, with solves refined to the
+    double-precision residual test; see the module docstring.  An entry
+    beyond the single-precision range raises :class:`NumericError`.  With
+    an ``order`` (a :class:`SymmetricOrder` of the matrix's own pattern) it
+    factorizes P A P^T in that order, else A in minimum degree order.
+    ``solve`` and ``solve_transpose`` also take a nearby matrix of the same
+    size, which they solve with by iterative refinement against these
+    factors.  ``sweeps`` totals the refinement sweeps of every solve.
     """
 
     def __init__(self, matrix, order=None):
@@ -225,11 +241,18 @@ class LuFactors:
             raise ContractError(f"matrix is not square: {sp.shape}")
         if not np.all(np.isfinite(sp.data)):
             raise NumericError("matrix has non-finite entries")
+        if np.max(np.abs(sp.data), initial=0.0) > _SINGLE_MAX:
+            raise NumericError("matrix has entries beyond the single-precision "
+                               "range")
         self.n = sp.shape[0]
         self._a = sp
+        self.sweeps = 0
+        single = sp.data.astype(np.float32)
         if order is None:
             self._perm = self._inverse = None
-            factored, permc_spec = sp, "MMD_AT_PLUS_A"
+            factored = scipy.sparse.csr_matrix(
+                (single, sp.indices, sp.indptr), shape=sp.shape)
+            permc_spec = "MMD_AT_PLUS_A"
         else:
             if not (np.array_equal(sp.indptr, order.pattern.indptr)
                     and np.array_equal(sp.indices, order.pattern.indices)):
@@ -237,7 +260,7 @@ class LuFactors:
                     "matrix pattern does not match the pattern of its order")
             self._perm, self._inverse = order.perm, order.inverse
             factored = scipy.sparse.csr_matrix(
-                (sp.data[order.gather], order.indices, order.indptr),
+                (single[order.gather], order.indices, order.indptr),
                 shape=sp.shape)
             permc_spec = "NATURAL"
         try:
@@ -255,10 +278,19 @@ class LuFactors:
             ) from exc
 
     def _lu_solve(self, r, trans):
-        """LU^-1 r, through the order when the factors are of P A P^T."""
-        if self._perm is None:
-            return self._lu.solve(r, trans=trans)
-        return self._lu.solve(r[self._perm], trans=trans)[self._inverse]
+        """LU^-1 r, through the order when the factors are of P A P^T.
+
+        The single-precision solve sees r / max|r|, so a residual far below
+        or above the single-precision range neither under- nor overflows;
+        the correction is scaled back in double precision.
+        """
+        scale = np.max(np.abs(r), initial=0.0) or 1.0
+        if self._perm is not None:
+            r = r[self._perm]
+        y = self._lu.solve((r / scale).astype(np.float32), trans=trans)
+        if self._perm is not None:
+            y = y[self._inverse]
+        return np.multiply(y, scale, dtype=np.float64)
 
     def _refine(self, a, b, transpose):
         """x with max|b - a x| <= 1e-8 max|b|, or None when refinement stalls.
@@ -282,7 +314,8 @@ class LuFactors:
         x = np.zeros(self.n)
         r, last = b, np.inf
         for sweep in range(1, _MAX_SWEEPS + 1):
-            x = x + self._lu_solve(r, trans)
+            self.sweeps += 1
+            x += self._lu_solve(r, trans)
             r = b - a @ x
             res = np.max(np.abs(r), initial=0.0)
             if res <= tol:

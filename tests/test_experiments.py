@@ -405,7 +405,11 @@ def test_report_counts_linear_solves(monkeypatch, experiment):
     block = json.loads(rep.to_json())["linear_solves"]
     assert block == rep.linear_solves == cold.linear_solves
     assert rep.n_evals == cold.n_evals
-    assert set(block) == {"factorizations", "recycled_solves", "stalls"}
+    assert set(block) == {"factorizations", "recycled_solves", "stalls",
+                          "sweeps"}
+    # every factorization is followed by a solve with it, and every solve
+    # takes at least one refinement sweep
+    assert block["sweeps"] >= block["factorizations"] + block["recycled_solves"]
     # every factorization of the run is one of a flow solve or its adjoint
     assert block["factorizations"] == len(calls)
     # each flow solve factorizes once, and once more at each stall, whose
@@ -718,8 +722,10 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
 
     forward = dataclasses.replace(counts)
     t.backward(compute_loss(t, predicted, problem.observations))
+    assert counts.sweeps > forward.sweeps
     assert counts == dataclasses.replace(
-        forward, recycled_solves=forward.recycled_solves + 1)
+        forward, recycled_solves=forward.recycled_solves + 1,
+        sweeps=counts.sweeps)
     [node] = [n for n in t.nodes if n.op == "steady_flow"]
     assert not any(isinstance(v, LuFactors) for v in node.ctx.values())
 

@@ -254,6 +254,68 @@ def test_ordered_lu_solves_cavity_jacobian(cavity_41, trans):
     assert np.max(np.abs(b - a @ x)) <= 1e-10 * np.max(np.abs(b))
 
 
+@pytest.fixture(scope="module")
+def cavity_81():
+    return (_cavity_jacobian(81),
+            operators_for(StructuredGrid(81)).system_order())
+
+
+@pytest.mark.parametrize("grid_n", [41, 81])
+def test_single_precision_factors_meet_double_tolerance(request, grid_n):
+    # the factors of the converged cavity Jacobian are single precision;
+    # refinement against the double J meets the bound within the sweep cap
+    jac, order = request.getfixturevalue(f"cavity_{grid_n}")
+    lu = LuFactors(jac, order)
+    assert lu._lu.L.dtype == lu._lu.U.dtype == np.float32
+    b = np.random.default_rng(32).normal(size=jac.shape[0])
+    for solve, a in ((lu.solve, jac), (lu.solve_transpose, jac.T)):
+        before = lu.sweeps
+        x = solve(b)
+        assert 1 <= lu.sweeps - before <= sparse._MAX_SWEEPS
+        assert (np.max(np.abs(b - a @ x))
+                <= sparse._RESIDUAL_TOL * np.max(np.abs(b)))
+
+
+def test_lu_rejects_entries_beyond_single_precision():
+    m = _random_spd_like(4, seed=7)
+    m.data[0] = 1e39
+    with pytest.raises(NumericError, match="single-precision"):
+        LuFactors(m)
+
+
+@pytest.mark.parametrize("size", [1e-40, 1e300])
+@pytest.mark.parametrize("trans", [False, True])
+def test_lu_solves_rhs_beyond_single_precision_range(size, trans):
+    # a right-hand side below the smallest normal single or above the
+    # largest one solves to the bound, with the solution of the unit rhs
+    # scaled; a zero rhs solves to zero
+    m = _random_spd_like(20, seed=30)
+    unit = np.random.default_rng(31).normal(size=20)
+    b = size * unit
+    lu = LuFactors(m)
+    solve = lu.solve_transpose if trans else lu.solve
+    a = m.T if trans else m
+    x = solve(b)
+    assert np.max(np.abs(b - a @ x)) <= 1e-8 * np.max(np.abs(b))
+    np.testing.assert_allclose(x / size, np.linalg.solve(a.toarray(), unit),
+                               rtol=1e-10)
+    assert not np.any(solve(np.zeros(20)))
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1.5 * 2.0 ** -23])
+def test_lu_rejects_matrix_conditioned_beyond_single_precision(delta):
+    # nearly dependent rows, solved exactly in double precision.  In single
+    # precision 1 + 1e-10 rounds to 1, so the factorization is singular;
+    # 1 + 1.5 * 2^-23 rounds to 1 + 2^-22, so each sweep only quarters the
+    # residual and refinement stalls
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
+    b = np.array([1.0, 2.0])
+    assert np.linalg.cond(a) > 1e7
+    assert np.max(np.abs(b - a @ np.linalg.solve(a, b))) <= 1e-8 * 2.0
+    with pytest.raises(NumericError):
+        LuFactors(scipy.sparse.csr_matrix(a)).solve(b)
+
+
 def test_ordered_lu_fills_less_than_minimum_degree(cavity_41):
     jac, order = cavity_41
     nested = LuFactors(jac, order)._lu
