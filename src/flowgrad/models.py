@@ -10,6 +10,12 @@ coefficients positive.
 
 Every variant evaluates to nodal values on the grid, so assembly sees one
 uniform representation.
+
+The MLP is recorded as one ``mlp`` tape operator from the flat parameter
+vector to the raw nodal output.  Its node keeps the points and the three
+hidden tanh outputs, the only activations its backward rule reads; the
+backward is plain backpropagation through the layers.  A field evaluation
+thus records three nodes: the network, the offset and the floor clamp.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +24,7 @@ import numpy as np
 
 from . import ops
 from .errors import ContractError, DivergedParameterizationError, NumericError
+from .tape import register_op
 
 __all__ = [
     "MlpLayout",
@@ -126,11 +133,52 @@ def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
     return model, layout.flatten(layers)
 
 
-def mlp_eval(tape, layout, theta_ref, points):
-    """Record the MLP forward pass; returns one raw output per point.
+def _affine(h, theta, w0, w1, b1, fi, fo):
+    """h @ W + b for one layer whose W and b are slices of ``theta``."""
+    z = h @ theta[w0:w1].reshape(fi, fo)
+    z += theta[w1:b1]
+    return z
 
-    The linear-output magnitude is sanity-checked against its tanh bound
-    (sum of absolute final-layer weights plus bias).
+
+def _mlp_fwd(v, ctx):
+    theta = ctx["theta"] = v[0]
+    *inner, last = ctx["layout"].slices()
+    h = ctx["points"]
+    hidden = ctx["hidden"] = []
+    for layer in inner:
+        z = _affine(h, theta, *layer)
+        h = np.tanh(z, out=z)
+        hidden.append(h)
+    return _affine(h, theta, *last).reshape(-1)
+
+
+def _mlp_bwd(g, ctx):
+    """Backpropagation through the layers, from the kept tanh outputs."""
+    theta, layout = ctx["theta"], ctx["layout"]
+    inputs = [ctx["points"], *ctx["hidden"]]
+    out = np.zeros(theta.shape)
+    g = g.reshape(-1, 1)
+    for l, (w0, w1, b1, fi, fo) in reversed(list(enumerate(layout.slices()))):
+        h = inputs[l]
+        out[w1:b1] += g.sum(axis=0)
+        out[w0:w1] += (h.T @ g).ravel()
+        if l:
+            g = g @ theta[w0:w1].reshape(fi, fo).T
+            g = g * (1.0 - h * h)
+    return (out,)
+
+
+register_op("mlp", _mlp_fwd, _mlp_bwd)
+
+
+def mlp_eval(tape, layout, theta_ref, points):
+    """Record the MLP forward pass as one ``mlp`` node; one raw output per
+    point.
+
+    The node keeps the parameters, the points and the three (n, 20) hidden
+    tanh outputs for n points, which is all its backward rule reads.  The
+    linear-output magnitude is sanity-checked against its tanh bound (sum
+    of absolute final-layer weights plus bias).
     """
     theta = tape.value(theta_ref)
     if not np.all(np.isfinite(theta)):
@@ -141,18 +189,12 @@ def mlp_eval(tape, layout, theta_ref, points):
             f"points shape {points.shape} incompatible with input size "
             f"{layout.sizes[0]}")
 
-    h = tape.constant(points)
-    last = len(layout.sizes) - 2
-    for l, (w0, w1, b1, fi, fo) in enumerate(layout.slices()):
-        w = ops.reshape(tape, ops.slice1d(tape, theta_ref, w0, w1), (fi, fo))
-        b = ops.slice1d(tape, theta_ref, w1, b1)
-        z = ops.add_rowvec(tape, ops.matmul(tape, h, w), b)
-        h = z if l == last else ops.tanh(tape, z)
-        if l == last:
-            bound = np.abs(theta[w0:w1]).sum() + np.abs(theta[w1:b1]).sum()
-            if np.max(np.abs(tape.value(z))) > bound + 1e-12:
-                raise NumericError("MLP output exceeds its tanh bound")
-    return ops.reshape(tape, h, (points.shape[0],))
+    raw = tape.apply("mlp", (theta_ref,), {"layout": layout, "points": points})
+    *_, (w0, w1, b1, _, _) = layout.slices()
+    bound = np.abs(theta[w0:w1]).sum() + np.abs(theta[w1:b1]).sum()
+    if np.max(np.abs(tape.value(raw))) > bound + 1e-12:
+        raise NumericError("MLP output exceeds its tanh bound")
+    return raw
 
 
 def eval_field_on_grid(tape, model, theta_ref, grid):

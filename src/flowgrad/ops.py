@@ -5,7 +5,7 @@ downstream gradient to per-input gradients.  Elementwise binary operators
 accept equal shapes or a shape-``(1,)`` scalar on either side; the backward
 rule sums the gradient back down to the scalar.
 
-The module-level helpers (``add``, ``matmul``, ...) are thin wrappers around
+The module-level helpers (``add``, ``dot``, ...) are thin wrappers around
 ``tape.apply`` so calling code reads like plain arithmetic.
 """
 
@@ -16,9 +16,8 @@ from .tape import register_op
 
 __all__ = [
     "add", "sub", "div", "scale", "add_scalar",
-    "dot", "vsum", "tanh", "clamp_min", "square",
-    "matmul", "add_rowvec",
-    "reshape", "slice1d", "concat1d", "gather", "set_at",
+    "dot", "vsum", "clamp_min", "square",
+    "slice1d", "concat1d", "gather", "set_at",
 ]
 
 
@@ -101,7 +100,7 @@ def _square_bwd(g, ctx):
 
 
 # ---------------------------------------------------------------------------
-# reductions and nonlinearities
+# reductions and clamping
 
 def _dot_fwd(v, ctx):
     a, b = v
@@ -124,17 +123,6 @@ def _vsum_bwd(g, ctx):
     return (np.full(ctx["shape"], g[0]),)
 
 
-def _tanh_fwd(v, ctx):
-    y = np.tanh(v[0])
-    ctx["y"] = y
-    return y
-
-
-def _tanh_bwd(g, ctx):
-    y = ctx["y"]
-    return (g * (1.0 - y * y),)
-
-
 def _clamp_min_fwd(v, ctx):
     x = v[0]
     floor = ctx["floor"]
@@ -149,44 +137,7 @@ def _clamp_min_bwd(g, ctx):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
-
-def _matmul_fwd(v, ctx):
-    a, b = v
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ContractError(f"op 'matmul': incompatible shapes {a.shape} and {b.shape}")
-    ctx["a"], ctx["b"] = a, b
-    return a @ b
-
-
-def _matmul_bwd(g, ctx):
-    a, b = ctx["a"], ctx["b"]
-    return g @ b.T, a.T @ g
-
-
-def _add_rowvec_fwd(v, ctx):
-    x, b = v
-    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ContractError(f"op 'add_rowvec': incompatible shapes {x.shape} and {b.shape}")
-    return x + b
-
-
-def _add_rowvec_bwd(g, ctx):
-    return g, g.sum(axis=0)
-
-
-# ---------------------------------------------------------------------------
 # structural ops
-
-def _reshape_fwd(v, ctx):
-    x = v[0]
-    ctx["shape_in"] = x.shape
-    return x.reshape(ctx["shape"])
-
-
-def _reshape_bwd(g, ctx):
-    return (g.reshape(ctx["shape_in"]),)
-
 
 def _slice1d_fwd(v, ctx):
     x = v[0]
@@ -262,11 +213,7 @@ register_op("add_scalar", _add_scalar_fwd, _add_scalar_bwd)
 register_op("square", _square_fwd, _square_bwd)
 register_op("dot", _dot_fwd, _dot_bwd)
 register_op("vsum", _vsum_fwd, _vsum_bwd)
-register_op("tanh", _tanh_fwd, _tanh_bwd)
 register_op("clamp_min", _clamp_min_fwd, _clamp_min_bwd)
-register_op("matmul", _matmul_fwd, _matmul_bwd)
-register_op("add_rowvec", _add_rowvec_fwd, _add_rowvec_bwd)
-register_op("reshape", _reshape_fwd, _reshape_bwd)
 register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
 register_op("concat1d", _concat1d_fwd, _concat1d_bwd)
 register_op("gather", _gather_fwd, _gather_bwd)
@@ -310,25 +257,9 @@ def vsum(tape, a):
     return tape.apply("vsum", (a,))
 
 
-def tanh(tape, a):
-    return tape.apply("tanh", (a,))
-
-
 def clamp_min(tape, a, floor):
     """Clamp from below; the node's ctx reports how many entries were clamped."""
     return tape.apply("clamp_min", (a,), {"floor": float(floor)})
-
-
-def matmul(tape, a, b):
-    return tape.apply("matmul", (a, b))
-
-
-def add_rowvec(tape, x, b):
-    return tape.apply("add_rowvec", (x, b))
-
-
-def reshape(tape, a, shape):
-    return tape.apply("reshape", (a,), {"shape": tuple(shape)})
 
 
 def slice1d(tape, a, start, stop):

@@ -362,14 +362,19 @@ def _steady_flow_fwd(v, ctx):
     factors held, the anchor.  Step 1 has none and factorizes J(x_0).  When
     refinement stalls, the old factors are dropped and J(x_k) is factorized;
     those factors are the anchor from then on, so at most one factorization
-    is alive at a time.  On convergence ``ctx["lu"]`` keeps the last anchor
-    for the adjoint.  Each iterate is linearized on a throwaway tape.
+    is alive at a time.  Each iterate is linearized on a throwaway tape.
+    On convergence ``ctx["lu"]`` keeps the last anchor and ``ctx["lin"]``
+    the linearization at x*, which the last residual test built, for the
+    adjoint.
 
-    The iterate is updated in place and a stall drops the linearization
-    with the factors, so nothing allocated after the factors outlives them:
-    the heap can then shrink before the next factorization instead of
-    leaving it a hole to fragment (each SuperLU factorization reserves far
-    more memory than it touches).
+    The iterate is updated in place, each step's Jacobian, right-hand side,
+    update and linearization are dropped before the next iterate is
+    linearized, and a stall drops the linearization with the factors.  So
+    a factorization runs with only the current linearization, its Jacobian
+    and right-hand side alive next to the grid's setup, and nothing
+    allocated after the factors outlives them: the heap can then shrink
+    before the next factorization instead of leaving it a hole to fragment
+    (each SuperLU factorization reserves far more memory than it touches).
     """
     nu = v[0]
     setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
@@ -395,13 +400,15 @@ def _steady_flow_fwd(v, ctx):
             raise NumericError("Newton step is not finite")
         x -= delta
         x[setup.cidx] = setup.cvals
+        # the step's system and linearization die before the next one is built
+        lin = matrix = rhs = delta = None
         lin = _Linearization(setup, nu, x)
         res_norm = lin.residual_norm()
         trace.append((it, res_norm))
         if trace_cb is not None:
             trace_cb(it, res_norm)
         if res_norm < config.tol_residual:
-            ctx["nu"], ctx["x"], ctx["lu"] = nu, x, lu
+            ctx["nu"], ctx["x"], ctx["lu"], ctx["lin"] = nu, x, lu, lin
             return x
 
     raise NewtonDivergedError(
@@ -417,15 +424,18 @@ def _steady_flow_bwd(g, ctx):
     -(dF/dnu)^T lam with lam = J(x*)^-T g: one transpose solve, by
     refinement against the forward's last anchor factors when it kept them,
     else (or when refinement stalls) with a fresh factorization of J(x*).
+    J(x*) and the vector-Jacobian product come from the forward's
+    linearization at x*, so the residual is not recorded again.
     The constrained J stands in for dF/dx: its eliminated columns multiply
     the prescribed values, which do not move with nu, and the Dirichlet rows
     of F are identically zero, so lam adds nothing there.
     """
     counts, setup = ctx["counts"], ctx["setup"]
-    lin = _Linearization(setup, ctx["nu"], ctx["x"])
+    # popped, so the linearization and the factors die with this solve; a
+    # repeated backward pass over the same tape linearizes at x* again and
+    # factorizes J(x*)
+    lin = ctx.pop("lin", None) or _Linearization(setup, ctx["nu"], ctx["x"])
     matrix = lin.jacobian()[0]
-    # popped, so the factors die with this solve; a repeated backward pass
-    # over the same tape factorizes J(x*)
     lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
     if lam is None:
         lam = _swept(_factorized(setup, matrix, counts), g, True, counts)

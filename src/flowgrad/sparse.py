@@ -241,17 +241,20 @@ class LuFactors:
             raise ContractError(f"matrix is not square: {sp.shape}")
         if not np.all(np.isfinite(sp.data)):
             raise NumericError("matrix has non-finite entries")
-        if np.max(np.abs(sp.data), initial=0.0) > _SINGLE_MAX:
+        if (sp.data.max(initial=0.0) > _SINGLE_MAX
+                or sp.data.min(initial=0.0) < -_SINGLE_MAX):
             raise NumericError("matrix has entries beyond the single-precision "
                                "range")
         self.n = sp.shape[0]
         self._a = sp
         self.sweeps = 0
-        single = sp.data.astype(np.float32)
+        # cast and gather in one expression, so the only single-precision
+        # copy alive during the factorization is the one SuperLU reads
         if order is None:
             self._perm = self._inverse = None
             factored = scipy.sparse.csr_matrix(
-                (single, sp.indices, sp.indptr), shape=sp.shape)
+                (sp.data.astype(np.float32), sp.indices, sp.indptr),
+                shape=sp.shape)
             permc_spec = "MMD_AT_PLUS_A"
         else:
             if not (np.array_equal(sp.indptr, order.pattern.indptr)
@@ -260,7 +263,8 @@ class LuFactors:
                     "matrix pattern does not match the pattern of its order")
             self._perm, self._inverse = order.perm, order.inverse
             factored = scipy.sparse.csr_matrix(
-                (single[order.gather], order.indices, order.indptr),
+                (sp.data.astype(np.float32)[order.gather], order.indices,
+                 order.indptr),
                 shape=sp.shape)
             permc_spec = "NATURAL"
         try:

@@ -317,6 +317,12 @@ def test_gradcheck_corrupted_flow_adjoint_exits_1(tmp_path, monkeypatch):
                  "--samples", "3"]) == 1
 
 
+def test_gradcheck_corrupted_network_backward_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "mlp")
+    assert main(["gradcheck", "--config", _config(tmp_path),
+                 "--samples", "3"]) == 1
+
+
 def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "no_such_op")
     assert main(["gradcheck", "--config", _config(tmp_path),

@@ -166,3 +166,76 @@ def test_tanh_bound_is_enforced():
     *_, (w0, w1, b1, _, _) = model.layout.slices()
     bound = np.abs(theta0[w0:b1]).sum()
     assert np.max(np.abs(t.value(out))) <= bound + 1e-12
+
+
+# --- the mlp tape operator
+
+
+def _plain_mlp(layout, theta, points):
+    h = points
+    *inner, last = layout.slices()
+    for w0, w1, b1, fi, fo in inner:
+        h = np.tanh(h @ theta[w0:w1].reshape(fi, fo) + theta[w1:b1])
+    w0, w1, b1, fi, fo = last
+    return (h @ theta[w0:w1].reshape(fi, fo) + theta[w1:b1]).reshape(-1)
+
+
+@pytest.mark.parametrize("variant", ["dnn2d", "dnn_layered"])
+def test_mlp_forward_matches_plain_numpy_loop(variant):
+    g = StructuredGrid(9)
+    model, theta0 = init_params(variant, seed=3, init_scale=2.0)
+    pts = g.coords if variant == "dnn2d" else g.coords[:, :1]
+    t = Tape()
+    out = mlp_eval(t, model.layout, t.variable(theta0), pts)
+    np.testing.assert_array_equal(t.value(out),
+                                  _plain_mlp(model.layout, theta0, pts))
+
+
+def test_layered_mlp_gradient_matches_fd():
+    # test_mlp_gradient_matches_fd covers dnn2d
+    model, theta0 = init_params("dnn_layered", seed=5, init_scale=1.5)
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(0, 1, size=(13, model.layout.sizes[0]))
+    weights = rng.normal(size=13)
+
+    def f(theta):
+        t = Tape()
+        th = t.variable(theta)
+        out = mlp_eval(t, model.layout, th, pts)
+        loss = ops.dot(t, out, t.constant(weights))
+        return t.value(loss)[0], t.backward(loss)[th]
+
+    # a few coordinates of every layer's weights and biases
+    idx = [i for w0, w1, b1, _, _ in model.layout.slices()
+           for i in (w0, (w0 + w1) // 2, w1 - 1, w1, b1 - 1)]
+    assert finite_difference_check(f, theta0, indices=idx) < 1e-6
+
+
+def test_field_evaluation_records_three_nodes():
+    # the network is one node; the offset and the clamp are one each
+    g = StructuredGrid(6)
+    model, theta0 = init_params("dnn2d", seed=0)
+    t = Tape()
+    theta = t.variable(theta0)
+    before = len(t)
+    eval_field_on_grid(t, model, theta, g)
+    assert len(t) - before == 3
+    assert t.nodes[before].op == "mlp"
+
+
+@pytest.mark.parametrize("variant", ["dnn2d", "dnn_layered"])
+def test_mlp_node_keeps_only_the_hidden_outputs(variant):
+    # besides the parameters and the grid's own points, the node keeps the
+    # three (n, 20) tanh outputs its backward rule reads
+    g = StructuredGrid(11)
+    model, theta0 = init_params(variant, seed=1)
+    t = Tape()
+    theta = t.variable(theta0)
+    eval_field_on_grid(t, model, theta, g)
+    ctx = next(node.ctx for node in t.nodes if node.op == "mlp")
+    arrays = [a for v in ctx.values()
+              for a in (v if isinstance(v, list) else [v])
+              if isinstance(a, np.ndarray)]
+    owned = [a for a in arrays if not np.shares_memory(a, g.coords)]
+    assert sum(a.nbytes for a in owned) <= \
+        3 * g.n_nodes * 20 * 8 + theta0.nbytes

@@ -274,6 +274,39 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     assert "lu" not in _steady_flow_ctx(t)
 
 
+@pytest.mark.parametrize("low_viscosity", [False, True])
+def test_adjoint_reuses_the_converged_linearization(monkeypatch,
+                                                     low_viscosity):
+    # the forward linearizes x_0 and every iterate, and again at a stall;
+    # the adjoint takes the linearization at x* the last residual test built
+    built = []
+    init = solver._Linearization.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(solver._Linearization, "__init__", counting_init)
+    g = StructuredGrid(9)
+    t = Tape()
+    nu = t.variable(np.full(g.n_nodes, 0.01) if low_viscosity
+                    else reference_viscosity(g.coords))
+    counts = LinearSolveCounts()
+    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
+                         counts=counts)
+    forward = state.newton_iterations_used + 1 + counts.stalls
+    assert len(built) == forward and (counts.stalls > 0) == low_viscosity
+    loss = ops.dot(t, state.u, state.u)
+    # without the anchor factors both passes factorize J(x*), so they
+    # differ only in where the linearization at x* comes from
+    _steady_flow_ctx(t).pop("lu")
+    reused = t.backward(loss)[nu]
+    assert len(built) == forward and "lin" not in _steady_flow_ctx(t)
+    rebuilt = t.backward(loss)[nu]
+    assert len(built) == forward + 1
+    np.testing.assert_array_equal(reused, rebuilt)
+
+
 def test_flow_factorizes_in_grid_order(monkeypatch):
     # every Newton and adjoint factorization is of P J P^T in the grid's
     # nested-dissection order, not minimum degree

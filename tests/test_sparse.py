@@ -277,10 +277,12 @@ def test_single_precision_factors_meet_double_tolerance(request, grid_n):
 
 
 def test_lu_rejects_entries_beyond_single_precision():
-    m = _random_spd_like(4, seed=7)
-    m.data[0] = 1e39
-    with pytest.raises(NumericError, match="single-precision"):
-        LuFactors(m)
+    # checked from both ends of the range
+    for value in (1e39, -1e39):
+        m = _random_spd_like(4, seed=7)
+        m.data[0] = value
+        with pytest.raises(NumericError, match="single-precision"):
+            LuFactors(m)
 
 
 @pytest.mark.parametrize("size", [1e-40, 1e300])

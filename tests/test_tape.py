@@ -6,11 +6,16 @@ Analytic gradients for the small composites used here:
   * loss = sum(A @ x)        -> dloss/dx = column sums of A
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from flowgrad import ops
+import flowgrad
+from flowgrad import ops, tape
 from flowgrad.errors import ContractError, GraphError, NumericError
+from flowgrad.models import MlpLayout, mlp_eval
 from flowgrad.tape import Tape, finite_difference_check, register_op
 
 
@@ -106,13 +111,13 @@ def test_scalar_broadcast_forward_and_backward():
     np.testing.assert_allclose(grads[x], [0.5, 0.5, 0.5])
 
 
-def test_tanh_clamp_slice_concat_chain_matches_fd():
+def test_square_clamp_slice_concat_chain_matches_fd():
     def f(theta):
         t = Tape()
         x = t.variable(theta)
         a = ops.slice1d(t, x, 0, 3)
         b = ops.slice1d(t, x, 3, 6)
-        y = ops.concat1d(t, [ops.tanh(t, a), ops.clamp_min(t, b, 0.1)])
+        y = ops.concat1d(t, [ops.square(t, a), ops.clamp_min(t, b, 0.1)])
         loss = ops.dot(t, y, y)
         return t.value(loss)[0], t.backward(loss)[x]
 
@@ -165,22 +170,21 @@ def test_gather_scatter_adds_duplicates():
     np.testing.assert_allclose(grad, [2.0, 0.0, 1.0])
 
 
-def test_matmul_rowvec_mlp_layer_matches_fd():
+def test_one_layer_mlp_operator_matches_fd():
+    # one tanh layer of 3 over 7 points of (x, y), then a linear output
     rng = np.random.default_rng(2)
     x_in = rng.normal(size=(7, 2))
-    n_w, n_b = 2 * 3, 3
+    layout = MlpLayout((2, 3, 1))
 
     def f(theta):
         t = Tape()
         th = t.variable(theta)
-        w = ops.reshape(t, ops.slice1d(t, th, 0, n_w), (2, 3))
-        b = ops.slice1d(t, th, n_w, n_w + n_b)
-        z = ops.tanh(t, ops.add_rowvec(t, ops.matmul(t, t.constant(x_in), w), b))
-        flat = ops.reshape(t, z, (21,))
-        loss = ops.dot(t, flat, flat)
+        out = mlp_eval(t, layout, th, x_in)
+        loss = ops.dot(t, out, out)
         return t.value(loss)[0], t.backward(loss)[th]
 
-    assert finite_difference_check(f, rng.normal(size=n_w + n_b) * 0.5) < 1e-6
+    assert finite_difference_check(
+        f, rng.normal(size=layout.n_params) * 0.5) < 1e-6
 
 
 def test_fd_check_reports_gradient_shape_mismatch():
@@ -200,3 +204,53 @@ def test_div_square_add_scalar_chain_matches_fd():
         return t.value(loss)[0], t.backward(loss)[x]
 
     assert finite_difference_check(f, np.array([0.5, 1.5, -1.0])) < 1e-6
+
+
+class _AppliedNames(ast.NodeVisitor):
+    """Strings and called names of a module that can apply an operator.
+
+    Left out: ``__all__``, ``register_op`` calls, and the name of the
+    function being defined, so an ``ops`` helper that only wraps
+    ``tape.apply("name", ...)`` counts only where it is called.
+    """
+
+    def __init__(self):
+        self.function, self.names = None, set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Assign(self, node):
+        if not any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Name):
+            called = func.id
+        elif isinstance(func, ast.Attribute) and \
+                getattr(func.value, "id", None) == "ops":
+            called = func.attr
+        else:
+            called = None
+        if called == "register_op":
+            return
+        if called is not None and called != self.function:
+            self.names.add(called)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value != self.function:
+            self.names.add(node.value)
+
+
+def test_every_registered_operator_is_applied_in_the_package():
+    visitor = _AppliedNames()
+    for path in sorted(Path(flowgrad.__file__).parent.glob("*.py")):
+        visitor.visit(ast.parse(path.read_text()))
+    unused = sorted(name for name, opdef in tape._REGISTRY.items()
+                    if opdef.forward.__module__.startswith("flowgrad.")
+                    and name not in visitor.names)
+    assert unused == []
