@@ -1,21 +1,23 @@
-"""Differentiable assembly of weak-form matrix blocks on a structured grid.
+"""Assembly of weak-form matrix blocks on a structured grid.
 
 All node-pair blocks (stiffness, advection, reaction, mass, pressure
 gradient, divergence) share one CSR pattern derived from element
 connectivity.  ``GridOperators`` precomputes that pattern, the
-element-to-entry scatter map ``pos16``, and the constant blocks.  The
-diffusion and advection blocks are tape operators: forward interpolates the
-nodal field to quadrature points, runs an element kernel, and scatters into
-CSR data; backward runs the same maps in reverse.
+element-to-entry scatter map ``pos16`` and the mass block, and builds the
+other blocks as plain CSR data on request: ``diffusion``, ``convection``
+and ``reaction`` interpolate a nodal field to quadrature points, run an
+element kernel and scatter into CSR data, and ``diffusion_bwd`` runs the
+same maps in reverse.  The ``diffusion_block`` and ``convection_block``
+tape operators wrap them for the heat system; the Newton solver calls them
+directly.
 
 The coupled velocity-pressure system is a 3x3 grid of base-pattern blocks
 over unknowns [u; v; p].  ``GridOperators.system_layout`` maps each block's
 entries to their positions in the system CSR data array, where the Newton
-solver places plain block arrays; ``GridOperators.reaction`` gives the
-convection linearization's reaction blocks off the tape.
-``constrain_system`` imposes Dirichlet rows/columns differentiably, and
-``ConstraintPlan.identity_rows`` is its matrix half on a plain array.  The
-system is factorized in a nested-dissection order of the grid's nodes
+solver places its block arrays.  ``constrain_system`` imposes Dirichlet
+rows/columns differentiably, and ``ConstraintPlan.identity_rows`` is its
+matrix half on a plain array.  The system is factorized in a
+nested-dissection order of the grid's nodes
 (``GridOperators.system_order``).
 """
 
@@ -69,7 +71,7 @@ def _dissect(nx, ix0, ix1, iy0, iy1, out):
 
 
 class GridOperators:
-    """Shared pattern, scatter maps, and constant blocks for one grid shape.
+    """Shared pattern, scatter maps and mass block for one grid shape.
 
     Everything here depends on the grid's shape only, so ``operators_for``
     shares one instance among the grids of a shape.  It keeps the shape,
@@ -89,8 +91,7 @@ class GridOperators:
         entry_rows = (uniq // n).astype(np.int32)
         entry_cols = (uniq % n).astype(np.int32)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(entry_rows, minlength=n))])
-        self.pattern = SparsePattern(n, n, indptr.astype(np.int32), entry_cols,
-                                     entry_rows)
+        self.pattern = SparsePattern(n, n, indptr.astype(np.int32), entry_cols)
         self.pos16 = inverse.astype(np.intp)
 
         self.wdet = q.wdet
@@ -98,21 +99,8 @@ class GridOperators:
         self.dndx_tab = q.dndx
         self.dndy_tab = q.dndy
 
-        ones_q = np.ones((grid.n_elems, 4))
-        zeros_q = np.zeros((grid.n_elems, 4))
-        self.s_data = self.scatter(kernels.diffusion_fwd(
-            ones_q, self.wdet, self.dndx_tab, self.dndy_tab))
-        self.m_data = self.scatter(kernels.coefmass_fwd(ones_q, self.wdet, self.n_tab))
-        dx_elem = kernels.advection_fwd(ones_q, zeros_q, self.wdet, self.n_tab,
-                                        self.dndx_tab, self.dndy_tab)
-        dy_elem = kernels.advection_fwd(zeros_q, ones_q, self.wdet, self.n_tab,
-                                        self.dndx_tab, self.dndy_tab)
-        # divergence rows test with phi_i, derivative on the trial function;
-        # the pressure-gradient block is its transpose
-        self.dx_data = self.scatter(dx_elem)
-        self.dy_data = self.scatter(dy_elem)
-        self.gx_data = self.scatter(np.ascontiguousarray(dx_elem.swapaxes(1, 2)))
-        self.gy_data = self.scatter(np.ascontiguousarray(dy_elem.swapaxes(1, 2)))
+        self.m_data = self.scatter(kernels.coefmass_fwd(
+            np.ones((grid.n_elems, 4)), self.wdet, self.n_tab))
 
         self._system = self._order = None
 
@@ -139,6 +127,48 @@ class GridOperators:
         return np.bincount(self.elems.ravel(), weights=contrib.ravel(),
                            minlength=self.n_nodes)
 
+    def divergence_blocks(self):
+        """(Dx, Dy, Gx, Gy) as CSR data, built anew on each call, so a
+        caller keeps them only in the form it needs.
+
+        The divergence rows test with phi_i and put the derivative on the
+        trial function; the pressure-gradient blocks are their transposes.
+        """
+        ones_q = np.ones((self.elems.shape[0], 4))
+        zeros_q = np.zeros_like(ones_q)
+        dx_elem = kernels.advection_fwd(ones_q, zeros_q, self.wdet, self.n_tab,
+                                        self.dndx_tab, self.dndy_tab)
+        dy_elem = kernels.advection_fwd(zeros_q, ones_q, self.wdet, self.n_tab,
+                                        self.dndx_tab, self.dndy_tab)
+        return (self.scatter(dx_elem), self.scatter(dy_elem),
+                self.scatter(np.ascontiguousarray(dx_elem.swapaxes(1, 2))),
+                self.scatter(np.ascontiguousarray(dy_elem.swapaxes(1, 2))))
+
+    def diffusion(self, coef):
+        """Stiffness block K(coef) as CSR data, from the nodal coefficient."""
+        if coef.shape != (self.n_nodes,):
+            raise ContractError(
+                f"diffusion block: coefficient length {coef.shape} != "
+                f"n_nodes {self.n_nodes}")
+        coef_q = self.at_quad(coef, self.n_tab)
+        return self.scatter(kernels.diffusion_fwd(coef_q, self.wdet,
+                                                  self.dndx_tab, self.dndy_tab))
+
+    def diffusion_bwd(self, data_grad):
+        """Adjoint of ``diffusion``: entry gradients to the nodal coefficient."""
+        gq = kernels.diffusion_bwd(self.gather(data_grad), self.wdet,
+                                   self.dndx_tab, self.dndy_tab)
+        return self.quad_to_nodal(gq, self.n_tab)
+
+    def convection(self, u, v):
+        """Advection block C(u, v) as CSR data, from nodal velocities."""
+        if u.shape != (self.n_nodes,) or v.shape != (self.n_nodes,):
+            raise ContractError("convection block: velocity fields must be nodal")
+        elem = kernels.advection_fwd(self.at_quad(u, self.n_tab),
+                                     self.at_quad(v, self.n_tab), self.wdet,
+                                     self.n_tab, self.dndx_tab, self.dndy_tab)
+        return self.scatter(elem)
+
     def reaction(self, w, axis):
         """Mass block weighted by the quadrature values of dw/dx (axis 0) or
         dw/dy (axis 1), as plain CSR data."""
@@ -152,23 +182,24 @@ class GridOperators:
     def system_layout(self):
         """(system pattern, blockmap) for the 3x3 [u; v; p] block system.
 
-        ``blockmap[br][bc][k]`` is the system-data position of base entry
-        ``k`` placed in block row ``br``, block column ``bc``.
+        ``blockmap[br][bc][k]`` is the system-data position (int32) of base
+        entry ``k`` placed in block row ``br``, block column ``bc``.
         """
         if self._system is not None:
             return self._system
         base = self.pattern
         n = base.n_rows
+        rows = base.entry_rows()
         row_len = np.diff(base.indptr)
         sys_indptr = np.concatenate([[0], np.cumsum(np.tile(3 * row_len, 3))])
-        offset_in_row = np.arange(base.nnz) - base.indptr[base.rows]
+        offset_in_row = np.arange(base.nnz) - base.indptr[rows]
         sys_indices = np.empty(3 * base.nnz * 3, dtype=np.int32)
         blockmap = []
         for br in range(3):
             row_maps = []
             for bc in range(3):
-                pos = (sys_indptr[br * n + base.rows]
-                       + bc * row_len[base.rows] + offset_in_row).astype(np.intp)
+                pos = (sys_indptr[br * n + rows]
+                       + bc * row_len[rows] + offset_in_row).astype(np.int32)
                 sys_indices[pos] = base.indices + bc * n
                 row_maps.append(pos)
             blockmap.append(row_maps)
@@ -209,34 +240,15 @@ def operators_for(grid):
 # coefficient-dependent block operators
 
 def _diffusion_block_fwd(v, ctx):
-    gops: GridOperators = ctx["gops"]
-    coef = v[0]
-    if coef.shape != (gops.n_nodes,):
-        raise ContractError(
-            f"diffusion block: coefficient length {coef.shape} != "
-            f"n_nodes {gops.n_nodes}")
-    coef_q = gops.at_quad(coef, gops.n_tab)
-    elem = kernels.diffusion_fwd(coef_q, gops.wdet, gops.dndx_tab, gops.dndy_tab)
-    return gops.scatter(elem)
+    return ctx["gops"].diffusion(v[0])
 
 
 def _diffusion_block_bwd(g, ctx):
-    gops: GridOperators = ctx["gops"]
-    gelem = gops.gather(g)
-    gq = kernels.diffusion_bwd(gelem, gops.wdet, gops.dndx_tab, gops.dndy_tab)
-    return (gops.quad_to_nodal(gq, gops.n_tab),)
+    return (ctx["gops"].diffusion_bwd(g),)
 
 
 def _convection_block_fwd(v, ctx):
-    gops: GridOperators = ctx["gops"]
-    u, w = v
-    if u.shape != (gops.n_nodes,) or w.shape != (gops.n_nodes,):
-        raise ContractError("convection block: velocity fields must be nodal")
-    uq = gops.at_quad(u, gops.n_tab)
-    vq = gops.at_quad(w, gops.n_tab)
-    elem = kernels.advection_fwd(uq, vq, gops.wdet, gops.n_tab,
-                                 gops.dndx_tab, gops.dndy_tab)
-    return gops.scatter(elem)
+    return ctx["gops"].convection(*v)
 
 
 def _convection_block_bwd(g, ctx):
@@ -313,13 +325,14 @@ def constraint_plan(pattern, idx):
         raise ContractError("constrained index outside system")
     cmask = np.zeros(n, dtype=bool)
     cmask[idx] = True
-    row_entries = np.flatnonzero(cmask[pattern.rows])
-    col_entries = np.flatnonzero(cmask[pattern.indices] & ~cmask[pattern.rows])
-    col_rows = pattern.rows[col_entries].astype(np.intp)
+    rows = pattern.entry_rows()
+    row_entries = np.flatnonzero(cmask[rows])
+    col_entries = np.flatnonzero(cmask[pattern.indices] & ~cmask[rows])
+    col_rows = rows[col_entries].astype(np.intp)
     col_slot = np.searchsorted(idx, pattern.indices[col_entries])
     # rows are non-decreasing and columns increase within a row, so the keys
     # row * n_cols + col are sorted over the whole pattern
-    keys = pattern.rows.astype(np.int64) * pattern.n_cols + pattern.indices
+    keys = rows.astype(np.int64) * pattern.n_cols + pattern.indices
     diag_keys = idx.astype(np.int64) * (pattern.n_cols + 1)
     diag_pos = np.searchsorted(keys, diag_keys).astype(np.intp)
     found = diag_pos < keys.size

@@ -220,7 +220,8 @@ def add_noise(obs, epsilon, seed):
     """Multiplicative noise: value * (1 + eta), eta ~ Uniform[-eps, eps].
 
     The copy keeps the locations ``obs`` validated; only its values, which
-    can overflow, are checked again.
+    can overflow, are checked again, and so is the sum of their squares,
+    which bounds the size of a loss against them.
     """
     if epsilon < 0:
         raise ContractError("noise level must be nonnegative")
@@ -230,6 +231,13 @@ def add_noise(obs, epsilon, seed):
         eta = rng.uniform(-epsilon, epsilon, size=obs.n_points)
         values[comp] = obs.values[comp] * (1.0 + eta)
     _check_finite(values, obs.components)
+    with np.errstate(over="ignore"):
+        squares = sum(float(values[comp] @ values[comp])
+                      for comp in obs.components)
+    if not np.isfinite(squares):
+        raise ContractError(
+            f"noisy observations at noise level {epsilon:g} have a sum of "
+            f"squares beyond the floating-point range")
     noisy = copy.copy(obs)
     object.__setattr__(noisy, "values", values)
     object.__setattr__(noisy, "noise_epsilon", float(epsilon))

@@ -5,8 +5,12 @@ downstream gradient to per-input gradients.  Elementwise binary operators
 accept equal shapes or a shape-``(1,)`` scalar on either side; the backward
 rule sums the gradient back down to the scalar.
 
-The module-level helpers (``add``, ``dot``, ...) are thin wrappers around
-``tape.apply`` so calling code reads like plain arithmetic.
+The module-level helpers (``add``, ``vsum``, ...) are thin wrappers around
+``tape.apply`` so calling code reads like plain arithmetic.  The library
+holds only what a recorded objective uses: the model's offset and clamp,
+slices of the flow state and the heat system, the transport relaxation
+and the loss.  The flow residual is not recorded; the solver linearizes
+it on plain arrays.
 """
 
 import numpy as np
@@ -15,9 +19,9 @@ from .errors import ContractError
 from .tape import register_op
 
 __all__ = [
-    "add", "sub", "div", "scale", "add_scalar",
-    "dot", "vsum", "clamp_min", "square",
-    "slice1d", "concat1d", "gather", "set_at",
+    "add", "sub", "scale", "add_scalar",
+    "vsum", "clamp_min", "square",
+    "slice1d", "gather",
 ]
 
 
@@ -62,18 +66,6 @@ def _sub_bwd(g, ctx):
     return _reduce_to(g, ctx["sa"]), _reduce_to(-g, ctx["sb"])
 
 
-def _div_fwd(v, ctx):
-    a, b = v
-    _bcast_shape(a, b, "div")
-    ctx["a"], ctx["b"] = a, b
-    return a / b
-
-
-def _div_bwd(g, ctx):
-    a, b = ctx["a"], ctx["b"]
-    return _reduce_to(g / b, a.shape), _reduce_to(-g * a / (b * b), b.shape)
-
-
 def _scale_fwd(v, ctx):
     return ctx["c"] * v[0]
 
@@ -101,18 +93,6 @@ def _square_bwd(g, ctx):
 
 # ---------------------------------------------------------------------------
 # reductions and clamping
-
-def _dot_fwd(v, ctx):
-    a, b = v
-    if a.shape != b.shape or a.ndim != 1:
-        raise ContractError(f"op 'dot': expects equal 1-d shapes, got {a.shape} and {b.shape}")
-    ctx["a"], ctx["b"] = a, b
-    return np.array([a @ b])
-
-
-def _dot_bwd(g, ctx):
-    return g[0] * ctx["b"], g[0] * ctx["a"]
-
 
 def _vsum_fwd(v, ctx):
     ctx["shape"] = v[0].shape
@@ -156,23 +136,6 @@ def _slice1d_bwd(g, ctx):
     return (out,)
 
 
-def _concat1d_fwd(v, ctx):
-    for x in v:
-        if x.ndim != 1:
-            raise ContractError("op 'concat1d': expects 1-d inputs")
-    ctx["sizes"] = [x.shape[0] for x in v]
-    return np.concatenate(v)
-
-
-def _concat1d_bwd(g, ctx):
-    out = []
-    at = 0
-    for n in ctx["sizes"]:
-        out.append(g[at:at + n].copy())
-        at += n
-    return tuple(out)
-
-
 def _gather_fwd(v, ctx):
     x = v[0]
     idx = ctx["idx"]
@@ -188,36 +151,15 @@ def _gather_bwd(g, ctx):
     return (out,)
 
 
-def _set_at_fwd(v, ctx):
-    x, vals = v
-    idx = ctx["idx"]
-    if x.ndim != 1 or vals.shape != idx.shape:
-        raise ContractError("op 'set_at': expects 1-d input and matching index/value lengths")
-    out = x.copy()
-    out[idx] = vals
-    return out
-
-
-def _set_at_bwd(g, ctx):
-    idx = ctx["idx"]
-    gx = g.copy()
-    gx[idx] = 0.0
-    return gx, g[idx].copy()
-
-
 register_op("add", _add_fwd, _add_bwd)
 register_op("sub", _sub_fwd, _sub_bwd)
-register_op("div", _div_fwd, _div_bwd)
 register_op("scale", _scale_fwd, _scale_bwd)
 register_op("add_scalar", _add_scalar_fwd, _add_scalar_bwd)
 register_op("square", _square_fwd, _square_bwd)
-register_op("dot", _dot_fwd, _dot_bwd)
 register_op("vsum", _vsum_fwd, _vsum_bwd)
 register_op("clamp_min", _clamp_min_fwd, _clamp_min_bwd)
 register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
-register_op("concat1d", _concat1d_fwd, _concat1d_bwd)
 register_op("gather", _gather_fwd, _gather_bwd)
-register_op("set_at", _set_at_fwd, _set_at_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +175,6 @@ def sub(tape, a, b):
     return tape.apply("sub", (a, b), ctx)
 
 
-def div(tape, a, b):
-    return tape.apply("div", (a, b))
-
-
 def scale(tape, a, c):
     return tape.apply("scale", (a,), {"c": float(c)})
 
@@ -247,10 +185,6 @@ def add_scalar(tape, a, c):
 
 def square(tape, a):
     return tape.apply("square", (a,))
-
-
-def dot(tape, a, b):
-    return tape.apply("dot", (a, b))
 
 
 def vsum(tape, a):
@@ -266,21 +200,5 @@ def slice1d(tape, a, start, stop):
     return tape.apply("slice1d", (a,), {"start": int(start), "stop": int(stop)})
 
 
-def concat1d(tape, parts):
-    return tape.apply("concat1d", tuple(parts))
-
-
 def gather(tape, a, idx):
     return tape.apply("gather", (a,), {"idx": np.asarray(idx, dtype=np.intp)})
-
-
-def set_at(tape, a, idx, vals):
-    """Copy ``a`` and overwrite positions ``idx`` with the values node ``vals``.
-
-    Indices must be unique: with duplicates the forward keeps only the last
-    write, which the backward rule does not model.
-    """
-    idx = np.asarray(idx, dtype=np.intp)
-    if np.unique(idx).size != idx.size:
-        raise ContractError("op 'set_at': duplicate indices")
-    return tape.apply("set_at", (a, vals), {"idx": idx})

@@ -1,15 +1,17 @@
 """Forward solvers recorded on the tape.
 
 ``newton_solve`` iterates x_{k+1} = x_k - J(x_k)^-1 F(x_k) for the coupled
-[u; v; p] system.  The iterations run off the caller's tape: each iterate's
-residual is recorded on a throwaway tape, and its Jacobian is assembled as
-plain arrays from the residual's recorded blocks, since only (dF/dnu)^T lam
-is ever differentiated.  The caller's tape records one ``steady_flow``
-operator from the viscosity to the converged state, whose backward rule
-is the implicit-function adjoint: one transpose solve with J(x*) and one
-vector-Jacobian product of the residual with respect to the viscosity.
-The momentum Jacobian carries the full convection linearization: advection
-C(u_k, v_k) plus the four reaction blocks from the iterate gradients.
+[u; v; p] system, off the caller's tape.  Each iterate is linearized on
+plain arrays: the advection, stiffness and stabilization blocks come from
+the assembly kernels, F from sparse matrix-vector products, and J(x) is
+assembled from the same blocks.  The caller's tape records one
+``steady_flow`` operator from the viscosity to the converged state, whose
+backward rule is the implicit-function adjoint (physics-constrained
+learning; Xu & Darve, arXiv:2002.10521): one transpose solve with J(x*)
+and one vector-Jacobian product (dF/dnu)^T lam, which is the only
+derivative ever taken of F, written out by hand.  The momentum Jacobian
+carries the full convection linearization: advection C(u_k, v_k) plus the
+four reaction blocks from the iterate gradients.
 
 A flow solve factorizes a Jacobian only when the factors it holds stop
 working (a Shamanskii-style reuse with refresh; Kelley, *Iterative Methods
@@ -47,14 +49,8 @@ from .assembly import (
 )
 from .errors import ContractError, NewtonDivergedError, NumericError
 from .grid import cavity_velocity_bcs, uniform_boundary_bc
-from .sparse import (
-    LuFactors,
-    SparseBlock,
-    sparse_solve,
-    spmv_fixed,
-    spmv_pattern,
-)
-from .tape import Tape, register_op
+from .sparse import LuFactors, sparse_solve
+from .tape import register_op
 
 __all__ = [
     "PhysicsConstants",
@@ -185,10 +181,11 @@ class _NsSetup:
         self.order = gops.system_order()
         self.stab_coef = beta * grid.hx * grid.hy
 
-        self.gx_m = gops.scipy_matrix(-(1.0 / constants.rho) * gops.gx_data)
-        self.gy_m = gops.scipy_matrix(-(1.0 / constants.rho) * gops.gy_data)
-        self.dx = gops.scipy_matrix(gops.dx_data)
-        self.dy = gops.scipy_matrix(gops.dy_data)
+        dx, dy, gx, gy = gops.divergence_blocks()
+        self.gx_m = gops.scipy_matrix(-(1.0 / constants.rho) * gx)
+        self.gy_m = gops.scipy_matrix(-(1.0 / constants.rho) * gy)
+        self.dx = gops.scipy_matrix(dx)
+        self.dy = gops.scipy_matrix(dy)
         # the pressure-gradient and divergence blocks of the Jacobian
         self.const_blocks = [
             (self.bmap[0][2], self.gx_m.data), (self.bmap[1][2], self.gy_m.data),
@@ -203,12 +200,6 @@ class _NsSetup:
         mass = gops.scipy_matrix(gops.m_data)
         self.load_u = mass @ _nodal(constants.body_force_f, n)
         self.load_v = mass @ _nodal(constants.body_force_g, n)
-
-    def stab_block(self, tape, nu_nodal):
-        """Pressure stabilization stiffness weighted by beta h^2 / nu."""
-        coef = ops.div(tape, tape.constant(np.full(self.n, self.stab_coef)),
-                       nu_nodal)
-        return tape.apply("diffusion_block", (coef,), {"gops": self.gops})
 
 
 def _setup_for(grid, bc, constants, beta):
@@ -228,41 +219,13 @@ def _setup_for(grid, bc, constants, beta):
     return setup
 
 
-def _residual(tape, setup, nu, u, v, p):
-    """Stacked [momentum-x; momentum-y; continuity] with Dirichlet rows zeroed.
-
-    Returns the residual and the data refs of the blocks C(u, v), K(nu) and
-    the pressure stabilization, which the Newton Jacobian reuses.
-    """
-    pat = setup.gops.pattern
-    c_ref = tape.apply("convection_block", (u, v), {"gops": setup.gops})
-    k_ref = tape.apply("diffusion_block", (nu,), {"gops": setup.gops})
-    stab_ref = setup.stab_block(tape, nu)
-    fu = ops.add(tape, spmv_pattern(tape, SparseBlock(pat, c_ref), u),
-                 spmv_pattern(tape, SparseBlock(pat, k_ref), u))
-    fu = ops.add(tape, fu, spmv_fixed(tape, setup.gx_m, p))
-    if np.any(setup.load_u):
-        fu = ops.sub(tape, fu, tape.constant(setup.load_u))
-    fv = ops.add(tape, spmv_pattern(tape, SparseBlock(pat, c_ref), v),
-                 spmv_pattern(tape, SparseBlock(pat, k_ref), v))
-    fv = ops.add(tape, fv, spmv_fixed(tape, setup.gy_m, p))
-    if np.any(setup.load_v):
-        fv = ops.sub(tape, fv, tape.constant(setup.load_v))
-    fp = ops.add(tape, spmv_fixed(tape, setup.dx, u),
-                 spmv_fixed(tape, setup.dy, v))
-    fp = ops.add(tape, fp, spmv_pattern(tape, SparseBlock(pat, stab_ref), p))
-    full = ops.concat1d(tape, [fu, fv, fp])
-    zeros = tape.constant(np.zeros(setup.plan.idx.size))
-    res = ops.set_at(tape, full, setup.plan.idx, zeros)
-    if not np.all(np.isfinite(tape.value(res))):
-        raise NumericError("non-finite residual")
-    return res, (c_ref, k_ref, stab_ref)
-
-
 def ns_residual(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
-    """Public residual evaluation for a given state (see ``_residual``)."""
-    setup = _setup_for(grid, bc, constants, beta)
-    return _residual(tape, setup, nu_nodal, state.u, state.v, state.p)[0]
+    """F(x) at ``state``, Dirichlet rows zeroed, as a plain array.
+
+    It is evaluated off ``tape``, which is only read (see
+    :class:`_Linearization`).
+    """
+    return _linearized(tape, grid, state, nu_nodal, constants, bc, beta).f
 
 
 def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
@@ -271,58 +234,107 @@ def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
     This is the matrix the steady-flow adjoint solves with when ``state``
     is a converged solution.  It is evaluated off ``tape``, which is only read.
     """
+    return _linearized(tape, grid, state, nu_nodal, constants, bc,
+                       beta).jacobian()[0]
+
+
+def _linearized(tape, grid, state, nu_nodal, constants, bc, beta):
     setup = _setup_for(grid, bc, constants, beta)
     x = np.concatenate([tape.value(r) for r in (state.u, state.v, state.p)])
-    return _Linearization(setup, tape.value(nu_nodal), x).jacobian()[0]
+    return _Linearization(setup, tape.value(nu_nodal), x)
 
 
 class _Linearization:
-    """F(x, nu) at one state x = [u; v; p], recorded on a tape of its own.
+    """F(x, nu) at one state x = [u; v; p], and the blocks it is made of.
 
-    ``nu`` is a variable of that tape, so the adjoint can take
-    (dF/dnu)^T lam from the recording; J(x) is built off the tape from the
-    block values the recording holds.  The tape holds views of ``x``, so
-    ``x`` must not change while the linearization is in use.
+    All plain arrays: the CSR data of the advection block C(u, v), of the
+    stiffness K(nu) and of the pressure stabilization S(beta h^2 / nu), and
+    F with its Dirichlet rows zeroed:
+
+        F = [C u + K u + Gx p - load_u;  C v + K v + Gy p - load_v;
+             Dx u + Dy v + S p].
+
+    J(x) is assembled from the same blocks, and ``nu_vjp`` gives
+    (dF/dnu)^T lam.  ``u``, ``v`` and ``p`` are views of ``x``, so ``x``
+    must not change while the linearization is in use.
     """
 
     def __init__(self, setup, nu, x):
-        self.setup = setup
-        t = self.tape = Tape()
-        n = setup.n
-        self.nu = t.variable(nu)
-        self.u, self.v, self.p = (t.constant(x[k * n:(k + 1) * n])
-                                  for k in range(3))
-        self.f_ref, self.blocks = _residual(t, setup, self.nu, self.u,
-                                            self.v, self.p)
+        self.setup, self.nu = setup, nu
+        gops, n = setup.gops, setup.n
+        u, v, p = (x[k * n:(k + 1) * n] for k in range(3))
+        self.u, self.v, self.p = u, v, p
+        self.c = gops.convection(u, v)
+        self.k = gops.diffusion(nu)
+        self.stab = gops.diffusion(np.full(n, setup.stab_coef) / nu)
+        c, k, stab = (gops.scipy_matrix(d) for d in (self.c, self.k, self.stab))
+        fu = (c @ u + k @ u) + setup.gx_m @ p
+        if np.any(setup.load_u):
+            fu = fu - setup.load_u
+        fv = (c @ v + k @ v) + setup.gy_m @ p
+        if np.any(setup.load_v):
+            fv = fv - setup.load_v
+        f = np.concatenate([fu, fv, (setup.dx @ u + setup.dy @ v) + stab @ p])
+        f[setup.plan.idx] = 0.0
+        if not np.all(np.isfinite(f)):
+            raise NumericError("non-finite residual")
+        self.f = f
 
     def residual_norm(self):
-        return float(np.max(np.abs(self.tape.value(self.f_ref))))
+        return float(np.max(np.abs(self.f)))
 
     def jacobian(self):
-        """(constrained J(x) as scipy CSR, constrained F(x)), off the tape.
+        """(constrained J(x) as scipy CSR, constrained F(x)).
 
         The momentum blocks carry the full convection linearization:
         advection C(u, v) plus the four reaction blocks from the state
-        gradients.  Each block's system positions are distinct, so adding it
-        to zeros writes 0.0 + value.  F's Dirichlet rows are already zero, so
-        it is its own constrained right-hand side: eliminating columns whose
-        prescribed values are zero moves nothing.
+        gradients.  Each block is written into the system data as it is
+        made, so only one reaction block is alive at a time; a diagonal
+        block is (C + K) + R, summed in one buffer.  Adding zero afterwards
+        turns -0.0 into 0.0, so J's bits are those of blocks accumulated
+        into zeros.  F's Dirichlet rows are already zero, so it is its own
+        constrained right-hand side: eliminating columns whose prescribed
+        values are zero moves nothing.
         """
-        t, setup = self.tape, self.setup
+        setup = self.setup
         gops, bmap = setup.gops, setup.bmap
-        c, k, stab = (t.value(ref) for ref in self.blocks)
-        u, v = t.value(self.u), t.value(self.v)
-        rux, ruy, rvx, rvy = (gops.reaction(w, axis)
-                              for w in (u, v) for axis in (0, 1))
-        ck = c + k
-        data = np.zeros(setup.sys_pattern.nnz)
-        for pos, block in (*setup.const_blocks,
-                           (bmap[0][0], ck + rux), (bmap[0][1], ruy),
-                           (bmap[1][0], rvx), (bmap[1][1], ck + rvy),
-                           (bmap[2][2], stab)):
-            data[pos] += block
+        # every system entry lies in exactly one block
+        data = np.empty(setup.sys_pattern.nnz)
+        for pos, block in setup.const_blocks:
+            data[pos] = block
+        diag = np.empty_like(self.c)
+        # row 0 takes du/dx on its diagonal block and du/dy beside it, row 1
+        # dv/dy and dv/dx
+        for row, w in enumerate((self.u, self.v)):
+            np.add(self.c, self.k, out=diag)
+            diag += gops.reaction(w, row)
+            data[bmap[row][row]] = diag
+            data[bmap[row][1 - row]] = gops.reaction(w, 1 - row)
+        data[bmap[2][2]] = self.stab
+        data += 0.0
         setup.plan.identity_rows(data)
-        return setup.sys_pattern.to_scipy(data), t.value(self.f_ref)
+        return setup.sys_pattern.to_scipy(data), self.f
+
+    def nu_vjp(self, lam):
+        """(dF/dnu)^T lam, in the arithmetic order of a tape recording of F.
+
+        F's Dirichlet rows are identically zero, so lam's are dropped.  nu
+        enters F through K(nu) in both momentum rows and through
+        S(beta h^2 / nu) in the continuity row.  A block that multiplies w
+        in the rows of lam_r has the entry gradient lam_r[rows] * w[cols],
+        which the diffusion-block backward takes to the nodal coefficient;
+        the chain rule through beta h^2 / nu adds -beta h^2 / nu^2.
+        """
+        setup = self.setup
+        gops, n = setup.gops, setup.n
+        lam = lam.copy()
+        lam[setup.plan.idx] = 0.0
+        lam_u, lam_v, lam_p = (lam[k * n:(k + 1) * n] for k in range(3))
+        rows, cols = gops.pattern.entry_rows(), gops.pattern.indices
+        k_grad = lam_v[rows] * self.v[cols] + lam_u[rows] * self.u[cols]
+        coef_grad = gops.diffusion_bwd(lam_p[rows] * self.p[cols])
+        return (-coef_grad * setup.stab_coef / (self.nu * self.nu)
+                + gops.diffusion_bwd(k_grad))
 
 
 def _swept(lu, b, transpose, counts, matrix=None):
@@ -362,10 +374,10 @@ def _steady_flow_fwd(v, ctx):
     factors held, the anchor.  Step 1 has none and factorizes J(x_0).  When
     refinement stalls, the old factors are dropped and J(x_k) is factorized;
     those factors are the anchor from then on, so at most one factorization
-    is alive at a time.  Each iterate is linearized on a throwaway tape.
-    On convergence ``ctx["lu"]`` keeps the last anchor and ``ctx["lin"]``
-    the linearization at x*, which the last residual test built, for the
-    adjoint.
+    is alive at a time.  Each iterate is linearized on plain arrays
+    (:class:`_Linearization`).  On convergence ``ctx["lu"]`` keeps the last
+    anchor and ``ctx["lin"]`` the linearization at x*, which the last
+    residual test built, for the adjoint.
 
     The iterate is updated in place, each step's Jacobian, right-hand side,
     update and linearization are dropped before the next iterate is
@@ -424,8 +436,8 @@ def _steady_flow_bwd(g, ctx):
     -(dF/dnu)^T lam with lam = J(x*)^-T g: one transpose solve, by
     refinement against the forward's last anchor factors when it kept them,
     else (or when refinement stalls) with a fresh factorization of J(x*).
-    J(x*) and the vector-Jacobian product come from the forward's
-    linearization at x*, so the residual is not recorded again.
+    J(x*) and (dF/dnu)^T lam come from the forward's linearization at x*
+    (:meth:`_Linearization.nu_vjp`), so F is not evaluated again.
     The constrained J stands in for dF/dx: its eliminated columns multiply
     the prescribed values, which do not move with nu, and the Dirichlet rows
     of F are identically zero, so lam adds nothing there.
@@ -439,9 +451,8 @@ def _steady_flow_bwd(g, ctx):
     lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
     if lam is None:
         lam = _swept(_factorized(setup, matrix, counts), g, True, counts)
-    t = lin.tape
-    weighted = ops.dot(t, t.constant(lam), lin.f_ref)
-    return (-t.backward(weighted)[lin.nu],)
+    matrix = None  # J(x*) dies before the vector-Jacobian product
+    return (-lin.nu_vjp(lam),)
 
 
 register_op("steady_flow", _steady_flow_fwd, _steady_flow_bwd)

@@ -1,14 +1,17 @@
-"""Sparse patterns, LU factorization, and differentiable sparse ops.
+"""Sparse patterns, LU factorization, and two differentiable sparse ops.
 
 A matrix off the tape is a scipy sparse matrix.  The tape never stores
 sparse matrices directly: a matrix with a fixed sparsity pattern lives as a
-1-d data array on the tape plus a shared :class:`SparsePattern`;
-:class:`SparseBlock` bundles the two.  The adjoint of
-``x = solve(A, b)`` needs one transpose solve: with ``lam = A^-T g``,
-``d loss/d b = lam`` and ``d loss/d A_ij = -lam_i x_j`` restricted to the
-stored pattern.  The forward pass keeps its factorization in the node context
-and the backward pass uses it for the transpose solve, then drops it, so each
-recorded system is factorized once.
+1-d data array on the tape plus a shared :class:`SparsePattern` (indptr and
+column indices only; ``entry_rows`` expands the row of each entry when a
+setup or adjoint needs it); :class:`SparseBlock` bundles the two.  The
+recorded ops are ``sparse_solve`` and ``spmv_fixed``, a product with a
+constant matrix.  The adjoint of ``x = solve(A, b)`` needs one transpose
+solve: with ``lam = A^-T g``, ``d loss/d b = lam`` and
+``d loss/d A_ij = -lam_i x_j`` restricted to the stored pattern.  The
+forward pass keeps its factorization in the node context and the backward
+pass uses it for the transpose solve, then drops it, so each recorded
+system is factorized once.
 
 Every matrix factorized here is a structurally symmetric finite-element
 matrix, so :class:`LuFactors` runs SuperLU's symmetric path: pivots taken
@@ -57,7 +60,6 @@ __all__ = [
     "SymmetricOrder",
     "LuFactors",
     "sparse_solve",
-    "spmv_pattern",
     "spmv_fixed",
 ]
 
@@ -83,17 +85,12 @@ _SINGLE_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class SparsePattern:
-    """Fixed CSR sparsity structure shared by many data arrays.
-
-    ``rows[k]`` is the row of stored entry ``k``; it is redundant with
-    ``indptr`` but lets kernels and adjoints address entries directly.
-    """
+    """Fixed CSR sparsity structure shared by many data arrays."""
 
     n_rows: int
     n_cols: int
     indptr: np.ndarray
     indices: np.ndarray
-    rows: np.ndarray
 
     @classmethod
     def create(cls, n_rows, n_cols, indptr, indices):
@@ -122,13 +119,19 @@ class SparsePattern:
         if bad.size:
             i = np.searchsorted(indptr, bad[0], side="right") - 1
             raise ContractError(f"row {i}: column indices not strictly increasing")
-        indptr = indptr.astype(np.int32)
-        rows = np.repeat(np.arange(n_rows, dtype=np.int32), np.diff(indptr))
-        return cls(n_rows, n_cols, indptr, indices.astype(np.int32), rows)
+        return cls(n_rows, n_cols, indptr.astype(np.int32),
+                   indices.astype(np.int32))
 
     @property
     def nnz(self):
         return self.indices.shape[0]
+
+    def entry_rows(self):
+        """The row of each stored entry, expanded from ``indptr`` on each
+        call: a pattern keeps no per-entry rows, since only its setup and
+        adjoint passes read them."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int32),
+                         np.diff(self.indptr))
 
     def to_scipy(self, data):
         return scipy.sparse.csr_matrix(
@@ -379,26 +382,8 @@ def _sparse_solve_bwd(g, ctx):
     # a repeated backward pass over the same tape refactorizes
     lu = ctx.pop("lu", None) or LuFactors(pattern.to_scipy(ctx["data"]))
     lam = lu.solve_transpose(g)
-    gdata = -lam[pattern.rows] * ctx["x"][pattern.indices]
+    gdata = -lam[pattern.entry_rows()] * ctx["x"][pattern.indices]
     return gdata, lam
-
-
-def _spmv_pattern_fwd(v, ctx):
-    data, x = v
-    pattern: SparsePattern = ctx["pattern"]
-    if data.shape != (pattern.nnz,):
-        raise ContractError(f"spmv: data length {data.shape} != nnz {pattern.nnz}")
-    if x.shape != (pattern.n_cols,):
-        raise ContractError(f"spmv: vector length {x.shape} != n_cols {pattern.n_cols}")
-    ctx["data"], ctx["x"] = data, x
-    return pattern.to_scipy(data) @ x
-
-
-def _spmv_pattern_bwd(g, ctx):
-    pattern: SparsePattern = ctx["pattern"]
-    gx = pattern.to_scipy(ctx["data"]).T @ g
-    gdata = g[pattern.rows] * ctx["x"][pattern.indices]
-    return gdata, gx
 
 
 def _spmv_fixed_fwd(v, ctx):
@@ -414,18 +399,12 @@ def _spmv_fixed_bwd(g, ctx):
 
 
 register_op("sparse_solve", _sparse_solve_fwd, _sparse_solve_bwd)
-register_op("spmv_pattern", _spmv_pattern_fwd, _spmv_pattern_bwd)
 register_op("spmv_fixed", _spmv_fixed_fwd, _spmv_fixed_bwd)
 
 
 def sparse_solve(tape, block: SparseBlock, b):
     """Record ``x = A^-1 b`` for a square on-tape matrix block."""
     return tape.apply("sparse_solve", (block.ref, b), {"pattern": block.pattern})
-
-
-def spmv_pattern(tape, block: SparseBlock, x):
-    """Record ``y = A x`` with gradients to both the matrix data and ``x``."""
-    return tape.apply("spmv_pattern", (block.ref, x), {"pattern": block.pattern})
 
 
 def spmv_fixed(tape, matrix, x):

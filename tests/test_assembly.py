@@ -28,6 +28,7 @@ from flowgrad.errors import ContractError
 from flowgrad.grid import DirichletSpec, StructuredGrid
 from flowgrad.sparse import SparseBlock, SparsePattern, sparse_solve
 from flowgrad.tape import Tape, finite_difference_check
+from tape_oracle import dot
 
 _GP = 1.0 / np.sqrt(3.0)
 
@@ -99,8 +100,15 @@ def _convection(tape, grid, u, v):
 def _grad_div(grid):
     """Pressure-gradient (Gx, Gy) and divergence (Dx, Dy) matrices."""
     gops = operators_for(grid)
-    return tuple(gops.scipy_matrix(data) for data in (
-        gops.gx_data, gops.gy_data, gops.dx_data, gops.dy_data))
+    dx, dy, gx, gy = gops.divergence_blocks()
+    return tuple(gops.scipy_matrix(data) for data in (gx, gy, dx, dy))
+
+
+def _stiffness(gops):
+    """Unit-coefficient stiffness as CSR data, from unit quadrature values."""
+    ones_q = np.ones((gops.elems.shape[0], 4))
+    return gops.scatter(kernels.diffusion_fwd(ones_q, gops.wdet, gops.dndx_tab,
+                                              gops.dndy_tab))
 
 
 def test_single_element_unit_stiffness_closed_form():
@@ -234,7 +242,7 @@ def test_diffusion_block_gradient_matches_fd():
         t = Tape()
         coef = t.variable(theta)
         block = assemble_diffusion_block(t, g, coef)
-        loss = ops.dot(t, t.constant(weights), block.ref)
+        loss = dot(t, t.constant(weights), block.ref)
         return t.value(loss)[0], t.backward(loss)[coef]
 
     idx = range(0, g.n_nodes, 5)
@@ -273,7 +281,7 @@ def test_advection_diffusion_gradient_matches_fd():
         kc = t.variable(theta)
         block = assemble_advection_diffusion(t, g, t.constant(u), t.constant(v),
                                              kc, rho_cp=1.0)
-        loss = ops.dot(t, t.constant(weights), block.ref)
+        loss = dot(t, t.constant(weights), block.ref)
         return t.value(loss)[0], t.backward(loss)[kc]
 
     idx = range(0, g.n_nodes, 7)
@@ -313,8 +321,10 @@ def test_system_layout_matches_row_loop():
     np.testing.assert_array_equal(sys_pattern.indices, expected)
     for br in range(3):
         for bc in range(3):
-            np.testing.assert_array_equal(sys_pattern.rows[bmap[br][bc]],
-                                          base.rows + br * n)
+            assert bmap[br][bc].dtype == np.int32
+            np.testing.assert_array_equal(
+                sys_pattern.entry_rows()[bmap[br][bc]],
+                base.entry_rows() + br * n)
             np.testing.assert_array_equal(sys_pattern.indices[bmap[br][bc]],
                                           base.indices + bc * n)
 
@@ -349,7 +359,8 @@ def test_system_order_top_separator_splits_grid(shape):
     side = np.zeros(g.n_nodes, dtype=int)
     side[nodes[:first]], side[nodes[first:first + second]] = 1, 2
     pattern = gops.pattern
-    assert not np.any(side[pattern.rows] * side[pattern.indices] == 2)
+    rows = pattern.entry_rows()
+    assert not np.any(side[rows] * side[pattern.indices] == 2)
 
 
 def test_operators_shared_per_grid_shape():
@@ -366,11 +377,11 @@ def test_constrain_empty_spec_is_identity():
     g = StructuredGrid(3)
     gops = operators_for(g)
     t = Tape()
-    data = t.variable(gops.s_data)
+    data = t.variable(_stiffness(gops))
     rhs = t.variable(np.arange(9.0))
     plan = constraint_plan(gops.pattern, np.array([], dtype=np.intp))
     block_c, rhs_c = constrain_system(t, plan, data, rhs, np.array([]))
-    np.testing.assert_array_equal(t.value(block_c.ref), gops.s_data)
+    np.testing.assert_array_equal(t.value(block_c.ref), _stiffness(gops))
     np.testing.assert_array_equal(t.value(rhs_c), np.arange(9.0))
 
 
@@ -379,7 +390,7 @@ def test_constrain_all_nodes_returns_prescribed_values():
     gops = operators_for(g)
     gvals = g.coords[:, 0] + g.coords[:, 1]
     t = Tape()
-    data = t.variable(gops.s_data)
+    data = t.variable(_stiffness(gops))
     rhs = t.constant(np.zeros(9))
     spec = DirichletSpec(np.arange(9), gvals)
     block_c, rhs_c = apply_dirichlet(t, SparseBlock(gops.pattern, data), rhs, spec)
@@ -405,10 +416,10 @@ def test_patch_test_linear_solution_machine_precision():
 def test_pinning_one_node_raises_rank_by_one():
     g = StructuredGrid(4)
     gops = operators_for(g)
-    k = gops.scipy_matrix(gops.s_data).toarray()
+    k = gops.scipy_matrix(_stiffness(gops)).toarray()
     rank_free = np.linalg.matrix_rank(k)
     t = Tape()
-    data = t.constant(gops.s_data)
+    data = t.constant(_stiffness(gops))
     rhs = t.constant(np.zeros(g.n_nodes))
     plan = constraint_plan(gops.pattern, np.array([0]))
     block_c, _ = constrain_system(t, plan, data, rhs, np.array([0.0]))
@@ -420,7 +431,7 @@ def test_constrain_matches_dense_elimination_oracle():
     g = StructuredGrid(3)
     gops = operators_for(g)
     rng = np.random.default_rng(4)
-    data0 = gops.s_data + 0.1 * rng.normal(size=gops.nnz)
+    data0 = _stiffness(gops) + 0.1 * rng.normal(size=gops.nnz)
     rhs0 = rng.normal(size=9)
     cidx = np.array([0, 4, 8])
     gvals = np.array([1.0, -2.0, 0.5])
@@ -463,12 +474,12 @@ def test_constrained_solve_gradient_matches_fd():
         rhs = ops.slice1d(t, th, nnz, nnz + 9)
         block_c, rhs_c = constrain_system(t, plan, data, rhs, gvals)
         x = sparse_solve(t, block_c, rhs_c)
-        loss = ops.dot(t, t.constant(c), x)
+        loss = dot(t, t.constant(c), x)
         return t.value(loss)[0], t.backward(loss)[th]
 
     # diagonally shifted stiffness keeps the constrained matrix invertible
-    base = gops.s_data.copy()
-    diag = np.flatnonzero(gops.pattern.rows == gops.pattern.indices)
+    base = _stiffness(gops)
+    diag = np.flatnonzero(gops.pattern.entry_rows() == gops.pattern.indices)
     assert diag.size == 9
     base[diag] += 2.0
     theta0 = np.concatenate([base, rng.normal(size=9)])

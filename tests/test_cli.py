@@ -144,6 +144,15 @@ def test_run_invalid_grid_exits_2_without_files(tmp_path):
     assert not out.exists()
 
 
+def test_run_noise_overflowing_the_loss_exits_2_without_files(tmp_path):
+    # each noisy value is finite, but their squares overflow: the starting
+    # loss would be non-finite, so the run stops at the contract boundary
+    cfg = _config(tmp_path, SMALL + "\n[observations]\nnoise_epsilon = 1e300\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # --- forward
 
 

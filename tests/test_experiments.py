@@ -108,15 +108,24 @@ def test_noise_is_bounded_multiplicative():
 
 
 def test_noise_overflow_rejected():
-    # 1e308 (1 + eta) with |eta| <= 0.5 stays below the largest double
-    # (1.8e308); at 1.7e308 this draw overflows
-    locations = np.arange(8)
-    obs = ObservationSet(locations, ("u",), {"u": np.full(8, 1e308)})
-    assert np.all(np.isfinite(add_noise(obs, 0.5, seed=0).values["u"]))
-    big = ObservationSet(locations, ("u",), {"u": np.full(8, 1.7e308)})
+    # 1.7e308 (1 + eta) with |eta| <= 0.5 overflows the largest double
+    # (1.8e308) for this draw
+    big = ObservationSet(np.arange(8), ("u",), {"u": np.full(8, 1.7e308)})
     with np.errstate(over="ignore"), pytest.raises(
             ContractError, match="non-finite observation"):
         add_noise(big, 0.5, seed=0)
+
+
+def test_noise_whose_squares_overflow_rejected():
+    # every noisy value is finite, but the sum of their squares, and with it
+    # any loss against them, is not: 1e308 (1 + eta) with |eta| <= 0.5, or
+    # 1 + eta with |eta| <= 1e300
+    for value, epsilon in ((1e308, 0.5), (1.0, 1e300)):
+        obs = ObservationSet(np.arange(8), ("u",), {"u": np.full(8, value)})
+        with pytest.raises(ContractError, match="sum of squares"):
+            add_noise(obs, epsilon, seed=0)
+    obs = ObservationSet(np.arange(8), ("u",), {"u": np.full(8, 1e150)})
+    assert np.isfinite(add_noise(obs, 0.5, seed=0).values["u"]).all()
 
 
 def test_noise_deterministic_per_seed():
@@ -795,11 +804,13 @@ def test_grid_with_operators_freed_without_collector():
 
 def test_cavity_evaluation_heap_peak():
     # The traced heap peak of one warm 21x21 cavity evaluation at theta0 is
-    # 1.26 MB (numpy arrays included, SuperLU's own memory not).  With the
-    # network recorded op by op, keeping every pre-activation and product,
-    # and each Newton step's system alive into the next linearization, it
-    # reads 1.93 MB; with only the Newton system freed, 1.70 MB; with only
-    # the network as one node, 1.49 MB.  The bound sits below all three.
+    # 1.05 MB (numpy arrays included, SuperLU's own memory not).  With each
+    # Newton iterate's residual recorded on a tape of its own it reads
+    # 1.26 MB; with the network recorded op by op, keeping every
+    # pre-activation and product, and each Newton step's system alive into
+    # the next linearization, 1.93 MB; with only the Newton system freed,
+    # 1.70 MB; with only the network as one node, 1.49 MB.  The bound sits
+    # below all four.
     problem = build_problem(ExperimentConfig(experiment="cavity_viscosity",
                                              grid_n=21))
     problem.objective(problem.theta0)
@@ -810,4 +821,22 @@ def test_cavity_evaluation_heap_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.4e6
+    assert peak < 1.15e6
+
+
+def test_warm_cavity_evaluation_builds_one_tape(monkeypatch):
+    # the objective's own tape; Newton iterates and the adjoint are
+    # linearized on plain arrays
+    problem = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
+    problem.objective(problem.theta0)
+    built = []
+    init = Tape.__init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Tape, "__init__", counting_init)
+    problem.objective(problem.theta0)
+    assert problem.eval_note["newton"] > 1
+    assert len(built) == 1

@@ -40,9 +40,9 @@ from flowgrad.sparse import (
     SymmetricOrder,
     sparse_solve,
     spmv_fixed,
-    spmv_pattern,
 )
 from flowgrad.tape import Tape, finite_difference_check
+from tape_oracle import dot, spmv_pattern
 
 
 def _random_spd_like(n, seed, density=0.3):
@@ -218,7 +218,7 @@ def _key_sort_order(pattern, perm):
     n = pattern.n_rows
     inverse = np.empty(n, dtype=np.intp)
     inverse[perm] = np.arange(n)
-    rows = inverse[pattern.rows]
+    rows = inverse[pattern.entry_rows()]
     cols = inverse[pattern.indices]
     gather = np.argsort(rows.astype(np.int64) * n + cols).astype(np.int32)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
@@ -462,7 +462,7 @@ def test_sparse_solve_adjoint_matches_dense_identities():
     data = t.variable(m.data)
     rhs = t.variable(b)
     x_ref = sparse_solve(t, SparseBlock(_pattern(m), data), rhs)
-    loss = ops.dot(t, t.constant(c), x_ref)
+    loss = dot(t, t.constant(c), x_ref)
     grads = t.backward(loss)
 
     dense = m.toarray()
@@ -471,7 +471,7 @@ def test_sparse_solve_adjoint_matches_dense_identities():
     np.testing.assert_allclose(t.value(x_ref), x, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(grads[rhs], lam, rtol=1e-10, atol=1e-12)
     pat = _pattern(m)
-    expected = -lam[pat.rows] * x[pat.indices]
+    expected = -lam[pat.entry_rows()] * x[pat.indices]
     np.testing.assert_allclose(grads[data], expected, rtol=1e-10, atol=1e-12)
 
 
@@ -489,7 +489,7 @@ def test_sparse_solve_gradient_matches_fd():
         data = ops.slice1d(t, th, 0, nnz)
         rhs = ops.slice1d(t, th, nnz, nnz + n)
         x = sparse_solve(t, SparseBlock(_pattern(m), data), rhs)
-        loss = ops.dot(t, t.constant(c), x)
+        loss = dot(t, t.constant(c), x)
         return t.value(loss)[0], t.backward(loss)[th]
 
     theta0 = np.concatenate([m.data, b])
@@ -509,7 +509,7 @@ def test_sparse_solve_factorizes_once_and_releases_lu(monkeypatch):
     t = Tape()
     data = t.variable(m.data)
     x_ref = sparse_solve(t, SparseBlock(_pattern(m), data), t.variable(np.ones(12)))
-    loss = ops.dot(t, x_ref, x_ref)
+    loss = dot(t, x_ref, x_ref)
     first = t.backward(loss)
     assert len(calls) == 1
     assert not any(isinstance(v, LuFactors) for v in t.nodes[x_ref].ctx.values())
@@ -519,6 +519,7 @@ def test_sparse_solve_factorizes_once_and_releases_lu(monkeypatch):
 
 
 def test_spmv_pattern_adjoint_matches_dense_identities():
+    # the product the residual oracle of the flow tests records
     n = 15
     m = _random_spd_like(n, seed=12)
     rng = np.random.default_rng(13)
@@ -529,13 +530,13 @@ def test_spmv_pattern_adjoint_matches_dense_identities():
     data = t.variable(m.data)
     x = t.variable(x0)
     y = spmv_pattern(t, SparseBlock(_pattern(m), data), x)
-    loss = ops.dot(t, t.constant(c), y)
+    loss = dot(t, t.constant(c), y)
     grads = t.backward(loss)
 
     dense = m.toarray()
     np.testing.assert_allclose(grads[x], dense.T @ c, rtol=1e-12, atol=1e-13)
     pat = _pattern(m)
-    np.testing.assert_allclose(grads[data], c[pat.rows] * x0[pat.indices],
+    np.testing.assert_allclose(grads[data], c[pat.entry_rows()] * x0[pat.indices],
                                rtol=1e-12, atol=1e-13)
 
 
@@ -548,7 +549,7 @@ def test_spmv_fixed_backward_is_transpose_matvec():
     t = Tape()
     x = t.variable(x0)
     y = spmv_fixed(t, m, x)
-    loss = ops.dot(t, t.constant(c), y)
+    loss = dot(t, t.constant(c), y)
     grads = t.backward(loss)
     np.testing.assert_allclose(grads[x], m.toarray().T @ c, rtol=1e-12, atol=1e-13)
 
@@ -567,10 +568,11 @@ def test_pattern_shared_between_blocks():
     m = _random_spd_like(6, seed=17)
     pat = _pattern(m)
     assert pat.nnz == m.nnz
-    assert pat.rows.shape == (m.nnz,)
+    rows = pat.entry_rows()
+    assert rows.shape == (m.nnz,)
     # rows must agree with indptr expansion
     for k in range(pat.nnz):
-        i = pat.rows[k]
+        i = rows[k]
         assert pat.indptr[i] <= k < pat.indptr[i + 1]
 
 
