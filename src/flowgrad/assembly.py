@@ -7,16 +7,15 @@ element-to-entry scatter map ``pos16`` and the mass block, and builds the
 other blocks as plain CSR data on request: ``diffusion``, ``convection``
 and ``reaction`` interpolate a nodal field to quadrature points, run an
 element kernel and scatter into CSR data, and ``diffusion_bwd`` runs the
-same maps in reverse.  The ``diffusion_block`` and ``convection_block``
-tape operators wrap them for the heat system; the Newton solver calls them
-directly.
+same maps in reverse.  Nothing here is recorded on a tape: the solver's
+operators call these blocks and write out their own backward rules.
 
 The coupled velocity-pressure system is a 3x3 grid of base-pattern blocks
 over unknowns [u; v; p].  ``GridOperators.system_layout`` maps each block's
 entries to their positions in the system CSR data array, where the Newton
-solver places its block arrays.  ``constrain_system`` imposes Dirichlet
-rows/columns differentiably, and ``ConstraintPlan.identity_rows`` is its
-matrix half on a plain array.  The system is factorized in a
+solver places its block arrays.  A :class:`ConstraintPlan` imposes
+Dirichlet rows and columns on a plain data array (``identity_rows``) and on
+its right-hand side (``eliminate``).  The system is factorized in a
 nested-dissection order of the grid's nodes
 (``GridOperators.system_order``).
 """
@@ -27,18 +26,13 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractError
-from .sparse import SparseBlock, SparsePattern, SymmetricOrder
-from .tape import register_op
+from .sparse import SparsePattern, SymmetricOrder
 
 __all__ = [
     "GridOperators",
     "operators_for",
     "ConstraintPlan",
     "constraint_plan",
-    "assemble_diffusion_block",
-    "assemble_advection_diffusion",
-    "constrain_system",
-    "apply_dirichlet",
 ]
 
 
@@ -237,57 +231,6 @@ def operators_for(grid):
 
 
 # ---------------------------------------------------------------------------
-# coefficient-dependent block operators
-
-def _diffusion_block_fwd(v, ctx):
-    return ctx["gops"].diffusion(v[0])
-
-
-def _diffusion_block_bwd(g, ctx):
-    return (ctx["gops"].diffusion_bwd(g),)
-
-
-def _convection_block_fwd(v, ctx):
-    return ctx["gops"].convection(*v)
-
-
-def _convection_block_bwd(g, ctx):
-    gops: GridOperators = ctx["gops"]
-    gelem = gops.gather(g)
-    guq, gvq = kernels.advection_bwd(gelem, gops.wdet, gops.n_tab,
-                                     gops.dndx_tab, gops.dndy_tab)
-    return (gops.quad_to_nodal(guq, gops.n_tab),
-            gops.quad_to_nodal(gvq, gops.n_tab))
-
-
-register_op("diffusion_block", _diffusion_block_fwd, _diffusion_block_bwd)
-register_op("convection_block", _convection_block_fwd, _convection_block_bwd)
-
-
-def assemble_diffusion_block(tape, grid, coeff_at_nodes):
-    """Stiffness block K(c): K_ij = sum_q w nu(x_q) grad(phi_j) . grad(phi_i).
-
-    The nodal coefficient is interpolated bilinearly to quadrature points;
-    backward maps entry gradients to nodal-coefficient gradients through the
-    same interpolation weights.
-    """
-    gops = operators_for(grid)
-    ref = tape.apply("diffusion_block", (coeff_at_nodes,), {"gops": gops})
-    return SparseBlock(gops.pattern, ref)
-
-
-def assemble_advection_diffusion(tape, grid, u, v, k_at_nodes, rho_cp=1.0):
-    """Heat operator rho*C_p*C(u, v) + K(k) as one block."""
-    from . import ops as _ops
-
-    gops = operators_for(grid)
-    cref = tape.apply("convection_block", (u, v), {"gops": gops})
-    kblock = assemble_diffusion_block(tape, grid, k_at_nodes)
-    data = _ops.add(tape, _ops.scale(tape, cref, float(rho_cp)), kblock.ref)
-    return SparseBlock(gops.pattern, data)
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet constraints
 
 @dataclass(frozen=True)
@@ -299,7 +242,6 @@ class ConstraintPlan:
     free; their values move to the rhs (symmetric column elimination).
     """
 
-    pattern: SparsePattern
     idx: np.ndarray
     row_entries: np.ndarray
     col_entries: np.ndarray
@@ -313,6 +255,19 @@ class ConstraintPlan:
         data[self.col_entries] = 0.0
         data[self.row_entries] = 0.0
         data[self.diag_pos] = 1.0
+
+    def eliminate(self, data, rhs, vals):
+        """Impose the prescribed ``vals`` on ``data`` and ``rhs`` in place.
+
+        The eliminated columns times ``vals`` move to ``rhs``, then the
+        constrained rows become identity rows whose ``rhs`` is ``vals``.
+        """
+        if self.col_entries.size:
+            moved = data[self.col_entries] * vals[self.col_slot]
+            rhs -= np.bincount(self.col_rows, weights=moved,
+                               minlength=rhs.size)
+        self.identity_rows(data)
+        rhs[self.idx] = vals
 
 
 def constraint_plan(pattern, idx):
@@ -340,66 +295,5 @@ def constraint_plan(pattern, idx):
     if not found.all():
         raise ContractError(
             f"pattern has no diagonal entry for row {idx[~found][0]}")
-    return ConstraintPlan(pattern, idx, row_entries, col_entries,
-                          col_rows, col_slot, diag_pos)
-
-
-def _constrain_fwd(v, ctx):
-    data, rhs = v
-    plan: ConstraintPlan = ctx["plan"]
-    vals = ctx["vals"]
-    n = plan.pattern.n_rows
-    if data.shape != (plan.pattern.nnz,) or rhs.shape != (n,):
-        raise ContractError("constrain_system: data/rhs shape mismatch")
-    d = data.copy()
-    r = rhs.copy()
-    if plan.col_entries.size:
-        moved = d[plan.col_entries] * vals[plan.col_slot]
-        r -= np.bincount(plan.col_rows, weights=moved, minlength=n)
-    plan.identity_rows(d)
-    r[plan.idx] = vals
-    return np.concatenate([d, r])
-
-
-def _constrain_bwd(g, ctx):
-    plan: ConstraintPlan = ctx["plan"]
-    vals = ctx["vals"]
-    nnz = plan.pattern.nnz
-    gd_out, gr_out = g[:nnz], g[nnz:]
-    gd = gd_out.copy()
-    gd[plan.row_entries] = 0.0
-    if plan.col_entries.size:
-        gd[plan.col_entries] = -vals[plan.col_slot] * gr_out[plan.col_rows]
-    gr = gr_out.copy()
-    gr[plan.idx] = 0.0
-    return gd, gr
-
-
-register_op("constrain_system", _constrain_fwd, _constrain_bwd)
-
-
-def constrain_system(tape, plan, data_ref, rhs_ref, vals):
-    """Row replacement + symmetric column elimination on the tape.
-
-    Constrained rows become identity rows with rhs set to the prescribed
-    values; column contributions of constrained unknowns move to the rhs.
-    Returns (constrained matrix block, constrained rhs ref).
-    """
-    from . import ops as _ops
-
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.shape != (plan.idx.size,):
-        raise ContractError(
-            f"constraint values length {vals.shape} != {plan.idx.size}")
-    packed = tape.apply("constrain_system", (data_ref, rhs_ref),
-                        {"plan": plan, "vals": vals})
-    nnz = plan.pattern.nnz
-    data_c = _ops.slice1d(tape, packed, 0, nnz)
-    rhs_c = _ops.slice1d(tape, packed, nnz, nnz + plan.pattern.n_rows)
-    return SparseBlock(plan.pattern, data_c), rhs_c
-
-
-def apply_dirichlet(tape, block, rhs_ref, spec):
-    """Constrain a base-pattern block by a DirichletSpec (plan built ad hoc)."""
-    plan = constraint_plan(block.pattern, spec.idx)
-    return constrain_system(tape, plan, block.ref, rhs_ref, spec.vals)
+    return ConstraintPlan(idx, row_entries, col_entries, col_rows, col_slot,
+                          diag_pos)

@@ -169,7 +169,9 @@ def _corrupt_backward(name):
     mismatch flows through it exactly once, so the corruption cannot cancel.
     Any other registered operator can be named, for example ``steady_flow``,
     whose backward rule is the whole implicit-function adjoint of a flow
-    solve: every viscosity gradient passes through it once.
+    solve: every viscosity gradient passes through it once; or
+    ``heat_solve``, the adjoint of the heat system, which every
+    conductivity gradient of ``conjugate_heat`` passes through once.
     """
     if name == "1":
         name = "square"

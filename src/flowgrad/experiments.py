@@ -107,8 +107,8 @@ def _cavity_forward(tape, chain, nu):
 
 def _heat_forward(tape, chain, k):
     flow = chain.frozen_flow(tape)
-    temp = heat_solve(tape, chain.grid, flow, k, chain.constants,
-                      chain.heat_bc)
+    temp = heat_solve(tape, chain.grid, tape.value(flow.u),
+                      tape.value(flow.v), k, chain.constants, chain.heat_bc)
     return dict(_flow_fields(flow), T=temp), flow
 
 

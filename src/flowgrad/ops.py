@@ -8,9 +8,9 @@ rule sums the gradient back down to the scalar.
 The module-level helpers (``add``, ``vsum``, ...) are thin wrappers around
 ``tape.apply`` so calling code reads like plain arithmetic.  The library
 holds only what a recorded objective uses: the model's offset and clamp,
-slices of the flow state and the heat system, the transport relaxation
-and the loss.  The flow residual is not recorded; the solver linearizes
-it on plain arrays.
+slices of the flow state, the transport relaxation and the loss.  Neither
+the flow residual nor the heat system is recorded; the solver builds both
+on plain arrays.
 """
 
 import numpy as np

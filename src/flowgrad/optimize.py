@@ -14,6 +14,8 @@ with the interpolation of section 3.5).  Safeguards keep the search
 convergent: an extrapolated step grows by a factor between 1.1 and 4, a zoom
 trial stays inside the middle 80% of its bracket, and the zoom bisects when
 the cubic has no minimizer or one end of the bracket is a rejected trial.
+A search that spends its evaluation budget while every trial still lowers
+the loss with a negative slope takes the last trial.
 
 A trial evaluation that raises a solver error (Newton nonconvergence,
 singular Jacobian, non-finite values) is treated as infinite loss: the trial
@@ -292,9 +294,12 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     rejected trial, which has no f or g.
 
     Each rejected trial is appended to ``rejected`` as ``(step, alpha,
-    reason)``.  Returns ``(alpha, f, g)``.  Raises LineSearchError when no
-    acceptable point exists within the evaluation budget or after 20
-    rejected (failed or non-finite) trials.
+    reason)``.  Returns ``(alpha, f, g)``.  When the evaluation budget runs
+    out while every trial still decreases the loss with a negative slope,
+    it returns the last of them: each passed sufficient decrease and lies
+    below the one before.  Raises LineSearchError when no acceptable point
+    exists within the evaluation budget or after 20 rejected (failed or
+    non-finite) trials.
     """
     c1, c2 = config.c1, config.c2
     rejections = [0]
@@ -394,4 +399,8 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         alpha = min(max(trial, 1.1 * alpha), 4.0 * alpha, cap)
         prev = point
         first = False
+    if prev[0] > 0.0:
+        # still descending when the budget ran out; like zoom's fallback,
+        # keep the sufficient decrease found so far
+        return prev[:3]
     fail("bracketing budget exhausted")

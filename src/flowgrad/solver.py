@@ -31,7 +31,10 @@ scaling keeps the divergence perturbation viscosity-independent, so the
 large-viscosity solution approaches the Stokes solution.  The pressure gauge
 is fixed by pinning one node.
 
-``heat_solve`` is one differentiable linear solve for the temperature;
+``heat_solve`` records the temperature of advection-diffusion in a frozen
+flow as one ``heat_solve`` operator from the nodal conductivity, in the
+same form: its forward assembles and factorizes the linear system on plain
+arrays, and its backward is one transpose solve with those factors.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -41,15 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .assembly import (
-    assemble_advection_diffusion,
-    apply_dirichlet,
-    constraint_plan,
-    operators_for,
-)
+from .assembly import constraint_plan, operators_for
 from .errors import ContractError, NewtonDivergedError, NumericError
 from .grid import cavity_velocity_bcs, uniform_boundary_bc
-from .sparse import LuFactors, sparse_solve
+from .sparse import LuFactors
 from .tape import register_op
 
 __all__ = [
@@ -483,16 +481,59 @@ def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
     return NSState(u, v, p, len(trace), trace[-1][1], trace)
 
 
-def heat_solve(tape, grid, ns, k_nodal, constants, bc_t=None):
-    """One differentiable solve of rho Cp C(u, v) T + K(k) T = M Q."""
+def _heat_solve_fwd(v, ctx):
+    """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed."""
+    gops, plan = ctx["gops"], ctx["plan"]
+    data = ctx["rho_cp"] * gops.convection(*ctx["flow"]) + gops.diffusion(v[0])
+    rhs = ctx["load"].copy()
+    plan.eliminate(data, rhs, ctx["vals"])
+    lu = LuFactors(gops.scipy_matrix(data))
+    temp = lu.solve(rhs)
+    if not np.all(np.isfinite(temp)):
+        raise NumericError("heat solve produced a non-finite temperature")
+    ctx["data"], ctx["temp"], ctx["lu"] = data, temp, lu
+    return temp
+
+
+def _heat_solve_bwd(g, ctx):
+    """dL/dk from lam = A^-T g and the entry gradient -lam_i T_j of A.
+
+    Constrained rows do not depend on k, and an eliminated column (r, c)
+    enters only the load, as -A_rc vals_c, so its entry gradient is
+    -vals_c lam_r.  ``diffusion_bwd`` maps the entry gradient to k; the
+    flow and the load are constants.
+    """
+    gops, plan = ctx["gops"], ctx["plan"]
+    # popped, so the factors die with this solve; a repeated backward pass
+    # over the same tape refactorizes
+    lu = ctx.pop("lu", None) or LuFactors(gops.scipy_matrix(ctx["data"]))
+    lam = lu.solve_transpose(g)
+    pattern = gops.pattern
+    gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
+    gdata[plan.row_entries] = 0.0
+    gdata[plan.col_entries] = -ctx["vals"][plan.col_slot] * lam[plan.col_rows]
+    return (gops.diffusion_bwd(gdata),)
+
+
+register_op("heat_solve", _heat_solve_fwd, _heat_solve_bwd)
+
+
+def heat_solve(tape, grid, u, v, k_nodal, constants, bc_t=None):
+    """Record T with rho Cp C(u, v) T + K(k) T = M Q and T = bc_t on the walls.
+
+    ``u`` and ``v`` are the nodal velocities of a frozen flow, as plain
+    arrays: the temperature is differentiated with respect to ``k_nodal``
+    only.  The tape gains one ``heat_solve`` node.
+    """
     bc_t = bc_t or uniform_boundary_bc(grid, 0.0)
     gops = operators_for(grid)
-    ablock = assemble_advection_diffusion(tape, grid, ns.u, ns.v, k_nodal,
-                                          rho_cp=constants.rho * constants.cp)
     mass = gops.scipy_matrix(gops.m_data)
-    load = mass @ _nodal(constants.heat_source_q, grid.n_nodes)
-    blk_c, rhs_c = apply_dirichlet(tape, ablock, tape.constant(load), bc_t)
-    return sparse_solve(tape, blk_c, rhs_c)
+    ctx = {"gops": gops, "plan": constraint_plan(gops.pattern, bc_t.idx),
+           "vals": bc_t.vals, "rho_cp": constants.rho * constants.cp,
+           "flow": (np.asarray(u, dtype=np.float64),
+                    np.asarray(v, dtype=np.float64)),
+           "load": mass @ _nodal(constants.heat_source_q, grid.n_nodes)}
+    return tape.apply("heat_solve", (k_nodal,), ctx)
 
 
 def transport_integrate(tape, ns, constants, w_init=None, dt=0.1, n_steps=50):

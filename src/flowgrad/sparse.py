@@ -1,17 +1,13 @@
-"""Sparse patterns, LU factorization, and two differentiable sparse ops.
+"""Sparse patterns, LU factorization, and a product with a constant matrix.
 
-A matrix off the tape is a scipy sparse matrix.  The tape never stores
-sparse matrices directly: a matrix with a fixed sparsity pattern lives as a
-1-d data array on the tape plus a shared :class:`SparsePattern` (indptr and
-column indices only; ``entry_rows`` expands the row of each entry when a
-setup or adjoint needs it); :class:`SparseBlock` bundles the two.  The
-recorded ops are ``sparse_solve`` and ``spmv_fixed``, a product with a
-constant matrix.  The adjoint of ``x = solve(A, b)`` needs one transpose
-solve: with ``lam = A^-T g``, ``d loss/d b = lam`` and
-``d loss/d A_ij = -lam_i x_j`` restricted to the stored pattern.  The
-forward pass keeps its factorization in the node context and the backward
-pass uses it for the transpose solve, then drops it, so each recorded
-system is factorized once.
+A matrix is a scipy sparse matrix, or a 1-d data array over a
+:class:`SparsePattern` (indptr and column indices only; ``entry_rows``
+expands the row of each entry when a setup or adjoint needs it) that the
+matrices of one grid share.  The one recorded op is ``spmv_fixed``, a
+product with a constant matrix.  Linear solves are not recorded here: the
+solver records each system as one operator whose forward keeps its
+factorization and whose backward is one transpose solve with it (see
+:mod:`flowgrad.solver`).
 
 Every matrix factorized here is a structurally symmetric finite-element
 matrix, so :class:`LuFactors` runs SuperLU's symmetric path: pivots taken
@@ -56,10 +52,8 @@ from .tape import register_op
 
 __all__ = [
     "SparsePattern",
-    "SparseBlock",
     "SymmetricOrder",
     "LuFactors",
-    "sparse_solve",
     "spmv_fixed",
 ]
 
@@ -85,7 +79,8 @@ _SINGLE_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class SparsePattern:
-    """Fixed CSR sparsity structure shared by many data arrays."""
+    """Fixed CSR sparsity structure shared by the data arrays of many
+    matrices; a pattern holds no values."""
 
     n_rows: int
     n_cols: int
@@ -137,14 +132,6 @@ class SparsePattern:
         return scipy.sparse.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
         )
-
-
-@dataclass(frozen=True)
-class SparseBlock:
-    """A CSR matrix whose data array lives on the tape at node ``ref``."""
-
-    pattern: SparsePattern
-    ref: int
 
 
 @dataclass(frozen=True)
@@ -360,31 +347,7 @@ class LuFactors:
 
 
 # ---------------------------------------------------------------------------
-# differentiable ops
-
-def _sparse_solve_fwd(v, ctx):
-    data, b = v
-    pattern: SparsePattern = ctx["pattern"]
-    if pattern.n_rows != pattern.n_cols:
-        raise ContractError("sparse_solve: matrix must be square")
-    if data.shape != (pattern.nnz,):
-        raise ContractError(f"sparse_solve: data length {data.shape} != nnz {pattern.nnz}")
-    lu = LuFactors(pattern.to_scipy(data))
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("sparse_solve produced non-finite solution")
-    ctx["data"], ctx["x"], ctx["lu"] = data, x, lu
-    return x
-
-
-def _sparse_solve_bwd(g, ctx):
-    pattern: SparsePattern = ctx["pattern"]
-    # a repeated backward pass over the same tape refactorizes
-    lu = ctx.pop("lu", None) or LuFactors(pattern.to_scipy(ctx["data"]))
-    lam = lu.solve_transpose(g)
-    gdata = -lam[pattern.entry_rows()] * ctx["x"][pattern.indices]
-    return gdata, lam
-
+# the recorded product
 
 def _spmv_fixed_fwd(v, ctx):
     x = v[0]
@@ -398,13 +361,7 @@ def _spmv_fixed_bwd(g, ctx):
     return (ctx["matrix"].T @ g,)
 
 
-register_op("sparse_solve", _sparse_solve_fwd, _sparse_solve_bwd)
 register_op("spmv_fixed", _spmv_fixed_fwd, _spmv_fixed_bwd)
-
-
-def sparse_solve(tape, block: SparseBlock, b):
-    """Record ``x = A^-1 b`` for a square on-tape matrix block."""
-    return tape.apply("sparse_solve", (block.ref, b), {"pattern": block.pattern})
 
 
 def spmv_fixed(tape, matrix, x):

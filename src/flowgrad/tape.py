@@ -7,9 +7,9 @@ order by construction.  ``backward`` walks the list in reverse, accumulating
 adjoints additively when a node fans out to several consumers.
 
 Operators are registered globally ahead of time (see :mod:`flowgrad.ops`,
-:mod:`flowgrad.models`, :mod:`flowgrad.sparse`, :mod:`flowgrad.assembly` and
-:mod:`flowgrad.solver`); coarse-grained custom operators such as the
-network, matrix assembly or a sparse solve are ordinary registry entries.
+:mod:`flowgrad.models`, :mod:`flowgrad.sparse` and :mod:`flowgrad.solver`);
+coarse-grained custom operators such as the network, the Newton flow solve
+or the heat solve are ordinary registry entries.
 """
 
 from dataclasses import dataclass, field

@@ -1,19 +1,22 @@
-"""Test-local tape operators, and F(x, nu) recorded with them.
+"""Test-local tape operators, and F(x, nu) and the heat solve recorded
+with them.
 
-The package does not record the flow residual: the solver linearizes it
-on plain arrays and writes (dF/dnu)^T lam out by hand.  The operators here
-let a test record F op by op instead and take that product from the tape,
-as an oracle for the solver.  Tests also use ``dot`` for weighted-sum
-losses.  Every operator is registered under an ``oracle.`` name, so the
-package's own registry checks leave them out.
+The package records neither the flow residual nor the heat system: the
+solver builds both on plain arrays, and its ``steady_flow`` and
+``heat_solve`` operators write their backward rules out by hand.  The
+operators here let a test record F, or the heat system and its solve, op
+by op instead and take the gradients from the tape, as an oracle for the
+solver.  Tests also use ``dot`` for weighted-sum losses.  Every operator is
+registered under an ``oracle.`` name, so the package's own registry checks
+leave them out.
 """
 
 import numpy as np
 
-from flowgrad import ops
-from flowgrad.errors import ContractError
+from flowgrad import kernels, ops
+from flowgrad.errors import ContractError, NumericError
 from flowgrad.ops import _bcast_shape, _reduce_to
-from flowgrad.sparse import SparseBlock, spmv_fixed
+from flowgrad.sparse import LuFactors, spmv_fixed
 from flowgrad.tape import register_op
 
 
@@ -82,11 +85,82 @@ def _spmv_pattern_bwd(g, ctx):
     return gdata, gx
 
 
+def _diffusion_block_fwd(v, ctx):
+    return ctx["gops"].diffusion(v[0])
+
+
+def _diffusion_block_bwd(g, ctx):
+    return (ctx["gops"].diffusion_bwd(g),)
+
+
+def _convection_block_fwd(v, ctx):
+    return ctx["gops"].convection(*v)
+
+
+def _convection_block_bwd(g, ctx):
+    gops = ctx["gops"]
+    guq, gvq = kernels.advection_bwd(gops.gather(g), gops.wdet, gops.n_tab,
+                                     gops.dndx_tab, gops.dndy_tab)
+    return (gops.quad_to_nodal(guq, gops.n_tab),
+            gops.quad_to_nodal(gvq, gops.n_tab))
+
+
+def _constrain_fwd(v, ctx):
+    data, rhs = v
+    plan, vals = ctx["plan"], ctx["vals"]
+    d, r = data.copy(), rhs.copy()
+    if plan.col_entries.size:
+        moved = d[plan.col_entries] * vals[plan.col_slot]
+        r -= np.bincount(plan.col_rows, weights=moved, minlength=r.size)
+    d[plan.col_entries] = 0.0
+    d[plan.row_entries] = 0.0
+    d[plan.diag_pos] = 1.0
+    r[plan.idx] = vals
+    return np.concatenate([d, r])
+
+
+def _constrain_bwd(g, ctx):
+    plan, vals = ctx["plan"], ctx["vals"]
+    nnz = g.size - ctx["n"]
+    gd_out, gr_out = g[:nnz], g[nnz:]
+    gd = gd_out.copy()
+    gd[plan.row_entries] = 0.0
+    if plan.col_entries.size:
+        gd[plan.col_entries] = -vals[plan.col_slot] * gr_out[plan.col_rows]
+    gr = gr_out.copy()
+    gr[plan.idx] = 0.0
+    return gd, gr
+
+
+def _sparse_solve_fwd(v, ctx):
+    data, b = v
+    lu = LuFactors(ctx["pattern"].to_scipy(data))
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise NumericError("oracle.sparse_solve produced non-finite solution")
+    ctx["data"], ctx["x"], ctx["lu"] = data, x, lu
+    return x
+
+
+def _sparse_solve_bwd(g, ctx):
+    pattern = ctx["pattern"]
+    lu = ctx.pop("lu", None) or LuFactors(pattern.to_scipy(ctx["data"]))
+    lam = lu.solve_transpose(g)
+    gdata = -lam[pattern.entry_rows()] * ctx["x"][pattern.indices]
+    return gdata, lam
+
+
 register_op("oracle.div", _div_fwd, _div_bwd)
 register_op("oracle.dot", _dot_fwd, _dot_bwd)
 register_op("oracle.concat1d", _concat1d_fwd, _concat1d_bwd)
 register_op("oracle.set_at", _set_at_fwd, _set_at_bwd)
 register_op("oracle.spmv_pattern", _spmv_pattern_fwd, _spmv_pattern_bwd)
+register_op("oracle.diffusion_block", _diffusion_block_fwd,
+            _diffusion_block_bwd)
+register_op("oracle.convection_block", _convection_block_fwd,
+            _convection_block_bwd)
+register_op("oracle.constrain_system", _constrain_fwd, _constrain_bwd)
+register_op("oracle.sparse_solve", _sparse_solve_fwd, _sparse_solve_bwd)
 
 
 def div(tape, a, b):
@@ -109,10 +183,38 @@ def set_at(tape, a, idx, vals):
     return tape.apply("oracle.set_at", (a, vals), {"idx": idx})
 
 
-def spmv_pattern(tape, block, x):
-    """``y = A x`` with gradients to both the matrix data and ``x``."""
-    return tape.apply("oracle.spmv_pattern", (block.ref, x),
-                      {"pattern": block.pattern})
+def spmv_pattern(tape, pattern, data, x):
+    """``y = A x`` for A with ``data`` on ``pattern``, with gradients to both
+    the matrix data and ``x``."""
+    return tape.apply("oracle.spmv_pattern", (data, x), {"pattern": pattern})
+
+
+def diffusion_block(tape, gops, coef):
+    """The stiffness data K(coef) of a grid's operators."""
+    return tape.apply("oracle.diffusion_block", (coef,), {"gops": gops})
+
+
+def convection_block(tape, gops, u, v):
+    """The advection data C(u, v) of a grid's operators."""
+    return tape.apply("oracle.convection_block", (u, v), {"gops": gops})
+
+
+def constrain_system(tape, plan, data, rhs, vals):
+    """(constrained data, constrained rhs) of a :class:`ConstraintPlan`
+    imposed on ``data`` and ``rhs``, recorded as one node and two slices."""
+    n = tape.value(rhs).size
+    packed = tape.apply("oracle.constrain_system", (data, rhs),
+                        {"plan": plan, "vals": np.asarray(vals, dtype=float),
+                         "n": n})
+    nnz = tape.value(data).size
+    return (ops.slice1d(tape, packed, 0, nnz),
+            ops.slice1d(tape, packed, nnz, nnz + n))
+
+
+def sparse_solve(tape, pattern, data, b):
+    """``x = A^-1 b`` for A with ``data`` on ``pattern``; the backward gives
+    ``lam = A^-T g`` to ``b`` and ``-lam_i x_j`` to the entry (i, j)."""
+    return tape.apply("oracle.sparse_solve", (data, b), {"pattern": pattern})
 
 
 def record_residual(tape, setup, nu, u, v, p):
@@ -123,15 +225,15 @@ def record_residual(tape, setup, nu, u, v, p):
     """
     gops = setup.gops
     pat = gops.pattern
-    c_ref = tape.apply("convection_block", (u, v), {"gops": gops})
-    k_ref = tape.apply("diffusion_block", (nu,), {"gops": gops})
+    c_ref = convection_block(tape, gops, u, v)
+    k_ref = diffusion_block(tape, gops, nu)
     coef = div(tape, tape.constant(np.full(setup.n, setup.stab_coef)), nu)
-    stab_ref = tape.apply("diffusion_block", (coef,), {"gops": gops})
+    stab_ref = diffusion_block(tape, gops, coef)
     parts = []
     for w, grad_m, load in ((u, setup.gx_m, setup.load_u),
                             (v, setup.gy_m, setup.load_v)):
-        f = ops.add(tape, spmv_pattern(tape, SparseBlock(pat, c_ref), w),
-                    spmv_pattern(tape, SparseBlock(pat, k_ref), w))
+        f = ops.add(tape, spmv_pattern(tape, pat, c_ref, w),
+                    spmv_pattern(tape, pat, k_ref, w))
         f = ops.add(tape, f, spmv_fixed(tape, grad_m, p))
         if np.any(load):
             f = ops.sub(tape, f, tape.constant(load))
@@ -139,7 +241,18 @@ def record_residual(tape, setup, nu, u, v, p):
     fp = ops.add(tape, spmv_fixed(tape, setup.dx, u),
                  spmv_fixed(tape, setup.dy, v))
     parts.append(ops.add(tape, fp,
-                         spmv_pattern(tape, SparseBlock(pat, stab_ref), p)))
+                         spmv_pattern(tape, pat, stab_ref, p)))
     zeros = tape.constant(np.zeros(setup.plan.idx.size))
     res = set_at(tape, concat1d(tape, parts), setup.plan.idx, zeros)
     return res, (c_ref, k_ref, stab_ref)
+
+
+def record_heat(tape, gops, plan, u, v, k, rho_cp, load, vals):
+    """The heat temperature recorded op by op: rho Cp C(u, v) + K(k) on the
+    tape, the walls imposed by ``plan`` with ``vals``, and the solve."""
+    data = ops.add(tape, ops.scale(tape, convection_block(tape, gops, u, v),
+                                   rho_cp),
+                   diffusion_block(tape, gops, k))
+    data_c, rhs_c = constrain_system(tape, plan, data, tape.constant(load),
+                                     vals)
+    return sparse_solve(tape, gops.pattern, data_c, rhs_c)

@@ -16,19 +16,13 @@ import pytest
 import scipy.sparse
 
 from flowgrad import assembly, kernels, ops
-from flowgrad.assembly import (
-    assemble_advection_diffusion,
-    assemble_diffusion_block,
-    apply_dirichlet,
-    constraint_plan,
-    constrain_system,
-    operators_for,
-)
+from flowgrad.assembly import constraint_plan, operators_for
 from flowgrad.errors import ContractError
 from flowgrad.grid import DirichletSpec, StructuredGrid
-from flowgrad.sparse import SparseBlock, SparsePattern, sparse_solve
+from flowgrad.solver import PhysicsConstants, heat_solve
+from flowgrad.sparse import SparsePattern
 from flowgrad.tape import Tape, finite_difference_check
-from tape_oracle import dot
+from tape_oracle import convection_block, dot
 
 _GP = 1.0 / np.sqrt(3.0)
 
@@ -78,8 +72,8 @@ def dense_oracle(grid, coef=None, u=None, v=None):
     return k, m, c, dx, gx
 
 
-def _block_dense(tape, block):
-    return block.pattern.to_scipy(tape.value(block.ref)).toarray()
+def _dense(gops, data):
+    return gops.scipy_matrix(data).toarray()
 
 
 def _reactions(grid, u, v):
@@ -88,13 +82,6 @@ def _reactions(grid, u, v):
     gops = operators_for(grid)
     return {"ux": gops.reaction(u, 0), "uy": gops.reaction(u, 1),
             "vx": gops.reaction(v, 0), "vy": gops.reaction(v, 1)}
-
-
-def _convection(tape, grid, u, v):
-    """Advection block C(u, v)."""
-    gops = operators_for(grid)
-    cref = tape.apply("convection_block", (u, v), {"gops": gops})
-    return SparseBlock(gops.pattern, cref)
 
 
 def _grad_div(grid):
@@ -113,24 +100,20 @@ def _stiffness(gops):
 
 def test_single_element_unit_stiffness_closed_form():
     g = StructuredGrid(2)
-    t = Tape()
-    coef = t.constant(np.ones(4))
-    block = assemble_diffusion_block(t, g, coef)
+    gops = operators_for(g)
     local = np.array([[4.0, -1, -2, -1], [-1, 4, -1, -2],
                       [-2, -1, 4, -1], [-1, -2, -1, 4]]) / 6.0
     # closed form is in CCW corner order; map through the connectivity
     expected = np.zeros((4, 4))
     expected[np.ix_(g.elems[0], g.elems[0])] = local
-    got = _block_dense(t, block)
+    got = _dense(gops, gops.diffusion(np.ones(4)))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
     np.testing.assert_allclose(got.sum(axis=1), 0.0, rtol=0, atol=1e-14)
 
 
 def test_zero_coefficient_gives_zero_block():
     g = StructuredGrid(3)
-    t = Tape()
-    block = assemble_diffusion_block(t, g, t.constant(np.zeros(9)))
-    assert np.all(t.value(block.ref) == 0.0)
+    assert np.all(operators_for(g).diffusion(np.zeros(9)) == 0.0)
 
 
 def test_single_element_mass_closed_form():
@@ -152,13 +135,11 @@ def test_multi_element_blocks_match_dense_oracle():
     v = rng.normal(size=g.n_nodes)
     k_d, m_d, c_d, dx_d, gx_d = dense_oracle(g, coef, u, v)
 
-    t = Tape()
-    kblock = assemble_diffusion_block(t, g, t.constant(coef))
-    cblock = _convection(t, g, t.constant(u), t.constant(v))
-    np.testing.assert_allclose(_block_dense(t, kblock), k_d, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(_block_dense(t, cblock), c_d, rtol=0, atol=1e-13)
-
     gops = operators_for(g)
+    np.testing.assert_allclose(_dense(gops, gops.diffusion(coef)), k_d,
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_dense(gops, gops.convection(u, v)), c_d,
+                               rtol=0, atol=1e-13)
     np.testing.assert_allclose(gops.scipy_matrix(gops.m_data).toarray(), m_d,
                                rtol=0, atol=1e-14)
     gx, gy, dx, dy = _grad_div(g)
@@ -170,9 +151,8 @@ def test_multi_element_blocks_match_dense_oracle():
 
 def test_stiffness_symmetric_psd_with_constant_nullspace():
     g = StructuredGrid(4)
-    t = Tape()
-    block = assemble_diffusion_block(t, g, t.constant(np.ones(g.n_nodes)))
-    k = _block_dense(t, block)
+    gops = operators_for(g)
+    k = _dense(gops, gops.diffusion(np.ones(g.n_nodes)))
     np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-14)
     eig = np.linalg.eigvalsh(k)
     assert eig[0] > -1e-13
@@ -182,18 +162,15 @@ def test_stiffness_symmetric_psd_with_constant_nullspace():
 
 def test_convection_zero_velocity_and_constant_velocity():
     g = StructuredGrid(3)
-    t = Tape()
-    zero = t.constant(np.zeros(9))
-    cblock = _convection(t, g, zero, zero)
-    assert np.all(t.value(cblock.ref) == 0.0)
+    gops = operators_for(g)
+    zero, one = np.zeros(9), np.ones(9)
+    assert np.all(gops.convection(zero, zero) == 0.0)
     for r in _reactions(g, np.zeros(9), np.zeros(9)).values():
         assert np.all(r == 0.0)
 
-    one = t.constant(np.ones(9))
-    cblock1 = _convection(t, g, one, zero)
     _, _, dx, _ = _grad_div(g)
-    np.testing.assert_allclose(_block_dense(t, cblock1), dx.toarray(),
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_dense(gops, gops.convection(one, zero)),
+                               dx.toarray(), rtol=0, atol=1e-14)
     for r in _reactions(g, np.ones(9), np.zeros(9)).values():
         np.testing.assert_allclose(r, 0.0, rtol=0, atol=1e-13)
 
@@ -232,24 +209,23 @@ def _k_reference(x, y):
 
 
 def test_diffusion_block_gradient_matches_fd():
-    # an unweighted entry sum is degenerate (stiffness row sums vanish for
-    # any coefficient), so weight the entries randomly
+    # diffusion_bwd against differences of an entry sum; an unweighted sum
+    # is degenerate (stiffness row sums vanish for any coefficient), so
+    # weight the entries randomly
     g = StructuredGrid(6)
+    gops = operators_for(g)
     nu0 = _nu_reference(g.coords[:, 0], g.coords[:, 1])
-    weights = np.random.default_rng(6).normal(size=operators_for(g).nnz)
+    weights = np.random.default_rng(6).normal(size=gops.nnz)
 
     def f(theta):
-        t = Tape()
-        coef = t.variable(theta)
-        block = assemble_diffusion_block(t, g, coef)
-        loss = dot(t, t.constant(weights), block.ref)
-        return t.value(loss)[0], t.backward(loss)[coef]
+        return weights @ gops.diffusion(theta), gops.diffusion_bwd(weights)
 
     idx = range(0, g.n_nodes, 5)
     assert finite_difference_check(f, nu0, indices=idx) < 1e-6
 
 
 def test_convection_blocks_gradient_matches_fd():
+    # the advection backward of the residual oracle
     g = StructuredGrid(5)
     rng = np.random.default_rng(1)
     theta0 = rng.normal(size=2 * g.n_nodes)
@@ -259,48 +235,12 @@ def test_convection_blocks_gradient_matches_fd():
         th = t.variable(theta)
         u = ops.slice1d(t, th, 0, g.n_nodes)
         v = ops.slice1d(t, th, g.n_nodes, 2 * g.n_nodes)
-        cblock = _convection(t, g, u, v)
-        acc = ops.vsum(t, ops.square(t, cblock.ref))
+        cref = convection_block(t, operators_for(g), u, v)
+        acc = ops.vsum(t, ops.square(t, cref))
         return t.value(acc)[0], t.backward(acc)[th]
 
     idx = range(0, theta0.size, 9)
     assert finite_difference_check(f, theta0, indices=idx) < 1e-6
-
-
-def test_advection_diffusion_gradient_matches_fd():
-    g = StructuredGrid(6)
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=g.n_nodes) * 0.3
-    v = rng.normal(size=g.n_nodes) * 0.3
-    k0 = _k_reference(g.coords[:, 0], g.coords[:, 1])
-
-    weights = np.random.default_rng(7).normal(size=operators_for(g).nnz)
-
-    def f(theta):
-        t = Tape()
-        kc = t.variable(theta)
-        block = assemble_advection_diffusion(t, g, t.constant(u), t.constant(v),
-                                             kc, rho_cp=1.0)
-        loss = dot(t, t.constant(weights), block.ref)
-        return t.value(loss)[0], t.backward(loss)[kc]
-
-    idx = range(0, g.n_nodes, 7)
-    assert finite_difference_check(f, k0, indices=idx) < 1e-6
-
-
-def test_advection_diffusion_limits():
-    g = StructuredGrid(3)
-    t = Tape()
-    zero = t.constant(np.zeros(9))
-    ones = t.constant(np.ones(9))
-    pure_k = assemble_advection_diffusion(t, g, zero, zero, ones)
-    kblock = assemble_diffusion_block(t, g, ones)
-    np.testing.assert_allclose(t.value(pure_k.ref), t.value(kblock.ref),
-                               rtol=0, atol=0)
-    pure_c = assemble_advection_diffusion(t, g, ones, zero, t.constant(np.zeros(9)))
-    cblock = _convection(t, g, ones, zero)
-    np.testing.assert_allclose(t.value(pure_c.ref), t.value(cblock.ref),
-                               rtol=0, atol=0)
 
 
 def test_system_layout_matches_row_loop():
@@ -376,55 +316,44 @@ def test_operators_shared_per_grid_shape():
 def test_constrain_empty_spec_is_identity():
     g = StructuredGrid(3)
     gops = operators_for(g)
-    t = Tape()
-    data = t.variable(_stiffness(gops))
-    rhs = t.variable(np.arange(9.0))
+    data, rhs = _stiffness(gops), np.arange(9.0)
     plan = constraint_plan(gops.pattern, np.array([], dtype=np.intp))
-    block_c, rhs_c = constrain_system(t, plan, data, rhs, np.array([]))
-    np.testing.assert_array_equal(t.value(block_c.ref), _stiffness(gops))
-    np.testing.assert_array_equal(t.value(rhs_c), np.arange(9.0))
+    plan.eliminate(data, rhs, np.array([]))
+    np.testing.assert_array_equal(data, _stiffness(gops))
+    np.testing.assert_array_equal(rhs, np.arange(9.0))
 
 
 def test_constrain_all_nodes_returns_prescribed_values():
     g = StructuredGrid(3)
-    gops = operators_for(g)
     gvals = g.coords[:, 0] + g.coords[:, 1]
     t = Tape()
-    data = t.variable(_stiffness(gops))
-    rhs = t.constant(np.zeros(9))
-    spec = DirichletSpec(np.arange(9), gvals)
-    block_c, rhs_c = apply_dirichlet(t, SparseBlock(gops.pattern, data), rhs, spec)
-    x = sparse_solve(t, block_c, rhs_c)
-    np.testing.assert_allclose(t.value(x), gvals, rtol=0, atol=1e-14)
+    zero = np.zeros(9)
+    temp = heat_solve(t, g, zero, zero, t.constant(np.ones(9)),
+                      PhysicsConstants(), DirichletSpec(np.arange(9), gvals))
+    np.testing.assert_allclose(t.value(temp), gvals, rtol=0, atol=1e-14)
 
 
 def test_patch_test_linear_solution_machine_precision():
     # Poisson with boundary data x + y and zero interior load reproduces the
     # linear function exactly; acceptance threshold 1e-12
     g = StructuredGrid(5)
-    gops = operators_for(g)
     exact = g.coords[:, 0] + g.coords[:, 1]
     bc = DirichletSpec(g.all_boundary, exact[g.all_boundary])
     t = Tape()
-    kblock = assemble_diffusion_block(t, g, t.constant(np.ones(g.n_nodes)))
-    rhs = t.constant(np.zeros(g.n_nodes))
-    block_c, rhs_c = apply_dirichlet(t, kblock, rhs, bc)
-    x = sparse_solve(t, block_c, rhs_c)
+    zero = np.zeros(g.n_nodes)
+    x = heat_solve(t, g, zero, zero, t.constant(np.ones(g.n_nodes)),
+                   PhysicsConstants(heat_source_q=0.0), bc)
     assert np.max(np.abs(t.value(x) - exact)) < 1e-12
 
 
 def test_pinning_one_node_raises_rank_by_one():
     g = StructuredGrid(4)
     gops = operators_for(g)
-    k = gops.scipy_matrix(_stiffness(gops)).toarray()
-    rank_free = np.linalg.matrix_rank(k)
-    t = Tape()
-    data = t.constant(_stiffness(gops))
-    rhs = t.constant(np.zeros(g.n_nodes))
+    data = _stiffness(gops)
+    rank_free = np.linalg.matrix_rank(_dense(gops, data))
     plan = constraint_plan(gops.pattern, np.array([0]))
-    block_c, _ = constrain_system(t, plan, data, rhs, np.array([0.0]))
-    k_pinned = block_c.pattern.to_scipy(t.value(block_c.ref)).toarray()
-    assert np.linalg.matrix_rank(k_pinned) == rank_free + 1
+    plan.eliminate(data, np.zeros(g.n_nodes), np.array([0.0]))
+    assert np.linalg.matrix_rank(_dense(gops, data)) == rank_free + 1
 
 
 def test_constrain_matches_dense_elimination_oracle():
@@ -436,11 +365,8 @@ def test_constrain_matches_dense_elimination_oracle():
     cidx = np.array([0, 4, 8])
     gvals = np.array([1.0, -2.0, 0.5])
 
-    t = Tape()
-    data = t.variable(data0)
-    rhs = t.variable(rhs0)
-    plan = constraint_plan(gops.pattern, cidx)
-    block_c, rhs_c = constrain_system(t, plan, data, rhs, gvals)
+    data, rhs = data0.copy(), rhs0.copy()
+    constraint_plan(gops.pattern, cidx).eliminate(data, rhs, gvals)
 
     a = gops.scipy_matrix(data0).toarray()
     b = rhs0.copy()
@@ -451,40 +377,27 @@ def test_constrain_matches_dense_elimination_oracle():
     a[:, cidx] = 0.0
     a[cidx, cidx] = 1.0
     b[cidx] = gvals
-    np.testing.assert_allclose(
-        block_c.pattern.to_scipy(t.value(block_c.ref)).toarray(), a,
-        rtol=0, atol=1e-14)
-    np.testing.assert_allclose(t.value(rhs_c), b, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_dense(gops, data), a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rhs, b, rtol=0, atol=1e-14)
 
 
 def test_constrained_solve_gradient_matches_fd():
-    g = StructuredGrid(3)
-    gops = operators_for(g)
+    # nonzero prescribed values: the eliminated columns carry a gradient
+    g = StructuredGrid(4)
     rng = np.random.default_rng(5)
-    c = rng.normal(size=9)
-    cidx = np.array([0, 2, 6, 8])
-    gvals = np.array([0.5, -1.0, 2.0, 0.0])
-    plan = constraint_plan(gops.pattern, cidx)
-    nnz = gops.nnz
+    c = rng.normal(size=g.n_nodes)
+    u, v = 0.5 * rng.normal(size=(2, g.n_nodes))
+    bc = DirichletSpec(np.array([0, 3, 12, 15]), np.array([0.5, -1.0, 2.0, 0.0]))
+    k0 = rng.uniform(0.5, 2.0, g.n_nodes)
 
     def f(theta):
         t = Tape()
-        th = t.variable(theta)
-        data = ops.slice1d(t, th, 0, nnz)
-        rhs = ops.slice1d(t, th, nnz, nnz + 9)
-        block_c, rhs_c = constrain_system(t, plan, data, rhs, gvals)
-        x = sparse_solve(t, block_c, rhs_c)
-        loss = dot(t, t.constant(c), x)
-        return t.value(loss)[0], t.backward(loss)[th]
+        k = t.variable(theta)
+        temp = heat_solve(t, g, u, v, k, PhysicsConstants(), bc)
+        loss = dot(t, t.constant(c), temp)
+        return t.value(loss)[0], t.backward(loss)[k]
 
-    # diagonally shifted stiffness keeps the constrained matrix invertible
-    base = _stiffness(gops)
-    diag = np.flatnonzero(gops.pattern.entry_rows() == gops.pattern.indices)
-    assert diag.size == 9
-    base[diag] += 2.0
-    theta0 = np.concatenate([base, rng.normal(size=9)])
-    idx = list(range(0, nnz, 6)) + list(range(nnz, nnz + 9, 2))
-    assert finite_difference_check(f, theta0, indices=idx) < 1e-6
+    assert finite_difference_check(f, k0) < 1e-6
 
 
 def test_constraint_plan_rejects_duplicates_and_range():

@@ -326,6 +326,13 @@ def test_gradcheck_corrupted_flow_adjoint_exits_1(tmp_path, monkeypatch):
                  "--samples", "3"]) == 1
 
 
+def test_gradcheck_corrupted_heat_adjoint_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "heat_solve")
+    assert main(["gradcheck", "--config",
+                 _config(tmp_path, _small("conjugate_heat")),
+                 "--samples", "3"]) == 1
+
+
 def test_gradcheck_corrupted_network_backward_exits_1(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "mlp")
     assert main(["gradcheck", "--config", _config(tmp_path),

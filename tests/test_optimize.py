@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowgrad import optimize
 from flowgrad.errors import (
     ContractError,
     LineSearchError,
@@ -187,6 +188,26 @@ def test_search_extrapolates_from_short_trial():
     alpha, calls = _search_quadratic(1.0 / 64.0)
     assert calls == [1.0 / 64.0, 4.0 / 64.0, 16.0 / 64.0]
     assert alpha == 0.25
+
+
+def test_search_keeps_descent_when_bracketing_budget_runs_out():
+    # phi(alpha) = -alpha - alpha^2: every trial passes sufficient decrease
+    # and lowers the loss, and the slope only grows more negative, so no
+    # bracket ever forms; the last trial is returned instead of an error
+    calls = []
+
+    def evaluate(theta):
+        calls.append(float(theta[0]))
+        return -float(theta[0] + theta[0] ** 2), -(1.0 + 2.0 * theta)
+
+    g0 = np.array([-1.0])
+    alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 0.0, g0,
+                                -1.0, 1.0, np.inf, np.full(1, -np.inf),
+                                OptimizerConfig(), 1, [])
+    assert len(calls) == optimize._MAX_SEARCH_EVALS
+    assert alpha == calls[-1] == max(calls)
+    assert f == -(alpha + alpha ** 2) and g[0] == -(1.0 + 2.0 * alpha)
+    assert all(b > a for a, b in zip(calls, calls[1:]))
 
 
 def test_accepted_steps_satisfy_strong_wolfe():

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from flowgrad import ops, solver
+from flowgrad.assembly import constraint_plan, operators_for
 from flowgrad.errors import (
     ContractError,
     NewtonDivergedError,
@@ -21,8 +22,9 @@ from flowgrad.solver import (
     ns_residual,
     transport_integrate,
 )
+from flowgrad.sparse import LuFactors
 from flowgrad.tape import Tape, finite_difference_check
-from tape_oracle import dot, record_residual
+from tape_oracle import dot, record_heat, record_residual
 
 
 def reference_viscosity(coords):
@@ -473,14 +475,19 @@ def frozen_flow(grid, nu_nodal, tape):
                    tape.constant(src.value(state.p)), 0, 0.0)
 
 
+def cavity_velocities(grid, nu_nodal):
+    """u and v of the converged cavity flow, as plain arrays."""
+    t, state = solve_cavity(grid, nu_nodal)
+    return t.value(state.u), t.value(state.v)
+
+
 def test_heat_linear_patch():
     # u = v = 0, k = 1, Q = 0, boundary T = x reproduces T = x exactly
     g = StructuredGrid(6)
     t = Tape()
-    zero = t.constant(np.zeros(g.n_nodes))
-    ns = NSState(zero, zero, zero, 0, 0.0)
+    zero = np.zeros(g.n_nodes)
     bc_t = DirichletSpec(g.all_boundary, g.coords[g.all_boundary, 0])
-    temp = heat_solve(t, g, ns, t.constant(np.ones(g.n_nodes)),
+    temp = heat_solve(t, g, zero, zero, t.constant(np.ones(g.n_nodes)),
                       PhysicsConstants(heat_source_q=0.0), bc_t)
     assert np.max(np.abs(t.value(temp) - g.coords[:, 0])) < 1e-12
 
@@ -488,9 +495,8 @@ def test_heat_linear_patch():
 def test_heat_constant_state():
     g = StructuredGrid(5)
     t = Tape()
-    zero = t.constant(np.zeros(g.n_nodes))
-    ns = NSState(zero, zero, zero, 0, 0.0)
-    temp = heat_solve(t, g, ns, t.constant(np.ones(g.n_nodes)),
+    zero = np.zeros(g.n_nodes)
+    temp = heat_solve(t, g, zero, zero, t.constant(np.ones(g.n_nodes)),
                       PhysicsConstants(heat_source_q=0.0),
                       uniform_boundary_bc(g, 4.2))
     assert np.max(np.abs(t.value(temp) - 4.2)) < 1e-12
@@ -499,8 +505,8 @@ def test_heat_constant_state():
 def test_heat_positive_source_positive_interior():
     g = StructuredGrid(9)
     t = Tape()
-    ns = frozen_flow(g, np.ones(g.n_nodes), t)
-    temp = heat_solve(t, g, ns, t.constant(np.ones(g.n_nodes)),
+    u, v = cavity_velocities(g, np.ones(g.n_nodes))
+    temp = heat_solve(t, g, u, v, t.constant(np.ones(g.n_nodes)),
                       PhysicsConstants())
     vals = t.value(temp)
     interior = np.setdiff1d(np.arange(g.n_nodes), g.all_boundary)
@@ -511,10 +517,20 @@ def test_heat_positive_source_positive_interior():
 def test_heat_zero_conductivity_zero_velocity_singular():
     g = StructuredGrid(5)
     t = Tape()
-    zero = t.constant(np.zeros(g.n_nodes))
-    ns = NSState(zero, zero, zero, 0, 0.0)
+    zero = np.zeros(g.n_nodes)
     with pytest.raises(SingularMatrixError):
-        heat_solve(t, g, ns, t.constant(np.zeros(g.n_nodes)), PhysicsConstants())
+        heat_solve(t, g, zero, zero, t.constant(np.zeros(g.n_nodes)),
+                   PhysicsConstants())
+
+
+def test_heat_solve_rejects_a_flow_on_the_tape():
+    # the flow enters as nodal arrays; a tape reference is not one
+    g = StructuredGrid(4)
+    t = Tape()
+    u = t.constant(np.zeros(g.n_nodes))
+    with pytest.raises(ContractError):
+        heat_solve(t, g, u, u, t.constant(np.ones(g.n_nodes)),
+                   PhysicsConstants())
 
 
 def test_heat_conductivity_gradient_fd():
@@ -522,18 +538,73 @@ def test_heat_conductivity_gradient_fd():
     rng = np.random.default_rng(3)
     weights = rng.standard_normal(g.n_nodes)
     k0 = 1.0 + g.coords[:, 0] ** 2 + g.coords[:, 0] / (1.0 + g.coords[:, 1] ** 2)
+    u, v = cavity_velocities(g, np.ones(g.n_nodes))
 
     def f(k_nodal):
         t = Tape()
-        ns = frozen_flow(g, np.ones(g.n_nodes), t)
         k = t.variable(k_nodal)
-        temp = heat_solve(t, g, ns, k, PhysicsConstants())
+        temp = heat_solve(t, g, u, v, k, PhysicsConstants())
         loss = dot(t, t.constant(weights), temp)
         return float(t.value(loss)[0]), t.backward(loss)[k]
 
     worst = finite_difference_check(f, k0, indices=rng.choice(g.n_nodes, 8,
                                                               replace=False))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("n, wall", [(6, 0.0), (6, 0.3), (21, 0.0), (21, 0.3)])
+def test_heat_solve_matches_op_by_op_recording(n, wall):
+    # the system assembled, constrained and solved op by op on a tape is the
+    # oracle: T and the conductivity gradient agree bit for bit
+    g = StructuredGrid(n)
+    rng = np.random.default_rng(n)
+    u, v = cavity_velocities(g, np.ones(g.n_nodes))
+    k_nodal = rng.uniform(0.5, 2.0, g.n_nodes)
+    weights = rng.normal(size=g.n_nodes)
+    constants = PhysicsConstants(rho=1.3, cp=0.7, heat_source_q=2.0)
+    bc = uniform_boundary_bc(g, wall)
+
+    t = Tape()
+    k = t.variable(k_nodal)
+    temp = heat_solve(t, g, u, v, k, constants, bc)
+    grad = t.backward(dot(t, t.constant(weights), temp))[k]
+    assert len(t) == 4
+
+    gops = operators_for(g)
+    load = gops.scipy_matrix(gops.m_data) @ np.full(g.n_nodes, 2.0)
+    t_ref = Tape()
+    k_ref = t_ref.variable(k_nodal)
+    temp_ref = record_heat(t_ref, gops, constraint_plan(gops.pattern, bc.idx),
+                           t_ref.constant(u), t_ref.constant(v), k_ref,
+                           constants.rho * constants.cp, load, bc.vals)
+    expected = t_ref.backward(dot(t_ref, t_ref.constant(weights), temp_ref))
+    assert t.value(temp).tobytes() == t_ref.value(temp_ref).tobytes()
+    assert grad.tobytes() == expected[k_ref].tobytes()
+
+
+def test_heat_solve_factorizes_once_and_releases_lu(monkeypatch):
+    g = StructuredGrid(5)
+    u, v = cavity_velocities(g, np.ones(g.n_nodes))
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    t = Tape()
+    k = t.variable(np.ones(g.n_nodes))
+    temp = heat_solve(t, g, u, v, k, PhysicsConstants(),
+                      uniform_boundary_bc(g, 0.3))
+    loss = dot(t, temp, temp)
+    first = t.backward(loss)
+    assert len(calls) == 1
+    assert not any(isinstance(value, LuFactors)
+                   for value in t.nodes[temp].ctx.values())
+    # a second backward pass over the same tape refactorizes
+    np.testing.assert_array_equal(t.backward(loss)[k], first[k])
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
