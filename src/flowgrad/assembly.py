@@ -11,13 +11,14 @@ same maps in reverse.  Nothing here is recorded on a tape: the solver's
 operators call these blocks and write out their own backward rules.
 
 The coupled velocity-pressure system is a 3x3 grid of base-pattern blocks
-over unknowns [u; v; p].  ``GridOperators.system_layout`` maps each block's
-entries to their positions in the system CSR data array, where the Newton
-solver places its block arrays.  A :class:`ConstraintPlan` imposes
-Dirichlet rows and columns on a plain data array (``identity_rows``) and on
-its right-hand side (``eliminate``).  The system is factorized in a
-nested-dissection order of the grid's nodes
-(``GridOperators.system_order``).
+over unknowns [u; v; p].  ``GridOperators.system_layout`` lays its pattern
+out directly in the order it is factorized in, a nested-dissection order of
+the grid's nodes with the u, v and p of each node adjacent, and maps each
+block's entries to their positions in the system CSR data array, where the
+Newton solver places its block arrays.  So J is assembled in that order and
+never gathered into it.  A :class:`ConstraintPlan` imposes Dirichlet rows
+and columns on a plain data array (``identity_rows``) and on its
+right-hand side (``eliminate``).  Index maps are int32.
 """
 
 from dataclasses import dataclass
@@ -65,7 +66,8 @@ def _dissect(nx, ix0, ix1, iy0, iy1, out):
 
 
 class GridOperators:
-    """Shared pattern, scatter maps and mass block for one grid shape.
+    """Shared pattern, scatter map, mass block and system layout for one
+    grid shape.
 
     Everything here depends on the grid's shape only, so ``operators_for``
     shares one instance among the grids of a shape.  It keeps the shape,
@@ -86,7 +88,7 @@ class GridOperators:
         entry_cols = (uniq % n).astype(np.int32)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(entry_rows, minlength=n))])
         self.pattern = SparsePattern(n, n, indptr.astype(np.int32), entry_cols)
-        self.pos16 = inverse.astype(np.intp)
+        self.pos16 = inverse.astype(np.int32)
 
         self.wdet = q.wdet
         self.n_tab = q.n
@@ -96,7 +98,7 @@ class GridOperators:
         self.m_data = self.scatter(kernels.coefmass_fwd(
             np.ones((grid.n_elems, 4)), self.wdet, self.n_tab))
 
-        self._system = self._order = None
+        self._system = None
 
     @property
     def nnz(self):
@@ -174,47 +176,54 @@ class GridOperators:
         return self.pattern.to_scipy(data)
 
     def system_layout(self):
-        """(system pattern, blockmap) for the 3x3 [u; v; p] block system.
+        """(system pattern, blockmap, order) of the 3x3 [u; v; p] block
+        system, laid out in the order it is factorized in.
 
-        ``blockmap[br][bc][k]`` is the system-data position (int32) of base
-        entry ``k`` placed in block row ``br``, block column ``bc``.
+        The order numbers the grid's nodes by nested dissection: both halves
+        of a box come before the grid line that separates them, down to
+        boxes of at most 4 nodes, numbered row-major (``_dissect``).  The u,
+        v and p unknowns of each node are adjacent, so ``order.perm[3 a + f]``
+        is the natural index ``f n + node`` of unknown f of the a-th node.
+        Each system row holds the three unknowns of every node its node
+        couples to, columns sorted.  ``blockmap[br][bc][k]`` is the
+        system-data position (int32) of base entry ``k`` placed in block row
+        ``br``, block column ``bc``.
         """
         if self._system is not None:
             return self._system
         base = self.pattern
         n = base.n_rows
-        rows = base.entry_rows()
-        row_len = np.diff(base.indptr)
-        sys_indptr = np.concatenate([[0], np.cumsum(np.tile(3 * row_len, 3))])
-        offset_in_row = np.arange(base.nnz) - base.indptr[rows]
-        sys_indices = np.empty(3 * base.nnz * 3, dtype=np.int32)
+        nodes = []
+        _dissect(self.shape[0], 0, self.shape[0], 0, self.shape[1], nodes)
+        rank = np.empty(n, dtype=np.int32)
+        rank[nodes] = np.arange(n, dtype=np.int32)
+        # the base pattern in node order: its rows, and the slot of each
+        # base entry, whose columns then increase within every row
+        rows, cols = rank[base.entry_rows()], rank[base.indices]
+        slot = np.empty(base.nnz, dtype=np.int32)
+        slot[np.argsort(rows.astype(np.int64) * n + cols)] = np.arange(
+            base.nnz, dtype=np.int32)
+        row_len = np.bincount(rows, minlength=n).astype(np.int32)
+        starts = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
+        # system row 3 a + br holds node row a's columns c as 3 c, 3 c + 1,
+        # 3 c + 2: 3 row_len[a] entries from 9 starts[a] + 3 br row_len[a]
+        sys_indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * row_len, 3))])
+        first = 9 * starts[rows] + 3 * (slot - starts[rows])
+        stride = 3 * row_len[rows]
+        sys_indices = np.empty(9 * base.nnz, dtype=np.int32)
         blockmap = []
         for br in range(3):
             row_maps = []
             for bc in range(3):
-                pos = (sys_indptr[br * n + rows]
-                       + bc * row_len[rows] + offset_in_row).astype(np.int32)
-                sys_indices[pos] = base.indices + bc * n
+                pos = first + br * stride + bc
+                sys_indices[pos] = 3 * cols + bc
                 row_maps.append(pos)
             blockmap.append(row_maps)
         sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices)
-        self._system = (sys_pattern, blockmap)
+        perm = (np.array(nodes, dtype=np.int32)[:, None]
+                + n * np.arange(3, dtype=np.int32)).ravel()
+        self._system = (sys_pattern, blockmap, SymmetricOrder.create(perm))
         return self._system
-
-    def system_order(self):
-        """Nested-dissection :class:`SymmetricOrder` of the system pattern.
-
-        Both halves of a box are numbered before the grid line that
-        separates them, down to boxes of at most 4 nodes, numbered
-        row-major.  The u, v and p unknowns of each node are adjacent.
-        """
-        if self._order is None:
-            nodes = []
-            _dissect(self.shape[0], 0, self.shape[0], 0, self.shape[1], nodes)
-            perm = (np.array(nodes)[:, None]
-                    + self.n_nodes * np.arange(3)).ravel()
-            self._order = SymmetricOrder.create(self.system_layout()[0], perm)
-        return self._order
 
 
 def operators_for(grid):
@@ -237,9 +246,12 @@ def operators_for(grid):
 class ConstraintPlan:
     """Precomputed index sets for imposing Dirichlet rows on one pattern.
 
-    ``row_entries``: data positions in constrained rows (zeroed, diagonal
-    reset to 1).  ``col_entries``: positions (r, c) with c constrained and r
-    free; their values move to the rhs (symmetric column elimination).
+    ``idx``: the constrained rows, sorted.  ``row_entries``: data positions
+    in constrained rows (zeroed, diagonal reset to 1).  ``col_entries``:
+    positions (r, c) with c constrained and r free; their values move to the
+    rhs (symmetric column elimination), row ``col_rows`` times the value of
+    constrained index ``col_slot``.  ``diag_pos``: the constrained diagonal
+    entries.  All but ``idx`` are int32.
     """
 
     idx: np.ndarray
@@ -281,19 +293,21 @@ def constraint_plan(pattern, idx):
     cmask = np.zeros(n, dtype=bool)
     cmask[idx] = True
     rows = pattern.entry_rows()
-    row_entries = np.flatnonzero(cmask[rows])
-    col_entries = np.flatnonzero(cmask[pattern.indices] & ~cmask[rows])
-    col_rows = rows[col_entries].astype(np.intp)
-    col_slot = np.searchsorted(idx, pattern.indices[col_entries])
+    row_entries = np.flatnonzero(cmask[rows]).astype(np.int32)
+    col_entries = np.flatnonzero(cmask[pattern.indices]
+                                 & ~cmask[rows]).astype(np.int32)
+    col_rows = rows[col_entries]
+    col_slot = np.searchsorted(idx, pattern.indices[col_entries]).astype(
+        np.int32)
     # rows are non-decreasing and columns increase within a row, so the keys
     # row * n_cols + col are sorted over the whole pattern
     keys = rows.astype(np.int64) * pattern.n_cols + pattern.indices
     diag_keys = idx.astype(np.int64) * (pattern.n_cols + 1)
-    diag_pos = np.searchsorted(keys, diag_keys).astype(np.intp)
+    diag_pos = np.searchsorted(keys, diag_keys)
     found = diag_pos < keys.size
     found[found] = keys[diag_pos[found]] == diag_keys[found]
     if not found.all():
         raise ContractError(
             f"pattern has no diagonal entry for row {idx[~found][0]}")
     return ConstraintPlan(idx, row_entries, col_entries, col_rows, col_slot,
-                          diag_pos)
+                          diag_pos.astype(np.int32))

@@ -22,8 +22,12 @@ LU solve, so Newton stays a full Newton method.  When refinement stalls, as
 it does at low viscosity where convection moves the Jacobian far from
 J(x_0), the solver factorizes the current J(x_k) and re-anchors on it: those
 factors serve the remaining steps and the adjoint.  A flow solve therefore
-factorizes 1 + (its stalls) times, each time in the nested-dissection order
-of the grid (``GridOperators.system_order``).
+factorizes 1 + (its stalls) times.  J is assembled directly in the order it
+is factorized in, the nested-dissection order of the grid
+(``GridOperators.system_layout``), so a Newton step takes F into that order
+and its update out of it once, and the adjoint does the same with g and
+lam; the refinement residuals b - J x are those of the ordered J.  The
+factors keep no Jacobian: every solve names the one it refines against.
 
 Continuity rows carry pressure stabilization (a pressure stiffness weighted
 by beta h^2 / nu) so the equal-order discretization is solvable; the 1/nu
@@ -34,7 +38,10 @@ is fixed by pinning one node.
 ``heat_solve`` records the temperature of advection-diffusion in a frozen
 flow as one ``heat_solve`` operator from the nodal conductivity, in the
 same form: its forward assembles and factorizes the linear system on plain
-arrays, and its backward is one transpose solve with those factors.
+arrays, and its backward is one transpose solve with those factors.  What
+does not depend on the conductivity (the wall constraints, the convection
+block of the frozen flow and the load) is built once per flow and data, so
+an evaluation assembles only K(k).
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -160,23 +167,37 @@ def _nodal(value, n):
     return value
 
 
-# Most flow setups kept for reuse at once.
+# Most flow setups, and most heat setups, kept for reuse at once.
 _SHARED_SETUPS = 4
 _SETUPS = {}  # value key of the inputs -> _NsSetup, least recently used first
+_HEAT = {}  # value key of the inputs -> _HeatSetup, likewise
+
+
+def _shared(cache, key, build):
+    """``cache[key]``, built by ``build()`` on first use; the last
+    ``_SHARED_SETUPS`` keys used are kept."""
+    value = cache.pop(key, None) or build()
+    cache[key] = value
+    if len(cache) > _SHARED_SETUPS:
+        del cache[next(iter(cache))]
+    return value
 
 
 class _NsSetup:
-    """Constant matrices, system maps, the constraint plan and the LU order
-    of the flow system on one grid shape with one set of Dirichlet data,
-    constants and stabilization weight (see ``_setup_for``)."""
+    """Constant matrices, the system layout and order, and the constraint
+    plan of the flow system on one grid shape with one set of Dirichlet
+    data, constants and stabilization weight (see ``_setup_for``).
+
+    ``cidx`` and ``cvals`` are the constrained unknowns in the natural
+    [u; v; p] order and their values; ``plan`` constrains the system
+    pattern, which is in the system order."""
 
     def __init__(self, grid, bc, constants, beta):
         gops = operators_for(grid)
         self.gops = gops
         n = grid.n_nodes
         self.n = n
-        self.sys_pattern, self.bmap = gops.system_layout()
-        self.order = gops.system_order()
+        self.sys_pattern, self.bmap, self.order = gops.system_layout()
         self.stab_coef = beta * grid.hx * grid.hy
 
         dx, dy, gx, gy = gops.divergence_blocks()
@@ -191,7 +212,7 @@ class _NsSetup:
 
         cidx = np.concatenate([bc.u.idx, bc.v.idx + n,
                                np.array([2 * n + bc.pressure_pin])])
-        self.plan = constraint_plan(self.sys_pattern, cidx)
+        self.plan = constraint_plan(self.sys_pattern, self.order.inverse[cidx])
         self.cidx = cidx
         self.cvals = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
 
@@ -210,11 +231,7 @@ def _setup_for(grid, bc, constants, beta):
     key = (grid.nx, grid.ny, constants, float(beta), int(bc.pressure_pin),
            *(a.tobytes() for spec in (bc.u, bc.v)
              for a in (spec.idx, spec.vals)))
-    setup = _SETUPS.pop(key, None) or _NsSetup(grid, bc, constants, beta)
-    _SETUPS[key] = setup
-    if len(_SETUPS) > _SHARED_SETUPS:
-        del _SETUPS[next(iter(_SETUPS))]
-    return setup
+    return _shared(_SETUPS, key, lambda: _NsSetup(grid, bc, constants, beta))
 
 
 def ns_residual(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
@@ -230,10 +247,15 @@ def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
     """Constrained Newton matrix J(x) at ``state`` as a scipy CSR matrix.
 
     This is the matrix the steady-flow adjoint solves with when ``state``
-    is a converged solution.  It is evaluated off ``tape``, which is only read.
+    is a converged solution, in the natural [u; v; p] order with sorted
+    indices; the solver assembles it in its system order.  It is evaluated
+    off ``tape``, which is only read.
     """
-    return _linearized(tape, grid, state, nu_nodal, constants, bc,
-                       beta).jacobian()[0]
+    lin = _linearized(tape, grid, state, nu_nodal, constants, bc, beta)
+    inverse = lin.setup.order.inverse
+    matrix = lin.jacobian()[inverse][:, inverse]
+    matrix.sort_indices()
+    return matrix
 
 
 def _linearized(tape, grid, state, nu_nodal, constants, bc, beta):
@@ -252,9 +274,10 @@ class _Linearization:
         F = [C u + K u + Gx p - load_u;  C v + K v + Gy p - load_v;
              Dx u + Dy v + S p].
 
-    J(x) is assembled from the same blocks, and ``nu_vjp`` gives
-    (dF/dnu)^T lam.  ``u``, ``v`` and ``p`` are views of ``x``, so ``x``
-    must not change while the linearization is in use.
+    J(x) is assembled once from the same blocks, in the system order, which
+    drops them; ``nu_vjp`` gives (dF/dnu)^T lam.  x, F and lam are in the
+    natural order.  ``u``, ``v`` and ``p`` are views of ``x``, so ``x`` must
+    not change while the linearization is in use.
     """
 
     def __init__(self, setup, nu, x):
@@ -273,7 +296,7 @@ class _Linearization:
         if np.any(setup.load_v):
             fv = fv - setup.load_v
         f = np.concatenate([fu, fv, (setup.dx @ u + setup.dy @ v) + stab @ p])
-        f[setup.plan.idx] = 0.0
+        f[setup.cidx] = 0.0
         if not np.all(np.isfinite(f)):
             raise NumericError("non-finite residual")
         self.f = f
@@ -282,7 +305,8 @@ class _Linearization:
         return float(np.max(np.abs(self.f)))
 
     def jacobian(self):
-        """(constrained J(x) as scipy CSR, constrained F(x)).
+        """Constrained J(x) in the system order, as scipy CSR on the setup's
+        system pattern, which is laid out in that order.
 
         The momentum blocks carry the full convection linearization:
         advection C(u, v) plus the four reaction blocks from the state
@@ -290,28 +314,29 @@ class _Linearization:
         made, so only one reaction block is alive at a time; a diagonal
         block is (C + K) + R, summed in one buffer.  Adding zero afterwards
         turns -0.0 into 0.0, so J's bits are those of blocks accumulated
-        into zeros.  F's Dirichlet rows are already zero, so it is its own
-        constrained right-hand side: eliminating columns whose prescribed
-        values are zero moves nothing.
+        into zeros.  The linearization drops C, K and S once they are
+        written, so it gives its Jacobian once.
         """
         setup = self.setup
         gops, bmap = setup.gops, setup.bmap
+        c, k, stab = self.c, self.k, self.stab
+        self.c = self.k = self.stab = None
         # every system entry lies in exactly one block
         data = np.empty(setup.sys_pattern.nnz)
         for pos, block in setup.const_blocks:
             data[pos] = block
-        diag = np.empty_like(self.c)
+        diag = np.empty_like(c)
         # row 0 takes du/dx on its diagonal block and du/dy beside it, row 1
         # dv/dy and dv/dx
         for row, w in enumerate((self.u, self.v)):
-            np.add(self.c, self.k, out=diag)
+            np.add(c, k, out=diag)
             diag += gops.reaction(w, row)
             data[bmap[row][row]] = diag
             data[bmap[row][1 - row]] = gops.reaction(w, 1 - row)
-        data[bmap[2][2]] = self.stab
+        data[bmap[2][2]] = stab
         data += 0.0
         setup.plan.identity_rows(data)
-        return setup.sys_pattern.to_scipy(data), self.f
+        return setup.sys_pattern.to_scipy(data)
 
     def nu_vjp(self, lam):
         """(dF/dnu)^T lam, in the arithmetic order of a tape recording of F.
@@ -326,7 +351,7 @@ class _Linearization:
         setup = self.setup
         gops, n = setup.gops, setup.n
         lam = lam.copy()
-        lam[setup.plan.idx] = 0.0
+        lam[setup.cidx] = 0.0
         lam_u, lam_v, lam_p = (lam[k * n:(k + 1) * n] for k in range(3))
         rows, cols = gops.pattern.entry_rows(), gops.pattern.indices
         k_grad = lam_v[rows] * self.v[cols] + lam_u[rows] * self.u[cols]
@@ -335,8 +360,9 @@ class _Linearization:
                 + gops.diffusion_bwd(k_grad))
 
 
-def _swept(lu, b, transpose, counts, matrix=None):
-    """``lu``'s solve (see :meth:`LuFactors.solve`), its sweeps counted."""
+def _swept(lu, matrix, b, transpose, counts):
+    """``lu``'s solve with ``matrix`` (see :meth:`LuFactors.solve`), its
+    sweeps counted."""
     before = lu.sweeps
     try:
         return (lu.solve_transpose if transpose else lu.solve)(b, matrix)
@@ -352,7 +378,7 @@ def _refined(lu, matrix, b, transpose, counts):
     """
     if lu is None:
         return None
-    x = _swept(lu, b, transpose, counts, matrix)
+    x = _swept(lu, matrix, b, transpose, counts)
     if x is None:
         counts.stalls += 1
     else:
@@ -360,9 +386,9 @@ def _refined(lu, matrix, b, transpose, counts):
     return x
 
 
-def _factorized(setup, matrix, counts):
+def _factorized(matrix, counts):
     counts.factorizations += 1
-    return LuFactors(matrix, setup.order)
+    return LuFactors(matrix, ordered=True)
 
 
 def _steady_flow_fwd(v, ctx):
@@ -373,22 +399,28 @@ def _steady_flow_fwd(v, ctx):
     refinement stalls, the old factors are dropped and J(x_k) is factorized;
     those factors are the anchor from then on, so at most one factorization
     is alive at a time.  Each iterate is linearized on plain arrays
-    (:class:`_Linearization`).  On convergence ``ctx["lu"]`` keeps the last
-    anchor and ``ctx["lin"]`` the linearization at x*, which the last
-    residual test built, for the adjoint.
+    (:class:`_Linearization`).  J is assembled in the system order
+    (``GridOperators.system_layout``), so each step takes F into that order
+    and the update out of it once.  F's Dirichlet rows are already zero, so
+    it is its own constrained right-hand side: eliminating columns whose
+    prescribed values are zero moves nothing.  On convergence ``ctx["lu"]``
+    keeps the last anchor and ``ctx["lin"]`` the linearization at x*, which
+    the last residual test built, for the adjoint.
 
     The iterate is updated in place, each step's Jacobian, right-hand side,
     update and linearization are dropped before the next iterate is
     linearized, and a stall drops the linearization with the factors.  So
-    a factorization runs with only the current linearization, its Jacobian
-    and right-hand side alive next to the grid's setup, and nothing
-    allocated after the factors outlives them: the heap can then shrink
-    before the next factorization instead of leaving it a hole to fragment
-    (each SuperLU factorization reserves far more memory than it touches).
+    a factorization runs with only the current Jacobian, its right-hand
+    side and the linearization's F alive next to the grid's setup, and
+    nothing allocated after the factors outlives them: the heap can then
+    shrink before the next factorization instead of leaving it a hole to
+    fragment (each SuperLU factorization reserves far more memory than it
+    touches).
     """
     nu = v[0]
     setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
     counts = ctx["counts"]
+    perm, inverse = setup.order.perm, setup.order.inverse
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
     lin = _Linearization(setup, nu, x)
@@ -396,19 +428,19 @@ def _steady_flow_fwd(v, ctx):
     trace = ctx["trace"] = []
     lu = None
     for it in range(1, config.max_iter + 1):
-        matrix, rhs = lin.jacobian()
+        matrix, rhs = lin.jacobian(), lin.f[perm]
         delta = _refined(lu, matrix, rhs, False, counts)
         if delta is None:
             if lu is not None:
                 # a stall: drop the factors and what was allocated after them
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
-                matrix, rhs = lin.jacobian()
-            lu = _factorized(setup, matrix, counts)
-            delta = _swept(lu, rhs, False, counts)
+                matrix, rhs = lin.jacobian(), lin.f[perm]
+            lu = _factorized(matrix, counts)
+            delta = _swept(lu, matrix, rhs, False, counts)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
-        x -= delta
+        x -= delta[inverse]
         x[setup.cidx] = setup.cvals
         # the step's system and linearization die before the next one is built
         lin = matrix = rhs = delta = None
@@ -434,7 +466,8 @@ def _steady_flow_bwd(g, ctx):
     -(dF/dnu)^T lam with lam = J(x*)^-T g: one transpose solve, by
     refinement against the forward's last anchor factors when it kept them,
     else (or when refinement stalls) with a fresh factorization of J(x*).
-    J(x*) and (dF/dnu)^T lam come from the forward's linearization at x*
+    g goes into the system order and lam out of it once.  J(x*) and
+    (dF/dnu)^T lam come from the forward's linearization at x*
     (:meth:`_Linearization.nu_vjp`), so F is not evaluated again.
     The constrained J stands in for dF/dx: its eliminated columns multiply
     the prescribed values, which do not move with nu, and the Dirichlet rows
@@ -445,12 +478,12 @@ def _steady_flow_bwd(g, ctx):
     # repeated backward pass over the same tape linearizes at x* again and
     # factorizes J(x*)
     lin = ctx.pop("lin", None) or _Linearization(setup, ctx["nu"], ctx["x"])
-    matrix = lin.jacobian()[0]
-    lam = _refined(ctx.pop("lu", None), matrix, g, True, counts)
+    matrix, rhs = lin.jacobian(), g[setup.order.perm]
+    lam = _refined(ctx.pop("lu", None), matrix, rhs, True, counts)
     if lam is None:
-        lam = _swept(_factorized(setup, matrix, counts), g, True, counts)
+        lam = _swept(_factorized(matrix, counts), matrix, rhs, True, counts)
     matrix = None  # J(x*) dies before the vector-Jacobian product
-    return (-lin.nu_vjp(lam),)
+    return (-lin.nu_vjp(lam[setup.order.inverse]),)
 
 
 register_op("steady_flow", _steady_flow_fwd, _steady_flow_bwd)
@@ -481,17 +514,46 @@ def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
     return NSState(u, v, p, len(trace), trace[-1][1], trace)
 
 
+class _HeatSetup:
+    """What the heat system of one frozen flow keeps across its solves: the
+    wall constraint plan and values, rho Cp C(u, v) as CSR data and the load
+    M Q (see ``_heat_setup_for``)."""
+
+    def __init__(self, grid, u, v, constants, bc_t):
+        self.gops = gops = operators_for(grid)
+        self.plan = constraint_plan(gops.pattern, bc_t.idx)
+        self.vals = bc_t.vals
+        self.convection = constants.rho * constants.cp * gops.convection(u, v)
+        self.load = (gops.scipy_matrix(gops.m_data)
+                     @ _nodal(constants.heat_source_q, grid.n_nodes))
+
+
+def _heat_setup_for(grid, u, v, constants, bc_t):
+    """The shared :class:`_HeatSetup` of these inputs, built on first use.
+
+    Keyed by value, so every evaluation of a heat problem, and every problem
+    with the same frozen flow and data, reuses one setup; the last
+    ``_SHARED_SETUPS`` are kept.
+    """
+    key = (grid.nx, grid.ny, constants,
+           *(a.tobytes() for a in (u, v, bc_t.idx, bc_t.vals)))
+    return _shared(_HEAT, key,
+                   lambda: _HeatSetup(grid, u, v, constants, bc_t))
+
+
 def _heat_solve_fwd(v, ctx):
     """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed."""
-    gops, plan = ctx["gops"], ctx["plan"]
-    data = ctx["rho_cp"] * gops.convection(*ctx["flow"]) + gops.diffusion(v[0])
-    rhs = ctx["load"].copy()
-    plan.eliminate(data, rhs, ctx["vals"])
-    lu = LuFactors(gops.scipy_matrix(data))
-    temp = lu.solve(rhs)
+    heat = ctx["heat"]
+    gops = heat.gops
+    data = heat.convection + gops.diffusion(v[0])
+    rhs = heat.load.copy()
+    heat.plan.eliminate(data, rhs, heat.vals)
+    matrix = gops.scipy_matrix(data)
+    lu = LuFactors(matrix)
+    temp = lu.solve(rhs, matrix)
     if not np.all(np.isfinite(temp)):
         raise NumericError("heat solve produced a non-finite temperature")
-    ctx["data"], ctx["temp"], ctx["lu"] = data, temp, lu
+    ctx["matrix"], ctx["temp"], ctx["lu"] = matrix, temp, lu
     return temp
 
 
@@ -503,15 +565,16 @@ def _heat_solve_bwd(g, ctx):
     -vals_c lam_r.  ``diffusion_bwd`` maps the entry gradient to k; the
     flow and the load are constants.
     """
-    gops, plan = ctx["gops"], ctx["plan"]
+    heat, matrix = ctx["heat"], ctx["matrix"]
+    gops, plan = heat.gops, heat.plan
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape refactorizes
-    lu = ctx.pop("lu", None) or LuFactors(gops.scipy_matrix(ctx["data"]))
-    lam = lu.solve_transpose(g)
+    lu = ctx.pop("lu", None) or LuFactors(matrix)
+    lam = lu.solve_transpose(g, matrix)
     pattern = gops.pattern
     gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
     gdata[plan.row_entries] = 0.0
-    gdata[plan.col_entries] = -ctx["vals"][plan.col_slot] * lam[plan.col_rows]
+    gdata[plan.col_entries] = -heat.vals[plan.col_slot] * lam[plan.col_rows]
     return (gops.diffusion_bwd(gdata),)
 
 
@@ -523,17 +586,13 @@ def heat_solve(tape, grid, u, v, k_nodal, constants, bc_t=None):
 
     ``u`` and ``v`` are the nodal velocities of a frozen flow, as plain
     arrays: the temperature is differentiated with respect to ``k_nodal``
-    only.  The tape gains one ``heat_solve`` node.
+    only.  The tape gains one ``heat_solve`` node.  Everything but K(k) is
+    built once per flow and data (``_heat_setup_for``).
     """
     bc_t = bc_t or uniform_boundary_bc(grid, 0.0)
-    gops = operators_for(grid)
-    mass = gops.scipy_matrix(gops.m_data)
-    ctx = {"gops": gops, "plan": constraint_plan(gops.pattern, bc_t.idx),
-           "vals": bc_t.vals, "rho_cp": constants.rho * constants.cp,
-           "flow": (np.asarray(u, dtype=np.float64),
-                    np.asarray(v, dtype=np.float64)),
-           "load": mass @ _nodal(constants.heat_source_q, grid.n_nodes)}
-    return tape.apply("heat_solve", (k_nodal,), ctx)
+    heat = _heat_setup_for(grid, np.asarray(u, dtype=np.float64),
+                           np.asarray(v, dtype=np.float64), constants, bc_t)
+    return tape.apply("heat_solve", (k_nodal,), {"heat": heat})
 
 
 def transport_integrate(tape, ns, constants, w_init=None, dt=0.1, n_steps=50):

@@ -1,24 +1,27 @@
-"""Sparse patterns, LU factorization, and a product with a constant matrix.
+"""Sparse patterns, orders, LU factorization, and a product with a constant
+matrix.
 
 A matrix is a scipy sparse matrix, or a 1-d data array over a
 :class:`SparsePattern` (indptr and column indices only; ``entry_rows``
 expands the row of each entry when a setup or adjoint needs it) that the
-matrices of one grid share.  The one recorded op is ``spmv_fixed``, a
-product with a constant matrix.  Linear solves are not recorded here: the
-solver records each system as one operator whose forward keeps its
-factorization and whose backward is one transpose solve with it (see
-:mod:`flowgrad.solver`).
+matrices of one grid share.  A :class:`SymmetricOrder` maps vectors between
+a system's natural order and the order it is assembled and factorized in.
+The one recorded op is ``spmv_fixed``, a product with a constant matrix.
+Linear solves are not recorded here: the solver records each system as one
+operator whose forward keeps its factorization and whose backward is one
+transpose solve with it (see :mod:`flowgrad.solver`).
 
 Every matrix factorized here is a structurally symmetric finite-element
 matrix, so :class:`LuFactors` runs SuperLU's symmetric path: pivots taken
-from the diagonal, and a symmetric fill-reducing order.  A matrix that comes
-with a :class:`SymmetricOrder` is factorized as P A P^T in that order; the
-flow Jacobian comes with the nested-dissection order of its grid (George,
-*Nested dissection of a regular finite element mesh*, 1973).  Against
-minimum degree it has 7% less fill and factorizes 11-25% faster at 41x41,
-18% and 35% at 81x81.  Any other matrix is ordered by minimum degree on
-A+A^T.  Either order gives about 45% less fill than COLAMD with partial
-pivoting on the cavity Jacobian, but no bound on element growth.
+from the diagonal, and a symmetric fill-reducing order.  A matrix given as
+``ordered`` is already in that order and is factorized as it stands: the
+flow Jacobian is assembled in the nested-dissection order of its grid
+(George, *Nested dissection of a regular finite element mesh*, 1973; see
+``GridOperators.system_layout``).  Against minimum degree it has 7% less
+fill and factorizes 11-25% faster at 41x41, 18% and 35% at 81x81.  Any
+other matrix is ordered by minimum degree on A+A^T.  Either order gives
+about 45% less fill than COLAMD with partial pivoting on the cavity
+Jacobian, but no bound on element growth.
 
 SuperLU factorizes A in single precision, which halves the factors' value
 storage, and every solve is iterative refinement in double precision
@@ -26,21 +29,24 @@ storage, and every solve is iterative refinement in double precision
 32 bit floating point arithmetic in obtaining 64 bit accuracy*, SC 2006;
 Carson & Higham, SIAM J. Sci. Comput. 2018): x <- x + LU^-1 (b - A x)
 from x = 0 until ``max|b - A x| <= 1e-8 max|b|``, with the residual taken
-in double against the double A.  With the factorized matrix itself the
-first sweep is the direct solve, accurate to single precision only, so a
-solve takes two to four sweeps, and a matrix whose condition number nears
-the inverse of the single-precision roundoff (about 1e7) can fail the test
-where double-precision factors would meet it.  The same sweeps solve with a
-*nearby* matrix, such as a later Newton Jacobian, using these factors as
-the approximate inverse.  Sweeps are capped; when refinement stalls a solve
-with the factorized matrix raises :class:`NumericError` and a solve with a
-nearby matrix returns None, so the caller can factorize that matrix and
-keep its factors for the matrices that follow.  Residuals are always those
-of the unpermuted A; only the LU application permutes.  SuperLU is handed
-the CSR arrays of A (or of P A P^T) as the CSC arrays of their transpose,
-which avoids a format conversion; the solves swap ``trans`` to match.
+in double against the double A.  The factors keep no reference to A: each
+solve names the matrix it refines against.  With the factorized matrix
+itself the first sweep is the direct solve, accurate to single precision
+only, so a solve takes two to four sweeps, and a matrix whose condition
+number nears the inverse of the single-precision roundoff (about 1e7) can
+fail the test where double-precision factors would meet it.  The same
+sweeps solve with a *nearby* matrix, such as a later Newton Jacobian, using
+these factors as the approximate inverse.  Sweeps are capped; when
+refinement stalls a solve with the factorized matrix raises
+:class:`NumericError` and a solve with a nearby matrix returns None, so the
+caller can factorize that matrix and keep its factors for the matrices that
+follow.  Residuals, right-hand sides and solutions are all in the order of
+the matrix as given.  SuperLU is handed the CSR arrays of A as the CSC
+arrays of their transpose, which avoids a format conversion; the solves
+swap ``trans`` to match.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,38 +142,25 @@ class SparsePattern:
 
 @dataclass(frozen=True)
 class SymmetricOrder:
-    """A symmetric permutation P of one square pattern, ready to apply to data.
+    """A symmetric permutation P of the rows and columns of a square system.
 
-    Row and column ``perm[k]`` of A become row and column k of P A P^T, and
-    ``inverse`` undoes ``perm``.  ``indptr`` and ``indices`` are the CSR
-    pattern of P A P^T, whose data array is ``data[gather]`` for the data
-    array of A on ``pattern``.
+    Row and column ``perm[k]`` of A become row and column k of P A P^T, so
+    a vector x of A's order is ``x[perm]`` in P's, and ``inverse`` undoes
+    ``perm``.  Both are int32.
     """
 
-    pattern: SparsePattern
     perm: np.ndarray
     inverse: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
 
     @classmethod
-    def create(cls, pattern, perm):
-        n = pattern.n_rows
-        perm = np.asarray(perm, dtype=np.intp)
-        if pattern.n_cols != n or perm.shape != (n,) or not np.array_equal(
-                np.sort(perm), np.arange(n)):
-            raise ContractError(
-                f"order is not a permutation of the {n} rows of a square "
-                "pattern")
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[perm] = np.arange(n)
-        # P A P^T of a matrix whose data are the entry positions of A
-        permuted = pattern.to_scipy(np.arange(pattern.nnz))[perm][:, perm]
-        permuted.sort_indices()
-        return cls(pattern, perm, inverse, permuted.indptr.astype(np.int32),
-                   permuted.indices.astype(np.int32),
-                   permuted.data.astype(np.int32))
+    def create(cls, perm):
+        perm = np.asarray(perm, dtype=np.int32)
+        n = perm.shape[0]
+        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ContractError(f"order is not a permutation of {n} rows")
+        inverse = np.empty(n, dtype=np.int32)
+        inverse[perm] = np.arange(n, dtype=np.int32)
+        return cls(perm, inverse)
 
 
 def _first_zero_pivot(dense):
@@ -211,19 +204,20 @@ def _diagnose_pivot(sp):
 
 
 class LuFactors:
-    """LU factorization of a square sparse matrix with forward/transpose solves.
+    """LU factorization of a square sparse matrix, with solves by refinement.
 
     Symmetric-mode SuperLU in single precision, with solves refined to the
     double-precision residual test; see the module docstring.  An entry
-    beyond the single-precision range raises :class:`NumericError`.  With
-    an ``order`` (a :class:`SymmetricOrder` of the matrix's own pattern) it
-    factorizes P A P^T in that order, else A in minimum degree order.
-    ``solve`` and ``solve_transpose`` also take a nearby matrix of the same
-    size, which they solve with by iterative refinement against these
-    factors.  ``sweeps`` totals the refinement sweeps of every solve.
+    beyond the single-precision range raises :class:`NumericError`.  An
+    ``ordered`` matrix is factorized in its own order (the flow Jacobian,
+    assembled in its grid's nested-dissection order), any other in minimum
+    degree order.  The factors keep no reference to the matrix: ``solve``
+    and ``solve_transpose`` name the matrix they refine against, the
+    factorized one or a nearby one of the same size.  ``sweeps`` totals the
+    refinement sweeps of every solve.
     """
 
-    def __init__(self, matrix, order=None):
+    def __init__(self, matrix, ordered=False):
         if not scipy.sparse.issparse(matrix):
             raise ContractError(f"cannot factorize {type(matrix).__name__}")
         sp = matrix.tocsr()
@@ -235,35 +229,24 @@ class LuFactors:
                 or sp.data.min(initial=0.0) < -_SINGLE_MAX):
             raise NumericError("matrix has entries beyond the single-precision "
                                "range")
+        if not sp.has_canonical_format:
+            # SuperLU would sort the index arrays it shares with A in place
+            sp = sp.copy()
+            sp.sum_duplicates()
         self.n = sp.shape[0]
-        self._a = sp
         self.sweeps = 0
-        # cast and gather in one expression, so the only single-precision
-        # copy alive during the factorization is the one SuperLU reads
-        if order is None:
-            self._perm = self._inverse = None
-            factored = scipy.sparse.csr_matrix(
-                (sp.data.astype(np.float32), sp.indices, sp.indptr),
-                shape=sp.shape)
-            permc_spec = "MMD_AT_PLUS_A"
-        else:
-            if not (np.array_equal(sp.indptr, order.pattern.indptr)
-                    and np.array_equal(sp.indices, order.pattern.indices)):
-                raise ContractError(
-                    "matrix pattern does not match the pattern of its order")
-            self._perm, self._inverse = order.perm, order.inverse
-            factored = scipy.sparse.csr_matrix(
-                (sp.data.astype(np.float32)[order.gather], order.indices,
-                 order.indptr),
-                shape=sp.shape)
-            permc_spec = "NATURAL"
+        # a weak reference, so the factors keep no matrix alive
+        self._factorized = weakref.ref(matrix)
+        # the only single-precision copy, sharing A's index arrays
+        factored = scipy.sparse.csr_matrix(
+            (sp.data.astype(np.float32), sp.indices, sp.indptr), shape=sp.shape)
         try:
             # factors of the transpose, from the CSR arrays read as CSC.
             # SuperLU skips an exactly zero diagonal even at threshold 0, so
             # a nonsingular matrix with zero diagonal entries still factorizes
             self._lu = scipy.sparse.linalg.splu(
-                factored.T, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+                factored.T, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
             pivot = _diagnose_pivot(sp)
             raise SingularMatrixError(
@@ -272,18 +255,14 @@ class LuFactors:
             ) from exc
 
     def _lu_solve(self, r, trans):
-        """LU^-1 r, through the order when the factors are of P A P^T.
+        """LU^-1 r.
 
         The single-precision solve sees r / max|r|, so a residual far below
         or above the single-precision range neither under- nor overflows;
         the correction is scaled back in double precision.
         """
         scale = np.max(np.abs(r), initial=0.0) or 1.0
-        if self._perm is not None:
-            r = r[self._perm]
         y = self._lu.solve((r / scale).astype(np.float32), trans=trans)
-        if self._perm is not None:
-            y = y[self._inverse]
         return np.multiply(y, scale, dtype=np.float64)
 
     def _refine(self, a, b, transpose):
@@ -322,27 +301,26 @@ class LuFactors:
         return None
 
     def _solve(self, b, matrix, transpose):
-        if matrix is not None:
-            return self._refine(matrix, b, transpose)
-        x = self._refine(self._a, b, transpose)
-        if x is None:
+        x = self._refine(matrix, b, transpose)
+        if x is None and matrix is self._factorized():
             raise NumericError(
                 f"LU solve residual stays above {_RESIDUAL_TOL:g} max|b| under "
                 f"iterative refinement")
         return x
 
-    def solve(self, b, matrix=None):
-        """x with A x = b, or with ``matrix`` x = b when a matrix is given.
+    def solve(self, b, matrix):
+        """x with ``matrix`` x = b, refined against these factors.
 
-        Solving with the factorized A raises :class:`NumericError` when
-        refinement stalls.  Solving with another ``matrix`` (a scipy sparse
-        matrix close to A) returns None instead, so the caller can factorize
-        it and solve with its factors from then on.
+        ``matrix`` is the scipy sparse matrix that was factorized, or one
+        close to it.  When refinement stalls, a solve with the factorized
+        matrix itself raises :class:`NumericError`; a solve with another
+        matrix returns None instead, so the caller can factorize it and
+        solve with its factors from then on.
         """
         return self._solve(b, matrix, False)
 
-    def solve_transpose(self, b, matrix=None):
-        """x with A^T x = b, or ``matrix``^T x = b; see :meth:`solve`."""
+    def solve_transpose(self, b, matrix):
+        """x with ``matrix``^T x = b; see :meth:`solve`."""
         return self._solve(b, matrix, True)
 
 

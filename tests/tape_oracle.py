@@ -6,9 +6,10 @@ solver builds both on plain arrays, and its ``steady_flow`` and
 ``heat_solve`` operators write their backward rules out by hand.  The
 operators here let a test record F, or the heat system and its solve, op
 by op instead and take the gradients from the tape, as an oracle for the
-solver.  Tests also use ``dot`` for weighted-sum losses.  Every operator is
-registered under an ``oracle.`` name, so the package's own registry checks
-leave them out.
+solver.  ``mlp`` is the network operator that keeps its activations, an
+oracle for the package's, which recomputes them.  Tests also use ``dot``
+for weighted-sum losses.  Every operator is registered under an
+``oracle.`` name, so the package's own registry checks leave them out.
 """
 
 import numpy as np
@@ -134,20 +135,52 @@ def _constrain_bwd(g, ctx):
 
 def _sparse_solve_fwd(v, ctx):
     data, b = v
-    lu = LuFactors(ctx["pattern"].to_scipy(data))
-    x = lu.solve(b)
+    matrix = ctx["pattern"].to_scipy(data)
+    lu = LuFactors(matrix)
+    x = lu.solve(b, matrix)
     if not np.all(np.isfinite(x)):
         raise NumericError("oracle.sparse_solve produced non-finite solution")
-    ctx["data"], ctx["x"], ctx["lu"] = data, x, lu
+    ctx["matrix"], ctx["x"], ctx["lu"] = matrix, x, lu
     return x
 
 
 def _sparse_solve_bwd(g, ctx):
-    pattern = ctx["pattern"]
-    lu = ctx.pop("lu", None) or LuFactors(pattern.to_scipy(ctx["data"]))
-    lam = lu.solve_transpose(g)
+    pattern, matrix = ctx["pattern"], ctx["matrix"]
+    lu = ctx.pop("lu", None) or LuFactors(matrix)
+    lam = lu.solve_transpose(g, matrix)
     gdata = -lam[pattern.entry_rows()] * ctx["x"][pattern.indices]
     return gdata, lam
+
+
+def _mlp_fwd(v, ctx):
+    theta = ctx["theta"] = v[0]
+    *inner, last = ctx["layout"].slices()
+    h = ctx["points"]
+    hidden = ctx["hidden"] = []
+    for w0, w1, b1, fi, fo in inner:
+        z = h @ theta[w0:w1].reshape(fi, fo)
+        z += theta[w1:b1]
+        h = np.tanh(z, out=z)
+        hidden.append(h)
+    w0, w1, b1, fi, fo = last
+    z = h @ theta[w0:w1].reshape(fi, fo)
+    z += theta[w1:b1]
+    return z.reshape(-1)
+
+
+def _mlp_bwd(g, ctx):
+    theta, layout = ctx["theta"], ctx["layout"]
+    inputs = [ctx["points"], *ctx["hidden"]]
+    out = np.zeros(theta.shape)
+    g = g.reshape(-1, 1)
+    for l, (w0, w1, b1, fi, fo) in reversed(list(enumerate(layout.slices()))):
+        h = inputs[l]
+        out[w1:b1] += g.sum(axis=0)
+        out[w0:w1] += (h.T @ g).ravel()
+        if l:
+            g = g @ theta[w0:w1].reshape(fi, fo).T
+            g = g * (1.0 - h * h)
+    return (out,)
 
 
 register_op("oracle.div", _div_fwd, _div_bwd)
@@ -161,6 +194,7 @@ register_op("oracle.convection_block", _convection_block_fwd,
             _convection_block_bwd)
 register_op("oracle.constrain_system", _constrain_fwd, _constrain_bwd)
 register_op("oracle.sparse_solve", _sparse_solve_fwd, _sparse_solve_bwd)
+register_op("oracle.mlp", _mlp_fwd, _mlp_bwd)
 
 
 def div(tape, a, b):
@@ -217,6 +251,13 @@ def sparse_solve(tape, pattern, data, b):
     return tape.apply("oracle.sparse_solve", (data, b), {"pattern": pattern})
 
 
+def mlp(tape, layout, theta, points):
+    """The network as one node that keeps its three hidden tanh outputs for
+    its backward rule, where the package's ``mlp`` node recomputes them."""
+    return tape.apply("oracle.mlp", (theta,),
+                      {"layout": layout, "points": points})
+
+
 def record_residual(tape, setup, nu, u, v, p):
     """F(x, nu) of a flow setup recorded op by op, Dirichlet rows zeroed.
 
@@ -242,8 +283,8 @@ def record_residual(tape, setup, nu, u, v, p):
                  spmv_fixed(tape, setup.dy, v))
     parts.append(ops.add(tape, fp,
                          spmv_pattern(tape, pat, stab_ref, p)))
-    zeros = tape.constant(np.zeros(setup.plan.idx.size))
-    res = set_at(tape, concat1d(tape, parts), setup.plan.idx, zeros)
+    zeros = tape.constant(np.zeros(setup.cidx.size))
+    res = set_at(tape, concat1d(tape, parts), setup.cidx, zeros)
     return res, (c_ref, k_ref, stab_ref)
 
 

@@ -244,36 +244,38 @@ def test_convection_blocks_gradient_matches_fd():
 
 
 def test_system_layout_matches_row_loop():
-    # reference: walk the system rows in order and lay out each base row's
-    # columns once per block column
+    # reference: walk the nodes in the order, lay out each node's three
+    # system rows, and in each the three unknowns of every node its base
+    # row couples to, by rank
     g = StructuredGrid(13, 9)
     gops = operators_for(g)
-    sys_pattern, bmap = gops.system_layout()
+    sys_pattern, bmap, order = gops.system_layout()
     base, n = gops.pattern, g.n_nodes
+    nodes = order.perm[::3]
+    rank = np.empty(n, dtype=np.int32)
+    rank[nodes] = np.arange(n)
     expected = []
-    for _ in range(3):
-        for i in range(n):
-            cols = base.indices[base.indptr[i]:base.indptr[i + 1]]
-            for bc in range(3):
-                expected.append(cols + bc * n)
-    expected = np.concatenate(expected)
-    assert sys_pattern.indices.dtype == expected.dtype == np.int32
-    np.testing.assert_array_equal(sys_pattern.indices, expected)
+    for node in nodes:
+        cols = np.sort(rank[base.indices[base.indptr[node]:base.indptr[node + 1]]])
+        for _ in range(3):
+            expected.append((3 * cols[:, None] + np.arange(3)).ravel())
+    assert sys_pattern.indices.dtype == np.int32
+    np.testing.assert_array_equal(sys_pattern.indices, np.concatenate(expected))
     for br in range(3):
         for bc in range(3):
             assert bmap[br][bc].dtype == np.int32
             np.testing.assert_array_equal(
                 sys_pattern.entry_rows()[bmap[br][bc]],
-                base.entry_rows() + br * n)
+                3 * rank[base.entry_rows()] + br)
             np.testing.assert_array_equal(sys_pattern.indices[bmap[br][bc]],
-                                          base.indices + bc * n)
+                                          3 * rank[base.indices] + bc)
 
 
 @pytest.mark.parametrize("shape", [(9, 6), (6, 9), (2, 2)])
 def test_system_order_keeps_node_unknowns_adjacent(shape):
     g = StructuredGrid(*shape)
     n = g.n_nodes
-    perm = operators_for(g).system_order().perm
+    perm = operators_for(g).system_layout()[2].perm
     np.testing.assert_array_equal(np.sort(perm), np.arange(3 * n))
     by_node = perm.reshape(-1, 3)
     assert np.all(by_node[:, 0] < n)
@@ -287,7 +289,7 @@ def test_system_order_top_separator_splits_grid(shape):
     # the two halves it separates; no stencil entry couples the halves
     g = StructuredGrid(*shape)
     gops = operators_for(g)
-    nodes = gops.system_order().perm[::3]
+    nodes = gops.system_layout()[2].perm[::3]
     along = g.coords[:, 0] if g.nx >= g.ny else g.coords[:, 1]
     line = np.round(along * (max(shape) - 1)).astype(int)
     mid = max(shape) // 2
@@ -411,7 +413,7 @@ def test_constraint_plan_rejects_duplicates_and_range():
 
 def test_constraint_plan_diagonal_matches_entry_lookup():
     g = StructuredGrid(13, 9)
-    sys_pattern, _ = operators_for(g).system_layout()
+    sys_pattern, _, _ = operators_for(g).system_layout()
     rng = np.random.default_rng(12)
     cidx = rng.choice(sys_pattern.n_rows, size=150, replace=False)
     plan = constraint_plan(sys_pattern, cidx)
@@ -422,7 +424,7 @@ def test_constraint_plan_diagonal_matches_entry_lookup():
         assert sys_pattern.indices[k] == c
         expected.append(k)
     expected = np.array(expected)
-    assert plan.diag_pos.dtype == np.intp
+    assert plan.diag_pos.dtype == np.int32
     np.testing.assert_array_equal(plan.diag_pos, expected)
     # the last row constrained too: its diagonal is the last stored entry
     last = sys_pattern.n_rows - 1

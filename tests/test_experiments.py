@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse.linalg
 
 from flowgrad import experiments, solver
-from flowgrad.assembly import operators_for
+from flowgrad.assembly import GridOperators, operators_for
 from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
     EXPERIMENTS,
@@ -771,6 +771,31 @@ def test_heat_objective_factorizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_heat_evaluation_assembles_only_the_conductivity_block(monkeypatch):
+    # the wall plan, rho Cp C(u, v) of the frozen flow and the load M Q are
+    # built once, with the reference solves: a warm build makes none of
+    # them and an evaluation only K(k)
+    cfg = ExperimentConfig("conjugate_heat", grid_n=6, n_points=12)
+    build_problem(cfg)
+    calls = []
+    for owner, name in ((solver, "constraint_plan"),
+                        (GridOperators, "convection"),
+                        (GridOperators, "diffusion")):
+        def counting(*args, _name=name, _original=getattr(owner, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    problem = build_problem(dataclasses.replace(cfg, obs_seed=2))
+    assert calls == []
+    loss, grad = problem.objective(problem.theta0)
+    assert calls == ["diffusion"]
+    # built anew, they give the same bits
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "_HEAT", {})
+    rebuilt = problem.objective(problem.theta0)
+    assert rebuilt[0] == loss and rebuilt[1].tobytes() == grad.tobytes()
+
+
 # --- memory: problems are freed by reference counting
 
 
@@ -804,13 +829,12 @@ def test_grid_with_operators_freed_without_collector():
 
 def test_cavity_evaluation_heap_peak():
     # The traced heap peak of one warm 21x21 cavity evaluation at theta0 is
-    # 1.05 MB (numpy arrays included, SuperLU's own memory not).  With each
-    # Newton iterate's residual recorded on a tape of its own it reads
-    # 1.26 MB; with the network recorded op by op, keeping every
-    # pre-activation and product, and each Newton step's system alive into
-    # the next linearization, 1.93 MB; with only the Newton system freed,
-    # 1.70 MB; with only the network as one node, 1.49 MB.  The bound sits
-    # below all four.
+    # 0.62 MB (numpy arrays included, SuperLU's own memory not).  It read
+    # 1.05 MB with J assembled in the natural order and gathered into the
+    # factorization order, the factors holding the matrix they factorized,
+    # each linearization keeping its blocks past J and the network node
+    # keeping its tanh outputs; 1.26 MB with each Newton iterate's residual
+    # recorded on a tape of its own as well.  The bound sits below both.
     problem = build_problem(ExperimentConfig(experiment="cavity_viscosity",
                                              grid_n=21))
     problem.objective(problem.theta0)
@@ -821,7 +845,7 @@ def test_cavity_evaluation_heap_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.15e6
+    assert peak < 0.8e6
 
 
 def test_warm_cavity_evaluation_builds_one_tape(monkeypatch):

@@ -18,6 +18,7 @@ from flowgrad.models import (
 )
 from flowgrad.tape import Tape, finite_difference_check
 from tape_oracle import dot
+from tape_oracle import mlp as oracle_mlp
 
 
 def test_layout_parameter_count():
@@ -225,18 +226,37 @@ def test_field_evaluation_records_three_nodes():
 
 
 @pytest.mark.parametrize("variant", ["dnn2d", "dnn_layered"])
-def test_mlp_node_keeps_only_the_hidden_outputs(variant):
-    # besides the parameters and the grid's own points, the node keeps the
-    # three (n, 20) tanh outputs its backward rule reads
+def test_mlp_node_keeps_no_activations(variant):
+    # the node keeps the parameters and the grid's own points; its backward
+    # recomputes the three (n, 20) tanh outputs
     g = StructuredGrid(11)
     model, theta0 = init_params(variant, seed=1)
     t = Tape()
     theta = t.variable(theta0)
     eval_field_on_grid(t, model, theta, g)
     ctx = next(node.ctx for node in t.nodes if node.op == "mlp")
-    arrays = [a for v in ctx.values()
-              for a in (v if isinstance(v, list) else [v])
-              if isinstance(a, np.ndarray)]
+    arrays = [a for a in ctx.values() if isinstance(a, np.ndarray)]
+    assert not any(isinstance(v, (list, tuple, dict)) for v in ctx.values())
     owned = [a for a in arrays if not np.shares_memory(a, g.coords)]
-    assert sum(a.nbytes for a in owned) <= \
-        3 * g.n_nodes * 20 * 8 + theta0.nbytes
+    assert sum(a.nbytes for a in owned) == theta0.nbytes
+
+
+@pytest.mark.parametrize("grid_n", [6, 41])
+@pytest.mark.parametrize("variant", ["dnn2d", "dnn_layered"])
+def test_mlp_recomputed_gradient_matches_kept_activations(grid_n, variant):
+    # the backward's recomputed tanh outputs are the forward's bit for bit,
+    # so the theta-gradient is that of an operator that keeps them
+    g = StructuredGrid(grid_n)
+    model, theta0 = init_params(variant, seed=4)
+    pts = g.coords if variant == "dnn2d" else g.coords[:, :1]
+    weights = np.random.default_rng(5).normal(size=g.n_nodes)
+    grads, outputs = [], []
+    for record in (lambda t, th: mlp_eval(t, model.layout, th, pts),
+                   lambda t, th: oracle_mlp(t, model.layout, th, pts)):
+        t = Tape()
+        th = t.variable(theta0)
+        raw = record(t, th)
+        outputs.append(t.value(raw).tobytes())
+        grads.append(t.backward(dot(t, t.constant(weights), raw))[th].tobytes())
+    assert outputs[0] == outputs[1]
+    assert grads[0] == grads[1]

@@ -226,9 +226,12 @@ def _fresh_lu_newton(grid, nu_nodal, tol=1e-8, max_iter=10):
                             PhysicsConstants(), solver.DEFAULT_BETA)
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
+    order = setup.order
     for _ in range(max_iter):
-        jac, res = solver._Linearization(setup, nu_nodal, x).jacobian()
-        x = x - scipy.sparse.linalg.spsolve(jac.tocsc(), res)
+        lin = solver._Linearization(setup, nu_nodal, x)
+        step = scipy.sparse.linalg.spsolve(lin.jacobian().tocsc(),
+                                           lin.f[order.perm])
+        x = x - step[order.inverse]
         x[setup.cidx] = setup.cvals
         if solver._Linearization(setup, nu_nodal, x).residual_norm() < tol:
             return x
@@ -342,8 +345,8 @@ def test_adjoint_stall_refactorizes():
                          counts=counts)
     loss = dot(t, state.u, state.u)
     ctx = _steady_flow_ctx(t)
-    other, _ = solver._Linearization(ctx["setup"], np.full(g.n_nodes, 1e-3),
-                                     ctx["x"]).jacobian()
+    other = solver._Linearization(ctx["setup"], np.full(g.n_nodes, 1e-3),
+                                  ctx["x"]).jacobian()
     ctx["lu"] = solver.LuFactors(other)
     before = (counts.factorizations, counts.stalls)
     stalled = t.backward(loss)[nu]
@@ -422,8 +425,9 @@ def test_jacobian_built_in_place_matches_summed_blocks(n):
     x0[setup.cidx] = setup.cvals
     for x in (x0, x_star):
         lin = solver._Linearization(setup, reference_viscosity(g.coords), x)
-        matrix = lin.jacobian()[0]
-        assert matrix.data.tobytes() == _summed_jacobian_data(lin).tobytes()
+        summed = _summed_jacobian_data(lin)
+        matrix = lin.jacobian()
+        assert matrix.data.tobytes() == summed.tobytes()
         np.testing.assert_array_equal(matrix.indices, setup.sys_pattern.indices)
         np.testing.assert_array_equal(matrix.indptr, setup.sys_pattern.indptr)
 
@@ -451,17 +455,19 @@ def _buffer_bytes(obj, seen, found):
 
 def test_shared_flow_setup_holds_one_copy_of_each_array():
     # the 41x41 cavity setup with its grid operators, system pattern, block
-    # maps, order and constraint plan holds 3.31 MB of distinct buffers.
-    # With per-entry system rows, intp block maps and the divergence,
-    # gradient and unit-stiffness blocks kept on the grid operators as well
-    # it held 4.77 MB; the system rows or the wider maps alone add 0.53 MB.
+    # maps, order and constraint plan holds 2.02 MB of distinct buffers.
+    # With the system pattern in the natural order beside the order's own
+    # copy of it and its gather map, and with intp scatter, constraint and
+    # order arrays, it held 3.31 MB; with per-entry system rows, intp block
+    # maps and the divergence, gradient and unit-stiffness blocks kept on
+    # the grid operators as well, 4.77 MB.
     g = StructuredGrid(41)
     setup = solver._setup_for(g, default_cavity_bcs(g), PhysicsConstants(),
                               solver.DEFAULT_BETA)
-    assert setup.gops.system_order() is setup.order
+    assert setup.gops.system_layout()[2] is setup.order
     found = {}
     _buffer_bytes(setup, set(), found)
-    assert sum(found.values()) < 3.6e6
+    assert sum(found.values()) < 2.3e6
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ and for y = A x with loss = c . y,
 Both are checked entrywise against numpy.linalg solves.
 """
 
+import gc
 import importlib
 import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import flowgrad
-from flowgrad import kernels, ops, solver, sparse, tape
+from flowgrad import assembly, experiments, kernels, ops, solver, sparse, tape
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
@@ -138,9 +140,9 @@ def test_lu_solve_matches_dense():
     rng = np.random.default_rng(6)
     b = rng.normal(size=20)
     lu = LuFactors(m)
-    np.testing.assert_allclose(lu.solve(b), np.linalg.solve(m.toarray(), b),
+    np.testing.assert_allclose(lu.solve(b, m), np.linalg.solve(m.toarray(), b),
                                rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(lu.solve_transpose(b),
+    np.testing.assert_allclose(lu.solve_transpose(b, m),
                                np.linalg.solve(m.toarray().T, b),
                                rtol=1e-10, atol=1e-12)
 
@@ -150,7 +152,7 @@ def test_lu_rejects_bad_inputs():
     with pytest.raises(ContractError):
         LuFactors(scipy.sparse.random(3, 4, density=0.5, format="csr"))
     with pytest.raises(ContractError):
-        LuFactors(m).solve(np.zeros(3))
+        LuFactors(m).solve(np.zeros(3), m)
     bad = scipy.sparse.csr_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(NumericError):
         LuFactors(bad)
@@ -174,12 +176,22 @@ def test_singular_dependent_rows_reports_pivot():
 
 def _cavity_jacobian(n):
     """Constrained Newton matrix J(x*) of the reference-viscosity cavity."""
+    return _cavity_jacobians(n)[0]
+
+
+def _cavity_jacobians(n):
+    """J(x*) of the reference-viscosity cavity in the natural [u; v; p]
+    order and in the system order it is factorized in, with that order."""
     grid = StructuredGrid(n)
     t = Tape()
     nu = t.constant(reference_field("cavity_viscosity", grid.coords))
     bc = default_cavity_bcs(grid)
     state = newton_solve(t, grid, nu, PhysicsConstants(), bc)
-    return ns_jacobian(t, grid, state, nu, PhysicsConstants(), bc)
+    natural = ns_jacobian(t, grid, state, nu, PhysicsConstants(), bc)
+    [node] = [node for node in t.nodes if node.op == "steady_flow"]
+    setup, x = node.ctx["setup"], node.ctx["x"]
+    ordered = solver._Linearization(setup, t.value(nu), x).jacobian()
+    return natural, ordered, setup.order
 
 
 def test_lu_cavity_fill_and_transpose_residual():
@@ -189,30 +201,28 @@ def test_lu_cavity_fill_and_transpose_residual():
     fill = lu._lu.L.nnz + lu._lu.U.nnz
     assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
     b = np.random.default_rng(19).normal(size=jac.shape[0])
-    x = lu.solve_transpose(b)
+    x = lu.solve_transpose(b, jac)
     assert np.max(np.abs(b - jac.T @ x)) < 1e-10 * np.max(np.abs(b))
 
 
 def test_symmetric_order_gathers_permuted_matrix():
-    m = _random_spd_like(30, seed=29)
-    m = m + m.T
-    perm = np.random.default_rng(30).permutation(30)
-    order = SymmetricOrder.create(_pattern(m), perm)
-    assert order.gather.dtype == np.int32
-    # a valid CSR pattern with sorted rows, holding P A P^T
-    permuted = SparsePattern.create(30, 30, order.indptr, order.indices)
-    assert permuted.nnz == m.nnz
+    # the system J is the natural J with rows and columns gathered by the
+    # order: P J P^T
+    natural, ordered, order = _cavity_jacobians(6)
+    assert order.perm.dtype == order.inverse.dtype == np.int32
+    np.testing.assert_array_equal(order.perm[order.inverse], np.arange(108))
     np.testing.assert_array_equal(
-        permuted.to_scipy(m.data[order.gather]).toarray(),
-        m.toarray()[np.ix_(perm, perm)])
-    np.testing.assert_array_equal(order.perm[order.inverse], np.arange(30))
+        ordered.toarray(), natural.toarray()[np.ix_(order.perm, order.perm)])
+    np.testing.assert_array_equal(
+        ordered[order.inverse][:, order.inverse].toarray(), natural.toarray())
     with pytest.raises(ContractError, match="permutation"):
-        SymmetricOrder.create(order.pattern, np.zeros(30, dtype=int))
+        SymmetricOrder.create(np.zeros(30, dtype=int))
 
 
 def _key_sort_order(pattern, perm):
-    """(inverse, indptr, indices, gather) of P A P^T by sorting the permuted
-    entries on their (row, column) key."""
+    """(indptr, indices, gather) of P A P^T by sorting the permuted entries
+    on their (row, column) key; A's data gathered by ``gather`` is the data
+    of P A P^T."""
     n = pattern.n_rows
     inverse = np.empty(n, dtype=np.intp)
     inverse[perm] = np.arange(n)
@@ -220,55 +230,125 @@ def _key_sort_order(pattern, perm):
     cols = inverse[pattern.indices]
     gather = np.argsort(rows.astype(np.int64) * n + cols).astype(np.int32)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return (inverse, indptr.astype(np.int32), cols[gather].astype(np.int32),
-            gather)
+    return indptr.astype(np.int32), cols[gather].astype(np.int32), gather
 
 
 def test_system_order_matches_key_sort():
-    order = operators_for(StructuredGrid(21)).system_order()
-    inverse, indptr, indices, gather = _key_sort_order(order.pattern,
-                                                       order.perm)
-    np.testing.assert_array_equal(order.perm[inverse], np.arange(3 * 21 * 21))
-    for got, expected in ((order.inverse, inverse), (order.indptr, indptr),
-                          (order.indices, indices), (order.gather, gather)):
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+    # the system pattern, laid out in the order, is the natural pattern
+    # permuted and sorted by key, and its data are the natural data
+    # gathered; the natural J of ns_jacobian lays each node row's columns
+    # out once per block column, block row by block row
+    natural, ordered, order = _cavity_jacobians(21)
+    base = operators_for(StructuredGrid(21)).pattern
+    n = base.n_rows
+    rows = [base.indices[base.indptr[i]:base.indptr[i + 1]] + bc * n
+            for _ in range(3) for i in range(n) for bc in range(3)]
+    np.testing.assert_array_equal(natural.indices, np.concatenate(rows))
+    indptr, indices, gather = _key_sort_order(_pattern(natural), order.perm)
+    np.testing.assert_array_equal(ordered.indptr, indptr)
+    np.testing.assert_array_equal(ordered.indices, indices)
+    assert ordered.data.tobytes() == natural.data[gather].tobytes()
+
+
+@pytest.mark.parametrize("grid_n, fill", [(21, 103_098), (41, 587_734),
+                                          (81, 3_133_182)])
+def test_superlu_reads_the_gathered_natural_system(monkeypatch, grid_n, fill):
+    # the float32 arrays SuperLU reads are those of the natural J cast and
+    # gathered into the order, byte for byte, and the fill is unchanged
+    natural, ordered, order = _cavity_jacobians(grid_n)
+    indptr, indices, gather = _key_sort_order(_pattern(natural), order.perm)
+    read = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(a, **kwargs):
+        read.append((a.data.tobytes(), a.indices.tobytes(), a.indptr.tobytes(),
+                     kwargs["permc_spec"]))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    lu = LuFactors(ordered, ordered=True)
+    assert read == [(natural.data.astype(np.float32)[gather].tobytes(),
+                     indices.tobytes(), indptr.tobytes(), "NATURAL")]
+    assert lu._lu.L.nnz + lu._lu.U.nnz == fill
+
+
+def test_factorization_leaves_the_pattern_unchanged():
+    # SuperLU sorts the index arrays it is handed in place unless they are
+    # canonical; the system pattern shares its arrays with every J
+    g = StructuredGrid(9)
+    setup = solver._setup_for(g, default_cavity_bcs(g), PhysicsConstants(),
+                              solver.DEFAULT_BETA)
+    pattern = setup.sys_pattern
+    before = pattern.indices.copy(), pattern.indptr.copy()
+    x = np.zeros(3 * setup.n)
+    x[setup.cidx] = setup.cvals
+    matrix = solver._Linearization(
+        setup, reference_field("cavity_viscosity", g.coords), x).jacobian()
+    assert np.shares_memory(matrix.indices, pattern.indices)
+    LuFactors(matrix, ordered=True)
+    np.testing.assert_array_equal(pattern.indices, before[0])
+    np.testing.assert_array_equal(pattern.indptr, before[1])
+    # an unsorted matrix is factorized from a sorted copy
+    m = _random_spd_like(12, seed=33)
+    reversed_rows = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi
+                                    in zip(m.indptr[:-1], m.indptr[1:])])
+    shuffled = scipy.sparse.csr_matrix(
+        (m.data[reversed_rows], m.indices[reversed_rows], m.indptr),
+        shape=m.shape)
+    assert not shuffled.has_sorted_indices
+    kept = shuffled.indices.copy()
+    b = np.random.default_rng(34).normal(size=12)
+    x = LuFactors(shuffled).solve(b, shuffled)
+    np.testing.assert_array_equal(shuffled.indices, kept)
+    np.testing.assert_allclose(x, np.linalg.solve(m.toarray(), b), rtol=1e-10)
+
+
+def test_factors_keep_no_reference_to_the_matrix():
+    m = _random_spd_like(20, seed=35)
+    lu = LuFactors(m)
+    b = np.random.default_rng(36).normal(size=20)
+    x = lu.solve(b, m)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+    # the factors still refine against a matrix that is named
+    again = _random_spd_like(20, seed=35)
+    np.testing.assert_array_equal(lu.solve(b, again), x)
 
 
 @pytest.fixture(scope="module")
 def cavity_41():
-    """The 41x41 reference cavity Jacobian and its grid's order."""
-    return (_cavity_jacobian(41),
-            operators_for(StructuredGrid(41)).system_order())
+    """The 41x41 reference cavity Jacobian, natural and in its system order."""
+    return _cavity_jacobians(41)
 
 
 @pytest.mark.parametrize("trans", [False, True])
 def test_ordered_lu_solves_cavity_jacobian(cavity_41, trans):
-    jac, order = cavity_41
-    lu = LuFactors(jac, order)
+    _, jac, _ = cavity_41
+    lu = LuFactors(jac, ordered=True)
     b = np.random.default_rng(31).normal(size=jac.shape[0])
-    x = lu.solve_transpose(b) if trans else lu.solve(b)
+    x = lu.solve_transpose(b, jac) if trans else lu.solve(b, jac)
     a = jac.T if trans else jac
     assert np.max(np.abs(b - a @ x)) <= 1e-10 * np.max(np.abs(b))
 
 
 @pytest.fixture(scope="module")
 def cavity_81():
-    return (_cavity_jacobian(81),
-            operators_for(StructuredGrid(81)).system_order())
+    return _cavity_jacobians(81)
 
 
 @pytest.mark.parametrize("grid_n", [41, 81])
 def test_single_precision_factors_meet_double_tolerance(request, grid_n):
     # the factors of the converged cavity Jacobian are single precision;
     # refinement against the double J meets the bound within the sweep cap
-    jac, order = request.getfixturevalue(f"cavity_{grid_n}")
-    lu = LuFactors(jac, order)
+    _, jac, _ = request.getfixturevalue(f"cavity_{grid_n}")
+    lu = LuFactors(jac, ordered=True)
     assert lu._lu.L.dtype == lu._lu.U.dtype == np.float32
     b = np.random.default_rng(32).normal(size=jac.shape[0])
     for solve, a in ((lu.solve, jac), (lu.solve_transpose, jac.T)):
         before = lu.sweeps
-        x = solve(b)
+        x = solve(b, jac)
         assert 1 <= lu.sweeps - before <= sparse._MAX_SWEEPS
         assert (np.max(np.abs(b - a @ x))
                 <= sparse._RESIDUAL_TOL * np.max(np.abs(b)))
@@ -295,11 +375,11 @@ def test_lu_solves_rhs_beyond_single_precision_range(size, trans):
     lu = LuFactors(m)
     solve = lu.solve_transpose if trans else lu.solve
     a = m.T if trans else m
-    x = solve(b)
+    x = solve(b, m)
     assert np.max(np.abs(b - a @ x)) <= 1e-8 * np.max(np.abs(b))
     np.testing.assert_allclose(x / size, np.linalg.solve(a.toarray(), unit),
                                rtol=1e-10)
-    assert not np.any(solve(np.zeros(20)))
+    assert not np.any(solve(np.zeros(20), m))
 
 
 @pytest.mark.parametrize("delta", [1e-10, 1.5 * 2.0 ** -23])
@@ -313,28 +393,16 @@ def test_lu_rejects_matrix_conditioned_beyond_single_precision(delta):
     assert np.linalg.cond(a) > 1e7
     assert np.max(np.abs(b - a @ np.linalg.solve(a, b))) <= 1e-8 * 2.0
     with pytest.raises(NumericError):
-        LuFactors(scipy.sparse.csr_matrix(a)).solve(b)
+        m = scipy.sparse.csr_matrix(a)
+        LuFactors(m).solve(b, m)
 
 
 def test_ordered_lu_fills_less_than_minimum_degree(cavity_41):
-    jac, order = cavity_41
-    nested = LuFactors(jac, order)._lu
-    mmd = LuFactors(jac)._lu
+    natural, ordered, _ = cavity_41
+    nested = LuFactors(ordered, ordered=True)._lu
+    mmd = LuFactors(natural)._lu
     assert (nested.L.nnz + nested.U.nnz
             <= 0.95 * (mmd.L.nnz + mmd.U.nnz))
-
-
-def test_ordered_lu_rejects_other_pattern():
-    jac = _cavity_jacobian(6)
-    order = operators_for(StructuredGrid(6)).system_order()
-    # the constrained Jacobian stores the zeros of its eliminated columns
-    pruned = jac.copy()
-    pruned.eliminate_zeros()
-    assert pruned.shape == jac.shape and pruned.nnz < jac.nnz
-    with pytest.raises(ContractError, match="pattern"):
-        LuFactors(pruned, order)
-    with pytest.raises(ContractError, match="pattern"):
-        LuFactors(_cavity_jacobian(7), order)
 
 
 def test_lu_zero_diagonal_factorizes():
@@ -344,11 +412,12 @@ def test_lu_zero_diagonal_factorizes():
     dense[np.arange(n), (np.arange(n) + 1) % n] = 2.0 + np.arange(n)
     dense[np.arange(n), (np.arange(n) + 4) % n] = 0.5
     assert np.all(np.diag(dense) == 0.0)
-    lu = LuFactors(scipy.sparse.csr_matrix(dense))
+    m = scipy.sparse.csr_matrix(dense)
+    lu = LuFactors(m)
     b = np.random.default_rng(20).normal(size=n)
-    np.testing.assert_allclose(lu.solve(b), np.linalg.solve(dense, b),
+    np.testing.assert_allclose(lu.solve(b, m), np.linalg.solve(dense, b),
                                rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(lu.solve_transpose(b),
+    np.testing.assert_allclose(lu.solve_transpose(b, m),
                                np.linalg.solve(dense.T, b),
                                rtol=1e-12, atol=1e-12)
 
@@ -384,7 +453,7 @@ def test_lu_refinement_repairs_perturbed_solve(monkeypatch, trans):
     lu = LuFactors(m)
     b = np.random.default_rng(22).normal(size=20)
     dense = m.toarray().T if trans else m.toarray()
-    x = lu.solve_transpose(b) if trans else lu.solve(b)
+    x = lu.solve_transpose(b, m) if trans else lu.solve(b, m)
     assert made[0].calls == 2
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-12,
                                atol=1e-12)
@@ -397,7 +466,7 @@ def test_lu_unrepairable_solve_raises(monkeypatch, trans):
     lu = LuFactors(m)
     b = np.random.default_rng(24).normal(size=20)
     with pytest.raises(NumericError, match="residual"):
-        lu.solve_transpose(b) if trans else lu.solve(b)
+        lu.solve_transpose(b, m) if trans else lu.solve(b, m)
     assert made[0].calls == 2
 
 
@@ -411,9 +480,11 @@ def _cavity_newton_jacobians(n, steps):
     x[setup.cidx] = setup.cvals
     jacobians = []
     for _ in range(steps + 1):
-        jac, res = solver._Linearization(setup, nu, x).jacobian()
-        jacobians.append(jac)
-        x = x - scipy.sparse.linalg.spsolve(jac.tocsc(), res)
+        lin = solver._Linearization(setup, nu, x)
+        jacobians.append(lin.jacobian())
+        step = scipy.sparse.linalg.spsolve(jacobians[-1].tocsc(),
+                                           lin.f[setup.order.perm])
+        x = x - step[setup.order.inverse]
         x[setup.cidx] = setup.cvals
     return jacobians
 
@@ -444,8 +515,9 @@ def test_refinement_stall_reported_without_raising(trans):
     solve = lu.solve_transpose if trans else lu.solve
     assert solve(b, unrelated) is None
     assert solve(b, nan_entry) is None
-    # the factorized matrix itself, given as a nearby matrix, is solved
-    np.testing.assert_allclose(solve(b, m), solve(b), rtol=0.0,
+    # a copy of the factorized matrix is solved as a nearby matrix, to the
+    # bits of a solve with the factorized matrix itself
+    np.testing.assert_allclose(solve(b, m.copy()), solve(b, m), rtol=0.0,
                                atol=0.0)
 
 
@@ -572,15 +644,41 @@ def test_every_all_entry_exists():
     assert not missing
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     # the benchmark's tracer also wraps kernels, methods and operators by
-    # name, so deleting one must fail here and not only in a traced run
+    # name, so deleting one must fail here and not only in a traced run;
+    # one traced 6x6 evaluation of each experiment goes through every
+    # wrapper and note the layer metrics read, so a changed signature fails
+    # here too, and must reproduce the untraced loss and gradient
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    configs = [experiments.ExperimentConfig(name, grid_n=6, n_points=12)
+               for name in experiments.EXPERIMENTS]
+
+    def evaluate_each():
+        out = []
+        for cfg in configs:
+            problem = experiments.build_problem(cfg)
+            out.append(problem.objective(problem.theta0))
+        return out
+
+    untraced = evaluate_each()
+    # empty shared caches, so the traced builds lay out the flow system
+    for module, name in ((assembly, "_OPERATORS"), (solver, "_SETUPS"),
+                         (solver, "_HEAT"), (experiments, "_REFERENCES")):
+        monkeypatch.setattr(module, name, {})
     original, registry = kernels.advection_bwd, dict(tape._REGISTRY)
-    with tracing.instrumented(tracing.Tracer(), full=True):
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, full=True):
         assert kernels.advection_bwd is not original
+        traced = evaluate_each()
     assert kernels.advection_bwd is original
     assert tape._REGISTRY == registry
+    assert {"sparse.splu", "sparse.LuFactors.solve",
+            "sparse.LuFactors.solve_transpose", "grid.system_layout",
+            "solver.newton_solve", "solver.heat_solve"} <= set(tracer.names)
+    for (loss, grad), (traced_loss, traced_grad) in zip(untraced, traced):
+        assert loss == traced_loss
+        assert grad.tobytes() == traced_grad.tobytes()
