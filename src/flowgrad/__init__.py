@@ -37,6 +37,8 @@ from .grid import StructuredGrid, read_field_csv, write_field_csv
 from .models import eval_field_on_grid, init_params
 from .optimize import OptimizeResult, OptimizerConfig, lbfgs_optimize
 from .solver import (
+    FlowSetup,
+    HeatSetup,
     LinearSolveCounts,
     NewtonConfig,
     NSState,
@@ -60,8 +62,10 @@ __all__ = [
     "DivergedParameterizationError",
     "EXPERIMENTS",
     "ExperimentConfig",
+    "FlowSetup",
     "FlowgradError",
     "GraphError",
+    "HeatSetup",
     "InverseProblem",
     "LineSearchError",
     "LinearSolveCounts",

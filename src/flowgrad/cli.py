@@ -28,6 +28,7 @@ from .errors import ConfigError, ContractError, FlowgradError
 from .experiments import (SPECS, ForwardChain, build_problem,
                           reference_field, run_experiment)
 from .grid import StructuredGrid, write_field_csv
+from .solver import LinearSolveCounts
 from .tape import Tape, finite_difference_check
 
 __all__ = ["main"]
@@ -118,9 +119,13 @@ def _cmd_run(args):
     if not bundle.is_sweep:
         _run_single(bundle.configs[0], out_dir, args)
         return EXIT_OK
+    subs = [f"eps_{cfg.noise_epsilon:g}" for cfg in bundle.configs]
+    if len(set(subs)) < len(subs):
+        raise ConfigError(
+            f"noise levels {[cfg.noise_epsilon for cfg in bundle.configs]} "
+            f"share output directories: {subs}")
     summary = []
-    for cfg in bundle.configs:
-        sub = f"eps_{cfg.noise_epsilon:g}"
+    for cfg, sub in zip(bundle.configs, subs):
         rep = _run_single(cfg, os.path.join(out_dir, sub), args)
         summary.append({"noise_epsilon": cfg.noise_epsilon,
                         "directory": sub,
@@ -141,7 +146,7 @@ def _cmd_forward(args):
     chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
     t = Tape()
     coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
-    fields, flow = chain(t, coef)
+    fields, flow = chain(t, coef, LinearSolveCounts())
     out_dir = args.out or bundle.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     for comp, ref in fields.items():

@@ -198,7 +198,7 @@ def load_config(path):
             cfg.physics()
             cfg.newton()
             StructuredGrid(cfg.grid_n)
-        except (TypeError, ValueError, ContractError) as exc:
+        except (TypeError, ValueError, ContractError, MemoryError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from None
         configs.append(cfg)
     return ConfigBundle(tuple(configs), out_dir)

@@ -18,10 +18,12 @@ fits.  Adding an experiment means adding one spec.
 Observation synthesis uses the same grid and discretization as the
 inversion, so data are exactly reproducible by the model class (the usual
 inverse-crime caveat applies; errors quoted against the reference field).
-The grid, the boundary data, the reference coefficient and the reference
-solves (the synthesis and a frozen flow) depend only on the physics fields
-of a config, so problems that differ only in their observations, noise or
-model share them, read-only (``_reference_for``).
+The forward chain (the grid, the flow and heat setups and a frozen flow),
+the reference coefficient and the synthesis depend only on the physics
+fields of a config, so problems that differ only in their observations,
+noise or model share them, read-only (``_reference_for``).  What one
+problem changes, its linear-solve counts, it holds itself and hands to the
+chain on every call.
 """
 
 import copy
@@ -34,11 +36,12 @@ import numpy as np
 
 from . import ops
 from .errors import ContractError
-from .grid import DirichletSpec, StructuredGrid, uniform_boundary_bc
+from .grid import StructuredGrid, uniform_boundary_bc
 from .models import eval_field_on_grid, init_params
 from .optimize import OptimizerConfig, lbfgs_optimize
 from .solver import (
-    CavityBCs,
+    FlowSetup,
+    HeatSetup,
     LinearSolveCounts,
     NewtonConfig,
     NSState,
@@ -74,9 +77,10 @@ __all__ = [
 class ExperimentSpec:
     """Everything that sets one experiment apart from the others.
 
-    ``forward(tape, chain, coef)`` records, from the nodal coefficient
-    ``coef``, every predicted nodal field and returns them by name with the
-    :class:`NSState` of the flow used (``chain`` is a :class:`ForwardChain`).
+    ``forward(tape, chain, coef, counts)`` records, from the nodal
+    coefficient ``coef``, every predicted nodal field and returns them by
+    name with the :class:`NSState` of the flow used (``chain`` is a
+    :class:`ForwardChain`); its linear solves add to ``counts``.
     ``variant`` to ``init_seed`` default the config fields of those names;
     ``n_points = None`` observes every node.  ``report_fields`` are
     predicted at the final estimate.  A ``frozen_viscosity`` means the flow
@@ -100,20 +104,19 @@ def _flow_fields(flow):
     return {"u": flow.u, "v": flow.v, "p": flow.p}
 
 
-def _cavity_forward(tape, chain, nu):
-    flow = chain.solve_flow(tape, nu)
+def _cavity_forward(tape, chain, nu, counts):
+    flow = chain.solve_flow(tape, nu, counts)
     return _flow_fields(flow), flow
 
 
-def _heat_forward(tape, chain, k):
+def _heat_forward(tape, chain, k, counts):
     flow = chain.frozen_flow(tape)
-    temp = heat_solve(tape, chain.grid, tape.value(flow.u),
-                      tape.value(flow.v), k, chain.constants, chain.heat_bc)
+    temp = heat_solve(tape, chain.heat_setup, k, counts)
     return dict(_flow_fields(flow), T=temp), flow
 
 
-def _transport_forward(tape, chain, nu):
-    flow = chain.solve_flow(tape, nu)
+def _transport_forward(tape, chain, nu, counts):
+    flow = chain.solve_flow(tape, nu, counts)
     pt = transport_integrate(tape, flow, chain.constants, dt=chain.cfg.dt,
                              n_steps=chain.cfg.transport_steps)
     return dict(_flow_fields(flow), w1=pt.w1, w2=pt.w2), flow
@@ -419,50 +422,53 @@ class RunReport:
 
 
 class ForwardChain:
-    """An experiment's forward chain on one grid and config.
+    """An experiment's forward chain on one grid and physics.
 
-    ``chain(tape, coef)`` runs the spec's ``forward`` and returns
-    ``(fields, flow)``.  Every flow solve adds to ``counts``.  The boundary
-    data are ``bcs`` (a :class:`CavityBCs` for the flow) and ``heat_bc``
-    (the heat wall :class:`DirichletSpec`).  A spec with a
-    ``frozen_viscosity`` has its flow presolved once: ``frozen`` holds its
-    ``u``, ``v`` and ``p`` as read-only arrays and its Newton trace as a
-    tuple.  ``bcs``, ``heat_bc`` and ``frozen`` given, from an earlier chain
-    of the same physics, are shared instead of built; a shared ``frozen``
-    replaces the presolve, which is then not counted.
+    ``chain(tape, coef, counts)`` runs the spec's ``forward`` and returns
+    ``(fields, flow)``; every linear solve it makes adds to ``counts``, a
+    :class:`LinearSolveCounts` of the caller's.  The chain builds the flow
+    setup (``flow_setup``, a :class:`FlowSetup`) once.  A spec with a
+    ``frozen_viscosity`` has its flow presolved once, uncounted: ``frozen``
+    holds its ``u``, ``v`` and ``p`` as read-only arrays and its Newton
+    trace as a tuple, and ``heat_setup`` is the :class:`HeatSetup` of that
+    flow.  The chain reads only the physics fields of ``cfg`` and changes
+    nothing after it is built, so every problem of the same physics can
+    share it.
     """
 
-    def __init__(self, cfg, grid, bcs=None, heat_bc=None, frozen=None):
+    def __init__(self, cfg, grid):
         self.spec = SPECS[cfg.experiment]
         self.cfg = cfg
         self.grid = grid
         self.constants = cfg.physics()
         self.newton = cfg.newton()
-        self.bcs = (default_cavity_bcs(grid, cfg.lid_speed) if bcs is None
-                    else bcs)
-        self.heat_bc = (uniform_boundary_bc(grid, cfg.heat_bc_value)
-                        if heat_bc is None else heat_bc)
-        self.counts = LinearSolveCounts()
-        self.frozen_nu = self.frozen = None
+        self.flow_setup = FlowSetup(
+            grid, default_cavity_bcs(grid, cfg.lid_speed), self.constants,
+            cfg.beta)
+        self.frozen_nu = self.frozen = self.heat_setup = None
         if self.spec.frozen_viscosity is not None:
-            self.frozen_nu = np.full(grid.n_nodes, self.spec.frozen_viscosity)
-            self.frozen = self._presolve() if frozen is None else frozen
+            self.frozen_nu = _read_only(
+                np.full(grid.n_nodes, self.spec.frozen_viscosity))
+            self.frozen = self._presolve()
+            self.heat_setup = HeatSetup(
+                grid, self.frozen[0]["u"], self.frozen[0]["v"],
+                self.constants, uniform_boundary_bc(grid, cfg.heat_bc_value))
 
     def _presolve(self):
         t = Tape()
-        flow = self.solve_flow(t, t.constant(self.frozen_nu))
+        flow = self.solve_flow(t, t.constant(self.frozen_nu),
+                               LinearSolveCounts())
         return ({name: _read_only(t.value(ref))
                  for name, ref in _flow_fields(flow).items()},
                 tuple(flow.trace))
 
-    def __call__(self, tape, coef):
-        return self.spec.forward(tape, self, coef)
+    def __call__(self, tape, coef, counts):
+        return self.spec.forward(tape, self, coef, counts)
 
-    def solve_flow(self, tape, nu):
+    def solve_flow(self, tape, nu, counts):
         """Newton solve of the lid-driven flow at nodal viscosity ``nu``."""
-        return newton_solve(tape, self.grid, nu, self.constants, self.bcs,
-                            self.newton, beta=self.cfg.beta,
-                            counts=self.counts)
+        return newton_solve(tape, self.flow_setup, nu, self.newton,
+                            counts=counts)
 
     def frozen_flow(self, tape):
         """The presolved flow as constants of ``tape``.
@@ -475,16 +481,16 @@ class ForwardChain:
         return NSState(u, v, p, 0, 0.0, trace)
 
     def jacobian(self, tape, flow, coef):
-        """Constrained Newton matrix at ``flow``, which ``self(tape, coef)``
-        returned, as a scipy CSR matrix."""
-        nu = coef if self.frozen_nu is None else tape.constant(self.frozen_nu)
-        return ns_jacobian(tape, self.grid, flow, nu, self.constants,
-                           self.bcs, beta=self.cfg.beta)
+        """Constrained Newton matrix at ``flow``, which ``self(tape, coef,
+        counts)`` returned, as a scipy CSR matrix."""
+        nu = tape.value(coef) if self.frozen_nu is None else self.frozen_nu
+        x = np.concatenate([tape.value(r) for r in (flow.u, flow.v, flow.p)])
+        return ns_jacobian(self.flow_setup, x, nu)
 
-    def values(self, coef_nodal):
+    def values(self, coef_nodal, counts):
         """Every predicted field at a fixed coefficient, as nodal arrays."""
         t = Tape()
-        predicted, _ = self(t, t.constant(coef_nodal))
+        predicted, _ = self(t, t.constant(coef_nodal), counts)
         return {name: t.value(ref) for name, ref in predicted.items()}
 
 
@@ -510,39 +516,32 @@ _REFERENCES = {}  # value key of the physics -> _Reference, least recently used 
 @dataclass(frozen=True)
 class _Reference:
     """Everything of one physics that its problems share, all read-only:
-    the grid, the chain's boundary data (``bcs`` and ``heat_bc``), the
-    reference coefficient ``reference_nodal``, the chain's ``frozen`` flow
-    (None without a frozen viscosity) and every predicted field at the
-    reference coefficient (``synthetic``)."""
+    the forward ``chain``, the reference coefficient ``reference_nodal`` and
+    every predicted field at the reference coefficient (``synthetic``)."""
 
-    grid: StructuredGrid
-    bcs: CavityBCs
-    heat_bc: DirichletSpec
+    chain: ForwardChain
     reference_nodal: np.ndarray
-    frozen: tuple
     synthetic: dict
 
 
 def _reference_for(cfg):
     """The shared :class:`_Reference` of a resolved config, built and solved
-    on first use on a chain of its own, whose solves no problem counts.
+    on first use; no problem counts its solves.
 
     Keyed by the exact values of the physics fields (``repr`` tells 0.0
     from -0.0), so a sweep over noise levels and observation draws builds
-    its grid and boundary data and solves its reference once; the last
+    its chain and solves its reference once; the last
     ``_SHARED_REFERENCES`` are kept.
     """
     key = tuple((f.name, repr(getattr(cfg, f.name))) for f in fields(cfg)
                 if f.name not in _DATA_FIELDS)
     ref = _REFERENCES.pop(key, None)
     if ref is None:
-        grid = StructuredGrid(cfg.grid_n)
-        chain = ForwardChain(cfg, grid)
-        coef = _read_only(reference_field(cfg.experiment, grid.coords))
-        synth = chain.values(coef)
-        ref = _Reference(grid, chain.bcs, chain.heat_bc, coef, chain.frozen,
-                         {name: _read_only(values)
-                          for name, values in synth.items()})
+        chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
+        coef = _read_only(reference_field(cfg.experiment, chain.grid.coords))
+        synth = chain.values(coef, LinearSolveCounts())
+        ref = _Reference(chain, coef, {name: _read_only(values)
+                                       for name, values in synth.items()})
     _REFERENCES[key] = ref
     if len(_REFERENCES) > _SHARED_REFERENCES:
         del _REFERENCES[next(iter(_REFERENCES))]
@@ -561,9 +560,9 @@ class InverseProblem:
     flow and the synthesis) are data synthesis, shared among problems of
     the same physics, and not counted; ``presolve_newton_iters`` is the
     Newton iteration count of the frozen flow.  ``grid``,
-    ``reference_nodal``, the arrays of ``synthetic`` and the boundary data
-    of ``forward`` are shared among problems of the same physics and
-    read-only.  ``forward`` is the chain the objective runs.
+    ``reference_nodal``, the arrays of ``synthetic`` and ``forward``, the
+    chain the objective runs, are shared among problems of the same physics
+    and read-only; ``linear_solves`` is the problem's own.
     """
 
     config: ExperimentConfig
@@ -585,18 +584,19 @@ def build_problem(config):
 
     The synthetic data are every field of the forward chain at the
     reference coefficient; the objective runs the same chain at the
-    model's coefficient.  The grid, the boundary data, the reference
-    coefficient and the reference solves are shared, bit for bit and
-    read-only, with recent problems of the same physics (see
-    ``_reference_for``), so a sweep over noise levels and observation
-    draws builds and solves them once.  A warm build only draws the
-    observations, adds their noise and initialises the model.
+    model's coefficient.  The chain, the reference coefficient and the
+    synthetic data are shared, bit for bit and read-only, with recent
+    problems of the same physics (see ``_reference_for``), so a sweep over
+    noise levels and observation draws builds and solves them once.  A warm
+    build only draws the observations, adds their noise and initialises the
+    model.
     """
     cfg = config.resolved()
     cfg.check_n_points()
     ref = _reference_for(cfg)
-    grid = ref.grid
-    chain = ForwardChain(cfg, grid, ref.bcs, ref.heat_bc, ref.frozen)
+    chain = ref.chain
+    grid = chain.grid
+    counts = LinearSolveCounts()
     synth = dict(ref.synthetic)
 
     obs = make_observations(grid, synth, cfg.n_points, cfg.components,
@@ -614,7 +614,7 @@ def build_problem(config):
         t = Tape()
         th = t.variable(theta)
         coef = eval_field_on_grid(t, model, th, grid)
-        predicted, flow = chain(t, coef)
+        predicted, flow = chain(t, coef, counts)
         eval_note["newton"] = flow.newton_iterations_used
         loss = compute_loss(t, predicted, obs)
         grads = t.backward(loss)
@@ -623,7 +623,7 @@ def build_problem(config):
     return InverseProblem(
         config=cfg, grid=grid, objective=objective, theta0=theta0,
         model=model, observations=obs, reference_nodal=ref.reference_nodal,
-        synthetic=synth, eval_note=eval_note, linear_solves=chain.counts,
+        synthetic=synth, eval_note=eval_note, linear_solves=counts,
         presolve_newton_iters=(None if chain.frozen is None
                                else len(chain.frozen[1])),
         forward=chain)
@@ -662,7 +662,8 @@ def run_experiment(config, progress=None):
     mse = relative_mse(estimate, problem.reference_nodal)
 
     report_fields = problem.forward.spec.report_fields
-    predicted = problem.forward.values(estimate) if report_fields else {}
+    predicted = (problem.forward.values(estimate, problem.linear_solves)
+                 if report_fields else {})
     predicted = {name: predicted[name] for name in report_fields}
     prediction_mse = {name: relative_mse(values, problem.synthetic[name])
                       for name, values in predicted.items()} or None

@@ -6,8 +6,9 @@ shape-function derivatives and quadrature weights are computed once on the
 reference element and shared by all elements.  Local corner order is
 counter-clockwise from the lower-left: (-1,-1), (1,-1), (1,1), (-1,1).
 
-A grid and a :class:`DirichletSpec` hold read-only arrays, so problems of
-one physics can share them (see ``experiments._reference_for``).
+A grid and a :class:`DirichletSpec` hold read-only arrays, so the problems
+of one physics can share them through one forward chain (see
+``experiments._reference_for``).
 """
 
 from dataclasses import dataclass

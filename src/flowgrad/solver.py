@@ -1,7 +1,10 @@
 """Forward solvers recorded on the tape.
 
 ``newton_solve`` iterates x_{k+1} = x_k - J(x_k)^-1 F(x_k) for the coupled
-[u; v; p] system, off the caller's tape.  Each iterate is linearized on
+[u; v; p] system, off the caller's tape.  What does not depend on the
+viscosity or the state (the constant blocks, the system layout and order,
+the constraint plan and the loads) is a :class:`FlowSetup`, which the
+caller builds once and hands to every solve.  Each iterate is linearized on
 plain arrays: the advection, stiffness and stabilization blocks come from
 the assembly kernels, F from sparse matrix-vector products, and J(x) is
 assembled from the same blocks.  The caller's tape records one
@@ -40,8 +43,10 @@ flow as one ``heat_solve`` operator from the nodal conductivity, in the
 same form: its forward assembles and factorizes the linear system on plain
 arrays, and its backward is one transpose solve with those factors.  What
 does not depend on the conductivity (the wall constraints, the convection
-block of the frozen flow and the load) is built once per flow and data, so
-an evaluation assembles only K(k).
+block of the frozen flow and the load) is a :class:`HeatSetup`, built once
+by the caller, so an evaluation assembles only K(k).  Both operators add
+their factorizations and refinement sweeps to the caller's
+:class:`LinearSolveCounts`.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -53,7 +58,7 @@ import numpy as np
 from . import ops
 from .assembly import constraint_plan, operators_for
 from .errors import ContractError, NewtonDivergedError, NumericError
-from .grid import cavity_velocity_bcs, uniform_boundary_bc
+from .grid import cavity_velocity_bcs
 from .sparse import LuFactors
 from .tape import register_op
 
@@ -65,6 +70,8 @@ __all__ = [
     "NSState",
     "ParticleState",
     "default_cavity_bcs",
+    "FlowSetup",
+    "HeatSetup",
     "ns_residual",
     "ns_jacobian",
     "newton_solve",
@@ -124,14 +131,17 @@ def default_cavity_bcs(grid, lid_speed=1.0):
 
 @dataclass
 class LinearSolveCounts:
-    """Running totals of the linear solves of Newton steps and adjoints.
+    """Running totals of the linear solves of flow and heat solves and their
+    adjoints.
 
     ``factorizations`` counts fresh LU factorizations, ``recycled_solves``
     the solves met by refinement against the factors of an earlier Jacobian
     and ``stalls`` the refinements that failed and were followed by a fresh
     factorization, which the solve then re-anchors on.  Each flow solve
-    factorizes once plus once per stall.  ``sweeps`` totals the refinement
-    sweeps of every one of these solves, a stalled or failed one included.
+    factorizes once plus once per stall; each heat solve factorizes once,
+    and its adjoint solves with those factors.  ``sweeps`` totals the
+    refinement sweeps of every one of these solves, a stalled or failed one
+    included.
     """
 
     factorizations: int = 0
@@ -167,32 +177,17 @@ def _nodal(value, n):
     return value
 
 
-# Most flow setups, and most heat setups, kept for reuse at once.
-_SHARED_SETUPS = 4
-_SETUPS = {}  # value key of the inputs -> _NsSetup, least recently used first
-_HEAT = {}  # value key of the inputs -> _HeatSetup, likewise
-
-
-def _shared(cache, key, build):
-    """``cache[key]``, built by ``build()`` on first use; the last
-    ``_SHARED_SETUPS`` keys used are kept."""
-    value = cache.pop(key, None) or build()
-    cache[key] = value
-    if len(cache) > _SHARED_SETUPS:
-        del cache[next(iter(cache))]
-    return value
-
-
-class _NsSetup:
+class FlowSetup:
     """Constant matrices, the system layout and order, and the constraint
-    plan of the flow system on one grid shape with one set of Dirichlet
-    data, constants and stabilization weight (see ``_setup_for``).
+    plan of the flow system on one grid with one set of Dirichlet data,
+    constants and stabilization weight, shared read-only by every flow solve
+    with those inputs.
 
     ``cidx`` and ``cvals`` are the constrained unknowns in the natural
     [u; v; p] order and their values; ``plan`` constrains the system
     pattern, which is in the system order."""
 
-    def __init__(self, grid, bc, constants, beta):
+    def __init__(self, grid, bc, constants, beta=DEFAULT_BETA):
         gops = operators_for(grid)
         self.gops = gops
         n = grid.n_nodes
@@ -221,47 +216,24 @@ class _NsSetup:
         self.load_v = mass @ _nodal(constants.body_force_g, n)
 
 
-def _setup_for(grid, bc, constants, beta):
-    """The shared :class:`_NsSetup` of these inputs, built on first use.
+def ns_residual(setup, x, nu):
+    """F(x) at the state x = [u; v; p] and nodal viscosity ``nu``, Dirichlet
+    rows zeroed, as a plain array."""
+    return _Linearization(setup, nu, x).f
 
-    Keyed by value, so every flow solve of a problem, and every problem of
-    the same shape and data, reuses one setup; the last ``_SHARED_SETUPS``
-    are kept.
+
+def ns_jacobian(setup, x, nu):
+    """Constrained Newton matrix J(x) at the state x = [u; v; p] and nodal
+    viscosity ``nu``, as a scipy CSR matrix.
+
+    This is the matrix the steady-flow adjoint solves with when ``x`` is a
+    converged solution, in the natural [u; v; p] order with sorted indices;
+    the solver assembles it in its system order.
     """
-    key = (grid.nx, grid.ny, constants, float(beta), int(bc.pressure_pin),
-           *(a.tobytes() for spec in (bc.u, bc.v)
-             for a in (spec.idx, spec.vals)))
-    return _shared(_SETUPS, key, lambda: _NsSetup(grid, bc, constants, beta))
-
-
-def ns_residual(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
-    """F(x) at ``state``, Dirichlet rows zeroed, as a plain array.
-
-    It is evaluated off ``tape``, which is only read (see
-    :class:`_Linearization`).
-    """
-    return _linearized(tape, grid, state, nu_nodal, constants, bc, beta).f
-
-
-def ns_jacobian(tape, grid, state, nu_nodal, constants, bc, beta=DEFAULT_BETA):
-    """Constrained Newton matrix J(x) at ``state`` as a scipy CSR matrix.
-
-    This is the matrix the steady-flow adjoint solves with when ``state``
-    is a converged solution, in the natural [u; v; p] order with sorted
-    indices; the solver assembles it in its system order.  It is evaluated
-    off ``tape``, which is only read.
-    """
-    lin = _linearized(tape, grid, state, nu_nodal, constants, bc, beta)
-    inverse = lin.setup.order.inverse
-    matrix = lin.jacobian()[inverse][:, inverse]
+    inverse = setup.order.inverse
+    matrix = _Linearization(setup, nu, x).jacobian()[inverse][:, inverse]
     matrix.sort_indices()
     return matrix
-
-
-def _linearized(tape, grid, state, nu_nodal, constants, bc, beta):
-    setup = _setup_for(grid, bc, constants, beta)
-    x = np.concatenate([tape.value(r) for r in (state.u, state.v, state.p)])
-    return _Linearization(setup, tape.value(nu_nodal), x)
 
 
 class _Linearization:
@@ -386,9 +358,9 @@ def _refined(lu, matrix, b, transpose, counts):
     return x
 
 
-def _factorized(matrix, counts):
+def _factorized(matrix, counts, ordered=False):
     counts.factorizations += 1
-    return LuFactors(matrix, ordered=True)
+    return LuFactors(matrix, ordered=ordered)
 
 
 def _steady_flow_fwd(v, ctx):
@@ -436,7 +408,7 @@ def _steady_flow_fwd(v, ctx):
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
                 matrix, rhs = lin.jacobian(), lin.f[perm]
-            lu = _factorized(matrix, counts)
+            lu = _factorized(matrix, counts, ordered=True)
             delta = _swept(lu, matrix, rhs, False, counts)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
@@ -481,7 +453,8 @@ def _steady_flow_bwd(g, ctx):
     matrix, rhs = lin.jacobian(), g[setup.order.perm]
     lam = _refined(ctx.pop("lu", None), matrix, rhs, True, counts)
     if lam is None:
-        lam = _swept(_factorized(matrix, counts), matrix, rhs, True, counts)
+        lam = _swept(_factorized(matrix, counts, ordered=True), matrix,
+                     rhs, True, counts)
     matrix = None  # J(x*) dies before the vector-Jacobian product
     return (-lin.nu_vjp(lam[setup.order.inverse]),)
 
@@ -489,68 +462,58 @@ def _steady_flow_bwd(g, ctx):
 register_op("steady_flow", _steady_flow_fwd, _steady_flow_bwd)
 
 
-def newton_solve(tape, grid, nu_nodal, constants, bc, config=None,
-                 beta=DEFAULT_BETA, trace_cb=None, counts=None):
-    """Newton iteration for the steady velocity-pressure system.
+def newton_solve(tape, setup, nu, config=None, trace_cb=None, counts=None):
+    """Newton iteration for the steady velocity-pressure system of ``setup``
+    (a :class:`FlowSetup`) at the nodal viscosity ``nu``.
 
     Always performs at least one iteration; convergence is judged on the
     post-update residual, so a state that already solves the system reports
     one iteration.  Raises on nonconvergence with the last residual attached,
     leaving ``tape`` as it was.  On convergence the tape gains one
-    ``steady_flow`` node from ``nu_nodal`` to [u; v; p] plus three slices,
+    ``steady_flow`` node from ``nu`` to [u; v; p] plus three slices,
     however many iterations were needed.  ``counts``, a
     :class:`LinearSolveCounts`, accumulates the factorizations, recycled
     solves, stalls and refinement sweeps of the Newton steps and of the
     node's backward pass.
     """
-    config = config or NewtonConfig()
-    setup = _setup_for(grid, bc, constants, beta)
-    ctx = {"setup": setup, "config": config, "trace_cb": trace_cb,
+    ctx = {"setup": setup, "config": config or NewtonConfig(),
+           "trace_cb": trace_cb,
            "counts": counts if counts is not None else LinearSolveCounts()}
-    x = tape.apply("steady_flow", (nu_nodal,), ctx)
+    x = tape.apply("steady_flow", (nu,), ctx)
     n = setup.n
     trace = ctx["trace"]
     u, v, p = (ops.slice1d(tape, x, k * n, (k + 1) * n) for k in range(3))
     return NSState(u, v, p, len(trace), trace[-1][1], trace)
 
 
-class _HeatSetup:
+class HeatSetup:
     """What the heat system of one frozen flow keeps across its solves: the
     wall constraint plan and values, rho Cp C(u, v) as CSR data and the load
-    M Q (see ``_heat_setup_for``)."""
+    M Q, shared read-only by every heat solve with those inputs.
+
+    ``u`` and ``v`` are the nodal velocities of the frozen flow, as plain
+    arrays, and ``bc_t`` the wall temperatures (a ``DirichletSpec``)."""
 
     def __init__(self, grid, u, v, constants, bc_t):
         self.gops = gops = operators_for(grid)
         self.plan = constraint_plan(gops.pattern, bc_t.idx)
         self.vals = bc_t.vals
-        self.convection = constants.rho * constants.cp * gops.convection(u, v)
+        self.convection = constants.rho * constants.cp * gops.convection(
+            np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
         self.load = (gops.scipy_matrix(gops.m_data)
                      @ _nodal(constants.heat_source_q, grid.n_nodes))
 
 
-def _heat_setup_for(grid, u, v, constants, bc_t):
-    """The shared :class:`_HeatSetup` of these inputs, built on first use.
-
-    Keyed by value, so every evaluation of a heat problem, and every problem
-    with the same frozen flow and data, reuses one setup; the last
-    ``_SHARED_SETUPS`` are kept.
-    """
-    key = (grid.nx, grid.ny, constants,
-           *(a.tobytes() for a in (u, v, bc_t.idx, bc_t.vals)))
-    return _shared(_HEAT, key,
-                   lambda: _HeatSetup(grid, u, v, constants, bc_t))
-
-
 def _heat_solve_fwd(v, ctx):
     """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed."""
-    heat = ctx["heat"]
+    heat, counts = ctx["heat"], ctx["counts"]
     gops = heat.gops
     data = heat.convection + gops.diffusion(v[0])
     rhs = heat.load.copy()
     heat.plan.eliminate(data, rhs, heat.vals)
     matrix = gops.scipy_matrix(data)
-    lu = LuFactors(matrix)
-    temp = lu.solve(rhs, matrix)
+    lu = _factorized(matrix, counts)
+    temp = _swept(lu, matrix, rhs, False, counts)
     if not np.all(np.isfinite(temp)):
         raise NumericError("heat solve produced a non-finite temperature")
     ctx["matrix"], ctx["temp"], ctx["lu"] = matrix, temp, lu
@@ -565,12 +528,12 @@ def _heat_solve_bwd(g, ctx):
     -vals_c lam_r.  ``diffusion_bwd`` maps the entry gradient to k; the
     flow and the load are constants.
     """
-    heat, matrix = ctx["heat"], ctx["matrix"]
+    heat, matrix, counts = ctx["heat"], ctx["matrix"], ctx["counts"]
     gops, plan = heat.gops, heat.plan
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape refactorizes
-    lu = ctx.pop("lu", None) or LuFactors(matrix)
-    lam = lu.solve_transpose(g, matrix)
+    lu = ctx.pop("lu", None) or _factorized(matrix, counts)
+    lam = _swept(lu, matrix, g, True, counts)
     pattern = gops.pattern
     gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
     gdata[plan.row_entries] = 0.0
@@ -581,18 +544,19 @@ def _heat_solve_bwd(g, ctx):
 register_op("heat_solve", _heat_solve_fwd, _heat_solve_bwd)
 
 
-def heat_solve(tape, grid, u, v, k_nodal, constants, bc_t=None):
-    """Record T with rho Cp C(u, v) T + K(k) T = M Q and T = bc_t on the walls.
+def heat_solve(tape, heat, k, counts=None):
+    """Record T with rho Cp C(u, v) T + K(k) T = M Q and T = bc_t on the
+    walls, for the frozen flow and data of ``heat`` (a :class:`HeatSetup`).
 
-    ``u`` and ``v`` are the nodal velocities of a frozen flow, as plain
-    arrays: the temperature is differentiated with respect to ``k_nodal``
-    only.  The tape gains one ``heat_solve`` node.  Everything but K(k) is
-    built once per flow and data (``_heat_setup_for``).
+    The temperature is differentiated with respect to the nodal
+    conductivity ``k`` only, and the tape gains one ``heat_solve`` node.  An
+    evaluation assembles only K(k).  ``counts``, a
+    :class:`LinearSolveCounts`, accumulates the factorization and the
+    refinement sweeps of the solve and of the node's backward pass.
     """
-    bc_t = bc_t or uniform_boundary_bc(grid, 0.0)
-    heat = _heat_setup_for(grid, np.asarray(u, dtype=np.float64),
-                           np.asarray(v, dtype=np.float64), constants, bc_t)
-    return tape.apply("heat_solve", (k_nodal,), {"heat": heat})
+    return tape.apply("heat_solve", (k,), {
+        "heat": heat,
+        "counts": counts if counts is not None else LinearSolveCounts()})
 
 
 def transport_integrate(tape, ns, constants, w_init=None, dt=0.1, n_steps=50):

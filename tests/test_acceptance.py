@@ -19,6 +19,8 @@ from flowgrad.experiments import (
 from flowgrad.grid import DirichletSpec, StructuredGrid
 from flowgrad.optimize import OptimizerConfig, lbfgs_optimize
 from flowgrad.solver import (
+    FlowSetup,
+    HeatSetup,
     NewtonConfig,
     PhysicsConstants,
     default_cavity_bcs,
@@ -67,8 +69,8 @@ def test_criterion_2_forward_solver():
     nu = reference_field("cavity_viscosity", grid.coords)
     t = Tape()
     start = time.perf_counter()
-    state = newton_solve(t, grid, t.constant(nu), PhysicsConstants(),
-                         default_cavity_bcs(grid), NewtonConfig())
+    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    state = newton_solve(t, setup, t.constant(nu), NewtonConfig())
     elapsed = time.perf_counter() - start
     ok = (state.final_residual_norm < 1e-8
           and state.newton_iterations_used <= 10 and elapsed < 10.0)
@@ -164,7 +166,7 @@ def _heat_adjoint_gap(n, seed):
 
     t = Tape()
     k_ref = t.variable(k)
-    temp = heat_solve(t, grid, u, v, k_ref, constants, bc_t)
+    temp = heat_solve(t, HeatSetup(grid, u, v, constants, bc_t), k_ref)
     grad = t.backward(dot(t, t.constant(c), temp))[k_ref]
 
     def free_rows(data):
@@ -199,8 +201,9 @@ def test_criterion_7_oracle_suites():
     walls = grid.all_boundary
     bc_t = DirichletSpec(walls, grid.coords[walls, 0])
     zeros = np.zeros(grid.n_nodes)
-    temp = heat_solve(t, grid, zeros, zeros, t.constant(np.ones(grid.n_nodes)),
-                      PhysicsConstants(heat_source_q=0.0), bc_t)
+    heat = HeatSetup(grid, zeros, zeros, PhysicsConstants(heat_source_q=0.0),
+                     bc_t)
+    temp = heat_solve(t, heat, t.constant(np.ones(grid.n_nodes)))
     patch_gap = float(np.max(np.abs(t.value(temp) - grid.coords[:, 0])))
     ok_patch = patch_gap < 1e-12
 

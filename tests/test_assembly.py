@@ -19,7 +19,7 @@ from flowgrad import assembly, kernels, ops
 from flowgrad.assembly import constraint_plan, operators_for
 from flowgrad.errors import ContractError
 from flowgrad.grid import DirichletSpec, StructuredGrid
-from flowgrad.solver import PhysicsConstants, heat_solve
+from flowgrad.solver import HeatSetup, PhysicsConstants, heat_solve
 from flowgrad.sparse import SparsePattern
 from flowgrad.tape import Tape, finite_difference_check
 from tape_oracle import convection_block, dot
@@ -330,8 +330,9 @@ def test_constrain_all_nodes_returns_prescribed_values():
     gvals = g.coords[:, 0] + g.coords[:, 1]
     t = Tape()
     zero = np.zeros(9)
-    temp = heat_solve(t, g, zero, zero, t.constant(np.ones(9)),
-                      PhysicsConstants(), DirichletSpec(np.arange(9), gvals))
+    heat = HeatSetup(g, zero, zero, PhysicsConstants(),
+                     DirichletSpec(np.arange(9), gvals))
+    temp = heat_solve(t, heat, t.constant(np.ones(9)))
     np.testing.assert_allclose(t.value(temp), gvals, rtol=0, atol=1e-14)
 
 
@@ -343,8 +344,8 @@ def test_patch_test_linear_solution_machine_precision():
     bc = DirichletSpec(g.all_boundary, exact[g.all_boundary])
     t = Tape()
     zero = np.zeros(g.n_nodes)
-    x = heat_solve(t, g, zero, zero, t.constant(np.ones(g.n_nodes)),
-                   PhysicsConstants(heat_source_q=0.0), bc)
+    heat = HeatSetup(g, zero, zero, PhysicsConstants(heat_source_q=0.0), bc)
+    x = heat_solve(t, heat, t.constant(np.ones(g.n_nodes)))
     assert np.max(np.abs(t.value(x) - exact)) < 1e-12
 
 
@@ -391,11 +392,12 @@ def test_constrained_solve_gradient_matches_fd():
     u, v = 0.5 * rng.normal(size=(2, g.n_nodes))
     bc = DirichletSpec(np.array([0, 3, 12, 15]), np.array([0.5, -1.0, 2.0, 0.0]))
     k0 = rng.uniform(0.5, 2.0, g.n_nodes)
+    heat = HeatSetup(g, u, v, PhysicsConstants(), bc)
 
     def f(theta):
         t = Tape()
         k = t.variable(theta)
-        temp = heat_solve(t, g, u, v, k, PhysicsConstants(), bc)
+        temp = heat_solve(t, heat, k)
         loss = dot(t, t.constant(c), temp)
         return t.value(loss)[0], t.backward(loss)[k]
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.io
 import scipy.sparse.linalg
 
-from flowgrad import experiments
+from flowgrad import config, experiments
 from flowgrad.cli import main
 from flowgrad.config import _SCHEMA, load_config
 from flowgrad.experiments import (
@@ -18,6 +18,7 @@ from flowgrad.experiments import (
     reference_field,
 )
 from flowgrad.grid import StructuredGrid, read_field_csv
+from flowgrad.solver import LinearSolveCounts
 from flowgrad.tape import Tape
 
 SMALL = """
@@ -75,12 +76,14 @@ def test_run_writes_report_and_fields(tmp_path):
         assert (out / name).exists()
 
 
-def test_run_reports_every_factorization(tmp_path, monkeypatch):
+@pytest.mark.parametrize("experiment", ["cavity_viscosity", "conjugate_heat"])
+def test_run_reports_every_factorization(tmp_path, monkeypatch, experiment):
     # the prediction CSVs come from the solve the report already counts;
     # the reference solves are data synthesis, shared by later runs of the
-    # same physics in the process, and not counted
+    # same physics in the process, and not counted; a heat run counts the
+    # factorization of every heat solve
     calls = _count_splu(monkeypatch)
-    path = _config(tmp_path)
+    path = _config(tmp_path, _small(experiment))
     reports = []
     for run in ("cold", "warm"):
         del calls[:]
@@ -97,6 +100,8 @@ def test_run_reports_every_factorization(tmp_path, monkeypatch):
     build_problem(load_config(path).configs[0])
     assert len(calls) >= 1
     assert cold["splu"] == cold["linear_solves"]["factorizations"] + len(calls)
+    if experiment == "conjugate_heat":
+        assert warm["linear_solves"]["factorizations"] == warm["n_evals"]
 
 
 def test_field_csv_round_trips_reference_exactly(tmp_path):
@@ -131,6 +136,35 @@ max_steps = 3
         sub = out / entry["directory"]
         assert (sub / "report.json").exists()
         assert (sub / "k_estimate.csv").exists()
+
+
+@pytest.mark.parametrize("levels", ["0.0100001, 0.01000011", "0.01, 0.01"])
+def test_sweep_levels_sharing_a_directory_exit_2_before_solving(
+        tmp_path, monkeypatch, levels):
+    # both levels print as eps_0.0100001 (eps_0.01): the second run would
+    # overwrite the first
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path,
+                  SMALL + f"\n[observations]\nnoise_epsilon = {levels}\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_grid_beyond_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a grid too large to allocate stops at the config boundary; the build
+    # is replaced, so no test allocates a huge grid
+    def unallocatable(n):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(config, "StructuredGrid", unallocatable)
+    cfg = _config(tmp_path, SMALL.replace("n = 6", "n = 100000"))
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration: Unable to allocate" in err
+    assert not out.exists()
 
 
 def test_run_missing_config_exits_2(tmp_path):
@@ -190,7 +224,7 @@ def test_forward_dump_matrix_is_loadable(tmp_path):
     chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
     t = Tape()
     coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
-    _, flow = chain(t, coef)
+    _, flow = chain(t, coef, LinearSolveCounts())
     jac = chain.jacobian(t, flow, coef)
     np.testing.assert_allclose(matrix.toarray(), jac.toarray(), rtol=0, atol=0)
 
@@ -239,7 +273,8 @@ def test_forward_writes_every_field_of_the_chain(tmp_path, experiment):
     chain = ForwardChain(cfg, StructuredGrid(6))
     t = Tape()
     fields, _ = chain(t, t.constant(reference_field(experiment,
-                                                    chain.grid.coords)))
+                                                    chain.grid.coords)),
+                      LinearSolveCounts())
     assert {p.name for p in out.glob("*.csv")} == {f"{c}.csv" for c in fields}
     for comp, ref in fields.items():
         _, values = read_field_csv(out / f"{comp}.csv")

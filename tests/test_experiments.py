@@ -311,7 +311,7 @@ def test_reference_field_as_estimate_reproduces_observations(experiment):
     nu = reference_field(experiment, problem.grid.coords)
     assert np.array_equal(nu, problem.reference_nodal)
     t = Tape()
-    predicted, _ = problem.forward(t, t.constant(nu))
+    predicted, _ = problem.forward(t, t.constant(nu), problem.linear_solves)
     assert set(predicted) == set(problem.synthetic)
     for name, ref in predicted.items():
         np.testing.assert_array_equal(t.value(ref), problem.synthetic[name])
@@ -521,9 +521,9 @@ def test_shared_reference_is_read_only_and_owned(experiment):
     [ref] = experiments._REFERENCES.values()
     assert np.any(ref.synthetic["u"] != 0.0)
     arrays = [ref.reference_nodal, *ref.synthetic.values()]
-    if ref.frozen is not None:
-        arrays += list(ref.frozen[0].values())
-        assert isinstance(ref.frozen[1], tuple)
+    if ref.chain.frozen is not None:
+        arrays += [ref.chain.frozen_nu, *ref.chain.frozen[0].values()]
+        assert isinstance(ref.chain.frozen[1], tuple)
     # owned copies, not views into a tape
     assert all(a.base is None and not a.flags.writeable for a in arrays)
 
@@ -552,10 +552,13 @@ def test_warm_build_makes_no_grid_or_boundary_data(monkeypatch, experiment):
     made = _count_grids_and_dirichlet_specs(monkeypatch)
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
     build_problem(cfg)
-    # the grid, the u and v walls of the flow and the heat wall
-    assert made == {"grids": 1, "dirichlet_specs": 3}
+    # the grid, the u and v walls of the flow and, for the heat experiment
+    # alone, the heat wall
+    cold = {"grids": 1,
+            "dirichlet_specs": 2 + (experiment == "conjugate_heat")}
+    assert made == cold
     build_problem(dataclasses.replace(cfg, obs_seed=8, noise_epsilon=0.01))
-    assert made == {"grids": 1, "dirichlet_specs": 3}
+    assert made == cold
 
 
 @pytest.mark.parametrize("experiment, name, value", [
@@ -612,8 +615,8 @@ def test_data_change_shares_the_reference(monkeypatch, experiment, name,
         assert second.synthetic[comp] is values
     assert second.grid is first.grid
     assert second.reference_nodal is first.reference_nodal
-    assert second.forward.bcs is first.forward.bcs
-    assert second.forward.heat_bc is first.forward.heat_bc
+    assert second.forward is first.forward
+    assert second.linear_solves is not first.linear_solves
 
 
 def test_at_most_four_references_kept(monkeypatch):
@@ -633,6 +636,62 @@ def test_at_most_four_references_kept(monkeypatch):
     assert len(experiments._REFERENCES) == 4
     assert [solved(n) for n in (6, 8, 9, 10, 7)] == [0, 0, 0, 0, 1]
     assert len(experiments._REFERENCES) == 4
+
+
+def _count_inits(monkeypatch, *classes):
+    """Instances built of each class, by class name."""
+    built = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls.__name__] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+def test_problems_of_one_physics_share_one_chain(monkeypatch):
+    # the chain, its flow setup and its heat setup are built once per
+    # physics: a warm build makes none of them, an evaluation no setup, and
+    # a physics change a new chain with new setups
+    built = _count_inits(monkeypatch, experiments.ForwardChain,
+                         solver.FlowSetup, solver.HeatSetup)
+    cfg = ExperimentConfig("conjugate_heat", grid_n=6, n_points=12)
+    first = build_problem(cfg)
+    once = {"ForwardChain": 1, "FlowSetup": 1, "HeatSetup": 1}
+    assert built == once
+    second = build_problem(dataclasses.replace(cfg, obs_seed=8,
+                                               noise_epsilon=0.01))
+    first.objective(first.theta0)
+    second.objective(second.theta0)
+    assert built == once
+    chain = first.forward
+    assert second.forward is chain
+    assert isinstance(chain.flow_setup, solver.FlowSetup)
+    assert isinstance(chain.heat_setup, solver.HeatSetup)
+    other = build_problem(dataclasses.replace(cfg, heat_source=2.0))
+    assert built == {name: 2 for name in once}
+    assert other.forward is not chain
+    assert other.forward.flow_setup is not chain.flow_setup
+    assert other.forward.heat_setup is not chain.heat_setup
+    # a spec without a frozen flow has no heat setup
+    cavity = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
+    cavity.objective(cavity.theta0)
+    assert cavity.forward.heat_setup is None
+    assert built == {"ForwardChain": 3, "FlowSetup": 3, "HeatSetup": 2}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_evaluation_counts_only_its_own_problem(experiment):
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
+    a = build_problem(cfg)
+    b = build_problem(dataclasses.replace(cfg, obs_seed=8))
+    assert a.forward is b.forward
+    a.objective(a.theta0)
+    assert a.linear_solves.factorizations >= 1
+    assert b.linear_solves == solver.LinearSolveCounts()
+    b.objective(b.theta0)
+    assert b.linear_solves.factorizations >= 1
+    assert a.linear_solves.factorizations == b.linear_solves.factorizations
 
 
 # --- factorizations per objective evaluation
@@ -655,14 +714,14 @@ def test_flow_setup_built_once(monkeypatch, experiment):
     # every flow solve of a problem, and of a second problem that differs
     # only in its noise, reuses the setup of the first solve
     built = []
-    init = solver._NsSetup.__init__
+    init = solver.FlowSetup.__init__
 
     def counting_init(self, *args):
         built.append(1)
         init(self, *args)
 
-    monkeypatch.setattr(solver, "_SETUPS", {})
-    monkeypatch.setattr(solver._NsSetup, "__init__", counting_init)
+    monkeypatch.setattr(experiments, "_REFERENCES", {})
+    monkeypatch.setattr(solver.FlowSetup, "__init__", counting_init)
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
     problem = build_problem(cfg)
     problem.objective(problem.theta0)
@@ -722,7 +781,7 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
     coef = eval_field_on_grid(t, problem.model, t.variable(problem.theta0),
                               problem.grid)
     before = dataclasses.replace(counts)
-    predicted, flow = problem.forward(t, coef)
+    predicted, flow = problem.forward(t, coef, counts)
     stalls = counts.stalls - before.stalls
     assert stalls >= 1
     assert len(calls) == counts.factorizations - before.factorizations
@@ -764,11 +823,16 @@ def test_transport_tape_does_not_grow_with_steps(monkeypatch):
 
 
 def test_heat_objective_factorizes_once(monkeypatch):
+    # and counts it; the adjoint solves with the forward's factors
     problem = build_problem(ExperimentConfig("conjugate_heat", grid_n=6,
                                              n_points=12))
     calls = _count_splu(monkeypatch)
     problem.objective(problem.theta0)
     assert len(calls) == 1
+    counts = problem.linear_solves
+    assert (counts.factorizations, counts.recycled_solves, counts.stalls) \
+        == (1, 0, 0)
+    assert counts.sweeps >= 2
 
 
 def test_heat_evaluation_assembles_only_the_conductivity_block(monkeypatch):
@@ -791,8 +855,9 @@ def test_heat_evaluation_assembles_only_the_conductivity_block(monkeypatch):
     assert calls == ["diffusion"]
     # built anew, they give the same bits
     monkeypatch.undo()
-    monkeypatch.setattr(solver, "_HEAT", {})
-    rebuilt = problem.objective(problem.theta0)
+    monkeypatch.setattr(experiments, "_REFERENCES", {})
+    again = build_problem(dataclasses.replace(cfg, obs_seed=2))
+    rebuilt = again.objective(again.theta0)
     assert rebuilt[0] == loss and rebuilt[1].tobytes() == grad.tobytes()
 
 

@@ -11,6 +11,8 @@ from flowgrad.errors import (
 )
 from flowgrad.grid import DirichletSpec, StructuredGrid, uniform_boundary_bc
 from flowgrad.solver import (
+    FlowSetup,
+    HeatSetup,
     LinearSolveCounts,
     NewtonConfig,
     NSState,
@@ -32,22 +34,28 @@ def reference_viscosity(coords):
     return 1.0 + 6.0 * x ** 2 + x / (1.0 + 2.0 * y ** 2)
 
 
+def cavity_setup(grid, lid_speed=1.0):
+    return FlowSetup(grid, default_cavity_bcs(grid, lid_speed),
+                     PhysicsConstants())
+
+
 def solve_cavity(grid, nu_nodal, lid_speed=1.0, config=None):
     t = Tape()
     nu = t.constant(nu_nodal)
-    bc = default_cavity_bcs(grid, lid_speed)
-    state = newton_solve(t, grid, nu, PhysicsConstants(), bc, config)
+    state = newton_solve(t, cavity_setup(grid, lid_speed), nu, config)
     return t, state
+
+
+def heat_setup(grid, u, v, constants=PhysicsConstants(), bc_t=None):
+    """The heat setup of a flow, with cold walls unless ``bc_t`` is given."""
+    return HeatSetup(grid, u, v, constants,
+                     uniform_boundary_bc(grid, 0.0) if bc_t is None else bc_t)
 
 
 def test_rest_state_zero_residual():
     g = StructuredGrid(6)
-    t = Tape()
-    zero = t.constant(np.zeros(g.n_nodes))
-    state = NSState(zero, zero, zero, 0, 0.0)
-    nu = t.constant(np.ones(g.n_nodes))
-    bc = default_cavity_bcs(g, lid_speed=0.0)
-    res = ns_residual(t, g, state, nu, PhysicsConstants(), bc)
+    res = ns_residual(cavity_setup(g, lid_speed=0.0),
+                      np.zeros(3 * g.n_nodes), np.ones(g.n_nodes))
     assert np.max(np.abs(res)) == 0.0
 
 
@@ -55,13 +63,8 @@ def test_constant_pressure_rest_state_zero_residual():
     # with velocity rows constrained on the whole boundary, interior rows of
     # Gx p vanish for constant p and the stabilization annihilates constants
     g = StructuredGrid(5)
-    t = Tape()
-    zero = t.constant(np.zeros(g.n_nodes))
-    p = t.constant(np.full(g.n_nodes, 3.7))
-    state = NSState(zero, zero, p, 0, 0.0)
-    nu = t.constant(np.ones(g.n_nodes))
-    bc = default_cavity_bcs(g, lid_speed=0.0)
-    res = ns_residual(t, g, state, nu, PhysicsConstants(), bc)
+    x = np.concatenate([np.zeros(2 * g.n_nodes), np.full(g.n_nodes, 3.7)])
+    res = ns_residual(cavity_setup(g, lid_speed=0.0), x, np.ones(g.n_nodes))
     assert np.max(np.abs(res)) < 1e-13
 
 
@@ -124,11 +127,8 @@ def test_replug_solution_residual_small():
     g = StructuredGrid(11)
     nu_nodal = reference_viscosity(g.coords)
     t, state = solve_cavity(g, nu_nodal)
-    t2 = Tape()
-    replug = NSState(t2.constant(t.value(state.u)), t2.constant(t.value(state.v)),
-                     t2.constant(t.value(state.p)), 0, 0.0)
-    res = ns_residual(t2, g, replug, t2.constant(nu_nodal), PhysicsConstants(),
-                      default_cavity_bcs(g))
+    x = np.concatenate([t.value(r) for r in (state.u, state.v, state.p)])
+    res = ns_residual(cavity_setup(g), x, nu_nodal)
     assert np.max(np.abs(res)) < 1e-8
 
 
@@ -146,8 +146,7 @@ def test_newton_divergence_leaves_tape_unchanged():
     nu = t.variable(np.ones(g.n_nodes))
     before = len(t)
     with pytest.raises(NewtonDivergedError):
-        newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
-                     NewtonConfig(1e-14, 2))
+        newton_solve(t, cavity_setup(g), nu, NewtonConfig(1e-14, 2))
     assert len(t) == before
 
 
@@ -159,8 +158,7 @@ def test_newton_tape_length_independent_of_iterations():
     iterations = []
     for lid in (0.0, 1.0):
         before = len(t)
-        state = newton_solve(t, g, nu, PhysicsConstants(),
-                             default_cavity_bcs(g, lid))
+        state = newton_solve(t, cavity_setup(g, lid), nu)
         added.append(len(t) - before)
         iterations.append(state.newton_iterations_used)
     assert iterations[0] == 1 and iterations[1] > 1
@@ -177,7 +175,7 @@ def test_newton_gradient_reaches_viscosity():
     g = StructuredGrid(5)
     t = Tape()
     nu = t.variable(np.ones(g.n_nodes))
-    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g))
+    state = newton_solve(t, cavity_setup(g), nu)
     loss = dot(t, state.u, state.u)
     grads = t.backward(loss)
     gnu = grads[nu]
@@ -196,6 +194,7 @@ def test_newton_jacobian_matches_residual_differences():
     rng = np.random.default_rng(12)
     nu = rng.uniform(1.0, 2.0, n)
     bc = default_cavity_bcs(g)
+    setup = FlowSetup(g, bc, PhysicsConstants())
     cidx = np.concatenate([bc.u.idx, bc.v.idx + n, [2 * n + bc.pressure_pin]])
     x = rng.normal(size=3 * n)
     x[cidx] = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
@@ -203,27 +202,17 @@ def test_newton_jacobian_matches_residual_differences():
     d = np.zeros(3 * n)
     d[free] = rng.normal(size=free.size)
 
-    def at(state_x):
-        t = Tape()
-        u, v, p = (t.constant(state_x[k * n:(k + 1) * n]) for k in range(3))
-        return t, NSState(u, v, p, 0, 0.0), t.constant(nu)
-
-    def residual(state_x):
-        t, state, nu_ref = at(state_x)
-        return ns_residual(t, g, state, nu_ref, PhysicsConstants(), bc)
-
     h = 1e-3
-    fd = (residual(x + h * d) - residual(x - h * d)) / (2 * h)
-    t, state, nu_ref = at(x)
-    jd = ns_jacobian(t, g, state, nu_ref, PhysicsConstants(), bc) @ d
+    fd = (ns_residual(setup, x + h * d, nu)
+          - ns_residual(setup, x - h * d, nu)) / (2 * h)
+    jd = ns_jacobian(setup, x, nu) @ d
     err = np.max(np.abs(jd[free] - fd[free])) / np.max(np.abs(fd[free]))
     assert err < 1e-10
 
 
 def _fresh_lu_newton(grid, nu_nodal, tol=1e-8, max_iter=10):
     """Reference Newton iteration that factorizes every J(x_k) anew."""
-    setup = solver._NsSetup(grid, default_cavity_bcs(grid),
-                            PhysicsConstants(), solver.DEFAULT_BETA)
+    setup = cavity_setup(grid)
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
     order = setup.order
@@ -255,8 +244,7 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     counts = LinearSolveCounts()
     t = Tape()
     nu = t.variable(nu_nodal)
-    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
-                         counts=counts)
+    state = newton_solve(t, cavity_setup(g), nu, counts=counts)
     iters = state.newton_iterations_used
     assert iters >= 2
     if low_viscosity:
@@ -298,8 +286,7 @@ def test_adjoint_reuses_the_converged_linearization(monkeypatch,
     nu = t.variable(np.full(g.n_nodes, 0.01) if low_viscosity
                     else reference_viscosity(g.coords))
     counts = LinearSolveCounts()
-    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
-                         counts=counts)
+    state = newton_solve(t, cavity_setup(g), nu, counts=counts)
     forward = state.newton_iterations_used + 1 + counts.stalls
     assert len(built) == forward and (counts.stalls > 0) == low_viscosity
     loss = dot(t, state.u, state.u)
@@ -327,7 +314,7 @@ def test_flow_factorizes_in_grid_order(monkeypatch):
     g = StructuredGrid(7)
     t = Tape()
     nu = t.variable(np.full(g.n_nodes, 0.01))
-    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g))
+    state = newton_solve(t, cavity_setup(g), nu)
     t.backward(dot(t, state.u, state.u))
     t.backward(dot(t, state.u, state.u))
     assert len(specs) >= 3 and set(specs) == {"NATURAL"}
@@ -341,8 +328,7 @@ def test_adjoint_stall_refactorizes():
     t = Tape()
     nu = t.variable(reference_viscosity(g.coords))
     counts = LinearSolveCounts()
-    state = newton_solve(t, g, nu, PhysicsConstants(), default_cavity_bcs(g),
-                         counts=counts)
+    state = newton_solve(t, cavity_setup(g), nu, counts=counts)
     loss = dot(t, state.u, state.u)
     ctx = _steady_flow_ctx(t)
     other = solver._Linearization(ctx["setup"], np.full(g.n_nodes, 1e-3),
@@ -363,8 +349,7 @@ def _converged(grid, nu_nodal):
     """(setup, x*) of a cavity flow solve, and its stall count."""
     counts = LinearSolveCounts()
     t = Tape()
-    newton_solve(t, grid, t.variable(nu_nodal), PhysicsConstants(),
-                 default_cavity_bcs(grid), counts=counts)
+    newton_solve(t, cavity_setup(grid), t.variable(nu_nodal), counts=counts)
     ctx = _steady_flow_ctx(t)
     return ctx["setup"], ctx["x"], counts.stalls
 
@@ -462,8 +447,7 @@ def test_shared_flow_setup_holds_one_copy_of_each_array():
     # maps and the divergence, gradient and unit-stiffness blocks kept on
     # the grid operators as well, 4.77 MB.
     g = StructuredGrid(41)
-    setup = solver._setup_for(g, default_cavity_bcs(g), PhysicsConstants(),
-                              solver.DEFAULT_BETA)
+    setup = cavity_setup(g)
     assert setup.gops.system_layout()[2] is setup.order
     found = {}
     _buffer_bytes(setup, set(), found)
@@ -493,8 +477,9 @@ def test_heat_linear_patch():
     t = Tape()
     zero = np.zeros(g.n_nodes)
     bc_t = DirichletSpec(g.all_boundary, g.coords[g.all_boundary, 0])
-    temp = heat_solve(t, g, zero, zero, t.constant(np.ones(g.n_nodes)),
-                      PhysicsConstants(heat_source_q=0.0), bc_t)
+    heat = heat_setup(g, zero, zero, PhysicsConstants(heat_source_q=0.0),
+                      bc_t)
+    temp = heat_solve(t, heat, t.constant(np.ones(g.n_nodes)))
     assert np.max(np.abs(t.value(temp) - g.coords[:, 0])) < 1e-12
 
 
@@ -502,9 +487,9 @@ def test_heat_constant_state():
     g = StructuredGrid(5)
     t = Tape()
     zero = np.zeros(g.n_nodes)
-    temp = heat_solve(t, g, zero, zero, t.constant(np.ones(g.n_nodes)),
-                      PhysicsConstants(heat_source_q=0.0),
+    heat = heat_setup(g, zero, zero, PhysicsConstants(heat_source_q=0.0),
                       uniform_boundary_bc(g, 4.2))
+    temp = heat_solve(t, heat, t.constant(np.ones(g.n_nodes)))
     assert np.max(np.abs(t.value(temp) - 4.2)) < 1e-12
 
 
@@ -512,8 +497,7 @@ def test_heat_positive_source_positive_interior():
     g = StructuredGrid(9)
     t = Tape()
     u, v = cavity_velocities(g, np.ones(g.n_nodes))
-    temp = heat_solve(t, g, u, v, t.constant(np.ones(g.n_nodes)),
-                      PhysicsConstants())
+    temp = heat_solve(t, heat_setup(g, u, v), t.constant(np.ones(g.n_nodes)))
     vals = t.value(temp)
     interior = np.setdiff1d(np.arange(g.n_nodes), g.all_boundary)
     assert np.all(vals[interior] > 0.0)
@@ -525,18 +509,17 @@ def test_heat_zero_conductivity_zero_velocity_singular():
     t = Tape()
     zero = np.zeros(g.n_nodes)
     with pytest.raises(SingularMatrixError):
-        heat_solve(t, g, zero, zero, t.constant(np.zeros(g.n_nodes)),
-                   PhysicsConstants())
+        heat_solve(t, heat_setup(g, zero, zero),
+                   t.constant(np.zeros(g.n_nodes)))
 
 
 def test_heat_solve_rejects_a_flow_on_the_tape():
-    # the flow enters as nodal arrays; a tape reference is not one
+    # the flow enters its heat setup as nodal arrays; a tape reference is
+    # not one
     g = StructuredGrid(4)
-    t = Tape()
-    u = t.constant(np.zeros(g.n_nodes))
+    u = Tape().constant(np.zeros(g.n_nodes))
     with pytest.raises(ContractError):
-        heat_solve(t, g, u, u, t.constant(np.ones(g.n_nodes)),
-                   PhysicsConstants())
+        heat_setup(g, u, u)
 
 
 def test_heat_conductivity_gradient_fd():
@@ -544,12 +527,12 @@ def test_heat_conductivity_gradient_fd():
     rng = np.random.default_rng(3)
     weights = rng.standard_normal(g.n_nodes)
     k0 = 1.0 + g.coords[:, 0] ** 2 + g.coords[:, 0] / (1.0 + g.coords[:, 1] ** 2)
-    u, v = cavity_velocities(g, np.ones(g.n_nodes))
+    heat = heat_setup(g, *cavity_velocities(g, np.ones(g.n_nodes)))
 
     def f(k_nodal):
         t = Tape()
         k = t.variable(k_nodal)
-        temp = heat_solve(t, g, u, v, k, PhysicsConstants())
+        temp = heat_solve(t, heat, k)
         loss = dot(t, t.constant(weights), temp)
         return float(t.value(loss)[0]), t.backward(loss)[k]
 
@@ -572,7 +555,7 @@ def test_heat_solve_matches_op_by_op_recording(n, wall):
 
     t = Tape()
     k = t.variable(k_nodal)
-    temp = heat_solve(t, g, u, v, k, constants, bc)
+    temp = heat_solve(t, HeatSetup(g, u, v, constants, bc), k)
     grad = t.backward(dot(t, t.constant(weights), temp))[k]
     assert len(t) == 4
 
@@ -589,8 +572,11 @@ def test_heat_solve_matches_op_by_op_recording(n, wall):
 
 
 def test_heat_solve_factorizes_once_and_releases_lu(monkeypatch):
+    # and counts its factorizations and sweeps: the backward solves with
+    # the forward's factors, a repeated backward pass factorizes again
     g = StructuredGrid(5)
     u, v = cavity_velocities(g, np.ones(g.n_nodes))
+    counts = LinearSolveCounts()
     calls = []
     splu = scipy.sparse.linalg.splu
 
@@ -601,16 +587,20 @@ def test_heat_solve_factorizes_once_and_releases_lu(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     t = Tape()
     k = t.variable(np.ones(g.n_nodes))
-    temp = heat_solve(t, g, u, v, k, PhysicsConstants(),
-                      uniform_boundary_bc(g, 0.3))
+    temp = heat_solve(t, heat_setup(g, u, v, bc_t=uniform_boundary_bc(g, 0.3)),
+                      k, counts)
+    forward_sweeps = counts.sweeps
+    assert counts.factorizations == 1 and forward_sweeps >= 1
     loss = dot(t, temp, temp)
     first = t.backward(loss)
-    assert len(calls) == 1
+    assert len(calls) == counts.factorizations == 1
+    assert counts.sweeps > forward_sweeps
+    assert counts.recycled_solves == counts.stalls == 0
     assert not any(isinstance(value, LuFactors)
                    for value in t.nodes[temp].ctx.values())
     # a second backward pass over the same tape refactorizes
     np.testing.assert_array_equal(t.backward(loss)[k], first[k])
-    assert len(calls) == 2
+    assert len(calls) == counts.factorizations == 2
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +693,7 @@ def test_full_chain_viscosity_gradient_fd():
     def f(nu_nodal):
         t = Tape()
         nu = t.variable(nu_nodal)
-        state = newton_solve(t, g, nu, PhysicsConstants(),
-                             default_cavity_bcs(g), config)
+        state = newton_solve(t, cavity_setup(g), nu, config)
         du = ops.sub(t, state.u, t.constant(target_u))
         dv = ops.sub(t, state.v, t.constant(target_v))
         loss = ops.add(t, ops.vsum(t, ops.square(t, du)),

@@ -35,6 +35,7 @@ from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
 from flowgrad.grid import StructuredGrid
 from flowgrad.solver import (
+    FlowSetup,
     PhysicsConstants,
     default_cavity_bcs,
     newton_solve,
@@ -184,13 +185,13 @@ def _cavity_jacobians(n):
     order and in the system order it is factorized in, with that order."""
     grid = StructuredGrid(n)
     t = Tape()
-    nu = t.constant(reference_field("cavity_viscosity", grid.coords))
-    bc = default_cavity_bcs(grid)
-    state = newton_solve(t, grid, nu, PhysicsConstants(), bc)
-    natural = ns_jacobian(t, grid, state, nu, PhysicsConstants(), bc)
+    nu = reference_field("cavity_viscosity", grid.coords)
+    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    newton_solve(t, setup, t.constant(nu))
     [node] = [node for node in t.nodes if node.op == "steady_flow"]
-    setup, x = node.ctx["setup"], node.ctx["x"]
-    ordered = solver._Linearization(setup, t.value(nu), x).jacobian()
+    x = node.ctx["x"]
+    natural = ns_jacobian(setup, x, nu)
+    ordered = solver._Linearization(setup, nu, x).jacobian()
     return natural, ordered, setup.order
 
 
@@ -276,8 +277,7 @@ def test_factorization_leaves_the_pattern_unchanged():
     # SuperLU sorts the index arrays it is handed in place unless they are
     # canonical; the system pattern shares its arrays with every J
     g = StructuredGrid(9)
-    setup = solver._setup_for(g, default_cavity_bcs(g), PhysicsConstants(),
-                              solver.DEFAULT_BETA)
+    setup = FlowSetup(g, default_cavity_bcs(g), PhysicsConstants())
     pattern = setup.sys_pattern
     before = pattern.indices.copy(), pattern.indptr.copy()
     x = np.zeros(3 * setup.n)
@@ -474,8 +474,7 @@ def _cavity_newton_jacobians(n, steps):
     """J(x_0), ..., J(x_steps) along the reference-viscosity cavity Newton."""
     grid = StructuredGrid(n)
     nu = reference_field("cavity_viscosity", grid.coords)
-    setup = solver._NsSetup(grid, default_cavity_bcs(grid), PhysicsConstants(),
-                            solver.DEFAULT_BETA)
+    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
     jacobians = []
@@ -666,8 +665,8 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
 
     untraced = evaluate_each()
     # empty shared caches, so the traced builds lay out the flow system
-    for module, name in ((assembly, "_OPERATORS"), (solver, "_SETUPS"),
-                         (solver, "_HEAT"), (experiments, "_REFERENCES")):
+    for module, name in ((assembly, "_OPERATORS"),
+                         (experiments, "_REFERENCES")):
         monkeypatch.setattr(module, name, {})
     original, registry = kernels.advection_bwd, dict(tape._REGISTRY)
     tracer = tracing.Tracer()
