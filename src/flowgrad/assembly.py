@@ -10,15 +10,19 @@ element kernel and scatter into CSR data, and ``diffusion_bwd`` runs the
 same maps in reverse.  Nothing here is recorded on a tape: the solver's
 operators call these blocks and write out their own backward rules.
 
-The coupled velocity-pressure system is a 3x3 grid of base-pattern blocks
-over unknowns [u; v; p].  ``GridOperators.system_layout`` lays its pattern
-out directly in the order it is factorized in, a nested-dissection order of
-the grid's nodes with the u, v and p of each node adjacent, and maps each
+Every system is factorized in one order, which the grid owns: a
+nested-dissection order of its nodes (``GridOperators.node_layout``; George,
+*Nested dissection of a regular finite element mesh*, 1973).  The node
+layout is the base pattern in that order and the position there of each
+base entry, where the heat solver writes its matrix.  The coupled
+velocity-pressure system is a 3x3 grid of base-pattern blocks over unknowns
+[u; v; p]; ``GridOperators.system_layout`` lays its pattern out in the same
+node order, with the u, v and p of each node adjacent, and maps each
 block's entries to their positions in the system CSR data array, where the
-Newton solver places its block arrays.  So J is assembled in that order and
-never gathered into it.  A :class:`ConstraintPlan` imposes Dirichlet rows
-and columns on a plain data array (``identity_rows``) and on its
-right-hand side (``eliminate``).  Index maps are int32.
+Newton solver places its block arrays.  So no system is assembled in the
+natural order and gathered into its own.  A :class:`ConstraintPlan` imposes
+Dirichlet rows and columns on a plain data array (``identity_rows``) and on
+its right-hand side (``eliminate``).  Index maps are int32.
 """
 
 from dataclasses import dataclass
@@ -66,8 +70,8 @@ def _dissect(nx, ix0, ix1, iy0, iy1, out):
 
 
 class GridOperators:
-    """Shared pattern, scatter map, mass block and system layout for one
-    grid shape.
+    """Shared pattern, scatter map, mass block and the node and system
+    layouts for one grid shape.
 
     Everything here depends on the grid's shape only, so ``operators_for``
     shares one instance among the grids of a shape.  It keeps the shape,
@@ -98,7 +102,7 @@ class GridOperators:
         self.m_data = self.scatter(kernels.coefmass_fwd(
             np.ones((grid.n_elems, 4)), self.wdet, self.n_tab))
 
-        self._system = None
+        self._nodes = self._system = None
 
     @property
     def nnz(self):
@@ -175,42 +179,62 @@ class GridOperators:
     def scipy_matrix(self, data):
         return self.pattern.to_scipy(data)
 
-    def system_layout(self):
-        """(system pattern, blockmap, order) of the 3x3 [u; v; p] block
-        system, laid out in the order it is factorized in.
+    def node_layout(self):
+        """(pattern, slot, order) of the base pattern laid out in the grid's
+        node order, the order its systems are factorized in.
 
         The order numbers the grid's nodes by nested dissection: both halves
         of a box come before the grid line that separates them, down to
-        boxes of at most 4 nodes, numbered row-major (``_dissect``).  The u,
-        v and p unknowns of each node are adjacent, so ``order.perm[3 a + f]``
-        is the natural index ``f n + node`` of unknown f of the a-th node.
-        Each system row holds the three unknowns of every node its node
-        couples to, columns sorted.  ``blockmap[br][bc][k]`` is the
-        system-data position (int32) of base entry ``k`` placed in block row
-        ``br``, block column ``bc``.
+        boxes of at most 4 nodes, numbered row-major (``_dissect``).
+        ``order.perm[a]`` is the a-th node.  ``pattern`` is the base pattern
+        with its rows and columns in that order, columns sorted, and
+        ``slot[k]`` (int32) is the position in its data of base entry ``k``.
         """
-        if self._system is not None:
-            return self._system
+        if self._nodes is not None:
+            return self._nodes
         base = self.pattern
         n = base.n_rows
         nodes = []
         _dissect(self.shape[0], 0, self.shape[0], 0, self.shape[1], nodes)
-        rank = np.empty(n, dtype=np.int32)
-        rank[nodes] = np.arange(n, dtype=np.int32)
-        # the base pattern in node order: its rows, and the slot of each
-        # base entry, whose columns then increase within every row
-        rows, cols = rank[base.entry_rows()], rank[base.indices]
+        order = SymmetricOrder.create(nodes)
+        rows = order.inverse[base.entry_rows()]
+        cols = order.inverse[base.indices]
         slot = np.empty(base.nnz, dtype=np.int32)
         slot[np.argsort(rows.astype(np.int64) * n + cols)] = np.arange(
             base.nnz, dtype=np.int32)
-        row_len = np.bincount(rows, minlength=n).astype(np.int32)
-        starts = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        indices = np.empty(base.nnz, dtype=np.int32)
+        indices[slot] = cols
+        self._nodes = (SparsePattern.create(n, n, indptr, indices), slot, order)
+        return self._nodes
+
+    def system_layout(self):
+        """(system pattern, blockmap, order) of the 3x3 [u; v; p] block
+        system, laid out in the order it is factorized in.
+
+        Nodes come in the order of ``node_layout``, with the u, v and p
+        unknowns of each node adjacent, so ``order.perm[3 a + f]`` is the
+        natural index ``f n + node`` of unknown f of the a-th node.  Each
+        system row holds the three unknowns of every node its node couples
+        to, columns sorted.  ``blockmap[br][bc][k]`` is the system-data
+        position (int32) of base entry ``k`` placed in block row ``br``,
+        block column ``bc``.
+        """
+        if self._system is not None:
+            return self._system
+        nodes, slot, node_order = self.node_layout()
+        n = nodes.n_rows
+        # the node row and column of each base entry, whose columns increase
+        # within every row in slot order
+        rows, cols = nodes.entry_rows()[slot], nodes.indices[slot]
+        row_len = np.diff(nodes.indptr)
+        starts = nodes.indptr[:-1]
         # system row 3 a + br holds node row a's columns c as 3 c, 3 c + 1,
         # 3 c + 2: 3 row_len[a] entries from 9 starts[a] + 3 br row_len[a]
         sys_indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * row_len, 3))])
         first = 9 * starts[rows] + 3 * (slot - starts[rows])
         stride = 3 * row_len[rows]
-        sys_indices = np.empty(9 * base.nnz, dtype=np.int32)
+        sys_indices = np.empty(9 * nodes.nnz, dtype=np.int32)
         blockmap = []
         for br in range(3):
             row_maps = []
@@ -220,7 +244,7 @@ class GridOperators:
                 row_maps.append(pos)
             blockmap.append(row_maps)
         sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices)
-        perm = (np.array(nodes, dtype=np.int32)[:, None]
+        perm = (node_order.perm[:, None]
                 + n * np.arange(3, dtype=np.int32)).ravel()
         self._system = (sys_pattern, blockmap, SymmetricOrder.create(perm))
         return self._system
@@ -251,7 +275,9 @@ class ConstraintPlan:
     positions (r, c) with c constrained and r free; their values move to the
     rhs (symmetric column elimination), row ``col_rows`` times the value of
     constrained index ``col_slot``.  ``diag_pos``: the constrained diagonal
-    entries.  All but ``idx`` are int32.
+    entries.  All but ``idx`` are int32.  Prescribed values are given in
+    the order of ``idx``, sorted by row of the pattern, whatever order the
+    caller named the constrained rows in.
     """
 
     idx: np.ndarray

@@ -10,7 +10,10 @@ Three subcommands share one INI config format (see :mod:`flowgrad.config`):
   gradcheck  finite-difference audit of the full-chain gradient
 
 Exit codes are a stable contract for scripting: 0 success, 1 a check
-failed, 2 configuration or validation error, 3 numerical failure.
+failed, 2 configuration or validation error, 3 numerical failure.  A solve
+at the reference coefficient that fails numerically is a configuration
+error (see ``experiments.reference_solve``), so every command exits 2 for
+it, before writing any file.
 """
 
 import argparse
@@ -26,7 +29,7 @@ from . import tape as tape_module
 from .config import load_config
 from .errors import ConfigError, ContractError, FlowgradError
 from .experiments import (SPECS, ForwardChain, build_problem,
-                          reference_field, run_experiment)
+                          reference_field, reference_solve, run_experiment)
 from .grid import StructuredGrid, write_field_csv
 from .solver import LinearSolveCounts
 from .tape import Tape, finite_difference_check
@@ -143,10 +146,11 @@ def _cmd_forward(args):
     # command observes nothing; a count the file sets is checked as by run
     bundle.configs[0].check_n_points()
     cfg = bundle.configs[0].resolved()
-    chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
     t = Tape()
-    coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
-    fields, flow = chain(t, coef, LinearSolveCounts())
+    with reference_solve(cfg):
+        chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
+        coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
+        fields, flow = chain(t, coef, LinearSolveCounts())
     out_dir = args.out or bundle.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     for comp, ref in fields.items():

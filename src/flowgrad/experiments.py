@@ -30,12 +30,13 @@ import copy
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import ops
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .grid import StructuredGrid, uniform_boundary_bc
 from .models import eval_field_on_grid, init_params
 from .optimize import OptimizerConfig, lbfgs_optimize
@@ -65,6 +66,7 @@ __all__ = [
     "RunReport",
     "build_problem",
     "reference_field",
+    "reference_solve",
     "make_observations",
     "add_noise",
     "compute_loss",
@@ -524,6 +526,30 @@ class _Reference:
     synthetic: dict
 
 
+@contextmanager
+def reference_solve(cfg):
+    """The context of building a resolved config's forward chain and solving
+    it at the reference coefficient.
+
+    No model or observation takes part in that solve, so when it fails
+    numerically (Newton diverges, a matrix leaves the single-precision
+    range) the physics settings are at fault: the :class:`NumericError` is
+    raised again as a :class:`ContractError` that names the settings that
+    differ from their defaults.
+    """
+    try:
+        yield
+    except NumericError as exc:
+        default = ExperimentConfig(cfg.experiment)
+        changed = [f"{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg)
+                   if f.name != "experiment" and f.name not in _DATA_FIELDS
+                   and getattr(cfg, f.name) != getattr(default, f.name)]
+        raise ContractError(
+            f"{cfg.experiment} cannot be solved at its reference coefficient "
+            f"with {', '.join(changed) or 'the default settings'}: "
+            f"{exc}") from exc
+
+
 def _reference_for(cfg):
     """The shared :class:`_Reference` of a resolved config, built and solved
     on first use; no problem counts its solves.
@@ -537,9 +563,11 @@ def _reference_for(cfg):
                 if f.name not in _DATA_FIELDS)
     ref = _REFERENCES.pop(key, None)
     if ref is None:
-        chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
-        coef = _read_only(reference_field(cfg.experiment, chain.grid.coords))
-        synth = chain.values(coef, LinearSolveCounts())
+        with reference_solve(cfg):
+            chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
+            coef = _read_only(reference_field(cfg.experiment,
+                                              chain.grid.coords))
+            synth = chain.values(coef, LinearSolveCounts())
         ref = _Reference(chain, coef, {name: _read_only(values)
                                        for name, values in synth.items()})
     _REFERENCES[key] = ref
@@ -593,6 +621,13 @@ def build_problem(config):
     """
     cfg = config.resolved()
     cfg.check_n_points()
+    # at lid speed 0 the flow is at rest whatever its viscosity, so data
+    # cannot determine it; a frozen flow at rest still carries heat
+    if cfg.lid_speed == 0.0 and SPECS[cfg.experiment].frozen_viscosity is None:
+        raise ContractError(
+            f"lid_speed 0 leaves the {cfg.experiment} flow at rest whatever "
+            f"its {SPECS[cfg.experiment].coef_name}, so no data can "
+            f"determine it")
     ref = _reference_for(cfg)
     chain = ref.chain
     grid = chain.grid

@@ -41,12 +41,12 @@ is fixed by pinning one node.
 ``heat_solve`` records the temperature of advection-diffusion in a frozen
 flow as one ``heat_solve`` operator from the nodal conductivity, in the
 same form: its forward assembles and factorizes the linear system on plain
-arrays, and its backward is one transpose solve with those factors.  What
-does not depend on the conductivity (the wall constraints, the convection
-block of the frozen flow and the load) is a :class:`HeatSetup`, built once
-by the caller, so an evaluation assembles only K(k).  Both operators add
-their factorizations and refinement sweeps to the caller's
-:class:`LinearSolveCounts`.
+arrays, in the grid's node order as the flow's, and its backward is one
+transpose solve with those factors.  What does not depend on the
+conductivity (the wall constraints, the convection block of the frozen flow
+and the load) is a :class:`HeatSetup`, built once by the caller, so an
+evaluation assembles only K(k).  Both operators add their factorizations
+and refinement sweeps to the caller's :class:`LinearSolveCounts`.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -358,9 +358,9 @@ def _refined(lu, matrix, b, transpose, counts):
     return x
 
 
-def _factorized(matrix, counts, ordered=False):
+def _factorized(matrix, counts):
     counts.factorizations += 1
-    return LuFactors(matrix, ordered=ordered)
+    return LuFactors(matrix)
 
 
 def _steady_flow_fwd(v, ctx):
@@ -408,7 +408,7 @@ def _steady_flow_fwd(v, ctx):
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
                 matrix, rhs = lin.jacobian(), lin.f[perm]
-            lu = _factorized(matrix, counts, ordered=True)
+            lu = _factorized(matrix, counts)
             delta = _swept(lu, matrix, rhs, False, counts)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
@@ -453,8 +453,7 @@ def _steady_flow_bwd(g, ctx):
     matrix, rhs = lin.jacobian(), g[setup.order.perm]
     lam = _refined(ctx.pop("lu", None), matrix, rhs, True, counts)
     if lam is None:
-        lam = _swept(_factorized(matrix, counts, ordered=True), matrix,
-                     rhs, True, counts)
+        lam = _swept(_factorized(matrix, counts), matrix, rhs, True, counts)
     matrix = None  # J(x*) dies before the vector-Jacobian product
     return (-lin.nu_vjp(lam[setup.order.inverse]),)
 
@@ -488,36 +487,43 @@ def newton_solve(tape, setup, nu, config=None, trace_cb=None, counts=None):
 
 class HeatSetup:
     """What the heat system of one frozen flow keeps across its solves: the
-    wall constraint plan and values, rho Cp C(u, v) as CSR data and the load
-    M Q, shared read-only by every heat solve with those inputs.
+    grid's node layout (``GridOperators.node_layout``), which the system is
+    assembled in, the wall constraint plan on it with the wall values in
+    the plan's order, rho Cp C(u, v) as base-pattern data and the load M Q
+    in the node order, shared read-only by every heat solve with those
+    inputs.
 
     ``u`` and ``v`` are the nodal velocities of the frozen flow, as plain
     arrays, and ``bc_t`` the wall temperatures (a ``DirichletSpec``)."""
 
     def __init__(self, grid, u, v, constants, bc_t):
         self.gops = gops = operators_for(grid)
-        self.plan = constraint_plan(gops.pattern, bc_t.idx)
-        self.vals = bc_t.vals
+        self.pattern, self.slot, self.order = gops.node_layout()
+        walls = self.order.inverse[bc_t.idx]
+        self.plan = constraint_plan(self.pattern, walls)
+        self.vals = bc_t.vals[np.argsort(walls)]
         self.convection = constants.rho * constants.cp * gops.convection(
             np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
         self.load = (gops.scipy_matrix(gops.m_data)
-                     @ _nodal(constants.heat_source_q, grid.n_nodes))
+                     @ _nodal(constants.heat_source_q, grid.n_nodes))[
+                         self.order.perm]
 
 
 def _heat_solve_fwd(v, ctx):
-    """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed."""
+    """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed,
+    written into the node order with one scatter and solved there."""
     heat, counts = ctx["heat"], ctx["counts"]
-    gops = heat.gops
-    data = heat.convection + gops.diffusion(v[0])
+    data = np.empty(heat.pattern.nnz)
+    data[heat.slot] = heat.convection + heat.gops.diffusion(v[0])
     rhs = heat.load.copy()
     heat.plan.eliminate(data, rhs, heat.vals)
-    matrix = gops.scipy_matrix(data)
+    matrix = heat.pattern.to_scipy(data)
     lu = _factorized(matrix, counts)
     temp = _swept(lu, matrix, rhs, False, counts)
     if not np.all(np.isfinite(temp)):
         raise NumericError("heat solve produced a non-finite temperature")
     ctx["matrix"], ctx["temp"], ctx["lu"] = matrix, temp, lu
-    return temp
+    return temp[heat.order.inverse]
 
 
 def _heat_solve_bwd(g, ctx):
@@ -525,20 +531,20 @@ def _heat_solve_bwd(g, ctx):
 
     Constrained rows do not depend on k, and an eliminated column (r, c)
     enters only the load, as -A_rc vals_c, so its entry gradient is
-    -vals_c lam_r.  ``diffusion_bwd`` maps the entry gradient to k; the
-    flow and the load are constants.
+    -vals_c lam_r.  The entry gradient leaves the node order through the
+    slot map for ``diffusion_bwd``, which maps it to k; the flow and the
+    load are constants.
     """
     heat, matrix, counts = ctx["heat"], ctx["matrix"], ctx["counts"]
-    gops, plan = heat.gops, heat.plan
+    plan, pattern = heat.plan, heat.pattern
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape refactorizes
     lu = ctx.pop("lu", None) or _factorized(matrix, counts)
-    lam = _swept(lu, matrix, g, True, counts)
-    pattern = gops.pattern
+    lam = _swept(lu, matrix, g[heat.order.perm], True, counts)
     gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
     gdata[plan.row_entries] = 0.0
     gdata[plan.col_entries] = -heat.vals[plan.col_slot] * lam[plan.col_rows]
-    return (gops.diffusion_bwd(gdata),)
+    return (heat.gops.diffusion_bwd(gdata[heat.slot]),)
 
 
 register_op("heat_solve", _heat_solve_fwd, _heat_solve_bwd)

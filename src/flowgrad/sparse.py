@@ -12,16 +12,17 @@ operator whose forward keeps its factorization and whose backward is one
 transpose solve with it (see :mod:`flowgrad.solver`).
 
 Every matrix factorized here is a structurally symmetric finite-element
-matrix, so :class:`LuFactors` runs SuperLU's symmetric path: pivots taken
-from the diagonal, and a symmetric fill-reducing order.  A matrix given as
-``ordered`` is already in that order and is factorized as it stands: the
-flow Jacobian is assembled in the nested-dissection order of its grid
-(George, *Nested dissection of a regular finite element mesh*, 1973; see
-``GridOperators.system_layout``).  Against minimum degree it has 7% less
-fill and factorizes 11-25% faster at 41x41, 18% and 35% at 81x81.  Any
-other matrix is ordered by minimum degree on A+A^T.  Either order gives
-about 45% less fill than COLAMD with partial pivoting on the cavity
-Jacobian, but no bound on element growth.
+matrix that arrives in its own fill-reducing order, so :class:`LuFactors`
+runs SuperLU's symmetric path as the matrix stands: pivots taken from the
+diagonal, and no column order of its own.  The grid owns that order, a
+nested dissection of its nodes (George, *Nested dissection of a regular
+finite element mesh*, 1973; see ``GridOperators.node_layout``), and both the
+flow Jacobian and the heat system are assembled in it.  Against minimum
+degree on A+A^T it has 7% less fill on the cavity Jacobian and factorizes
+11-25% faster at 41x41, 18% and 35% at 81x81.  On the heat system it has
+4% and 5% less fill at 41x41 and 81x81 (1% more at 21x21) and factorizes
+13-35% faster.  It gives about 45% less fill than COLAMD with partial
+pivoting on the cavity Jacobian, but no bound on element growth.
 
 SuperLU factorizes A in single precision, which halves the factors' value
 storage, and every solve is iterative refinement in double precision
@@ -206,18 +207,16 @@ def _diagnose_pivot(sp):
 class LuFactors:
     """LU factorization of a square sparse matrix, with solves by refinement.
 
-    Symmetric-mode SuperLU in single precision, with solves refined to the
-    double-precision residual test; see the module docstring.  An entry
-    beyond the single-precision range raises :class:`NumericError`.  An
-    ``ordered`` matrix is factorized in its own order (the flow Jacobian,
-    assembled in its grid's nested-dissection order), any other in minimum
-    degree order.  The factors keep no reference to the matrix: ``solve``
-    and ``solve_transpose`` name the matrix they refine against, the
-    factorized one or a nearby one of the same size.  ``sweeps`` totals the
-    refinement sweeps of every solve.
+    Symmetric-mode SuperLU in single precision, in the order the matrix is
+    given in, with solves refined to the double-precision residual test;
+    see the module docstring.  An entry beyond the single-precision range
+    raises :class:`NumericError`.  The factors keep no reference to the
+    matrix: ``solve`` and ``solve_transpose`` name the matrix they refine
+    against, the factorized one or a nearby one of the same size.
+    ``sweeps`` totals the refinement sweeps of every solve.
     """
 
-    def __init__(self, matrix, ordered=False):
+    def __init__(self, matrix):
         if not scipy.sparse.issparse(matrix):
             raise ContractError(f"cannot factorize {type(matrix).__name__}")
         sp = matrix.tocsr()
@@ -245,7 +244,7 @@ class LuFactors:
             # SuperLU skips an exactly zero diagonal even at threshold 0, so
             # a nonsingular matrix with zero diagonal entries still factorizes
             self._lu = scipy.sparse.linalg.splu(
-                factored.T, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                factored.T, permc_spec="NATURAL",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
             pivot = _diagnose_pivot(sp)

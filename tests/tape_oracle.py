@@ -15,6 +15,7 @@ for weighted-sum losses.  Every operator is registered under an
 import numpy as np
 
 from flowgrad import kernels, ops
+from flowgrad.assembly import constraint_plan
 from flowgrad.errors import ContractError, NumericError
 from flowgrad.ops import _bcast_shape, _reduce_to
 from flowgrad.sparse import LuFactors, spmv_fixed
@@ -288,12 +289,24 @@ def record_residual(tape, setup, nu, u, v, p):
     return res, (c_ref, k_ref, stab_ref)
 
 
-def record_heat(tape, gops, plan, u, v, k, rho_cp, load, vals):
-    """The heat temperature recorded op by op: rho Cp C(u, v) + K(k) on the
-    tape, the walls imposed by ``plan`` with ``vals``, and the solve."""
+def record_heat(tape, gops, u, v, k, rho_cp, load, bc):
+    """The heat temperature recorded op by op, in the grid's node order:
+    rho Cp C(u, v) + K(k) on the tape, gathered into the node order
+    (``gops.node_layout``), the walls of the ``DirichletSpec`` ``bc``
+    imposed there, the solve, and the temperature gathered back.
+
+    The wall values are read off a nodal field of them at the plan's rows,
+    so they come in the plan's row order, not in ``bc``'s node order."""
+    pattern, slot, order = gops.node_layout()
+    plan = constraint_plan(pattern, order.inverse[bc.idx])
+    walls = np.zeros(gops.n_nodes)
+    walls[bc.idx] = bc.vals
     data = ops.add(tape, ops.scale(tape, convection_block(tape, gops, u, v),
                                    rho_cp),
                    diffusion_block(tape, gops, k))
-    data_c, rhs_c = constrain_system(tape, plan, data, tape.constant(load),
-                                     vals)
-    return sparse_solve(tape, gops.pattern, data_c, rhs_c)
+    data = ops.gather(tape, data, np.argsort(slot))
+    data_c, rhs_c = constrain_system(tape, plan, data,
+                                     tape.constant(load[order.perm]),
+                                     walls[order.perm][plan.idx])
+    temp = sparse_solve(tape, pattern, data_c, rhs_c)
+    return ops.gather(tape, temp, order.inverse)

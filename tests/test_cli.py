@@ -304,6 +304,61 @@ def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+# settings at which the solve at the reference coefficient fails: Newton
+# runs out of iterations, diverges at a lid speed of 1e6 (on 11x11; 6x6
+# still converges), or the heat system leaves the single-precision range
+_REFERENCE_FAILS = {
+    "newton_max_iter": SMALL + "\n[solver]\nnewton_max_iter = 1\n",
+    "lid_speed": SMALL.replace("n = 6", "n = 11")
+    + "\n[physics]\nlid_speed = 1e6\n",
+    "rho": _small("conjugate_heat") + "\n[physics]\nrho = 1e300\n",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "gradcheck", "forward"])
+@pytest.mark.parametrize("setting", sorted(_REFERENCE_FAILS))
+def test_failing_reference_solve_exits_2_without_files(tmp_path, capsys,
+                                                       command, setting):
+    text = _REFERENCE_FAILS[setting]
+    if command == "sweep":
+        if "[observations]" not in text:
+            text += "\n[observations]\n"
+        text = text.replace("[observations]\n",
+                            "[observations]\nnoise_epsilon = 0.0, 0.05\n")
+    out = ["--out", str(tmp_path / "never")]
+    argv = {"run": ["run"] + out, "sweep": ["run"] + out,
+            "gradcheck": ["gradcheck"], "forward": ["forward"] + out}[command]
+    assert main(argv + ["--config", _config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {setting} = " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
+@pytest.mark.parametrize("command", ["run", "gradcheck"])
+@pytest.mark.parametrize("experiment", ["cavity_viscosity",
+                                        "passive_transport"])
+def test_zero_lid_speed_fit_exits_2_before_solving(tmp_path, monkeypatch,
+                                                   command, experiment):
+    # the flow is at rest for every viscosity, so no data determine it
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path, _small(experiment)
+                  + "\n[physics]\nlid_speed = 0.0\n")
+    out = tmp_path / "never"
+    extra = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", cfg] + extra) == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_zero_lid_speed_heat_fit_runs(tmp_path):
+    # a frozen flow at rest still carries heat by conduction
+    cfg = _config(tmp_path, _small("conjugate_heat")
+                  + "\n[physics]\nlid_speed = 0.0\n")
+    out = tmp_path / "heat"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("points", ["0", "37"])
 def test_forward_rejects_set_observation_count_outside_grid(
         tmp_path, monkeypatch, points):

@@ -709,6 +709,28 @@ def _count_splu(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("experiment", ["cavity_viscosity",
+                                        "conjugate_heat"])
+def test_every_factorization_is_in_the_grid_order(monkeypatch, experiment):
+    # each system reaches SuperLU in the grid's node order and is not
+    # ordered again: the reference solves, and one evaluation with its
+    # adjoint
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    problem = build_problem(ExperimentConfig(experiment, grid_n=6,
+                                             n_points=12))
+    problem.objective(problem.theta0)
+    assert problem.linear_solves.factorizations >= 1
+    assert len(specs) > problem.linear_solves.factorizations
+    assert set(specs) == {"NATURAL"}
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_flow_setup_built_once(monkeypatch, experiment):
     # every flow solve of a problem, and of a second problem that differs

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from flowgrad import ops, solver
-from flowgrad.assembly import constraint_plan, operators_for
+from flowgrad.assembly import operators_for
 from flowgrad.errors import (
     ContractError,
     NewtonDivergedError,
@@ -541,17 +541,29 @@ def test_heat_conductivity_gradient_fd():
     assert worst < 1e-6
 
 
-@pytest.mark.parametrize("n, wall", [(6, 0.0), (6, 0.3), (21, 0.0), (21, 0.3)])
+def _walls(grid, wall):
+    """Wall temperatures: ``wall`` on every wall, or for ``"graded"`` a
+    different value at every wall node, which an order that misplaced one
+    value against another would change."""
+    if wall != "graded":
+        return uniform_boundary_bc(grid, wall)
+    x, y = grid.coords[grid.all_boundary].T
+    return DirichletSpec(grid.all_boundary, 0.2 + x + 0.5 * y ** 2)
+
+
+@pytest.mark.parametrize("n, wall", [(6, 0.0), (6, 0.3), (6, "graded"),
+                                     (21, 0.0), (21, 0.3), (21, "graded")])
 def test_heat_solve_matches_op_by_op_recording(n, wall):
-    # the system assembled, constrained and solved op by op on a tape is the
-    # oracle: T and the conductivity gradient agree bit for bit
+    # the system assembled, constrained and solved op by op on a tape, in
+    # the grid's node order, is the oracle: T and the conductivity gradient
+    # agree bit for bit
     g = StructuredGrid(n)
     rng = np.random.default_rng(n)
     u, v = cavity_velocities(g, np.ones(g.n_nodes))
     k_nodal = rng.uniform(0.5, 2.0, g.n_nodes)
     weights = rng.normal(size=g.n_nodes)
     constants = PhysicsConstants(rho=1.3, cp=0.7, heat_source_q=2.0)
-    bc = uniform_boundary_bc(g, wall)
+    bc = _walls(g, wall)
 
     t = Tape()
     k = t.variable(k_nodal)
@@ -563,9 +575,8 @@ def test_heat_solve_matches_op_by_op_recording(n, wall):
     load = gops.scipy_matrix(gops.m_data) @ np.full(g.n_nodes, 2.0)
     t_ref = Tape()
     k_ref = t_ref.variable(k_nodal)
-    temp_ref = record_heat(t_ref, gops, constraint_plan(gops.pattern, bc.idx),
-                           t_ref.constant(u), t_ref.constant(v), k_ref,
-                           constants.rho * constants.cp, load, bc.vals)
+    temp_ref = record_heat(t_ref, gops, t_ref.constant(u), t_ref.constant(v),
+                           k_ref, constants.rho * constants.cp, load, bc)
     expected = t_ref.backward(dot(t_ref, t_ref.constant(weights), temp_ref))
     assert t.value(temp).tobytes() == t_ref.value(temp_ref).tobytes()
     assert grad.tobytes() == expected[k_ref].tobytes()

@@ -33,11 +33,13 @@ from flowgrad import assembly, experiments, kernels, ops, solver, sparse, tape
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
-from flowgrad.grid import StructuredGrid
+from flowgrad.grid import DirichletSpec, StructuredGrid, uniform_boundary_bc
 from flowgrad.solver import (
     FlowSetup,
+    HeatSetup,
     PhysicsConstants,
     default_cavity_bcs,
+    heat_solve,
     newton_solve,
     ns_jacobian,
 )
@@ -175,11 +177,6 @@ def test_singular_dependent_rows_reports_pivot():
     assert 0 <= err.value.pivot_index <= 2
 
 
-def _cavity_jacobian(n):
-    """Constrained Newton matrix J(x*) of the reference-viscosity cavity."""
-    return _cavity_jacobians(n)[0]
-
-
 def _cavity_jacobians(n):
     """J(x*) of the reference-viscosity cavity in the natural [u; v; p]
     order and in the system order it is factorized in, with that order."""
@@ -195,15 +192,26 @@ def _cavity_jacobians(n):
     return natural, ordered, setup.order
 
 
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def _minimum_degree_fill(matrix):
+    """L + U fill of SuperLU's symmetric path on ``matrix`` in minimum
+    degree order on A+A^T, the order the package no longer uses."""
+    return _fill(scipy.sparse.linalg.splu(
+        matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True}))
+
+
 def test_lu_cavity_fill_and_transpose_residual():
-    jac = _cavity_jacobian(21)
-    lu = LuFactors(jac)
-    colamd = scipy.sparse.linalg.splu(jac.tocsc())
-    fill = lu._lu.L.nnz + lu._lu.U.nnz
-    assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
-    b = np.random.default_rng(19).normal(size=jac.shape[0])
-    x = lu.solve_transpose(b, jac)
-    assert np.max(np.abs(b - jac.T @ x)) < 1e-10 * np.max(np.abs(b))
+    natural, ordered, _ = _cavity_jacobians(21)
+    lu = LuFactors(ordered)
+    colamd = scipy.sparse.linalg.splu(natural.tocsc())
+    assert _fill(lu._lu) <= 0.7 * _fill(colamd)
+    b = np.random.default_rng(19).normal(size=ordered.shape[0])
+    x = lu.solve_transpose(b, ordered)
+    assert np.max(np.abs(b - ordered.T @ x)) < 1e-10 * np.max(np.abs(b))
 
 
 def test_symmetric_order_gathers_permuted_matrix():
@@ -240,8 +248,17 @@ def test_system_order_matches_key_sort():
     # gathered; the natural J of ns_jacobian lays each node row's columns
     # out once per block column, block row by block row
     natural, ordered, order = _cavity_jacobians(21)
-    base = operators_for(StructuredGrid(21)).pattern
+    gops = operators_for(StructuredGrid(21))
+    base = gops.pattern
     n = base.n_rows
+    # the node layout the system is built from is the base pattern sorted
+    # the same way, and its slots invert the gather
+    nodes, slot, node_order = gops.node_layout()
+    np.testing.assert_array_equal(order.perm[::3], node_order.perm)
+    indptr, indices, gather = _key_sort_order(base, node_order.perm)
+    np.testing.assert_array_equal(nodes.indptr, indptr)
+    np.testing.assert_array_equal(nodes.indices, indices)
+    np.testing.assert_array_equal(slot[gather], np.arange(base.nnz))
     rows = [base.indices[base.indptr[i]:base.indptr[i + 1]] + bc * n
             for _ in range(3) for i in range(n) for bc in range(3)]
     np.testing.assert_array_equal(natural.indices, np.concatenate(rows))
@@ -267,7 +284,7 @@ def test_superlu_reads_the_gathered_natural_system(monkeypatch, grid_n, fill):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    lu = LuFactors(ordered, ordered=True)
+    lu = LuFactors(ordered)
     assert read == [(natural.data.astype(np.float32)[gather].tobytes(),
                      indices.tobytes(), indptr.tobytes(), "NATURAL")]
     assert lu._lu.L.nnz + lu._lu.U.nnz == fill
@@ -285,7 +302,7 @@ def test_factorization_leaves_the_pattern_unchanged():
     matrix = solver._Linearization(
         setup, reference_field("cavity_viscosity", g.coords), x).jacobian()
     assert np.shares_memory(matrix.indices, pattern.indices)
-    LuFactors(matrix, ordered=True)
+    LuFactors(matrix)
     np.testing.assert_array_equal(pattern.indices, before[0])
     np.testing.assert_array_equal(pattern.indptr, before[1])
     # an unsorted matrix is factorized from a sorted copy
@@ -326,7 +343,7 @@ def cavity_41():
 @pytest.mark.parametrize("trans", [False, True])
 def test_ordered_lu_solves_cavity_jacobian(cavity_41, trans):
     _, jac, _ = cavity_41
-    lu = LuFactors(jac, ordered=True)
+    lu = LuFactors(jac)
     b = np.random.default_rng(31).normal(size=jac.shape[0])
     x = lu.solve_transpose(b, jac) if trans else lu.solve(b, jac)
     a = jac.T if trans else jac
@@ -343,7 +360,7 @@ def test_single_precision_factors_meet_double_tolerance(request, grid_n):
     # the factors of the converged cavity Jacobian are single precision;
     # refinement against the double J meets the bound within the sweep cap
     _, jac, _ = request.getfixturevalue(f"cavity_{grid_n}")
-    lu = LuFactors(jac, ordered=True)
+    lu = LuFactors(jac)
     assert lu._lu.L.dtype == lu._lu.U.dtype == np.float32
     b = np.random.default_rng(32).normal(size=jac.shape[0])
     for solve, a in ((lu.solve, jac), (lu.solve_transpose, jac.T)):
@@ -399,10 +416,50 @@ def test_lu_rejects_matrix_conditioned_beyond_single_precision(delta):
 
 def test_ordered_lu_fills_less_than_minimum_degree(cavity_41):
     natural, ordered, _ = cavity_41
-    nested = LuFactors(ordered, ordered=True)._lu
-    mmd = LuFactors(natural)._lu
-    assert (nested.L.nnz + nested.U.nnz
-            <= 0.95 * (mmd.L.nnz + mmd.U.nnz))
+    assert (_fill(LuFactors(ordered)._lu)
+            <= 0.95 * _minimum_degree_fill(natural))
+
+
+def _heat_solved(n, walls):
+    """(grid, u, v, k, T, factorized matrix) of the heat solve at the
+    reference conductivity in the unit-viscosity cavity flow; the matrix is
+    in the grid's node order, ``heat.order`` the order."""
+    grid = StructuredGrid(n)
+    t = Tape()
+    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    state = newton_solve(t, setup, t.constant(np.ones(grid.n_nodes)))
+    u, v = t.value(state.u), t.value(state.v)
+    heat = HeatSetup(grid, u, v, PhysicsConstants(), walls(grid))
+    k = reference_field("conjugate_heat", grid.coords)
+    temp = heat_solve(t, heat, t.constant(k))
+    [node] = [node for node in t.nodes if node.op == "heat_solve"]
+    return grid, u, v, k, t.value(temp), node.ctx["matrix"], heat.order
+
+
+def test_heat_lu_in_node_order_fills_no_more_than_minimum_degree():
+    _, _, _, _, _, ordered, order = _heat_solved(41, uniform_boundary_bc)
+    natural = ordered[order.inverse][:, order.inverse]
+    assert _fill(LuFactors(ordered)._lu) <= _minimum_degree_fill(natural)
+
+
+def test_heat_temperature_matches_dense_solve():
+    # the dense system is built in the natural order from the blocks, its
+    # wall rows replaced by identity rows and no column eliminated
+    def graded(grid):
+        x, y = grid.coords[grid.all_boundary].T
+        return DirichletSpec(grid.all_boundary, 0.2 + x + 0.5 * y ** 2)
+
+    grid, u, v, k, temp, _, _ = _heat_solved(21, graded)
+    gops = operators_for(grid)
+    dense = gops.scipy_matrix(gops.convection(u, v)
+                              + gops.diffusion(k)).toarray()
+    rhs = gops.scipy_matrix(gops.m_data) @ np.ones(grid.n_nodes)
+    walls = graded(grid)
+    dense[walls.idx] = 0.0
+    dense[walls.idx, walls.idx] = 1.0
+    rhs[walls.idx] = walls.vals
+    expected = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(temp - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 def test_lu_zero_diagonal_factorizes():
