@@ -39,7 +39,6 @@ from .optimize import OptimizeResult, OptimizerConfig, lbfgs_optimize
 from .solver import (
     FlowSetup,
     HeatSetup,
-    LinearSolveCounts,
     NewtonConfig,
     NSState,
     ParticleState,
@@ -51,6 +50,7 @@ from .solver import (
     ns_residual,
     transport_integrate,
 )
+from .sparse import LinearSolveCounts
 from .tape import Tape, finite_difference_check, register_op
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .errors import ConfigError, ContractError, FlowgradError
 from .experiments import (SPECS, ForwardChain, build_problem,
                           reference_field, reference_solve, run_experiment)
 from .grid import StructuredGrid, write_field_csv
-from .solver import LinearSolveCounts
+from .sparse import LinearSolveCounts
 from .tape import Tape, finite_difference_check
 
 __all__ = ["main"]

@@ -43,7 +43,6 @@ from .optimize import OptimizerConfig, lbfgs_optimize
 from .solver import (
     FlowSetup,
     HeatSetup,
-    LinearSolveCounts,
     NewtonConfig,
     NSState,
     PhysicsConstants,
@@ -53,6 +52,7 @@ from .solver import (
     ns_jacobian,
     transport_integrate,
 )
+from .sparse import LinearSolveCounts
 from .tape import Tape
 
 __all__ = [
@@ -371,6 +371,11 @@ class ExperimentConfig:
         return NewtonConfig(self.newton_tol, self.newton_max_iter)
 
 
+# RunReport fields written to files of their own, not to report.json.
+_ARRAY_FIELDS = ("theta", "estimate_nodal", "reference_nodal", "observations",
+                 "predicted_nodal")
+
+
 @dataclass
 class RunReport:
     experiment: str
@@ -398,28 +403,11 @@ class RunReport:
     predicted_nodal: dict = None  # the spec's report fields at the estimate
 
     def to_json(self):
-        payload = {
-            "experiment": self.experiment,
-            "variant": self.variant,
-            "loss_history": list(self.loss_history),
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "relative_mse_percent": self.relative_mse_percent,
-            "newton_iters": list(self.newton_iters),
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "config_echo": self.config_echo,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "n_steps": self.n_steps,
-            "n_evals": self.n_evals,
-            "rejections": self.rejections,
-            "line_search": self.line_search,
-            "linear_solves": self.linear_solves,
-        }
-        if self.prediction_mse_percent is not None:
-            payload["prediction_mse_percent"] = self.prediction_mse_percent
-        if self.presolve_newton_iters is not None:
-            payload["presolve_newton_iters"] = self.presolve_newton_iters
+        """The report as JSON: every field but the arrays of
+        ``_ARRAY_FIELDS``, an optional field left out while it is None."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in _ARRAY_FIELDS
+                   and not (f.default is None and getattr(self, f.name) is None)}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -540,14 +528,19 @@ def reference_solve(cfg):
     try:
         yield
     except NumericError as exc:
-        default = ExperimentConfig(cfg.experiment)
-        changed = [f"{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg)
-                   if f.name != "experiment" and f.name not in _DATA_FIELDS
-                   and getattr(cfg, f.name) != getattr(default, f.name)]
         raise ContractError(
             f"{cfg.experiment} cannot be solved at its reference coefficient "
-            f"with {', '.join(changed) or 'the default settings'}: "
-            f"{exc}") from exc
+            f"with {_changed_physics(cfg)}: {exc}") from exc
+
+
+def _changed_physics(cfg):
+    """The physics settings of a resolved config that differ from the
+    experiment's defaults, as "name = value" text."""
+    default = ExperimentConfig(cfg.experiment)
+    changed = [f"{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg)
+               if f.name != "experiment" and f.name not in _DATA_FIELDS
+               and getattr(cfg, f.name) != getattr(default, f.name)]
+    return ", ".join(changed) or "the default settings"
 
 
 def _reference_for(cfg):
@@ -673,6 +666,17 @@ def run_experiment(config, progress=None):
     problem = build_problem(config)
     cfg = problem.config
     grid = problem.grid
+    report_fields = problem.forward.spec.report_fields
+    # the prediction error of a field is relative to the field (see
+    # relative_mse), so a field that is zero at the reference fails the
+    # report; say so before the fit instead of after it
+    for name in report_fields:
+        values = problem.synthetic[name]
+        if values @ values == 0.0:
+            raise ContractError(
+                f"{cfg.experiment} has the reference field {name} "
+                f"identically zero with {_changed_physics(cfg)}, so its "
+                f"prediction error is undefined")
     newton_per_step = []
 
     def on_step(step, theta, loss, grad):
@@ -696,7 +700,6 @@ def run_experiment(config, progress=None):
     estimate = t.value(est_ref).copy()
     mse = relative_mse(estimate, problem.reference_nodal)
 
-    report_fields = problem.forward.spec.report_fields
     predicted = (problem.forward.values(estimate, problem.linear_solves)
                  if report_fields else {})
     predicted = {name: predicted[name] for name in report_fields}

@@ -109,12 +109,12 @@ class FieldModel:
 
 
 def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
-                n_nodes=0, init_value=None):
+                n_nodes=0):
     """Build a FieldModel plus its initial flat parameter vector.
 
     MLP weights are Xavier-uniform (bound sqrt(6/(fan_in+fan_out)), scaled by
     ``init_scale``) with zero biases; the pointwise variant starts at the
-    constant ``init_value`` (default: the transform offset).
+    transform offset.
     """
     if variant not in VARIANTS:
         raise ContractError(f"unknown field-model variant {variant!r}")
@@ -122,10 +122,9 @@ def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
     if variant == "pointwise":
         if n_nodes <= 0:
             raise ContractError("pointwise variant needs the node count")
-        value = float(offset if init_value is None else init_value)
         model = FieldModel(variant, n_nodes, offset, clamp_floor, seed,
                            layout=None, n_nodes=n_nodes, init_scale=init_scale)
-        return model, np.full(n_nodes, value)
+        return model, np.full(n_nodes, float(offset))
 
     d_in = 2 if variant == "dnn2d" else 1
     layout = MlpLayout((d_in,) + HIDDEN + (1,))

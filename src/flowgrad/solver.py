@@ -45,8 +45,8 @@ arrays, in the grid's node order as the flow's, and its backward is one
 transpose solve with those factors.  What does not depend on the
 conductivity (the wall constraints, the convection block of the frozen flow
 and the load) is a :class:`HeatSetup`, built once by the caller, so an
-evaluation assembles only K(k).  Both operators add their factorizations
-and refinement sweeps to the caller's :class:`LinearSolveCounts`.
+evaluation assembles only K(k).  Both operators build their factors with
+the caller's :class:`LinearSolveCounts`, which the factors fill.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -59,13 +59,12 @@ from . import ops
 from .assembly import constraint_plan, operators_for
 from .errors import ContractError, NewtonDivergedError, NumericError
 from .grid import cavity_velocity_bcs
-from .sparse import LuFactors
+from .sparse import LinearSolveCounts, LuFactors
 from .tape import register_op
 
 __all__ = [
     "PhysicsConstants",
     "NewtonConfig",
-    "LinearSolveCounts",
     "CavityBCs",
     "NSState",
     "ParticleState",
@@ -86,8 +85,6 @@ DEFAULT_BETA = 0.01
 class PhysicsConstants:
     rho: float = 1.0
     cp: float = 1.0
-    body_force_f: float = 0.0
-    body_force_g: float = 0.0
     heat_source_q: float = 1.0
     kappa1: float = 1.0
     kappa2: float = 1.0
@@ -127,27 +124,6 @@ class CavityBCs:
 def default_cavity_bcs(grid, lid_speed=1.0):
     u_bc, v_bc = cavity_velocity_bcs(grid, lid_speed)
     return CavityBCs(u_bc, v_bc, pressure_pin=0)
-
-
-@dataclass
-class LinearSolveCounts:
-    """Running totals of the linear solves of flow and heat solves and their
-    adjoints.
-
-    ``factorizations`` counts fresh LU factorizations, ``recycled_solves``
-    the solves met by refinement against the factors of an earlier Jacobian
-    and ``stalls`` the refinements that failed and were followed by a fresh
-    factorization, which the solve then re-anchors on.  Each flow solve
-    factorizes once plus once per stall; each heat solve factorizes once,
-    and its adjoint solves with those factors.  ``sweeps`` totals the
-    refinement sweeps of every one of these solves, a stalled or failed one
-    included.
-    """
-
-    factorizations: int = 0
-    recycled_solves: int = 0
-    stalls: int = 0
-    sweeps: int = 0
 
 
 @dataclass
@@ -211,10 +187,6 @@ class FlowSetup:
         self.cidx = cidx
         self.cvals = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
 
-        mass = gops.scipy_matrix(gops.m_data)
-        self.load_u = mass @ _nodal(constants.body_force_f, n)
-        self.load_v = mass @ _nodal(constants.body_force_g, n)
-
 
 def ns_residual(setup, x, nu):
     """F(x) at the state x = [u; v; p] and nodal viscosity ``nu``, Dirichlet
@@ -243,8 +215,7 @@ class _Linearization:
     stiffness K(nu) and of the pressure stabilization S(beta h^2 / nu), and
     F with its Dirichlet rows zeroed:
 
-        F = [C u + K u + Gx p - load_u;  C v + K v + Gy p - load_v;
-             Dx u + Dy v + S p].
+        F = [C u + K u + Gx p;  C v + K v + Gy p;  Dx u + Dy v + S p].
 
     J(x) is assembled once from the same blocks, in the system order, which
     drops them; ``nu_vjp`` gives (dF/dnu)^T lam.  x, F and lam are in the
@@ -262,11 +233,7 @@ class _Linearization:
         self.stab = gops.diffusion(np.full(n, setup.stab_coef) / nu)
         c, k, stab = (gops.scipy_matrix(d) for d in (self.c, self.k, self.stab))
         fu = (c @ u + k @ u) + setup.gx_m @ p
-        if np.any(setup.load_u):
-            fu = fu - setup.load_u
         fv = (c @ v + k @ v) + setup.gy_m @ p
-        if np.any(setup.load_v):
-            fv = fv - setup.load_v
         f = np.concatenate([fu, fv, (setup.dx @ u + setup.dy @ v) + stab @ p])
         f[setup.cidx] = 0.0
         if not np.all(np.isfinite(f)):
@@ -332,37 +299,6 @@ class _Linearization:
                 + gops.diffusion_bwd(k_grad))
 
 
-def _swept(lu, matrix, b, transpose, counts):
-    """``lu``'s solve with ``matrix`` (see :meth:`LuFactors.solve`), its
-    sweeps counted."""
-    before = lu.sweeps
-    try:
-        return (lu.solve_transpose if transpose else lu.solve)(b, matrix)
-    finally:
-        counts.sweeps += lu.sweeps - before
-
-
-def _refined(lu, matrix, b, transpose, counts):
-    """Solve with ``matrix`` by refinement against ``lu``; None on a stall.
-
-    Also None, with nothing counted, when there are no factors to refine
-    against.
-    """
-    if lu is None:
-        return None
-    x = _swept(lu, matrix, b, transpose, counts)
-    if x is None:
-        counts.stalls += 1
-    else:
-        counts.recycled_solves += 1
-    return x
-
-
-def _factorized(matrix, counts):
-    counts.factorizations += 1
-    return LuFactors(matrix)
-
-
 def _steady_flow_fwd(v, ctx):
     """Newton iteration x <- x - J(x)^-1 F(x) from the Dirichlet data.
 
@@ -390,8 +326,7 @@ def _steady_flow_fwd(v, ctx):
     touches).
     """
     nu = v[0]
-    setup, config, trace_cb = ctx["setup"], ctx["config"], ctx["trace_cb"]
-    counts = ctx["counts"]
+    setup, config, counts = ctx["setup"], ctx["config"], ctx["counts"]
     perm, inverse = setup.order.perm, setup.order.inverse
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
@@ -401,15 +336,15 @@ def _steady_flow_fwd(v, ctx):
     lu = None
     for it in range(1, config.max_iter + 1):
         matrix, rhs = lin.jacobian(), lin.f[perm]
-        delta = _refined(lu, matrix, rhs, False, counts)
+        delta = None if lu is None else lu.solve(rhs, matrix)
         if delta is None:
             if lu is not None:
                 # a stall: drop the factors and what was allocated after them
                 lin = matrix = rhs = lu = None
                 lin = _Linearization(setup, nu, x)
                 matrix, rhs = lin.jacobian(), lin.f[perm]
-            lu = _factorized(matrix, counts)
-            delta = _swept(lu, matrix, rhs, False, counts)
+            lu = LuFactors(matrix, counts)
+            delta = lu.solve(rhs, matrix)
         if not np.all(np.isfinite(delta)):
             raise NumericError("Newton step is not finite")
         x -= delta[inverse]
@@ -419,8 +354,6 @@ def _steady_flow_fwd(v, ctx):
         lin = _Linearization(setup, nu, x)
         res_norm = lin.residual_norm()
         trace.append((it, res_norm))
-        if trace_cb is not None:
-            trace_cb(it, res_norm)
         if res_norm < config.tol_residual:
             ctx["nu"], ctx["x"], ctx["lu"], ctx["lin"] = nu, x, lu, lin
             return x
@@ -451,9 +384,11 @@ def _steady_flow_bwd(g, ctx):
     # factorizes J(x*)
     lin = ctx.pop("lin", None) or _Linearization(setup, ctx["nu"], ctx["x"])
     matrix, rhs = lin.jacobian(), g[setup.order.perm]
-    lam = _refined(ctx.pop("lu", None), matrix, rhs, True, counts)
+    # the anchor's factors die before a stall factorizes J(x*)
+    lam = (ctx.pop("lu").solve_transpose(rhs, matrix) if "lu" in ctx
+           else None)
     if lam is None:
-        lam = _swept(_factorized(matrix, counts), matrix, rhs, True, counts)
+        lam = LuFactors(matrix, counts).solve_transpose(rhs, matrix)
     matrix = None  # J(x*) dies before the vector-Jacobian product
     return (-lin.nu_vjp(lam[setup.order.inverse]),)
 
@@ -461,7 +396,7 @@ def _steady_flow_bwd(g, ctx):
 register_op("steady_flow", _steady_flow_fwd, _steady_flow_bwd)
 
 
-def newton_solve(tape, setup, nu, config=None, trace_cb=None, counts=None):
+def newton_solve(tape, setup, nu, config=None, counts=None):
     """Newton iteration for the steady velocity-pressure system of ``setup``
     (a :class:`FlowSetup`) at the nodal viscosity ``nu``.
 
@@ -476,7 +411,6 @@ def newton_solve(tape, setup, nu, config=None, trace_cb=None, counts=None):
     node's backward pass.
     """
     ctx = {"setup": setup, "config": config or NewtonConfig(),
-           "trace_cb": trace_cb,
            "counts": counts if counts is not None else LinearSolveCounts()}
     x = tape.apply("steady_flow", (nu,), ctx)
     n = setup.n
@@ -518,8 +452,8 @@ def _heat_solve_fwd(v, ctx):
     rhs = heat.load.copy()
     heat.plan.eliminate(data, rhs, heat.vals)
     matrix = heat.pattern.to_scipy(data)
-    lu = _factorized(matrix, counts)
-    temp = _swept(lu, matrix, rhs, False, counts)
+    lu = LuFactors(matrix, counts)
+    temp = lu.solve(rhs, matrix)
     if not np.all(np.isfinite(temp)):
         raise NumericError("heat solve produced a non-finite temperature")
     ctx["matrix"], ctx["temp"], ctx["lu"] = matrix, temp, lu
@@ -539,8 +473,8 @@ def _heat_solve_bwd(g, ctx):
     plan, pattern = heat.plan, heat.pattern
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape refactorizes
-    lu = ctx.pop("lu", None) or _factorized(matrix, counts)
-    lam = _swept(lu, matrix, g[heat.order.perm], True, counts)
+    lu = ctx.pop("lu", None) or LuFactors(matrix, counts)
+    lam = lu.solve_transpose(g[heat.order.perm], matrix)
     gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
     gdata[plan.row_entries] = 0.0
     gdata[plan.col_entries] = -heat.vals[plan.col_slot] * lam[plan.col_rows]

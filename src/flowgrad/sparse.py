@@ -41,8 +41,11 @@ these factors as the approximate inverse.  Sweeps are capped; when
 refinement stalls a solve with the factorized matrix raises
 :class:`NumericError` and a solve with a nearby matrix returns None, so the
 caller can factorize that matrix and keep its factors for the matrices that
-follow.  Residuals, right-hand sides and solutions are all in the order of
-the matrix as given.  SuperLU is handed the CSR arrays of A as the CSC
+follow.  The factors add their factorization, every refinement sweep, and
+each solve with a nearby matrix (met by refinement or stalled) to the
+caller's :class:`LinearSolveCounts`, which they are built with.
+Residuals, right-hand sides and solutions are all in the order of the
+matrix as given.  SuperLU is handed the CSR arrays of A as the CSC
 arrays of their transpose, which avoids a format conversion; the solves
 swap ``trans`` to match.
 """
@@ -60,6 +63,7 @@ from .tape import register_op
 __all__ = [
     "SparsePattern",
     "SymmetricOrder",
+    "LinearSolveCounts",
     "LuFactors",
     "spmv_fixed",
 ]
@@ -204,6 +208,25 @@ def _diagnose_pivot(sp):
     return -1
 
 
+@dataclass
+class LinearSolveCounts:
+    """Running totals of the linear solves of one caller, filled by the
+    :class:`LuFactors` built with them.
+
+    ``factorizations`` counts LU factorizations, a failed one included;
+    ``recycled_solves`` the solves with a matrix other than the factorized
+    one that refinement against the factors met, and ``stalls`` those where
+    it stalled, after which the caller factorizes that matrix.  ``sweeps``
+    totals the refinement sweeps of every solve, a stalled or failed one
+    included.
+    """
+
+    factorizations: int = 0
+    recycled_solves: int = 0
+    stalls: int = 0
+    sweeps: int = 0
+
+
 class LuFactors:
     """LU factorization of a square sparse matrix, with solves by refinement.
 
@@ -212,11 +235,15 @@ class LuFactors:
     see the module docstring.  An entry beyond the single-precision range
     raises :class:`NumericError`.  The factors keep no reference to the
     matrix: ``solve`` and ``solve_transpose`` name the matrix they refine
-    against, the factorized one or a nearby one of the same size.
-    ``sweeps`` totals the refinement sweeps of every solve.
+    against, the factorized one or a nearby one of the same size.  Every
+    factorization, sweep, recycled solve and stall adds to ``counts``, a
+    :class:`LinearSolveCounts`; the factorization counts before the matrix
+    is checked, so one that fails counts too.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, counts):
+        counts.factorizations += 1
+        self._counts = counts
         if not scipy.sparse.issparse(matrix):
             raise ContractError(f"cannot factorize {type(matrix).__name__}")
         sp = matrix.tocsr()
@@ -233,7 +260,6 @@ class LuFactors:
             sp = sp.copy()
             sp.sum_duplicates()
         self.n = sp.shape[0]
-        self.sweeps = 0
         # a weak reference, so the factors keep no matrix alive
         self._factorized = weakref.ref(matrix)
         # the only single-precision copy, sharing A's index arrays
@@ -286,7 +312,7 @@ class LuFactors:
         x = np.zeros(self.n)
         r, last = b, np.inf
         for sweep in range(1, _MAX_SWEEPS + 1):
-            self.sweeps += 1
+            self._counts.sweeps += 1
             x += self._lu_solve(r, trans)
             r = b - a @ x
             res = np.max(np.abs(r), initial=0.0)
@@ -301,10 +327,15 @@ class LuFactors:
 
     def _solve(self, b, matrix, transpose):
         x = self._refine(matrix, b, transpose)
-        if x is None and matrix is self._factorized():
-            raise NumericError(
-                f"LU solve residual stays above {_RESIDUAL_TOL:g} max|b| under "
-                f"iterative refinement")
+        if matrix is self._factorized():
+            if x is None:
+                raise NumericError(
+                    f"LU solve residual stays above {_RESIDUAL_TOL:g} max|b| "
+                    f"under iterative refinement")
+        elif x is None:
+            self._counts.stalls += 1
+        else:
+            self._counts.recycled_solves += 1
         return x
 
     def solve(self, b, matrix):
@@ -314,7 +345,8 @@ class LuFactors:
         close to it.  When refinement stalls, a solve with the factorized
         matrix itself raises :class:`NumericError`; a solve with another
         matrix returns None instead, so the caller can factorize it and
-        solve with its factors from then on.
+        solve with its factors from then on.  A solve with another matrix
+        counts as a recycled solve, or as a stall when it returns None.
         """
         return self._solve(b, matrix, False)
 

@@ -18,7 +18,7 @@ from flowgrad import kernels, ops
 from flowgrad.assembly import constraint_plan
 from flowgrad.errors import ContractError, NumericError
 from flowgrad.ops import _bcast_shape, _reduce_to
-from flowgrad.sparse import LuFactors, spmv_fixed
+from flowgrad.sparse import LinearSolveCounts, LuFactors, spmv_fixed
 from flowgrad.tape import register_op
 
 
@@ -137,7 +137,7 @@ def _constrain_bwd(g, ctx):
 def _sparse_solve_fwd(v, ctx):
     data, b = v
     matrix = ctx["pattern"].to_scipy(data)
-    lu = LuFactors(matrix)
+    lu = LuFactors(matrix, LinearSolveCounts())
     x = lu.solve(b, matrix)
     if not np.all(np.isfinite(x)):
         raise NumericError("oracle.sparse_solve produced non-finite solution")
@@ -147,7 +147,7 @@ def _sparse_solve_fwd(v, ctx):
 
 def _sparse_solve_bwd(g, ctx):
     pattern, matrix = ctx["pattern"], ctx["matrix"]
-    lu = ctx.pop("lu", None) or LuFactors(matrix)
+    lu = ctx.pop("lu", None) or LuFactors(matrix, LinearSolveCounts())
     lam = lu.solve_transpose(g, matrix)
     gdata = -lam[pattern.entry_rows()] * ctx["x"][pattern.indices]
     return gdata, lam
@@ -272,14 +272,10 @@ def record_residual(tape, setup, nu, u, v, p):
     coef = div(tape, tape.constant(np.full(setup.n, setup.stab_coef)), nu)
     stab_ref = diffusion_block(tape, gops, coef)
     parts = []
-    for w, grad_m, load in ((u, setup.gx_m, setup.load_u),
-                            (v, setup.gy_m, setup.load_v)):
+    for w, grad_m in ((u, setup.gx_m), (v, setup.gy_m)):
         f = ops.add(tape, spmv_pattern(tape, pat, c_ref, w),
                     spmv_pattern(tape, pat, k_ref, w))
-        f = ops.add(tape, f, spmv_fixed(tape, grad_m, p))
-        if np.any(load):
-            f = ops.sub(tape, f, tape.constant(load))
-        parts.append(f)
+        parts.append(ops.add(tape, f, spmv_fixed(tape, grad_m, p)))
     fp = ops.add(tape, spmv_fixed(tape, setup.dx, u),
                  spmv_fixed(tape, setup.dy, v))
     parts.append(ops.add(tape, fp,

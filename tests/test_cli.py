@@ -76,12 +76,14 @@ def test_run_writes_report_and_fields(tmp_path):
         assert (out / name).exists()
 
 
-@pytest.mark.parametrize("experiment", ["cavity_viscosity", "conjugate_heat"])
+@pytest.mark.parametrize("experiment", ["cavity_viscosity", "conjugate_heat",
+                                        "passive_transport"])
 def test_run_reports_every_factorization(tmp_path, monkeypatch, experiment):
     # the prediction CSVs come from the solve the report already counts;
     # the reference solves are data synthesis, shared by later runs of the
     # same physics in the process, and not counted; a heat run counts the
-    # factorization of every heat solve
+    # factorization of every heat solve, and a transport run on 6x6 stalls,
+    # so the factorizations after a stall are counted too
     calls = _count_splu(monkeypatch)
     path = _config(tmp_path, _small(experiment))
     reports = []
@@ -102,6 +104,8 @@ def test_run_reports_every_factorization(tmp_path, monkeypatch, experiment):
     assert cold["splu"] == cold["linear_solves"]["factorizations"] + len(calls)
     if experiment == "conjugate_heat":
         assert warm["linear_solves"]["factorizations"] == warm["n_evals"]
+    if experiment == "passive_transport":
+        assert warm["linear_solves"]["stalls"] > 0
 
 
 def test_field_csv_round_trips_reference_exactly(tmp_path):
@@ -332,6 +336,23 @@ def test_failing_reference_solve_exits_2_without_files(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {setting} = " in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
+def test_zero_reference_field_run_exits_2_before_fitting(tmp_path, monkeypatch,
+                                                         capsys):
+    # with the pressure gradient scaled by 1/rho = 1e-300 the reference v
+    # is exactly zero, so its prediction error is undefined; the run stops
+    # before the fit, naming the field and the setting
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(experiments, "lbfgs_optimize", no_fit)
+    out = tmp_path / "never"
+    cfg = _config(tmp_path, SMALL + "\n[physics]\nrho = 1e300\n")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "reference field v " in err and " rho = 1e+300" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "gradcheck"])

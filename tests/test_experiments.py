@@ -15,6 +15,7 @@ from flowgrad.assembly import GridOperators, operators_for
 from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
     EXPERIMENTS,
+    SPECS,
     ExperimentConfig,
     ObservationSet,
     add_noise,
@@ -353,17 +354,30 @@ def test_runs_are_deterministic():
     assert reports[0] == reports[1]
 
 
+_REPORT_KEYS = {
+    "config_echo", "converged", "experiment", "final_loss", "initial_loss",
+    "line_search", "linear_solves", "loss_history", "n_evals", "n_steps",
+    "newton_iters", "rejections", "relative_mse_percent", "stop_reason",
+    "variant", "wall_clock_seconds"}
+
+
 def test_report_json_contract():
-    cfg = ExperimentConfig(experiment="passive_transport", grid_n=6,
-                           max_steps=4, n_points=8)
-    rep = run_experiment(cfg)
-    payload = json.loads(rep.to_json())
-    for key in ("loss_history", "relative_mse_percent", "newton_iters",
-                "config_echo", "final_loss", "stop_reason"):
-        assert key in payload
-    assert payload["config_echo"]["init_seed"] == 3
-    assert payload["config_echo"]["obs_seed"] == 7
-    assert len(payload["loss_history"]) == rep.n_steps
+    # the arrays go to files of their own; the cavity reports its field
+    # predictions, the heat fit its frozen flow's Newton iterations
+    extra = {"cavity_viscosity": {"prediction_mse_percent"},
+             "conjugate_heat": {"presolve_newton_iters"},
+             "passive_transport": set()}
+    assert set(extra) == set(EXPERIMENTS)
+    for experiment in EXPERIMENTS:
+        cfg = ExperimentConfig(experiment=experiment, grid_n=6, max_steps=4,
+                               n_points=8)
+        rep = run_experiment(cfg)
+        payload = json.loads(rep.to_json())
+        assert set(payload) == _REPORT_KEYS | extra[experiment]
+        assert (payload["config_echo"]["init_seed"]
+                == SPECS[experiment].init_seed)
+        assert payload["config_echo"]["obs_seed"] == 7
+        assert len(payload["loss_history"]) == rep.n_steps
 
 
 def test_report_records_line_search(monkeypatch):

@@ -333,7 +333,7 @@ def test_adjoint_stall_refactorizes():
     ctx = _steady_flow_ctx(t)
     other = solver._Linearization(ctx["setup"], np.full(g.n_nodes, 1e-3),
                                   ctx["x"]).jacobian()
-    ctx["lu"] = solver.LuFactors(other)
+    ctx["lu"] = solver.LuFactors(other, counts)
     before = (counts.factorizations, counts.stalls)
     stalled = t.backward(loss)[nu]
     assert (counts.factorizations, counts.stalls) == (before[0] + 1,

@@ -43,7 +43,13 @@ from flowgrad.solver import (
     newton_solve,
     ns_jacobian,
 )
-from flowgrad.sparse import LuFactors, SparsePattern, SymmetricOrder, spmv_fixed
+from flowgrad.sparse import (
+    LinearSolveCounts,
+    LuFactors,
+    SparsePattern,
+    SymmetricOrder,
+    spmv_fixed,
+)
 from flowgrad.tape import Tape, finite_difference_check
 from tape_oracle import dot, sparse_solve, spmv_pattern
 
@@ -142,7 +148,7 @@ def test_lu_solve_matches_dense():
     m = _random_spd_like(20, seed=5)
     rng = np.random.default_rng(6)
     b = rng.normal(size=20)
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     np.testing.assert_allclose(lu.solve(b, m), np.linalg.solve(m.toarray(), b),
                                rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(lu.solve_transpose(b, m),
@@ -153,18 +159,19 @@ def test_lu_solve_matches_dense():
 def test_lu_rejects_bad_inputs():
     m = _random_spd_like(4, seed=7)
     with pytest.raises(ContractError):
-        LuFactors(scipy.sparse.random(3, 4, density=0.5, format="csr"))
+        LuFactors(scipy.sparse.random(3, 4, density=0.5, format="csr"),
+                  LinearSolveCounts())
     with pytest.raises(ContractError):
-        LuFactors(m).solve(np.zeros(3), m)
+        LuFactors(m, LinearSolveCounts()).solve(np.zeros(3), m)
     bad = scipy.sparse.csr_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(NumericError):
-        LuFactors(bad)
+        LuFactors(bad, LinearSolveCounts())
 
 
 def test_singular_empty_row_reports_pivot():
     dense = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 3.0]])
     with pytest.raises(SingularMatrixError) as err:
-        LuFactors(scipy.sparse.csr_matrix(dense))
+        LuFactors(scipy.sparse.csr_matrix(dense), LinearSolveCounts())
     assert err.value.pivot_index == 1
 
 
@@ -173,7 +180,7 @@ def test_singular_dependent_rows_reports_pivot():
     # a dead pivot
     dense = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])
     with pytest.raises(SingularMatrixError) as err:
-        LuFactors(scipy.sparse.csr_matrix(dense))
+        LuFactors(scipy.sparse.csr_matrix(dense), LinearSolveCounts())
     assert 0 <= err.value.pivot_index <= 2
 
 
@@ -206,7 +213,7 @@ def _minimum_degree_fill(matrix):
 
 def test_lu_cavity_fill_and_transpose_residual():
     natural, ordered, _ = _cavity_jacobians(21)
-    lu = LuFactors(ordered)
+    lu = LuFactors(ordered, LinearSolveCounts())
     colamd = scipy.sparse.linalg.splu(natural.tocsc())
     assert _fill(lu._lu) <= 0.7 * _fill(colamd)
     b = np.random.default_rng(19).normal(size=ordered.shape[0])
@@ -284,7 +291,7 @@ def test_superlu_reads_the_gathered_natural_system(monkeypatch, grid_n, fill):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    lu = LuFactors(ordered)
+    lu = LuFactors(ordered, LinearSolveCounts())
     assert read == [(natural.data.astype(np.float32)[gather].tobytes(),
                      indices.tobytes(), indptr.tobytes(), "NATURAL")]
     assert lu._lu.L.nnz + lu._lu.U.nnz == fill
@@ -302,7 +309,7 @@ def test_factorization_leaves_the_pattern_unchanged():
     matrix = solver._Linearization(
         setup, reference_field("cavity_viscosity", g.coords), x).jacobian()
     assert np.shares_memory(matrix.indices, pattern.indices)
-    LuFactors(matrix)
+    LuFactors(matrix, LinearSolveCounts())
     np.testing.assert_array_equal(pattern.indices, before[0])
     np.testing.assert_array_equal(pattern.indptr, before[1])
     # an unsorted matrix is factorized from a sorted copy
@@ -315,14 +322,14 @@ def test_factorization_leaves_the_pattern_unchanged():
     assert not shuffled.has_sorted_indices
     kept = shuffled.indices.copy()
     b = np.random.default_rng(34).normal(size=12)
-    x = LuFactors(shuffled).solve(b, shuffled)
+    x = LuFactors(shuffled, LinearSolveCounts()).solve(b, shuffled)
     np.testing.assert_array_equal(shuffled.indices, kept)
     np.testing.assert_allclose(x, np.linalg.solve(m.toarray(), b), rtol=1e-10)
 
 
 def test_factors_keep_no_reference_to_the_matrix():
     m = _random_spd_like(20, seed=35)
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     b = np.random.default_rng(36).normal(size=20)
     x = lu.solve(b, m)
     ref = weakref.ref(m)
@@ -343,7 +350,7 @@ def cavity_41():
 @pytest.mark.parametrize("trans", [False, True])
 def test_ordered_lu_solves_cavity_jacobian(cavity_41, trans):
     _, jac, _ = cavity_41
-    lu = LuFactors(jac)
+    lu = LuFactors(jac, LinearSolveCounts())
     b = np.random.default_rng(31).normal(size=jac.shape[0])
     x = lu.solve_transpose(b, jac) if trans else lu.solve(b, jac)
     a = jac.T if trans else jac
@@ -360,13 +367,14 @@ def test_single_precision_factors_meet_double_tolerance(request, grid_n):
     # the factors of the converged cavity Jacobian are single precision;
     # refinement against the double J meets the bound within the sweep cap
     _, jac, _ = request.getfixturevalue(f"cavity_{grid_n}")
-    lu = LuFactors(jac)
+    counts = LinearSolveCounts()
+    lu = LuFactors(jac, counts)
     assert lu._lu.L.dtype == lu._lu.U.dtype == np.float32
     b = np.random.default_rng(32).normal(size=jac.shape[0])
     for solve, a in ((lu.solve, jac), (lu.solve_transpose, jac.T)):
-        before = lu.sweeps
+        before = counts.sweeps
         x = solve(b, jac)
-        assert 1 <= lu.sweeps - before <= sparse._MAX_SWEEPS
+        assert 1 <= counts.sweeps - before <= sparse._MAX_SWEEPS
         assert (np.max(np.abs(b - a @ x))
                 <= sparse._RESIDUAL_TOL * np.max(np.abs(b)))
 
@@ -377,7 +385,7 @@ def test_lu_rejects_entries_beyond_single_precision():
         m = _random_spd_like(4, seed=7)
         m.data[0] = value
         with pytest.raises(NumericError, match="single-precision"):
-            LuFactors(m)
+            LuFactors(m, LinearSolveCounts())
 
 
 @pytest.mark.parametrize("size", [1e-40, 1e300])
@@ -389,7 +397,7 @@ def test_lu_solves_rhs_beyond_single_precision_range(size, trans):
     m = _random_spd_like(20, seed=30)
     unit = np.random.default_rng(31).normal(size=20)
     b = size * unit
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     solve = lu.solve_transpose if trans else lu.solve
     a = m.T if trans else m
     x = solve(b, m)
@@ -411,12 +419,12 @@ def test_lu_rejects_matrix_conditioned_beyond_single_precision(delta):
     assert np.max(np.abs(b - a @ np.linalg.solve(a, b))) <= 1e-8 * 2.0
     with pytest.raises(NumericError):
         m = scipy.sparse.csr_matrix(a)
-        LuFactors(m).solve(b, m)
+        LuFactors(m, LinearSolveCounts()).solve(b, m)
 
 
 def test_ordered_lu_fills_less_than_minimum_degree(cavity_41):
     natural, ordered, _ = cavity_41
-    assert (_fill(LuFactors(ordered)._lu)
+    assert (_fill(LuFactors(ordered, LinearSolveCounts())._lu)
             <= 0.95 * _minimum_degree_fill(natural))
 
 
@@ -439,7 +447,8 @@ def _heat_solved(n, walls):
 def test_heat_lu_in_node_order_fills_no_more_than_minimum_degree():
     _, _, _, _, _, ordered, order = _heat_solved(41, uniform_boundary_bc)
     natural = ordered[order.inverse][:, order.inverse]
-    assert _fill(LuFactors(ordered)._lu) <= _minimum_degree_fill(natural)
+    lu = LuFactors(ordered, LinearSolveCounts())
+    assert _fill(lu._lu) <= _minimum_degree_fill(natural)
 
 
 def test_heat_temperature_matches_dense_solve():
@@ -470,7 +479,7 @@ def test_lu_zero_diagonal_factorizes():
     dense[np.arange(n), (np.arange(n) + 4) % n] = 0.5
     assert np.all(np.diag(dense) == 0.0)
     m = scipy.sparse.csr_matrix(dense)
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     b = np.random.default_rng(20).normal(size=n)
     np.testing.assert_allclose(lu.solve(b, m), np.linalg.solve(dense, b),
                                rtol=1e-12, atol=1e-12)
@@ -507,7 +516,7 @@ def _skewed_splu(monkeypatch, factor, bad_calls):
 def test_lu_refinement_repairs_perturbed_solve(monkeypatch, trans):
     m = _random_spd_like(20, seed=21)
     made = _skewed_splu(monkeypatch, 1.0 + 1e-5, bad_calls=1)
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     b = np.random.default_rng(22).normal(size=20)
     dense = m.toarray().T if trans else m.toarray()
     x = lu.solve_transpose(b, m) if trans else lu.solve(b, m)
@@ -520,7 +529,7 @@ def test_lu_refinement_repairs_perturbed_solve(monkeypatch, trans):
 def test_lu_unrepairable_solve_raises(monkeypatch, trans):
     m = _random_spd_like(20, seed=23)
     made = _skewed_splu(monkeypatch, -1.0, bad_calls=2)
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     b = np.random.default_rng(24).normal(size=20)
     with pytest.raises(NumericError, match="residual"):
         lu.solve_transpose(b, m) if trans else lu.solve(b, m)
@@ -551,7 +560,7 @@ def test_refinement_against_nearby_factors(monkeypatch, trans):
     # transpose, to the residual bound within the sweep cap
     j0, _, j2 = _cavity_newton_jacobians(21, 2)
     made = _skewed_splu(monkeypatch, 1.0, bad_calls=0)
-    lu = LuFactors(j0)
+    lu = LuFactors(j0, LinearSolveCounts())
     b = np.random.default_rng(25).normal(size=j0.shape[0])
     x = lu.solve_transpose(b, j2) if trans else lu.solve(b, j2)
     a = j2.T if trans else j2
@@ -566,7 +575,7 @@ def test_refinement_stall_reported_without_raising(trans):
     unrelated = -_random_spd_like(20, seed=27)
     nan_entry = m.copy()
     nan_entry.data[3] = np.nan
-    lu = LuFactors(m)
+    lu = LuFactors(m, LinearSolveCounts())
     b = np.random.default_rng(28).normal(size=20)
     solve = lu.solve_transpose if trans else lu.solve
     assert solve(b, unrelated) is None
@@ -575,6 +584,39 @@ def test_refinement_stall_reported_without_raising(trans):
     # bits of a solve with the factorized matrix itself
     np.testing.assert_allclose(solve(b, m.copy()), solve(b, m), rtol=0.0,
                                atol=0.0)
+
+
+def test_factors_fill_the_linear_solve_counts(monkeypatch):
+    m = _random_spd_like(20, seed=26)
+    near = m.copy()
+    near.data *= 1.0 + 1e-6
+    far = -_random_spd_like(20, seed=27)
+    b = np.random.default_rng(28).normal(size=20)
+    counts = LinearSolveCounts()
+    lu = LuFactors(m, counts)
+    assert counts == LinearSolveCounts(factorizations=1)
+    lu.solve(b, m)
+    lu.solve_transpose(b, m)
+    sweeps = counts.sweeps
+    assert sweeps >= 2
+    assert counts == LinearSolveCounts(factorizations=1, sweeps=sweeps)
+    assert lu.solve(b, near) is not None
+    assert counts.recycled_solves == 1 and counts.stalls == 0
+    assert lu.solve_transpose(b, far) is None
+    assert counts.recycled_solves == 1 and counts.stalls == 1
+    assert counts.factorizations == 1 and counts.sweeps > sweeps
+    # a factorization that fails its checks counts too
+    with pytest.raises(NumericError):
+        LuFactors(scipy.sparse.csr_matrix(np.array([[np.nan]])), counts)
+    assert counts.factorizations == 2
+    # a stall with the factorized matrix raises, its sweeps counted
+    made = _skewed_splu(monkeypatch, -1.0, bad_calls=2)
+    counts = LinearSolveCounts()
+    lu = LuFactors(m, counts)
+    with pytest.raises(NumericError, match="residual"):
+        lu.solve(b, m)
+    assert made[0].calls == 2
+    assert counts == LinearSolveCounts(factorizations=1, sweeps=2)
 
 
 def test_sparse_solve_adjoint_matches_dense_identities():
