@@ -5,14 +5,15 @@ Three subcommands share one INI config format (see :mod:`flowgrad.config`):
   run        full inverse problem; writes report.json plus coefficient and
              prediction CSVs, one subdirectory per noise level when the
              config lists several
-  forward    forward solve with the reference coefficient; writes state
+  forward    the forward solve with the reference coefficient, shared with
+             every run of the same physics in the process; writes state
              CSVs and the Newton trace
   gradcheck  finite-difference audit of the full-chain gradient
 
 Exit codes are a stable contract for scripting: 0 success, 1 a check
 failed, 2 configuration or validation error, 3 numerical failure.  A solve
 at the reference coefficient that fails numerically is a configuration
-error (see ``experiments.reference_solve``), so every command exits 2 for
+error (see ``experiments.forward_chain``), so every command exits 2 for
 it, before writing any file.
 """
 
@@ -28,11 +29,9 @@ import scipy.io
 from . import tape as tape_module
 from .config import load_config
 from .errors import ConfigError, ContractError, FlowgradError
-from .experiments import (SPECS, ForwardChain, build_problem,
-                          reference_field, reference_solve, run_experiment)
+from .experiments import SPECS, build_problem, forward_chain, run_experiment
 from .grid import StructuredGrid, write_field_csv
-from .sparse import LinearSolveCounts
-from .tape import Tape, finite_difference_check
+from .tape import finite_difference_check
 
 __all__ = ["main"]
 
@@ -145,19 +144,14 @@ def _cmd_forward(args):
     # a spec default that does not fit the grid is no error here, as this
     # command observes nothing; a count the file sets is checked as by run
     bundle.configs[0].check_n_points()
-    cfg = bundle.configs[0].resolved()
-    t = Tape()
-    with reference_solve(cfg):
-        chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
-        coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
-        fields, flow = chain(t, coef, LinearSolveCounts())
+    chain = forward_chain(bundle.configs[0].resolved())
     out_dir = args.out or bundle.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
-    for comp, ref in fields.items():
+    for comp, values in chain.synthetic.items():
         write_field_csv(os.path.join(out_dir, f"{comp}.csv"), chain.grid,
-                        t.value(ref), name=comp)
+                        values, name=comp)
     with open(os.path.join(out_dir, "newton_trace.jsonl"), "w") as fh:
-        for iteration, residual in flow.trace:
+        for iteration, residual in chain.trace:
             line = json.dumps({"iteration": iteration,
                                "residual_norm": residual})
             fh.write(line + "\n")
@@ -165,9 +159,9 @@ def _cmd_forward(args):
                 print(line)
     if args.dump_matrix:
         scipy.io.mmwrite(os.path.join(out_dir, "system_matrix.mtx"),
-                         chain.jacobian(t, flow, coef))
-    print(f"{cfg.experiment} forward solve -> {out_dir} "
-          f"({len(flow.trace)} Newton iterations)")
+                         chain.jacobian())
+    print(f"{chain.cfg.experiment} forward solve -> {out_dir} "
+          f"({len(chain.trace)} Newton iterations)")
     return EXIT_OK
 
 

@@ -18,20 +18,22 @@ fits.  Adding an experiment means adding one spec.
 Observation synthesis uses the same grid and discretization as the
 inversion, so data are exactly reproducible by the model class (the usual
 inverse-crime caveat applies; errors quoted against the reference field).
-The forward chain (the grid, the flow and heat setups and a frozen flow),
-the reference coefficient and the synthesis depend only on the physics
-fields of a config, so problems that differ only in their observations,
-noise or model share them, read-only (``_reference_for``).  What one
-problem changes, its linear-solve counts, it holds itself and hands to the
-chain on every call.
+A :class:`ForwardChain` (the grid, the flow and heat setups and a frozen
+flow) solves itself once at the reference coefficient and keeps the
+reference coefficient, the synthesis and the Newton trace of that solve.
+All of it depends only on the physics fields of a config, so problems that
+differ only in their observations, noise or model, and the ``forward``
+command, share one chain, read-only (:func:`forward_chain`, the one place
+a reference is solved).  What one problem changes, its linear-solve
+counts, it holds itself and hands to the chain on every call.
 """
 
 import copy
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,8 +67,8 @@ __all__ = [
     "InverseProblem",
     "RunReport",
     "build_problem",
+    "forward_chain",
     "reference_field",
-    "reference_solve",
     "make_observations",
     "add_noise",
     "compute_loss",
@@ -412,24 +414,30 @@ class RunReport:
 
 
 class ForwardChain:
-    """An experiment's forward chain on one grid and physics.
+    """An experiment's forward chain on one grid and physics, solved once at
+    the reference coefficient.
 
     ``chain(tape, coef, counts)`` runs the spec's ``forward`` and returns
     ``(fields, flow)``; every linear solve it makes adds to ``counts``, a
-    :class:`LinearSolveCounts` of the caller's.  The chain builds the flow
-    setup (``flow_setup``, a :class:`FlowSetup`) once.  A spec with a
-    ``frozen_viscosity`` has its flow presolved once, uncounted: ``frozen``
-    holds its ``u``, ``v`` and ``p`` as read-only arrays and its Newton
-    trace as a tuple, and ``heat_setup`` is the :class:`HeatSetup` of that
-    flow.  The chain reads only the physics fields of ``cfg`` and changes
-    nothing after it is built, so every problem of the same physics can
-    share it.
+    :class:`LinearSolveCounts` of the caller's.  The chain builds its grid
+    (``grid``) and the flow setup (``flow_setup``, a :class:`FlowSetup`)
+    once.  A spec with a ``frozen_viscosity`` has its flow presolved once:
+    ``frozen`` maps its ``u``, ``v`` and ``p`` to read-only arrays, and
+    ``heat_setup`` is the :class:`HeatSetup` of that flow.
+
+    The chain then runs itself at the reference coefficient
+    (``reference_nodal``), uncounted: ``synthetic`` maps every predicted
+    field to its read-only values there, and ``trace`` is the Newton trace
+    of that flow as a tuple (of the frozen flow, for a frozen viscosity).
+    The chain reads only the physics fields of ``cfg`` and changes nothing
+    after it is built, so every problem of the same physics can share it
+    (see :func:`forward_chain`).
     """
 
-    def __init__(self, cfg, grid):
+    def __init__(self, cfg):
         self.spec = SPECS[cfg.experiment]
         self.cfg = cfg
-        self.grid = grid
+        self.grid = grid = StructuredGrid(cfg.grid_n)
         self.constants = cfg.physics()
         self.newton = cfg.newton()
         self.flow_setup = FlowSetup(
@@ -439,18 +447,25 @@ class ForwardChain:
         if self.spec.frozen_viscosity is not None:
             self.frozen_nu = _read_only(
                 np.full(grid.n_nodes, self.spec.frozen_viscosity))
-            self.frozen = self._presolve()
+            t = Tape()
+            flow = self.solve_flow(t, t.constant(self.frozen_nu),
+                                   LinearSolveCounts())
+            self.frozen = MappingProxyType(
+                {name: _read_only(t.value(ref))
+                 for name, ref in _flow_fields(flow).items()})
+            self.trace = tuple(flow.trace)
             self.heat_setup = HeatSetup(
-                grid, self.frozen[0]["u"], self.frozen[0]["v"],
-                self.constants, uniform_boundary_bc(grid, cfg.heat_bc_value))
-
-    def _presolve(self):
+                grid, self.frozen["u"], self.frozen["v"], self.constants,
+                uniform_boundary_bc(grid, cfg.heat_bc_value))
+        self.reference_nodal = _read_only(
+            reference_field(cfg.experiment, grid.coords))
         t = Tape()
-        flow = self.solve_flow(t, t.constant(self.frozen_nu),
+        predicted, flow = self(t, t.constant(self.reference_nodal),
                                LinearSolveCounts())
-        return ({name: _read_only(t.value(ref))
-                 for name, ref in _flow_fields(flow).items()},
-                tuple(flow.trace))
+        self.synthetic = MappingProxyType(
+            {name: _read_only(t.value(ref))
+             for name, ref in predicted.items()})
+        self.trace = tuple(flow.trace)
 
     def __call__(self, tape, coef, counts):
         return self.spec.forward(tape, self, coef, counts)
@@ -466,15 +481,14 @@ class ForwardChain:
         It spends no Newton iterations of its own and carries the trace of
         the presolve.
         """
-        saved, trace = self.frozen
-        u, v, p = (tape.constant(saved[name]) for name in ("u", "v", "p"))
-        return NSState(u, v, p, 0, 0.0, trace)
+        u, v, p = (tape.constant(self.frozen[name]) for name in ("u", "v", "p"))
+        return NSState(u, v, p, 0, self.trace)
 
-    def jacobian(self, tape, flow, coef):
-        """Constrained Newton matrix at ``flow``, which ``self(tape, coef,
-        counts)`` returned, as a scipy CSR matrix."""
-        nu = tape.value(coef) if self.frozen_nu is None else self.frozen_nu
-        x = np.concatenate([tape.value(r) for r in (flow.u, flow.v, flow.p)])
+    def jacobian(self):
+        """Constrained Newton matrix of the flow at the reference solution,
+        as a scipy CSR matrix."""
+        nu = self.reference_nodal if self.frozen_nu is None else self.frozen_nu
+        x = np.concatenate([self.synthetic[name] for name in ("u", "v", "p")])
         return ns_jacobian(self.flow_setup, x, nu)
 
     def values(self, coef_nodal, counts):
@@ -493,44 +507,14 @@ def _read_only(values):
 
 # Config fields that never reach the forward chain at the reference
 # coefficient; every other field, one added later included, keys the
-# reference solves.
+# shared chains.
 _DATA_FIELDS = frozenset((
     "variant", "n_points", "components", "noise_epsilon", "obs_seed",
     "init_seed", "init_scale", "offset", "clamp_floor",
     "pointwise_lower_bound", "max_steps", "memory", "debug_fd_check"))
-# Most reference states kept for reuse at once.
+# Most forward chains kept for reuse at once.
 _SHARED_REFERENCES = 4
-_REFERENCES = {}  # value key of the physics -> _Reference, least recently used first
-
-
-@dataclass(frozen=True)
-class _Reference:
-    """Everything of one physics that its problems share, all read-only:
-    the forward ``chain``, the reference coefficient ``reference_nodal`` and
-    every predicted field at the reference coefficient (``synthetic``)."""
-
-    chain: ForwardChain
-    reference_nodal: np.ndarray
-    synthetic: dict
-
-
-@contextmanager
-def reference_solve(cfg):
-    """The context of building a resolved config's forward chain and solving
-    it at the reference coefficient.
-
-    No model or observation takes part in that solve, so when it fails
-    numerically (Newton diverges, a matrix leaves the single-precision
-    range) the physics settings are at fault: the :class:`NumericError` is
-    raised again as a :class:`ContractError` that names the settings that
-    differ from their defaults.
-    """
-    try:
-        yield
-    except NumericError as exc:
-        raise ContractError(
-            f"{cfg.experiment} cannot be solved at its reference coefficient "
-            f"with {_changed_physics(cfg)}: {exc}") from exc
+_REFERENCES = {}  # value key of the physics -> ForwardChain, least recently used first
 
 
 def _changed_physics(cfg):
@@ -543,30 +527,35 @@ def _changed_physics(cfg):
     return ", ".join(changed) or "the default settings"
 
 
-def _reference_for(cfg):
-    """The shared :class:`_Reference` of a resolved config, built and solved
-    on first use; no problem counts its solves.
+def forward_chain(cfg):
+    """The shared :class:`ForwardChain` of a resolved config, built and
+    solved at the reference coefficient on first use; no problem counts its
+    solves.
 
-    Keyed by the exact values of the physics fields (``repr`` tells 0.0
-    from -0.0), so a sweep over noise levels and observation draws builds
-    its chain and solves its reference once; the last
-    ``_SHARED_REFERENCES`` are kept.
+    This is the one place a reference is solved.  Keyed by the exact values
+    of the physics fields (``repr`` tells 0.0 from -0.0), so a sweep over
+    noise levels and observation draws, and a ``forward`` command after a
+    run, build and solve the chain once; the last ``_SHARED_REFERENCES``
+    are kept.  No model or observation takes part in the reference solve,
+    so when it fails numerically (Newton diverges, a matrix leaves the
+    single-precision range) the physics settings are at fault: the
+    :class:`NumericError` is raised again as a :class:`ContractError` that
+    names the settings that differ from their defaults.
     """
     key = tuple((f.name, repr(getattr(cfg, f.name))) for f in fields(cfg)
                 if f.name not in _DATA_FIELDS)
-    ref = _REFERENCES.pop(key, None)
-    if ref is None:
-        with reference_solve(cfg):
-            chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
-            coef = _read_only(reference_field(cfg.experiment,
-                                              chain.grid.coords))
-            synth = chain.values(coef, LinearSolveCounts())
-        ref = _Reference(chain, coef, {name: _read_only(values)
-                                       for name, values in synth.items()})
-    _REFERENCES[key] = ref
+    chain = _REFERENCES.pop(key, None)
+    if chain is None:
+        try:
+            chain = ForwardChain(cfg)
+        except NumericError as exc:
+            raise ContractError(
+                f"{cfg.experiment} cannot be solved at its reference "
+                f"coefficient with {_changed_physics(cfg)}: {exc}") from exc
+    _REFERENCES[key] = chain
     if len(_REFERENCES) > _SHARED_REFERENCES:
         del _REFERENCES[next(iter(_REFERENCES))]
-    return ref
+    return chain
 
 
 @dataclass
@@ -577,27 +566,21 @@ class InverseProblem:
     forward chain on every call; ``eval_note["newton"]`` holds the Newton
     iteration count of the most recent evaluation.  ``linear_solves`` totals
     the linear solves of the inversion: every objective evaluation and its
-    adjoint, and the final prediction.  The reference solves (the frozen
-    flow and the synthesis) are data synthesis, shared among problems of
-    the same physics, and not counted; ``presolve_newton_iters`` is the
-    Newton iteration count of the frozen flow.  ``grid``,
-    ``reference_nodal``, the arrays of ``synthetic`` and ``forward``, the
-    chain the objective runs, are shared among problems of the same physics
-    and read-only; ``linear_solves`` is the problem's own.
+    adjoint, and the final prediction.  ``forward``, the chain the
+    objective runs, holds the grid, the reference coefficient and the
+    synthetic data; it is shared among problems of the same physics and
+    read-only, and its reference solves are data synthesis, not counted.
+    ``linear_solves`` is the problem's own.
     """
 
     config: ExperimentConfig
-    grid: StructuredGrid
+    forward: ForwardChain
     objective: callable
     theta0: np.ndarray
     model: object
     observations: ObservationSet
-    reference_nodal: np.ndarray
-    synthetic: dict
     eval_note: dict
     linear_solves: LinearSolveCounts
-    presolve_newton_iters: int = None
-    forward: ForwardChain = None
 
 
 def build_problem(config):
@@ -605,12 +588,12 @@ def build_problem(config):
 
     The synthetic data are every field of the forward chain at the
     reference coefficient; the objective runs the same chain at the
-    model's coefficient.  The chain, the reference coefficient and the
-    synthetic data are shared, bit for bit and read-only, with recent
-    problems of the same physics (see ``_reference_for``), so a sweep over
-    noise levels and observation draws builds and solves them once.  A warm
-    build only draws the observations, adds their noise and initialises the
-    model.
+    model's coefficient.  The chain, which holds the reference coefficient
+    and the synthetic data, is shared, bit for bit and read-only, with
+    recent problems of the same physics (see :func:`forward_chain`), so a
+    sweep over noise levels and observation draws builds and solves it
+    once.  A warm build only draws the observations, adds their noise and
+    initialises the model.
     """
     cfg = config.resolved()
     cfg.check_n_points()
@@ -621,14 +604,12 @@ def build_problem(config):
             f"lid_speed 0 leaves the {cfg.experiment} flow at rest whatever "
             f"its {SPECS[cfg.experiment].coef_name}, so no data can "
             f"determine it")
-    ref = _reference_for(cfg)
-    chain = ref.chain
+    chain = forward_chain(cfg)
     grid = chain.grid
     counts = LinearSolveCounts()
-    synth = dict(ref.synthetic)
 
-    obs = make_observations(grid, synth, cfg.n_points, cfg.components,
-                            cfg.obs_seed)
+    obs = make_observations(grid, chain.synthetic, cfg.n_points,
+                            cfg.components, cfg.obs_seed)
     obs = add_noise(obs, cfg.noise_epsilon, cfg.obs_seed + 1)
 
     # --- coefficient model and the objective
@@ -649,12 +630,9 @@ def build_problem(config):
         return float(t.value(loss)[0]), grads[th]
 
     return InverseProblem(
-        config=cfg, grid=grid, objective=objective, theta0=theta0,
-        model=model, observations=obs, reference_nodal=ref.reference_nodal,
-        synthetic=synth, eval_note=eval_note, linear_solves=counts,
-        presolve_newton_iters=(None if chain.frozen is None
-                               else len(chain.frozen[1])),
-        forward=chain)
+        config=cfg, forward=chain, objective=objective, theta0=theta0,
+        model=model, observations=obs, eval_note=eval_note,
+        linear_solves=counts)
 
 
 def run_experiment(config, progress=None):
@@ -665,13 +643,13 @@ def run_experiment(config, progress=None):
     started = time.perf_counter()
     problem = build_problem(config)
     cfg = problem.config
-    grid = problem.grid
-    report_fields = problem.forward.spec.report_fields
+    chain = problem.forward
+    report_fields = chain.spec.report_fields
     # the prediction error of a field is relative to the field (see
     # relative_mse), so a field that is zero at the reference fails the
     # report; say so before the fit instead of after it
     for name in report_fields:
-        values = problem.synthetic[name]
+        values = chain.synthetic[name]
         if values @ values == 0.0:
             raise ContractError(
                 f"{cfg.experiment} has the reference field {name} "
@@ -696,14 +674,14 @@ def run_experiment(config, progress=None):
     problem.model.reset_diagnostics()
     t = Tape()
     est_ref = eval_field_on_grid(t, problem.model, t.variable(result.theta),
-                                 grid)
+                                 chain.grid)
     estimate = t.value(est_ref).copy()
-    mse = relative_mse(estimate, problem.reference_nodal)
+    mse = relative_mse(estimate, chain.reference_nodal)
 
-    predicted = (problem.forward.values(estimate, problem.linear_solves)
+    predicted = (chain.values(estimate, problem.linear_solves)
                  if report_fields else {})
     predicted = {name: predicted[name] for name in report_fields}
-    prediction_mse = {name: relative_mse(values, problem.synthetic[name])
+    prediction_mse = {name: relative_mse(values, chain.synthetic[name])
                       for name, values in predicted.items()} or None
 
     echo = asdict(cfg)
@@ -724,7 +702,8 @@ def run_experiment(config, progress=None):
                 for step, alpha, reason in result.rejected_trials]},
         linear_solves=asdict(problem.linear_solves),
         prediction_mse_percent=prediction_mse,
-        presolve_newton_iters=problem.presolve_newton_iters,
+        presolve_newton_iters=(None if chain.frozen is None
+                               else len(chain.trace)),
         theta=result.theta, estimate_nodal=estimate,
-        reference_nodal=problem.reference_nodal,
+        reference_nodal=chain.reference_nodal,
         observations=problem.observations, predicted_nodal=predicted)

@@ -8,7 +8,7 @@ counter-clockwise from the lower-left: (-1,-1), (1,-1), (1,1), (-1,1).
 
 A grid and a :class:`DirichletSpec` hold read-only arrays, so the problems
 of one physics can share them through one forward chain (see
-``experiments._reference_for``).
+``experiments.forward_chain``).
 """
 
 from dataclasses import dataclass

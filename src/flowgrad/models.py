@@ -83,10 +83,7 @@ class FieldModel:
     n_params: int
     offset: float
     clamp_floor: float
-    seed: int
     layout: MlpLayout = None
-    n_nodes: int = 0
-    init_scale: float = 1.0
     clamp_streak: int = field(default=0, compare=False)
 
     def reset_diagnostics(self):
@@ -122,8 +119,7 @@ def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
     if variant == "pointwise":
         if n_nodes <= 0:
             raise ContractError("pointwise variant needs the node count")
-        model = FieldModel(variant, n_nodes, offset, clamp_floor, seed,
-                           layout=None, n_nodes=n_nodes, init_scale=init_scale)
+        model = FieldModel(variant, n_nodes, offset, clamp_floor)
         return model, np.full(n_nodes, float(offset))
 
     d_in = 2 if variant == "dnn2d" else 1
@@ -132,8 +128,8 @@ def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
     for fi, fo in zip(layout.sizes, layout.sizes[1:]):
         bound = np.sqrt(6.0 / (fi + fo)) * init_scale
         layers.append((rng.uniform(-bound, bound, size=(fi, fo)), np.zeros(fo)))
-    model = FieldModel(variant, layout.n_params, offset, clamp_floor, seed,
-                       layout=layout, n_nodes=n_nodes, init_scale=init_scale)
+    model = FieldModel(variant, layout.n_params, offset, clamp_floor,
+                       layout=layout)
     return model, layout.flatten(layers)
 
 

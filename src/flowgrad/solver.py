@@ -36,7 +36,7 @@ Continuity rows carry pressure stabilization (a pressure stiffness weighted
 by beta h^2 / nu) so the equal-order discretization is solvable; the 1/nu
 scaling keeps the divergence perturbation viscosity-independent, so the
 large-viscosity solution approaches the Stokes solution.  The pressure gauge
-is fixed by pinning one node.
+is fixed by pinning node 0.
 
 ``heat_solve`` records the temperature of advection-diffusion in a frozen
 flow as one ``heat_solve`` operator from the nodal conductivity, in the
@@ -88,8 +88,6 @@ class PhysicsConstants:
     heat_source_q: float = 1.0
     kappa1: float = 1.0
     kappa2: float = 1.0
-    q1: float = 0.0
-    q2: float = 0.0
 
     def __post_init__(self):
         if self.rho <= 0 or self.cp <= 0:
@@ -114,16 +112,14 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class CavityBCs:
-    """Velocity Dirichlet data plus the pinned pressure node."""
+    """Velocity Dirichlet data; the pressure is pinned at node 0."""
 
     u: object
     v: object
-    pressure_pin: int = 0
 
 
 def default_cavity_bcs(grid, lid_speed=1.0):
-    u_bc, v_bc = cavity_velocity_bcs(grid, lid_speed)
-    return CavityBCs(u_bc, v_bc, pressure_pin=0)
+    return CavityBCs(*cavity_velocity_bcs(grid, lid_speed))
 
 
 @dataclass
@@ -132,7 +128,6 @@ class NSState:
     v: int
     p: int
     newton_iterations_used: int
-    final_residual_norm: float
     trace: list = field(default_factory=list)
 
 
@@ -181,8 +176,7 @@ class FlowSetup:
             (self.bmap[0][2], self.gx_m.data), (self.bmap[1][2], self.gy_m.data),
             (self.bmap[2][0], self.dx.data), (self.bmap[2][1], self.dy.data)]
 
-        cidx = np.concatenate([bc.u.idx, bc.v.idx + n,
-                               np.array([2 * n + bc.pressure_pin])])
+        cidx = np.concatenate([bc.u.idx, bc.v.idx + n, np.array([2 * n])])
         self.plan = constraint_plan(self.sys_pattern, self.order.inverse[cidx])
         self.cidx = cidx
         self.cvals = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
@@ -416,7 +410,7 @@ def newton_solve(tape, setup, nu, config=None, counts=None):
     n = setup.n
     trace = ctx["trace"]
     u, v, p = (ops.slice1d(tape, x, k * n, (k + 1) * n) for k in range(3))
-    return NSState(u, v, p, len(trace), trace[-1][1], trace)
+    return NSState(u, v, p, len(trace), trace)
 
 
 class HeatSetup:
@@ -499,32 +493,27 @@ def heat_solve(tape, heat, k, counts=None):
         "counts": counts if counts is not None else LinearSolveCounts()})
 
 
-def transport_integrate(tape, ns, constants, w_init=None, dt=0.1, n_steps=50):
+def transport_integrate(tape, ns, constants, dt=0.1, n_steps=50):
     """``n_steps`` implicit-Euler steps for nodal particle velocities.
 
-    Each component follows w^{m+1} = (w^m + dt (kappa u + q)) / (1 + dt kappa)
-    with the flow held fixed, whose closed form is
+    Each component follows w^{m+1} = (w^m + dt kappa u) / (1 + dt kappa)
+    from rest with the flow held fixed, whose closed form is
 
-        w^N = r^N w^0 + (1 - r^N) (u + q / kappa),  r = 1 / (1 + dt kappa).
+        w^N = (1 - r^N) u,  r = 1 / (1 + dt kappa).
 
-    r^N is taken as exp(-N log1p(dt kappa)) and 1 - r^N by ``expm1``, so a
-    tiny dt kappa stays accurate.  Each component is one scale of the flow
-    velocity plus a constant on the tape, whatever ``n_steps`` is.
+    1 - r^N is taken as -expm1(-N log1p(dt kappa)), so a tiny dt kappa
+    stays accurate.  Each component is one scale of the flow velocity on
+    the tape, whatever ``n_steps`` is.
     """
     if dt <= 0:
         raise ContractError("time step must be positive")
     if n_steps < 1:
         raise ContractError("need at least one transport step")
-    n = tape.value(ns.u).shape[0]
-    w_init = (0.0, 0.0) if w_init is None else w_init
 
-    def relax(vel_ref, w0, kappa, q):
-        log_rn = -n_steps * np.log1p(dt * kappa)
-        rn, one_minus_rn = np.exp(log_rn), -np.expm1(log_rn)
-        offset = rn * _nodal(w0, n) + one_minus_rn * (q / kappa)
-        return ops.add(tape, ops.scale(tape, vel_ref, one_minus_rn),
-                       tape.constant(offset))
+    def relax(vel_ref, kappa):
+        return ops.scale(tape, vel_ref,
+                         -np.expm1(-n_steps * np.log1p(dt * kappa)))
 
-    w1 = relax(ns.u, w_init[0], constants.kappa1, constants.q1)
-    w2 = relax(ns.v, w_init[1], constants.kappa2, constants.q2)
+    w1 = relax(ns.u, constants.kappa1)
+    w2 = relax(ns.v, constants.kappa2)
     return ParticleState(w1, w2, dt, n_steps)

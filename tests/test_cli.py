@@ -18,7 +18,7 @@ from flowgrad.experiments import (
     reference_field,
 )
 from flowgrad.grid import StructuredGrid, read_field_csv
-from flowgrad.solver import LinearSolveCounts
+from flowgrad.solver import LinearSolveCounts, ns_jacobian
 from flowgrad.tape import Tape
 
 SMALL = """
@@ -223,13 +223,12 @@ def test_forward_dump_matrix_is_loadable(tmp_path):
     # three unknowns per node on a 6x6 grid
     assert matrix.shape == (108, 108)
     assert np.all(np.isfinite(matrix.data))
-    # exactly the Jacobian at the converged state of the same forward solve
+    # exactly the Jacobian at the synthetic state of the same physics
     cfg = load_config(_config(tmp_path)).configs[0].resolved()
-    chain = ForwardChain(cfg, StructuredGrid(cfg.grid_n))
-    t = Tape()
-    coef = t.constant(reference_field(cfg.experiment, chain.grid.coords))
-    _, flow = chain(t, coef, LinearSolveCounts())
-    jac = chain.jacobian(t, flow, coef)
+    chain = experiments.forward_chain(cfg)
+    x = np.concatenate([chain.synthetic[comp] for comp in ("u", "v", "p")])
+    jac = ns_jacobian(chain.flow_setup, x,
+                      reference_field(cfg.experiment, chain.grid.coords))
     np.testing.assert_allclose(matrix.toarray(), jac.toarray(), rtol=0, atol=0)
 
 
@@ -273,8 +272,9 @@ def test_forward_writes_every_field_of_the_chain(tmp_path, experiment):
     out = tmp_path / "fwd"
     assert main(["forward", "--config", _config(tmp_path, _small(experiment)),
                  "--out", str(out)]) == 0
+    # a chain of its own, solved again at the reference coefficient
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12).resolved()
-    chain = ForwardChain(cfg, StructuredGrid(6))
+    chain = ForwardChain(cfg)
     t = Tape()
     fields, _ = chain(t, t.constant(reference_field(experiment,
                                                     chain.grid.coords)),
@@ -283,6 +283,37 @@ def test_forward_writes_every_field_of_the_chain(tmp_path, experiment):
     for comp, ref in fields.items():
         _, values = read_field_csv(out / f"{comp}.csv")
         assert np.array_equal(values, t.value(ref))
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_forward_reads_the_reference_of_a_built_problem(tmp_path, monkeypatch,
+                                                        experiment):
+    # the reference is solved once per physics: a forward command after a
+    # build of the same physics solves nothing and writes its synthesis
+    path = _config(tmp_path, _small(experiment))
+    problem = build_problem(load_config(path).configs[0])
+    solves = []
+    newton_solve = experiments.newton_solve
+
+    def counting_newton_solve(*args, **kwargs):
+        solves.append(1)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "newton_solve", counting_newton_solve)
+    calls = _count_splu(monkeypatch)
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", path, "--out", str(out),
+                 "--dump-matrix"]) == 0
+    assert solves == [] and calls == []
+    synthetic = problem.forward.synthetic
+    assert {p.name for p in out.glob("*.csv")} == {f"{c}.csv"
+                                                   for c in synthetic}
+    for comp, values in synthetic.items():
+        _, written = read_field_csv(out / f"{comp}.csv")
+        assert written.tobytes() == values.tobytes()
+    lines = (out / "newton_trace.jsonl").read_text().splitlines()
+    assert [tuple(json.loads(line).values()) for line in lines] \
+        == list(problem.forward.trace)
 
 
 _TRANSPORT = "[experiment]\nname = passive_transport\n"

@@ -309,13 +309,14 @@ def test_full_grid_default_tracks_grid_size():
 def test_reference_field_as_estimate_reproduces_observations(experiment):
     # identical deterministic solves make the loss exactly zero
     problem = build_problem(ExperimentConfig(experiment, grid_n=7))
-    nu = reference_field(experiment, problem.grid.coords)
-    assert np.array_equal(nu, problem.reference_nodal)
+    chain = problem.forward
+    nu = reference_field(experiment, chain.grid.coords)
+    assert np.array_equal(nu, chain.reference_nodal)
     t = Tape()
-    predicted, _ = problem.forward(t, t.constant(nu), problem.linear_solves)
-    assert set(predicted) == set(problem.synthetic)
+    predicted, _ = chain(t, t.constant(nu), problem.linear_solves)
+    assert set(predicted) == set(chain.synthetic)
     for name, ref in predicted.items():
-        np.testing.assert_array_equal(t.value(ref), problem.synthetic[name])
+        np.testing.assert_array_equal(t.value(ref), chain.synthetic[name])
     loss = compute_loss(t, predicted, problem.observations)
     assert t.value(loss)[0] == 0.0
     assert relative_mse(nu, nu) == 0.0
@@ -503,18 +504,13 @@ def test_warm_build_reproduces_cold_build(monkeypatch, experiment):
     solves = _count_newton_solves(monkeypatch)
     warm = build_problem(cfg)
     assert solves == []
-    assert warm.reference_nodal.tobytes() == cold.reference_nodal.tobytes()
-    assert set(warm.synthetic) == set(cold.synthetic)
-    for name, values in cold.synthetic.items():
-        assert warm.synthetic[name].tobytes() == values.tobytes()
+    assert warm.forward is cold.forward
     obs_cold, obs_warm = cold.observations, warm.observations
     np.testing.assert_array_equal(obs_warm.locations, obs_cold.locations)
     for comp in obs_cold.components:
         assert (obs_warm.values[comp].tobytes()
                 == obs_cold.values[comp].tobytes())
-    assert warm.presolve_newton_iters == cold.presolve_newton_iters
-    assert (cold.presolve_newton_iters is None) == (experiment
-                                                    != "conjugate_heat")
+    assert (cold.forward.frozen is None) == (experiment != "conjugate_heat")
     loss_cold, grad_cold = cold.objective(cold.theta0)
     loss_warm, grad_warm = warm.objective(warm.theta0)
     assert loss_warm.hex() == loss_cold.hex()
@@ -525,19 +521,23 @@ def test_warm_build_reproduces_cold_build(monkeypatch, experiment):
 def test_shared_reference_is_read_only_and_owned(experiment):
     problem = build_problem(ExperimentConfig(experiment, grid_n=6,
                                              n_points=12))
+    chain = problem.forward
+    assert list(experiments._REFERENCES.values()) == [chain]
     with pytest.raises(ValueError):
-        problem.synthetic["u"][0] = 1.0
+        chain.synthetic["u"][0] = 1.0
+    with pytest.raises(TypeError):
+        chain.synthetic["u"] = np.zeros(chain.grid.n_nodes)
     with pytest.raises(ValueError):
-        problem.grid.coords[0, 0] = 0.5
+        chain.grid.coords[0, 0] = 0.5
     with pytest.raises(ValueError):
-        problem.reference_nodal[0] = 0.0
-    problem.synthetic["u"] = np.zeros(problem.grid.n_nodes)
-    [ref] = experiments._REFERENCES.values()
-    assert np.any(ref.synthetic["u"] != 0.0)
-    arrays = [ref.reference_nodal, *ref.synthetic.values()]
-    if ref.chain.frozen is not None:
-        arrays += [ref.chain.frozen_nu, *ref.chain.frozen[0].values()]
-        assert isinstance(ref.chain.frozen[1], tuple)
+        chain.reference_nodal[0] = 0.0
+    assert np.any(chain.synthetic["u"] != 0.0)
+    assert isinstance(chain.trace, tuple) and len(chain.trace) >= 1
+    arrays = [chain.reference_nodal, *chain.synthetic.values()]
+    if chain.frozen is not None:
+        with pytest.raises(TypeError):
+            chain.frozen["u"] = np.zeros(chain.grid.n_nodes)
+        arrays += [chain.frozen_nu, *chain.frozen.values()]
     # owned copies, not views into a tape
     assert all(a.base is None and not a.flags.writeable for a in arrays)
 
@@ -599,7 +599,7 @@ def test_physics_change_solves_the_reference_again(monkeypatch, experiment,
     second = build_problem(dataclasses.replace(cfg, **{name: value}))
     assert solves == [1]
     assert len(experiments._REFERENCES) == 2
-    assert second.grid is not first.grid
+    assert second.forward.grid is not first.forward.grid
 
 
 def test_every_physics_field_is_checked():
@@ -625,10 +625,6 @@ def test_data_change_shares_the_reference(monkeypatch, experiment, name,
     second = build_problem(dataclasses.replace(cfg, **{name: value}))
     assert solves == [] and calls == []
     assert len(experiments._REFERENCES) == 1
-    for comp, values in first.synthetic.items():
-        assert second.synthetic[comp] is values
-    assert second.grid is first.grid
-    assert second.reference_nodal is first.reference_nodal
     assert second.forward is first.forward
     assert second.linear_solves is not first.linear_solves
 
@@ -815,7 +811,7 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
     calls = _count_splu(monkeypatch)
     t = Tape()
     coef = eval_field_on_grid(t, problem.model, t.variable(problem.theta0),
-                              problem.grid)
+                              problem.forward.grid)
     before = dataclasses.replace(counts)
     predicted, flow = problem.forward(t, coef, counts)
     stalls = counts.stalls - before.stalls
@@ -853,7 +849,7 @@ def test_transport_tape_does_not_grow_with_steps(monkeypatch):
         problem.objective(problem.theta0)
         lengths.append(len(tapes[-1].nodes))
     assert lengths[0] == lengths[1] == lengths[2]
-    synth = problem.synthetic
+    synth = problem.forward.synthetic
     np.testing.assert_array_equal(synth["w1"], synth["u"])
     np.testing.assert_array_equal(synth["w2"], synth["v"])
 

@@ -82,7 +82,7 @@ def test_cavity_21_converges_within_budget():
     nu = reference_viscosity(g.coords)
     t, state = solve_cavity(g, nu)
     assert state.newton_iterations_used <= 10
-    assert state.final_residual_norm < 1e-8
+    assert state.trace[-1][1] < 1e-8
     # quadratic contraction: every recorded residual beats the previous one
     norms = [r for _, r in state.trace]
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -195,7 +195,7 @@ def test_newton_jacobian_matches_residual_differences():
     nu = rng.uniform(1.0, 2.0, n)
     bc = default_cavity_bcs(g)
     setup = FlowSetup(g, bc, PhysicsConstants())
-    cidx = np.concatenate([bc.u.idx, bc.v.idx + n, [2 * n + bc.pressure_pin]])
+    cidx = np.concatenate([bc.u.idx, bc.v.idx + n, [2 * n]])
     x = rng.normal(size=3 * n)
     x[cidx] = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
     free = np.setdiff1d(np.arange(3 * n), cidx)
@@ -462,7 +462,7 @@ def frozen_flow(grid, nu_nodal, tape):
     src, state = solve_cavity(grid, nu_nodal)
     return NSState(tape.constant(src.value(state.u)),
                    tape.constant(src.value(state.v)),
-                   tape.constant(src.value(state.p)), 0, 0.0)
+                   tape.constant(src.value(state.p)), 0)
 
 
 def cavity_velocities(grid, nu_nodal):
@@ -619,12 +619,12 @@ def test_heat_solve_factorizes_once_and_releases_lu(monkeypatch):
 
 
 def test_transport_fixed_point():
+    # the flow velocity is the fixed point: from rest, enough steps reach it
     g = StructuredGrid(7)
     t = Tape()
     ns = frozen_flow(g, np.ones(g.n_nodes), t)
     u, v = t.value(ns.u), t.value(ns.v)
-    pt = transport_integrate(t, ns, PhysicsConstants(), w_init=(u, v),
-                             dt=0.1, n_steps=5)
+    pt = transport_integrate(t, ns, PhysicsConstants(), dt=0.1, n_steps=1000)
     assert np.max(np.abs(t.value(pt.w1) - u)) < 1e-14
     assert np.max(np.abs(t.value(pt.w2) - v)) < 1e-14
 
@@ -636,7 +636,7 @@ def test_transport_closed_form_relaxation():
     t = Tape()
     ns = NSState(t.constant(np.full(g.n_nodes, c)),
                  t.constant(np.zeros(g.n_nodes)),
-                 t.constant(np.zeros(g.n_nodes)), 0, 0.0)
+                 t.constant(np.zeros(g.n_nodes)), 0)
     pt = transport_integrate(t, ns, PhysicsConstants(kappa1=kappa), dt=dt,
                              n_steps=m)
     expect = c * (1.0 - (1.0 + dt * kappa) ** -m)
@@ -644,27 +644,12 @@ def test_transport_closed_form_relaxation():
     assert pt.n_steps == m
 
 
-def test_transport_source_only():
-    # zero carrier: w_m approaches q / kappa
-    g = StructuredGrid(4)
-    t = Tape()
-    zero = t.constant(np.zeros(g.n_nodes))
-    ns = NSState(zero, zero, zero, 0, 0.0)
-    pt = transport_integrate(t, ns, PhysicsConstants(kappa1=2.0, q1=1.0),
-                             dt=0.5, n_steps=400)
-    assert np.max(np.abs(t.value(pt.w1) - 0.5)) < 1e-10
-
-
-def _implicit_euler(w0, vel, kappa, q, dt, n_steps):
-    """The implicit-Euler recursion itself, step by step.
-
-    It advances the change d = w - w0, which is the same recursion, so that
-    a dt * kappa far below the spacing of w0 does not round away.
-    """
-    d = np.zeros_like(w0)
+def _implicit_euler(vel, kappa, dt, n_steps):
+    """The implicit-Euler recursion itself, step by step from rest."""
+    w = np.zeros_like(vel)
     for _ in range(n_steps):
-        d = (d + dt * (kappa * (vel - w0) + q)) / (1.0 + dt * kappa)
-    return w0 + d
+        w = (w + dt * kappa * vel) / (1.0 + dt * kappa)
+    return w
 
 
 @pytest.mark.parametrize("dt, n_steps", [(0.1, 1), (0.1, 50), (0.7, 13),
@@ -674,16 +659,11 @@ def test_transport_closed_form_matches_recursion(dt, n_steps):
     t = Tape()
     ns = frozen_flow(g, np.ones(g.n_nodes), t)
     u, v = t.value(ns.u), t.value(ns.v)
-    rng = np.random.default_rng(4)
-    # every other start value zero: there a tiny dt * kappa must still move w
-    w_init = [rng.normal(size=g.n_nodes) * (np.arange(g.n_nodes) % 2)
-              for _ in range(2)]
-    constants = PhysicsConstants(kappa1=1.0, kappa2=2.5, q1=0.3, q2=-0.7)
-    pt = transport_integrate(t, ns, constants, w_init=w_init, dt=dt,
-                             n_steps=n_steps)
-    for ref, w0, vel, kappa, q in ((pt.w1, w_init[0], u, 1.0, 0.3),
-                                   (pt.w2, w_init[1], v, 2.5, -0.7)):
-        expect = _implicit_euler(w0, vel, kappa, q, dt, n_steps)
+    # a tiny dt * kappa must still move w off rest
+    constants = PhysicsConstants(kappa1=1.0, kappa2=2.5)
+    pt = transport_integrate(t, ns, constants, dt=dt, n_steps=n_steps)
+    for ref, vel, kappa in ((pt.w1, u, 1.0), (pt.w2, v, 2.5)):
+        expect = _implicit_euler(vel, kappa, dt, n_steps)
         np.testing.assert_allclose(t.value(ref), expect, rtol=1e-13, atol=0)
 
 
