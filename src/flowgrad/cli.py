@@ -30,7 +30,7 @@ from . import tape as tape_module
 from .config import load_config
 from .errors import ConfigError, ContractError, FlowgradError
 from .experiments import SPECS, build_problem, forward_chain, run_experiment
-from .grid import StructuredGrid, write_field_csv
+from .grid import write_field_csv
 from .tape import finite_difference_check
 
 __all__ = ["main"]
@@ -81,7 +81,7 @@ def _parser():
 
 def _write_report_files(out_dir, cfg, rep):
     os.makedirs(out_dir, exist_ok=True)
-    grid = StructuredGrid(cfg.grid_n)
+    grid = forward_chain(cfg).grid
     name = SPECS[rep.experiment].coef_name
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(rep.to_json())

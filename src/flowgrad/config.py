@@ -197,7 +197,8 @@ def load_config(path):
             cfg.resolved()
             cfg.physics()
             cfg.newton()
-            StructuredGrid(cfg.grid_n)
+            if not configs:  # every noise level shares grid_n
+                StructuredGrid(cfg.grid_n)
         except (TypeError, ValueError, ContractError, MemoryError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from None
         configs.append(cfg)

@@ -17,8 +17,6 @@ Shapes: ``coefq``/``uq``/``vq``/``gq`` are per-element quadrature values
 shape tables ``n``/``dndx``/``dndy`` are (4 points, 4 nodes).
 """
 
-import numpy as np
-
 __all__ = [
     "diffusion_fwd", "diffusion_bwd",
     "advection_fwd", "advection_bwd",

@@ -6,6 +6,15 @@ sitting on their bound with an outward-pointing gradient are frozen for the
 step, trial steps are capped where a free variable would cross its bound, and
 convergence is judged on the projected gradient.
 
+The objective is a sum of squares, so its loss f is never negative: a
+negative loss is a ContractError, and a loss of exactly 0 ends the run as
+converged.  Every line search starts at ``min(1, alpha_max, -2 f / phi'(0))``,
+``alpha_max`` being the bound cap.  Along a descent direction d the
+Gauss-Newton model q(alpha) = f + alpha phi'(0) + alpha^2 |J_r d|^2 of a
+sum of squares stays nonnegative, so its minimizer lies at or below
+-2 f / phi'(0) (Nocedal & Wright, *Numerical Optimization*, section 3.5 and
+ch. 10); a longer first trial overshoots the model.
+
 The step length comes from a strong Wolfe line search that interpolates
 instead of doubling and bisecting: every trial returns its loss and its slope
 along the direction, and the next trial is the minimizer of the cubic through
@@ -134,8 +143,23 @@ def _spot_check_gradient(problem, x, f, g, rng):
                 f"reverse-mode {g[i]:.6e} vs central difference {g_fd:.6e}")
 
 
+def _stop_reason(f, pg_norm, config):
+    """Why the iterate at loss ``f`` is optimal, or None."""
+    if f == 0.0:
+        return "zero loss"
+    if pg_norm < config.tol_projected_grad:
+        return "projected gradient below tolerance"
+    return None
+
+
 def lbfgs_optimize(problem, theta0, config=None, callback=None):
     """Minimize ``problem(theta) -> (loss, gradient)`` from ``theta0``.
+
+    The loss must be a sum of squares: a negative loss raises ContractError,
+    and a loss of 0 stops the run as converged ("zero loss").  Each line
+    search starts at ``min(1, alpha_max, -2 loss / phi'(0))``, the
+    Gauss-Newton bound on the minimizer along the direction (see the module
+    docstring), capped by the unit step and by the lower bounds.
 
     ``callback(step, theta, loss, grad)`` runs after every accepted step.
     The returned loss history holds the loss after each accepted step and is
@@ -152,6 +176,9 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         evals[0] += 1
         f, g = problem(theta)
         f = float(f)
+        if f < 0.0:
+            raise ContractError(f"objective returned loss {f!r}; a sum of "
+                                f"squares is never negative")
         g = np.asarray(g, dtype=np.float64)
         if g.shape != theta.shape:
             raise ContractError(
@@ -175,10 +202,11 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         return xc - np.maximum(xc - gc, lb)
 
     pg_norm = float(np.max(np.abs(projected_grad(x, g)))) if x.size else 0.0
-    if pg_norm < config.tol_projected_grad:
-        return OptimizeResult(x, f, history, initial_loss, 0, True,
-                              "projected gradient below tolerance", pg_norm,
-                              evals[0], evals_per_step, rejected_trials)
+    reason = _stop_reason(f, pg_norm, config)
+    if reason is not None:
+        return OptimizeResult(x, f, history, initial_loss, 0, True, reason,
+                              pg_norm, evals[0], evals_per_step,
+                              rejected_trials)
 
     stop_reason = "step limit reached"
     converged = False
@@ -209,11 +237,8 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         else:
             alpha_max = np.inf
 
-        if pairs:
-            alpha0 = min(1.0, alpha_max)
-        else:
-            alpha0 = min(1.0, 1.0 / max(1e-12, float(np.max(np.abs(d)))),
-                         alpha_max)
+        # the Gauss-Newton bound of a sum of squares (module docstring)
+        alpha0 = min(1.0, alpha_max, -2.0 * f / dphi0)
 
         evals_before = evals[0]
         alpha, f_new, g_new = _wolfe_search(
@@ -241,8 +266,9 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             callback(step, x, f, g)
 
         pg_norm = float(np.max(np.abs(projected_grad(x, g))))
-        if pg_norm < config.tol_projected_grad:
-            stop_reason = "projected gradient below tolerance"
+        reason = _stop_reason(f, pg_norm, config)
+        if reason is not None:
+            stop_reason = reason
             converged = True
             break
         if rel_change < config.tol_rel_loss:

@@ -171,6 +171,26 @@ def test_grid_beyond_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_warm_runs_build_only_the_validation_grid(tmp_path, monkeypatch):
+    # the reports write their CSVs on the shared chain's grid, and
+    # load_config builds one grid per file to check its size, not one per
+    # noise level
+    cfg = _config(tmp_path,
+                  SMALL + "\n[observations]\nnoise_epsilon = 0.0, 0.05\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "cold")]) == 0
+    built = []
+    init = StructuredGrid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructuredGrid, "__init__", counting_init)
+    for name in ("warm_a", "warm_b"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert built == [(6,), (6,)]
+
+
 def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 

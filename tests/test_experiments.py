@@ -331,6 +331,16 @@ def test_small_cavity_run_decreases_loss():
     assert len(rep.newton_iters) == rep.n_steps
 
 
+def test_transport_steps_take_one_evaluation_each():
+    # the first trial, at the bound 2 f / |phi'(0)|, is accepted on every
+    # step
+    cfg = ExperimentConfig(experiment="passive_transport", grid_n=11,
+                           max_steps=5)
+    rep = run_experiment(cfg)
+    assert rep.line_search["evals_per_step"] == [1] * 5
+    assert rep.n_evals == 6 and rep.rejections == 0
+
+
 def test_pointwise_interpolation_capacity_small_grid():
     # full observations, zero noise: one value per node can drive the
     # mismatch to numerical zero

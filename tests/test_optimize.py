@@ -81,9 +81,59 @@ def test_start_at_optimum_returns_zero_steps():
     assert res.loss_history == []
 
 
+@pytest.mark.parametrize("scale, x0, center",
+                         [(3.0, 2.0, 0.5), (0.8, -40.0, 7.0)])
+def test_first_trial_is_the_zero_residual_minimizer(scale, x0, center):
+    # residual r = scale (x - center): the bound 2 f / |phi'(0)| along the
+    # steepest descent direction is the exact minimizer 1 / (2 scale^2),
+    # below the unit step for these scales, so the first trial is accepted
+    # and lands on the center
+    def f(x):
+        r = scale * (x[0] - center)
+        return r * r, np.array([2.0 * scale * r])
+
+    res = lbfgs_optimize(f, np.array([x0]))
+    assert res.converged
+    assert res.evals_per_step == [1]
+    assert res.theta[0] == pytest.approx(center, abs=1e-12)
+    assert res.rejections == 0
+
+
+def test_zero_loss_after_a_step_stops_converged():
+    # scale 1 of the landscape above: the first trial lands on 0 exactly
+    res = lbfgs_optimize(quadratic(np.array([1.0])), np.array([3.0]))
+    assert (res.n_steps, res.n_evals, res.evals_per_step) == (1, 2, [1])
+    assert res.loss == 0.0 and res.theta[0] == 1.0
+    assert res.converged and res.stop_reason == "zero loss"
+
+
+def test_zero_loss_start_stops_converged():
+    # a sum of squares at 0 cannot go lower, whatever its gradient says
+    def f(x):
+        return 0.0, np.ones_like(x)
+
+    res = lbfgs_optimize(f, np.zeros(3))
+    assert res.converged and res.stop_reason == "zero loss"
+    assert (res.n_steps, res.n_evals) == (0, 1)
+
+
+@pytest.mark.parametrize("x0", [0.0, 3.0])
+def test_negative_loss_raises_contract_error(x0):
+    # (x - 1)^2 - 0.5 is negative at the start 0, and at the first trial
+    # 1.25 from the start 3
+    def f(x):
+        d = x[0] - 1.0
+        return d * d - 0.5, np.array([2.0 * d])
+
+    with pytest.raises(ContractError, match="never negative"):
+        lbfgs_optimize(f, np.array([x0]))
+
+
 def test_solver_failures_are_rejected_then_recovered():
     # the solver "diverges" below 0.05; the first trial from 1.0 lands there,
-    # gets rejected, and the halved step recovers toward the minimum at 0.1
+    # gets rejected, and the halved step recovers toward the minimum at 0.1.
+    # The offset 1 keeps the first trial at 1 (its bound 2 f / |phi'(0)| is
+    # 1.12): without it the bound would step to 0.1 exactly.
     calls = {"failed": 0}
 
     def f(x):
@@ -91,7 +141,7 @@ def test_solver_failures_are_rejected_then_recovered():
             calls["failed"] += 1
             raise NewtonDivergedError("diverged", last_residual=1.0, iterations=10)
         d = x[0] - 0.1
-        return float(d * d), np.array([2.0 * d])
+        return float(d * d) + 1.0, np.array([2.0 * d])
 
     res = lbfgs_optimize(f, np.array([1.0]))
     assert res.converged
@@ -115,7 +165,7 @@ def test_twenty_rejections_raise_line_search_error():
 @pytest.mark.parametrize("failure", ["raise", "nan"])
 def test_rejected_trials_and_evals_per_step_recorded(failure):
     # the landscape of test_solver_failures_are_rejected_then_recovered,
-    # failing either by a solver error or by a NaN
+    # offset included, failing either by a solver error or by a NaN
     failed = []
 
     def f(x):
@@ -125,7 +175,7 @@ def test_rejected_trials_and_evals_per_step_recorded(failure):
                 raise NewtonDivergedError("diverged")
             return np.nan, np.array([np.nan])
         d = x[0] - 0.1
-        return float(d * d), np.array([2.0 * d])
+        return float(d * d) + 1.0, np.array([2.0 * d])
 
     res = lbfgs_optimize(f, np.array([1.0]))
     assert len(res.evals_per_step) == res.n_steps
