@@ -667,8 +667,15 @@ def run_experiment(config, progress=None):
                               lower_bounds=bounds,
                               debug_fd_check=cfg.debug_fd_check,
                               fd_seed=cfg.obs_seed)
-    result = lbfgs_optimize(problem.objective, problem.theta0, opt_cfg,
-                            callback=on_step)
+    # the starting parameters, the bounds and the physics all come from the
+    # config, so an objective that fails at the start is the config's fault
+    try:
+        result = lbfgs_optimize(problem.objective, problem.theta0, opt_cfg,
+                                callback=on_step)
+    except ContractError as exc:
+        raise ContractError(
+            f"{cfg.experiment} cannot be fitted with "
+            f"{_changed_physics(cfg)}: {exc}") from exc
 
     # --- final estimate and error metrics
     problem.model.reset_diagnostics()

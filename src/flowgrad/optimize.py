@@ -8,23 +8,28 @@ convergence is judged on the projected gradient.
 
 The objective is a sum of squares, so its loss f is never negative: a
 negative loss is a ContractError, and a loss of exactly 0 ends the run as
-converged.  Every line search starts at ``min(1, alpha_max, -2 f / phi'(0))``,
-``alpha_max`` being the bound cap.  Along a descent direction d the
-Gauss-Newton model q(alpha) = f + alpha phi'(0) + alpha^2 |J_r d|^2 of a
-sum of squares stays nonnegative, so its minimizer lies at or below
--2 f / phi'(0) (Nocedal & Wright, *Numerical Optimization*, section 3.5 and
-ch. 10); a longer first trial overshoots the model.
+converged.  At a point alpha along a descent direction d, with loss f and
+slope phi'(alpha) < 0, the Gauss-Newton model
+q(t) = f + t phi'(alpha) + t^2 |J_r d|^2 of the loss at alpha + t stays
+nonnegative, so its minimizer lies at t <= -2 f / phi'(alpha) (Nocedal &
+Wright, *Numerical Optimization*, section 3.5 and ch. 10); a trial beyond
+alpha - 2 f / phi'(alpha) overshoots the model.  This bound caps every
+trial that lengthens the step: the first trial of every line search is
+``min(1, alpha_max, -2 f / phi'(0))``, ``alpha_max`` being the bound cap,
+and every extrapolated trial stays at or below the bound of the trial it
+extrapolates from.
 
 The step length comes from a strong Wolfe line search that interpolates
 instead of doubling and bisecting: every trial returns its loss and its slope
 along the direction, and the next trial is the minimizer of the cubic through
 two known points (Nocedal & Wright, *Numerical Optimization*, Alg. 3.5/3.6
 with the interpolation of section 3.5).  Safeguards keep the search
-convergent: an extrapolated step grows by a factor between 1.1 and 4, a zoom
-trial stays inside the middle 80% of its bracket, and the zoom bisects when
-the cubic has no minimizer or one end of the bracket is a rejected trial.
-A search that spends its evaluation budget while every trial still lowers
-the loss with a negative slope takes the last trial.
+convergent: an extrapolated step grows by a factor between 1.1 and 4 unless
+the Gauss-Newton bound, a lower bound or a rejected trial stops it sooner, a
+zoom trial stays inside the middle 80% of its bracket, and the zoom bisects
+when the cubic has no minimizer or one end of the bracket is a rejected
+trial.  A search that spends its evaluation budget while every trial still
+lowers the loss with a negative slope takes the last trial.
 
 A trial evaluation that raises a solver error (Newton nonconvergence,
 singular Jacobian, non-finite values) is treated as infinite loss: the trial
@@ -143,6 +148,13 @@ def _spot_check_gradient(problem, x, f, g, rng):
                 f"reverse-mode {g[i]:.6e} vs central difference {g_fd:.6e}")
 
 
+def _gauss_newton_bound(alpha, f, dphi):
+    """The longest step worth trying from the point ``alpha`` of a line,
+    where the loss is ``f`` and its slope ``dphi < 0``: the minimizer of the
+    Gauss-Newton model of a sum of squares there (module docstring)."""
+    return alpha - 2.0 * f / dphi
+
+
 def _stop_reason(f, pg_norm, config):
     """Why the iterate at loss ``f`` is optimal, or None."""
     if f == 0.0:
@@ -159,7 +171,9 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     and a loss of 0 stops the run as converged ("zero loss").  Each line
     search starts at ``min(1, alpha_max, -2 loss / phi'(0))``, the
     Gauss-Newton bound on the minimizer along the direction (see the module
-    docstring), capped by the unit step and by the lower bounds.
+    docstring), capped by the unit step and by the lower bounds.  The
+    starting point comes from the caller, so an objective that fails or is
+    non-finite there raises ContractError.
 
     ``callback(step, theta, loss, grad)`` runs after every accepted step.
     The returned loss history holds the loss after each accepted step and is
@@ -186,9 +200,13 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         return f, g
 
     fd_rng = np.random.default_rng(config.fd_seed)
-    f, g = evaluate(x)
+    try:
+        f, g = evaluate(x)
+    except NumericError as exc:
+        raise ContractError(
+            f"objective fails at the starting point: {exc}") from exc
     if not np.isfinite(f):
-        raise NumericError("objective is non-finite at the starting point")
+        raise ContractError(f"objective is {f} at the starting point")
     if config.debug_fd_check:
         _spot_check_gradient(problem, x, f, g, fd_rng)
 
@@ -237,8 +255,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         else:
             alpha_max = np.inf
 
-        # the Gauss-Newton bound of a sum of squares (module docstring)
-        alpha0 = min(1.0, alpha_max, -2.0 * f / dphi0)
+        alpha0 = min(1.0, alpha_max, _gauss_newton_bound(0.0, f, dphi0))
 
         evals_before = evals[0]
         alpha, f_new, g_new = _wolfe_search(
@@ -308,16 +325,20 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     """Strong Wolfe search with cubic interpolation and the rejection
     protocol folded in.
 
-    Every trial keeps its loss f and slope phi' = g.d.  While a trial passes
-    the sufficient-decrease test but is still too short (phi' < 0), the next
-    trial is the minimizer of the cubic through the previous and current
-    (f, phi'), clamped to [1.1, 4] times the current step and kept below
-    ``min(alpha_max, 0.999 * ceil)``, ``ceil`` being the shortest rejected
-    step; a cubic without a minimizer extrapolates by the full factor 4.  Once a bracket holds an acceptable step, the zoom
-    trial is the cubic minimizer through both ends, clamped into the middle
-    80% of the bracket so the interval shrinks by at least a tenth each time.
-    It bisects when that minimizer is undefined or when the far end is a
-    rejected trial, which has no f or g.
+    Every trial keeps its loss f and slope phi' = g.d.  While a trial alpha
+    passes the sufficient-decrease test but is still too short (phi' < 0),
+    the next trial is the minimizer of the cubic through the previous and
+    current (f, phi'), clamped to [1.1, 4] times the current step; a cubic
+    without a minimizer extrapolates by the full factor 4.  The trial is
+    then kept at or below the cap ``min(alpha_max, 0.999 * ceil,
+    alpha - 2 f / phi')``, ``ceil`` being the shortest rejected step and
+    the last term the Gauss-Newton bound from alpha (module docstring); a
+    trial already at its cap is accepted on sufficient decrease alone.  Once
+    a bracket holds an acceptable step, the zoom trial is the cubic
+    minimizer through both ends, clamped into the middle 80% of the bracket
+    so the interval shrinks by at least a tenth each time.  It bisects when
+    that minimizer is undefined or when the far end is a rejected trial,
+    which has no f or g.
 
     Each rejected trial is appended to ``rejected`` as ``(step, alpha,
     reason)``.  Returns ``(alpha, f, g)``.  When the evaluation budget runs
@@ -414,10 +435,11 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
             return alpha, f_a, g_a
         if dphi_a >= 0.0:
             return zoom(point, prev)
-        cap = min(alpha_max, 0.999 * ceil[0])
+        cap = min(alpha_max, 0.999 * ceil[0],
+                  _gauss_newton_bound(alpha, f_a, dphi_a))
         if alpha >= cap:
-            # pressed against a bound or a failure barrier: sufficient
-            # decrease is all we can ask
+            # pressed against a bound, a failure barrier or a zero loss:
+            # sufficient decrease is all we can ask
             return alpha, f_a, g_a
         trial = _cubic_min(prev[0], prev[1], prev[3], alpha, f_a, dphi_a)
         if trial is None:

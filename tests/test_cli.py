@@ -406,6 +406,19 @@ def test_zero_reference_field_run_exits_2_before_fitting(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_failing_starting_evaluation_run_exits_2(tmp_path, capsys):
+    # the reference solves, but the objective at the starting parameters
+    # fails its LU solve: the config is at fault, not the fit
+    out = tmp_path / "never"
+    cfg = _config(tmp_path, _small("passive_transport")
+                  + "\n[physics]\nlid_speed = 1e6\n")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " lid_speed = " in err
+    assert "starting point" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "gradcheck"])
 @pytest.mark.parametrize("experiment", ["cavity_viscosity",
                                         "passive_transport"])

@@ -341,6 +341,18 @@ def test_transport_steps_take_one_evaluation_each():
     assert rep.n_evals == 6 and rep.rejections == 0
 
 
+def test_transport_extrapolation_stays_short_of_the_failing_flow():
+    # on observation seed 4 an uncapped extrapolation at step 15 reached
+    # alpha = 11.1, where the flow solve fails (31 evaluations); capped at
+    # the Gauss-Newton bound the step takes trials 1, 4, 5.83 and 5.19
+    cfg = ExperimentConfig(experiment="passive_transport", max_steps=20,
+                           obs_seed=4)
+    rep = run_experiment(cfg)
+    assert rep.line_search["rejected_trials"] == []
+    assert rep.line_search["evals_per_step"][14] == 4
+    assert rep.n_evals < 31
+
+
 def test_pointwise_interpolation_capacity_small_grid():
     # full observations, zero noise: one value per node can drive the
     # mismatch to numerical zero

@@ -240,24 +240,101 @@ def test_search_extrapolates_from_short_trial():
     assert alpha == 0.25
 
 
-def test_search_keeps_descent_when_bracketing_budget_runs_out():
-    # phi(alpha) = -alpha - alpha^2: every trial passes sufficient decrease
-    # and lowers the loss, and the slope only grows more negative, so no
-    # bracket ever forms; the last trial is returned instead of an error
+def test_search_keeps_descent_when_bracketing_budget_runs_out(monkeypatch):
+    # phi(alpha) = (1 - 1e-10 (alpha + alpha^2))^2: every trial passes
+    # sufficient decrease and lowers the loss, and the slope only grows more
+    # negative, so no bracket forms within 5 evaluations (trials 1, 4, 16,
+    # 64, 256; the Gauss-Newton bound lies near 1e10 / (1 + 2 alpha)); the
+    # last trial is returned instead of an error
+    monkeypatch.setattr(optimize, "_MAX_SEARCH_EVALS", 5)
     calls = []
+
+    def residual(a):
+        return 1.0 - 1e-10 * (a + a * a)
+
+    def slope(a):
+        return -2e-10 * residual(a) * (1.0 + 2.0 * a)
 
     def evaluate(theta):
         calls.append(float(theta[0]))
-        return -float(theta[0] + theta[0] ** 2), -(1.0 + 2.0 * theta)
+        return residual(theta[0]) ** 2, np.array([slope(theta[0])])
 
-    g0 = np.array([-1.0])
-    alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 0.0, g0,
-                                -1.0, 1.0, np.inf, np.full(1, -np.inf),
+    g0 = np.array([slope(0.0)])
+    alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0, g0,
+                                slope(0.0), 1.0, np.inf, np.full(1, -np.inf),
                                 OptimizerConfig(), 1, [])
     assert len(calls) == optimize._MAX_SEARCH_EVALS
     assert alpha == calls[-1] == max(calls)
-    assert f == -(alpha + alpha ** 2) and g[0] == -(1.0 + 2.0 * alpha)
+    assert f == residual(alpha) ** 2 and g[0] == slope(alpha)
     assert all(b > a for a, b in zip(calls, calls[1:]))
+
+
+def _steepening_squares(barrier=np.inf):
+    """phi(alpha) = r^2 with r = 10 - alpha - alpha^2, evaluated along d = 1
+    from x = 0: the slope steepens from -20 at 0 to -48 at the first trial
+    alpha = 1, and r has its root at 2.70.  Trials beyond ``barrier`` raise
+    NumericError.  Returns the search's ``(alpha, f, g)``, every evaluated
+    ``(alpha, f, phi')`` (f and phi' None for a failed trial) and the
+    rejected trials."""
+    calls, rejected = [], []
+
+    def evaluate(theta):
+        a = float(theta[0])
+        if a > barrier:
+            calls.append((a, None, None))
+            raise NumericError("beyond the barrier")
+        r = 10.0 - a - a * a
+        dphi = -2.0 * r * (1.0 + 2.0 * a)
+        calls.append((a, r * r, dphi))
+        return r * r, np.array([dphi])
+
+    out = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 100.0,
+                        np.array([-20.0]), -20.0, 1.0, np.inf,
+                        np.full(1, -np.inf), OptimizerConfig(), 1, rejected)
+    return out, calls, rejected
+
+
+def test_extrapolated_trials_stay_within_the_gauss_newton_bound():
+    # from alpha = 1 the cubic extrapolates to 3.77, past the bound
+    # 1 + 2 * 64 / 48 = 3.67 where the Gauss-Newton model has its minimizer
+    (alpha, f, _), calls, _ = _steepening_squares()
+    assert calls[1][0] == 1.0 + 2.0 * 64.0 / 48.0
+    for (a, f_a, dphi_a), (b, _, _) in zip(calls, calls[1:]):
+        if b > a:  # an extrapolated trial
+            assert b <= a - 2.0 * f_a / dphi_a
+    assert alpha == pytest.approx(2.7, abs=0.03)
+    assert f < 0.1
+
+
+def test_gauss_newton_bound_keeps_extrapolation_off_a_failure_barrier():
+    # trials beyond 3.7 fail; the uncapped extrapolation to 3.77 landed
+    # there, the capped trial stops at 3.67
+    (alpha, _, _), calls, rejected = _steepening_squares(barrier=3.7)
+    assert rejected == []
+    assert all(f_a is not None for _, f_a, _ in calls)
+    assert max(a for a, _, _ in calls) < 3.7
+    assert alpha == pytest.approx(2.7, abs=0.03)
+
+
+def test_search_ends_within_budget_when_the_bound_binds_on_every_trial():
+    # the slope stays at -2 while the loss falls to exp(-10) by alpha = 1:
+    # every extrapolated trial is the Gauss-Newton bound, a step of about
+    # 1e-4, so no bracket forms and the budget runs out
+    calls = []
+
+    def evaluate(theta):
+        a = float(theta[0])
+        f = float(np.exp(-10.0 * a))
+        calls.append((a, f))
+        return f, np.array([-2.0])
+
+    alpha, f, _ = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
+                                np.array([-2.0]), -2.0, 1.0, np.inf,
+                                np.full(1, -np.inf), OptimizerConfig(), 1, [])
+    assert len(calls) == optimize._MAX_SEARCH_EVALS
+    for (a, f_a), (b, _) in zip(calls, calls[1:]):
+        assert b == a + f_a
+    assert (alpha, f) == calls[-1]
 
 
 def test_accepted_steps_satisfy_strong_wolfe():
@@ -279,7 +356,20 @@ def test_non_finite_start_rejected():
     def f(x):
         return np.nan, np.zeros(1)
 
-    with pytest.raises(NumericError):
+    with pytest.raises(ContractError):
+        lbfgs_optimize(f, np.zeros(1))
+
+
+@pytest.mark.parametrize("failure", ["raise", "inf"])
+def test_failing_start_raises_contract_error(failure):
+    # the starting point is the caller's, so a failure there is the
+    # caller's input at fault, not a numerical failure of the fit
+    def f(x):
+        if failure == "raise":
+            raise NewtonDivergedError("diverged")
+        return np.inf, np.zeros(1)
+
+    with pytest.raises(ContractError, match="starting point"):
         lbfgs_optimize(f, np.zeros(1))
 
 
