@@ -46,8 +46,6 @@ _SCHEMA = {
     },
     "grid": {
         "n": ("grid_n", int),
-        "nx": ("grid_n", int),
-        "ny": ("grid_n", int),
     },
     "model": {
         "variant": ("variant", str),
@@ -59,7 +57,6 @@ _SCHEMA = {
     "optimizer": {
         "max_steps": ("max_steps", int),
         "memory": ("memory", int),
-        "pointwise_lower_bound": ("pointwise_lower_bound", float),
         "debug_fd_check": ("debug_fd_check", "bool"),
     },
     "observations": {
@@ -148,7 +145,6 @@ def load_config(path):
     kwargs = {}
     epsilons = None
     out_dir = None
-    grid_sizes = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             known = ", ".join(sorted(_SCHEMA))
@@ -164,21 +160,8 @@ def load_config(path):
                 out_dir = value
             elif key == "noise_epsilon":
                 epsilons = value
-            elif section == "grid":
-                grid_sizes[key] = value
             else:
                 kwargs[field] = value
-
-    if grid_sizes:
-        if "nx" in grid_sizes or "ny" in grid_sizes:
-            nx = grid_sizes.get("nx", grid_sizes.get("n"))
-            ny = grid_sizes.get("ny", grid_sizes.get("n"))
-            if nx is None or ny is None or nx != ny:
-                raise ConfigError(
-                    f"experiments run on square grids; got nx={nx}, ny={ny}")
-            kwargs["grid_n"] = nx
-        else:
-            kwargs["grid_n"] = grid_sizes["n"]
 
     if epsilons is not None:
         for eps in epsilons:

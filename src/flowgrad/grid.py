@@ -14,7 +14,6 @@ of one physics can share them through one forward chain (see
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ContractError
 
@@ -26,7 +25,6 @@ __all__ = [
     "uniform_boundary_bc",
     "write_field_csv",
     "read_field_csv",
-    "interpolation_matrix",
 ]
 
 _GP = 1.0 / np.sqrt(3.0)
@@ -196,43 +194,3 @@ def read_field_csv(path):
         rows = [line.strip().split(",") for line in fh if line.strip()]
     data = np.array(rows, dtype=np.float64)
     return data[:, :2], data[:, 2]
-
-
-def interpolation_matrix(grid, points):
-    """Sorted scipy CSR (n_points, n_nodes) matrix of bilinear interpolation
-    weights.
-
-    Evaluating ``P @ field`` samples a nodal field at arbitrary in-domain
-    points; applied on the tape via ``spmv_fixed`` the adjoint is ``P^T``.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ContractError("points must have shape (n_points, 2)")
-    if not np.all(np.isfinite(points)):
-        raise ContractError("interpolation points must be finite")
-    if np.any(points < -1e-12) or np.any(points > 1 + 1e-12):
-        raise ContractError("interpolation point outside the unit square")
-
-    x, y = points[:, 0], points[:, 1]
-    ex = np.minimum((np.clip(x, 0, 1) / grid.hx).astype(np.intp), grid.nx - 2)
-    ey = np.minimum((np.clip(y, 0, 1) / grid.hy).astype(np.intp), grid.ny - 2)
-    xi = 2.0 * (x - ex * grid.hx) / grid.hx - 1.0
-    eta = 2.0 * (y - ey * grid.hy) / grid.hy - 1.0
-    rows = np.repeat(np.arange(points.shape[0]), 4)
-    cols = grid.elems[ey * (grid.nx - 1) + ex].ravel()
-    vals = _shape_values(xi, eta).T.ravel()
-    sp = scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                 shape=(points.shape[0], grid.n_nodes))
-    sp.sort_indices()
-    return sp
-
-
-def interpolate_at_points(tape, grid, field_ref, points):
-    """Sample a nodal field at arbitrary points, differentiably.
-
-    Records a fixed-matrix product with the bilinear weight matrix, so the
-    backward pass scatters point gradients to the surrounding nodes.
-    """
-    from .sparse import spmv_fixed
-
-    return spmv_fixed(tape, interpolation_matrix(grid, points), field_ref)

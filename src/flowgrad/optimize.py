@@ -1,10 +1,11 @@
-"""Limited-memory BFGS with a strong Wolfe line search and lower bounds.
+"""Limited-memory BFGS with a strong Wolfe line search and a lower bound.
 
 The direction comes from the standard two-loop recursion over the last ``m``
-curvature pairs.  Lower bounds are handled by gradient projection: variables
-sitting on their bound with an outward-pointing gradient are frozen for the
-step, trial steps are capped where a free variable would cross its bound, and
-convergence is judged on the projected gradient.
+curvature pairs.  One lower bound, the same for every parameter, is handled
+by gradient projection: variables sitting on the bound with an
+outward-pointing gradient are frozen for the step, trial steps are capped
+where a free variable would cross it, and convergence is judged on the
+projected gradient.
 
 The objective is a sum of squares, so its loss f is never negative: a
 negative loss is a ContractError, and a loss of exactly 0 ends the run as
@@ -28,8 +29,11 @@ convergent: an extrapolated step grows by a factor between 1.1 and 4 unless
 the Gauss-Newton bound, a lower bound or a rejected trial stops it sooner, a
 zoom trial stays inside the middle 80% of its bracket, and the zoom bisects
 when the cubic has no minimizer or one end of the bracket is a rejected
-trial.  A search that spends its evaluation budget while every trial still
-lowers the loss with a negative slope takes the last trial.
+trial.  Bracketing and zoom share one budget of 40 evaluations per line
+search, and each keeps its sufficient-decrease fallback when the budget
+runs out: bracketing takes its last trial, which still lowers the loss with
+a negative slope, and the zoom takes the low end of its bracket when that
+is a trial below the starting loss.
 
 A trial evaluation that raises a solver error (Newton nonconvergence,
 singular Jacobian, non-finite values) is treated as infinite loss: the trial
@@ -48,27 +52,34 @@ __all__ = ["OptimizerConfig", "OptimizeResult", "lbfgs_optimize"]
 
 _MAX_REJECTIONS = 20
 _MAX_SEARCH_EVALS = 40
+# sufficient-decrease and curvature constants of the strong Wolfe conditions
+_C1 = 1e-4
+_C2 = 0.9
+# stopping tests: max-norm of the projected gradient, and the loss change of
+# a step relative to max(1, |f|)
+_TOL_PROJECTED_GRAD = 1e-10
+_TOL_REL_LOSS = 1e-12
 _CURVATURE_FLOOR = 1e-10
 _ACTIVE_EPS = 1e-10
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``lower_bound`` bounds every parameter from below; ``-inf`` leaves
+    them free."""
+
     max_steps: int = 100
     memory: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
-    lower_bounds: object = None
-    tol_projected_grad: float = 1e-10
-    tol_rel_loss: float = 1e-12
+    lower_bound: float = -math.inf
     debug_fd_check: bool = False
     fd_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ContractError("line search needs 0 < c1 < c2 < 1")
         if self.max_steps < 1 or self.memory < 1:
             raise ContractError("max_steps and memory must be at least 1")
+        if not self.lower_bound < math.inf:  # also rejects NaN
+            raise ContractError(
+                f"lower bound must be below inf, got {self.lower_bound}")
 
 
 @dataclass
@@ -97,17 +108,6 @@ class OptimizeResult:
     @property
     def rejections(self):
         return len(self.rejected_trials)
-
-
-def _bounds_array(lower_bounds, n):
-    if lower_bounds is None:
-        return np.full(n, -np.inf)
-    arr = np.asarray(lower_bounds, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ContractError(f"lower bound length {arr.shape} != parameters {n}")
-    return arr
 
 
 def _two_loop(g, pairs, free):
@@ -155,11 +155,11 @@ def _gauss_newton_bound(alpha, f, dphi):
     return alpha - 2.0 * f / dphi
 
 
-def _stop_reason(f, pg_norm, config):
+def _stop_reason(f, pg_norm):
     """Why the iterate at loss ``f`` is optimal, or None."""
     if f == 0.0:
         return "zero loss"
-    if pg_norm < config.tol_projected_grad:
+    if pg_norm < _TOL_PROJECTED_GRAD:
         return "projected gradient below tolerance"
     return None
 
@@ -181,7 +181,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     """
     config = config or OptimizerConfig()
     x = np.asarray(theta0, dtype=np.float64).copy()
-    lb = _bounds_array(config.lower_bounds, x.size)
+    lb = config.lower_bound
     x = np.maximum(x, lb)
 
     evals = [0]
@@ -220,7 +220,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         return xc - np.maximum(xc - gc, lb)
 
     pg_norm = float(np.max(np.abs(projected_grad(x, g)))) if x.size else 0.0
-    reason = _stop_reason(f, pg_norm, config)
+    reason = _stop_reason(f, pg_norm)
     if reason is not None:
         return OptimizeResult(x, f, history, initial_loss, 0, True, reason,
                               pg_norm, evals[0], evals_per_step,
@@ -246,11 +246,9 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             break
 
         # cap the step where a free variable would leave the feasible set
-        neg = d < 0.0
-        finite_lb = np.isfinite(lb)
-        limiting = neg & finite_lb
-        if np.any(limiting):
-            alpha_max = float(np.min((lb[limiting] - x[limiting]) / d[limiting]))
+        limiting = d < 0.0
+        if math.isfinite(lb) and np.any(limiting):
+            alpha_max = float(np.min((lb - x[limiting]) / d[limiting]))
             alpha_max = max(alpha_max, 1e-16)
         else:
             alpha_max = np.inf
@@ -259,7 +257,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
 
         evals_before = evals[0]
         alpha, f_new, g_new = _wolfe_search(
-            evaluate, x, d, f, g, dphi0, alpha0, alpha_max, lb, config, step,
+            evaluate, x, d, f, g, dphi0, alpha0, alpha_max, lb, step,
             rejected_trials)
         evals_per_step.append(evals[0] - evals_before)
         x_new = np.maximum(x + alpha * d, lb)
@@ -283,12 +281,12 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             callback(step, x, f, g)
 
         pg_norm = float(np.max(np.abs(projected_grad(x, g))))
-        reason = _stop_reason(f, pg_norm, config)
+        reason = _stop_reason(f, pg_norm)
         if reason is not None:
             stop_reason = reason
             converged = True
             break
-        if rel_change < config.tol_rel_loss:
+        if rel_change < _TOL_REL_LOSS:
             stop_reason = "relative loss change below tolerance"
             converged = True
             break
@@ -321,7 +319,7 @@ def _cubic_min(a, fa, da, b, fb, db):
 
 
 def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
-                  config, step, rejected):
+                  step, rejected):
     """Strong Wolfe search with cubic interpolation and the rejection
     protocol folded in.
 
@@ -340,15 +338,16 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     that minimizer is undefined or when the far end is a rejected trial,
     which has no f or g.
 
-    Each rejected trial is appended to ``rejected`` as ``(step, alpha,
-    reason)``.  Returns ``(alpha, f, g)``.  When the evaluation budget runs
-    out while every trial still decreases the loss with a negative slope,
-    it returns the last of them: each passed sufficient decrease and lies
-    below the one before.  Raises LineSearchError when no acceptable point
-    exists within the evaluation budget or after 20 rejected (failed or
-    non-finite) trials.
+    Bracketing and zoom run while one budget of ``_MAX_SEARCH_EVALS``
+    evaluations lasts, and each phase keeps its sufficient-decrease
+    fallback when it runs out.  Bracketing returns its last trial: while
+    no bracket forms, every trial passed sufficient decrease and lies below
+    the one before.  The zoom returns the low end of its bracket when that
+    is a trial (alpha > 0) below ``f0``.  Each rejected trial is appended
+    to ``rejected`` as ``(step, alpha, reason)``.  Returns ``(alpha, f,
+    g)``.  Raises LineSearchError when the budget runs out with no such
+    fallback, or after 20 rejected (failed or non-finite) trials.
     """
-    c1, c2 = config.c1, config.c2
     rejections = [0]
     budget = [_MAX_SEARCH_EVALS]
 
@@ -366,8 +365,6 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     def phi(alpha):
         """A point ``(alpha, f, g, phi')``, or None for a rejected trial
         (solver failure or non-finite loss)."""
-        if budget[0] <= 0:
-            fail("evaluation budget exhausted")
         budget[0] -= 1
         try:
             f_a, g_a = evaluate(np.maximum(x + alpha * d, lb))
@@ -385,7 +382,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         return alpha, f_a, g_a, float(g_a @ d)
 
     def armijo(alpha, f_a):
-        return f_a <= f0 + c1 * alpha * dphi0
+        return f_a <= f0 + _C1 * alpha * dphi0
 
     def zoom_trial(lo, hi):
         trial = None
@@ -399,7 +396,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
 
     def zoom(lo, hi):
         # invariant: lo satisfies the sufficient-decrease condition (or is 0)
-        for _ in range(_MAX_SEARCH_EVALS):
+        while budget[0] > 0:
             if abs(hi[0] - lo[0]) < 1e-14 * max(1.0, abs(lo[0])):
                 break
             alpha = zoom_trial(lo, hi)
@@ -411,7 +408,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
             if not armijo(alpha, f_a) or f_a >= lo[1]:
                 hi = point
             else:
-                if abs(dphi_a) <= -c2 * dphi0:
+                if abs(dphi_a) <= -_C2 * dphi0:
                     return alpha, f_a, g_a
                 if dphi_a * (hi[0] - lo[0]) >= 0.0:
                     hi = lo
@@ -423,7 +420,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     prev = (0.0, f0, g0, dphi0)
     alpha = alpha0
     first = True
-    for _ in range(_MAX_SEARCH_EVALS):
+    while budget[0] > 0:
         point = phi(alpha)
         if point is None:
             alpha = 0.5 * (prev[0] + alpha)  # halve toward the last good point
@@ -431,7 +428,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         _, f_a, g_a, dphi_a = point
         if not armijo(alpha, f_a) or (f_a >= prev[1] and not first):
             return zoom(prev, point)
-        if abs(dphi_a) <= -c2 * dphi0:
+        if abs(dphi_a) <= -_C2 * dphi0:
             return alpha, f_a, g_a
         if dphi_a >= 0.0:
             return zoom(point, prev)
@@ -448,7 +445,6 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         prev = point
         first = False
     if prev[0] > 0.0:
-        # still descending when the budget ran out; like zoom's fallback,
-        # keep the sufficient decrease found so far
+        # still descending when the budget ran out
         return prev[:3]
-    fail("bracketing budget exhausted")
+    fail("evaluation budget exhausted")

@@ -1,13 +1,11 @@
-"""Sparse patterns, orders, LU factorization, and a product with a constant
-matrix.
+"""Sparse patterns, orders and LU factorization.
 
 A matrix is a scipy sparse matrix, or a 1-d data array over a
 :class:`SparsePattern` (indptr and column indices only; ``entry_rows``
 expands the row of each entry when a setup or adjoint needs it) that the
 matrices of one grid share.  A :class:`SymmetricOrder` maps vectors between
 a system's natural order and the order it is assembled and factorized in.
-The one recorded op is ``spmv_fixed``, a product with a constant matrix.
-Linear solves are not recorded here: the solver records each system as one
+Nothing here is recorded on a tape: the solver records each system as one
 operator whose forward keeps its factorization and whose backward is one
 transpose solve with it (see :mod:`flowgrad.solver`).
 
@@ -58,14 +56,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ContractError, NumericError, SingularMatrixError
-from .tape import register_op
 
 __all__ = [
     "SparsePattern",
     "SymmetricOrder",
     "LinearSolveCounts",
     "LuFactors",
-    "spmv_fixed",
 ]
 
 # Above this size the dense pivot diagnostic is skipped and the pivot index
@@ -353,27 +349,3 @@ class LuFactors:
     def solve_transpose(self, b, matrix):
         """x with ``matrix``^T x = b; see :meth:`solve`."""
         return self._solve(b, matrix, True)
-
-
-# ---------------------------------------------------------------------------
-# the recorded product
-
-def _spmv_fixed_fwd(v, ctx):
-    x = v[0]
-    a = ctx["matrix"]
-    if x.shape != (a.shape[1],):
-        raise ContractError(f"spmv_fixed: vector length {x.shape} != n_cols {a.shape[1]}")
-    return a @ x
-
-
-def _spmv_fixed_bwd(g, ctx):
-    return (ctx["matrix"].T @ g,)
-
-
-register_op("spmv_fixed", _spmv_fixed_fwd, _spmv_fixed_bwd)
-
-
-def spmv_fixed(tape, matrix, x):
-    """Record ``y = A x`` for a constant scipy sparse matrix (gradient to
-    ``x`` only)."""
-    return tape.apply("spmv_fixed", (x,), {"matrix": matrix.tocsr()})

@@ -6,10 +6,12 @@ solver builds both on plain arrays, and its ``steady_flow`` and
 ``heat_solve`` operators write their backward rules out by hand.  The
 operators here let a test record F, or the heat system and its solve, op
 by op instead and take the gradients from the tape, as an oracle for the
-solver.  ``mlp`` is the network operator that keeps its activations, an
-oracle for the package's, which recomputes them.  Tests also use ``dot``
-for weighted-sum losses.  Every operator is registered under an
-``oracle.`` name, so the package's own registry checks leave them out.
+solver; ``spmv_fixed`` records the products with the constant divergence
+and pressure-gradient matrices of F.  ``mlp`` is the network operator that
+keeps its activations, an oracle for the package's, which recomputes them.
+Tests also use ``dot`` for weighted-sum losses.  Every operator is
+registered under an ``oracle.`` name, so the package's own registry checks
+leave them out.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from flowgrad import kernels, ops
 from flowgrad.assembly import constraint_plan
 from flowgrad.errors import ContractError, NumericError
 from flowgrad.ops import _bcast_shape, _reduce_to
-from flowgrad.sparse import LinearSolveCounts, LuFactors, spmv_fixed
+from flowgrad.sparse import LinearSolveCounts, LuFactors
 from flowgrad.tape import register_op
 
 
@@ -72,6 +74,19 @@ def _set_at_bwd(g, ctx):
     gx = g.copy()
     gx[idx] = 0.0
     return gx, g[idx].copy()
+
+
+def _spmv_fixed_fwd(v, ctx):
+    x = v[0]
+    a = ctx["matrix"]
+    if x.shape != (a.shape[1],):
+        raise ContractError(f"op 'oracle.spmv_fixed': vector length "
+                            f"{x.shape} != n_cols {a.shape[1]}")
+    return a @ x
+
+
+def _spmv_fixed_bwd(g, ctx):
+    return (ctx["matrix"].T @ g,)
 
 
 def _spmv_pattern_fwd(v, ctx):
@@ -188,6 +203,7 @@ register_op("oracle.div", _div_fwd, _div_bwd)
 register_op("oracle.dot", _dot_fwd, _dot_bwd)
 register_op("oracle.concat1d", _concat1d_fwd, _concat1d_bwd)
 register_op("oracle.set_at", _set_at_fwd, _set_at_bwd)
+register_op("oracle.spmv_fixed", _spmv_fixed_fwd, _spmv_fixed_bwd)
 register_op("oracle.spmv_pattern", _spmv_pattern_fwd, _spmv_pattern_bwd)
 register_op("oracle.diffusion_block", _diffusion_block_fwd,
             _diffusion_block_bwd)
@@ -216,6 +232,12 @@ def set_at(tape, a, idx, vals):
     if np.unique(idx).size != idx.size:
         raise ContractError("op 'oracle.set_at': duplicate indices")
     return tape.apply("oracle.set_at", (a, vals), {"idx": idx})
+
+
+def spmv_fixed(tape, matrix, x):
+    """``y = A x`` for a constant scipy sparse matrix A, with gradients to
+    ``x`` only."""
+    return tape.apply("oracle.spmv_fixed", (x,), {"matrix": matrix.tocsr()})
 
 
 def spmv_pattern(tape, pattern, data, x):

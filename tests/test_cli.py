@@ -261,14 +261,24 @@ def test_non_finite_newton_tol_exits_2_without_files(tmp_path, command, tol):
     assert not out.exists()
 
 
+def test_pointwise_zero_clamp_floor_exits_2_without_files(tmp_path):
+    # the pointwise fit's lower bound is the clamp floor, which must keep
+    # the coefficient positive
+    base = SMALL + "\n[model]\nvariant = pointwise\nclamp_floor = "
+    load_config(_config(tmp_path, base + "1e-6\n", name="ok.ini"))
+    cfg = _config(tmp_path, base + "0\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 _FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
                for key, (_, kind) in keys.items()
                if kind in (float, "float_list")]
 # keys whose physics forbids zero or negative values
 _SIGNED = {"noise_epsilon": ["-0.01"], "newton_tol": ["0", "-1e-8"],
            "beta": ["0", "-0.01"], "dt": ["0", "-0.1"],
-           "clamp_floor": ["-1"], "pointwise_lower_bound": ["0", "-1"],
-           "init_scale": ["-1"]}
+           "clamp_floor": ["-1"], "init_scale": ["-1"]}
 _INVALID_FLOATS = [(section, key, value) for section, key in _FLOAT_KEYS
                    for value in ["nan", "inf", "-inf"] + _SIGNED.get(key, [])]
 

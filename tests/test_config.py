@@ -31,7 +31,6 @@ clamp_floor = 1e-5
 [optimizer]
 max_steps = 17
 memory = 9
-pointwise_lower_bound = 1e-4
 debug_fd_check = yes
 
 [observations]
@@ -71,7 +70,6 @@ directory = results
     assert cfg.clamp_floor == 1e-5
     assert cfg.max_steps == 17
     assert cfg.memory == 9
-    assert cfg.pointwise_lower_bound == 1e-4
     assert cfg.debug_fd_check is True
     assert cfg.n_points == 25
     assert cfg.obs_seed == 13
@@ -143,14 +141,11 @@ def test_negative_noise_rejected(tmp_path):
 
 
 def test_rectangular_grid_rejected(tmp_path):
-    path = _write(tmp_path, "[grid]\nnx = 11\nny = 6\n")
-    with pytest.raises(ConfigError, match="square"):
-        load_config(path)
-
-
-def test_matching_nx_ny_accepted(tmp_path):
-    bundle = load_config(_write(tmp_path, "[grid]\nnx = 11\nny = 11\n"))
-    assert bundle.configs[0].grid_n == 11
+    # experiments run on square grids, whose one size is [grid] n
+    for key in ("nx", "ny"):
+        path = _write(tmp_path, f"[grid]\nn = 11\n{key} = 11\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
 
 
 def test_degenerate_grid_rejected(tmp_path):

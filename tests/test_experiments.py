@@ -249,7 +249,7 @@ def test_non_finite_float_field_rejected(name, value):
         ExperimentConfig(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["beta", "dt", "pointwise_lower_bound"])
+@pytest.mark.parametrize("name", ["beta", "dt"])
 @pytest.mark.parametrize("value", [0.0, -0.1])
 def test_non_positive_beta_and_dt_rejected(name, value):
     with pytest.raises(ContractError, match=f"{name} must be positive"):

@@ -1,22 +1,17 @@
-"""Mesh, quadrature, boundary-condition, CSV, and interpolation tests."""
+"""Mesh, quadrature, boundary-condition and CSV tests."""
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from flowgrad.errors import ContractError
 from flowgrad.grid import (
     DirichletSpec,
     StructuredGrid,
     cavity_velocity_bcs,
-    interpolate_at_points,
-    interpolation_matrix,
     read_field_csv,
     uniform_boundary_bc,
     write_field_csv,
 )
-from flowgrad.tape import Tape
-from tape_oracle import dot
 
 
 def test_node_numbering_and_coords():
@@ -140,109 +135,6 @@ def test_csv_row_major_order(tmp_path):
     assert [line.split(",")[0] for line in lines[1:4]] == ["0", "0.5", "1"]
     assert all(line.split(",")[1] == "0" for line in lines[1:4])
     assert lines[4].split(",")[1] == "0.5"
-
-
-def test_interpolation_at_node_is_exact():
-    g = StructuredGrid(4)
-    rng = np.random.default_rng(1)
-    field = rng.normal(size=g.n_nodes)
-    p = interpolation_matrix(g, g.coords[[0, 5, 11, 15]])
-    assert isinstance(p, scipy.sparse.csr_matrix) and p.has_sorted_indices
-    np.testing.assert_allclose(p @ field, field[[0, 5, 11, 15]],
-                               rtol=0, atol=1e-14)
-
-
-def test_interpolation_reproduces_linear_field():
-    g = StructuredGrid(6)
-    field = g.coords[:, 0].copy()
-    p = interpolation_matrix(g, np.array([[0.3, 0.7]]))
-    assert (p @ field)[0] == pytest.approx(0.3, abs=1e-14)
-
-
-def _shape_oracle(xi, eta):
-    return 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
-
-
-def test_interpolation_matches_shape_function_oracle():
-    g = StructuredGrid(5)
-    rng = np.random.default_rng(2)
-    field = rng.normal(size=g.n_nodes)
-    points = rng.uniform(0.01, 0.99, size=(20, 2))
-    got = interpolation_matrix(g, points) @ field
-    for k, (x, y) in enumerate(points):
-        ex = min(int(x / g.hx), g.nx - 2)
-        ey = min(int(y / g.hy), g.ny - 2)
-        xi = 2 * (x - ex * g.hx) / g.hx - 1
-        eta = 2 * (y - ey * g.hy) / g.hy - 1
-        nodes = g.elems[ey * (g.nx - 1) + ex]
-        expected = _shape_oracle(xi, eta) @ field[nodes]
-        assert got[k] == pytest.approx(expected, abs=1e-14)
-
-
-def _interpolation_loop(grid, points):
-    """The per-point construction of the interpolation matrix, as an oracle."""
-    rows, cols, vals = [], [], []
-    for p, (x, y) in enumerate(points):
-        ex = min(int(np.clip(x, 0, 1) / grid.hx), grid.nx - 2)
-        ey = min(int(np.clip(y, 0, 1) / grid.hy), grid.ny - 2)
-        xi = 2.0 * (x - ex * grid.hx) / grid.hx - 1.0
-        eta = 2.0 * (y - ey * grid.hy) / grid.hy - 1.0
-        weights = _shape_oracle(xi, eta)
-        elem = ey * (grid.nx - 1) + ex
-        for a in range(4):
-            rows.append(p)
-            cols.append(int(grid.elems[elem, a]))
-            vals.append(weights[a])
-    sp = scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                 shape=(len(points), grid.n_nodes))
-    sp.sort_indices()
-    return sp
-
-
-@pytest.mark.parametrize("nx, ny", [(5, 5), (7, 4), (2, 3)])
-def test_interpolation_matrix_matches_point_loop(nx, ny):
-    g = StructuredGrid(nx, ny)
-    rng = np.random.default_rng(4)
-    on_edges = np.column_stack([rng.uniform(size=8), np.zeros(8)])
-    on_edges = np.concatenate([on_edges, on_edges[:, ::-1],
-                               1.0 - on_edges, (1.0 - on_edges)[:, ::-1]])
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    points = np.concatenate([
-        rng.uniform(size=(50, 2)), g.coords, on_edges, corners,
-        # grid lines inside the square, and points a roundoff outside it
-        np.column_stack([g.coords[:, 0], rng.uniform(size=g.n_nodes)]),
-        [[-1e-13, 0.5], [0.5, 1.0 + 1e-13]]])
-    for pts in (points, points[:0]):
-        got, want = interpolation_matrix(g, pts), _interpolation_loop(g, pts)
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got.shape == want.shape
-
-
-def test_interpolation_rejects_outside_points():
-    g = StructuredGrid(4)
-    for point in ([1.2, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
-        with pytest.raises(ContractError):
-            interpolation_matrix(g, np.array([[0.5, 0.5], point]))
-
-
-def test_interpolate_at_points_backward_is_transpose():
-    g = StructuredGrid(4)
-    rng = np.random.default_rng(3)
-    field0 = rng.normal(size=g.n_nodes)
-    points = np.array([[0.25, 0.4], [0.8, 0.9]])
-
-    t = Tape()
-    field = t.variable(field0)
-    vals = interpolate_at_points(t, g, field, points)
-    c = np.array([1.5, -0.5])
-    loss = dot(t, t.constant(c), vals)
-    grads = t.backward(loss)
-    p = interpolation_matrix(g, points)
-    np.testing.assert_allclose(grads[field], p.toarray().T @ c,
-                               rtol=0, atol=1e-14)
 
 
 def test_grid_rejects_degenerate_sizes():

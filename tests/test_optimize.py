@@ -60,18 +60,9 @@ def test_bound_constraint_projects_to_boundary():
         return float((x[0] + 1.0) ** 2), np.array([2.0 * (x[0] + 1.0)])
 
     res = lbfgs_optimize(f, np.array([5.0]),
-                         OptimizerConfig(lower_bounds=0.0))
+                         OptimizerConfig(lower_bound=0.0))
     assert res.converged
     assert abs(res.theta[0]) < 1e-12
-
-
-def test_bound_constraint_vector():
-    center = np.array([-1.0, 2.0, 0.5])
-    lo = np.array([0.0, -np.inf, -np.inf])
-    res = lbfgs_optimize(quadratic(center), np.ones(3),
-                         OptimizerConfig(lower_bounds=lo))
-    assert abs(res.theta[0]) < 1e-10
-    assert np.allclose(res.theta[1:], center[1:], atol=1e-9)
 
 
 def test_start_at_optimum_returns_zero_steps():
@@ -221,8 +212,7 @@ def _search_quadratic(alpha0):
     d = np.ones(1)
     f0, g0 = 1.0, np.array([-2.0])
     alpha, f, g = _wolfe_search(evaluate, x, d, f0, g0, float(g0 @ d),
-                                alpha0, np.inf, np.full(1, -np.inf),
-                                OptimizerConfig(), 1, [])
+                                alpha0, np.inf, -np.inf, 1, [])
     return alpha, calls
 
 
@@ -261,12 +251,35 @@ def test_search_keeps_descent_when_bracketing_budget_runs_out(monkeypatch):
 
     g0 = np.array([slope(0.0)])
     alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0, g0,
-                                slope(0.0), 1.0, np.inf, np.full(1, -np.inf),
-                                OptimizerConfig(), 1, [])
+                                slope(0.0), 1.0, np.inf, -np.inf, 1, [])
     assert len(calls) == optimize._MAX_SEARCH_EVALS
     assert alpha == calls[-1] == max(calls)
     assert f == residual(alpha) ** 2 and g[0] == slope(alpha)
     assert all(b > a for a, b in zip(calls, calls[1:]))
+
+
+def test_zoom_keeps_sufficient_decrease_when_the_budget_runs_out(
+        monkeypatch):
+    # phi falls with slope -0.01 up to alpha = 10 and rises steeply beyond:
+    # bracketing tries 1, 4 and 16, the zoom 8 and 8.8, each below the one
+    # before with the slope still -0.01, and then the budget of 5 is spent;
+    # the zoom's low end 8.8 is returned instead of an error
+    monkeypatch.setattr(optimize, "_MAX_SEARCH_EVALS", 5)
+    calls = []
+
+    def evaluate(theta):
+        a = float(theta[0])
+        calls.append(a)
+        if a < 10.0:
+            return 1.0 - 0.01 * a, np.array([-0.01])
+        return 0.9 + 100.0 * (a - 10.0) ** 2, np.array([200.0 * (a - 10.0)])
+
+    alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
+                                np.array([-0.01]), -0.01, 1.0, np.inf,
+                                -np.inf, 1, [])
+    assert calls == pytest.approx([1.0, 4.0, 16.0, 8.0, 8.8], abs=1e-3)
+    assert alpha == calls[-1]
+    assert f == pytest.approx(0.912, abs=1e-5) and g[0] == -0.01
 
 
 def _steepening_squares(barrier=np.inf):
@@ -289,8 +302,8 @@ def _steepening_squares(barrier=np.inf):
         return r * r, np.array([dphi])
 
     out = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 100.0,
-                        np.array([-20.0]), -20.0, 1.0, np.inf,
-                        np.full(1, -np.inf), OptimizerConfig(), 1, rejected)
+                        np.array([-20.0]), -20.0, 1.0, np.inf, -np.inf, 1,
+                        rejected)
     return out, calls, rejected
 
 
@@ -329,8 +342,8 @@ def test_search_ends_within_budget_when_the_bound_binds_on_every_trial():
         return f, np.array([-2.0])
 
     alpha, f, _ = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
-                                np.array([-2.0]), -2.0, 1.0, np.inf,
-                                np.full(1, -np.inf), OptimizerConfig(), 1, [])
+                                np.array([-2.0]), -2.0, 1.0, np.inf, -np.inf,
+                                1, [])
     assert len(calls) == optimize._MAX_SEARCH_EVALS
     for (a, f_a), (b, _) in zip(calls, calls[1:]):
         assert b == a + f_a
@@ -338,18 +351,17 @@ def test_search_ends_within_budget_when_the_bound_binds_on_every_trial():
 
 
 def test_accepted_steps_satisfy_strong_wolfe():
-    cfg = OptimizerConfig()
     x0 = np.array([-1.2, 1.0])
     seen = [(x0, *rosenbrock(x0))]
-    res = lbfgs_optimize(rosenbrock, x0, cfg,
+    res = lbfgs_optimize(rosenbrock, x0,
                          callback=lambda k, x, f, g: seen.append((x, f, g)))
     assert res.n_steps > 10
     for (x_a, f_a, g_a), (x_b, f_b, g_b) in zip(seen, seen[1:]):
         s = x_b - x_a  # alpha * d
         slope0 = float(g_a @ s)
         assert slope0 < 0.0
-        assert f_b <= f_a + cfg.c1 * slope0
-        assert abs(float(g_b @ s)) <= cfg.c2 * abs(slope0)
+        assert f_b <= f_a + optimize._C1 * slope0
+        assert abs(float(g_b @ s)) <= optimize._C2 * abs(slope0)
 
 
 def test_non_finite_start_rejected():
@@ -375,12 +387,10 @@ def test_failing_start_raises_contract_error(failure):
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        OptimizerConfig(c1=0.5, c2=0.1)
-    with pytest.raises(ContractError):
         OptimizerConfig(max_steps=0)
-    with pytest.raises(ContractError):
-        lbfgs_optimize(quadratic(np.zeros(2)), np.zeros(2),
-                       OptimizerConfig(lower_bounds=np.zeros(3)))
+    for bound in (np.inf, np.nan):
+        with pytest.raises(ContractError, match="lower bound"):
+            OptimizerConfig(lower_bound=bound)
 
 
 def test_gradient_shape_mismatch_rejected():

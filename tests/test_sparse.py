@@ -48,10 +48,9 @@ from flowgrad.sparse import (
     LuFactors,
     SparsePattern,
     SymmetricOrder,
-    spmv_fixed,
 )
 from flowgrad.tape import Tape, finite_difference_check
-from tape_oracle import dot, sparse_solve, spmv_pattern
+from tape_oracle import dot, sparse_solve, spmv_fixed, spmv_pattern
 
 
 def _random_spd_like(n, seed, density=0.3):
