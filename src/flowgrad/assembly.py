@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 
-# Most grid shapes whose operators are kept for reuse at once.
-_SHARED_SHAPES = 4
-_OPERATORS = {}  # (nx, ny) -> GridOperators, least recently used first
-
-
 def _dissect(nx, ix0, ix1, iy0, iy1, out):
     """Append the nodes of the box [ix0, ix1) x [iy0, iy1), separators last.
 
@@ -70,12 +65,12 @@ def _dissect(nx, ix0, ix1, iy0, iy1, out):
 
 
 class GridOperators:
-    """Shared pattern, scatter map, mass block and the node and system
-    layouts for one grid shape.
+    """Pattern, scatter map, mass block and node layout of one grid, and
+    its system layout on request.
 
-    Everything here depends on the grid's shape only, so ``operators_for``
-    shares one instance among the grids of a shape.  It keeps the shape,
-    ``n_nodes`` and ``elems``, never a grid.
+    ``operators_for`` keeps one instance on each grid.  It keeps the grid's
+    shape, ``n_nodes`` and ``elems``, never the grid, so the grid and its
+    operators are freed together by reference counting.
     """
 
     def __init__(self, grid):
@@ -102,7 +97,7 @@ class GridOperators:
         self.m_data = self.scatter(kernels.coefmass_fwd(
             np.ones((grid.n_elems, 4)), self.wdet, self.n_tab))
 
-        self._nodes = self._system = None
+        self._nodes = None
 
     @property
     def nnz(self):
@@ -218,10 +213,9 @@ class GridOperators:
         system row holds the three unknowns of every node its node couples
         to, columns sorted.  ``blockmap[br][bc][k]`` is the system-data
         position (int32) of base entry ``k`` placed in block row ``br``,
-        block column ``bc``.
+        block column ``bc``.  Built anew on each call, so the flow setup that
+        asks for it is the only holder of the layout.
         """
-        if self._system is not None:
-            return self._system
         nodes, slot, node_order = self.node_layout()
         n = nodes.n_rows
         # the node row and column of each base entry, whose columns increase
@@ -246,21 +240,17 @@ class GridOperators:
         sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices)
         perm = (node_order.perm[:, None]
                 + n * np.arange(3, dtype=np.int32)).ravel()
-        self._system = (sys_pattern, blockmap, SymmetricOrder.create(perm))
-        return self._system
+        return sys_pattern, blockmap, SymmetricOrder.create(perm)
 
 
 def operators_for(grid):
-    """The GridOperators of the grid's shape, shared by every such grid.
-
-    The last ``_SHARED_SHAPES`` shapes used are kept, so building a second
-    problem on the same grid shape reuses patterns, blocks and the order.
-    """
-    ops = _OPERATORS.pop((grid.nx, grid.ny), None) or GridOperators(grid)
-    _OPERATORS[ops.shape] = ops
-    if len(_OPERATORS) > _SHARED_SHAPES:
-        del _OPERATORS[next(iter(_OPERATORS))]
-    return ops
+    """The GridOperators of ``grid``, built on first use and kept on the
+    grid, so they are released with it; another grid of the same shape
+    builds its own."""
+    gops = getattr(grid, "_operators", None)
+    if gops is None:
+        gops = grid._operators = GridOperators(grid)
+    return gops
 
 
 # ---------------------------------------------------------------------------

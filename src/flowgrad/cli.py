@@ -79,6 +79,18 @@ def _parser():
     return p
 
 
+def _check_out_dir(path):
+    """Raise ConfigError unless the nearest existing path on the way up to
+    ``path`` is a directory this process can write to; creates nothing."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing)
+            and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {path} cannot be made: "
+                          f"{existing} is not a writable directory")
+
+
 def _write_report_files(out_dir, cfg, rep):
     os.makedirs(out_dir, exist_ok=True)
     grid = forward_chain(cfg).grid
@@ -119,6 +131,7 @@ def _cmd_run(args):
     bundle = load_config(args.config)
     out_dir = args.out or bundle.out_dir or "out"
     if not bundle.is_sweep:
+        _check_out_dir(out_dir)
         _run_single(bundle.configs[0], out_dir, args)
         return EXIT_OK
     subs = [f"eps_{cfg.noise_epsilon:g}" for cfg in bundle.configs]
@@ -126,6 +139,8 @@ def _cmd_run(args):
         raise ConfigError(
             f"noise levels {[cfg.noise_epsilon for cfg in bundle.configs]} "
             f"share output directories: {subs}")
+    for sub in subs:
+        _check_out_dir(os.path.join(out_dir, sub))
     summary = []
     for cfg, sub in zip(bundle.configs, subs):
         rep = _run_single(cfg, os.path.join(out_dir, sub), args)
@@ -144,8 +159,9 @@ def _cmd_forward(args):
     # a spec default that does not fit the grid is no error here, as this
     # command observes nothing; a count the file sets is checked as by run
     bundle.configs[0].check_n_points()
-    chain = forward_chain(bundle.configs[0].resolved())
     out_dir = args.out or bundle.out_dir or "out"
+    _check_out_dir(out_dir)
+    chain = forward_chain(bundle.configs[0].resolved())
     os.makedirs(out_dir, exist_ok=True)
     for comp, values in chain.synthetic.items():
         write_field_csv(os.path.join(out_dir, f"{comp}.csv"), chain.grid,

@@ -27,7 +27,6 @@ into a sweep (one run per level, shared everything else).
 
 import configparser
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError
@@ -131,14 +130,18 @@ def _parse_value(raw, kind, where):
 def load_config(path):
     """Parse and validate an INI file into a ConfigBundle.
 
-    Raises ConfigError for a missing file, unknown sections or keys,
-    malformed values, or values the experiment layer rejects.
+    Raises ConfigError for a missing, unreadable or non-UTF-8 file,
+    unknown sections or keys, malformed values, or values the experiment
+    layer rejects.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 

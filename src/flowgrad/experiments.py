@@ -18,9 +18,10 @@ fits.  Adding an experiment means adding one spec.
 Observation synthesis uses the same grid and discretization as the
 inversion, so data are exactly reproducible by the model class (the usual
 inverse-crime caveat applies; errors quoted against the reference field).
-A :class:`ForwardChain` (the grid, the flow and heat setups and a frozen
-flow) solves itself once at the reference coefficient and keeps the
-reference coefficient, the synthesis and the Newton trace of that solve.
+A :class:`ForwardChain` (the grid and its flow setup, or a frozen flow
+and its heat setup) solves itself once at the reference coefficient and
+keeps the reference coefficient, the synthesis and the Newton trace of that
+solve.
 All of it depends only on the physics fields of a config, so problems that
 differ only in their observations, noise or model, and the ``forward``
 command, share one chain, read-only (:func:`forward_chain`, the one place
@@ -31,6 +32,7 @@ counts, it holds itself and hands to the chain on every call.
 import copy
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from types import MappingProxyType
@@ -314,8 +316,25 @@ class ExperimentConfig:
         _spec(self.experiment)
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if f.type is float and not math.isfinite(value):
                 raise ContractError(f"{f.name} must be finite, got {value}")
+            if f.type is int:
+                if (isinstance(value, bool)
+                        or not isinstance(value, numbers.Integral)):
+                    raise ContractError(
+                        f"{f.name} must be an integer, got {value!r}")
+                # a numpy integer would key a second chain of the same
+                # physics and stop the report's JSON
+                object.__setattr__(self, f.name, int(value))
+        # the loss sums one term per component named
+        comps = self.components
+        if comps is not None and (isinstance(comps, str) or not comps
+                                  or len(set(comps)) < len(comps)):
+            raise ContractError(
+                f"components must name one or more distinct fields, got "
+                f"{comps!r}")
         # a zero stabilization weight leaves the pressure oscillating, and
         # the particle transport's implicit-Euler steps go forward in time
         for name in ("beta", "dt"):
@@ -427,9 +446,10 @@ class ForwardChain:
     ``(fields, flow)``; every linear solve it makes adds to ``counts``, a
     :class:`LinearSolveCounts` of the caller's.  The chain builds its grid
     (``grid``) and the flow setup (``flow_setup``, a :class:`FlowSetup`)
-    once.  A spec with a ``frozen_viscosity`` has its flow presolved once:
-    ``frozen`` maps its ``u``, ``v`` and ``p`` to read-only arrays, and
-    ``heat_setup`` is the :class:`HeatSetup` of that flow.
+    once.  A spec with a ``frozen_viscosity`` has its flow presolved once,
+    with a flow setup it does not keep (``flow_setup`` is None): ``frozen``
+    maps its ``u``, ``v`` and ``p`` to read-only arrays, and ``heat_setup``
+    is the :class:`HeatSetup` of that flow.
 
     The chain then runs itself at the reference coefficient
     (``reference_nodal``), uncounted: ``synthetic`` maps every predicted
@@ -446,9 +466,7 @@ class ForwardChain:
         self.grid = grid = StructuredGrid(cfg.grid_n)
         self.constants = cfg.physics()
         self.newton = cfg.newton()
-        self.flow_setup = FlowSetup(
-            grid, default_cavity_bcs(grid, cfg.lid_speed), self.constants,
-            cfg.beta)
+        self.flow_setup = self._flow_setup()
         self.frozen_nu = self.frozen = self.heat_setup = None
         if self.spec.frozen_viscosity is not None:
             self.frozen_nu = _read_only(
@@ -456,6 +474,8 @@ class ForwardChain:
             t = Tape()
             flow = self.solve_flow(t, t.constant(self.frozen_nu),
                                    LinearSolveCounts())
+            # the presolve is the only solve of a frozen flow
+            self.flow_setup = None
             self.frozen = MappingProxyType(
                 {name: _read_only(t.value(ref))
                  for name, ref in _flow_fields(flow).items()})
@@ -476,6 +496,11 @@ class ForwardChain:
     def __call__(self, tape, coef, counts):
         return self.spec.forward(tape, self, coef, counts)
 
+    def _flow_setup(self):
+        return FlowSetup(self.grid,
+                         default_cavity_bcs(self.grid, self.cfg.lid_speed),
+                         self.constants, self.cfg.beta)
+
     def solve_flow(self, tape, nu, counts):
         """Newton solve of the lid-driven flow at nodal viscosity ``nu``."""
         return newton_solve(tape, self.flow_setup, nu, self.newton,
@@ -492,10 +517,11 @@ class ForwardChain:
 
     def jacobian(self):
         """Constrained Newton matrix of the flow at the reference solution,
-        as a scipy CSR matrix."""
+        as a scipy CSR matrix; a chain without a flow setup builds one for
+        it."""
         nu = self.reference_nodal if self.frozen_nu is None else self.frozen_nu
         x = np.concatenate([self.synthetic[name] for name in ("u", "v", "p")])
-        return ns_jacobian(self.flow_setup, x, nu)
+        return ns_jacobian(self.flow_setup or self._flow_setup(), x, nu)
 
     def values(self, coef_nodal, counts):
         """Every predicted field at a fixed coefficient, as nodal arrays."""

@@ -192,5 +192,11 @@ def read_field_csv(path):
         if len(header) != 3 or header[:2] != ["x", "y"]:
             raise ContractError(f"unexpected field CSV header {header}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=np.float64)
+    try:  # a ragged row or a value that is not a number
+        data = np.array(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ContractError(f"field CSV {path}: {exc}") from None
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise ContractError(f"field CSV {path} needs rows of 3 values after "
+                            f"its header, got an array of shape {data.shape}")
     return data[:, :2], data[:, 2]

@@ -11,11 +11,13 @@ Closed forms for a single square element with unit coefficient:
                           [1, 2, 4, 2], [2, 1, 2, 4]]
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse
 
-from flowgrad import assembly, kernels, ops
+from flowgrad import kernels, ops
 from flowgrad.assembly import constraint_plan, operators_for
 from flowgrad.errors import ContractError
 from flowgrad.grid import DirichletSpec, StructuredGrid
@@ -305,14 +307,32 @@ def test_system_order_top_separator_splits_grid(shape):
     assert not np.any(side[rows] * side[pattern.indices] == 2)
 
 
-def test_operators_shared_per_grid_shape():
+def test_operators_kept_per_grid():
+    # a grid builds its operators once; a second grid of the same size
+    # builds its own, equal to the first
+    grid = StructuredGrid(5)
+    gops = operators_for(grid)
+    assert operators_for(grid) is gops
+    other = operators_for(StructuredGrid(5))
+    assert other is not gops
+    assert other.pos16.tobytes() == gops.pos16.tobytes()
+    assert other.m_data.tobytes() == gops.m_data.tobytes()
+
+
+def test_grid_operators_hold_no_system_layout():
+    # the system layout belongs to whoever asked for it: each call builds
+    # it anew and the operators keep none of it; the node layout, which a
+    # heat chain's flow and heat setups both read, is kept
     gops = operators_for(StructuredGrid(5))
-    assert operators_for(StructuredGrid(5)) is gops
-    assert operators_for(StructuredGrid(5, 6)) is not gops
-    for n in range(7, 8 + assembly._SHARED_SHAPES):
-        operators_for(StructuredGrid(n))
-    assert len(assembly._OPERATORS) == assembly._SHARED_SHAPES
-    assert operators_for(StructuredGrid(5)) is not gops
+    pattern, blockmap, order = gops.system_layout()
+    again = gops.system_layout()
+    assert again[0] is not pattern and again[2] is not order
+    assert again[0].indices.tobytes() == pattern.indices.tobytes()
+    assert again[2].perm.tobytes() == order.perm.tobytes()
+    refs = [weakref.ref(obj) for obj in (pattern, order)]
+    del pattern, blockmap, order, again
+    assert all(ref() is None for ref in refs)
+    assert gops.node_layout() is gops.node_layout()
 
 
 def test_constrain_empty_spec_is_identity():

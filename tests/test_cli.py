@@ -1,6 +1,7 @@
 """Subcommand behavior, output files, and the exit-code contract."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -193,6 +194,88 @@ def test_warm_runs_build_only_the_validation_grid(tmp_path, monkeypatch):
 
 def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def _unreadable_config(tmp_path, monkeypatch, kind):
+    if kind == "directory":
+        path = tmp_path / "configs"
+        path.mkdir()
+    elif kind == "not_utf8":
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(SMALL.encode() + "# d\xe9bit\n".encode("latin-1"))
+    else:
+        # a file this process may not open; a root process opens any file
+        # whatever its mode bits, so the refusal is the operating system's
+        path = tmp_path / "locked.ini"
+        path.write_text(SMALL)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(config, "open", refuse, raising=False)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "forward", "gradcheck"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "unreadable"])
+def test_config_that_cannot_be_read_exits_2(tmp_path, monkeypatch, capsys,
+                                            command, kind):
+    # configparser.read skips a file it cannot open, which would leave the
+    # default cavity to run
+    calls = _count_splu(monkeypatch)
+    path = _unreadable_config(tmp_path, monkeypatch, kind)
+    before = sorted(tmp_path.iterdir())
+    out = [] if command == "gradcheck" else ["--out", str(tmp_path / "never")]
+    assert main([command, "--config", path] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def _output_path(tmp_path, monkeypatch, kind):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    if kind == "file":
+        return taken
+    if kind == "through_file":
+        return taken / "sub"
+    # a parent this process may not write to, refused as by the operating
+    # system for a process that is not root
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        False if path == str(locked) else access(path, mode)))
+    return locked / "out"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "forward"])
+@pytest.mark.parametrize("kind", ["file", "through_file", "unwritable"])
+def test_output_path_that_cannot_be_a_directory_exits_2_before_solving(
+        tmp_path, monkeypatch, capsys, command, kind):
+    calls = _count_splu(monkeypatch)
+    text = SMALL
+    if command == "sweep":
+        text += "\n[observations]\nnoise_epsilon = 0.0, 0.05\n"
+    cfg = _config(tmp_path, text)
+    out = _output_path(tmp_path, monkeypatch, kind)
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["forward" if command == "forward" else "run", "--config", cfg]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ")
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_directory_from_the_config_is_checked(tmp_path, monkeypatch):
+    calls = _count_splu(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    cfg = _config(tmp_path, SMALL + f"\n[output]\ndirectory = {taken}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert calls == []
 
 
 def test_run_invalid_grid_exits_2_without_files(tmp_path):

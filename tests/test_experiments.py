@@ -249,6 +249,36 @@ def test_non_finite_float_field_rejected(name, value):
         ExperimentConfig(**{name: value})
 
 
+_INT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if f.type is int]
+
+
+def test_integer_fields_are_the_counts_and_seeds():
+    assert _INT_FIELDS == ["grid_n", "n_points", "obs_seed", "init_seed",
+                           "max_steps", "memory", "newton_max_iter",
+                           "transport_steps"]
+
+
+@pytest.mark.parametrize("name", _INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 6.0, "6", True])
+def test_non_integer_int_field_rejected(name, value):
+    # a float would fail later in numpy's seeding, in range() or in the
+    # observation count, or run as if it were a count; a numpy integer is
+    # taken as the int it holds
+    assert type(getattr(ExperimentConfig(**{name: np.int64(6)}), name)) is int
+    with pytest.raises(ContractError, match=f"{name} must be an integer"):
+        ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("components", [(), [], ("u", "u"), ("u", "v", "u"),
+                                        "uv", "u"])
+def test_components_must_name_distinct_fields(components):
+    # the loss sums one term per component named: none fails in the
+    # backward pass, and a repeated one counts twice
+    with pytest.raises(ContractError, match="components"):
+        ExperimentConfig(components=components)
+
+
 @pytest.mark.parametrize("name", ["beta", "dt"])
 @pytest.mark.parametrize("value", [0.0, -0.1])
 def test_non_positive_beta_and_dt_rejected(name, value):
@@ -698,16 +728,15 @@ def test_problems_of_one_physics_share_one_chain(monkeypatch):
     assert built == once
     chain = first.forward
     assert second.forward is chain
-    assert isinstance(chain.flow_setup, solver.FlowSetup)
     assert isinstance(chain.heat_setup, solver.HeatSetup)
     other = build_problem(dataclasses.replace(cfg, heat_source=2.0))
     assert built == {name: 2 for name in once}
     assert other.forward is not chain
-    assert other.forward.flow_setup is not chain.flow_setup
     assert other.forward.heat_setup is not chain.heat_setup
-    # a spec without a frozen flow has no heat setup
+    # a spec without a frozen flow keeps its flow setup and has no heat setup
     cavity = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
     cavity.objective(cavity.theta0)
+    assert isinstance(cavity.forward.flow_setup, solver.FlowSetup)
     assert cavity.forward.heat_setup is None
     assert built == {"ForwardChain": 3, "FlowSetup": 3, "HeatSetup": 2}
 
@@ -787,6 +816,39 @@ def test_flow_setup_built_once(monkeypatch, experiment):
         # its only flow solve is the presolve of the first build, which the
         # second problem shares
         assert again.forward.frozen is problem.forward.frozen
+
+
+def test_heat_chain_keeps_no_flow_setup(monkeypatch):
+    # the flow setup of the presolve, and the one the Jacobian of the
+    # frozen flow is built with, die as soon as they are used, without the
+    # cyclic collector; that Jacobian is the one of a setup kept
+    setups = []
+    init = solver.FlowSetup.__init__
+
+    def recording_init(self, *args):
+        setups.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(experiments, "_REFERENCES", {})
+    monkeypatch.setattr(solver.FlowSetup, "__init__", recording_init)
+    cfg = ExperimentConfig("conjugate_heat", grid_n=6, n_points=12)
+    gc.disable()
+    try:
+        chain = build_problem(cfg).forward
+        assert chain.flow_setup is None
+        assert len(setups) == 1 and setups[0]() is None
+        jac = chain.jacobian()
+        assert len(setups) == 2 and setups[1]() is None
+    finally:
+        gc.enable()
+    grid = chain.grid
+    setup = solver.FlowSetup(grid, solver.default_cavity_bcs(grid),
+                             chain.constants, cfg.beta)
+    x = np.concatenate([chain.synthetic[name] for name in ("u", "v", "p")])
+    kept = solver.ns_jacobian(setup, x, chain.frozen_nu)
+    assert jac.indptr.tobytes() == kept.indptr.tobytes()
+    assert jac.indices.tobytes() == kept.indices.tobytes()
+    assert jac.data.tobytes() == kept.data.tobytes()
 
 
 def test_cavity_objective_factorizes_once(monkeypatch):

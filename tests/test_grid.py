@@ -126,6 +126,16 @@ def test_csv_roundtrip_exact(tmp_path):
     assert path.read_text().splitlines()[0] == "x,y,nu"
 
 
+@pytest.mark.parametrize("body", ["", "\n\n", "0,0,1\n0.5,0\n",
+                                  "0,0,1,2\n", "0,0,one\n", "0,,1\n"])
+def test_csv_read_rejects_malformed_rows(tmp_path, body):
+    # no data row, a ragged row, four values a row, values not numbers
+    path = tmp_path / "field.csv"
+    path.write_text("x,y,nu\n" + body)
+    with pytest.raises(ContractError, match="field CSV"):
+        read_field_csv(path)
+
+
 def test_csv_row_major_order(tmp_path):
     g = StructuredGrid(3)
     path = tmp_path / "field.csv"

@@ -29,7 +29,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import flowgrad
-from flowgrad import assembly, experiments, kernels, ops, solver, sparse, tape
+from flowgrad import experiments, kernels, ops, solver, sparse, tape
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
@@ -762,10 +762,9 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
         return out
 
     untraced = evaluate_each()
-    # empty shared caches, so the traced builds lay out the flow system
-    for module, name in ((assembly, "_OPERATORS"),
-                         (experiments, "_REFERENCES")):
-        monkeypatch.setattr(module, name, {})
+    # no shared chains, so the traced builds make new grids and lay out the
+    # flow system
+    monkeypatch.setattr(experiments, "_REFERENCES", {})
     original, registry = kernels.advection_bwd, dict(tape._REGISTRY)
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer, full=True):
