@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 import scipy.io
@@ -55,9 +54,6 @@ def _parser():
     run_p.add_argument("--out", help="output directory (overrides config)")
     run_p.add_argument("--verbose", action="store_true",
                        help="print per-step optimizer progress")
-    run_p.add_argument("--debug-gradcheck", action="store_true",
-                       help="spot-check every gradient handed to the "
-                            "optimizer against finite differences")
 
     fwd_p = sub.add_parser("forward",
                            help="forward solve with the reference coefficient")
@@ -113,8 +109,6 @@ def _write_report_files(out_dir, cfg, rep):
 
 
 def _run_single(cfg, out_dir, args):
-    if args.debug_gradcheck:
-        cfg = replace(cfg, debug_fd_check=True)
     progress = None
     if args.verbose:
         def progress(step, loss):

@@ -35,9 +35,6 @@ from .grid import StructuredGrid
 
 __all__ = ["ConfigBundle", "load_config"]
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
 # section -> key -> (ExperimentConfig field, parser)
 _SCHEMA = {
     "experiment": {
@@ -56,7 +53,6 @@ _SCHEMA = {
     "optimizer": {
         "max_steps": ("max_steps", int),
         "memory": ("memory", int),
-        "debug_fd_check": ("debug_fd_check", "bool"),
     },
     "observations": {
         "n_points": ("n_points", int),
@@ -112,11 +108,6 @@ def _parse_value(raw, kind, where):
             return int(raw)
         if kind is float:
             return _finite(raw)
-        if kind == "bool":
-            word = raw.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOL_WORDS[word]
         if kind == "float_list":
             values = tuple(_finite(part) for part in raw.split(","))
             if not values:

@@ -42,7 +42,7 @@ import numpy as np
 from . import ops
 from .errors import ContractError, NumericError
 from .grid import StructuredGrid, uniform_boundary_bc
-from .models import eval_field_on_grid, init_params
+from .models import VARIANTS, eval_field_on_grid, init_params
 from .optimize import OptimizerConfig, lbfgs_optimize
 from .solver import (
     FlowSetup,
@@ -75,6 +75,7 @@ __all__ = [
     "add_noise",
     "compute_loss",
     "relative_mse",
+    "shape_error",
     "run_experiment",
 ]
 
@@ -281,6 +282,17 @@ def relative_mse(estimate, reference):
     return 100.0 * float(diff @ diff) / denom
 
 
+def shape_error(estimate, reference):
+    """``(c, relative_mse(c * estimate, reference))`` at the scale
+    c = (est . ref) / (est . est) that fits ``estimate`` to ``reference``
+    best in least squares: the error left once a wrong scale is forgiven.
+    A zero estimate has scale 0 and error 100%."""
+    estimate = np.asarray(estimate, dtype=np.float64)
+    norm = float(estimate @ estimate)
+    scale = float(estimate @ reference) / norm if norm > 0.0 else 0.0
+    return scale, relative_mse(scale * estimate, reference)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; ``None`` fields take experiment defaults."""
@@ -310,10 +322,12 @@ class ExperimentConfig:
     kappa1: float = 1.0
     kappa2: float = 1.0
     lid_speed: float = 1.0
-    debug_fd_check: bool = False
 
     def __post_init__(self):
         _spec(self.experiment)
+        if self.variant is not None and self.variant not in VARIANTS:
+            raise ContractError(f"unknown variant {self.variant!r}; "
+                                f"expected one of {VARIANTS}")
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None:
@@ -411,6 +425,8 @@ class RunReport:
     initial_loss: float
     final_loss: float
     relative_mse_percent: float
+    coefficient_scale: float
+    shape_error_percent: float
     newton_iters: list
     wall_clock_seconds: float
     config_echo: dict
@@ -543,7 +559,7 @@ def _read_only(values):
 _DATA_FIELDS = frozenset((
     "variant", "n_points", "components", "noise_epsilon", "obs_seed",
     "init_seed", "init_scale", "offset", "clamp_floor", "max_steps",
-    "memory", "debug_fd_check"))
+    "memory"))
 # Most forward chains kept for reuse at once.
 _SHARED_REFERENCES = 4
 _REFERENCES = {}  # value key of the physics -> ForwardChain, least recently used first
@@ -696,9 +712,7 @@ def run_experiment(config, progress=None):
 
     bound = cfg.clamp_floor if cfg.variant == "pointwise" else -math.inf
     opt_cfg = OptimizerConfig(max_steps=cfg.max_steps, memory=cfg.memory,
-                              lower_bound=bound,
-                              debug_fd_check=cfg.debug_fd_check,
-                              fd_seed=cfg.obs_seed)
+                              lower_bound=bound)
     # the starting parameters, the bound and the physics all come from the
     # config, so an objective that fails at the start is the config's fault
     try:
@@ -716,6 +730,7 @@ def run_experiment(config, progress=None):
                                  chain.grid)
     estimate = t.value(est_ref).copy()
     mse = relative_mse(estimate, chain.reference_nodal)
+    scale, shape_mse = shape_error(estimate, chain.reference_nodal)
 
     predicted = (chain.values(estimate, problem.linear_solves)
                  if report_fields else {})
@@ -729,7 +744,8 @@ def run_experiment(config, progress=None):
         experiment=cfg.experiment, variant=cfg.variant,
         loss_history=list(result.loss_history),
         initial_loss=result.initial_loss, final_loss=result.loss,
-        relative_mse_percent=mse, newton_iters=newton_per_step,
+        relative_mse_percent=mse, coefficient_scale=scale,
+        shape_error_percent=shape_mse, newton_iters=newton_per_step,
         wall_clock_seconds=time.perf_counter() - started,
         config_echo=echo, converged=result.converged,
         stop_reason=result.stop_reason, n_steps=result.n_steps,

@@ -187,11 +187,14 @@ def write_field_csv(path, grid, values, name="value"):
 
 def read_field_csv(path):
     """Read back an exported field; returns (coords, values)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3 or header[:2] != ["x", "y"]:
-            raise ContractError(f"unexpected field CSV header {header}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if len(header) != 3 or header[:2] != ["x", "y"]:
+                raise ContractError(f"unexpected field CSV header {header}")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"field CSV {path} is not UTF-8: {exc}") from None
     try:  # a ragged row or a value that is not a number
         data = np.array(rows, dtype=np.float64)
     except ValueError as exc:

@@ -71,8 +71,6 @@ class OptimizerConfig:
     max_steps: int = 100
     memory: int = 10
     lower_bound: float = -math.inf
-    debug_fd_check: bool = False
-    fd_seed: int = 0
 
     def __post_init__(self):
         if self.max_steps < 1 or self.memory < 1:
@@ -125,29 +123,6 @@ def _two_loop(g, pairs, free):
     return np.where(free, -q, 0.0)
 
 
-def _spot_check_gradient(problem, x, f, g, rng):
-    """Central-difference check of three random coordinates."""
-    coords = rng.choice(x.size, size=min(3, x.size), replace=False)
-    for i in coords:
-        h = 1e-5 * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        try:
-            fp = float(problem(xp)[0])
-            fm = float(problem(xm)[0])
-        except NumericError:
-            continue
-        g_fd = (fp - fm) / (2.0 * h)
-        # the floor keeps roundoff noise at stationary points from tripping it
-        err = abs(g[i] - g_fd) / max(abs(g[i]), abs(g_fd), 1e-8)
-        if err > 1e-4:
-            raise NumericError(
-                f"gradient spot check failed at coordinate {i}: "
-                f"reverse-mode {g[i]:.6e} vs central difference {g_fd:.6e}")
-
-
 def _gauss_newton_bound(alpha, f, dphi):
     """The longest step worth trying from the point ``alpha`` of a line,
     where the loss is ``f`` and its slope ``dphi < 0``: the minimizer of the
@@ -175,6 +150,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     starting point comes from the caller, so an objective that fails or is
     non-finite there raises ContractError.
 
+    Every call of ``problem`` counts in the result's ``n_evals``.
     ``callback(step, theta, loss, grad)`` runs after every accepted step.
     The returned loss history holds the loss after each accepted step and is
     nonincreasing.
@@ -199,7 +175,6 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
                 f"gradient shape {g.shape} != parameter shape {theta.shape}")
         return f, g
 
-    fd_rng = np.random.default_rng(config.fd_seed)
     try:
         f, g = evaluate(x)
     except NumericError as exc:
@@ -207,8 +182,6 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             f"objective fails at the starting point: {exc}") from exc
     if not np.isfinite(f):
         raise ContractError(f"objective is {f} at the starting point")
-    if config.debug_fd_check:
-        _spot_check_gradient(problem, x, f, g, fd_rng)
 
     initial_loss = f
     history = []
@@ -261,9 +234,6 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
             rejected_trials)
         evals_per_step.append(evals[0] - evals_before)
         x_new = np.maximum(x + alpha * d, lb)
-
-        if config.debug_fd_check:
-            _spot_check_gradient(problem, x_new, f_new, g_new, fd_rng)
 
         s = x_new - x
         yv = g_new - g

@@ -438,9 +438,12 @@ _TRANSPORT = "[experiment]\nname = passive_transport\n"
     "[solver]\ntransport_steps = 0\n",
     # 4 nodes are fewer than the 22 points the experiment observes
     "[grid]\nn = 2\n",
-    "[optimizer]\nmax_steps = 0\n", "[optimizer]\nmemory = 0\n"],
+    "[optimizer]\nmax_steps = 0\n", "[optimizer]\nmemory = 0\n",
+    # flowgrad gradcheck audits the gradient; the optimizer has no switch
+    "[optimizer]\ndebug_fd_check = yes\n",
+    "[model]\nvariant = dnn3d\n"],
     ids=["seed", "init_seed", "transport_steps", "n_points", "max_steps",
-         "memory"])
+         "memory", "debug_fd_check", "variant"])
 def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
                                                 command, text):
     calls = _count_splu(monkeypatch)
@@ -547,6 +550,25 @@ def test_forward_rejects_set_observation_count_outside_grid(
     out = tmp_path / "never"
     assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
     assert calls == []
+    assert not out.exists()
+
+
+def test_forward_rejects_unknown_variant_without_files(tmp_path, monkeypatch):
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path, SMALL + "\n[model]\nvariant = dnn3d\n")
+    out = tmp_path / "never"
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_removed_debug_gradcheck_flag_exits_2(tmp_path):
+    # flowgrad gradcheck is the one finite-difference audit
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", _config(tmp_path), "--out", str(out),
+              "--debug-gradcheck"])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

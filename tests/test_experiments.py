@@ -25,6 +25,7 @@ from flowgrad.experiments import (
     reference_field,
     relative_mse,
     run_experiment,
+    shape_error,
 )
 from flowgrad.grid import DirichletSpec, StructuredGrid
 from flowgrad.models import eval_field_on_grid
@@ -218,6 +219,16 @@ def test_relative_mse_shape_mismatch_rejected():
         relative_mse(np.ones(4), np.ones(5))
 
 
+def test_shape_error_forgives_a_wrong_scale():
+    ref = np.linspace(1, 2, 30)
+    assert shape_error(2.0 * ref, ref) == (0.5, 0.0)
+
+
+def test_shape_error_of_zero_estimate_is_hundred():
+    ref = np.linspace(1, 2, 30)
+    assert shape_error(np.zeros(30), ref) == (0.0, 100.0)
+
+
 # --- config resolution
 
 
@@ -236,6 +247,11 @@ def test_experiment_defaults_resolve():
 def test_unknown_experiment_rejected():
     with pytest.raises(ContractError):
         ExperimentConfig(experiment="magnetohydrodynamics")
+
+
+def test_unknown_variant_rejected_naming_the_choices():
+    with pytest.raises(ContractError, match="dnn3d.*dnn2d.*pointwise"):
+        ExperimentConfig(variant="dnn3d")
 
 
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
@@ -408,10 +424,11 @@ def test_runs_are_deterministic():
 
 
 _REPORT_KEYS = {
-    "config_echo", "converged", "experiment", "final_loss", "initial_loss",
-    "line_search", "linear_solves", "loss_history", "n_evals", "n_steps",
-    "newton_iters", "rejections", "relative_mse_percent", "stop_reason",
-    "variant", "wall_clock_seconds"}
+    "coefficient_scale", "config_echo", "converged", "experiment",
+    "final_loss", "initial_loss", "line_search", "linear_solves",
+    "loss_history", "n_evals", "n_steps", "newton_iters", "rejections",
+    "relative_mse_percent", "shape_error_percent", "stop_reason", "variant",
+    "wall_clock_seconds"}
 
 
 def test_report_json_contract():

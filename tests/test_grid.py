@@ -136,6 +136,13 @@ def test_csv_read_rejects_malformed_rows(tmp_path, body):
         read_field_csv(path)
 
 
+def test_csv_read_rejects_non_utf8(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_bytes(b"x,y,nu\n0,0,\xe9\n")
+    with pytest.raises(ContractError, match="not UTF-8"):
+        read_field_csv(path)
+
+
 def test_csv_row_major_order(tmp_path):
     g = StructuredGrid(3)
     path = tmp_path / "field.csv"

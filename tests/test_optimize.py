@@ -409,19 +409,21 @@ def test_callback_sees_every_accepted_step():
     assert [f for _, f in seen] == res.loss_history
 
 
-def test_debug_fd_check_accepts_true_gradient():
-    res = lbfgs_optimize(quadratic(np.array([1.0, 2.0])), np.zeros(2),
-                         OptimizerConfig(debug_fd_check=True))
-    assert res.converged
+@pytest.mark.parametrize("fail_call", [None, 2])
+def test_objective_called_exactly_n_evals_times(fail_call):
+    # a failed trial is an evaluation too
+    calls = []
 
-
-def test_debug_fd_check_catches_wrong_gradient():
     def f(x):
-        d = x - 3.0
-        return float(d @ d), 3.5 * d  # wrong scale
+        calls.append(1)
+        if len(calls) == fail_call:
+            raise NumericError("failed trial")
+        return rosenbrock(x)
 
-    with pytest.raises(NumericError, match="spot check"):
-        lbfgs_optimize(f, np.zeros(4), OptimizerConfig(debug_fd_check=True))
+    res = lbfgs_optimize(f, np.array([-1.2, 1.0]))
+    assert len(calls) == res.n_evals == 1 + sum(res.evals_per_step)
+    assert res.rejections == (fail_call is not None)
+    assert res.n_steps > 10
 
 
 def test_max_steps_respected():
