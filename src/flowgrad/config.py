@@ -3,8 +3,10 @@
 One file describes one experiment run. Sections group keys by module; every
 key is optional and falls back to the experiment defaults, but unknown
 sections or keys are rejected outright so typos cannot silently change a
-run. ``noise_epsilon`` accepts a comma-separated list, which turns the run
-into a sweep (one run per level, shared everything else).
+run. The values are checked by :class:`ExperimentConfig` when it is built,
+as for a config built in Python. ``noise_epsilon`` accepts a
+comma-separated list, which turns the run into a sweep (one run per level,
+shared everything else).
 
     [experiment]
     name = cavity_viscosity
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError
 from .experiments import ExperimentConfig
-from .grid import StructuredGrid
 
 __all__ = ["ConfigBundle", "load_config"]
 
@@ -119,11 +120,11 @@ def _parse_value(raw, kind, where):
 
 
 def load_config(path):
-    """Parse and validate an INI file into a ConfigBundle.
+    """Parse an INI file and build one ExperimentConfig per noise level.
 
     Raises ConfigError for a missing, unreadable or non-UTF-8 file,
-    unknown sections or keys, malformed values, or values the experiment
-    layer rejects.
+    unknown sections or keys, malformed values, or values the config
+    rejects.
     """
     parser = configparser.ConfigParser()
     try:
@@ -137,7 +138,6 @@ def load_config(path):
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     kwargs = {}
-    epsilons = None
     out_dir = None
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -152,31 +152,13 @@ def load_config(path):
             value = _parse_value(raw, kind, f"[{section}] {key}")
             if section == "output":
                 out_dir = value
-            elif key == "noise_epsilon":
-                epsilons = value
             else:
                 kwargs[field] = value
 
-    if epsilons is not None:
-        for eps in epsilons:
-            if eps < 0:
-                raise ConfigError(f"noise_epsilon must be nonnegative, got {eps}")
-    else:
-        epsilons = (None,)
-
-    configs = []
-    for eps in epsilons:
-        per_run = dict(kwargs)
-        if eps is not None:
-            per_run["noise_epsilon"] = eps
-        try:
-            cfg = ExperimentConfig(**per_run)
-            cfg.resolved()
-            cfg.physics()
-            cfg.newton()
-            if not configs:  # every noise level shares grid_n
-                StructuredGrid(cfg.grid_n)
-        except (TypeError, ValueError, ContractError, MemoryError) as exc:
-            raise ConfigError(f"invalid configuration: {exc}") from None
-        configs.append(cfg)
-    return ConfigBundle(tuple(configs), out_dir)
+    levels = kwargs.pop("noise_epsilon", (ExperimentConfig.noise_epsilon,))
+    try:
+        configs = tuple(ExperimentConfig(**kwargs, noise_epsilon=eps)
+                        for eps in levels)
+    except ContractError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from None
+    return ConfigBundle(configs, out_dir)

@@ -34,7 +34,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -293,9 +293,23 @@ def shape_error(estimate, reference):
     return scale, relative_mse(scale * estimate, reference)
 
 
+def _check_n_points(n_points, grid_n):
+    n_nodes = grid_n ** 2
+    if not 1 <= n_points <= n_nodes:
+        raise ContractError(
+            f"n_points must be between 1 and the {n_nodes} nodes of the "
+            f"grid, got {n_points}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; ``None`` fields take experiment defaults."""
+    """Everything a run needs, every setting checked when it is built.
+
+    A ``None`` field of ``_SPEC_DEFAULTS`` takes the spec field of that
+    name; ``n_points`` stays ``None`` when the spec observes every node.
+    :func:`build_problem` keeps only the checks that ``forward`` skips, so
+    ``n_points`` is checked against the grid here only when it is set.
+    """
 
     experiment: str = "cavity_viscosity"
     variant: str = None
@@ -324,8 +338,12 @@ class ExperimentConfig:
     lid_speed: float = 1.0
 
     def __post_init__(self):
-        _spec(self.experiment)
-        if self.variant is not None and self.variant not in VARIANTS:
+        spec = _spec(self.experiment)
+        points_set = self.n_points is not None
+        for name in _SPEC_DEFAULTS:
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, getattr(spec, name))
+        if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}; "
                                 f"expected one of {VARIANTS}")
         for f in fields(self):
@@ -344,8 +362,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, int(value))
         # the loss sums one term per component named
         comps = self.components
-        if comps is not None and (isinstance(comps, str) or not comps
-                                  or len(set(comps)) < len(comps)):
+        if (isinstance(comps, str) or not comps
+                or len(set(comps)) < len(comps)):
             raise ContractError(
                 f"components must name one or more distinct fields, got "
                 f"{comps!r}")
@@ -357,51 +375,39 @@ class ExperimentConfig:
                     f"{name} must be positive, got {getattr(self, name)}")
         # a floor below zero would let the clamped coefficient go negative;
         # numpy seeds its generators from nonnegative integers only, and a
-        # negative scale would give the weight draw an empty range
-        for name in ("clamp_floor", "obs_seed", "init_seed", "init_scale"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
+        # negative scale or noise level would give a uniform draw an empty
+        # range
+        for name in ("clamp_floor", "obs_seed", "init_seed", "init_scale",
+                     "noise_epsilon"):
+            if not getattr(self, name) >= 0:
                 raise ContractError(
-                    f"{name} must be nonnegative, got {value}")
+                    f"{name} must be nonnegative, got {getattr(self, name)}")
         # checked here as well as in OptimizerConfig, so a run stops before
         # the synthesis solve
-        for name in ("max_steps", "memory"):
+        for name in ("max_steps", "memory", "transport_steps"):
             if getattr(self, name) < 1:
                 raise ContractError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-
-    def resolved(self):
-        """A copy with every ``None`` replaced by its experiment default."""
-        spec = SPECS[self.experiment]
-        fills = {name: getattr(spec, name) for name in _SPEC_DEFAULTS
-                 if getattr(self, name) is None}
-        if "n_points" in fills and fills["n_points"] is None:
-            fills["n_points"] = self.grid_n ** 2
-        cfg = replace(self, **fills) if fills else self
+        if self.grid_n < 2:
+            raise ContractError(
+                f"grid_n must be at least 2 nodes per side, got {self.grid_n}")
+        if points_set:
+            _check_n_points(self.n_points, self.grid_n)
         # the pointwise fit bounds every nodal value below at the clamp
         # floor, where the clamp stops acting; the bound keeps the
         # coefficient positive
-        if cfg.variant == "pointwise" and not cfg.clamp_floor > 0.0:
+        if self.variant == "pointwise" and not self.clamp_floor > 0.0:
             raise ContractError(
                 f"the pointwise variant needs a positive clamp_floor, got "
-                f"{cfg.clamp_floor}")
-        if cfg.transport_steps < 1:
+                f"{self.clamp_floor}")
+        # the starting field lies around the offset; at or below the floor
+        # the clamp can cut it at every node, and the gradient is then 0
+        if not self.offset > self.clamp_floor:
             raise ContractError(
-                f"transport_steps must be at least 1, got "
-                f"{cfg.transport_steps}")
-        return cfg
-
-    def check_n_points(self):
-        """Raise unless ``n_points`` is unset or fits the grid's nodes.
-
-        ``build_problem`` checks the resolved count; the ``forward``
-        command, which observes nothing, checks only a count that was set.
-        """
-        n_nodes = self.grid_n ** 2
-        if self.n_points is not None and not 1 <= self.n_points <= n_nodes:
-            raise ContractError(
-                f"n_points must be between 1 and the {n_nodes} nodes of "
-                f"the grid, got {self.n_points}")
+                f"offset {self.offset} must lie above clamp_floor "
+                f"{self.clamp_floor}")
+        self.physics()
+        self.newton()
 
     def physics(self):
         return PhysicsConstants(rho=self.rho, cp=self.cp,
@@ -566,7 +572,7 @@ _REFERENCES = {}  # value key of the physics -> ForwardChain, least recently use
 
 
 def _changed_physics(cfg):
-    """The physics settings of a resolved config that differ from the
+    """The physics settings of a config that differ from the
     experiment's defaults, as "name = value" text."""
     default = ExperimentConfig(cfg.experiment)
     changed = [f"{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg)
@@ -576,7 +582,7 @@ def _changed_physics(cfg):
 
 
 def forward_chain(cfg):
-    """The shared :class:`ForwardChain` of a resolved config, built and
+    """The shared :class:`ForwardChain` of a config, built and
     solved at the reference coefficient on first use; no problem counts its
     solves.
 
@@ -588,7 +594,8 @@ def forward_chain(cfg):
     so when it fails numerically (Newton diverges, a matrix leaves the
     single-precision range) the physics settings are at fault: the
     :class:`NumericError` is raised again as a :class:`ContractError` that
-    names the settings that differ from their defaults.
+    names the settings that differ from their defaults; so is a
+    :class:`MemoryError` (a grid too large).
     """
     key = tuple((f.name, repr(getattr(cfg, f.name))) for f in fields(cfg)
                 if f.name not in _DATA_FIELDS)
@@ -596,7 +603,7 @@ def forward_chain(cfg):
     if chain is None:
         try:
             chain = ForwardChain(cfg)
-        except NumericError as exc:
+        except (NumericError, MemoryError) as exc:
             raise ContractError(
                 f"{cfg.experiment} cannot be solved at its reference "
                 f"coefficient with {_changed_physics(cfg)}: {exc}") from exc
@@ -643,27 +650,33 @@ def build_problem(config):
     once.  A warm build only draws the observations, adds their noise and
     initialises the model.
     """
-    cfg = config.resolved()
-    cfg.check_n_points()
-    # at lid speed 0 the flow is at rest whatever its viscosity, so data
-    # cannot determine it; a frozen flow at rest still carries heat
-    if cfg.lid_speed == 0.0 and SPECS[cfg.experiment].frozen_viscosity is None:
+    # the checks that the forward command, which observes nothing, skips:
+    # a spec default count of points must fit the grid, and data determine
+    # no coefficient of a flow at rest (lid speed 0) or, for a frozen flow,
+    # of a temperature at its wall value (no heat source)
+    spec = SPECS[config.experiment]
+    n_points = config.n_points or config.grid_n ** 2
+    _check_n_points(n_points, config.grid_n)
+    setting, fault = "lid_speed", "flow at rest"
+    if spec.frozen_viscosity is not None:
+        setting, fault = "heat_source", "temperature at its wall value"
+    if getattr(config, setting) == 0.0:
         raise ContractError(
-            f"lid_speed 0 leaves the {cfg.experiment} flow at rest whatever "
-            f"its {SPECS[cfg.experiment].coef_name}, so no data can "
-            f"determine it")
-    chain = forward_chain(cfg)
+            f"{setting} 0 leaves the {config.experiment} {fault} whatever "
+            f"its {spec.coef_name}, so no data can determine it")
+    chain = forward_chain(config)
     grid = chain.grid
     counts = LinearSolveCounts()
 
-    obs = make_observations(grid, chain.synthetic, cfg.n_points,
-                            cfg.components, cfg.obs_seed)
-    obs = add_noise(obs, cfg.noise_epsilon, cfg.obs_seed + 1)
+    obs = make_observations(grid, chain.synthetic, n_points,
+                            config.components, config.obs_seed)
+    obs = add_noise(obs, config.noise_epsilon, config.obs_seed + 1)
 
     # --- coefficient model and the objective
-    model, theta0 = init_params(cfg.variant, cfg.init_seed,
-                                init_scale=cfg.init_scale, offset=cfg.offset,
-                                clamp_floor=cfg.clamp_floor,
+    model, theta0 = init_params(config.variant, config.init_seed,
+                                init_scale=config.init_scale,
+                                offset=config.offset,
+                                clamp_floor=config.clamp_floor,
                                 n_nodes=grid.n_nodes)
     eval_note = {"newton": 0}
 
@@ -678,7 +691,7 @@ def build_problem(config):
         return float(t.value(loss)[0]), grads[th]
 
     return InverseProblem(
-        config=cfg, forward=chain, objective=objective, theta0=theta0,
+        config=config, forward=chain, objective=objective, theta0=theta0,
         model=model, observations=obs, eval_note=eval_note,
         linear_solves=counts)
 
@@ -740,6 +753,7 @@ def run_experiment(config, progress=None):
 
     echo = asdict(cfg)
     echo["components"] = list(cfg.components)
+    echo["n_points"] = problem.observations.n_points
     return RunReport(
         experiment=cfg.experiment, variant=cfg.variant,
         loss_history=list(result.loss_history),

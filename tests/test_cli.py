@@ -158,24 +158,27 @@ def test_sweep_levels_sharing_a_directory_exit_2_before_solving(
 
 
 def test_grid_beyond_memory_exits_2(tmp_path, monkeypatch, capsys):
-    # a grid too large to allocate stops at the config boundary; the build
-    # is replaced, so no test allocates a huge grid
+    # a grid too large to allocate stops every command before any solve,
+    # naming the grid size; the build is replaced, so no test allocates a
+    # huge grid
     def unallocatable(n):
         raise MemoryError("Unable to allocate 74.5 GiB")
 
-    monkeypatch.setattr(config, "StructuredGrid", unallocatable)
+    monkeypatch.setattr(experiments, "StructuredGrid", unallocatable)
     cfg = _config(tmp_path, SMALL.replace("n = 6", "n = 100000"))
     out = tmp_path / "never"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "invalid configuration: Unable to allocate" in err
-    assert not out.exists()
+    for command in ("run", "forward"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid_n = 100000: Unable to allocate 74.5 GiB" in err
+        assert not out.exists()
+    assert main(["gradcheck", "--config", cfg]) == 2
+    assert "grid_n = 100000" in capsys.readouterr().err
 
 
-def test_warm_runs_build_only_the_validation_grid(tmp_path, monkeypatch):
+def test_warm_runs_build_no_grid(tmp_path, monkeypatch):
     # the reports write their CSVs on the shared chain's grid, and
-    # load_config builds one grid per file to check its size, not one per
-    # noise level
+    # load_config builds none
     cfg = _config(tmp_path,
                   SMALL + "\n[observations]\nnoise_epsilon = 0.0, 0.05\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "cold")]) == 0
@@ -189,7 +192,7 @@ def test_warm_runs_build_only_the_validation_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(StructuredGrid, "__init__", counting_init)
     for name in ("warm_a", "warm_b"):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-    assert built == [(6,), (6,)]
+    assert built == []
 
 
 def test_run_missing_config_exits_2(tmp_path):
@@ -327,7 +330,7 @@ def test_forward_dump_matrix_is_loadable(tmp_path):
     assert matrix.shape == (108, 108)
     assert np.all(np.isfinite(matrix.data))
     # exactly the Jacobian at the synthetic state of the same physics
-    cfg = load_config(_config(tmp_path)).configs[0].resolved()
+    cfg = load_config(_config(tmp_path)).configs[0]
     chain = experiments.forward_chain(cfg)
     x = np.concatenate([chain.synthetic[comp] for comp in ("u", "v", "p")])
     jac = ns_jacobian(chain.flow_setup, x,
@@ -372,7 +375,7 @@ def test_invalid_float_value_exits_2_without_files(tmp_path, section, key,
                                                    value):
     base = "[experiment]\nname = cavity_viscosity\n\n[grid]\nn = 6\n"
     # the same file with a valid value loads, so exit 2 is due to the value
-    load_config(_config(tmp_path, base + f"\n[{section}]\n{key} = 1.0\n",
+    load_config(_config(tmp_path, base + f"\n[{section}]\n{key} = 0.5\n",
                         name="ok.ini"))
     cfg = _config(tmp_path, base + f"\n[{section}]\n{key} = {value}\n")
     out = tmp_path / "never"
@@ -386,7 +389,7 @@ def test_forward_writes_every_field_of_the_chain(tmp_path, experiment):
     assert main(["forward", "--config", _config(tmp_path, _small(experiment)),
                  "--out", str(out)]) == 0
     # a chain of its own, solved again at the reference coefficient
-    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12).resolved()
+    cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
     chain = ForwardChain(cfg)
     t = Tape()
     fields, _ = chain(t, t.constant(reference_field(experiment,
@@ -438,12 +441,15 @@ _TRANSPORT = "[experiment]\nname = passive_transport\n"
     "[solver]\ntransport_steps = 0\n",
     # 4 nodes are fewer than the 22 points the experiment observes
     "[grid]\nn = 2\n",
+    "[observations]\nn_points = 0\n", "[observations]\nn_points = 442\n",
+    "[model]\noffset = 0\n",
     "[optimizer]\nmax_steps = 0\n", "[optimizer]\nmemory = 0\n",
     # flowgrad gradcheck audits the gradient; the optimizer has no switch
     "[optimizer]\ndebug_fd_check = yes\n",
     "[model]\nvariant = dnn3d\n"],
-    ids=["seed", "init_seed", "transport_steps", "n_points", "max_steps",
-         "memory", "debug_fd_check", "variant"])
+    ids=["seed", "init_seed", "transport_steps", "n_points", "n_points_0",
+         "n_points_442", "offset", "max_steps", "memory", "debug_fd_check",
+         "variant"])
 def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
                                                 command, text):
     calls = _count_splu(monkeypatch)
@@ -538,6 +544,22 @@ def test_zero_lid_speed_heat_fit_runs(tmp_path):
     out = tmp_path / "heat"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+def test_zero_heat_source_fit_exits_2_before_solving(tmp_path, monkeypatch):
+    # the temperature is the wall value whatever the conductivity, so no
+    # data determine it; forward writes the chain all the same
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path, _small("conjugate_heat")
+                  + "\n[physics]\nheat_source = 0.0\nheat_bc_value = 1.0\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["gradcheck", "--config", cfg]) == 2
+    assert calls == []
+    assert not out.exists()
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
+    _, temperature = read_field_csv(out / "T.csv")
+    np.testing.assert_allclose(temperature, 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("points", ["0", "37"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from flowgrad import experiments, solver
+from flowgrad import experiments, ops, solver
 from flowgrad.assembly import GridOperators, operators_for
 from flowgrad.errors import ContractError, NewtonDivergedError
 from flowgrad.experiments import (
@@ -28,8 +28,8 @@ from flowgrad.experiments import (
     shape_error,
 )
 from flowgrad.grid import DirichletSpec, StructuredGrid
-from flowgrad.models import eval_field_on_grid
-from flowgrad.sparse import LuFactors
+from flowgrad.models import eval_field_on_grid, init_params
+from flowgrad.sparse import LinearSolveCounts, LuFactors
 from flowgrad.tape import Tape
 
 
@@ -233,12 +233,12 @@ def test_shape_error_of_zero_estimate_is_hundred():
 
 
 def test_experiment_defaults_resolve():
-    cfg = ExperimentConfig(experiment="conjugate_heat").resolved()
+    cfg = ExperimentConfig(experiment="conjugate_heat")
     assert cfg.variant == "dnn2d"
     assert cfg.n_points == 40
     assert cfg.components == ("u", "v", "T")
     assert cfg.offset == 1.0
-    cfg3 = ExperimentConfig(experiment="passive_transport").resolved()
+    cfg3 = ExperimentConfig(experiment="passive_transport")
     assert cfg3.variant == "dnn_layered"
     assert cfg3.n_points == 22
     assert cfg3.offset == 0.01
@@ -324,10 +324,9 @@ def test_max_steps_or_memory_below_one_rejected(name):
 
 @pytest.mark.parametrize("steps", [0, -3])
 def test_transport_steps_below_one_rejected(steps):
-    cfg = ExperimentConfig(experiment="passive_transport",
-                           transport_steps=steps)
     with pytest.raises(ContractError, match="transport_steps"):
-        cfg.resolved()
+        ExperimentConfig(experiment="passive_transport",
+                         transport_steps=steps)
 
 
 @pytest.mark.parametrize("experiment,grid_n,n_points", [
@@ -336,16 +335,95 @@ def test_transport_steps_below_one_rejected(steps):
 def test_observation_count_outside_grid_rejected_before_solving(
         monkeypatch, experiment, grid_n, n_points):
     # the defaults of 22 and 40 points do not fit on 4 or 36 nodes either
+    # a count the caller sets stops the config itself
     calls = _count_splu(monkeypatch)
-    cfg = ExperimentConfig(experiment, grid_n=grid_n, n_points=n_points)
     with pytest.raises(ContractError, match="n_points must be between 1"):
-        build_problem(cfg)
+        build_problem(ExperimentConfig(experiment, grid_n=grid_n,
+                                       n_points=n_points))
     assert calls == []
 
 
+_REJECTED_AT_CONSTRUCTION = {
+    "noise_epsilon": ("cavity_viscosity", {"noise_epsilon": -0.1},
+                      "noise_epsilon must be nonnegative, got -0.1"),
+    "rho": ("cavity_viscosity", {"rho": 0.0}, "rho and cp must be positive"),
+    "newton_tol": ("cavity_viscosity", {"newton_tol": 0.0},
+                   "Newton tolerance must be finite and positive"),
+    "grid_n": ("cavity_viscosity", {"grid_n": 1},
+               "grid_n must be at least 2 nodes per side, got 1"),
+    "pointwise_clamp_floor": ("cavity_viscosity",
+                              {"variant": "pointwise", "clamp_floor": 0.0},
+                              "pointwise variant needs a positive "
+                              "clamp_floor"),
+    "n_points": ("cavity_viscosity", {"n_points": 0},
+                 "n_points must be between 1 and the 36 nodes"),
+    "heat_offset": ("conjugate_heat", {"offset": -1.0, "clamp_floor": 0.0},
+                    "offset -1.0 must lie above clamp_floor 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_AT_CONSTRUCTION))
+def test_bad_setting_rejected_when_the_config_is_built(monkeypatch, case):
+    # every check that needs no solve runs in the config itself, so the
+    # Python API stops where the INI front end does
+    experiment, settings, message = _REJECTED_AT_CONSTRUCTION[case]
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(ContractError, match=message):
+        ExperimentConfig(experiment, **{"grid_n": 6, **settings})
+    assert calls == []
+
+
+@pytest.mark.parametrize("experiment,variant,offset", [
+    ("passive_transport", "dnn_layered", 0.0),
+    ("passive_transport", "pointwise", 0.0),
+    ("cavity_viscosity", "dnn2d", -1.0)])
+def test_offset_at_clamp_floor_would_start_with_zero_gradient(
+        experiment, variant, offset):
+    # the starting field of such a config lies below the floor at every
+    # node, so the clamp cuts every path to the parameters
+    cfg = ExperimentConfig(experiment, grid_n=8, variant=variant)
+    model, theta0 = init_params(variant, cfg.init_seed,
+                                init_scale=cfg.init_scale, offset=offset,
+                                clamp_floor=cfg.clamp_floor, n_nodes=64)
+    t = Tape()
+    th = t.variable(theta0)
+    coef = eval_field_on_grid(t, model, th, StructuredGrid(8))
+    assert np.all(t.value(coef) == cfg.clamp_floor)
+    loss = ops.vsum(t, ops.square(t, coef))
+    assert not np.any(t.backward(loss)[th])
+    message = f"offset {offset} must lie above clamp_floor 1e-06"
+    with pytest.raises(ContractError, match=message):
+        ExperimentConfig(experiment, variant=variant, offset=offset)
+    # just above the floor the config is accepted
+    assert ExperimentConfig(experiment, offset=2e-6).offset == 2e-6
+
+
+@pytest.mark.parametrize("bc_value", [0.0, 1.0])
+def test_zero_heat_source_fit_rejected_before_solving(monkeypatch, bc_value):
+    # without a source the temperature is the wall value whatever the
+    # conductivity, so no data determine it; the forward chain still runs
+    calls = _count_splu(monkeypatch)
+    cfg = ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
+                           heat_source=0.0, heat_bc_value=bc_value)
+    with pytest.raises(ContractError, match="heat_source 0 leaves"):
+        build_problem(cfg)
+    assert calls == []
+    chain = experiments.forward_chain(cfg)
+    counts = LinearSolveCounts()
+    for k in (chain.reference_nodal, 3.0 * chain.reference_nodal):
+        np.testing.assert_allclose(chain.values(k, counts)["T"], bc_value,
+                                   rtol=0, atol=1e-12)
+    # the flow experiments carry no heat
+    build_problem(ExperimentConfig("cavity_viscosity", grid_n=6,
+                                   heat_source=0.0))
+
+
 def test_full_grid_default_tracks_grid_size():
-    cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6).resolved()
-    assert cfg.n_points == 36
+    cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6)
+    assert cfg.n_points is None
+    assert build_problem(cfg).observations.n_points == 36
+    seven = build_problem(dataclasses.replace(cfg, grid_n=7))
+    assert seven.observations.n_points == 49
 
 
 # --- run_experiment protocol
