@@ -2,27 +2,26 @@
 
 All node-pair blocks (stiffness, advection, reaction, mass, pressure
 gradient, divergence) share one CSR pattern derived from element
-connectivity.  ``GridOperators`` precomputes that pattern, the
-element-to-entry scatter map ``pos16`` and the mass block, and builds the
-other blocks as plain CSR data on request: ``diffusion``, ``convection``
-and ``reaction`` interpolate a nodal field to quadrature points, run an
-element kernel and scatter into CSR data, and ``diffusion_bwd`` runs the
-same maps in reverse.  Nothing here is recorded on a tape: the solver's
-operators call these blocks and write out their own backward rules.
+connectivity.  ``GridOperators`` precomputes that pattern and the
+element-to-entry scatter map ``pos16``, and builds the blocks as plain CSR
+data on request: ``diffusion``, ``convection`` and ``reaction`` interpolate
+a nodal field to quadrature points, run an element kernel and scatter into
+CSR data, and ``diffusion_bwd`` runs the same maps in reverse.  Nothing
+here is recorded on a tape: the solver's operators call these blocks and
+write out their own backward rules.
 
 Every system is factorized in one order, which the grid owns: a
-nested-dissection order of its nodes (``GridOperators.node_layout``; George,
-*Nested dissection of a regular finite element mesh*, 1973).  The node
-layout is the base pattern in that order and the position there of each
-base entry, where the heat solver writes its matrix.  The coupled
-velocity-pressure system is a 3x3 grid of base-pattern blocks over unknowns
-[u; v; p]; ``GridOperators.system_layout`` lays its pattern out in the same
-node order, with the u, v and p of each node adjacent, and maps each
-block's entries to their positions in the system CSR data array, where the
-Newton solver places its block arrays.  So no system is assembled in the
-natural order and gathered into its own.  A :class:`ConstraintPlan` imposes
-Dirichlet rows and columns on a plain data array (``identity_rows``) and on
-its right-hand side (``eliminate``).  Index maps are int32.
+nested-dissection order of its nodes (George, *Nested dissection of a
+regular finite element mesh*, 1973).  ``GridOperators.system_layout(b)``
+lays out the system with ``b`` unknowns per node in that order, the
+unknowns of each node adjacent, as a b x b grid of base-pattern blocks: its
+pattern, the position in the system CSR data of each block's entries, and
+the order.  The heat system is its ``b = 1`` layout and the coupled
+velocity-pressure system over [u; v; p] its ``b = 3`` layout, and each
+solver writes its blocks straight into that data, so no system is assembled
+in the natural order and gathered into its own.  A :class:`ConstraintPlan`
+imposes Dirichlet rows and columns on a plain data array (``identity_rows``)
+and on its right-hand side (``eliminate``).  Index maps are int32.
 """
 
 from dataclasses import dataclass
@@ -65,8 +64,8 @@ def _dissect(nx, ix0, ix1, iy0, iy1, out):
 
 
 class GridOperators:
-    """Pattern, scatter map, mass block and node layout of one grid, and
-    its system layout on request.
+    """Pattern, scatter map and quadrature tables of one grid, and its
+    blocks and system layouts on request.
 
     ``operators_for`` keeps one instance on each grid.  It keeps the grid's
     shape, ``n_nodes`` and ``elems``, never the grid, so the grid and its
@@ -94,11 +93,6 @@ class GridOperators:
         self.dndx_tab = q.dndx
         self.dndy_tab = q.dndy
 
-        self.m_data = self.scatter(kernels.coefmass_fwd(
-            np.ones((grid.n_elems, 4)), self.wdet, self.n_tab))
-
-        self._nodes = None
-
     @property
     def nnz(self):
         return self.pattern.nnz
@@ -121,6 +115,11 @@ class GridOperators:
         contrib = gq @ table
         return np.bincount(self.elems.ravel(), weights=contrib.ravel(),
                            minlength=self.n_nodes)
+
+    def mass(self):
+        """Mass block M as CSR data, built anew on each call."""
+        return self.scatter(kernels.coefmass_fwd(
+            np.ones((self.elems.shape[0], 4)), self.wdet, self.n_tab))
 
     def divergence_blocks(self):
         """(Dx, Dy, Gx, Gy) as CSR data, built anew on each call, so a
@@ -174,73 +173,54 @@ class GridOperators:
     def scipy_matrix(self, data):
         return self.pattern.to_scipy(data)
 
-    def node_layout(self):
-        """(pattern, slot, order) of the base pattern laid out in the grid's
-        node order, the order its systems are factorized in.
+    def system_layout(self, b):
+        """(pattern, blockmap, order) of the system with ``b`` unknowns per
+        node, laid out in the order it is factorized in.
 
         The order numbers the grid's nodes by nested dissection: both halves
         of a box come before the grid line that separates them, down to
-        boxes of at most 4 nodes, numbered row-major (``_dissect``).
-        ``order.perm[a]`` is the a-th node.  ``pattern`` is the base pattern
-        with its rows and columns in that order, columns sorted, and
-        ``slot[k]`` (int32) is the position in its data of base entry ``k``.
+        boxes of at most 4 nodes, numbered row-major (``_dissect``).  The
+        ``b`` unknowns of each node are adjacent, so ``order.perm[b a + f]``
+        is the natural index ``f n + node`` of unknown f of the a-th node.
+        Each system row holds the ``b`` unknowns of every node its node
+        couples to, columns sorted.  ``blockmap[br][bc][k]`` is the
+        system-data position (int32) of base entry ``k`` placed in block row
+        ``br``, block column ``bc``; for ``b = 1`` the pattern is the base
+        pattern in the node order.  Built anew on each call, so the setup
+        that asks for it is the only holder of the layout.
         """
-        if self._nodes is not None:
-            return self._nodes
         base = self.pattern
         n = base.n_rows
         nodes = []
         _dissect(self.shape[0], 0, self.shape[0], 0, self.shape[1], nodes)
-        order = SymmetricOrder.create(nodes)
-        rows = order.inverse[base.entry_rows()]
-        cols = order.inverse[base.indices]
-        slot = np.empty(base.nnz, dtype=np.int32)
-        slot[np.argsort(rows.astype(np.int64) * n + cols)] = np.arange(
+        node_order = SymmetricOrder.create(nodes)
+        # the node row and column of each base entry, and its rank in the
+        # base pattern laid out in the node order, columns sorted
+        rows = node_order.inverse[base.entry_rows()]
+        cols = node_order.inverse[base.indices]
+        rank = np.empty(base.nnz, dtype=np.int32)
+        rank[np.argsort(rows.astype(np.int64) * n + cols)] = np.arange(
             base.nnz, dtype=np.int32)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        indices = np.empty(base.nnz, dtype=np.int32)
-        indices[slot] = cols
-        self._nodes = (SparsePattern.create(n, n, indptr, indices), slot, order)
-        return self._nodes
-
-    def system_layout(self):
-        """(system pattern, blockmap, order) of the 3x3 [u; v; p] block
-        system, laid out in the order it is factorized in.
-
-        Nodes come in the order of ``node_layout``, with the u, v and p
-        unknowns of each node adjacent, so ``order.perm[3 a + f]`` is the
-        natural index ``f n + node`` of unknown f of the a-th node.  Each
-        system row holds the three unknowns of every node its node couples
-        to, columns sorted.  ``blockmap[br][bc][k]`` is the system-data
-        position (int32) of base entry ``k`` placed in block row ``br``,
-        block column ``bc``.  Built anew on each call, so the flow setup that
-        asks for it is the only holder of the layout.
-        """
-        nodes, slot, node_order = self.node_layout()
-        n = nodes.n_rows
-        # the node row and column of each base entry, whose columns increase
-        # within every row in slot order
-        rows, cols = nodes.entry_rows()[slot], nodes.indices[slot]
-        row_len = np.diff(nodes.indptr)
-        starts = nodes.indptr[:-1]
-        # system row 3 a + br holds node row a's columns c as 3 c, 3 c + 1,
-        # 3 c + 2: 3 row_len[a] entries from 9 starts[a] + 3 br row_len[a]
-        sys_indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * row_len, 3))])
-        first = 9 * starts[rows] + 3 * (slot - starts[rows])
-        stride = 3 * row_len[rows]
-        sys_indices = np.empty(9 * nodes.nnz, dtype=np.int32)
+        row_len = np.diff(base.indptr)[node_order.perm]
+        start = (np.cumsum(row_len) - row_len).astype(np.int32)
+        # system row b a + br holds node row a's columns c as b c + bc:
+        # b row_len[a] entries from b^2 start[a] + b br row_len[a]
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(b * row_len, b))])
+        first = b * b * start[rows] + b * (rank - start[rows])
+        stride = b * row_len[rows]
+        indices = np.empty(b * b * base.nnz, dtype=np.int32)
         blockmap = []
-        for br in range(3):
+        for br in range(b):
             row_maps = []
-            for bc in range(3):
+            for bc in range(b):
                 pos = first + br * stride + bc
-                sys_indices[pos] = 3 * cols + bc
+                indices[pos] = b * cols + bc
                 row_maps.append(pos)
             blockmap.append(row_maps)
-        sys_pattern = SparsePattern.create(3 * n, 3 * n, sys_indptr, sys_indices)
+        pattern = SparsePattern.create(b * n, b * n, indptr, indices)
         perm = (node_order.perm[:, None]
-                + n * np.arange(3, dtype=np.int32)).ravel()
-        return sys_pattern, blockmap, SymmetricOrder.create(perm)
+                + n * np.arange(b, dtype=np.int32)).ravel()
+        return pattern, blockmap, SymmetricOrder.create(perm)
 
 
 def operators_for(grid):

@@ -29,7 +29,6 @@ a reference is solved).  What one problem changes, its linear-solve
 counts, it holds itself and hands to the chain on every call.
 """
 
-import copy
 import json
 import math
 import numbers
@@ -88,7 +87,9 @@ class ExperimentSpec:
     coefficient ``coef``, every predicted nodal field and returns them by
     name with the :class:`NSState` of the flow used (``chain`` is a
     :class:`ForwardChain`); its linear solves add to ``counts``.
-    ``variant`` to ``init_seed`` default the config fields of those names;
+    ``predicts`` names the fields ``forward`` returns, which a config may
+    observe.  ``variant`` to ``init_seed`` default the config fields of
+    those names, but for ``n_points``, which :func:`build_problem` reads;
     ``n_points = None`` observes every node.  ``report_fields`` are
     predicted at the final estimate.  A ``frozen_viscosity`` means the flow
     does not involve the coefficient: it is solved once at that viscosity.
@@ -97,6 +98,7 @@ class ExperimentSpec:
     reference: object
     coef_name: str
     forward: object
+    predicts: tuple
     variant: str
     components: tuple
     n_points: int
@@ -138,25 +140,26 @@ def _transport_forward(tape, chain, nu, counts):
 SPECS = {
     "cavity_viscosity": ExperimentSpec(
         reference=lambda x, y: 1.0 + 6.0 * x ** 2 + x / (1.0 + 2.0 * y ** 2),
-        coef_name="nu", forward=_cavity_forward, variant="dnn2d",
-        components=("u", "v"), n_points=None, offset=1.0, init_scale=1.0,
-        init_seed=21, report_fields=("u", "v", "p")),
+        coef_name="nu", forward=_cavity_forward, predicts=("u", "v", "p"),
+        variant="dnn2d", components=("u", "v"), n_points=None, offset=1.0,
+        init_scale=1.0, init_seed=21, report_fields=("u", "v", "p")),
     "conjugate_heat": ExperimentSpec(
         reference=lambda x, y: 1.0 + x ** 2 + x / (1.0 + y ** 2),
-        coef_name="k", forward=_heat_forward, variant="dnn2d",
-        components=("u", "v", "T"), n_points=40, offset=1.0, init_scale=1.0,
-        init_seed=3, frozen_viscosity=1.0),
+        coef_name="k", forward=_heat_forward, predicts=("u", "v", "p", "T"),
+        variant="dnn2d", components=("u", "v", "T"), n_points=40, offset=1.0,
+        init_scale=1.0, init_seed=3, frozen_viscosity=1.0),
     "passive_transport": ExperimentSpec(
         reference=lambda x, y: 0.01 + 0.01 / (1.0 + x ** 2),
-        coef_name="nu", forward=_transport_forward, variant="dnn_layered",
+        coef_name="nu", forward=_transport_forward,
+        predicts=("u", "v", "p", "w1", "w2"), variant="dnn_layered",
         components=("w1", "w2"), n_points=22, offset=0.01, init_scale=0.1,
         init_seed=3),
 }
 EXPERIMENTS = tuple(SPECS)
 
 # config fields whose ``None`` takes the value of the spec field of that name
-_SPEC_DEFAULTS = ("variant", "components", "n_points", "offset",
-                  "init_scale", "init_seed")
+_SPEC_DEFAULTS = ("variant", "components", "offset", "init_scale",
+                  "init_seed")
 
 
 def _spec(experiment):
@@ -230,9 +233,8 @@ def make_observations(grid, reference_solution, n_points, components, seed):
 def add_noise(obs, epsilon, seed):
     """Multiplicative noise: value * (1 + eta), eta ~ Uniform[-eps, eps].
 
-    The copy keeps the locations ``obs`` validated; only its values, which
-    can overflow, are checked again, and so is the sum of their squares,
-    which bounds the size of a loss against them.
+    The noisy set is checked as any other, and so is the sum of the squares
+    of its values, which bounds the size of a loss against them.
     """
     if epsilon < 0:
         raise ContractError("noise level must be nonnegative")
@@ -241,7 +243,8 @@ def add_noise(obs, epsilon, seed):
     for comp in obs.components:
         eta = rng.uniform(-epsilon, epsilon, size=obs.n_points)
         values[comp] = obs.values[comp] * (1.0 + eta)
-    _check_finite(values, obs.components)
+    noisy = ObservationSet(obs.locations, obs.components, values,
+                           float(epsilon), obs.rng_seed)
     with np.errstate(over="ignore"):
         squares = sum(float(values[comp] @ values[comp])
                       for comp in obs.components)
@@ -249,9 +252,6 @@ def add_noise(obs, epsilon, seed):
         raise ContractError(
             f"noisy observations at noise level {epsilon:g} have a sum of "
             f"squares beyond the floating-point range")
-    noisy = copy.copy(obs)
-    object.__setattr__(noisy, "values", values)
-    object.__setattr__(noisy, "noise_epsilon", float(epsilon))
     return noisy
 
 
@@ -306,9 +306,10 @@ class ExperimentConfig:
     """Everything a run needs, every setting checked when it is built.
 
     A ``None`` field of ``_SPEC_DEFAULTS`` takes the spec field of that
-    name; ``n_points`` stays ``None`` when the spec observes every node.
-    :func:`build_problem` keeps only the checks that ``forward`` skips, so
-    ``n_points`` is checked against the grid here only when it is set.
+    name.  ``n_points`` stays ``None`` unless it is set, and
+    :func:`build_problem` then takes the spec's count: it keeps only the
+    checks that ``forward`` skips, so ``n_points`` is checked against the
+    grid here only when it is set.
     """
 
     experiment: str = "cavity_viscosity"
@@ -339,7 +340,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         spec = _spec(self.experiment)
-        points_set = self.n_points is not None
         for name in _SPEC_DEFAULTS:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, getattr(spec, name))
@@ -367,6 +367,11 @@ class ExperimentConfig:
             raise ContractError(
                 f"components must name one or more distinct fields, got "
                 f"{comps!r}")
+        unknown = [name for name in comps if name not in spec.predicts]
+        if unknown:
+            raise ContractError(
+                f"{self.experiment} predicts no component {unknown[0]!r}; "
+                f"expected some of {spec.predicts}")
         # a zero stabilization weight leaves the pressure oscillating, and
         # the particle transport's implicit-Euler steps go forward in time
         for name in ("beta", "dt"):
@@ -391,7 +396,7 @@ class ExperimentConfig:
         if self.grid_n < 2:
             raise ContractError(
                 f"grid_n must be at least 2 nodes per side, got {self.grid_n}")
-        if points_set:
+        if self.n_points is not None:
             _check_n_points(self.n_points, self.grid_n)
         # the pointwise fit bounds every nodal value below at the clamp
         # floor, where the clamp stops acting; the bound keeps the
@@ -655,7 +660,7 @@ def build_problem(config):
     # no coefficient of a flow at rest (lid speed 0) or, for a frozen flow,
     # of a temperature at its wall value (no heat source)
     spec = SPECS[config.experiment]
-    n_points = config.n_points or config.grid_n ** 2
+    n_points = config.n_points or spec.n_points or config.grid_n ** 2
     _check_n_points(n_points, config.grid_n)
     setting, fault = "lid_speed", "flow at rest"
     if spec.frozen_viscosity is not None:

@@ -27,9 +27,9 @@ J(x_0), the solver factorizes the current J(x_k) and re-anchors on it: those
 factors serve the remaining steps and the adjoint.  A flow solve therefore
 factorizes 1 + (its stalls) times.  J is assembled directly in the order it
 is factorized in, the nested-dissection order of the grid
-(``GridOperators.system_layout``), so a Newton step takes F into that order
-and its update out of it once, and the adjoint does the same with g and
-lam; the refinement residuals b - J x are those of the ordered J.  The
+(``GridOperators.system_layout(3)``), so a Newton step takes F into that
+order and its update out of it once, and the adjoint does the same with g
+and lam; the refinement residuals b - J x are those of the ordered J.  The
 factors keep no Jacobian: every solve names the one it refines against.
 
 Continuity rows carry pressure stabilization (a pressure stiffness weighted
@@ -41,12 +41,13 @@ is fixed by pinning node 0.
 ``heat_solve`` records the temperature of advection-diffusion in a frozen
 flow as one ``heat_solve`` operator from the nodal conductivity, in the
 same form: its forward assembles and factorizes the linear system on plain
-arrays, in the grid's node order as the flow's, and its backward is one
-transpose solve with those factors.  What does not depend on the
-conductivity (the wall constraints, the convection block of the frozen flow
-and the load) is a :class:`HeatSetup`, built once by the caller, so an
-evaluation assembles only K(k).  Both operators build their factors with
-the caller's :class:`LinearSolveCounts`, which the factors fill.
+arrays, in the grid's layout for one unknown per node
+(``GridOperators.system_layout(1)``, in the flow's node order), and its
+backward is one transpose solve with those factors.  What does not depend
+on the conductivity (the layout, the wall constraints, the convection block
+of the frozen flow and the load) is a :class:`HeatSetup`, built once by the
+caller, so an evaluation assembles only K(k).  Both operators build their
+factors with the caller's :class:`LinearSolveCounts`, which the factors fill.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -163,7 +164,7 @@ class FlowSetup:
         self.gops = gops
         n = grid.n_nodes
         self.n = n
-        self.sys_pattern, self.bmap, self.order = gops.system_layout()
+        self.sys_pattern, self.bmap, self.order = gops.system_layout(3)
         self.stab_coef = beta * grid.hx * grid.hy
 
         dx, dy, gx, gy = gops.divergence_blocks()
@@ -415,34 +416,34 @@ def newton_solve(tape, setup, nu, config=None, counts=None):
 
 class HeatSetup:
     """What the heat system of one frozen flow keeps across its solves: the
-    grid's node layout (``GridOperators.node_layout``), which the system is
-    assembled in, the wall constraint plan on it with the wall values in
-    the plan's order, rho Cp C(u, v) as base-pattern data and the load M Q
-    in the node order, shared read-only by every heat solve with those
-    inputs.
+    grid's layout for one unknown per node (``GridOperators.system_layout``),
+    which the system is assembled in, the wall constraint plan on it with
+    the wall values in the plan's order, rho Cp C(u, v) as base-pattern data
+    and the load M Q in the node order, shared read-only by every heat solve
+    with those inputs.
 
     ``u`` and ``v`` are the nodal velocities of the frozen flow, as plain
     arrays, and ``bc_t`` the wall temperatures (a ``DirichletSpec``)."""
 
     def __init__(self, grid, u, v, constants, bc_t):
         self.gops = gops = operators_for(grid)
-        self.pattern, self.slot, self.order = gops.node_layout()
+        self.pattern, self.bmap, self.order = gops.system_layout(1)
         walls = self.order.inverse[bc_t.idx]
         self.plan = constraint_plan(self.pattern, walls)
         self.vals = bc_t.vals[np.argsort(walls)]
         self.convection = constants.rho * constants.cp * gops.convection(
             np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
-        self.load = (gops.scipy_matrix(gops.m_data)
+        self.load = (gops.scipy_matrix(gops.mass())
                      @ _nodal(constants.heat_source_q, grid.n_nodes))[
                          self.order.perm]
 
 
 def _heat_solve_fwd(v, ctx):
     """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed,
-    written into the node order with one scatter and solved there."""
+    written into the node order through the block map and solved there."""
     heat, counts = ctx["heat"], ctx["counts"]
     data = np.empty(heat.pattern.nnz)
-    data[heat.slot] = heat.convection + heat.gops.diffusion(v[0])
+    data[heat.bmap[0][0]] = heat.convection + heat.gops.diffusion(v[0])
     rhs = heat.load.copy()
     heat.plan.eliminate(data, rhs, heat.vals)
     matrix = heat.pattern.to_scipy(data)
@@ -460,7 +461,7 @@ def _heat_solve_bwd(g, ctx):
     Constrained rows do not depend on k, and an eliminated column (r, c)
     enters only the load, as -A_rc vals_c, so its entry gradient is
     -vals_c lam_r.  The entry gradient leaves the node order through the
-    slot map for ``diffusion_bwd``, which maps it to k; the flow and the
+    block map for ``diffusion_bwd``, which maps it to k; the flow and the
     load are constants.
     """
     heat, matrix, counts = ctx["heat"], ctx["matrix"], ctx["counts"]
@@ -472,7 +473,7 @@ def _heat_solve_bwd(g, ctx):
     gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
     gdata[plan.row_entries] = 0.0
     gdata[plan.col_entries] = -heat.vals[plan.col_slot] * lam[plan.col_rows]
-    return (heat.gops.diffusion_bwd(gdata[heat.slot]),)
+    return (heat.gops.diffusion_bwd(gdata[heat.bmap[0][0]]),)
 
 
 register_op("heat_solve", _heat_solve_fwd, _heat_solve_bwd)

@@ -14,8 +14,8 @@ matrix that arrives in its own fill-reducing order, so :class:`LuFactors`
 runs SuperLU's symmetric path as the matrix stands: pivots taken from the
 diagonal, and no column order of its own.  The grid owns that order, a
 nested dissection of its nodes (George, *Nested dissection of a regular
-finite element mesh*, 1973; see ``GridOperators.node_layout``), and both the
-flow Jacobian and the heat system are assembled in it.  Against minimum
+finite element mesh*, 1973; see ``GridOperators.system_layout``), and both
+the flow Jacobian and the heat system are assembled in it.  Against minimum
 degree on A+A^T it has 7% less fill on the cavity Jacobian and factorizes
 11-25% faster at 41x41, 18% and 35% at 81x81.  On the heat system it has
 4% and 5% less fill at 41x41 and 81x81 (1% more at 21x21) and factorizes

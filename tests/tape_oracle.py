@@ -310,19 +310,19 @@ def record_residual(tape, setup, nu, u, v, p):
 def record_heat(tape, gops, u, v, k, rho_cp, load, bc):
     """The heat temperature recorded op by op, in the grid's node order:
     rho Cp C(u, v) + K(k) on the tape, gathered into the node order
-    (``gops.node_layout``), the walls of the ``DirichletSpec`` ``bc``
+    (``gops.system_layout(1)``), the walls of the ``DirichletSpec`` ``bc``
     imposed there, the solve, and the temperature gathered back.
 
     The wall values are read off a nodal field of them at the plan's rows,
     so they come in the plan's row order, not in ``bc``'s node order."""
-    pattern, slot, order = gops.node_layout()
+    pattern, blockmap, order = gops.system_layout(1)
     plan = constraint_plan(pattern, order.inverse[bc.idx])
     walls = np.zeros(gops.n_nodes)
     walls[bc.idx] = bc.vals
     data = ops.add(tape, ops.scale(tape, convection_block(tape, gops, u, v),
                                    rho_cp),
                    diffusion_block(tape, gops, k))
-    data = ops.gather(tape, data, np.argsort(slot))
+    data = ops.gather(tape, data, np.argsort(blockmap[0][0]))
     data_c, rhs_c = constrain_system(tape, plan, data,
                                      tape.constant(load[order.perm]),
                                      walls[order.perm][plan.idx])

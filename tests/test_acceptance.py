@@ -178,7 +178,7 @@ def _heat_adjoint_gap(n, seed):
     a = free_rows(constants.rho * constants.cp * gops.convection(u, v)
                   + gops.diffusion(k))
     a[walls, walls] = 1.0
-    b = gops.scipy_matrix(gops.m_data) @ np.full(nodes,
+    b = gops.scipy_matrix(gops.mass()) @ np.full(nodes,
                                                   constants.heat_source_q)
     b[walls] = bc_t.vals
     temp_dense = np.linalg.solve(a, b)

@@ -125,7 +125,7 @@ def test_single_element_mass_closed_form():
                       [1, 2, 4, 2], [2, 1, 2, 4]]) / 36.0
     expected = np.zeros((4, 4))
     expected[np.ix_(g.elems[0], g.elems[0])] = local
-    np.testing.assert_allclose(gops.scipy_matrix(gops.m_data).toarray(),
+    np.testing.assert_allclose(gops.scipy_matrix(gops.mass()).toarray(),
                                expected, rtol=0, atol=1e-15)
 
 
@@ -142,7 +142,7 @@ def test_multi_element_blocks_match_dense_oracle():
                                rtol=0, atol=1e-13)
     np.testing.assert_allclose(_dense(gops, gops.convection(u, v)), c_d,
                                rtol=0, atol=1e-13)
-    np.testing.assert_allclose(gops.scipy_matrix(gops.m_data).toarray(), m_d,
+    np.testing.assert_allclose(gops.scipy_matrix(gops.mass()).toarray(), m_d,
                                rtol=0, atol=1e-14)
     gx, gy, dx, dy = _grad_div(g)
     np.testing.assert_allclose(dx.toarray(), dx_d, rtol=0, atol=1e-14)
@@ -182,7 +182,7 @@ def test_reaction_of_linear_field_is_mass_matrix():
     g = StructuredGrid(4)
     gops = operators_for(g)
     np.testing.assert_allclose(gops.reaction(g.coords[:, 0].copy(), 0),
-                               gops.m_data, rtol=0, atol=1e-13)
+                               gops.mass(), rtol=0, atol=1e-13)
 
 
 def test_constant_pressure_gradient_vanishes_on_interior_rows():
@@ -197,7 +197,7 @@ def test_divergence_of_linear_u_is_mass_action_on_ones():
     g = StructuredGrid(3)
     _, _, dx, _ = _grad_div(g)
     gops = operators_for(g)
-    m = gops.scipy_matrix(gops.m_data)
+    m = gops.scipy_matrix(gops.mass())
     np.testing.assert_allclose(dx @ g.coords[:, 0], m @ np.ones(g.n_nodes),
                                rtol=0, atol=1e-14)
 
@@ -245,39 +245,40 @@ def test_convection_blocks_gradient_matches_fd():
     assert finite_difference_check(f, theta0, indices=idx) < 1e-6
 
 
-def test_system_layout_matches_row_loop():
-    # reference: walk the nodes in the order, lay out each node's three
-    # system rows, and in each the three unknowns of every node its base
-    # row couples to, by rank
+@pytest.mark.parametrize("b", [1, 3])
+def test_system_layout_matches_row_loop(b):
+    # reference: walk the nodes in the order, lay out each node's b system
+    # rows, and in each the b unknowns of every node its base row couples
+    # to, by rank
     g = StructuredGrid(13, 9)
     gops = operators_for(g)
-    sys_pattern, bmap, order = gops.system_layout()
+    sys_pattern, bmap, order = gops.system_layout(b)
     base, n = gops.pattern, g.n_nodes
-    nodes = order.perm[::3]
+    nodes = order.perm[::b]
     rank = np.empty(n, dtype=np.int32)
     rank[nodes] = np.arange(n)
     expected = []
     for node in nodes:
         cols = np.sort(rank[base.indices[base.indptr[node]:base.indptr[node + 1]]])
-        for _ in range(3):
-            expected.append((3 * cols[:, None] + np.arange(3)).ravel())
+        for _ in range(b):
+            expected.append((b * cols[:, None] + np.arange(b)).ravel())
     assert sys_pattern.indices.dtype == np.int32
     np.testing.assert_array_equal(sys_pattern.indices, np.concatenate(expected))
-    for br in range(3):
-        for bc in range(3):
+    for br in range(b):
+        for bc in range(b):
             assert bmap[br][bc].dtype == np.int32
             np.testing.assert_array_equal(
                 sys_pattern.entry_rows()[bmap[br][bc]],
-                3 * rank[base.entry_rows()] + br)
+                b * rank[base.entry_rows()] + br)
             np.testing.assert_array_equal(sys_pattern.indices[bmap[br][bc]],
-                                          3 * rank[base.indices] + bc)
+                                          b * rank[base.indices] + bc)
 
 
 @pytest.mark.parametrize("shape", [(9, 6), (6, 9), (2, 2)])
 def test_system_order_keeps_node_unknowns_adjacent(shape):
     g = StructuredGrid(*shape)
     n = g.n_nodes
-    perm = operators_for(g).system_layout()[2].perm
+    perm = operators_for(g).system_layout(3)[2].perm
     np.testing.assert_array_equal(np.sort(perm), np.arange(3 * n))
     by_node = perm.reshape(-1, 3)
     assert np.all(by_node[:, 0] < n)
@@ -291,7 +292,7 @@ def test_system_order_top_separator_splits_grid(shape):
     # the two halves it separates; no stencil entry couples the halves
     g = StructuredGrid(*shape)
     gops = operators_for(g)
-    nodes = gops.system_layout()[2].perm[::3]
+    nodes = gops.system_layout(3)[2].perm[::3]
     along = g.coords[:, 0] if g.nx >= g.ny else g.coords[:, 1]
     line = np.round(along * (max(shape) - 1)).astype(int)
     mid = max(shape) // 2
@@ -316,23 +317,21 @@ def test_operators_kept_per_grid():
     other = operators_for(StructuredGrid(5))
     assert other is not gops
     assert other.pos16.tobytes() == gops.pos16.tobytes()
-    assert other.m_data.tobytes() == gops.m_data.tobytes()
+    assert other.mass().tobytes() == gops.mass().tobytes()
 
 
 def test_grid_operators_hold_no_system_layout():
     # the system layout belongs to whoever asked for it: each call builds
-    # it anew and the operators keep none of it; the node layout, which a
-    # heat chain's flow and heat setups both read, is kept
+    # it anew and the operators keep none of it
     gops = operators_for(StructuredGrid(5))
-    pattern, blockmap, order = gops.system_layout()
-    again = gops.system_layout()
+    pattern, blockmap, order = gops.system_layout(3)
+    again = gops.system_layout(3)
     assert again[0] is not pattern and again[2] is not order
     assert again[0].indices.tobytes() == pattern.indices.tobytes()
     assert again[2].perm.tobytes() == order.perm.tobytes()
     refs = [weakref.ref(obj) for obj in (pattern, order)]
     del pattern, blockmap, order, again
     assert all(ref() is None for ref in refs)
-    assert gops.node_layout() is gops.node_layout()
 
 
 def test_constrain_empty_spec_is_identity():
@@ -435,7 +434,7 @@ def test_constraint_plan_rejects_duplicates_and_range():
 
 def test_constraint_plan_diagonal_matches_entry_lookup():
     g = StructuredGrid(13, 9)
-    sys_pattern, _, _ = operators_for(g).system_layout()
+    sys_pattern, _, _ = operators_for(g).system_layout(3)
     rng = np.random.default_rng(12)
     cidx = rng.choice(sys_pattern.n_rows, size=150, replace=False)
     plan = constraint_plan(sys_pattern, cidx)

@@ -233,15 +233,65 @@ def test_shape_error_of_zero_estimate_is_hundred():
 
 
 def test_experiment_defaults_resolve():
+    # the spec's count of points is resolved by build_problem
     cfg = ExperimentConfig(experiment="conjugate_heat")
     assert cfg.variant == "dnn2d"
-    assert cfg.n_points == 40
+    assert cfg.n_points is None
     assert cfg.components == ("u", "v", "T")
     assert cfg.offset == 1.0
     cfg3 = ExperimentConfig(experiment="passive_transport")
     assert cfg3.variant == "dnn_layered"
-    assert cfg3.n_points == 22
+    assert cfg3.n_points is None
     assert cfg3.offset == 0.01
+
+
+def test_copy_of_a_config_keeps_the_spec_count_unresolved(monkeypatch):
+    # a copy of an accepted config is accepted: the heat default of 40
+    # points is no count set on 36 nodes; the problem resolves it and
+    # rejects it before solving, and on 49 nodes observes 40 of them
+    cfg = dataclasses.replace(ExperimentConfig("conjugate_heat", grid_n=6),
+                              max_steps=3)
+    assert cfg.n_points is None and cfg.max_steps == 3
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(ContractError,
+                       match="n_points must be between 1 and the 36 nodes"):
+        build_problem(cfg)
+    assert calls == []
+    seven = build_problem(dataclasses.replace(cfg, grid_n=7))
+    assert seven.observations.n_points == 40
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_spec_predicts_what_its_forward_returns(experiment):
+    chain = experiments.forward_chain(ExperimentConfig(
+        experiment, grid_n=6, n_points=12))
+    assert tuple(chain.synthetic) == SPECS[experiment].predicts
+    assert set(SPECS[experiment].components) <= set(chain.synthetic)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExperimentConfig("cavity_viscosity", grid_n=6, components=("T",)),
+    lambda: dataclasses.replace(
+        ExperimentConfig("conjugate_heat", grid_n=6, n_points=12),
+        experiment="cavity_viscosity"),
+    lambda: ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
+                             components=("u", "w1"))],
+    ids=["cavity_T", "heat_copied_to_cavity", "heat_w1"])
+def test_component_the_experiment_does_not_predict_rejected_before_solving(
+        monkeypatch, make):
+    # no shared chain hides the reference solve that would come first
+    monkeypatch.setattr(experiments, "_REFERENCES", {})
+    built = []
+    init = LuFactors.__init__
+
+    def counting_init(self, matrix, counts):
+        built.append(1)
+        init(self, matrix, counts)
+
+    monkeypatch.setattr(LuFactors, "__init__", counting_init)
+    with pytest.raises(ContractError, match="predicts no component"):
+        build_problem(make())
+    assert built == []
 
 
 def test_unknown_experiment_rejected():

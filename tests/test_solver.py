@@ -571,7 +571,7 @@ def test_heat_solve_matches_op_by_op_recording(n, wall):
     assert len(t) == 4
 
     gops = operators_for(g)
-    load = gops.scipy_matrix(gops.m_data) @ np.full(g.n_nodes, 2.0)
+    load = gops.scipy_matrix(gops.mass()) @ np.full(g.n_nodes, 2.0)
     t_ref = Tape()
     k_ref = t_ref.variable(k_nodal)
     temp_ref = record_heat(t_ref, gops, t_ref.constant(u), t_ref.constant(v),

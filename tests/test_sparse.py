@@ -257,14 +257,14 @@ def test_system_order_matches_key_sort():
     gops = operators_for(StructuredGrid(21))
     base = gops.pattern
     n = base.n_rows
-    # the node layout the system is built from is the base pattern sorted
-    # the same way, and its slots invert the gather
-    nodes, slot, node_order = gops.node_layout()
+    # the one-unknown layout is the base pattern sorted the same way, and
+    # its block map inverts the gather
+    nodes, blockmap, node_order = gops.system_layout(1)
     np.testing.assert_array_equal(order.perm[::3], node_order.perm)
     indptr, indices, gather = _key_sort_order(base, node_order.perm)
     np.testing.assert_array_equal(nodes.indptr, indptr)
     np.testing.assert_array_equal(nodes.indices, indices)
-    np.testing.assert_array_equal(slot[gather], np.arange(base.nnz))
+    np.testing.assert_array_equal(blockmap[0][0][gather], np.arange(base.nnz))
     rows = [base.indices[base.indptr[i]:base.indptr[i + 1]] + bc * n
             for _ in range(3) for i in range(n) for bc in range(3)]
     np.testing.assert_array_equal(natural.indices, np.concatenate(rows))
@@ -461,7 +461,7 @@ def test_heat_temperature_matches_dense_solve():
     gops = operators_for(grid)
     dense = gops.scipy_matrix(gops.convection(u, v)
                               + gops.diffusion(k)).toarray()
-    rhs = gops.scipy_matrix(gops.m_data) @ np.ones(grid.n_nodes)
+    rhs = gops.scipy_matrix(gops.mass()) @ np.ones(grid.n_nodes)
     walls = graded(grid)
     dense[walls.idx] = 0.0
     dense[walls.idx, walls.idx] = 1.0
