@@ -29,57 +29,30 @@ shared everything else).
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ContractError
 from .experiments import ExperimentConfig
 
 __all__ = ["ConfigBundle", "load_config"]
 
-# section -> key -> (ExperimentConfig field, parser)
-_SCHEMA = {
-    "experiment": {
-        "name": ("experiment", str),
-    },
-    "grid": {
-        "n": ("grid_n", int),
-    },
-    "model": {
-        "variant": ("variant", str),
-        "init_seed": ("init_seed", int),
-        "init_scale": ("init_scale", float),
-        "offset": ("offset", float),
-        "clamp_floor": ("clamp_floor", float),
-    },
-    "optimizer": {
-        "max_steps": ("max_steps", int),
-        "memory": ("memory", int),
-    },
-    "observations": {
-        "n_points": ("n_points", int),
-        "seed": ("obs_seed", int),
-        "noise_epsilon": ("noise_epsilon", "float_list"),
-    },
-    "physics": {
-        "rho": ("rho", float),
-        "cp": ("cp", float),
-        "heat_source": ("heat_source", float),
-        "heat_bc_value": ("heat_bc_value", float),
-        "kappa1": ("kappa1", float),
-        "kappa2": ("kappa2", float),
-        "lid_speed": ("lid_speed", float),
-    },
-    "solver": {
-        "newton_tol": ("newton_tol", float),
-        "newton_max_iter": ("newton_max_iter", int),
-        "beta": ("beta", float),
-        "dt": ("dt", float),
-        "transport_steps": ("transport_steps", int),
-    },
-    "output": {
-        "directory": (None, str),
-    },
-}
+
+def _schema():
+    """section -> key -> (ExperimentConfig field, parser), in field order,
+    from the INI key each field declares; the parser is the field's type,
+    but for the list of noise levels.  ``[output] directory`` is the one
+    key that is not a field."""
+    schema = {}
+    for f in fields(ExperimentConfig):
+        if f.metadata["ini"] is not None:
+            section, key = f.metadata["ini"].split()
+            kind = "float_list" if f.name == "noise_epsilon" else f.type
+            schema.setdefault(section, {})[key] = (f.name, kind)
+    schema["output"] = {"directory": (None, str)}
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -157,10 +157,6 @@ SPECS = {
 }
 EXPERIMENTS = tuple(SPECS)
 
-# config fields whose ``None`` takes the value of the spec field of that name
-_SPEC_DEFAULTS = ("variant", "components", "offset", "init_scale",
-                  "init_seed")
-
 
 def _spec(experiment):
     if experiment not in SPECS:
@@ -188,7 +184,6 @@ class ObservationSet:
     components: tuple
     values: dict
     noise_epsilon: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         locations = np.asarray(self.locations, dtype=np.intp)
@@ -227,7 +222,7 @@ def make_observations(grid, reference_solution, n_points, components, seed):
         if comp not in reference_solution:
             raise ContractError(f"reference solution lacks component {comp!r}")
         values[comp] = np.asarray(reference_solution[comp])[locations]
-    return ObservationSet(locations, tuple(components), values, 0.0, seed)
+    return ObservationSet(locations, tuple(components), values)
 
 
 def add_noise(obs, epsilon, seed):
@@ -244,7 +239,7 @@ def add_noise(obs, epsilon, seed):
         eta = rng.uniform(-epsilon, epsilon, size=obs.n_points)
         values[comp] = obs.values[comp] * (1.0 + eta)
     noisy = ObservationSet(obs.locations, obs.components, values,
-                           float(epsilon), obs.rng_seed)
+                           float(epsilon))
     with np.errstate(over="ignore"):
         squares = sum(float(values[comp] @ values[comp])
                       for comp in obs.components)
@@ -301,42 +296,52 @@ def _check_n_points(n_points, grid_n):
             f"grid, got {n_points}")
 
 
+def _setting(ini, default=None, data=False, spec=False):
+    """The one declaration of a setting, as an :class:`ExperimentConfig`
+    field: ``ini`` is its INI ``"section key"`` (None for no key), ``data``
+    marks a field that never reaches the forward chain, and ``spec`` one
+    whose ``None`` takes the value of the spec field of that name."""
+    return field(default=default,
+                 metadata={"ini": ini, "data": data, "spec": spec})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs, every setting checked when it is built.
 
-    A ``None`` field of ``_SPEC_DEFAULTS`` takes the spec field of that
-    name.  ``n_points`` stays ``None`` unless it is set, and
-    :func:`build_problem` then takes the spec's count: it keeps only the
-    checks that ``forward`` skips, so ``n_points`` is checked against the
-    grid here only when it is set.
+    Each field declares its setting (:func:`_setting`), and a ``None`` in
+    a ``spec`` field takes the spec field of that name.  ``n_points``
+    stays ``None`` unless it is set, and :func:`build_problem` then takes
+    the spec's count: it keeps only the checks that ``forward`` skips, so
+    ``n_points`` is checked against the grid here only when it is set.
     """
 
-    experiment: str = "cavity_viscosity"
-    variant: str = None
-    grid_n: int = 21
-    n_points: int = None
-    components: tuple = None
-    noise_epsilon: float = 0.0
-    obs_seed: int = 7
-    init_seed: int = None
-    init_scale: float = None
-    offset: float = None
-    clamp_floor: float = 1e-6
-    max_steps: int = 100
-    memory: int = 50
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 10
-    beta: float = 0.01
-    dt: float = 0.1
-    transport_steps: int = 50
-    rho: float = 1.0
-    cp: float = 1.0
-    heat_source: float = 1.0
-    heat_bc_value: float = 0.0
-    kappa1: float = 1.0
-    kappa2: float = 1.0
-    lid_speed: float = 1.0
+    experiment: str = _setting("experiment name", "cavity_viscosity")
+    variant: str = _setting("model variant", data=True, spec=True)
+    grid_n: int = _setting("grid n", 21)
+    n_points: int = _setting("observations n_points", data=True)
+    components: tuple = _setting(None, data=True, spec=True)
+    noise_epsilon: float = _setting("observations noise_epsilon", 0.0,
+                                    data=True)
+    obs_seed: int = _setting("observations seed", 7, data=True)
+    init_seed: int = _setting("model init_seed", data=True, spec=True)
+    init_scale: float = _setting("model init_scale", data=True, spec=True)
+    offset: float = _setting("model offset", data=True, spec=True)
+    clamp_floor: float = _setting("model clamp_floor", 1e-6, data=True)
+    max_steps: int = _setting("optimizer max_steps", 100, data=True)
+    memory: int = _setting("optimizer memory", 50, data=True)
+    newton_tol: float = _setting("solver newton_tol", 1e-8)
+    newton_max_iter: int = _setting("solver newton_max_iter", 10)
+    beta: float = _setting("solver beta", 0.01)
+    dt: float = _setting("solver dt", 0.1)
+    transport_steps: int = _setting("solver transport_steps", 50)
+    rho: float = _setting("physics rho", 1.0)
+    cp: float = _setting("physics cp", 1.0)
+    heat_source: float = _setting("physics heat_source", 1.0)
+    heat_bc_value: float = _setting("physics heat_bc_value", 0.0)
+    kappa1: float = _setting("physics kappa1", 1.0)
+    kappa2: float = _setting("physics kappa2", 1.0)
+    lid_speed: float = _setting("physics lid_speed", 1.0)
 
     def __post_init__(self):
         spec = _spec(self.experiment)
@@ -421,6 +426,14 @@ class ExperimentConfig:
 
     def newton(self):
         return NewtonConfig(self.newton_tol, self.newton_max_iter)
+
+
+_SPEC_DEFAULTS = tuple(f.name for f in fields(ExperimentConfig)
+                       if f.metadata["spec"])
+# Config fields that never reach the forward chain at the reference
+# coefficient; every other field keys the shared chains.
+_DATA_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)
+                         if f.metadata["data"])
 
 
 # RunReport fields written to files of their own, not to report.json.
@@ -564,13 +577,6 @@ def _read_only(values):
     return values
 
 
-# Config fields that never reach the forward chain at the reference
-# coefficient; every other field, one added later included, keys the
-# shared chains.
-_DATA_FIELDS = frozenset((
-    "variant", "n_points", "components", "noise_epsilon", "obs_seed",
-    "init_seed", "init_scale", "offset", "clamp_floor", "max_steps",
-    "memory"))
 # Most forward chains kept for reuse at once.
 _SHARED_REFERENCES = 4
 _REFERENCES = {}  # value key of the physics -> ForwardChain, least recently used first
@@ -721,20 +727,26 @@ def run_experiment(config, progress=None):
                 f"{cfg.experiment} has the reference field {name} "
                 f"identically zero with {_changed_physics(cfg)}, so its "
                 f"prediction error is undefined")
-    newton_per_step = []
+    # Newton iterations per evaluation, None for a failed one; each step
+    # takes the count of the evaluation it accepted
+    newton = []
+
+    def objective(theta):
+        newton.append(None)
+        loss_grad = problem.objective(theta)
+        newton[-1] = problem.eval_note["newton"]
+        return loss_grad
 
     def on_step(step, theta, loss, grad):
-        newton_per_step.append(problem.eval_note["newton"])
         if progress is not None:
             progress(step, loss)
 
-    bound = cfg.clamp_floor if cfg.variant == "pointwise" else -math.inf
     opt_cfg = OptimizerConfig(max_steps=cfg.max_steps, memory=cfg.memory,
-                              lower_bound=bound)
+                              lower_bound=problem.model.lower_bound)
     # the starting parameters, the bound and the physics all come from the
     # config, so an objective that fails at the start is the config's fault
     try:
-        result = lbfgs_optimize(problem.objective, problem.theta0, opt_cfg,
+        result = lbfgs_optimize(objective, problem.theta0, opt_cfg,
                                 callback=on_step)
     except ContractError as exc:
         raise ContractError(
@@ -764,7 +776,8 @@ def run_experiment(config, progress=None):
         loss_history=list(result.loss_history),
         initial_loss=result.initial_loss, final_loss=result.loss,
         relative_mse_percent=mse, coefficient_scale=scale,
-        shape_error_percent=shape_mse, newton_iters=newton_per_step,
+        shape_error_percent=shape_mse,
+        newton_iters=[newton[k - 1] for k in result.accepted_evals],
         wall_clock_seconds=time.perf_counter() - started,
         config_echo=echo, converged=result.converged,
         stop_reason=result.stop_reason, n_steps=result.n_steps,

@@ -56,7 +56,6 @@ class QuadratureData:
     weights.
     """
 
-    points: np.ndarray
     n: np.ndarray
     dndx: np.ndarray
     dndy: np.ndarray
@@ -79,8 +78,8 @@ def _quadrature(hx, hy):
         dndx[q] = dxi * (2.0 / hx)
         dndy[q] = deta * (2.0 / hy)
     wdet = np.full(4, hx * hy / 4.0)
-    _freeze(pts, n, dndx, dndy, wdet)
-    return QuadratureData(pts, n, dndx, dndy, wdet)
+    _freeze(n, dndx, dndy, wdet)
+    return QuadratureData(n, dndx, dndy, wdet)
 
 
 class StructuredGrid:
@@ -108,11 +107,6 @@ class StructuredGrid:
 
         _freeze(self.coords, self.elems)
         self.quad = _quadrature(self.hx, self.hy)
-
-    def node(self, ix, iy):
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise ContractError(f"node ({ix}, {iy}) outside grid {self.nx}x{self.ny}")
-        return iy * self.nx + ix
 
     def boundary_nodes(self, side):
         nx, ny = self.nx, self.ny

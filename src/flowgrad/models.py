@@ -23,6 +23,7 @@ solved.  A field evaluation thus records three nodes: the network, the
 offset and the floor clamp.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,12 @@ class FieldModel:
     clamp_floor: float
     layout: MlpLayout = None
     clamp_streak: int = field(default=0, compare=False)
+
+    @property
+    def lower_bound(self):
+        """The optimizer's bound on every parameter: a pointwise value
+        stays above the floor, where the clamp stops acting."""
+        return self.clamp_floor if self.variant == "pointwise" else -math.inf
 
     def reset_diagnostics(self):
         self.clamp_streak = 0
@@ -219,7 +226,7 @@ def eval_field_on_grid(tape, model, theta_ref, grid):
             raise ContractError("pointwise parameter count != node count")
         raw = theta_ref
     else:
-        pts = grid.coords if model.variant == "dnn2d" else grid.coords[:, :1]
+        pts = grid.coords[:, :model.layout.sizes[0]]
         raw = mlp_eval(tape, model.layout, theta_ref, pts)
         raw = ops.add_scalar(tape, raw, model.offset)
     clamped_ref = ops.clamp_min(tape, raw, model.clamp_floor)

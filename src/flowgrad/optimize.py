@@ -86,7 +86,10 @@ class OptimizeResult:
 
     ``evals_per_step`` holds the objective evaluations of each accepted step's
     line search, so ``1 + sum(evals_per_step) == n_evals`` (the 1 is the
-    starting point).  ``rejected_trials`` lists every rejected trial as
+    starting point).  ``accepted_evals`` numbers, for each accepted step,
+    the evaluation whose point it took, the starting point being
+    evaluation 1: a line search can fall back on an earlier trial than its
+    last.  ``rejected_trials`` lists every rejected trial as
     ``(step, alpha, reason)``, the reason being the solver exception's class
     name or ``"non-finite"``.
     """
@@ -101,6 +104,7 @@ class OptimizeResult:
     projected_grad_norm: float
     n_evals: int
     evals_per_step: list
+    accepted_evals: list
     rejected_trials: list
 
     @property
@@ -187,6 +191,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     history = []
     pairs = []
     evals_per_step = []
+    accepted_evals = []
     rejected_trials = []
 
     def projected_grad(xc, gc):
@@ -197,7 +202,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
     if reason is not None:
         return OptimizeResult(x, f, history, initial_loss, 0, True, reason,
                               pg_norm, evals[0], evals_per_step,
-                              rejected_trials)
+                              accepted_evals, rejected_trials)
 
     stop_reason = "step limit reached"
     converged = False
@@ -229,10 +234,11 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
         alpha0 = min(1.0, alpha_max, _gauss_newton_bound(0.0, f, dphi0))
 
         evals_before = evals[0]
-        alpha, f_new, g_new = _wolfe_search(
+        alpha, f_new, g_new, k = _wolfe_search(
             evaluate, x, d, f, g, dphi0, alpha0, alpha_max, lb, step,
             rejected_trials)
         evals_per_step.append(evals[0] - evals_before)
+        accepted_evals.append(evals_before + k)
         x_new = np.maximum(x + alpha * d, lb)
 
         s = x_new - x
@@ -263,7 +269,7 @@ def lbfgs_optimize(problem, theta0, config=None, callback=None):
 
     return OptimizeResult(x, f, history, initial_loss, steps, converged,
                           stop_reason, pg_norm, evals[0], evals_per_step,
-                          rejected_trials)
+                          accepted_evals, rejected_trials)
 
 
 def _cubic_min(a, fa, da, b, fb, db):
@@ -315,8 +321,10 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     the one before.  The zoom returns the low end of its bracket when that
     is a trial (alpha > 0) below ``f0``.  Each rejected trial is appended
     to ``rejected`` as ``(step, alpha, reason)``.  Returns ``(alpha, f,
-    g)``.  Raises LineSearchError when the budget runs out with no such
-    fallback, or after 20 rejected (failed or non-finite) trials.
+    g, k)``, the accepted point being the search's ``k``-th evaluation
+    (a fallback need not be the last).  Raises LineSearchError when the
+    budget runs out with no such fallback, or after 20 rejected (failed or
+    non-finite) trials.
     """
     rejections = [0]
     budget = [_MAX_SEARCH_EVALS]
@@ -333,8 +341,9 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     ceil = [np.inf]
 
     def phi(alpha):
-        """A point ``(alpha, f, g, phi')``, or None for a rejected trial
-        (solver failure or non-finite loss)."""
+        """A point ``(alpha, f, g, k, phi')`` of the search's ``k``-th
+        evaluation, or None for a rejected trial (solver failure or
+        non-finite loss)."""
         budget[0] -= 1
         try:
             f_a, g_a = evaluate(np.maximum(x + alpha * d, lb))
@@ -349,7 +358,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
             if rejections[0] >= _MAX_REJECTIONS:
                 fail(f"{_MAX_REJECTIONS} rejected trial steps")
             return None
-        return alpha, f_a, g_a, float(g_a @ d)
+        return alpha, f_a, g_a, _MAX_SEARCH_EVALS - budget[0], float(g_a @ d)
 
     def armijo(alpha, f_a):
         return f_a <= f0 + _C1 * alpha * dphi0
@@ -357,7 +366,7 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
     def zoom_trial(lo, hi):
         trial = None
         if hi[1] is not None:  # a rejected trial has no f or g
-            trial = _cubic_min(lo[0], lo[1], lo[3], hi[0], hi[1], hi[3])
+            trial = _cubic_min(lo[0], lo[1], lo[4], hi[0], hi[1], hi[4])
         if trial is None:
             return 0.5 * (lo[0] + hi[0])
         margin = 0.1 * (hi[0] - lo[0])
@@ -372,22 +381,22 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
             alpha = zoom_trial(lo, hi)
             point = phi(alpha)
             if point is None:
-                hi = (alpha, None, None, None)  # shrink toward the acceptable end
+                hi = (alpha, None, None, None, None)  # shrink toward lo
                 continue
-            _, f_a, g_a, dphi_a = point
+            _, f_a, _, _, dphi_a = point
             if not armijo(alpha, f_a) or f_a >= lo[1]:
                 hi = point
             else:
                 if abs(dphi_a) <= -_C2 * dphi0:
-                    return alpha, f_a, g_a
+                    return point[:4]
                 if dphi_a * (hi[0] - lo[0]) >= 0.0:
                     hi = lo
                 lo = point
         if lo[0] > 0.0 and lo[1] < f0:
-            return lo[:3]
+            return lo[:4]
         fail("zoom could not find an acceptable point")
 
-    prev = (0.0, f0, g0, dphi0)
+    prev = (0.0, f0, g0, 0, dphi0)
     alpha = alpha0
     first = True
     while budget[0] > 0:
@@ -395,11 +404,11 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         if point is None:
             alpha = 0.5 * (prev[0] + alpha)  # halve toward the last good point
             continue
-        _, f_a, g_a, dphi_a = point
+        _, f_a, _, _, dphi_a = point
         if not armijo(alpha, f_a) or (f_a >= prev[1] and not first):
             return zoom(prev, point)
         if abs(dphi_a) <= -_C2 * dphi0:
-            return alpha, f_a, g_a
+            return point[:4]
         if dphi_a >= 0.0:
             return zoom(point, prev)
         cap = min(alpha_max, 0.999 * ceil[0],
@@ -407,8 +416,8 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         if alpha >= cap:
             # pressed against a bound, a failure barrier or a zero loss:
             # sufficient decrease is all we can ask
-            return alpha, f_a, g_a
-        trial = _cubic_min(prev[0], prev[1], prev[3], alpha, f_a, dphi_a)
+            return point[:4]
+        trial = _cubic_min(prev[0], prev[1], prev[4], alpha, f_a, dphi_a)
         if trial is None:
             trial = 4.0 * alpha
         alpha = min(max(trial, 1.1 * alpha), 4.0 * alpha, cap)
@@ -416,5 +425,5 @@ def _wolfe_search(evaluate, x, d, f0, g0, dphi0, alpha0, alpha_max, lb,
         first = False
     if prev[0] > 0.0:
         # still descending when the budget ran out
-        return prev[:3]
+        return prev[:4]
     fail("evaluation budget exhausted")

@@ -1,10 +1,12 @@
 """INI parsing, strict validation, and sweep expansion."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from flowgrad import experiments
 from flowgrad.config import _SCHEMA, load_config
 from flowgrad.errors import ConfigError
 from flowgrad.experiments import ExperimentConfig
@@ -173,6 +175,20 @@ def test_readme_lists_exactly_the_schema():
         keys = re.sub(r"\s*\(.*?\)", "", keys)  # drop explanations
         listed[section] = [key.strip() for key in keys.split(",")]
     assert listed == {section: list(keys) for section, keys in _SCHEMA.items()}
+
+
+def test_every_setting_has_one_ini_key_and_its_role():
+    # the keys come from the fields, so a field that forgets its key drops
+    # out of the schema, and two fields that claim one key leave one
+    keyed = [name for keys in _SCHEMA.values() for name, _ in keys.values()
+             if name is not None]
+    assert sorted(keyed) == sorted(f.name for f in fields(ExperimentConfig)
+                                   if f.name != "components")
+    assert _SCHEMA["output"] == {"directory": (None, str)}
+    assert experiments._DATA_FIELDS == {
+        "variant", "n_points", "components", "noise_epsilon", "obs_seed",
+        "init_seed", "init_scale", "offset", "clamp_floor", "max_steps",
+        "memory"}
 
 
 def test_unknown_experiment_name_rejected(tmp_path):

