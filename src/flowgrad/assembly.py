@@ -20,8 +20,10 @@ the order.  The heat system is its ``b = 1`` layout and the coupled
 velocity-pressure system over [u; v; p] its ``b = 3`` layout, and each
 solver writes its blocks straight into that data, so no system is assembled
 in the natural order and gathered into its own.  A :class:`ConstraintPlan`
-imposes Dirichlet rows and columns on a plain data array (``identity_rows``)
-and on its right-hand side (``eliminate``).  Index maps are int32.
+turns the Dirichlet rows and columns of a plain data array into identity
+rows and columns (``identity_rows``); each solver keeps the prescribed
+values in its iterate and zeroes its right-hand side there.  Index maps
+are int32.
 """
 
 from dataclasses import dataclass
@@ -241,41 +243,25 @@ class ConstraintPlan:
     """Precomputed index sets for imposing Dirichlet rows on one pattern.
 
     ``idx``: the constrained rows, sorted.  ``row_entries``: data positions
-    in constrained rows (zeroed, diagonal reset to 1).  ``col_entries``:
-    positions (r, c) with c constrained and r free; their values move to the
-    rhs (symmetric column elimination), row ``col_rows`` times the value of
-    constrained index ``col_slot``.  ``diag_pos``: the constrained diagonal
-    entries.  All but ``idx`` are int32.  Prescribed values are given in
-    the order of ``idx``, sorted by row of the pattern, whatever order the
-    caller named the constrained rows in.
+    in constrained rows.  ``col_entries``: positions (r, c) with c
+    constrained and r free.  ``diag_pos``: the constrained diagonal
+    entries.  All but ``idx`` are int32.  A solve with the matrix that
+    ``identity_rows`` leaves returns its right-hand side at ``idx``, so a
+    solver that zeroes its right-hand side there keeps the prescribed
+    values its iterate holds.
     """
 
     idx: np.ndarray
     row_entries: np.ndarray
     col_entries: np.ndarray
-    col_rows: np.ndarray
-    col_slot: np.ndarray
     diag_pos: np.ndarray
 
     def identity_rows(self, data):
-        """Zero the constrained rows and eliminated columns of ``data`` in
-        place and set the constrained diagonal entries to 1."""
+        """Zero the constrained rows and columns of ``data`` in place and
+        set the constrained diagonal entries to 1."""
         data[self.col_entries] = 0.0
         data[self.row_entries] = 0.0
         data[self.diag_pos] = 1.0
-
-    def eliminate(self, data, rhs, vals):
-        """Impose the prescribed ``vals`` on ``data`` and ``rhs`` in place.
-
-        The eliminated columns times ``vals`` move to ``rhs``, then the
-        constrained rows become identity rows whose ``rhs`` is ``vals``.
-        """
-        if self.col_entries.size:
-            moved = data[self.col_entries] * vals[self.col_slot]
-            rhs -= np.bincount(self.col_rows, weights=moved,
-                               minlength=rhs.size)
-        self.identity_rows(data)
-        rhs[self.idx] = vals
 
 
 def constraint_plan(pattern, idx):
@@ -292,9 +278,6 @@ def constraint_plan(pattern, idx):
     row_entries = np.flatnonzero(cmask[rows]).astype(np.int32)
     col_entries = np.flatnonzero(cmask[pattern.indices]
                                  & ~cmask[rows]).astype(np.int32)
-    col_rows = rows[col_entries]
-    col_slot = np.searchsorted(idx, pattern.indices[col_entries]).astype(
-        np.int32)
     # rows are non-decreasing and columns increase within a row, so the keys
     # row * n_cols + col are sorted over the whole pattern
     keys = rows.astype(np.int64) * pattern.n_cols + pattern.indices
@@ -305,5 +288,5 @@ def constraint_plan(pattern, idx):
     if not found.all():
         raise ContractError(
             f"pattern has no diagonal entry for row {idx[~found][0]}")
-    return ConstraintPlan(idx, row_entries, col_entries, col_rows, col_slot,
+    return ConstraintPlan(idx, row_entries, col_entries,
                           diag_pos.astype(np.int32))

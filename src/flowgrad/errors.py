@@ -18,11 +18,8 @@ class NumericError(FlowgradError):
 
 
 class SingularMatrixError(NumericError):
-    """Sparse factorization hit a structurally or numerically singular matrix."""
-
-    def __init__(self, message, pivot_index=-1):
-        super().__init__(message)
-        self.pivot_index = pivot_index
+    """Sparse LU factorization failed on a singular matrix; the message is
+    SuperLU's."""
 
 
 class NewtonDivergedError(NumericError):

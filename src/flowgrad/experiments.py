@@ -681,7 +681,26 @@ def build_problem(config):
 
     obs = make_observations(grid, chain.synthetic, n_points,
                             config.components, config.obs_seed)
+    # every predicted field but the pressure is prescribed on the walls.
+    # Distinct points that outnumber the wall nodes hold an interior one,
+    # and the scan stops at the first interior node
+    nx, ny = grid.nx, grid.ny
+    if ("p" not in obs.components and obs.n_points <= 2 * (nx + ny) - 4
+            and not any(0 < node // nx < ny - 1 and 0 < node % nx < nx - 1
+                        for node in obs.locations.tolist())):
+        raise ContractError(
+            f"the {obs.n_points} observation point(s) drawn with seed "
+            f"{config.obs_seed} all lie on walls, where "
+            f"{', '.join(obs.components)} are prescribed whatever the "
+            f"{spec.coef_name}, so no data can determine it")
     obs = add_noise(obs, config.noise_epsilon, config.obs_seed + 1)
+    for comp in obs.components:
+        values = obs.values[comp]
+        if values @ values == 0.0 and values.any():
+            raise ContractError(
+                f"the observed {comp} underflow with {_changed_physics(config)}"
+                f": their squares sum to 0, so the loss cannot see the "
+                f"{spec.coef_name}")
 
     # --- coefficient model and the objective
     model, theta0 = init_params(config.variant, config.init_seed,

@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 _GP = 1.0 / np.sqrt(3.0)
-# reference corners in CCW order
-_CORNERS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 
 def _shape_values(xi, eta):

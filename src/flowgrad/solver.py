@@ -43,11 +43,16 @@ flow as one ``heat_solve`` operator from the nodal conductivity, in the
 same form: its forward assembles and factorizes the linear system on plain
 arrays, in the grid's layout for one unknown per node
 (``GridOperators.system_layout(1)``, in the flow's node order), and its
-backward is one transpose solve with those factors.  What does not depend
-on the conductivity (the layout, the wall constraints, the convection block
-of the frozen flow and the load) is a :class:`HeatSetup`, built once by the
-caller, so an evaluation assembles only K(k).  Both operators build their
-factors with the caller's :class:`LinearSolveCounts`, which the factors fill.
+backward is one transpose solve with those factors.  Both solvers impose
+their walls in one way: the solution starts from the prescribed values,
+the residual is zeroed at the wall rows, and the correction is solved with
+the matrix of identity wall rows and columns
+(``ConstraintPlan.identity_rows``), so it is zero there.  What does not
+depend on the conductivity (the layout, the wall constraints, the
+convection block of the frozen flow and the load) is a :class:`HeatSetup`,
+built once by the caller, so an evaluation assembles only K(k).  Both
+operators build their factors with the caller's :class:`LinearSolveCounts`,
+which the factors fill.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -304,9 +309,9 @@ def _steady_flow_fwd(v, ctx):
     is alive at a time.  Each iterate is linearized on plain arrays
     (:class:`_Linearization`).  J is assembled in the system order
     (``GridOperators.system_layout``), so each step takes F into that order
-    and the update out of it once.  F's Dirichlet rows are already zero, so
-    it is its own constrained right-hand side: eliminating columns whose
-    prescribed values are zero moves nothing.  On convergence ``ctx["lu"]``
+    and the update out of it once.  The iterate holds the prescribed
+    values and F's Dirichlet rows are zero, so J's identity rows and
+    columns keep the update zero there.  On convergence ``ctx["lu"]``
     keeps the last anchor and ``ctx["lin"]`` the linearization at x*, which
     the last residual test built, for the adjoint.
 
@@ -369,7 +374,7 @@ def _steady_flow_bwd(g, ctx):
     g goes into the system order and lam out of it once.  J(x*) and
     (dF/dnu)^T lam come from the forward's linearization at x*
     (:meth:`_Linearization.nu_vjp`), so F is not evaluated again.
-    The constrained J stands in for dF/dx: its eliminated columns multiply
+    The constrained J stands in for dF/dx: its zeroed columns multiply
     the prescribed values, which do not move with nu, and the Dirichlet rows
     of F are identically zero, so lam adds nothing there.
     """
@@ -417,10 +422,10 @@ def newton_solve(tape, setup, nu, config=None, counts=None):
 class HeatSetup:
     """What the heat system of one frozen flow keeps across its solves: the
     grid's layout for one unknown per node (``GridOperators.system_layout``),
-    which the system is assembled in, the wall constraint plan on it with
-    the wall values in the plan's order, rho Cp C(u, v) as base-pattern data
-    and the load M Q in the node order, shared read-only by every heat solve
-    with those inputs.
+    which the system is assembled in, the wall constraint plan on it, T0
+    (the wall temperatures at the wall rows and zeros elsewhere),
+    rho Cp C(u, v) as base-pattern data and the load M Q, both vectors in
+    the node order, shared read-only by every heat solve with those inputs.
 
     ``u`` and ``v`` are the nodal velocities of the frozen flow, as plain
     arrays, and ``bc_t`` the wall temperatures (a ``DirichletSpec``)."""
@@ -430,7 +435,8 @@ class HeatSetup:
         self.pattern, self.bmap, self.order = gops.system_layout(1)
         walls = self.order.inverse[bc_t.idx]
         self.plan = constraint_plan(self.pattern, walls)
-        self.vals = bc_t.vals[np.argsort(walls)]
+        self.t0 = np.zeros(self.pattern.n_rows)
+        self.t0[walls] = bc_t.vals
         self.convection = constants.rho * constants.cp * gops.convection(
             np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
         self.load = (gops.scipy_matrix(gops.mass())
@@ -439,16 +445,22 @@ class HeatSetup:
 
 
 def _heat_solve_fwd(v, ctx):
-    """T with A T = M Q: A = rho Cp C(u, v) + K(k) with the walls imposed,
-    written into the node order through the block map and solved there."""
+    """T with A T = M Q off the walls and T = T0 on them, A = rho Cp C(u, v)
+    + K(k) written into the node order through the block map.
+
+    As a Newton step of the flow: the residual f = A T0 - M Q, zero at the
+    wall rows, and T = T0 - A_c^-1 f with A_c the A of identity wall rows
+    and columns, so the correction is zero at the walls and T there is T0
+    exactly."""
     heat, counts = ctx["heat"], ctx["counts"]
     data = np.empty(heat.pattern.nnz)
     data[heat.bmap[0][0]] = heat.convection + heat.gops.diffusion(v[0])
-    rhs = heat.load.copy()
-    heat.plan.eliminate(data, rhs, heat.vals)
     matrix = heat.pattern.to_scipy(data)
+    rhs = matrix @ heat.t0 - heat.load
+    rhs[heat.plan.idx] = 0.0
+    heat.plan.identity_rows(matrix.data)
     lu = LuFactors(matrix, counts)
-    temp = lu.solve(rhs, matrix)
+    temp = heat.t0 - lu.solve(rhs, matrix)
     if not np.all(np.isfinite(temp)):
         raise NumericError("heat solve produced a non-finite temperature")
     ctx["matrix"], ctx["temp"], ctx["lu"] = matrix, temp, lu
@@ -456,23 +468,22 @@ def _heat_solve_fwd(v, ctx):
 
 
 def _heat_solve_bwd(g, ctx):
-    """dL/dk from lam = A^-T g and the entry gradient -lam_i T_j of A.
+    """dL/dk from lam = A_c^-T g and the entry gradient -lam_i T_j of A.
 
-    Constrained rows do not depend on k, and an eliminated column (r, c)
-    enters only the load, as -A_rc vals_c, so its entry gradient is
-    -vals_c lam_r.  The entry gradient leaves the node order through the
-    block map for ``diffusion_bwd``, which maps it to k; the flow and the
-    load are constants.
+    Constrained rows do not depend on k.  A wall column c enters only
+    through A T0, so its entry gradient is -lam_i T0_c, which is -lam_i T_c
+    since T is T0 at the walls.  The entry gradient leaves the node order
+    through the block map for ``diffusion_bwd``, which maps it to k; the
+    flow and the load are constants.
     """
     heat, matrix, counts = ctx["heat"], ctx["matrix"], ctx["counts"]
-    plan, pattern = heat.plan, heat.pattern
+    pattern = heat.pattern
     # popped, so the factors die with this solve; a repeated backward pass
     # over the same tape refactorizes
     lu = ctx.pop("lu", None) or LuFactors(matrix, counts)
     lam = lu.solve_transpose(g[heat.order.perm], matrix)
     gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
-    gdata[plan.row_entries] = 0.0
-    gdata[plan.col_entries] = -heat.vals[plan.col_slot] * lam[plan.col_rows]
+    gdata[heat.plan.row_entries] = 0.0
     return (heat.gops.diffusion_bwd(gdata[heat.bmap[0][0]]),)
 
 

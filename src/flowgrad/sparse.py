@@ -20,7 +20,9 @@ degree on A+A^T it has 7% less fill on the cavity Jacobian and factorizes
 11-25% faster at 41x41, 18% and 35% at 81x81.  On the heat system it has
 4% and 5% less fill at 41x41 and 81x81 (1% more at 21x21) and factorizes
 13-35% faster.  It gives about 45% less fill than COLAMD with partial
-pivoting on the cavity Jacobian, but no bound on element growth.
+pivoting on the cavity Jacobian, but no bound on element growth.  A
+matrix that SuperLU finds singular raises :class:`SingularMatrixError` with
+SuperLU's message.
 
 SuperLU factorizes A in single precision, which halves the factors' value
 storage, and every solve is iterative refinement in double precision
@@ -63,10 +65,6 @@ __all__ = [
     "LinearSolveCounts",
     "LuFactors",
 ]
-
-# Above this size the dense pivot diagnostic is skipped and the pivot index
-# reported as unknown (-1).
-_PIVOT_DIAG_LIMIT = 2000
 
 # Largest accepted max|b - A x| of an LU solve, relative to max|b|.
 _RESIDUAL_TOL = 1e-8
@@ -164,46 +162,6 @@ class SymmetricOrder:
         return cls(perm, inverse)
 
 
-def _first_zero_pivot(dense):
-    """Gaussian elimination with partial pivoting; index of the first dead pivot.
-
-    Falls back to the position of the smallest pivot magnitude when no pivot
-    is exactly zero (the factorization may have failed under a different
-    elimination order).
-    """
-    a = np.array(dense, dtype=np.float64)
-    n = a.shape[0]
-    smallest, at = np.inf, n - 1
-    for k in range(n):
-        col = np.abs(a[k:, k])
-        p = int(col.argmax())
-        piv = col[p]
-        if piv == 0.0 or not np.isfinite(piv):
-            return k
-        if piv < smallest:
-            smallest, at = piv, k
-        if p:
-            a[[k, k + p]] = a[[k + p, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return at
-
-
-def _diagnose_pivot(sp):
-    """Best-effort pivot index for a singular factorization."""
-    counts_row = np.diff(sp.tocsr().indptr)
-    empty = np.flatnonzero(counts_row == 0)
-    if empty.size:
-        return int(empty[0])
-    counts_col = np.diff(sp.tocsc().indptr)
-    empty = np.flatnonzero(counts_col == 0)
-    if empty.size:
-        return int(empty[0])
-    if sp.shape[0] <= _PIVOT_DIAG_LIMIT:
-        return int(_first_zero_pivot(sp.toarray()))
-    return -1
-
-
 @dataclass
 class LinearSolveCounts:
     """Running totals of the linear solves of one caller, filled by the
@@ -229,12 +187,13 @@ class LuFactors:
     Symmetric-mode SuperLU in single precision, in the order the matrix is
     given in, with solves refined to the double-precision residual test;
     see the module docstring.  An entry beyond the single-precision range
-    raises :class:`NumericError`.  The factors keep no reference to the
-    matrix: ``solve`` and ``solve_transpose`` name the matrix they refine
-    against, the factorized one or a nearby one of the same size.  Every
-    factorization, sweep, recycled solve and stall adds to ``counts``, a
-    :class:`LinearSolveCounts`; the factorization counts before the matrix
-    is checked, so one that fails counts too.
+    raises :class:`NumericError`, and a matrix that SuperLU finds singular
+    :class:`SingularMatrixError` with SuperLU's message.  The factors keep
+    no reference to the matrix: ``solve`` and ``solve_transpose`` name the
+    matrix they refine against, the factorized one or a nearby one of the
+    same size.  Every factorization, sweep, recycled solve and stall adds
+    to ``counts``, a :class:`LinearSolveCounts`; the factorization counts
+    before the matrix is checked, so one that fails counts too.
     """
 
     def __init__(self, matrix, counts):
@@ -269,11 +228,8 @@ class LuFactors:
                 factored.T, permc_spec="NATURAL",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
-            pivot = _diagnose_pivot(sp)
             raise SingularMatrixError(
-                f"LU factorization failed ({exc}); suspected pivot index {pivot}",
-                pivot_index=pivot,
-            ) from exc
+                f"LU factorization failed: {exc}") from exc
 
     def _lu_solve(self, r, trans):
         """LU^-1 r.

@@ -125,10 +125,11 @@ def _convection_block_bwd(g, ctx):
 def _constrain_fwd(v, ctx):
     data, rhs = v
     plan, vals = ctx["plan"], ctx["vals"]
+    col_rows, col_slot = ctx["col_rows"], ctx["col_slot"]
     d, r = data.copy(), rhs.copy()
     if plan.col_entries.size:
-        moved = d[plan.col_entries] * vals[plan.col_slot]
-        r -= np.bincount(plan.col_rows, weights=moved, minlength=r.size)
+        moved = d[plan.col_entries] * vals[col_slot]
+        r -= np.bincount(col_rows, weights=moved, minlength=r.size)
     d[plan.col_entries] = 0.0
     d[plan.row_entries] = 0.0
     d[plan.diag_pos] = 1.0
@@ -143,7 +144,7 @@ def _constrain_bwd(g, ctx):
     gd = gd_out.copy()
     gd[plan.row_entries] = 0.0
     if plan.col_entries.size:
-        gd[plan.col_entries] = -vals[plan.col_slot] * gr_out[plan.col_rows]
+        gd[plan.col_entries] = -vals[ctx["col_slot"]] * gr_out[ctx["col_rows"]]
     gr = gr_out.copy()
     gr[plan.idx] = 0.0
     return gd, gr
@@ -256,13 +257,21 @@ def convection_block(tape, gops, u, v):
     return tape.apply("oracle.convection_block", (u, v), {"gops": gops})
 
 
-def constrain_system(tape, plan, data, rhs, vals):
-    """(constrained data, constrained rhs) of a :class:`ConstraintPlan`
-    imposed on ``data`` and ``rhs``, recorded as one node and two slices."""
+def constrain_system(tape, pattern, plan, data, rhs, vals):
+    """(constrained data, constrained rhs) of the Dirichlet rows of a
+    :class:`ConstraintPlan` on ``pattern`` imposed on ``data`` and ``rhs``
+    by symmetric elimination, recorded as one node and two slices: the
+    constrained columns times ``vals`` (in the order of ``plan.idx``) move
+    to the rhs, then the constrained rows become identity rows whose rhs is
+    ``vals``."""
     n = tape.value(rhs).size
+    # the row of each eliminated column entry, and the slot of its column
+    # in plan.idx
+    col_rows = pattern.entry_rows()[plan.col_entries]
+    col_slot = np.searchsorted(plan.idx, pattern.indices[plan.col_entries])
     packed = tape.apply("oracle.constrain_system", (data, rhs),
                         {"plan": plan, "vals": np.asarray(vals, dtype=float),
-                         "n": n})
+                         "n": n, "col_rows": col_rows, "col_slot": col_slot})
     nnz = tape.value(data).size
     return (ops.slice1d(tape, packed, 0, nnz),
             ops.slice1d(tape, packed, nnz, nnz + n))
@@ -323,7 +332,7 @@ def record_heat(tape, gops, u, v, k, rho_cp, load, bc):
                                    rho_cp),
                    diffusion_block(tape, gops, k))
     data = ops.gather(tape, data, np.argsort(blockmap[0][0]))
-    data_c, rhs_c = constrain_system(tape, plan, data,
+    data_c, rhs_c = constrain_system(tape, pattern, plan, data,
                                      tape.constant(load[order.perm]),
                                      walls[order.perm][plan.idx])
     temp = sparse_solve(tape, pattern, data_c, rhs_c)

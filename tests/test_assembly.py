@@ -337,11 +337,10 @@ def test_grid_operators_hold_no_system_layout():
 def test_constrain_empty_spec_is_identity():
     g = StructuredGrid(3)
     gops = operators_for(g)
-    data, rhs = _stiffness(gops), np.arange(9.0)
+    data = _stiffness(gops)
     plan = constraint_plan(gops.pattern, np.array([], dtype=np.intp))
-    plan.eliminate(data, rhs, np.array([]))
+    plan.identity_rows(data)
     np.testing.assert_array_equal(data, _stiffness(gops))
-    np.testing.assert_array_equal(rhs, np.arange(9.0))
 
 
 def test_constrain_all_nodes_returns_prescribed_values():
@@ -374,37 +373,45 @@ def test_pinning_one_node_raises_rank_by_one():
     data = _stiffness(gops)
     rank_free = np.linalg.matrix_rank(_dense(gops, data))
     plan = constraint_plan(gops.pattern, np.array([0]))
-    plan.eliminate(data, np.zeros(g.n_nodes), np.array([0.0]))
+    plan.identity_rows(data)
     assert np.linalg.matrix_rank(_dense(gops, data)) == rank_free + 1
 
 
 def test_constrain_matches_dense_elimination_oracle():
+    # identity rows and columns, and the solve the solvers make with them:
+    # x = x0 - A_c^-1 f with x0 the prescribed values at the constrained
+    # rows and f = A x0 - b zeroed there is the solution of symmetric
+    # column elimination
     g = StructuredGrid(3)
     gops = operators_for(g)
     rng = np.random.default_rng(4)
     data0 = _stiffness(gops) + 0.1 * rng.normal(size=gops.nnz)
     rhs0 = rng.normal(size=9)
-    cidx = np.array([0, 4, 8])
-    gvals = np.array([1.0, -2.0, 0.5])
+    cidx = np.array([8, 0, 4])
+    x0 = np.zeros(9)
+    x0[cidx] = [0.5, 1.0, -2.0]
 
-    data, rhs = data0.copy(), rhs0.copy()
-    constraint_plan(gops.pattern, cidx).eliminate(data, rhs, gvals)
+    data = data0.copy()
+    constraint_plan(gops.pattern, cidx).identity_rows(data)
 
     a = gops.scipy_matrix(data0).toarray()
     b = rhs0.copy()
     free = np.setdiff1d(np.arange(9), cidx)
-    for s, cnode in enumerate(cidx):
-        b[free] -= a[free, cnode] * gvals[s]
+    for cnode in cidx:
+        b[free] -= a[free, cnode] * x0[cnode]
+    f = a @ x0 - rhs0
+    f[cidx] = 0.0
     a[cidx, :] = 0.0
     a[:, cidx] = 0.0
     a[cidx, cidx] = 1.0
-    b[cidx] = gvals
+    b[cidx] = x0[cidx]
     np.testing.assert_allclose(_dense(gops, data), a, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(rhs, b, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(x0 - np.linalg.solve(a, f),
+                               np.linalg.solve(a, b), rtol=0, atol=1e-13)
 
 
 def test_constrained_solve_gradient_matches_fd():
-    # nonzero prescribed values: the eliminated columns carry a gradient
+    # nonzero prescribed values: the wall columns carry a gradient
     g = StructuredGrid(4)
     rng = np.random.default_rng(5)
     c = rng.normal(size=g.n_nodes)

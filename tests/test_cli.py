@@ -562,6 +562,41 @@ def test_zero_heat_source_fit_exits_2_before_solving(tmp_path, monkeypatch):
     np.testing.assert_allclose(temperature, 1.0, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_wall_only_observations_exit_2_without_files(tmp_path, capsys,
+                                                     experiment):
+    # the one point that seed 1 draws on the 6x6 grid is node 17, on the
+    # right wall, where every observed field is prescribed
+    cfg = _config(tmp_path, SMALL.replace("cavity_viscosity", experiment)
+                  + "\n[observations]\nn_points = 1\nseed = 1\n")
+    out = ["--out", str(tmp_path / "never")]
+    for argv in (["run"] + out, ["gradcheck"]):
+        assert main(argv + ["--config", cfg]) == 2
+        assert "lie on walls" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
+@pytest.mark.parametrize("experiment, section, settings", [
+    ("passive_transport", "physics", "lid_speed = 1e-300"),
+    ("passive_transport", "solver", "dt = 1e-300"),
+    ("passive_transport", "physics", "kappa1 = 1e-300\nkappa2 = 1e-300"),
+    ("conjugate_heat", "physics", "heat_source = 1e-300"),
+])
+def test_underflowing_data_exit_2_without_files(tmp_path, capsys, experiment,
+                                                section, settings):
+    # the observed values are not zero, but their squares underflow to 0,
+    # so the loss is 0 at every coefficient
+    cfg = _config(tmp_path, _small(experiment)
+                  + f"\n[{section}]\n{settings}\n")
+    out = ["--out", str(tmp_path / "never")]
+    for argv in (["run"] + out, ["gradcheck"]):
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "underflow" in err
+        assert all(f" {line}" in err for line in settings.splitlines())
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
 @pytest.mark.parametrize("points", ["0", "37"])
 def test_forward_rejects_set_observation_count_outside_grid(
         tmp_path, monkeypatch, points):
