@@ -21,9 +21,8 @@ velocity-pressure system over [u; v; p] its ``b = 3`` layout, and each
 solver writes its blocks straight into that data, so no system is assembled
 in the natural order and gathered into its own.  A :class:`ConstraintPlan`
 turns the Dirichlet rows and columns of a plain data array into identity
-rows and columns (``identity_rows``); each solver keeps the prescribed
-values in its iterate and zeroes its right-hand side there.  Index maps
-are int32.
+rows and columns (``identity_rows``); each solver takes its step from a
+vector that holds the prescribed values.  Index maps are int32.
 """
 
 from dataclasses import dataclass
@@ -246,9 +245,8 @@ class ConstraintPlan:
     in constrained rows.  ``col_entries``: positions (r, c) with c
     constrained and r free.  ``diag_pos``: the constrained diagonal
     entries.  All but ``idx`` are int32.  A solve with the matrix that
-    ``identity_rows`` leaves returns its right-hand side at ``idx``, so a
-    solver that zeroes its right-hand side there keeps the prescribed
-    values its iterate holds.
+    ``identity_rows`` leaves returns its right-hand side at ``idx``: zero
+    for the flow's Newton update, the wall values for the heat solve.
     """
 
     idx: np.ndarray

@@ -113,6 +113,13 @@ def _flow_fields(flow):
     return {"u": flow.u, "v": flow.v, "p": flow.p}
 
 
+def _coefficient_fields(spec, components):
+    """The ``components`` that involve the coefficient: all but the fields
+    of a frozen flow."""
+    return tuple(comp for comp in components if spec.frozen_viscosity is None
+                 or comp not in ("u", "v", "p"))
+
+
 def _cavity_forward(tape, chain, nu, counts):
     flow = chain.solve_flow(tape, nu, counts)
     return _flow_fields(flow), flow
@@ -377,6 +384,12 @@ class ExperimentConfig:
             raise ContractError(
                 f"{self.experiment} predicts no component {unknown[0]!r}; "
                 f"expected some of {spec.predicts}")
+        if not _coefficient_fields(spec, comps):
+            raise ContractError(
+                f"{self.experiment} observes only {', '.join(comps)} of its "
+                f"frozen flow, which does not involve the {spec.coef_name}, "
+                f"so no data can determine it; also observe "
+                f"{' or '.join(_coefficient_fields(spec, spec.predicts))}")
         # a zero stabilization weight leaves the pressure oscillating, and
         # the particle transport's implicit-Euler steps go forward in time
         for name in ("beta", "dt"):
@@ -681,26 +694,26 @@ def build_problem(config):
 
     obs = make_observations(grid, chain.synthetic, n_points,
                             config.components, config.obs_seed)
-    # every predicted field but the pressure is prescribed on the walls.
-    # Distinct points that outnumber the wall nodes hold an interior one,
-    # and the scan stops at the first interior node
-    nx, ny = grid.nx, grid.ny
-    if ("p" not in obs.components and obs.n_points <= 2 * (nx + ny) - 4
-            and not any(0 < node // nx < ny - 1 and 0 < node % nx < nx - 1
-                        for node in obs.locations.tolist())):
+    # the data that involve the coefficient.  Every predicted field is
+    # prescribed on the walls, but the pressure, which is pinned at node 0
+    seen = _coefficient_fields(spec, obs.components)
+    sees = ~grid.wall_mask[obs.locations]
+    if "p" in seen:
+        sees |= obs.locations != 0
+    if not sees.any():
         raise ContractError(
             f"the {obs.n_points} observation point(s) drawn with seed "
-            f"{config.obs_seed} all lie on walls, where "
-            f"{', '.join(obs.components)} are prescribed whatever the "
-            f"{spec.coef_name}, so no data can determine it")
+            f"{config.obs_seed} all lie where {', '.join(seen)} "
+            f"are prescribed whatever the {spec.coef_name} (on the walls, "
+            f"and p at node 0), so no data can determine it")
     obs = add_noise(obs, config.noise_epsilon, config.obs_seed + 1)
-    for comp in obs.components:
-        values = obs.values[comp]
-        if values @ values == 0.0 and values.any():
-            raise ContractError(
-                f"the observed {comp} underflow with {_changed_physics(config)}"
-                f": their squares sum to 0, so the loss cannot see the "
-                f"{spec.coef_name}")
+    values = [obs.values[comp] for comp in seen]
+    if (sum(float(x @ x) for x in values) == 0.0
+            and any(x.any() for x in values)):
+        raise ContractError(
+            f"the observed {', '.join(seen)} underflow with "
+            f"{_changed_physics(config)}: their squares sum to 0, so the "
+            f"loss cannot see the {spec.coef_name}")
 
     # --- coefficient model and the objective
     model, theta0 = init_params(config.variant, config.init_seed,

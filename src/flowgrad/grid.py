@@ -83,7 +83,8 @@ def _quadrature(hx, hy):
 class StructuredGrid:
     """Uniform quad mesh of the unit square with nx-by-ny nodes.
 
-    ``coords``, ``elems`` and the ``quad`` arrays are read-only.
+    ``coords``, ``elems``, ``wall_mask`` and the ``quad`` arrays are
+    read-only.
     """
 
     def __init__(self, nx, ny=None):
@@ -103,7 +104,11 @@ class StructuredGrid:
         n00 = (ey * self.nx + ex).ravel()
         self.elems = np.column_stack([n00, n00 + 1, n00 + self.nx + 1, n00 + self.nx])
 
-        _freeze(self.coords, self.elems)
+        # whether each node lies on a wall
+        self.wall_mask = ((iy == 0) | (iy == self.ny - 1)
+                          | (ix == 0) | (ix == self.nx - 1)).ravel()
+
+        _freeze(self.coords, self.elems, self.wall_mask)
         self.quad = _quadrature(self.hx, self.hy)
 
     def boundary_nodes(self, side):
@@ -120,10 +125,7 @@ class StructuredGrid:
 
     @property
     def all_boundary(self):
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for side in ("bottom", "top", "left", "right"):
-            mask[self.boundary_nodes(side)] = True
-        return np.flatnonzero(mask)
+        return np.flatnonzero(self.wall_mask)
 
 
 @dataclass(frozen=True)

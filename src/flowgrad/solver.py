@@ -44,15 +44,17 @@ same form: its forward assembles and factorizes the linear system on plain
 arrays, in the grid's layout for one unknown per node
 (``GridOperators.system_layout(1)``, in the flow's node order), and its
 backward is one transpose solve with those factors.  Both solvers impose
-their walls in one way: the solution starts from the prescribed values,
-the residual is zeroed at the wall rows, and the correction is solved with
-the matrix of identity wall rows and columns
-(``ConstraintPlan.identity_rows``), so it is zero there.  What does not
-depend on the conductivity (the layout, the wall constraints, the
-convection block of the frozen flow and the load) is a :class:`HeatSetup`,
-built once by the caller, so an evaluation assembles only K(k).  Both
-operators build their factors with the caller's :class:`LinearSolveCounts`,
-which the factors fill.
+their walls in one way, a Newton step from x0, the prescribed values at the
+walls and zeros elsewhere (the flow's iterate, the heat's T0), with the
+matrix of identity wall rows and columns
+(``ConstraintPlan.identity_rows``).  The flow solves for the correction,
+whose right-hand side is zero at the wall rows; the heat solve, a single
+step, solves for T with the wall values at those rows, so its residual
+test covers them.  What does not depend on the conductivity (the layout,
+the wall constraints, the convection block of the frozen flow and the
+load) is a :class:`HeatSetup`, built once by the caller, so an evaluation
+assembles only K(k).  Both operators build their factors with the caller's
+:class:`LinearSolveCounts`, which the factors fill.
 ``transport_integrate`` gives the nodal particle velocities after a number
 of implicit-Euler steps in the steady flow, in closed form.
 """
@@ -448,19 +450,19 @@ def _heat_solve_fwd(v, ctx):
     """T with A T = M Q off the walls and T = T0 on them, A = rho Cp C(u, v)
     + K(k) written into the node order through the block map.
 
-    As a Newton step of the flow: the residual f = A T0 - M Q, zero at the
-    wall rows, and T = T0 - A_c^-1 f with A_c the A of identity wall rows
-    and columns, so the correction is zero at the walls and T there is T0
-    exactly."""
+    A Newton step of the flow from T0: A_c T = M Q - A T0 off the walls
+    and T0 on them, with A_c the A of identity wall rows and columns.  The
+    solve is for T itself, not for the correction T - T0, so the residual
+    test covers the wall rows too."""
     heat, counts = ctx["heat"], ctx["counts"]
     data = np.empty(heat.pattern.nnz)
     data[heat.bmap[0][0]] = heat.convection + heat.gops.diffusion(v[0])
     matrix = heat.pattern.to_scipy(data)
-    rhs = matrix @ heat.t0 - heat.load
-    rhs[heat.plan.idx] = 0.0
+    rhs = heat.load - matrix @ heat.t0
+    rhs[heat.plan.idx] = heat.t0[heat.plan.idx]
     heat.plan.identity_rows(matrix.data)
     lu = LuFactors(matrix, counts)
-    temp = heat.t0 - lu.solve(rhs, matrix)
+    temp = lu.solve(rhs, matrix)
     if not np.all(np.isfinite(temp)):
         raise NumericError("heat solve produced a non-finite temperature")
     ctx["matrix"], ctx["temp"], ctx["lu"] = matrix, temp, lu
@@ -471,10 +473,11 @@ def _heat_solve_bwd(g, ctx):
     """dL/dk from lam = A_c^-T g and the entry gradient -lam_i T_j of A.
 
     Constrained rows do not depend on k.  A wall column c enters only
-    through A T0, so its entry gradient is -lam_i T0_c, which is -lam_i T_c
-    since T is T0 at the walls.  The entry gradient leaves the node order
-    through the block map for ``diffusion_bwd``, which maps it to k; the
-    flow and the load are constants.
+    through A T0, so its entry gradient is -lam_i T0_c: T is taken as T0
+    at the walls, where the solve meets T0 only to the residual test.  The
+    entry gradient leaves the node order through the block map for
+    ``diffusion_bwd``, which maps it to k; the flow and the load are
+    constants.
     """
     heat, matrix, counts = ctx["heat"], ctx["matrix"], ctx["counts"]
     pattern = heat.pattern
@@ -482,7 +485,9 @@ def _heat_solve_bwd(g, ctx):
     # over the same tape refactorizes
     lu = ctx.pop("lu", None) or LuFactors(matrix, counts)
     lam = lu.solve_transpose(g[heat.order.perm], matrix)
-    gdata = -lam[pattern.entry_rows()] * ctx["temp"][pattern.indices]
+    temp = ctx["temp"].copy()
+    temp[heat.plan.idx] = heat.t0[heat.plan.idx]
+    gdata = -lam[pattern.entry_rows()] * temp[pattern.indices]
     gdata[heat.plan.row_entries] = 0.0
     return (heat.gops.diffusion_bwd(gdata[heat.bmap[0][0]]),)
 

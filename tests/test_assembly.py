@@ -378,10 +378,11 @@ def test_pinning_one_node_raises_rank_by_one():
 
 
 def test_constrain_matches_dense_elimination_oracle():
-    # identity rows and columns, and the solve the solvers make with them:
-    # x = x0 - A_c^-1 f with x0 the prescribed values at the constrained
-    # rows and f = A x0 - b zeroed there is the solution of symmetric
-    # column elimination
+    # identity rows and columns, and the solves the solvers make with them,
+    # with x0 the prescribed values at the constrained rows: the heat's
+    # right-hand side b - A x0 with x0 at those rows is the one of symmetric
+    # column elimination, and the flow's x0 - A_c^-1 f, with f = A x0 - b
+    # zeroed there, is its solution
     g = StructuredGrid(3)
     gops = operators_for(g)
     rng = np.random.default_rng(4)
@@ -405,7 +406,10 @@ def test_constrain_matches_dense_elimination_oracle():
     a[:, cidx] = 0.0
     a[cidx, cidx] = 1.0
     b[cidx] = x0[cidx]
+    lifted = rhs0 - gops.scipy_matrix(data0) @ x0
+    lifted[cidx] = x0[cidx]
     np.testing.assert_allclose(_dense(gops, data), a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(lifted, b, rtol=0, atol=1e-14)
     np.testing.assert_allclose(x0 - np.linalg.solve(a, f),
                                np.linalg.solve(a, b), rtol=0, atol=1e-13)
 

@@ -572,7 +572,7 @@ def test_wall_only_observations_exit_2_without_files(tmp_path, capsys,
     out = ["--out", str(tmp_path / "never")]
     for argv in (["run"] + out, ["gradcheck"]):
         assert main(argv + ["--config", cfg]) == 2
-        assert "lie on walls" in capsys.readouterr().err
+        assert "are prescribed whatever" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
 
 

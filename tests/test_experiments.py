@@ -294,6 +294,16 @@ def test_component_the_experiment_does_not_predict_rejected_before_solving(
     assert built == []
 
 
+@pytest.mark.parametrize("components", [("u", "v"), ("p",)])
+def test_heat_observing_only_its_frozen_flow_rejected(components):
+    # the flow is solved at a fixed viscosity, so only T involves k
+    with pytest.raises(ContractError, match="of its frozen flow"):
+        ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
+                         components=components)
+    ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
+                     components=("p", "T"))
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ContractError):
         ExperimentConfig(experiment="magnetohydrodynamics")
@@ -466,6 +476,28 @@ def test_zero_heat_source_fit_rejected_before_solving(monkeypatch, bc_value):
     # the flow experiments carry no heat
     build_problem(ExperimentConfig("cavity_viscosity", grid_n=6,
                                    heat_source=0.0))
+
+
+@pytest.mark.parametrize("seed, builds", [(27, False), (1, True)])
+def test_observed_pressure_sees_the_viscosity_off_node_0(seed, builds):
+    # seed 27 draws node 0 of the 6x6 grid, where the pressure is pinned,
+    # and seed 1 node 17, a wall node where it is not
+    cfg = ExperimentConfig("cavity_viscosity", grid_n=6, n_points=1,
+                           obs_seed=seed, components=("u", "p"))
+    if builds:
+        assert build_problem(cfg).observations.locations.tolist() == [17]
+    else:
+        with pytest.raises(ContractError, match="p at node 0"):
+            build_problem(cfg)
+
+
+def test_one_underflowing_component_leaves_the_data_visible():
+    # w1 scales with kappa1 and underflows in its squares, but w2 still
+    # carries the data
+    cfg = ExperimentConfig("passive_transport", grid_n=6, kappa1=1e-300)
+    values = build_problem(cfg).observations.values
+    assert values["w1"] @ values["w1"] == 0.0 and values["w1"].any()
+    assert values["w2"] @ values["w2"] > 0.0
 
 
 def test_full_grid_default_tracks_grid_size():

@@ -61,7 +61,7 @@ def test_grid_and_dirichlet_arrays_are_read_only():
     g = StructuredGrid(4)
     q = g.quad
     u_bc, v_bc = cavity_velocity_bcs(g)
-    arrays = (g.coords, g.elems, q.n, q.dndx, q.dndy, q.wdet,
+    arrays = (g.coords, g.elems, g.wall_mask, q.n, q.dndx, q.dndy, q.wdet,
               u_bc.idx, u_bc.vals, v_bc.idx, v_bc.vals)
     assert not any(a.flags.writeable for a in arrays)
     for a in arrays:
