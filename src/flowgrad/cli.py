@@ -175,16 +175,17 @@ def _cmd_forward(args):
 def _corrupt_backward(name):
     """Scale one operator's backward outputs by 1.001 (negative control).
 
-    The default target is the loss-side ``square``: every observation
-    mismatch flows through it exactly once, so the corruption cannot cancel.
-    Any other registered operator can be named, for example ``steady_flow``,
+    The default target is the loss-side ``sum_of_squares``: every
+    observation mismatch flows through it exactly once, so the corruption
+    cannot cancel.  Any other registered operator can be named, for example
+    ``residual``, the stacked data misfit before it, or ``steady_flow``,
     whose backward rule is the whole implicit-function adjoint of a flow
     solve: every viscosity gradient passes through it once; or
     ``heat_solve``, the adjoint of the heat system, which every
     conductivity gradient of ``conjugate_heat`` passes through once.
     """
     if name == "1":
-        name = "square"
+        name = "sum_of_squares"
     registry = tape_module._REGISTRY
     if name not in registry:
         raise ConfigError(f"cannot corrupt unknown operator {name!r}")

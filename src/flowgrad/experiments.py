@@ -185,7 +185,8 @@ def _check_finite(values, components):
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Sampled node indices with observed values per component."""
+    """Sampled node indices, a 1-d array of distinct nonnegative integers,
+    with observed values for each component."""
 
     locations: np.ndarray
     components: tuple
@@ -193,13 +194,25 @@ class ObservationSet:
     noise_epsilon: float = 0.0
 
     def __post_init__(self):
-        locations = np.asarray(self.locations, dtype=np.intp)
+        locations = np.asarray(self.locations)
+        if locations.ndim != 1 or (locations.size
+                                   and locations.dtype.kind not in "iu"):
+            raise ContractError(
+                f"observation locations must be a 1-d array of node "
+                f"indices, got {locations.dtype} of shape {locations.shape}")
+        locations = np.asarray(locations, dtype=np.intp)
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "components", tuple(self.components))
-        ordered = np.sort(locations, axis=None)
+        ordered = np.sort(locations)
+        if ordered.size and ordered[0] < 0:
+            raise ContractError(f"observation locations must be nonnegative, "
+                                f"got {ordered[0]}")
         if np.any(ordered[1:] == ordered[:-1]):
             raise ContractError("observation locations must be distinct")
         for comp in self.components:
+            if comp not in self.values:
+                raise ContractError(f"no observed values for component "
+                                    f"{comp!r}")
             vals = np.asarray(self.values[comp], dtype=np.float64)
             if vals.shape != locations.shape:
                 raise ContractError(
@@ -258,16 +271,17 @@ def add_noise(obs, epsilon, seed):
 
 
 def compute_loss(tape, predicted, obs):
-    """Sum of squared mismatches over every observed component and point."""
-    total = None
+    """Sum of squared mismatches over every observed component and point,
+    recorded as two nodes: the residual of every component in turn, stacked
+    into one vector, and its sum of squares, taken one component at a
+    time and added in component order."""
     for comp in obs.components:
         if comp not in predicted:
             raise ContractError(f"prediction lacks observed component {comp!r}")
-        at_pts = ops.gather(tape, predicted[comp], obs.locations)
-        diff = ops.sub(tape, at_pts, tape.constant(obs.values[comp]))
-        term = ops.vsum(tape, ops.square(tape, diff))
-        total = term if total is None else ops.add(tape, total, term)
-    return total
+    r = ops.residual(tape, [predicted[comp] for comp in obs.components],
+                     obs.locations,
+                     [obs.values[comp] for comp in obs.components])
+    return ops.sum_of_squares(tape, r, len(obs.components))
 
 
 def relative_mse(estimate, reference):
@@ -293,6 +307,11 @@ def shape_error(estimate, reference):
     norm = float(estimate @ estimate)
     scale = float(estimate @ reference) / norm if norm > 0.0 else 0.0
     return scale, relative_mse(scale * estimate, reference)
+
+
+# The flow system of an n x n grid has 9 (3n - 2)^2 entries, which the
+# assembly's int32 maps address; the largest n that fits is 5149.
+_MAX_GRID_N = (math.isqrt(np.iinfo(np.int32).max // 9) + 2) // 3
 
 
 def _check_n_points(n_points, grid_n):
@@ -414,6 +433,11 @@ class ExperimentConfig:
         if self.grid_n < 2:
             raise ContractError(
                 f"grid_n must be at least 2 nodes per side, got {self.grid_n}")
+        if self.grid_n > _MAX_GRID_N:
+            raise ContractError(
+                f"grid_n must be at most {_MAX_GRID_N} nodes per side, the "
+                f"most whose flow system the int32 index maps can address, "
+                f"got {self.grid_n}")
         if self.n_points is not None:
             _check_n_points(self.n_points, self.grid_n)
         # the pointwise fit bounds every nodal value below at the clamp

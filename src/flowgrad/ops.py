@@ -1,16 +1,15 @@
 """Standard differentiable operators registered on the global tape registry.
 
 Each operator is a pure forward function plus a backward rule mapping the
-downstream gradient to per-input gradients.  Elementwise binary operators
-accept equal shapes or a shape-``(1,)`` scalar on either side; the backward
-rule sums the gradient back down to the scalar.
+downstream gradient to per-input gradients.
 
-The module-level helpers (``add``, ``vsum``, ...) are thin wrappers around
-``tape.apply`` so calling code reads like plain arithmetic.  The library
-holds only what a recorded objective uses: the model's offset and clamp,
-slices of the flow state, the transport relaxation and the loss.  Neither
-the flow residual nor the heat system is recorded; the solver builds both
-on plain arrays.
+The module-level helpers (``scale``, ``residual``, ...) are thin wrappers
+around ``tape.apply`` so calling code reads like plain arithmetic.  The
+library holds only what a recorded objective uses: the model's offset and
+clamp, slices of the flow state, the transport's constant scale, and the
+loss as two nodes, the stacked data misfit (``residual``) and its squared
+norm (``sum_of_squares``).  Neither the flow residual nor the heat system
+is recorded; the solver builds both on plain arrays.
 """
 
 import numpy as np
@@ -19,52 +18,13 @@ from .errors import ContractError
 from .tape import register_op
 
 __all__ = [
-    "add", "sub", "scale", "add_scalar",
-    "vsum", "clamp_min", "square",
-    "slice1d", "gather",
+    "scale", "add_scalar", "clamp_min", "slice1d",
+    "residual", "sum_of_squares",
 ]
 
 
-def _bcast_shape(a, b, op):
-    if a.shape == b.shape:
-        return a.shape
-    if a.shape == (1,):
-        return b.shape
-    if b.shape == (1,):
-        return a.shape
-    raise ContractError(f"op {op!r}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
-def _reduce_to(g, shape):
-    if g.shape == shape:
-        return g
-    if shape == (1,):
-        return np.array([g.sum()])
-    raise ContractError(f"cannot reduce gradient {g.shape} to {shape}")
-
-
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-def _add_fwd(v, ctx):
-    a, b = v
-    _bcast_shape(a, b, "add")
-    return a + b
-
-
-def _add_bwd(g, ctx):
-    return _reduce_to(g, ctx["sa"]), _reduce_to(g, ctx["sb"])
-
-
-def _sub_fwd(v, ctx):
-    a, b = v
-    _bcast_shape(a, b, "sub")
-    return a - b
-
-
-def _sub_bwd(g, ctx):
-    return _reduce_to(g, ctx["sa"]), _reduce_to(-g, ctx["sb"])
-
+# elementwise arithmetic and clamping
 
 def _scale_fwd(v, ctx):
     return ctx["c"] * v[0]
@@ -80,27 +40,6 @@ def _add_scalar_fwd(v, ctx):
 
 def _add_scalar_bwd(g, ctx):
     return (g,)
-
-
-def _square_fwd(v, ctx):
-    ctx["x"] = v[0]
-    return v[0] * v[0]
-
-
-def _square_bwd(g, ctx):
-    return (2.0 * ctx["x"] * g,)
-
-
-# ---------------------------------------------------------------------------
-# reductions and clamping
-
-def _vsum_fwd(v, ctx):
-    ctx["shape"] = v[0].shape
-    return np.array([v[0].sum()])
-
-
-def _vsum_bwd(g, ctx):
-    return (np.full(ctx["shape"], g[0]),)
 
 
 def _clamp_min_fwd(v, ctx):
@@ -136,44 +75,65 @@ def _slice1d_bwd(g, ctx):
     return (out,)
 
 
-def _gather_fwd(v, ctx):
-    x = v[0]
+# ---------------------------------------------------------------------------
+# the data misfit
+
+def _residual_fwd(v, ctx):
+    idx, data = ctx["idx"], ctx["data"]
+    if len(v) != len(data):
+        raise ContractError(f"op 'residual': {len(v)} fields for "
+                            f"{len(data)} data vectors")
+    for x, d in zip(v, data):
+        if x.ndim != 1 or d.shape != idx.shape:
+            raise ContractError(
+                f"op 'residual': expects 1-d fields and {idx.shape} data, "
+                f"got {x.shape} and {d.shape}")
+        if idx.size and not 0 <= idx.min() <= idx.max() < x.shape[0]:
+            raise ContractError(
+                f"op 'residual': locations [{idx.min()}, {idx.max()}] "
+                f"outside length {x.shape[0]}")
+    ctx["sizes"] = [x.shape[0] for x in v]
+    return np.concatenate([x[idx] - d for x, d in zip(v, data)])
+
+
+def _residual_bwd(g, ctx):
     idx = ctx["idx"]
-    if x.ndim != 1:
-        raise ContractError("op 'gather': expects a 1-d input")
-    ctx["n"] = x.shape[0]
-    return x[idx].copy()
+    out = []
+    for k, n in enumerate(ctx["sizes"]):
+        gk = np.zeros(n)
+        np.add.at(gk, idx, g[k * idx.size:(k + 1) * idx.size])
+        out.append(gk)
+    return tuple(out)
 
 
-def _gather_bwd(g, ctx):
-    out = np.zeros(ctx["n"])
-    np.add.at(out, ctx["idx"], g)
-    return (out,)
+def _sum_of_squares_fwd(v, ctx):
+    r = ctx["r"] = v[0]
+    parts = ctx["parts"]
+    if r.ndim != 1 or parts < 1 or r.size % parts:
+        raise ContractError(f"op 'sum_of_squares': cannot split shape "
+                            f"{r.shape} into {parts} equal parts")
+    # each part summed on its own, and the sums added in order
+    total = None
+    for part in np.split(r, parts):
+        term = (part * part).sum()
+        total = term if total is None else total + term
+    return np.array([total])
 
 
-register_op("add", _add_fwd, _add_bwd)
-register_op("sub", _sub_fwd, _sub_bwd)
+def _sum_of_squares_bwd(g, ctx):
+    return (2.0 * ctx["r"] * g,)
+
+
 register_op("scale", _scale_fwd, _scale_bwd)
 register_op("add_scalar", _add_scalar_fwd, _add_scalar_bwd)
-register_op("square", _square_fwd, _square_bwd)
-register_op("vsum", _vsum_fwd, _vsum_bwd)
 register_op("clamp_min", _clamp_min_fwd, _clamp_min_bwd)
 register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
-register_op("gather", _gather_fwd, _gather_bwd)
+register_op("residual", _residual_fwd, _residual_bwd)
+register_op("sum_of_squares", _sum_of_squares_fwd, _sum_of_squares_bwd)
 
 
 # ---------------------------------------------------------------------------
 # tape-facing helpers
-
-def add(tape, a, b):
-    ctx = {"sa": tape.value(a).shape, "sb": tape.value(b).shape}
-    return tape.apply("add", (a, b), ctx)
-
-
-def sub(tape, a, b):
-    ctx = {"sa": tape.value(a).shape, "sb": tape.value(b).shape}
-    return tape.apply("sub", (a, b), ctx)
-
 
 def scale(tape, a, c):
     return tape.apply("scale", (a,), {"c": float(c)})
@@ -181,14 +141,6 @@ def scale(tape, a, c):
 
 def add_scalar(tape, a, c):
     return tape.apply("add_scalar", (a,), {"c": float(c)})
-
-
-def square(tape, a):
-    return tape.apply("square", (a,))
-
-
-def vsum(tape, a):
-    return tape.apply("vsum", (a,))
 
 
 def clamp_min(tape, a, floor):
@@ -200,5 +152,16 @@ def slice1d(tape, a, start, stop):
     return tape.apply("slice1d", (a,), {"start": int(start), "stop": int(stop)})
 
 
-def gather(tape, a, idx):
-    return tape.apply("gather", (a,), {"idx": np.asarray(idx, dtype=np.intp)})
+def residual(tape, fields, locations, data):
+    """``field[locations] - values`` for each field and its data vector in
+    turn, stacked into one vector; the locations are shared."""
+    return tape.apply("residual", tuple(fields),
+                      {"idx": np.asarray(locations, dtype=np.intp),
+                       "data": tuple(np.asarray(d, dtype=np.float64)
+                                     for d in data)})
+
+
+def sum_of_squares(tape, a, parts=1):
+    """The sum of the squares of ``a``, split into ``parts`` equal parts:
+    each part is summed on its own and the sums are added in order."""
+    return tape.apply("sum_of_squares", (a,), {"parts": int(parts)})

@@ -7,7 +7,7 @@ order by construction.  ``backward`` walks the list in reverse, accumulating
 adjoints additively when a node fans out to several consumers.
 
 Operators are registered globally ahead of time (see :mod:`flowgrad.ops`,
-:mod:`flowgrad.models`, :mod:`flowgrad.sparse` and :mod:`flowgrad.solver`);
+:mod:`flowgrad.models` and :mod:`flowgrad.solver`);
 coarse-grained custom operators such as the network, the Newton flow solve
 or the heat solve are ordinary registry entries.
 """

@@ -9,6 +9,8 @@ by op instead and take the gradients from the tape, as an oracle for the
 solver; ``spmv_fixed`` records the products with the constant divergence
 and pressure-gradient matrices of F.  ``mlp`` is the network operator that
 keeps its activations, an oracle for the package's, which recomputes them.
+``add`` and ``gather`` are the generic sum and indexing the package no
+longer records, and ``add`` and ``div`` broadcast a shape-``(1,)`` scalar.
 Tests also use ``dot`` for weighted-sum losses.  Every operator is
 registered under an ``oracle.`` name, so the package's own registry checks
 leave them out.
@@ -19,9 +21,37 @@ import numpy as np
 from flowgrad import kernels, ops
 from flowgrad.assembly import constraint_plan
 from flowgrad.errors import ContractError, NumericError
-from flowgrad.ops import _bcast_shape, _reduce_to
 from flowgrad.sparse import LinearSolveCounts, LuFactors
 from flowgrad.tape import register_op
+
+
+def _bcast_shape(a, b, op):
+    if a.shape == b.shape:
+        return a.shape
+    if a.shape == (1,):
+        return b.shape
+    if b.shape == (1,):
+        return a.shape
+    raise ContractError(f"op {op!r}: shapes {a.shape} and {b.shape} do not broadcast")
+
+
+def _reduce_to(g, shape):
+    if g.shape == shape:
+        return g
+    if shape == (1,):
+        return np.array([g.sum()])
+    raise ContractError(f"cannot reduce gradient {g.shape} to {shape}")
+
+
+def _add_fwd(v, ctx):
+    a, b = v
+    _bcast_shape(a, b, "oracle.add")
+    ctx["sa"], ctx["sb"] = a.shape, b.shape
+    return a + b
+
+
+def _add_bwd(g, ctx):
+    return _reduce_to(g, ctx["sa"]), _reduce_to(g, ctx["sb"])
 
 
 def _div_fwd(v, ctx):
@@ -60,6 +90,20 @@ def _concat1d_bwd(g, ctx):
         out.append(g[at:at + n].copy())
         at += n
     return tuple(out)
+
+
+def _gather_fwd(v, ctx):
+    x = v[0]
+    if x.ndim != 1:
+        raise ContractError("op 'oracle.gather': expects a 1-d input")
+    ctx["n"] = x.shape[0]
+    return x[ctx["idx"]].copy()
+
+
+def _gather_bwd(g, ctx):
+    out = np.zeros(ctx["n"])
+    np.add.at(out, ctx["idx"], g)
+    return (out,)
 
 
 def _set_at_fwd(v, ctx):
@@ -200,9 +244,11 @@ def _mlp_bwd(g, ctx):
     return (out,)
 
 
+register_op("oracle.add", _add_fwd, _add_bwd)
 register_op("oracle.div", _div_fwd, _div_bwd)
 register_op("oracle.dot", _dot_fwd, _dot_bwd)
 register_op("oracle.concat1d", _concat1d_fwd, _concat1d_bwd)
+register_op("oracle.gather", _gather_fwd, _gather_bwd)
 register_op("oracle.set_at", _set_at_fwd, _set_at_bwd)
 register_op("oracle.spmv_fixed", _spmv_fixed_fwd, _spmv_fixed_bwd)
 register_op("oracle.spmv_pattern", _spmv_pattern_fwd, _spmv_pattern_bwd)
@@ -215,6 +261,10 @@ register_op("oracle.sparse_solve", _sparse_solve_fwd, _sparse_solve_bwd)
 register_op("oracle.mlp", _mlp_fwd, _mlp_bwd)
 
 
+def add(tape, a, b):
+    return tape.apply("oracle.add", (a, b))
+
+
 def div(tape, a, b):
     return tape.apply("oracle.div", (a, b))
 
@@ -225,6 +275,12 @@ def dot(tape, a, b):
 
 def concat1d(tape, parts):
     return tape.apply("oracle.concat1d", tuple(parts))
+
+
+def gather(tape, a, idx):
+    """``a[idx]``; the backward adds the gradient of a repeated index."""
+    return tape.apply("oracle.gather", (a,),
+                      {"idx": np.asarray(idx, dtype=np.intp)})
 
 
 def set_at(tape, a, idx, vals):
@@ -304,12 +360,12 @@ def record_residual(tape, setup, nu, u, v, p):
     stab_ref = diffusion_block(tape, gops, coef)
     parts = []
     for w, grad_m in ((u, setup.gx_m), (v, setup.gy_m)):
-        f = ops.add(tape, spmv_pattern(tape, pat, c_ref, w),
+        f = add(tape, spmv_pattern(tape, pat, c_ref, w),
                     spmv_pattern(tape, pat, k_ref, w))
-        parts.append(ops.add(tape, f, spmv_fixed(tape, grad_m, p)))
-    fp = ops.add(tape, spmv_fixed(tape, setup.dx, u),
+        parts.append(add(tape, f, spmv_fixed(tape, grad_m, p)))
+    fp = add(tape, spmv_fixed(tape, setup.dx, u),
                  spmv_fixed(tape, setup.dy, v))
-    parts.append(ops.add(tape, fp,
+    parts.append(add(tape, fp,
                          spmv_pattern(tape, pat, stab_ref, p)))
     zeros = tape.constant(np.zeros(setup.cidx.size))
     res = set_at(tape, concat1d(tape, parts), setup.cidx, zeros)
@@ -328,12 +384,12 @@ def record_heat(tape, gops, u, v, k, rho_cp, load, bc):
     plan = constraint_plan(pattern, order.inverse[bc.idx])
     walls = np.zeros(gops.n_nodes)
     walls[bc.idx] = bc.vals
-    data = ops.add(tape, ops.scale(tape, convection_block(tape, gops, u, v),
+    data = add(tape, ops.scale(tape, convection_block(tape, gops, u, v),
                                    rho_cp),
                    diffusion_block(tape, gops, k))
-    data = ops.gather(tape, data, np.argsort(blockmap[0][0]))
+    data = gather(tape, data, np.argsort(blockmap[0][0]))
     data_c, rhs_c = constrain_system(tape, pattern, plan, data,
                                      tape.constant(load[order.perm]),
                                      walls[order.perm][plan.idx])
     temp = sparse_solve(tape, pattern, data_c, rhs_c)
-    return ops.gather(tape, temp, order.inverse)
+    return gather(tape, temp, order.inverse)

@@ -238,7 +238,7 @@ def test_convection_blocks_gradient_matches_fd():
         u = ops.slice1d(t, th, 0, g.n_nodes)
         v = ops.slice1d(t, th, g.n_nodes, 2 * g.n_nodes)
         cref = convection_block(t, operators_for(g), u, v)
-        acc = ops.vsum(t, ops.square(t, cref))
+        acc = ops.sum_of_squares(t, cref)
         return t.value(acc)[0], t.backward(acc)[th]
 
     idx = range(0, theta0.size, 9)

@@ -165,15 +165,32 @@ def test_grid_beyond_memory_exits_2(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 74.5 GiB")
 
     monkeypatch.setattr(experiments, "StructuredGrid", unallocatable)
-    cfg = _config(tmp_path, SMALL.replace("n = 6", "n = 100000"))
+    cfg = _config(tmp_path, SMALL.replace("n = 6", "n = 5000"))
     out = tmp_path / "never"
     for command in ("run", "forward"):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "grid_n = 100000: Unable to allocate 74.5 GiB" in err
+        assert "grid_n = 5000: Unable to allocate 74.5 GiB" in err
         assert not out.exists()
     assert main(["gradcheck", "--config", cfg]) == 2
-    assert "grid_n = 100000" in capsys.readouterr().err
+    assert "grid_n = 5000" in capsys.readouterr().err
+
+
+def test_grid_beyond_the_int32_maps_exits_2(tmp_path, monkeypatch, capsys):
+    # a grid whose flow system the int32 index maps cannot address stops
+    # every command before anything is allocated
+    def never(n):
+        raise AssertionError(f"a grid of {n} nodes per side was built")
+
+    monkeypatch.setattr(experiments, "StructuredGrid", never)
+    cfg = _config(tmp_path, SMALL.replace("n = 6", "n = 1000000000"))
+    out = tmp_path / "never"
+    for command in ("run", "forward"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "at most 5149 nodes per side" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["gradcheck", "--config", cfg]) == 2
+    assert "at most 5149 nodes per side" in capsys.readouterr().err
 
 
 def test_warm_runs_build_no_grid(tmp_path, monkeypatch):
@@ -667,6 +684,12 @@ def test_gradcheck_corrupted_backward_exits_1(tmp_path, monkeypatch):
     assert main(["gradcheck", "--config", cfg, "--samples", "3"]) == 0
 
 
+def test_gradcheck_corrupted_residual_backward_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "residual")
+    assert main(["gradcheck", "--config", _config(tmp_path),
+                 "--samples", "3"]) == 1
+
+
 def test_gradcheck_corrupted_flow_adjoint_exits_1(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "steady_flow")
     assert main(["gradcheck", "--config", _config(tmp_path),
@@ -690,3 +713,68 @@ def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "no_such_op")
     assert main(["gradcheck", "--config", _config(tmp_path),
                  "--samples", "2"]) == 2
+
+
+# --- input sweep: one bad setting, or a pair, at a time
+
+_SWEEP_VALUES = {
+    float: ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e-12"),
+    int: ("0", "-1", "1", "1000000000", "2.5", "1e3"),
+    str: ("dnn3d", ""),
+}
+_SWEEP_PAIRS = ((("model", "offset"), ("model", "clamp_floor")),
+                (("physics", "kappa1"), ("physics", "kappa2")),
+                (("observations", "n_points"), ("grid", "n")))
+# Data this small leave the projected gradient at the start below the
+# optimizer's absolute tolerance, so the fit stops at its initial guess
+# (ROADMAP item 17).
+_STOPS_AT_START = {"cavity_viscosity-physics.lid_speed=1e-12",
+                   "passive_transport-physics.lid_speed=1e-12",
+                   "passive_transport-solver.dt=1e-12",
+                   "passive_transport-physics.kappa1+physics.kappa2=1e-12",
+                   "conjugate_heat-physics.heat_source=1e-12"}
+
+
+def _sweep_cases():
+    settings = [((section, key),)
+                for section, keys in _SCHEMA.items()
+                if section not in ("experiment", "output")
+                for key in keys]
+    cases = []
+    for experiment in EXPERIMENTS:
+        for keys in settings + list(_SWEEP_PAIRS):
+            section, key = keys[0]
+            kind = _SCHEMA[section][key][1]
+            name = "+".join(f"{s}.{k}" for s, k in keys)
+            for value in _SWEEP_VALUES[float if kind == "float_list"
+                                       else kind]:
+                case = f"{experiment}-{name}={value}"
+                marks = ()
+                if case in _STOPS_AT_START:
+                    marks = pytest.mark.xfail(
+                        strict=True, reason="ROADMAP item 17: stops at the "
+                        "initial guess")
+                cases.append(pytest.param(experiment, keys, value,
+                                          marks=marks, id=case))
+    return cases
+
+
+@pytest.mark.parametrize("experiment,keys,value", _sweep_cases())
+def test_swept_setting_fits_or_exits_2_without_files(tmp_path, capsys,
+                                                     experiment, keys, value):
+    sections = {"experiment": {"name": experiment}, "grid": {"n": "8"},
+                "optimizer": {"max_steps": "3"}}
+    for section, key in keys:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n"
+                   + "".join(f"{key} = {v}\n" for key, v in entries.items())
+                   + "\n" for section, entries in sections.items())
+    out = tmp_path / "out"
+    code = main(["run", "--config", _config(tmp_path, text), "--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_steps"] >= 1

@@ -66,6 +66,20 @@ def test_duplicate_location_rejected():
         ObservationSet(np.array([5, 5]), ("u",), {"u": np.zeros(2)})
 
 
+@pytest.mark.parametrize("locations", [[5, -1], [[0, 1]], [0.0, 1.0],
+                                       [True, False]])
+def test_observation_locations_must_be_node_indices(locations):
+    # a negative index would read a node from the end of a field
+    with pytest.raises(ContractError, match="observation locations must be"):
+        ObservationSet(locations, ("u",), {"u": np.ones(2)})
+
+
+def test_observed_component_without_values_rejected():
+    with pytest.raises(ContractError,
+                       match="no observed values for component 'v'"):
+        ObservationSet([0, 1], ("u", "v"), {"u": np.ones(2)})
+
+
 def test_same_seed_same_locations():
     grid = StructuredGrid(9)
     a = make_observations(grid, _fake_solution(grid), 12, ("u",), seed=5)
@@ -181,6 +195,23 @@ def test_loss_gradient_is_two_times_residual():
     expected = np.zeros(grid.n_nodes)
     expected[obs.locations] = 2 * (sol["u"][obs.locations] + 0.1 - sol["u"][obs.locations])
     np.testing.assert_allclose(grad, expected, atol=1e-14)
+
+
+def test_loss_sums_each_component_then_adds_in_order():
+    # each component's squares are summed on their own and the sums added
+    # in component order, so the loss is the one of a per-component sum
+    grid = StructuredGrid(12)
+    sol = _fake_solution(grid, seed=5)
+    obs = make_observations(grid, sol, 140, ("u", "v"), seed=3)
+    t = Tape()
+    pred = {c: t.constant(sol[c] * 1.37 + 0.1) for c in ("u", "v")}
+    loss = compute_loss(t, pred, obs)
+    expected = None
+    for c in ("u", "v"):
+        diff = t.value(pred[c])[obs.locations] - obs.values[c]
+        term = (diff * diff).sum()
+        expected = term if expected is None else expected + term
+    assert t.value(loss)[0] == expected
 
 
 def test_loss_missing_component_rejected():
@@ -403,6 +434,15 @@ def test_observation_count_outside_grid_rejected_before_solving(
     assert calls == []
 
 
+def test_grid_limit_is_the_flow_systems_int32_maps():
+    # the flow system of an n x n grid has 9 (3n - 2)^2 entries
+    limit = np.iinfo(np.int32).max
+    assert 9 * (3 * 5149 - 2) ** 2 <= limit < 9 * (3 * 5150 - 2) ** 2
+    assert ExperimentConfig(grid_n=5149).grid_n == 5149
+    with pytest.raises(ContractError, match="at most 5149 nodes per side"):
+        ExperimentConfig(grid_n=5150)
+
+
 _REJECTED_AT_CONSTRUCTION = {
     "noise_epsilon": ("cavity_viscosity", {"noise_epsilon": -0.1},
                       "noise_epsilon must be nonnegative, got -0.1"),
@@ -449,7 +489,7 @@ def test_offset_at_clamp_floor_would_start_with_zero_gradient(
     th = t.variable(theta0)
     coef = eval_field_on_grid(t, model, th, StructuredGrid(8))
     assert np.all(t.value(coef) == cfg.clamp_floor)
-    loss = ops.vsum(t, ops.square(t, coef))
+    loss = ops.sum_of_squares(t, coef)
     assert not np.any(t.backward(loss)[th])
     message = f"offset {offset} must lie above clamp_floor 1e-06"
     with pytest.raises(ContractError, match=message):
@@ -1090,6 +1130,29 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
         sweeps=counts.sweeps)
     [node] = [n for n in t.nodes if n.op == "steady_flow"]
     assert not any(isinstance(v, LuFactors) for v in node.ctx.values())
+
+
+@pytest.mark.parametrize("experiment,nodes", [
+    ("cavity_viscosity", 10), ("conjugate_heat", 10),
+    ("passive_transport", 12)])
+def test_one_evaluation_records_a_short_chain(monkeypatch, experiment, nodes):
+    # at the shipped defaults: the network and its clamp, the solve and its
+    # slices, and the loss as one residual vector and its sum of squares
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    problem = build_problem(ExperimentConfig(experiment))
+    monkeypatch.setattr(experiments, "Tape", RecordingTape)
+    problem.objective(problem.theta0)
+    [t] = tapes
+    assert len(t) == nodes
+    [node] = [n for n in t.nodes if n.op == "residual"]
+    assert len(node.inputs) == len(problem.config.components)
+    assert t.nodes[-1].op == "sum_of_squares"
 
 
 def test_transport_tape_does_not_grow_with_steps(monkeypatch):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from flowgrad import ops
 from flowgrad.errors import (
     ContractError,
     DivergedParameterizationError,
@@ -82,7 +81,7 @@ def test_mlp_gradient_matches_fd():
         t = Tape()
         th = t.variable(theta)
         out = mlp_eval(t, model.layout, th, pts)
-        loss = ops.vsum(t, out)
+        loss = dot(t, out, t.constant(np.ones(len(pts))))
         return t.value(loss)[0], t.backward(loss)[th]
 
     idx = np.random.default_rng(4).choice(theta0.size, size=25, replace=False)

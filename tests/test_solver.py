@@ -684,10 +684,9 @@ def test_full_chain_viscosity_gradient_fd():
         t = Tape()
         nu = t.variable(nu_nodal)
         state = newton_solve(t, cavity_setup(g), nu, config)
-        du = ops.sub(t, state.u, t.constant(target_u))
-        dv = ops.sub(t, state.v, t.constant(target_v))
-        loss = ops.add(t, ops.vsum(t, ops.square(t, du)),
-                       ops.vsum(t, ops.square(t, dv)))
+        r = ops.residual(t, (state.u, state.v), np.arange(g.n_nodes),
+                         (target_u, target_v))
+        loss = ops.sum_of_squares(t, r, 2)
         return float(t.value(loss)[0]), t.backward(loss)[nu]
 
     worst = finite_difference_check(f, nu0, indices=rng.choice(g.n_nodes, 6,

@@ -17,13 +17,13 @@ from flowgrad import ops, tape
 from flowgrad.errors import ContractError, GraphError, NumericError
 from flowgrad.models import MlpLayout, mlp_eval
 from flowgrad.tape import Tape, finite_difference_check, register_op
-from tape_oracle import concat1d, div, dot, set_at
+from tape_oracle import add, concat1d, div, dot, set_at
 
 
 def test_sum_gradient_is_ones():
     t = Tape()
     x = t.variable([1.0, -2.0, 3.5])
-    loss = ops.vsum(t, x)
+    loss = dot(t, x, t.constant(np.ones(3)))
     grads = t.backward(loss)
     np.testing.assert_allclose(grads[x], np.ones(3))
 
@@ -42,7 +42,7 @@ def test_fanout_accumulates_additively():
     x0 = np.array([0.5, -0.25, 1.5])
     t = Tape()
     x = t.variable(x0)
-    loss = ops.add(t, dot(t, x, x), ops.vsum(t, x))
+    loss = add(t, dot(t, x, x), dot(t, x, t.constant(np.ones(3))))
     grads = t.backward(loss)
     np.testing.assert_allclose(grads[x], 2 * x0 + 1, rtol=1e-14)
 
@@ -82,12 +82,12 @@ def test_unknown_operator_rejected():
 def test_forward_reference_rejected():
     t = Tape()
     with pytest.raises(GraphError):
-        t.record("add", (0, 1), np.zeros(1))
+        t.record("scale", (0, 1), np.zeros(1))
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ContractError):
-        register_op("add", lambda v, c: v[0], lambda g, c: (g,))
+        register_op("scale", lambda v, c: v[0], lambda g, c: (g,))
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -96,7 +96,7 @@ def test_nan_gradient_names_producing_op():
     x = t.variable([1.0])
     y = div(t, t.constant([1.0]), ops.add_scalar(t, x, -1.0))
     # 1/(x-1) at x=1 is inf; its backward produces non-finite gradients.
-    loss = ops.vsum(t, y)
+    loss = ops.scale(t, y, 2.0)
     with pytest.raises(NumericError, match="div"):
         t.backward(loss)
 
@@ -106,7 +106,7 @@ def test_scalar_broadcast_forward_and_backward():
     t = Tape()
     x = t.variable([1.0, 2.0, 3.0])
     c = t.variable([2.0])
-    loss = ops.vsum(t, div(t, x, c))
+    loss = dot(t, div(t, x, c), t.constant(np.ones(3)))
     grads = t.backward(loss)
     # d/dc sum(x / c) = -sum(x) / c^2, d/dx = 1 / c
     np.testing.assert_allclose(grads[c], [-1.5])
@@ -119,8 +119,8 @@ def test_square_clamp_slice_concat_chain_matches_fd():
         x = t.variable(theta)
         a = ops.slice1d(t, x, 0, 3)
         b = ops.slice1d(t, x, 3, 6)
-        y = concat1d(t, [ops.square(t, a), ops.clamp_min(t, b, 0.1)])
-        loss = dot(t, y, y)
+        y = concat1d(t, [ops.scale(t, a, -2.0), ops.clamp_min(t, b, 0.1)])
+        loss = ops.sum_of_squares(t, y, 2)
         return t.value(loss)[0], t.backward(loss)[x]
 
     theta = np.array([0.4, -0.8, 1.2, 0.5, 0.3, -0.6])
@@ -160,16 +160,61 @@ def test_set_at_duplicate_indices_rejected():
         set_at(t, x, np.array([1, 1]), vals)
 
 
-def test_gather_scatter_adds_duplicates():
+def test_residual_scatter_adds_duplicates():
+    t = Tape()
+    x = t.variable([1.0, 2.0, 3.0])
+    r = ops.residual(t, (x,), np.array([0, 0, 2]), (np.zeros(3),))
+    loss = dot(t, r, t.constant(np.ones(3)))
+    np.testing.assert_allclose(t.backward(loss)[x], [2.0, 0.0, 1.0])
+
+
+def test_residual_stacks_fields_in_order():
+    t = Tape()
+    u = t.variable([1.0, 2.0, 3.0, 4.0])
+    w = t.variable([10.0, 20.0, 30.0, 40.0])
+    r = ops.residual(t, (u, w), [3, 1], ([0.5, 0.5], [1.0, 2.0]))
+    np.testing.assert_array_equal(t.value(r), [3.5, 1.5, 39.0, 18.0])
+    grads = t.backward(ops.sum_of_squares(t, r, 2))
+    np.testing.assert_array_equal(grads[u], [0.0, 3.0, 0.0, 7.0])
+    np.testing.assert_array_equal(grads[w], [0.0, 36.0, 0.0, 78.0])
+
+
+@pytest.mark.parametrize("locations", [[0, 3], [-1, 0]])
+def test_residual_rejects_locations_outside_the_field(locations):
+    t = Tape()
+    x = t.variable([1.0, 2.0, 3.0])
+    with pytest.raises(ContractError, match="outside length 3"):
+        ops.residual(t, (x,), locations, (np.zeros(2),))
+
+
+def test_sum_of_squares_rejects_unequal_parts():
+    t = Tape()
+    x = t.variable([1.0, 2.0, 3.0])
+    with pytest.raises(ContractError, match="into 2 equal parts"):
+        ops.sum_of_squares(t, x, 2)
+
+
+def test_residual_sum_of_squares_chain_matches_fd():
+    data = (np.array([0.3, -0.1, 0.2]), np.array([1.0, 0.5, -0.5]))
+
     def f(theta):
         t = Tape()
         x = t.variable(theta)
-        y = ops.gather(t, x, np.array([0, 0, 2]))
-        loss = ops.vsum(t, y)
+        a = ops.slice1d(t, x, 0, 4)
+        b = ops.scale(t, ops.slice1d(t, x, 4, 8), 3.0)
+        loss = ops.sum_of_squares(
+            t, ops.residual(t, (a, b), [2, 0, 3], data), 2)
         return t.value(loss)[0], t.backward(loss)[x]
 
-    _, grad = f(np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(grad, [2.0, 0.0, 1.0])
+    theta = np.random.default_rng(8).normal(size=8)
+    assert finite_difference_check(f, theta) < 1e-6
+
+
+def test_ops_registers_only_what_an_objective_records():
+    names = {name for name, opdef in tape._REGISTRY.items()
+             if opdef.forward.__module__ == "flowgrad.ops"}
+    assert names == {"scale", "add_scalar", "clamp_min", "slice1d",
+                     "residual", "sum_of_squares"}
 
 
 def test_one_layer_mlp_operator_matches_fd():
@@ -201,19 +246,21 @@ def test_div_square_add_scalar_chain_matches_fd():
     def f(theta):
         t = Tape()
         x = t.variable(theta)
-        y = div(t, ops.square(t, x), ops.add_scalar(t, x, 3.0))
-        loss = ops.vsum(t, ops.scale(t, y, -1.0))
+        y = div(t, ops.add_scalar(t, x, 0.5), ops.add_scalar(t, x, 3.0))
+        loss = ops.sum_of_squares(t, ops.scale(t, y, -1.0))
         return t.value(loss)[0], t.backward(loss)[x]
 
     assert finite_difference_check(f, np.array([0.5, 1.5, -1.0])) < 1e-6
 
 
 class _AppliedNames(ast.NodeVisitor):
-    """Strings and called names of a module that can apply an operator.
+    """The operator names a module can apply.
 
-    Left out: ``__all__``, ``register_op`` calls, and the name of the
-    function being defined, so an ``ops`` helper that only wraps
-    ``tape.apply("name", ...)`` counts only where it is called.
+    Two things count as a use: a string that is the first argument of an
+    ``.apply(...)`` call, and a call of a named function (bare or as
+    ``ops.name``) from outside its own definition.  So an ``ops`` helper
+    that only wraps ``tape.apply("name", ...)`` counts only where it is
+    called, and a name that only appears in a message counts not at all.
     """
 
     def __init__(self):
@@ -224,10 +271,6 @@ class _AppliedNames(ast.NodeVisitor):
         self.generic_visit(node)
         self.function = outer
 
-    def visit_Assign(self, node):
-        if not any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            self.generic_visit(node)
-
     def visit_Call(self, node):
         func = node.func
         if isinstance(func, ast.Name):
@@ -237,22 +280,36 @@ class _AppliedNames(ast.NodeVisitor):
             called = func.attr
         else:
             called = None
-        if called == "register_op":
-            return
+        if (isinstance(func, ast.Attribute) and func.attr == "apply"
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            called = node.args[0].value
         if called is not None and called != self.function:
             self.names.add(called)
         self.generic_visit(node)
 
-    def visit_Constant(self, node):
-        if isinstance(node.value, str) and node.value != self.function:
-            self.names.add(node.value)
+
+def _unapplied_operators(package_dir):
+    visitor = _AppliedNames()
+    for path in sorted(Path(package_dir).glob("*.py")):
+        visitor.visit(ast.parse(path.read_text()))
+    return sorted(name for name, opdef in tape._REGISTRY.items()
+                  if opdef.forward.__module__.startswith("flowgrad.")
+                  and name not in visitor.names)
 
 
 def test_every_registered_operator_is_applied_in_the_package():
-    visitor = _AppliedNames()
-    for path in sorted(Path(flowgrad.__file__).parent.glob("*.py")):
-        visitor.visit(ast.parse(path.read_text()))
-    unused = sorted(name for name, opdef in tape._REGISTRY.items()
-                    if opdef.forward.__module__.startswith("flowgrad.")
-                    and name not in visitor.names)
-    assert unused == []
+    assert _unapplied_operators(Path(flowgrad.__file__).parent) == []
+
+
+def test_operator_named_only_in_a_message_is_not_applied(tmp_path):
+    # a copy of the package whose loss passes the residual's name to a
+    # check as a plain string instead of recording the operator
+    for path in Path(flowgrad.__file__).parent.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    experiments = tmp_path / "experiments.py"
+    text = experiments.read_text()
+    assert text.count("ops.residual(tape,") == 1
+    experiments.write_text(text.replace("ops.residual(tape,",
+                                        '_check("residual", tape,'))
+    assert _unapplied_operators(tmp_path) == ["residual"]
