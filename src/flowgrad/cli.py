@@ -182,7 +182,8 @@ def _corrupt_backward(name):
     whose backward rule is the whole implicit-function adjoint of a flow
     solve: every viscosity gradient passes through it once; or
     ``heat_solve``, the adjoint of the heat system, which every
-    conductivity gradient of ``conjugate_heat`` passes through once.
+    conductivity gradient of ``conjugate_heat`` passes through once; or
+    ``field``, the coefficient field's network, offset and clamp.
     """
     if name == "1":
         name = "sum_of_squares"

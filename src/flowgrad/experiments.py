@@ -33,6 +33,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 
@@ -379,21 +380,25 @@ class ExperimentConfig:
                                 f"expected one of {VARIANTS}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None:
+            if value is None or f.type not in (int, float):
                 continue
+            kind, noun = ((numbers.Integral, "an integer") if f.type is int
+                          else (numbers.Real, "a real number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ContractError(f"{f.name} must be {noun}, got {value!r}")
             if f.type is float and not math.isfinite(value):
                 raise ContractError(f"{f.name} must be finite, got {value}")
-            if f.type is int:
-                if (isinstance(value, bool)
-                        or not isinstance(value, numbers.Integral)):
-                    raise ContractError(
-                        f"{f.name} must be an integer, got {value!r}")
-                # a numpy integer would key a second chain of the same
-                # physics and stop the report's JSON
-                object.__setattr__(self, f.name, int(value))
+            # a numpy number, or an int for a float, would key a second
+            # chain of the same physics, and a numpy number would stop the
+            # report's JSON
+            object.__setattr__(self, f.name, f.type(value))
         # the loss sums one term per component named
         comps = self.components
-        if (isinstance(comps, str) or not comps
+        if not isinstance(comps, str) and isinstance(comps, Iterable):
+            comps = tuple(comps)
+            object.__setattr__(self, "components", comps)
+        if (not isinstance(comps, tuple) or not comps
+                or not all(isinstance(name, str) for name in comps)
                 or len(set(comps)) < len(comps)):
             raise ContractError(
                 f"components must name one or more distinct fields, got "

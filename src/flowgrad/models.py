@@ -11,16 +11,17 @@ coefficients positive.
 Every variant evaluates to nodal values on the grid, so assembly sees one
 uniform representation.
 
-The MLP is recorded as one ``mlp`` tape operator from the flat parameter
-vector to the raw nodal output.  Its node keeps only the parameters and
-the points: the backward recomputes the three hidden tanh outputs with the
-forward's own expressions, so they match bit for bit, and then runs plain
+A field evaluation is recorded as one ``field`` tape operator from the
+flat parameter vector to the clamped nodal values: the network output plus
+its offset (for ``pointwise``, the parameters themselves), floored.  Its
+node keeps only the parameters, the points and the clamp mask: the
+backward recomputes the three hidden tanh outputs with the forward's own
+expressions, so they match bit for bit, and then runs plain
 backpropagation through the layers.  Recomputing instead of keeping them
 (checkpointing; Griewank & Walther, *Algorithm 799: revolve*, ACM TOMS
 2000) costs one more forward pass per backward, under 2% of a 41x41 cavity
 evaluation, and frees three (n, 20) arrays for n points while the flow is
-solved.  A field evaluation thus records three nodes: the network, the
-offset and the floor clamp.
+solved.
 """
 
 import math
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .errors import ContractError, DivergedParameterizationError, NumericError
 from .tape import register_op
 
@@ -36,7 +36,6 @@ __all__ = [
     "MlpLayout",
     "FieldModel",
     "init_params",
-    "mlp_eval",
     "eval_field_on_grid",
 ]
 
@@ -159,22 +158,39 @@ def _layer_inputs(theta, layout, points):
         yield h
 
 
-def _mlp_fwd(v, ctx):
+def _field_fwd(v, ctx):
     theta = ctx["theta"] = v[0]
     layout = ctx["layout"]
-    # only the last hidden output is kept alive
-    for h in _layer_inputs(theta, layout, ctx["points"]):
-        pass
-    *_, last = layout.slices()
-    return _affine(h, theta, *last).reshape(-1)
+    if layout is None:
+        raw = theta
+    else:
+        # only the last hidden output is kept alive
+        for h in _layer_inputs(theta, layout, ctx["points"]):
+            pass
+        *_, last = layout.slices()
+        raw = _affine(h, theta, *last).reshape(-1)
+        # the linear output is bounded by its final layer's weights and
+        # bias, since every tanh lies in [-1, 1]
+        w0, w1, b1, _, _ = last
+        bound = np.abs(theta[w0:w1]).sum() + np.abs(theta[w1:b1]).sum()
+        if np.max(np.abs(raw)) > bound + 1e-12:
+            raise NumericError("MLP output exceeds its tanh bound")
+        raw = raw + ctx["offset"]
+    floor = ctx["floor"]
+    mask = ctx["mask"] = raw >= floor
+    ctx["clamped"] = int(raw.size - mask.sum())
+    return np.where(mask, raw, floor)
 
 
-def _mlp_bwd(g, ctx):
-    """Backpropagation through the layers, whose tanh outputs it recomputes
-    with the forward's own expressions, so they match the forward's bit for
-    bit."""
-    theta, layout, points = ctx["theta"], ctx["layout"], ctx["points"]
-    inputs = list(_layer_inputs(theta, layout, points))
+def _field_bwd(g, ctx):
+    """Zero at the clamped nodes, then, for a network, backpropagation
+    through the layers, whose tanh outputs it recomputes with the forward's
+    own expressions, so they match the forward's bit for bit."""
+    g = np.where(ctx["mask"], g, 0.0)
+    theta, layout = ctx["theta"], ctx["layout"]
+    if layout is None:
+        return (g,)
+    inputs = list(_layer_inputs(theta, layout, ctx["points"]))
     out = np.zeros(theta.shape)
     g = g.reshape(-1, 1)
     for l, (w0, w1, b1, fi, fo) in reversed(list(enumerate(layout.slices()))):
@@ -187,49 +203,27 @@ def _mlp_bwd(g, ctx):
     return (out,)
 
 
-register_op("mlp", _mlp_fwd, _mlp_bwd)
-
-
-def mlp_eval(tape, layout, theta_ref, points):
-    """Record the MLP forward pass as one ``mlp`` node; one raw output per
-    point.
-
-    The node keeps only the parameters and the points; its backward rule
-    recomputes the hidden tanh outputs.  The linear-output magnitude is
-    sanity-checked against its tanh bound (sum of absolute final-layer
-    weights plus bias).
-    """
-    theta = tape.value(theta_ref)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite MLP parameter")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != layout.sizes[0]:
-        raise ContractError(
-            f"points shape {points.shape} incompatible with input size "
-            f"{layout.sizes[0]}")
-
-    raw = tape.apply("mlp", (theta_ref,), {"layout": layout, "points": points})
-    *_, (w0, w1, b1, _, _) = layout.slices()
-    bound = np.abs(theta[w0:w1]).sum() + np.abs(theta[w1:b1]).sum()
-    if np.max(np.abs(tape.value(raw))) > bound + 1e-12:
-        raise NumericError("MLP output exceeds its tanh bound")
-    return raw
+register_op("field", _field_fwd, _field_bwd)
 
 
 def eval_field_on_grid(tape, model, theta_ref, grid):
-    """Nodal coefficient values for any variant, clamped from below.
+    """Nodal coefficient values for any variant, clamped from below, as one
+    ``field`` node.
 
     The clamp count feeds the model's divergence diagnostics.
     """
+    theta = tape.value(theta_ref)
     if model.variant == "pointwise":
-        if tape.value(theta_ref).shape != (grid.n_nodes,):
+        if theta.shape != (grid.n_nodes,):
             raise ContractError("pointwise parameter count != node count")
-        raw = theta_ref
+        ctx = {"layout": None}
     else:
-        pts = grid.coords[:, :model.layout.sizes[0]]
-        raw = mlp_eval(tape, model.layout, theta_ref, pts)
-        raw = ops.add_scalar(tape, raw, model.offset)
-    clamped_ref = ops.clamp_min(tape, raw, model.clamp_floor)
-    model.note_clamp(tape.nodes[clamped_ref].ctx["clamped"], grid.n_nodes)
-    return clamped_ref
-
+        ctx = {"layout": model.layout,
+               "points": grid.coords[:, :model.layout.sizes[0]],
+               "offset": float(model.offset)}
+    if not np.all(np.isfinite(theta)):
+        raise NumericError("non-finite model parameter")
+    ctx["floor"] = float(model.clamp_floor)
+    ref = tape.apply("field", (theta_ref,), ctx)
+    model.note_clamp(ctx["clamped"], grid.n_nodes)
+    return ref

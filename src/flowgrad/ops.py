@@ -5,11 +5,13 @@ downstream gradient to per-input gradients.
 
 The module-level helpers (``scale``, ``residual``, ...) are thin wrappers
 around ``tape.apply`` so calling code reads like plain arithmetic.  The
-library holds only what a recorded objective uses: the model's offset and
-clamp, slices of the flow state, the transport's constant scale, and the
-loss as two nodes, the stacked data misfit (``residual``) and its squared
-norm (``sum_of_squares``).  Neither the flow residual nor the heat system
-is recorded; the solver builds both on plain arrays.
+library holds only what a recorded objective uses: slices of the flow
+state, the transport's constant scale, and the loss as two nodes, the
+stacked data misfit (``residual``) and its squared norm
+(``sum_of_squares``).  The coefficient field is one operator of
+:mod:`flowgrad.models`, its offset and floor clamp included.  Neither the
+flow residual nor the heat system is recorded; the solver builds both on
+plain arrays.
 """
 
 import numpy as np
@@ -17,14 +19,11 @@ import numpy as np
 from .errors import ContractError
 from .tape import register_op
 
-__all__ = [
-    "scale", "add_scalar", "clamp_min", "slice1d",
-    "residual", "sum_of_squares",
-]
+__all__ = ["scale", "slice1d", "residual", "sum_of_squares"]
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic and clamping
+# elementwise arithmetic
 
 def _scale_fwd(v, ctx):
     return ctx["c"] * v[0]
@@ -32,27 +31,6 @@ def _scale_fwd(v, ctx):
 
 def _scale_bwd(g, ctx):
     return (ctx["c"] * g,)
-
-
-def _add_scalar_fwd(v, ctx):
-    return v[0] + ctx["c"]
-
-
-def _add_scalar_bwd(g, ctx):
-    return (g,)
-
-
-def _clamp_min_fwd(v, ctx):
-    x = v[0]
-    floor = ctx["floor"]
-    mask = x >= floor
-    ctx["mask"] = mask
-    ctx["clamped"] = int(x.size - mask.sum())
-    return np.where(mask, x, floor)
-
-
-def _clamp_min_bwd(g, ctx):
-    return (np.where(ctx["mask"], g, 0.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +103,6 @@ def _sum_of_squares_bwd(g, ctx):
 
 
 register_op("scale", _scale_fwd, _scale_bwd)
-register_op("add_scalar", _add_scalar_fwd, _add_scalar_bwd)
-register_op("clamp_min", _clamp_min_fwd, _clamp_min_bwd)
 register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
 register_op("residual", _residual_fwd, _residual_bwd)
 register_op("sum_of_squares", _sum_of_squares_fwd, _sum_of_squares_bwd)
@@ -137,15 +113,6 @@ register_op("sum_of_squares", _sum_of_squares_fwd, _sum_of_squares_bwd)
 
 def scale(tape, a, c):
     return tape.apply("scale", (a,), {"c": float(c)})
-
-
-def add_scalar(tape, a, c):
-    return tape.apply("add_scalar", (a,), {"c": float(c)})
-
-
-def clamp_min(tape, a, floor):
-    """Clamp from below; the node's ctx reports how many entries were clamped."""
-    return tape.apply("clamp_min", (a,), {"floor": float(floor)})
 
 
 def slice1d(tape, a, start, stop):

@@ -217,15 +217,16 @@ class LuFactors:
         self.n = sp.shape[0]
         # a weak reference, so the factors keep no matrix alive
         self._factorized = weakref.ref(matrix)
-        # the only single-precision copy, sharing A's index arrays
-        factored = scipy.sparse.csr_matrix(
+        # the only single-precision copy, sharing A's index arrays: A's CSR
+        # arrays read as the CSC of A^T
+        factored = scipy.sparse.csc_matrix(
             (sp.data.astype(np.float32), sp.indices, sp.indptr), shape=sp.shape)
         try:
-            # factors of the transpose, from the CSR arrays read as CSC.
-            # SuperLU skips an exactly zero diagonal even at threshold 0, so
-            # a nonsingular matrix with zero diagonal entries still factorizes
+            # factors of the transpose.  SuperLU skips an exactly zero
+            # diagonal even at threshold 0, so a nonsingular matrix with
+            # zero diagonal entries still factorizes
             self._lu = scipy.sparse.linalg.splu(
-                factored.T, permc_spec="NATURAL",
+                factored, permc_spec="NATURAL",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularMatrixError(

@@ -8,8 +8,8 @@ adjoints additively when a node fans out to several consumers.
 
 Operators are registered globally ahead of time (see :mod:`flowgrad.ops`,
 :mod:`flowgrad.models` and :mod:`flowgrad.solver`);
-coarse-grained custom operators such as the network, the Newton flow solve
-or the heat solve are ordinary registry entries.
+coarse-grained custom operators such as the coefficient field, the Newton
+flow solve or the heat solve are ordinary registry entries.
 """
 
 from dataclasses import dataclass, field
@@ -170,11 +170,6 @@ class Tape:
         return {
             ref: grads.get(ref, np.zeros_like(self.nodes[ref].value))
             for ref in self.variable_ids
-            if ref <= loss_ref
-        } | {
-            ref: np.zeros_like(self.nodes[ref].value)
-            for ref in self.variable_ids
-            if ref > loss_ref
         }
 
 

@@ -8,7 +8,8 @@ operators here let a test record F, or the heat system and its solve, op
 by op instead and take the gradients from the tape, as an oracle for the
 solver; ``spmv_fixed`` records the products with the constant divergence
 and pressure-gradient matrices of F.  ``mlp`` is the network operator that
-keeps its activations, an oracle for the package's, which recomputes them.
+keeps its activations, an oracle for the package's ``field``, which
+recomputes them.
 ``add`` and ``gather`` are the generic sum and indexing the package no
 longer records, and ``add`` and ``div`` broadcast a shape-``(1,)`` scalar.
 Tests also use ``dot`` for weighted-sum losses.  Every operator is
@@ -341,7 +342,7 @@ def sparse_solve(tape, pattern, data, b):
 
 def mlp(tape, layout, theta, points):
     """The network as one node that keeps its three hidden tanh outputs for
-    its backward rule, where the package's ``mlp`` node recomputes them."""
+    its backward rule, where the package's ``field`` node recomputes them."""
     return tape.apply("oracle.mlp", (theta,),
                       {"layout": layout, "points": points})
 

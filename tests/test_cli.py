@@ -704,7 +704,7 @@ def test_gradcheck_corrupted_heat_adjoint_exits_1(tmp_path, monkeypatch):
 
 
 def test_gradcheck_corrupted_network_backward_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "mlp")
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "field")
     assert main(["gradcheck", "--config", _config(tmp_path),
                  "--samples", "3"]) == 1
 

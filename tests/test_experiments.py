@@ -12,7 +12,7 @@ import scipy.sparse.linalg
 
 from flowgrad import experiments, ops, solver
 from flowgrad.assembly import GridOperators, operators_for
-from flowgrad.errors import ContractError, NewtonDivergedError
+from flowgrad.errors import ContractError, NewtonDivergedError, NumericError
 from flowgrad.experiments import (
     EXPERIMENTS,
     SPECS,
@@ -377,8 +377,48 @@ def test_non_integer_int_field_rejected(name, value):
         ExperimentConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [True, "2"])
+def test_non_real_float_field_rejected(name, value):
+    # a bool would run as 1.0 and a string would fail in the finiteness
+    # check with a bare TypeError
+    with pytest.raises(ContractError, match=f"{name} must be a real number"):
+        ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("lid_speed", 1),
+                                         ("beta", np.float64(0.01))])
+def test_physics_value_of_another_type_shares_the_default_chain(
+        monkeypatch, name, value):
+    # the chain key is the repr of each physics value, so the value is
+    # taken as the float it holds; no second reference solve is factorized
+    cfg = ExperimentConfig("cavity_viscosity", grid_n=6)
+    first = build_problem(cfg)
+    calls = _count_splu(monkeypatch)
+    second = build_problem(dataclasses.replace(cfg, **{name: value}))
+    assert calls == []
+    assert second.forward is first.forward
+    assert type(getattr(second.config, name)) is float
+
+
+@pytest.mark.parametrize("name, value", [("noise_epsilon", 0.01),
+                                         ("heat_source", 1.0)])
+def test_float32_setting_gives_a_json_report(name, value):
+    cfg = ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
+                           max_steps=2, **{name: np.float32(value)})
+    payload = json.loads(run_experiment(cfg).to_json())
+    assert payload["config_echo"][name] == float(np.float32(value))
+
+
+def test_components_list_is_kept_as_a_hashable_tuple():
+    cfg = ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
+                           components=["T"])
+    assert cfg.components == ("T",)
+    assert hash(cfg) == hash(dataclasses.replace(cfg, components=("T",)))
+
+
 @pytest.mark.parametrize("components", [(), [], ("u", "u"), ("u", "v", "u"),
-                                        "uv", "u"])
+                                        "uv", "u", [["u"]], 5])
 def test_components_must_name_distinct_fields(components):
     # the loss sums one term per component named: none fails in the
     # backward pass, and a repeated one counts twice
@@ -1133,11 +1173,12 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
 
 
 @pytest.mark.parametrize("experiment,nodes", [
-    ("cavity_viscosity", 10), ("conjugate_heat", 10),
-    ("passive_transport", 12)])
+    ("cavity_viscosity", 8), ("conjugate_heat", 8),
+    ("passive_transport", 10)])
 def test_one_evaluation_records_a_short_chain(monkeypatch, experiment, nodes):
-    # at the shipped defaults: the network and its clamp, the solve and its
-    # slices, and the loss as one residual vector and its sum of squares
+    # at the shipped defaults: the parameters, the clamped field, the solve
+    # and its slices, and the loss as one residual vector and its sum of
+    # squares
     tapes = []
 
     class RecordingTape(Tape):
@@ -1153,6 +1194,17 @@ def test_one_evaluation_records_a_short_chain(monkeypatch, experiment, nodes):
     [node] = [n for n in t.nodes if n.op == "residual"]
     assert len(node.inputs) == len(problem.config.components)
     assert t.nodes[-1].op == "sum_of_squares"
+
+
+def test_pointwise_objective_rejects_a_non_finite_parameter():
+    # the clamp would floor the NaN: a finite loss, and a gradient of
+    # exactly 0 at that node
+    problem = build_problem(ExperimentConfig(
+        "conjugate_heat", grid_n=6, variant="pointwise", n_points=12))
+    theta = problem.theta0.copy()
+    theta[7] = np.nan
+    with pytest.raises(NumericError, match="non-finite model parameter"):
+        problem.objective(theta)
 
 
 def test_transport_tape_does_not_grow_with_steps(monkeypatch):

@@ -1,4 +1,4 @@
-"""Field-model tests: layouts, initialization, MLP evaluation."""
+"""Field-model tests: layouts, initialization, the ``field`` operator."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,17 @@ from flowgrad.errors import (
     NumericError,
 )
 from flowgrad.grid import StructuredGrid
-from flowgrad.models import (
-    MlpLayout,
-    eval_field_on_grid,
-    init_params,
-    mlp_eval,
-)
+from flowgrad.models import VARIANTS, MlpLayout, eval_field_on_grid, init_params
 from flowgrad.tape import Tape, finite_difference_check
 from tape_oracle import dot
 from tape_oracle import mlp as oracle_mlp
+
+
+def _network(tape, layout, theta, points):
+    """The network output alone: a ``field`` node with no offset and no
+    floor."""
+    return tape.apply("field", (theta,), {"layout": layout, "points": points,
+                                          "offset": 0.0, "floor": -np.inf})
 
 
 def test_layout_parameter_count():
@@ -58,7 +60,7 @@ def test_zero_params_give_zero_raw_output():
     model, _ = init_params("dnn2d", seed=0)
     t = Tape()
     theta = t.variable(np.zeros(model.n_params))
-    out = mlp_eval(t, model.layout, theta, np.array([[0.3, 0.4], [0.9, 0.1]]))
+    out = _network(t, model.layout, theta, np.array([[0.3, 0.4], [0.9, 0.1]]))
     np.testing.assert_array_equal(t.value(out), [0.0, 0.0])
 
 
@@ -69,7 +71,7 @@ def test_final_bias_passthrough_gives_constant_field():
     theta0[w1:b1] = 2.5
     t = Tape()
     theta = t.variable(theta0)
-    out = mlp_eval(t, model.layout, theta, np.array([[0.1, 0.2], [0.7, 0.8]]))
+    out = _network(t, model.layout, theta, np.array([[0.1, 0.2], [0.7, 0.8]]))
     np.testing.assert_array_equal(t.value(out), [2.5, 2.5])
 
 
@@ -80,7 +82,7 @@ def test_mlp_gradient_matches_fd():
     def f(theta):
         t = Tape()
         th = t.variable(theta)
-        out = mlp_eval(t, model.layout, th, pts)
+        out = _network(t, model.layout, th, pts)
         loss = dot(t, out, t.constant(np.ones(len(pts))))
         return t.value(loss)[0], t.backward(loss)[th]
 
@@ -143,12 +145,15 @@ def test_clamp_streak_resets_on_clean_evaluation():
     assert bad_model.clamp_streak == 0
 
 
-def test_non_finite_parameter_rejected():
-    model, theta0 = init_params("dnn2d", seed=0)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_parameter_rejected(variant):
+    # checked for every variant: the clamp would floor a pointwise NaN
+    g = StructuredGrid(4)
+    model, theta0 = init_params(variant, seed=0, n_nodes=g.n_nodes)
     theta0[3] = np.nan
     t = Tape()
-    with pytest.raises(NumericError):
-        mlp_eval(t, model.layout, t.variable(theta0), np.array([[0.5, 0.5]]))
+    with pytest.raises(NumericError, match="non-finite model parameter"):
+        eval_field_on_grid(t, model, t.variable(theta0), g)
 
 
 def test_bad_variant_and_missing_node_count():
@@ -162,14 +167,14 @@ def test_tanh_bound_is_enforced():
     # guard against backend miscomputation: bound = sum|W4| + |b4|
     model, theta0 = init_params("dnn2d", seed=8)
     t = Tape()
-    out = mlp_eval(t, model.layout, t.variable(theta0),
+    out = _network(t, model.layout, t.variable(theta0),
                    np.array([[0.2, 0.9], [0.5, 0.5]]))
     *_, (w0, w1, b1, _, _) = model.layout.slices()
     bound = np.abs(theta0[w0:b1]).sum()
     assert np.max(np.abs(t.value(out))) <= bound + 1e-12
 
 
-# --- the mlp tape operator
+# --- the field tape operator
 
 
 def _plain_mlp(layout, theta, points):
@@ -187,7 +192,7 @@ def test_mlp_forward_matches_plain_numpy_loop(variant):
     model, theta0 = init_params(variant, seed=3, init_scale=2.0)
     pts = g.coords if variant == "dnn2d" else g.coords[:, :1]
     t = Tape()
-    out = mlp_eval(t, model.layout, t.variable(theta0), pts)
+    out = _network(t, model.layout, t.variable(theta0), pts)
     np.testing.assert_array_equal(t.value(out),
                                   _plain_mlp(model.layout, theta0, pts))
 
@@ -202,7 +207,7 @@ def test_layered_mlp_gradient_matches_fd():
     def f(theta):
         t = Tape()
         th = t.variable(theta)
-        out = mlp_eval(t, model.layout, th, pts)
+        out = _network(t, model.layout, th, pts)
         loss = dot(t, out, t.constant(weights))
         return t.value(loss)[0], t.backward(loss)[th]
 
@@ -212,32 +217,66 @@ def test_layered_mlp_gradient_matches_fd():
     assert finite_difference_check(f, theta0, indices=idx) < 1e-6
 
 
-def test_field_evaluation_records_three_nodes():
-    # the network is one node; the offset and the clamp are one each
-    g = StructuredGrid(6)
-    model, theta0 = init_params("dnn2d", seed=0)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_field_evaluation_records_one_node(variant):
+    # the network, its offset and the floor clamp are one node; here some
+    # nodes clamp, and the gradient through them is exactly 0
+    g = StructuredGrid(7)
+    model, theta0 = init_params(variant, seed=1, init_scale=2.0, offset=0.5,
+                                clamp_floor=0.6, n_nodes=g.n_nodes)
+    rng = np.random.default_rng(3)
+    if variant == "pointwise":
+        theta0 = rng.uniform(0.0, 1.2, size=g.n_nodes)
+        raw = theta0
+    else:
+        pts = g.coords[:, :model.layout.sizes[0]]
+        raw = _plain_mlp(model.layout, theta0, pts) + model.offset
+    clamped = raw < model.clamp_floor
+    assert 0 < clamped.sum() < g.n_nodes
+    # no node so near the floor that a finite-difference step crosses it
+    assert np.min(np.abs(raw - model.clamp_floor)) > 1e-3
+    weights = rng.normal(size=g.n_nodes)
+
     t = Tape()
-    theta = t.variable(theta0)
-    before = len(t)
-    eval_field_on_grid(t, model, theta, g)
-    assert len(t) - before == 3
-    assert t.nodes[before].op == "mlp"
+    ref = eval_field_on_grid(t, model, t.variable(theta0), g)
+    assert len(t) == 2 and t.nodes[ref].op == "field"
+    assert t.nodes[ref].ctx["clamped"] == clamped.sum()
+    np.testing.assert_array_equal(
+        t.value(ref), np.where(clamped, model.clamp_floor, raw))
+
+    def f(theta, weights=weights):
+        # many heavily clamped evaluations in a row would stop the check
+        model.reset_diagnostics()
+        t = Tape()
+        th = t.variable(theta)
+        loss = dot(t, eval_field_on_grid(t, model, th, g), t.constant(weights))
+        return t.value(loss)[0], t.backward(loss)[th]
+
+    grad = f(theta0)[1]
+    # the weights of the clamped nodes do not reach the gradient
+    shifted = np.where(clamped, weights + 1.0, weights)
+    assert f(theta0, shifted)[1].tobytes() == grad.tobytes()
+    if variant == "pointwise":
+        np.testing.assert_array_equal(grad[clamped], 0.0)
+    idx = rng.choice(theta0.size, size=min(theta0.size, 30), replace=False)
+    assert finite_difference_check(f, theta0, indices=idx) < 1e-6
 
 
 @pytest.mark.parametrize("variant", ["dnn2d", "dnn_layered"])
 def test_mlp_node_keeps_no_activations(variant):
-    # the node keeps the parameters and the grid's own points; its backward
-    # recomputes the three (n, 20) tanh outputs
+    # the node keeps the parameters, the grid's own points and the clamp
+    # mask; its backward recomputes the three (n, 20) tanh outputs
     g = StructuredGrid(11)
     model, theta0 = init_params(variant, seed=1)
     t = Tape()
     theta = t.variable(theta0)
     eval_field_on_grid(t, model, theta, g)
-    ctx = next(node.ctx for node in t.nodes if node.op == "mlp")
+    ctx = next(node.ctx for node in t.nodes if node.op == "field")
     arrays = [a for a in ctx.values() if isinstance(a, np.ndarray)]
     assert not any(isinstance(v, (list, tuple, dict)) for v in ctx.values())
     owned = [a for a in arrays if not np.shares_memory(a, g.coords)]
-    assert sum(a.nbytes for a in owned) == theta0.nbytes
+    # the parameters and the clamp mask, one byte per node
+    assert sum(a.nbytes for a in owned) == theta0.nbytes + g.n_nodes
 
 
 @pytest.mark.parametrize("grid_n", [6, 41])
@@ -250,7 +289,7 @@ def test_mlp_recomputed_gradient_matches_kept_activations(grid_n, variant):
     pts = g.coords if variant == "dnn2d" else g.coords[:, :1]
     weights = np.random.default_rng(5).normal(size=g.n_nodes)
     grads, outputs = [], []
-    for record in (lambda t, th: mlp_eval(t, model.layout, th, pts),
+    for record in (lambda t, th: _network(t, model.layout, th, pts),
                    lambda t, th: oracle_mlp(t, model.layout, th, pts)):
         t = Tape()
         th = t.variable(theta0)

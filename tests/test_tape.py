@@ -15,9 +15,14 @@ import pytest
 import flowgrad
 from flowgrad import ops, tape
 from flowgrad.errors import ContractError, GraphError, NumericError
-from flowgrad.models import MlpLayout, mlp_eval
+from flowgrad.models import MlpLayout
 from flowgrad.tape import Tape, finite_difference_check, register_op
 from tape_oracle import add, concat1d, div, dot, set_at
+
+
+def _clamp(t, x, floor):
+    """``x`` floored at ``floor``: a ``field`` node with no network."""
+    return t.apply("field", (x,), {"layout": None, "floor": floor})
 
 
 def test_sum_gradient_is_ones():
@@ -94,7 +99,7 @@ def test_duplicate_registration_rejected():
 def test_nan_gradient_names_producing_op():
     t = Tape()
     x = t.variable([1.0])
-    y = div(t, t.constant([1.0]), ops.add_scalar(t, x, -1.0))
+    y = div(t, t.constant([1.0]), add(t, x, t.constant([-1.0])))
     # 1/(x-1) at x=1 is inf; its backward produces non-finite gradients.
     loss = ops.scale(t, y, 2.0)
     with pytest.raises(NumericError, match="div"):
@@ -119,7 +124,7 @@ def test_square_clamp_slice_concat_chain_matches_fd():
         x = t.variable(theta)
         a = ops.slice1d(t, x, 0, 3)
         b = ops.slice1d(t, x, 3, 6)
-        y = concat1d(t, [ops.scale(t, a, -2.0), ops.clamp_min(t, b, 0.1)])
+        y = concat1d(t, [ops.scale(t, a, -2.0), _clamp(t, b, 0.1)])
         loss = ops.sum_of_squares(t, y, 2)
         return t.value(loss)[0], t.backward(loss)[x]
 
@@ -128,10 +133,10 @@ def test_square_clamp_slice_concat_chain_matches_fd():
     assert finite_difference_check(f, theta) < 1e-6
 
 
-def test_clamp_min_counts_clamped_entries():
+def test_field_counts_clamped_entries():
     t = Tape()
     x = t.variable([-1.0, 0.05, 0.2])
-    ref = ops.clamp_min(t, x, 0.1)
+    ref = _clamp(t, x, 0.1)
     assert t.nodes[ref].ctx["clamped"] == 2
     np.testing.assert_allclose(t.value(ref), [0.1, 0.1, 0.2])
 
@@ -210,15 +215,20 @@ def test_residual_sum_of_squares_chain_matches_fd():
     assert finite_difference_check(f, theta) < 1e-6
 
 
-def test_ops_registers_only_what_an_objective_records():
-    names = {name for name, opdef in tape._REGISTRY.items()
-             if opdef.forward.__module__ == "flowgrad.ops"}
-    assert names == {"scale", "add_scalar", "clamp_min", "slice1d",
-                     "residual", "sum_of_squares"}
+def test_package_registers_only_what_an_objective_records():
+    names = {name: opdef.forward.__module__
+             for name, opdef in tape._REGISTRY.items()
+             if opdef.forward.__module__.startswith("flowgrad.")}
+    assert names == {
+        "scale": "flowgrad.ops", "slice1d": "flowgrad.ops",
+        "residual": "flowgrad.ops", "sum_of_squares": "flowgrad.ops",
+        "field": "flowgrad.models",
+        "steady_flow": "flowgrad.solver", "heat_solve": "flowgrad.solver"}
 
 
 def test_one_layer_mlp_operator_matches_fd():
-    # one tanh layer of 3 over 7 points of (x, y), then a linear output
+    # one tanh layer of 3 over 7 points of (x, y), then a linear output: a
+    # field node with no offset and no floor
     rng = np.random.default_rng(2)
     x_in = rng.normal(size=(7, 2))
     layout = MlpLayout((2, 3, 1))
@@ -226,7 +236,8 @@ def test_one_layer_mlp_operator_matches_fd():
     def f(theta):
         t = Tape()
         th = t.variable(theta)
-        out = mlp_eval(t, layout, th, x_in)
+        out = t.apply("field", (th,), {"layout": layout, "points": x_in,
+                                       "offset": 0.0, "floor": -np.inf})
         loss = dot(t, out, out)
         return t.value(loss)[0], t.backward(loss)[th]
 
@@ -246,7 +257,7 @@ def test_div_square_add_scalar_chain_matches_fd():
     def f(theta):
         t = Tape()
         x = t.variable(theta)
-        y = div(t, ops.add_scalar(t, x, 0.5), ops.add_scalar(t, x, 3.0))
+        y = div(t, add(t, x, t.constant([0.5])), add(t, x, t.constant([3.0])))
         loss = ops.sum_of_squares(t, ops.scale(t, y, -1.0))
         return t.value(loss)[0], t.backward(loss)[x]
 
