@@ -41,9 +41,7 @@ from .solver import (
     HeatSetup,
     NewtonConfig,
     NSState,
-    ParticleState,
     PhysicsConstants,
-    default_cavity_bcs,
     heat_solve,
     newton_solve,
     ns_jacobian,
@@ -76,7 +74,6 @@ __all__ = [
     "ObservationSet",
     "OptimizeResult",
     "OptimizerConfig",
-    "ParticleState",
     "PhysicsConstants",
     "RunReport",
     "SingularMatrixError",
@@ -85,7 +82,6 @@ __all__ = [
     "add_noise",
     "build_problem",
     "compute_loss",
-    "default_cavity_bcs",
     "eval_field_on_grid",
     "finite_difference_check",
     "heat_solve",

@@ -94,14 +94,10 @@ class GridOperators:
         self.dndx_tab = q.dndx
         self.dndy_tab = q.dndy
 
-    @property
-    def nnz(self):
-        return self.pattern.nnz
-
     def scatter(self, elem_mats):
         """Accumulate (n_elems, 4, 4) element matrices into CSR data."""
         return np.bincount(self.pos16, weights=elem_mats.ravel(),
-                           minlength=self.nnz)
+                           minlength=self.pattern.nnz)
 
     def gather(self, data_grad):
         """Adjoint of ``scatter``: pull entry gradients back per element."""
@@ -170,9 +166,6 @@ class GridOperators:
         table = self.dndx_tab if axis == 0 else self.dndy_tab
         return self.scatter(kernels.coefmass_fwd(self.at_quad(w, table),
                                                  self.wdet, self.n_tab))
-
-    def scipy_matrix(self, data):
-        return self.pattern.to_scipy(data)
 
     def system_layout(self, b):
         """(pattern, blockmap, order) of the system with ``b`` unknowns per

@@ -76,15 +76,26 @@ def _parser():
 
 
 def _check_out_dir(path):
-    """Raise ConfigError unless the nearest existing path on the way up to
-    ``path`` is a directory this process can write to; creates nothing."""
+    """Raise ConfigError unless ``path`` holds no NUL byte, the nearest
+    existing path on the way up to it is a directory this process can write
+    to, and no missing component is longer than that file system allows
+    for a name; creates nothing."""
+    if "\0" in path:
+        raise ConfigError(f"output directory {path!r} holds a NUL byte")
     existing = os.path.abspath(path)
+    missing = []
     while not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
+        existing, name = os.path.split(existing)
+        missing.append(name)
     if not (os.path.isdir(existing)
             and os.access(existing, os.W_OK | os.X_OK)):
         raise ConfigError(f"output directory {path} cannot be made: "
                           f"{existing} is not a writable directory")
+    limit = os.pathconf(existing, "PC_NAME_MAX")  # -1: no limit
+    if any(0 <= limit < len(os.fsencode(name)) for name in missing):
+        raise ConfigError(f"output directory {path} cannot be made: a name "
+                          f"in it is longer than the {limit} bytes its file "
+                          f"system allows")
 
 
 def _write_report_files(out_dir, cfg, rep):

@@ -2,11 +2,12 @@
 
 One file describes one experiment run. Sections group keys by module; every
 key is optional and falls back to the experiment defaults, but unknown
-sections or keys are rejected outright so typos cannot silently change a
-run. The values are checked by :class:`ExperimentConfig` when it is built,
-as for a config built in Python. ``noise_epsilon`` accepts a
-comma-separated list, which turns the run into a sweep (one run per level,
-shared everything else).
+sections (a ``[DEFAULT]`` with any key among them) or keys are rejected
+outright so typos cannot silently change a run. Values are plain text,
+with no ``%`` interpolation. The values are checked by
+:class:`ExperimentConfig` when it is built, as for a config built in
+Python. ``noise_epsilon`` accepts a comma-separated list, which turns the
+run into a sweep (one run per level, shared everything else).
 
     [experiment]
     name = cavity_viscosity
@@ -95,24 +96,29 @@ def _parse_value(raw, kind, where):
 def load_config(path):
     """Parse an INI file and build one ExperimentConfig per noise level.
 
-    Raises ConfigError for a missing, unreadable or non-UTF-8 file,
-    unknown sections or keys, malformed values, or values the config
-    rejects.
+    Values are plain text: a ``%`` is a character like any other.  Raises
+    ConfigError for a missing, unreadable or non-UTF-8 file, a path with a
+    NUL byte, unknown sections (a non-empty ``[DEFAULT]`` among them) or
+    keys, malformed values, or values the config rejects.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL byte in path
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     kwargs = {}
     out_dir = None
-    for section in parser.sections():
+    # a [DEFAULT] key would reach every section as a key of its own
+    sections = parser.sections()
+    if parser.defaults():
+        sections.insert(0, parser.default_section)
+    for section in sections:
         if section not in _SCHEMA:
             known = ", ".join(sorted(_SCHEMA))
             raise ConfigError(f"unknown section [{section}]; expected one of {known}")

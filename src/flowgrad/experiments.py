@@ -50,7 +50,6 @@ from .solver import (
     NewtonConfig,
     NSState,
     PhysicsConstants,
-    default_cavity_bcs,
     heat_solve,
     newton_solve,
     ns_jacobian,
@@ -134,9 +133,9 @@ def _heat_forward(tape, chain, k, counts):
 
 def _transport_forward(tape, chain, nu, counts):
     flow = chain.solve_flow(tape, nu, counts)
-    pt = transport_integrate(tape, flow, chain.constants, dt=chain.cfg.dt,
-                             n_steps=chain.cfg.transport_steps)
-    return dict(_flow_fields(flow), w1=pt.w1, w2=pt.w2), flow
+    w1, w2 = transport_integrate(tape, flow, chain.constants, dt=chain.cfg.dt,
+                                 n_steps=chain.cfg.transport_steps)
+    return dict(_flow_fields(flow), w1=w1, w2=w2), flow
 
 
 # Recovery quality of the cavity inversion varies strongly across weight
@@ -579,9 +578,8 @@ class ForwardChain:
         return self.spec.forward(tape, self, coef, counts)
 
     def _flow_setup(self):
-        return FlowSetup(self.grid,
-                         default_cavity_bcs(self.grid, self.cfg.lid_speed),
-                         self.constants, self.cfg.beta)
+        return FlowSetup(self.grid, self.cfg.lid_speed, self.constants,
+                         self.cfg.beta)
 
     def solve_flow(self, tape, nu, counts):
         """Newton solve of the lid-driven flow at nodal viscosity ``nu``."""
@@ -671,10 +669,10 @@ class InverseProblem:
     """The optimizable core of one experiment.
 
     ``objective(theta) -> (loss, gradient)`` rebuilds the tape-recorded
-    forward chain on every call; ``eval_note["newton"]`` holds the Newton
-    iteration count of the most recent evaluation.  ``linear_solves`` totals
-    the linear solves of the inversion: every objective evaluation and its
-    adjoint, and the final prediction.  ``forward``, the chain the
+    forward chain on every call; ``newton_per_eval`` gains one entry per
+    call, the Newton iteration count of the evaluation, or None when it
+    failed.  ``linear_solves`` totals the linear solves of the inversion:
+    every objective evaluation and its adjoint, and the final prediction.  ``forward``, the chain the
     objective runs, holds the grid, the reference coefficient and the
     synthetic data; it is shared among problems of the same physics and
     read-only, and its reference solves are data synthesis, not counted.
@@ -687,7 +685,7 @@ class InverseProblem:
     theta0: np.ndarray
     model: object
     observations: ObservationSet
-    eval_note: dict
+    newton_per_eval: list
     linear_solves: LinearSolveCounts
 
 
@@ -750,21 +748,22 @@ def build_problem(config):
                                 offset=config.offset,
                                 clamp_floor=config.clamp_floor,
                                 n_nodes=grid.n_nodes)
-    eval_note = {"newton": 0}
+    newton = []
 
     def objective(theta):
+        newton.append(None)
         t = Tape()
         th = t.variable(theta)
         coef = eval_field_on_grid(t, model, th, grid)
         predicted, flow = chain(t, coef, counts)
-        eval_note["newton"] = flow.newton_iterations_used
         loss = compute_loss(t, predicted, obs)
         grads = t.backward(loss)
+        newton[-1] = flow.newton_iterations_used
         return float(t.value(loss)[0]), grads[th]
 
     return InverseProblem(
         config=config, forward=chain, objective=objective, theta0=theta0,
-        model=model, observations=obs, eval_note=eval_note,
+        model=model, observations=obs, newton_per_eval=newton,
         linear_solves=counts)
 
 
@@ -788,16 +787,6 @@ def run_experiment(config, progress=None):
                 f"{cfg.experiment} has the reference field {name} "
                 f"identically zero with {_changed_physics(cfg)}, so its "
                 f"prediction error is undefined")
-    # Newton iterations per evaluation, None for a failed one; each step
-    # takes the count of the evaluation it accepted
-    newton = []
-
-    def objective(theta):
-        newton.append(None)
-        loss_grad = problem.objective(theta)
-        newton[-1] = problem.eval_note["newton"]
-        return loss_grad
-
     def on_step(step, theta, loss, grad):
         if progress is not None:
             progress(step, loss)
@@ -807,7 +796,7 @@ def run_experiment(config, progress=None):
     # the starting parameters, the bound and the physics all come from the
     # config, so an objective that fails at the start is the config's fault
     try:
-        result = lbfgs_optimize(objective, problem.theta0, opt_cfg,
+        result = lbfgs_optimize(problem.objective, problem.theta0, opt_cfg,
                                 callback=on_step)
     except ContractError as exc:
         raise ContractError(
@@ -838,7 +827,9 @@ def run_experiment(config, progress=None):
         initial_loss=result.initial_loss, final_loss=result.loss,
         relative_mse_percent=mse, coefficient_scale=scale,
         shape_error_percent=shape_mse,
-        newton_iters=[newton[k - 1] for k in result.accepted_evals],
+        # each step takes the Newton count of the evaluation it accepted
+        newton_iters=[problem.newton_per_eval[k - 1]
+                      for k in result.accepted_evals],
         wall_clock_seconds=time.perf_counter() - started,
         config_echo=echo, converged=result.converged,
         stop_reason=result.stop_reason, n_steps=result.n_steps,

@@ -111,18 +111,6 @@ class StructuredGrid:
         _freeze(self.coords, self.elems, self.wall_mask)
         self.quad = _quadrature(self.hx, self.hy)
 
-    def boundary_nodes(self, side):
-        nx, ny = self.nx, self.ny
-        if side == "bottom":
-            return np.arange(nx)
-        if side == "top":
-            return np.arange(nx) + (ny - 1) * nx
-        if side == "left":
-            return np.arange(ny) * nx
-        if side == "right":
-            return np.arange(ny) * nx + (nx - 1)
-        raise ContractError(f"unknown side {side!r}")
-
     @property
     def all_boundary(self):
         return np.flatnonzero(self.wall_mask)
@@ -152,8 +140,9 @@ class DirichletSpec:
 
 def cavity_velocity_bcs(grid, lid_speed=1.0):
     """Lid-driven cavity: u equals ``lid_speed`` on the y=0 wall (corners
-    included), zero on the other walls; v is zero on every wall."""
-    lid = grid.boundary_nodes("bottom")
+    included), the first grid row, zero on the other walls; v is zero on
+    every wall."""
+    lid = np.arange(grid.nx)
     rest = np.setdiff1d(grid.all_boundary, lid)
     u_bc = DirichletSpec(
         np.concatenate([lid, rest]),

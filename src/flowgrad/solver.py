@@ -3,16 +3,18 @@
 ``newton_solve`` iterates x_{k+1} = x_k - J(x_k)^-1 F(x_k) for the coupled
 [u; v; p] system, off the caller's tape.  What does not depend on the
 viscosity or the state (the constant blocks, the system layout and order,
-the constraint plan and the loads) is a :class:`FlowSetup`, which the
-caller builds once and hands to every solve.  Each iterate is linearized on
-plain arrays: the advection, stiffness and stabilization blocks come from
-the assembly kernels, F from sparse matrix-vector products, and J(x) is
-assembled from the same blocks.  The caller's tape records one
-``steady_flow`` operator from the viscosity to the converged state, whose
-backward rule is the implicit-function adjoint (physics-constrained
-learning; Xu & Darve, arXiv:2002.10521): one transpose solve with J(x*)
-and one vector-Jacobian product (dF/dnu)^T lam, which is the only
-derivative ever taken of F, written out by hand.  The momentum Jacobian
+the constraint plan and the prescribed data: the lid-driven walls and the
+pressure pin) is a ``FlowSetup(grid, lid_speed, constants, beta)``, which
+the caller builds once and hands to every solve.  Each iterate is
+linearized on plain arrays: the advection, stiffness and stabilization
+blocks come from the assembly kernels, F from sparse matrix-vector
+products, and J(x) is assembled from the same blocks.  The caller's tape
+records one ``steady_flow`` operator from the viscosity to the converged
+state, whose backward rule is the implicit-function adjoint
+(physics-constrained learning; Xu & Darve, arXiv:2002.10521): one
+transpose solve with J(x*) and one vector-Jacobian product
+(dF/dnu)^T lam, which is the only derivative ever taken of F, written out
+by hand.  The momentum Jacobian
 carries the full convection linearization: advection C(u_k, v_k) plus the
 four reaction blocks from the iterate gradients.
 
@@ -55,8 +57,8 @@ the wall constraints, the convection block of the frozen flow and the
 load) is a :class:`HeatSetup`, built once by the caller, so an evaluation
 assembles only K(k).  Both operators build their factors with the caller's
 :class:`LinearSolveCounts`, which the factors fill.
-``transport_integrate`` gives the nodal particle velocities after a number
-of implicit-Euler steps in the steady flow, in closed form.
+``transport_integrate`` gives the nodal particle velocities ``(w1, w2)``
+after a number of implicit-Euler steps in the steady flow, in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -73,10 +75,7 @@ from .tape import register_op
 __all__ = [
     "PhysicsConstants",
     "NewtonConfig",
-    "CavityBCs",
     "NSState",
-    "ParticleState",
-    "default_cavity_bcs",
     "FlowSetup",
     "HeatSetup",
     "ns_residual",
@@ -85,8 +84,6 @@ __all__ = [
     "heat_solve",
     "transport_integrate",
 ]
-
-DEFAULT_BETA = 0.01
 
 
 @dataclass(frozen=True)
@@ -118,18 +115,6 @@ class NewtonConfig:
             raise ContractError("Newton needs at least one iteration")
 
 
-@dataclass(frozen=True)
-class CavityBCs:
-    """Velocity Dirichlet data; the pressure is pinned at node 0."""
-
-    u: object
-    v: object
-
-
-def default_cavity_bcs(grid, lid_speed=1.0):
-    return CavityBCs(*cavity_velocity_bcs(grid, lid_speed))
-
-
 @dataclass
 class NSState:
     u: int
@@ -139,34 +124,18 @@ class NSState:
     trace: list = field(default_factory=list)
 
 
-@dataclass
-class ParticleState:
-    w1: int
-    w2: int
-    dt: float
-    n_steps: int
-
-
-def _nodal(value, n):
-    value = np.asarray(value, dtype=np.float64)
-    if value.ndim == 0:
-        return np.full(n, float(value))
-    if value.shape != (n,):
-        raise ContractError(f"field length {value.shape} != n_nodes {n}")
-    return value
-
-
 class FlowSetup:
     """Constant matrices, the system layout and order, and the constraint
-    plan of the flow system on one grid with one set of Dirichlet data,
-    constants and stabilization weight, shared read-only by every flow solve
-    with those inputs.
+    plan of the lid-driven flow system on one grid with one lid speed, set
+    of constants and stabilization weight ``beta``, shared read-only by
+    every flow solve with those inputs.
 
-    ``cidx`` and ``cvals`` are the constrained unknowns in the natural
-    [u; v; p] order and their values; ``plan`` constrains the system
-    pattern, which is in the system order."""
+    The walls are those of ``cavity_velocity_bcs`` and the pressure is
+    pinned to 0 at node 0.  ``cidx`` and ``cvals`` are the constrained
+    unknowns in the natural [u; v; p] order and their values; ``plan``
+    constrains the system pattern, which is in the system order."""
 
-    def __init__(self, grid, bc, constants, beta=DEFAULT_BETA):
+    def __init__(self, grid, lid_speed, constants, beta):
         gops = operators_for(grid)
         self.gops = gops
         n = grid.n_nodes
@@ -175,19 +144,21 @@ class FlowSetup:
         self.stab_coef = beta * grid.hx * grid.hy
 
         dx, dy, gx, gy = gops.divergence_blocks()
-        self.gx_m = gops.scipy_matrix(-(1.0 / constants.rho) * gx)
-        self.gy_m = gops.scipy_matrix(-(1.0 / constants.rho) * gy)
-        self.dx = gops.scipy_matrix(dx)
-        self.dy = gops.scipy_matrix(dy)
+        to_scipy = gops.pattern.to_scipy
+        self.gx_m = to_scipy(-(1.0 / constants.rho) * gx)
+        self.gy_m = to_scipy(-(1.0 / constants.rho) * gy)
+        self.dx = to_scipy(dx)
+        self.dy = to_scipy(dy)
         # the pressure-gradient and divergence blocks of the Jacobian
         self.const_blocks = [
             (self.bmap[0][2], self.gx_m.data), (self.bmap[1][2], self.gy_m.data),
             (self.bmap[2][0], self.dx.data), (self.bmap[2][1], self.dy.data)]
 
-        cidx = np.concatenate([bc.u.idx, bc.v.idx + n, np.array([2 * n])])
+        u_bc, v_bc = cavity_velocity_bcs(grid, lid_speed)
+        cidx = np.concatenate([u_bc.idx, v_bc.idx + n, np.array([2 * n])])
         self.plan = constraint_plan(self.sys_pattern, self.order.inverse[cidx])
         self.cidx = cidx
-        self.cvals = np.concatenate([bc.u.vals, bc.v.vals, [0.0]])
+        self.cvals = np.concatenate([u_bc.vals, v_bc.vals, [0.0]])
 
 
 def ns_residual(setup, x, nu):
@@ -233,7 +204,8 @@ class _Linearization:
         self.c = gops.convection(u, v)
         self.k = gops.diffusion(nu)
         self.stab = gops.diffusion(np.full(n, setup.stab_coef) / nu)
-        c, k, stab = (gops.scipy_matrix(d) for d in (self.c, self.k, self.stab))
+        c, k, stab = (gops.pattern.to_scipy(d)
+                      for d in (self.c, self.k, self.stab))
         fu = (c @ u + k @ u) + setup.gx_m @ p
         fv = (c @ v + k @ v) + setup.gy_m @ p
         f = np.concatenate([fu, fv, (setup.dx @ u + setup.dy @ v) + stab @ p])
@@ -441,8 +413,8 @@ class HeatSetup:
         self.t0[walls] = bc_t.vals
         self.convection = constants.rho * constants.cp * gops.convection(
             np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
-        self.load = (gops.scipy_matrix(gops.mass())
-                     @ _nodal(constants.heat_source_q, grid.n_nodes))[
+        self.load = (gops.pattern.to_scipy(gops.mass())
+                     @ np.full(grid.n_nodes, constants.heat_source_q))[
                          self.order.perm]
 
 
@@ -511,7 +483,8 @@ def heat_solve(tape, heat, k, counts=None):
 
 
 def transport_integrate(tape, ns, constants, dt=0.1, n_steps=50):
-    """``n_steps`` implicit-Euler steps for nodal particle velocities.
+    """``n_steps`` implicit-Euler steps for nodal particle velocities,
+    returned as the tape references ``(w1, w2)``.
 
     Each component follows w^{m+1} = (w^m + dt kappa u) / (1 + dt kappa)
     from rest with the flow held fixed, whose closed form is
@@ -531,6 +504,4 @@ def transport_integrate(tape, ns, constants, dt=0.1, n_steps=50):
         return ops.scale(tape, vel_ref,
                          -np.expm1(-n_steps * np.log1p(dt * kappa)))
 
-    w1 = relax(ns.u, constants.kappa1)
-    w2 = relax(ns.v, constants.kappa2)
-    return ParticleState(w1, w2, dt, n_steps)
+    return relax(ns.u, constants.kappa1), relax(ns.v, constants.kappa2)

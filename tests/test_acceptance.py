@@ -23,7 +23,6 @@ from flowgrad.solver import (
     HeatSetup,
     NewtonConfig,
     PhysicsConstants,
-    default_cavity_bcs,
     heat_solve,
     newton_solve,
 )
@@ -69,7 +68,7 @@ def test_criterion_2_forward_solver():
     nu = reference_field("cavity_viscosity", grid.coords)
     t = Tape()
     start = time.perf_counter()
-    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    setup = FlowSetup(grid, 1.0, PhysicsConstants(), 0.01)
     state = newton_solve(t, setup, t.constant(nu), NewtonConfig())
     elapsed = time.perf_counter() - start
     residual = state.trace[-1][1]
@@ -171,15 +170,15 @@ def _heat_adjoint_gap(n, seed):
     grad = t.backward(dot(t, t.constant(c), temp))[k_ref]
 
     def free_rows(data):
-        dense = gops.scipy_matrix(data).toarray()
+        dense = gops.pattern.to_scipy(data).toarray()
         dense[walls] = 0.0
         return dense
 
     a = free_rows(constants.rho * constants.cp * gops.convection(u, v)
                   + gops.diffusion(k))
     a[walls, walls] = 1.0
-    b = gops.scipy_matrix(gops.mass()) @ np.full(nodes,
-                                                  constants.heat_source_q)
+    b = gops.pattern.to_scipy(gops.mass()) @ np.full(
+        nodes, constants.heat_source_q)
     b[walls] = bc_t.vals
     temp_dense = np.linalg.solve(a, b)
     lam = np.linalg.solve(a.T, c)

@@ -75,7 +75,7 @@ def dense_oracle(grid, coef=None, u=None, v=None):
 
 
 def _dense(gops, data):
-    return gops.scipy_matrix(data).toarray()
+    return gops.pattern.to_scipy(data).toarray()
 
 
 def _reactions(grid, u, v):
@@ -90,7 +90,7 @@ def _grad_div(grid):
     """Pressure-gradient (Gx, Gy) and divergence (Dx, Dy) matrices."""
     gops = operators_for(grid)
     dx, dy, gx, gy = gops.divergence_blocks()
-    return tuple(gops.scipy_matrix(data) for data in (gx, gy, dx, dy))
+    return tuple(gops.pattern.to_scipy(data) for data in (gx, gy, dx, dy))
 
 
 def _stiffness(gops):
@@ -125,8 +125,8 @@ def test_single_element_mass_closed_form():
                       [1, 2, 4, 2], [2, 1, 2, 4]]) / 36.0
     expected = np.zeros((4, 4))
     expected[np.ix_(g.elems[0], g.elems[0])] = local
-    np.testing.assert_allclose(gops.scipy_matrix(gops.mass()).toarray(),
-                               expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_dense(gops, gops.mass()), expected,
+                               rtol=0, atol=1e-15)
 
 
 def test_multi_element_blocks_match_dense_oracle():
@@ -142,7 +142,7 @@ def test_multi_element_blocks_match_dense_oracle():
                                rtol=0, atol=1e-13)
     np.testing.assert_allclose(_dense(gops, gops.convection(u, v)), c_d,
                                rtol=0, atol=1e-13)
-    np.testing.assert_allclose(gops.scipy_matrix(gops.mass()).toarray(), m_d,
+    np.testing.assert_allclose(_dense(gops, gops.mass()), m_d,
                                rtol=0, atol=1e-14)
     gx, gy, dx, dy = _grad_div(g)
     np.testing.assert_allclose(dx.toarray(), dx_d, rtol=0, atol=1e-14)
@@ -197,7 +197,7 @@ def test_divergence_of_linear_u_is_mass_action_on_ones():
     g = StructuredGrid(3)
     _, _, dx, _ = _grad_div(g)
     gops = operators_for(g)
-    m = gops.scipy_matrix(gops.mass())
+    m = gops.pattern.to_scipy(gops.mass())
     np.testing.assert_allclose(dx @ g.coords[:, 0], m @ np.ones(g.n_nodes),
                                rtol=0, atol=1e-14)
 
@@ -217,7 +217,7 @@ def test_diffusion_block_gradient_matches_fd():
     g = StructuredGrid(6)
     gops = operators_for(g)
     nu0 = _nu_reference(g.coords[:, 0], g.coords[:, 1])
-    weights = np.random.default_rng(6).normal(size=gops.nnz)
+    weights = np.random.default_rng(6).normal(size=gops.pattern.nnz)
 
     def f(theta):
         return weights @ gops.diffusion(theta), gops.diffusion_bwd(weights)
@@ -386,7 +386,7 @@ def test_constrain_matches_dense_elimination_oracle():
     g = StructuredGrid(3)
     gops = operators_for(g)
     rng = np.random.default_rng(4)
-    data0 = _stiffness(gops) + 0.1 * rng.normal(size=gops.nnz)
+    data0 = _stiffness(gops) + 0.1 * rng.normal(size=gops.pattern.nnz)
     rhs0 = rng.normal(size=9)
     cidx = np.array([8, 0, 4])
     x0 = np.zeros(9)
@@ -395,7 +395,7 @@ def test_constrain_matches_dense_elimination_oracle():
     data = data0.copy()
     constraint_plan(gops.pattern, cidx).identity_rows(data)
 
-    a = gops.scipy_matrix(data0).toarray()
+    a = gops.pattern.to_scipy(data0).toarray()
     b = rhs0.copy()
     free = np.setdiff1d(np.arange(9), cidx)
     for cnode in cidx:
@@ -406,7 +406,7 @@ def test_constrain_matches_dense_elimination_oracle():
     a[:, cidx] = 0.0
     a[cidx, cidx] = 1.0
     b[cidx] = x0[cidx]
-    lifted = rhs0 - gops.scipy_matrix(data0) @ x0
+    lifted = rhs0 - gops.pattern.to_scipy(data0) @ x0
     lifted[cidx] = x0[cidx]
     np.testing.assert_allclose(_dense(gops, data), a, rtol=0, atol=1e-14)
     np.testing.assert_allclose(lifted, b, rtol=0, atol=1e-14)

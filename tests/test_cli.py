@@ -223,6 +223,8 @@ def _unreadable_config(tmp_path, monkeypatch, kind):
     elif kind == "not_utf8":
         path = tmp_path / "latin1.ini"
         path.write_bytes(SMALL.encode() + "# d\xe9bit\n".encode("latin-1"))
+    elif kind == "nul":
+        path = tmp_path / "cfg.ini\0"
     else:
         # a file this process may not open; a root process opens any file
         # whatever its mode bits, so the refusal is the operating system's
@@ -237,7 +239,8 @@ def _unreadable_config(tmp_path, monkeypatch, kind):
 
 
 @pytest.mark.parametrize("command", ["run", "forward", "gradcheck"])
-@pytest.mark.parametrize("kind", ["directory", "not_utf8", "unreadable"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "nul",
+                                  "unreadable"])
 def test_config_that_cannot_be_read_exits_2(tmp_path, monkeypatch, capsys,
                                             command, kind):
     # configparser.read skips a file it cannot open, which would leave the
@@ -260,6 +263,11 @@ def _output_path(tmp_path, monkeypatch, kind):
         return taken
     if kind == "through_file":
         return taken / "sub"
+    if kind == "nul":
+        return tmp_path / "out\0put"
+    if kind == "long_name":
+        # a missing component longer than any name the file system takes
+        return tmp_path / ("x" * 300) / "out"
     # a parent this process may not write to, refused as by the operating
     # system for a process that is not root
     locked = tmp_path / "locked"
@@ -270,8 +278,11 @@ def _output_path(tmp_path, monkeypatch, kind):
     return locked / "out"
 
 
+_UNUSABLE_OUT = ["file", "through_file", "unwritable", "nul", "long_name"]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "forward"])
-@pytest.mark.parametrize("kind", ["file", "through_file", "unwritable"])
+@pytest.mark.parametrize("kind", _UNUSABLE_OUT)
 def test_output_path_that_cannot_be_a_directory_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, command, kind):
     calls = _count_splu(monkeypatch)
@@ -289,13 +300,39 @@ def test_output_path_that_cannot_be_a_directory_exits_2_before_solving(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_output_directory_from_the_config_is_checked(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", _UNUSABLE_OUT)
+def test_output_directory_from_the_config_is_checked(tmp_path, monkeypatch,
+                                                     kind):
     calls = _count_splu(monkeypatch)
-    taken = tmp_path / "taken"
-    taken.write_text("a file\n")
-    cfg = _config(tmp_path, SMALL + f"\n[output]\ndirectory = {taken}\n")
+    out = _output_path(tmp_path, monkeypatch, kind)
+    cfg = _config(tmp_path, SMALL + f"\n[output]\ndirectory = {out}\n")
+    before = sorted(tmp_path.rglob("*"))
     assert main(["run", "--config", cfg]) == 2
     assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["run", "forward", "gradcheck"])
+@pytest.mark.parametrize("text", [
+    "[experiment]\nname = cavity%viscosity\n",
+    "[grid]\nn = 6\n\n[observations]\nn_points = %(x)s\n",
+    "[DEFAULT]\nn = 5\n",
+    "[DEFAULT]\nseed = 3\n\n[grid]\nn = 6\n"],
+    ids=["percent_name", "interpolation", "default_only", "default_beside"])
+def test_config_text_that_is_no_setting_exits_2_without_files(
+        tmp_path, monkeypatch, capsys, command, text):
+    # a % is plain text, and a [DEFAULT] key is no setting of any section
+    calls = _count_splu(monkeypatch)
+    cfg = _config(tmp_path, text)
+    before = sorted(tmp_path.rglob("*"))
+    out = [] if command == "gradcheck" else ["--out", str(tmp_path / "never")]
+    assert main([command, "--config", cfg] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "DEFAULT" in text:
+        assert "[DEFAULT]" in err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_run_invalid_grid_exits_2_without_files(tmp_path):
@@ -718,9 +755,10 @@ def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch):
 # --- input sweep: one bad setting, or a pair, at a time
 
 _SWEEP_VALUES = {
-    float: ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e-12"),
-    int: ("0", "-1", "1", "1000000000", "2.5", "1e3"),
-    str: ("dnn3d", ""),
+    float: ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e-12",
+            "%(x)s"),
+    int: ("0", "-1", "1", "1000000000", "2.5", "1e3", "%(x)s"),
+    str: ("dnn3d", "", "dnn%2d"),
 }
 _SWEEP_PAIRS = ((("model", "offset"), ("model", "clamp_floor")),
                 (("physics", "kappa1"), ("physics", "kappa2")),

@@ -108,6 +108,11 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
+def test_percent_is_plain_text(tmp_path):
+    path = _write(tmp_path, "[output]\ndirectory = out%(x)s%\n")
+    assert load_config(path).out_dir == "out%(x)s%"
+
+
 def test_unknown_key_rejected(tmp_path):
     # flowgrad gradcheck audits the gradient; the optimizer has no switch
     for section, key in (("grid", "resolution"),

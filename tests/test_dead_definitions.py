@@ -1,12 +1,12 @@
 """Every module-level function, class and assigned name of the package is
-used or exported.
+used, or on the allow-list with its reason.
 
 The scan reads the package source with ``ast``: a definition counts as used
 when a name or attribute of its name is read in any top-level statement of
 the package other than the definition itself, so a recursive function is
-not its own user and an import alone uses nothing.  A top-level assignment
-defines each plain name it binds; dunder names such as ``__all__`` are
-left out.
+not its own user and an import alone uses nothing: a re-export in
+``flowgrad/__init__.py`` is no use.  A top-level assignment defines each
+plain name it binds; dunder names such as ``__all__`` are left out.
 """
 
 import ast
@@ -16,10 +16,13 @@ import flowgrad
 
 SRC = Path(flowgrad.__file__).parent
 
-# the benchmark's tracer wraps these kernels by name, to time the backward
-# passes of the element kernels; one the package calls again leaves the
-# list.  The benchmark harness records accel.USE_NUMBA in its result files.
-ALLOWED = ["accel.USE_NUMBA", "kernels.advection_bwd", "kernels.coefmass_bwd"]
+# The benchmark's tracer wraps the two kernels by name, to time the backward
+# passes of the element kernels, and its harness records accel.USE_NUMBA in
+# its result files.  read_field_csv reads back an exported field and
+# ns_residual gives the flow residual F(x): public entry points that no
+# package code calls.  A definition the package reads again leaves the list.
+ALLOWED = ["accel.USE_NUMBA", "grid.read_field_csv", "kernels.advection_bwd",
+           "kernels.coefmass_bwd", "solver.ns_residual"]
 
 
 def _read_names(node):
@@ -54,7 +57,6 @@ def test_every_definition_is_used_or_exported():
             definitions += [(path.stem, name, stmt)
                             for name in _defined_names(stmt)]
     unused = [f"{module}.{name}" for module, name, stmt in definitions
-              if name not in flowgrad.__all__
-              and not any(name in names for user, names in users
-                          if user is not stmt)]
+              if not any(name in names for user, names in users
+                         if user is not stmt)]
     assert sorted(unused) == ALLOWED

@@ -692,25 +692,19 @@ def test_report_json_contract():
 
 def test_report_records_line_search(monkeypatch):
     # the first trial step of the first line search fails like a diverged
-    # Newton solve; the report names it and the search recovers
-    real_build = experiments.build_problem
+    # Newton solve, inside the objective; the report names it and the
+    # search recovers
+    real_loss = experiments.compute_loss
+    calls = []
 
-    def build_with_one_failure(config):
-        problem = real_build(config)
-        objective = problem.objective
-        calls = [0]
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NewtonDivergedError("forced", last_residual=1.0,
+                                      iterations=10)
+        return real_loss(*args)
 
-        def flaky(theta):
-            calls[0] += 1
-            if calls[0] == 2:
-                raise NewtonDivergedError("forced", last_residual=1.0,
-                                          iterations=10)
-            return objective(theta)
-
-        problem.objective = flaky
-        return problem
-
-    monkeypatch.setattr(experiments, "build_problem", build_with_one_failure)
+    monkeypatch.setattr(experiments, "compute_loss", flaky)
     cfg = ExperimentConfig(experiment="cavity_viscosity", grid_n=6, max_steps=4)
     rep = run_experiment(cfg)
     block = json.loads(rep.to_json())["line_search"]
@@ -1099,8 +1093,7 @@ def test_heat_chain_keeps_no_flow_setup(monkeypatch):
     finally:
         gc.enable()
     grid = chain.grid
-    setup = solver.FlowSetup(grid, solver.default_cavity_bcs(grid),
-                             chain.constants, cfg.beta)
+    setup = solver.FlowSetup(grid, cfg.lid_speed, chain.constants, cfg.beta)
     x = np.concatenate([chain.synthetic[name] for name in ("u", "v", "p")])
     kept = solver.ns_jacobian(setup, x, chain.frozen_nu)
     assert jac.indptr.tobytes() == kept.indptr.tobytes()
@@ -1108,12 +1101,29 @@ def test_heat_chain_keeps_no_flow_setup(monkeypatch):
     assert jac.data.tobytes() == kept.data.tobytes()
 
 
+def test_objective_notes_the_newton_count_of_each_evaluation(monkeypatch):
+    # one entry per call, None for a call that fails after its flow solve
+    problem = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
+    problem.objective(problem.theta0)
+
+    def failing(*args):
+        raise NumericError("forced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "compute_loss", failing)
+        with pytest.raises(NumericError):
+            problem.objective(problem.theta0)
+    problem.objective(problem.theta0)
+    first, failed, last = problem.newton_per_eval
+    assert failed is None and first == last > 1
+
+
 def test_cavity_objective_factorizes_once(monkeypatch):
     # Newton steps 2.. and the adjoint refine against the step-1 factors
     problem = build_problem(ExperimentConfig("cavity_viscosity", grid_n=6))
     calls = _count_splu(monkeypatch)
     problem.objective(problem.theta0)
-    assert problem.eval_note["newton"] > 1
+    assert problem.newton_per_eval[-1] > 1
     assert len(calls) == 1
 
 
@@ -1335,5 +1345,5 @@ def test_warm_cavity_evaluation_builds_one_tape(monkeypatch):
 
     monkeypatch.setattr(Tape, "__init__", counting_init)
     problem.objective(problem.theta0)
-    assert problem.eval_note["newton"] > 1
+    assert problem.newton_per_eval[-1] > 1
     assert len(built) == 1

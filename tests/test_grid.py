@@ -71,17 +71,10 @@ def test_grid_and_dirichlet_arrays_are_read_only():
 
 def test_boundary_sets():
     g = StructuredGrid(4, 3)
-    np.testing.assert_array_equal(g.boundary_nodes("bottom"), [0, 1, 2, 3])
-    np.testing.assert_array_equal(g.boundary_nodes("top"), [8, 9, 10, 11])
-    np.testing.assert_array_equal(g.boundary_nodes("left"), [0, 4, 8])
-    np.testing.assert_array_equal(g.boundary_nodes("right"), [3, 7, 11])
-    assert g.all_boundary.size == 2 * 4 + 2 * 3 - 4
-    # the boundary lists each node once; the other nodes are 5 and 6
-    np.testing.assert_array_equal(np.unique(g.all_boundary), g.all_boundary)
-    interior = np.setdiff1d(np.arange(g.n_nodes), g.all_boundary)
-    np.testing.assert_array_equal(interior, [5, 6])
-    with pytest.raises(ContractError):
-        g.boundary_nodes("front")
+    # the boundary lists each wall node once, in node order; the other
+    # nodes are 5 and 6
+    np.testing.assert_array_equal(
+        g.all_boundary, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11])
 
 
 def test_dirichlet_spec_validation():
@@ -95,7 +88,7 @@ def test_dirichlet_spec_validation():
 def test_cavity_bcs_lid_on_bottom_edge():
     g = StructuredGrid(5)
     u_bc, v_bc = cavity_velocity_bcs(g, lid_speed=1.0)
-    lid = g.boundary_nodes("bottom")
+    lid = np.arange(5)  # the y = 0 row
     lookup = dict(zip(u_bc.idx.tolist(), u_bc.vals.tolist()))
     for node in lid:
         assert lookup[node] == 1.0

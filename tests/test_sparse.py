@@ -38,7 +38,6 @@ from flowgrad.solver import (
     FlowSetup,
     HeatSetup,
     PhysicsConstants,
-    default_cavity_bcs,
     heat_solve,
     newton_solve,
     ns_jacobian,
@@ -205,7 +204,7 @@ def _cavity_jacobians(n):
     grid = StructuredGrid(n)
     t = Tape()
     nu = reference_field("cavity_viscosity", grid.coords)
-    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    setup = FlowSetup(grid, 1.0, PhysicsConstants(), 0.01)
     newton_solve(t, setup, t.constant(nu))
     [node] = [node for node in t.nodes if node.op == "steady_flow"]
     x = node.ctx["x"]
@@ -316,7 +315,7 @@ def test_factorization_leaves_the_pattern_unchanged():
     # SuperLU sorts the index arrays it is handed in place unless they are
     # canonical; the system pattern shares its arrays with every J
     g = StructuredGrid(9)
-    setup = FlowSetup(g, default_cavity_bcs(g), PhysicsConstants())
+    setup = FlowSetup(g, 1.0, PhysicsConstants(), 0.01)
     pattern = setup.sys_pattern
     before = pattern.indices.copy(), pattern.indptr.copy()
     x = np.zeros(3 * setup.n)
@@ -449,7 +448,7 @@ def _heat_solved(n, walls):
     in the grid's node order, ``heat.order`` the order."""
     grid = StructuredGrid(n)
     t = Tape()
-    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    setup = FlowSetup(grid, 1.0, PhysicsConstants(), 0.01)
     state = newton_solve(t, setup, t.constant(np.ones(grid.n_nodes)))
     u, v = t.value(state.u), t.value(state.v)
     heat = HeatSetup(grid, u, v, PhysicsConstants(), walls(grid))
@@ -475,9 +474,9 @@ def test_heat_temperature_matches_dense_solve():
 
     grid, u, v, k, temp, _, _ = _heat_solved(21, graded)
     gops = operators_for(grid)
-    dense = gops.scipy_matrix(gops.convection(u, v)
-                              + gops.diffusion(k)).toarray()
-    rhs = gops.scipy_matrix(gops.mass()) @ np.ones(grid.n_nodes)
+    dense = gops.pattern.to_scipy(gops.convection(u, v)
+                                  + gops.diffusion(k)).toarray()
+    rhs = gops.pattern.to_scipy(gops.mass()) @ np.ones(grid.n_nodes)
     walls = graded(grid)
     dense[walls.idx] = 0.0
     dense[walls.idx, walls.idx] = 1.0
@@ -555,7 +554,7 @@ def _cavity_newton_jacobians(n, steps):
     """J(x_0), ..., J(x_steps) along the reference-viscosity cavity Newton."""
     grid = StructuredGrid(n)
     nu = reference_field("cavity_viscosity", grid.coords)
-    setup = FlowSetup(grid, default_cavity_bcs(grid), PhysicsConstants())
+    setup = FlowSetup(grid, 1.0, PhysicsConstants(), 0.01)
     x = np.zeros(3 * setup.n)
     x[setup.cidx] = setup.cvals
     jacobians = []
