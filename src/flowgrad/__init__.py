@@ -1,10 +1,9 @@
 """Differentiable FEM flow solver with coefficient-field inversion.
 
 The package records a finite-element simulation of steady incompressible
-flow (plus optional heat transport and passive particles) on a
-reverse-mode autodiff tape, so observation losses can be differentiated
-through the nonlinear solver and minimized over neural or pointwise
-coefficient-field models.
+flow (plus optional heat transport) on a reverse-mode autodiff tape, so
+observation losses can be differentiated through the nonlinear solver and
+minimized over neural or pointwise coefficient-field models.
 """
 
 from .config import ConfigBundle, load_config
@@ -46,7 +45,6 @@ from .solver import (
     newton_solve,
     ns_jacobian,
     ns_residual,
-    transport_integrate,
 )
 from .sparse import LinearSolveCounts
 from .tape import Tape, finite_difference_check, register_op
@@ -97,6 +95,5 @@ __all__ = [
     "register_op",
     "relative_mse",
     "run_experiment",
-    "transport_integrate",
     "write_field_csv",
 ]

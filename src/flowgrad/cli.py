@@ -75,11 +75,12 @@ def _parser():
     return p
 
 
-def _check_out_dir(path):
+def _check_out_dir(path, names):
     """Raise ConfigError unless ``path`` holds no NUL byte, the nearest
     existing path on the way up to it is a directory this process can write
-    to, and no missing component is longer than that file system allows
-    for a name; creates nothing."""
+    to, no missing component is longer than that file system allows for a
+    name, and the path of each file of ``names`` in ``path`` is shorter
+    than it allows for a path; creates nothing."""
     if "\0" in path:
         raise ConfigError(f"output directory {path!r} holds a NUL byte")
     existing = os.path.abspath(path)
@@ -96,6 +97,20 @@ def _check_out_dir(path):
         raise ConfigError(f"output directory {path} cannot be made: a name "
                           f"in it is longer than the {limit} bytes its file "
                           f"system allows")
+    longest = max(len(os.fsencode(os.path.join(path, name))) for name in names)
+    limit = os.pathconf(existing, "PC_PATH_MAX")  # counts the closing NUL
+    if 0 <= limit <= longest:
+        raise ConfigError(f"output directory {path} cannot be made: the "
+                          f"path of a file in it would take {longest} bytes, "
+                          f"where its file system allows fewer than {limit}")
+
+
+def _report_names(spec):
+    """The files ``_write_report_files`` writes for an experiment."""
+    return (["report.json", "theta.csv"]
+            + [f"{spec.coef_name}_{kind}.csv"
+               for kind in ("reference", "estimate", "difference")]
+            + [f"{comp}_prediction.csv" for comp in spec.report_fields])
 
 
 def _write_report_files(out_dir, cfg, rep):
@@ -135,8 +150,9 @@ def _run_single(cfg, out_dir, args):
 def _cmd_run(args):
     bundle = load_config(args.config)
     out_dir = args.out or bundle.out_dir or "out"
+    names = _report_names(SPECS[bundle.configs[0].experiment])
     if not bundle.is_sweep:
-        _check_out_dir(out_dir)
+        _check_out_dir(out_dir, names)
         _run_single(bundle.configs[0], out_dir, args)
         return EXIT_OK
     subs = [f"eps_{cfg.noise_epsilon:g}" for cfg in bundle.configs]
@@ -145,7 +161,7 @@ def _cmd_run(args):
             f"noise levels {[cfg.noise_epsilon for cfg in bundle.configs]} "
             f"share output directories: {subs}")
     for sub in subs:
-        _check_out_dir(os.path.join(out_dir, sub))
+        _check_out_dir(os.path.join(out_dir, sub), names)
     summary = []
     for cfg, sub in zip(bundle.configs, subs):
         rep = _run_single(cfg, os.path.join(out_dir, sub), args)
@@ -162,8 +178,11 @@ def _cmd_run(args):
 def _cmd_forward(args):
     bundle = load_config(args.config)
     out_dir = args.out or bundle.out_dir or "out"
-    _check_out_dir(out_dir)
-    chain = forward_chain(bundle.configs[0])
+    cfg = bundle.configs[0]
+    _check_out_dir(out_dir,
+                   [f"{comp}.csv" for comp in SPECS[cfg.experiment].predicts]
+                   + ["newton_trace.jsonl", "system_matrix.mtx"])
+    chain = forward_chain(cfg)
     os.makedirs(out_dir, exist_ok=True)
     for comp, values in chain.synthetic.items():
         write_field_csv(os.path.join(out_dir, f"{comp}.csv"), chain.grid,

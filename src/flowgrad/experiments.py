@@ -12,8 +12,8 @@ fits.  Adding an experiment means adding one spec.
   conjugate_heat     unknown conductivity k(x, y); the flow is computed once
                      with constant viscosity 1 and frozen, u, v, T observed
                      at sampled nodes.
-  passive_transport  unknown layered viscosity nu(x); final-step particle
-                     velocities (w1, w2) observed at sampled nodes.
+  passive_transport  unknown layered viscosity nu(x); velocities (u, v)
+                     observed at 22 sampled nodes.
 
 Observation synthesis uses the same grid and discretization as the
 inversion, so data are exactly reproducible by the model class (the usual
@@ -53,7 +53,6 @@ from .solver import (
     heat_solve,
     newton_solve,
     ns_jacobian,
-    transport_integrate,
 )
 from .sparse import LinearSolveCounts
 from .tape import Tape
@@ -120,7 +119,7 @@ def _coefficient_fields(spec, components):
                  or comp not in ("u", "v", "p"))
 
 
-def _cavity_forward(tape, chain, nu, counts):
+def _flow_forward(tape, chain, nu, counts):
     flow = chain.solve_flow(tape, nu, counts)
     return _flow_fields(flow), flow
 
@@ -129,13 +128,6 @@ def _heat_forward(tape, chain, k, counts):
     flow = chain.frozen_flow(tape)
     temp = heat_solve(tape, chain.heat_setup, k, counts)
     return dict(_flow_fields(flow), T=temp), flow
-
-
-def _transport_forward(tape, chain, nu, counts):
-    flow = chain.solve_flow(tape, nu, counts)
-    w1, w2 = transport_integrate(tape, flow, chain.constants, dt=chain.cfg.dt,
-                                 n_steps=chain.cfg.transport_steps)
-    return dict(_flow_fields(flow), w1=w1, w2=w2), flow
 
 
 # Recovery quality of the cavity inversion varies strongly across weight
@@ -147,7 +139,7 @@ def _transport_forward(tape, chain, nu, counts):
 SPECS = {
     "cavity_viscosity": ExperimentSpec(
         reference=lambda x, y: 1.0 + 6.0 * x ** 2 + x / (1.0 + 2.0 * y ** 2),
-        coef_name="nu", forward=_cavity_forward, predicts=("u", "v", "p"),
+        coef_name="nu", forward=_flow_forward, predicts=("u", "v", "p"),
         variant="dnn2d", components=("u", "v"), n_points=None, offset=1.0,
         init_scale=1.0, init_seed=21, report_fields=("u", "v", "p")),
     "conjugate_heat": ExperimentSpec(
@@ -157,10 +149,9 @@ SPECS = {
         init_scale=1.0, init_seed=3, frozen_viscosity=1.0),
     "passive_transport": ExperimentSpec(
         reference=lambda x, y: 0.01 + 0.01 / (1.0 + x ** 2),
-        coef_name="nu", forward=_transport_forward,
-        predicts=("u", "v", "p", "w1", "w2"), variant="dnn_layered",
-        components=("w1", "w2"), n_points=22, offset=0.01, init_scale=0.1,
-        init_seed=3),
+        coef_name="nu", forward=_flow_forward, predicts=("u", "v", "p"),
+        variant="dnn_layered", components=("u", "v"), n_points=22,
+        offset=0.01, init_scale=0.1, init_seed=3),
 }
 EXPERIMENTS = tuple(SPECS)
 
@@ -359,14 +350,10 @@ class ExperimentConfig:
     newton_tol: float = _setting("solver newton_tol", 1e-8)
     newton_max_iter: int = _setting("solver newton_max_iter", 10)
     beta: float = _setting("solver beta", 0.01)
-    dt: float = _setting("solver dt", 0.1)
-    transport_steps: int = _setting("solver transport_steps", 50)
     rho: float = _setting("physics rho", 1.0)
     cp: float = _setting("physics cp", 1.0)
     heat_source: float = _setting("physics heat_source", 1.0)
     heat_bc_value: float = _setting("physics heat_bc_value", 0.0)
-    kappa1: float = _setting("physics kappa1", 1.0)
-    kappa2: float = _setting("physics kappa2", 1.0)
     lid_speed: float = _setting("physics lid_speed", 1.0)
 
     def __post_init__(self):
@@ -413,12 +400,9 @@ class ExperimentConfig:
                 f"frozen flow, which does not involve the {spec.coef_name}, "
                 f"so no data can determine it; also observe "
                 f"{' or '.join(_coefficient_fields(spec, spec.predicts))}")
-        # a zero stabilization weight leaves the pressure oscillating, and
-        # the particle transport's implicit-Euler steps go forward in time
-        for name in ("beta", "dt"):
-            if not getattr(self, name) > 0.0:
-                raise ContractError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+        # a zero stabilization weight leaves the pressure oscillating
+        if not self.beta > 0.0:
+            raise ContractError(f"beta must be positive, got {self.beta}")
         # a floor below zero would let the clamped coefficient go negative;
         # numpy seeds its generators from nonnegative integers only, and a
         # negative scale or noise level would give a uniform draw an empty
@@ -430,7 +414,7 @@ class ExperimentConfig:
                     f"{name} must be nonnegative, got {getattr(self, name)}")
         # checked here as well as in OptimizerConfig, so a run stops before
         # the synthesis solve
-        for name in ("max_steps", "memory", "transport_steps"):
+        for name in ("max_steps", "memory"):
             if getattr(self, name) < 1:
                 raise ContractError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
@@ -462,8 +446,7 @@ class ExperimentConfig:
 
     def physics(self):
         return PhysicsConstants(rho=self.rho, cp=self.cp,
-                                heat_source_q=self.heat_source,
-                                kappa1=self.kappa1, kappa2=self.kappa2)
+                                heat_source_q=self.heat_source)
 
     def newton(self):
         return NewtonConfig(self.newton_tol, self.newton_max_iter)

@@ -3,15 +3,14 @@
 Each operator is a pure forward function plus a backward rule mapping the
 downstream gradient to per-input gradients.
 
-The module-level helpers (``scale``, ``residual``, ...) are thin wrappers
+The module-level helpers (``slice1d``, ``residual``, ...) are thin wrappers
 around ``tape.apply`` so calling code reads like plain arithmetic.  The
 library holds only what a recorded objective uses: slices of the flow
-state, the transport's constant scale, and the loss as two nodes, the
-stacked data misfit (``residual``) and its squared norm
-(``sum_of_squares``).  The coefficient field is one operator of
-:mod:`flowgrad.models`, its offset and floor clamp included.  Neither the
-flow residual nor the heat system is recorded; the solver builds both on
-plain arrays.
+state, and the loss as two nodes, the stacked data misfit (``residual``)
+and its squared norm (``sum_of_squares``).  The coefficient field is one
+operator of :mod:`flowgrad.models`, its offset and floor clamp included.
+Neither the flow residual nor the heat system is recorded; the solver
+builds both on plain arrays.
 """
 
 import numpy as np
@@ -19,18 +18,7 @@ import numpy as np
 from .errors import ContractError
 from .tape import register_op
 
-__all__ = ["scale", "slice1d", "residual", "sum_of_squares"]
-
-
-# ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-def _scale_fwd(v, ctx):
-    return ctx["c"] * v[0]
-
-
-def _scale_bwd(g, ctx):
-    return (ctx["c"] * g,)
+__all__ = ["slice1d", "residual", "sum_of_squares"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +90,6 @@ def _sum_of_squares_bwd(g, ctx):
     return (2.0 * ctx["r"] * g,)
 
 
-register_op("scale", _scale_fwd, _scale_bwd)
 register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
 register_op("residual", _residual_fwd, _residual_bwd)
 register_op("sum_of_squares", _sum_of_squares_fwd, _sum_of_squares_bwd)
@@ -110,10 +97,6 @@ register_op("sum_of_squares", _sum_of_squares_fwd, _sum_of_squares_bwd)
 
 # ---------------------------------------------------------------------------
 # tape-facing helpers
-
-def scale(tape, a, c):
-    return tape.apply("scale", (a,), {"c": float(c)})
-
 
 def slice1d(tape, a, start, stop):
     return tape.apply("slice1d", (a,), {"start": int(start), "stop": int(stop)})

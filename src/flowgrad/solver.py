@@ -57,8 +57,6 @@ the wall constraints, the convection block of the frozen flow and the
 load) is a :class:`HeatSetup`, built once by the caller, so an evaluation
 assembles only K(k).  Both operators build their factors with the caller's
 :class:`LinearSolveCounts`, which the factors fill.
-``transport_integrate`` gives the nodal particle velocities ``(w1, w2)``
-after a number of implicit-Euler steps in the steady flow, in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -82,7 +80,6 @@ __all__ = [
     "ns_jacobian",
     "newton_solve",
     "heat_solve",
-    "transport_integrate",
 ]
 
 
@@ -91,14 +88,10 @@ class PhysicsConstants:
     rho: float = 1.0
     cp: float = 1.0
     heat_source_q: float = 1.0
-    kappa1: float = 1.0
-    kappa2: float = 1.0
 
     def __post_init__(self):
         if self.rho <= 0 or self.cp <= 0:
             raise ContractError("rho and cp must be positive")
-        if self.kappa1 <= 0 or self.kappa2 <= 0:
-            raise ContractError("particle coupling rates must be positive")
 
 
 @dataclass(frozen=True)
@@ -480,28 +473,3 @@ def heat_solve(tape, heat, k, counts=None):
     return tape.apply("heat_solve", (k,), {
         "heat": heat,
         "counts": counts if counts is not None else LinearSolveCounts()})
-
-
-def transport_integrate(tape, ns, constants, dt=0.1, n_steps=50):
-    """``n_steps`` implicit-Euler steps for nodal particle velocities,
-    returned as the tape references ``(w1, w2)``.
-
-    Each component follows w^{m+1} = (w^m + dt kappa u) / (1 + dt kappa)
-    from rest with the flow held fixed, whose closed form is
-
-        w^N = (1 - r^N) u,  r = 1 / (1 + dt kappa).
-
-    1 - r^N is taken as -expm1(-N log1p(dt kappa)), so a tiny dt kappa
-    stays accurate.  Each component is one scale of the flow velocity on
-    the tape, whatever ``n_steps`` is.
-    """
-    if dt <= 0:
-        raise ContractError("time step must be positive")
-    if n_steps < 1:
-        raise ContractError("need at least one transport step")
-
-    def relax(vel_ref, kappa):
-        return ops.scale(tape, vel_ref,
-                         -np.expm1(-n_steps * np.log1p(dt * kappa)))
-
-    return relax(ns.u, constants.kappa1), relax(ns.v, constants.kappa2)

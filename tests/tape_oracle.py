@@ -10,8 +10,9 @@ solver; ``spmv_fixed`` records the products with the constant divergence
 and pressure-gradient matrices of F.  ``mlp`` is the network operator that
 keeps its activations, an oracle for the package's ``field``, which
 recomputes them.
-``add`` and ``gather`` are the generic sum and indexing the package no
-longer records, and ``add`` and ``div`` broadcast a shape-``(1,)`` scalar.
+``add``, ``scale`` and ``gather`` are the generic sum, constant multiple
+and indexing the package no longer records, and ``add`` and ``div``
+broadcast a shape-``(1,)`` scalar.
 Tests also use ``dot`` for weighted-sum losses.  Every operator is
 registered under an ``oracle.`` name, so the package's own registry checks
 leave them out.
@@ -53,6 +54,14 @@ def _add_fwd(v, ctx):
 
 def _add_bwd(g, ctx):
     return _reduce_to(g, ctx["sa"]), _reduce_to(g, ctx["sb"])
+
+
+def _scale_fwd(v, ctx):
+    return ctx["c"] * v[0]
+
+
+def _scale_bwd(g, ctx):
+    return (ctx["c"] * g,)
 
 
 def _div_fwd(v, ctx):
@@ -246,6 +255,7 @@ def _mlp_bwd(g, ctx):
 
 
 register_op("oracle.add", _add_fwd, _add_bwd)
+register_op("oracle.scale", _scale_fwd, _scale_bwd)
 register_op("oracle.div", _div_fwd, _div_bwd)
 register_op("oracle.dot", _dot_fwd, _dot_bwd)
 register_op("oracle.concat1d", _concat1d_fwd, _concat1d_bwd)
@@ -264,6 +274,10 @@ register_op("oracle.mlp", _mlp_fwd, _mlp_bwd)
 
 def add(tape, a, b):
     return tape.apply("oracle.add", (a, b))
+
+
+def scale(tape, a, c):
+    return tape.apply("oracle.scale", (a,), {"c": float(c)})
 
 
 def div(tape, a, b):
@@ -385,9 +399,8 @@ def record_heat(tape, gops, u, v, k, rho_cp, load, bc):
     plan = constraint_plan(pattern, order.inverse[bc.idx])
     walls = np.zeros(gops.n_nodes)
     walls[bc.idx] = bc.vals
-    data = add(tape, ops.scale(tape, convection_block(tape, gops, u, v),
-                                   rho_cp),
-                   diffusion_block(tape, gops, k))
+    data = add(tape, scale(tape, convection_block(tape, gops, u, v), rho_cp),
+               diffusion_block(tape, gops, k))
     data = gather(tape, data, np.argsort(blockmap[0][0]))
     data_c, rhs_c = constrain_system(tape, pattern, plan, data,
                                      tape.constant(load[order.perm]),

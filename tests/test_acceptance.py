@@ -139,7 +139,7 @@ def test_criterion_5_conductivity_and_noise():
 
 
 def test_criterion_6_layered_transport():
-    # layered viscosity from 22 particle-velocity observation points
+    # layered viscosity from 22 velocity observation points
     rep = run_experiment(ExperimentConfig(experiment="passive_transport"))
     ok = rep.relative_mse_percent <= 10.0
     _verdict(6, ok, f"viscosity MSE {rep.relative_mse_percent:.3f}% "

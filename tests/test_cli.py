@@ -8,11 +8,12 @@ import pytest
 import scipy.io
 import scipy.sparse.linalg
 
-from flowgrad import config, experiments
+from flowgrad import cli, config, experiments
 from flowgrad.cli import main
 from flowgrad.config import _SCHEMA, load_config
 from flowgrad.experiments import (
     EXPERIMENTS,
+    SPECS,
     ExperimentConfig,
     ForwardChain,
     build_problem,
@@ -71,10 +72,12 @@ def test_run_writes_report_and_fields(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "cavity_viscosity"
     assert len(report["loss_history"]) == report["n_steps"]
-    for name in ("nu_reference.csv", "nu_estimate.csv", "nu_difference.csv",
-                 "theta.csv", "u_prediction.csv", "v_prediction.csv",
-                 "p_prediction.csv"):
-        assert (out / name).exists()
+    # the output check measures the same names the run writes
+    written = {p.name for p in out.iterdir()}
+    assert written == {"report.json", "nu_reference.csv", "nu_estimate.csv",
+                       "nu_difference.csv", "theta.csv", "u_prediction.csv",
+                       "v_prediction.csv", "p_prediction.csv"}
+    assert written == set(cli._report_names(SPECS["cavity_viscosity"]))
 
 
 @pytest.mark.parametrize("experiment", ["cavity_viscosity", "conjugate_heat",
@@ -268,6 +271,10 @@ def _output_path(tmp_path, monkeypatch, kind):
     if kind == "long_name":
         # a missing component longer than any name the file system takes
         return tmp_path / ("x" * 300) / "out"
+    if kind == "long_path":
+        # 500 names of 8 bytes, each one short enough, but together longer
+        # than any path the file system takes
+        return tmp_path.joinpath(*["x" * 8] * 500)
     # a parent this process may not write to, refused as by the operating
     # system for a process that is not root
     locked = tmp_path / "locked"
@@ -278,7 +285,21 @@ def _output_path(tmp_path, monkeypatch, kind):
     return locked / "out"
 
 
-_UNUSABLE_OUT = ["file", "through_file", "unwritable", "nul", "long_name"]
+_UNUSABLE_OUT = ["file", "through_file", "unwritable", "nul", "long_name",
+                 "long_path"]
+
+
+def _count_forward_chains(monkeypatch):
+    calls = []
+    forward_chain = experiments.forward_chain
+
+    def counting_forward_chain(cfg):
+        calls.append(cfg)
+        return forward_chain(cfg)
+
+    monkeypatch.setattr(experiments, "forward_chain", counting_forward_chain)
+    monkeypatch.setattr(cli, "forward_chain", counting_forward_chain)
+    return calls
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "forward"])
@@ -286,6 +307,7 @@ _UNUSABLE_OUT = ["file", "through_file", "unwritable", "nul", "long_name"]
 def test_output_path_that_cannot_be_a_directory_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, command, kind):
     calls = _count_splu(monkeypatch)
+    chains = _count_forward_chains(monkeypatch)
     text = SMALL
     if command == "sweep":
         text += "\n[observations]\nnoise_epsilon = 0.0, 0.05\n"
@@ -296,7 +318,7 @@ def test_output_path_that_cannot_be_a_directory_exits_2_before_solving(
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output directory ")
-    assert calls == []
+    assert calls == [] and chains == []
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -304,11 +326,12 @@ def test_output_path_that_cannot_be_a_directory_exits_2_before_solving(
 def test_output_directory_from_the_config_is_checked(tmp_path, monkeypatch,
                                                      kind):
     calls = _count_splu(monkeypatch)
+    chains = _count_forward_chains(monkeypatch)
     out = _output_path(tmp_path, monkeypatch, kind)
     cfg = _config(tmp_path, SMALL + f"\n[output]\ndirectory = {out}\n")
     before = sorted(tmp_path.rglob("*"))
     assert main(["run", "--config", cfg]) == 2
-    assert calls == []
+    assert calls == [] and chains == []
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -417,7 +440,7 @@ _FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
                if kind in (float, "float_list")]
 # keys whose physics forbids zero or negative values
 _SIGNED = {"noise_epsilon": ["-0.01"], "newton_tol": ["0", "-1e-8"],
-           "beta": ["0", "-0.01"], "dt": ["0", "-0.1"],
+           "beta": ["0", "-0.01"],
            "clamp_floor": ["-1"], "init_scale": ["-1"]}
 _INVALID_FLOATS = [(section, key, value) for section, key in _FLOAT_KEYS
                    for value in ["nan", "inf", "-inf"] + _SIGNED.get(key, [])]
@@ -492,7 +515,6 @@ _TRANSPORT = "[experiment]\nname = passive_transport\n"
 @pytest.mark.parametrize("command", ["run", "gradcheck"])
 @pytest.mark.parametrize("text", [
     "[observations]\nseed = -1\n", "[model]\ninit_seed = -1\n",
-    "[solver]\ntransport_steps = 0\n",
     # 4 nodes are fewer than the 22 points the experiment observes
     "[grid]\nn = 2\n",
     "[observations]\nn_points = 0\n", "[observations]\nn_points = 442\n",
@@ -501,7 +523,7 @@ _TRANSPORT = "[experiment]\nname = passive_transport\n"
     # flowgrad gradcheck audits the gradient; the optimizer has no switch
     "[optimizer]\ndebug_fd_check = yes\n",
     "[model]\nvariant = dnn3d\n"],
-    ids=["seed", "init_seed", "transport_steps", "n_points", "n_points_0",
+    ids=["seed", "init_seed", "n_points", "n_points_0",
          "n_points_442", "offset", "max_steps", "memory", "debug_fd_check",
          "variant"])
 def test_invalid_setting_exits_2_before_solving(tmp_path, monkeypatch,
@@ -632,8 +654,6 @@ def test_wall_only_observations_exit_2_without_files(tmp_path, capsys,
 
 @pytest.mark.parametrize("experiment, section, settings", [
     ("passive_transport", "physics", "lid_speed = 1e-300"),
-    ("passive_transport", "solver", "dt = 1e-300"),
-    ("passive_transport", "physics", "kappa1 = 1e-300\nkappa2 = 1e-300"),
     ("conjugate_heat", "physics", "heat_source = 1e-300"),
 ])
 def test_underflowing_data_exit_2_without_files(tmp_path, capsys, experiment,
@@ -683,19 +703,42 @@ def test_removed_debug_gradcheck_flag_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_forward_writes_temperature_for_heat(tmp_path):
-    cfg = _config(tmp_path, "[experiment]\nname = conjugate_heat\n\n[grid]\nn = 6\n")
-    out = tmp_path / "heat"
-    assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "T.csv").exists()
+_FORWARD_FIELDS = {"cavity_viscosity": "u v p",
+                   "conjugate_heat": "u v p T",
+                   "passive_transport": "u v p"}
 
 
-def test_forward_writes_particles_for_transport(tmp_path):
-    cfg = _config(tmp_path, "[experiment]\nname = passive_transport\n\n[grid]\nn = 6\n")
-    out = tmp_path / "pt"
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_forward_writes_exactly_the_fields_and_trace(tmp_path, experiment):
+    cfg = _config(tmp_path, f"[experiment]\nname = {experiment}\n\n"
+                            f"[grid]\nn = 6\n")
+    out = tmp_path / "fwd"
     assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "w1.csv").exists()
-    assert (out / "w2.csv").exists()
+    assert {p.name for p in out.iterdir()} == {
+        f"{comp}.csv" for comp in _FORWARD_FIELDS[experiment].split()} | {
+        "newton_trace.jsonl"}
+
+
+_REMOVED_KEYS = [("solver", "dt"), ("solver", "transport_steps"),
+                 ("physics", "kappa1"), ("physics", "kappa2")]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "forward", "gradcheck"])
+@pytest.mark.parametrize("section,key", _REMOVED_KEYS,
+                         ids=[key for _, key in _REMOVED_KEYS])
+def test_removed_particle_setting_is_an_unknown_key(tmp_path, capsys, command,
+                                                    section, key):
+    # the particle relaxation only scaled the velocities by a constant, and
+    # its settings went with it
+    text = _TRANSPORT + f"\n[grid]\nn = 6\n\n[{section}]\n{key} = 1\n"
+    if command == "sweep":
+        text += "\n[observations]\nnoise_epsilon = 0.0, 0.05\n"
+    cfg = _config(tmp_path, text)
+    out = ["--out", str(tmp_path / "never")] if command != "gradcheck" else []
+    argv = ["run" if command == "sweep" else command, "--config", cfg]
+    assert main(argv + out) == 2
+    assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
 
 
 # --- gradcheck
@@ -761,15 +804,19 @@ _SWEEP_VALUES = {
     str: ("dnn3d", "", "dnn%2d"),
 }
 _SWEEP_PAIRS = ((("model", "offset"), ("model", "clamp_floor")),
-                (("physics", "kappa1"), ("physics", "kappa2")),
+                (("physics", "rho"), ("physics", "cp")),
                 (("observations", "n_points"), ("grid", "n")))
+# a config written before the particle relaxation went may still set its
+# keys, alone or as the kappa pair; whatever the value, it is an unknown key
+_REMOVED_KINDS = {"dt": float, "transport_steps": int, "kappa1": float,
+                  "kappa2": float}
+_REMOVED_SWEEP = [((section, key),) for section, key in _REMOVED_KEYS] + [
+    (("physics", "kappa1"), ("physics", "kappa2"))]
 # Data this small leave the projected gradient at the start below the
 # optimizer's absolute tolerance, so the fit stops at its initial guess
 # (ROADMAP item 17).
 _STOPS_AT_START = {"cavity_viscosity-physics.lid_speed=1e-12",
                    "passive_transport-physics.lid_speed=1e-12",
-                   "passive_transport-solver.dt=1e-12",
-                   "passive_transport-physics.kappa1+physics.kappa2=1e-12",
                    "conjugate_heat-physics.heat_source=1e-12"}
 
 
@@ -780,9 +827,10 @@ def _sweep_cases():
                 for key in keys]
     cases = []
     for experiment in EXPERIMENTS:
-        for keys in settings + list(_SWEEP_PAIRS):
+        for keys in settings + list(_SWEEP_PAIRS) + _REMOVED_SWEEP:
             section, key = keys[0]
-            kind = _SCHEMA[section][key][1]
+            kind = (_REMOVED_KINDS[key] if key in _REMOVED_KINDS
+                    else _SCHEMA[section][key][1])
             name = "+".join(f"{s}.{k}" for s, k in keys)
             for value in _SWEEP_VALUES[float if kind == "float_list"
                                        else kind]:
@@ -809,8 +857,11 @@ def test_swept_setting_fits_or_exits_2_without_files(tmp_path, capsys,
                    + "\n" for section, entries in sections.items())
     out = tmp_path / "out"
     code = main(["run", "--config", _config(tmp_path, text), "--out", str(out)])
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
     assert code in (0, 2)
+    if any(key in _REMOVED_KINDS for _, key in keys):
+        assert code == 2 and "unknown key" in err
     if code == 2:
         assert not out.exists()
     else:

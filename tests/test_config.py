@@ -9,7 +9,7 @@ import pytest
 from flowgrad import experiments
 from flowgrad.config import _SCHEMA, load_config
 from flowgrad.errors import ConfigError
-from flowgrad.experiments import ExperimentConfig
+from flowgrad.experiments import SPECS, ExperimentConfig
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -47,16 +47,12 @@ rho = 2.0
 cp = 3.0
 heat_source = 0.5
 heat_bc_value = 0.25
-kappa1 = 1.5
-kappa2 = 2.5
 lid_speed = 0.75
 
 [solver]
 newton_tol = 1e-9
 newton_max_iter = 12
 beta = 0.02
-dt = 0.05
-transport_steps = 30
 
 [output]
 directory = results
@@ -81,14 +77,10 @@ directory = results
     assert cfg.cp == 3.0
     assert cfg.heat_source == 0.5
     assert cfg.heat_bc_value == 0.25
-    assert cfg.kappa1 == 1.5
-    assert cfg.kappa2 == 2.5
     assert cfg.lid_speed == 0.75
     assert cfg.newton_tol == 1e-9
     assert cfg.newton_max_iter == 12
     assert cfg.beta == 0.02
-    assert cfg.dt == 0.05
-    assert cfg.transport_steps == 30
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -180,6 +172,27 @@ def test_readme_lists_exactly_the_schema():
         keys = re.sub(r"\s*\(.*?\)", "", keys)  # drop explanations
         listed[section] = [key.strip() for key in keys.split(",")]
     assert listed == {section: list(keys) for section, keys in _SCHEMA.items()}
+
+
+def test_readme_table_matches_the_experiment_specs():
+    # each row's observed fields, point count and model default are the
+    # spec's components, n_points (every node of the default grid when
+    # None) and variant
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("### The three experiments", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        name, _, observed, variant = (cell.strip(" `")
+                                      for cell in line.strip("|").split("|"))
+        comps, every, sampled = re.fullmatch(
+            r"(.+) at (?:all (\d+)|(\d+) sampled) nodes", observed).groups()
+        rows[name] = (tuple(comps.split(", ")),
+                      None if every else int(sampled), int(every or 0),
+                      variant)
+    nodes = ExperimentConfig().grid_n ** 2
+    assert rows == {name: (spec.components, spec.n_points,
+                           0 if spec.n_points else nodes, spec.variant)
+                    for name, spec in SPECS.items()}
 
 
 def test_every_setting_has_one_ini_key_and_its_role():

@@ -305,9 +305,9 @@ def test_spec_predicts_what_its_forward_returns(experiment):
     lambda: dataclasses.replace(
         ExperimentConfig("conjugate_heat", grid_n=6, n_points=12),
         experiment="cavity_viscosity"),
-    lambda: ExperimentConfig("conjugate_heat", grid_n=6, n_points=12,
-                             components=("u", "w1"))],
-    ids=["cavity_T", "heat_copied_to_cavity", "heat_w1"])
+    lambda: ExperimentConfig("passive_transport", grid_n=6, n_points=12,
+                             components=("u", "T"))],
+    ids=["cavity_T", "heat_copied_to_cavity", "transport_T"])
 def test_component_the_experiment_does_not_predict_rejected_before_solving(
         monkeypatch, make):
     # no shared chain hides the reference solve that would come first
@@ -362,8 +362,7 @@ _INT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
 
 def test_integer_fields_are_the_counts_and_seeds():
     assert _INT_FIELDS == ["grid_n", "n_points", "obs_seed", "init_seed",
-                           "max_steps", "memory", "newton_max_iter",
-                           "transport_steps"]
+                           "max_steps", "memory", "newton_max_iter"]
 
 
 @pytest.mark.parametrize("name", _INT_FIELDS)
@@ -426,11 +425,10 @@ def test_components_must_name_distinct_fields(components):
         ExperimentConfig(components=components)
 
 
-@pytest.mark.parametrize("name", ["beta", "dt"])
 @pytest.mark.parametrize("value", [0.0, -0.1])
-def test_non_positive_beta_and_dt_rejected(name, value):
-    with pytest.raises(ContractError, match=f"{name} must be positive"):
-        ExperimentConfig(**{name: value})
+def test_non_positive_beta_rejected(value):
+    with pytest.raises(ContractError, match="beta must be positive"):
+        ExperimentConfig(beta=value)
 
 
 def test_negative_clamp_floor_rejected():
@@ -451,13 +449,6 @@ def test_max_steps_or_memory_below_one_rejected(name):
     assert getattr(ExperimentConfig(**{name: 1}), name) == 1
     with pytest.raises(ContractError, match=f"{name} must be at least 1"):
         ExperimentConfig(**{name: 0})
-
-
-@pytest.mark.parametrize("steps", [0, -3])
-def test_transport_steps_below_one_rejected(steps):
-    with pytest.raises(ContractError, match="transport_steps"):
-        ExperimentConfig(experiment="passive_transport",
-                         transport_steps=steps)
 
 
 @pytest.mark.parametrize("experiment,grid_n,n_points", [
@@ -571,13 +562,16 @@ def test_observed_pressure_sees_the_viscosity_off_node_0(seed, builds):
             build_problem(cfg)
 
 
-def test_one_underflowing_component_leaves_the_data_visible():
-    # w1 scales with kappa1 and underflows in its squares, but w2 still
-    # carries the data
-    cfg = ExperimentConfig("passive_transport", grid_n=6, kappa1=1e-300)
+def test_one_underflowing_component_leaves_the_data_visible(monkeypatch):
+    # the chain's v scaled down until its squares underflow, but u still
+    # carries the data: the underflow check pools the observed components
+    cfg = ExperimentConfig("passive_transport", grid_n=6)
+    chain = experiments.forward_chain(cfg)
+    tiny = dict(chain.synthetic, v=chain.synthetic["v"] * 1e-300)
+    monkeypatch.setattr(chain, "synthetic", tiny)
     values = build_problem(cfg).observations.values
-    assert values["w1"] @ values["w1"] == 0.0 and values["w1"].any()
-    assert values["w2"] @ values["w2"] > 0.0
+    assert values["v"] @ values["v"] == 0.0 and values["v"].any()
+    assert values["u"] @ values["u"] > 0.0
 
 
 def test_full_grid_default_tracks_grid_size():
@@ -889,10 +883,6 @@ def test_warm_build_makes_no_grid_or_boundary_data(monkeypatch, experiment):
     ("conjugate_heat", "heat_source", 2.0),
     ("conjugate_heat", "heat_bc_value", 0.5),
     ("conjugate_heat", "heat_bc_value", -0.0),
-    ("passive_transport", "dt", 0.2),
-    ("passive_transport", "transport_steps", 10),
-    ("passive_transport", "kappa1", 2.0),
-    ("passive_transport", "kappa2", 2.0),
 ])
 def test_physics_change_solves_the_reference_again(monkeypatch, experiment,
                                                    name, value):
@@ -909,8 +899,7 @@ def test_every_physics_field_is_checked():
     # each config field outside the data fields keys the reference solves
     # and has a case in the test above
     checked = {"experiment", "grid_n", "lid_speed", "beta", "newton_tol",
-               "newton_max_iter", "rho", "cp", "heat_source", "heat_bc_value",
-               "dt", "transport_steps", "kappa1", "kappa2"}
+               "newton_max_iter", "rho", "cp", "heat_source", "heat_bc_value"}
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert names - experiments._DATA_FIELDS == checked
 
@@ -1184,7 +1173,7 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
 
 @pytest.mark.parametrize("experiment,nodes", [
     ("cavity_viscosity", 8), ("conjugate_heat", 8),
-    ("passive_transport", 10)])
+    ("passive_transport", 8)])
 def test_one_evaluation_records_a_short_chain(monkeypatch, experiment, nodes):
     # at the shipped defaults: the parameters, the clamped field, the solve
     # and its slices, and the loss as one residual vector and its sum of
@@ -1215,29 +1204,6 @@ def test_pointwise_objective_rejects_a_non_finite_parameter():
     theta[7] = np.nan
     with pytest.raises(NumericError, match="non-finite model parameter"):
         problem.objective(theta)
-
-
-def test_transport_tape_does_not_grow_with_steps(monkeypatch):
-    # the particle transport is in closed form, so an absurd step count
-    # costs nothing; after very many steps the particles move with the flow
-    tapes = []
-
-    class RecordingTape(Tape):
-        def __init__(self):
-            super().__init__()
-            tapes.append(self)
-
-    monkeypatch.setattr(experiments, "Tape", RecordingTape)
-    lengths = []
-    for steps in (1, 50, 10 ** 9):
-        problem = build_problem(ExperimentConfig(
-            "passive_transport", grid_n=6, n_points=12, transport_steps=steps))
-        problem.objective(problem.theta0)
-        lengths.append(len(tapes[-1].nodes))
-    assert lengths[0] == lengths[1] == lengths[2]
-    synth = problem.forward.synthetic
-    np.testing.assert_array_equal(synth["w1"], synth["u"])
-    np.testing.assert_array_equal(synth["w2"], synth["v"])
 
 
 def test_heat_objective_factorizes_once(monkeypatch):

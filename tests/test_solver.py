@@ -15,13 +15,11 @@ from flowgrad.solver import (
     HeatSetup,
     LinearSolveCounts,
     NewtonConfig,
-    NSState,
     PhysicsConstants,
     heat_solve,
     newton_solve,
     ns_jacobian,
     ns_residual,
-    transport_integrate,
 )
 from flowgrad.sparse import LuFactors
 from flowgrad.tape import Tape, finite_difference_check
@@ -453,13 +451,6 @@ def test_shared_flow_setup_holds_one_copy_of_each_array():
 # heat
 
 
-def frozen_flow(grid, nu_nodal, tape):
-    src, state = solve_cavity(grid, nu_nodal)
-    return NSState(tape.constant(src.value(state.u)),
-                   tape.constant(src.value(state.v)),
-                   tape.constant(src.value(state.p)), 0)
-
-
 def cavity_velocities(grid, nu_nodal):
     """u and v of the converged cavity flow, as plain arrays."""
     t, state = solve_cavity(grid, nu_nodal)
@@ -607,59 +598,6 @@ def test_heat_solve_factorizes_once_and_releases_lu(monkeypatch):
     # a second backward pass over the same tape refactorizes
     np.testing.assert_array_equal(t.backward(loss)[k], first[k])
     assert len(calls) == counts.factorizations == 2
-
-
-# ---------------------------------------------------------------------------
-# transport
-
-
-def test_transport_fixed_point():
-    # the flow velocity is the fixed point: from rest, enough steps reach it
-    g = StructuredGrid(7)
-    t = Tape()
-    ns = frozen_flow(g, np.ones(g.n_nodes), t)
-    u, v = t.value(ns.u), t.value(ns.v)
-    w1, w2 = transport_integrate(t, ns, PhysicsConstants(), dt=0.1,
-                                 n_steps=1000)
-    assert np.max(np.abs(t.value(w1) - u)) < 1e-14
-    assert np.max(np.abs(t.value(w2) - v)) < 1e-14
-
-
-def test_transport_closed_form_relaxation():
-    # constant carrier velocity c, w(0) = 0: w_m = c (1 - (1 + dt kappa)^-m)
-    g = StructuredGrid(4)
-    c, dt, kappa, m = 0.8, 0.1, 1.0, 50
-    t = Tape()
-    ns = NSState(t.constant(np.full(g.n_nodes, c)),
-                 t.constant(np.zeros(g.n_nodes)),
-                 t.constant(np.zeros(g.n_nodes)), 0)
-    w1, _ = transport_integrate(t, ns, PhysicsConstants(kappa1=kappa), dt=dt,
-                                n_steps=m)
-    expect = c * (1.0 - (1.0 + dt * kappa) ** -m)
-    assert np.max(np.abs(t.value(w1) - expect)) < 1e-13
-
-
-def _implicit_euler(vel, kappa, dt, n_steps):
-    """The implicit-Euler recursion itself, step by step from rest."""
-    w = np.zeros_like(vel)
-    for _ in range(n_steps):
-        w = (w + dt * kappa * vel) / (1.0 + dt * kappa)
-    return w
-
-
-@pytest.mark.parametrize("dt, n_steps", [(0.1, 1), (0.1, 50), (0.7, 13),
-                                         (1e-20, 50)])
-def test_transport_closed_form_matches_recursion(dt, n_steps):
-    g = StructuredGrid(5)
-    t = Tape()
-    ns = frozen_flow(g, np.ones(g.n_nodes), t)
-    u, v = t.value(ns.u), t.value(ns.v)
-    # a tiny dt * kappa must still move w off rest
-    constants = PhysicsConstants(kappa1=1.0, kappa2=2.5)
-    w1, w2 = transport_integrate(t, ns, constants, dt=dt, n_steps=n_steps)
-    for ref, vel, kappa in ((w1, u, 1.0), (w2, v, 2.5)):
-        expect = _implicit_euler(vel, kappa, dt, n_steps)
-        np.testing.assert_allclose(t.value(ref), expect, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
