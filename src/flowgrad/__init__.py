@@ -24,7 +24,6 @@ from .experiments import (
     InverseProblem,
     ObservationSet,
     RunReport,
-    add_noise,
     build_problem,
     compute_loss,
     make_observations,
@@ -77,7 +76,6 @@ __all__ = [
     "SingularMatrixError",
     "StructuredGrid",
     "Tape",
-    "add_noise",
     "build_problem",
     "compute_loss",
     "eval_field_on_grid",

@@ -28,7 +28,13 @@ import scipy.io
 from . import tape as tape_module
 from .config import load_config
 from .errors import ConfigError, ContractError, FlowgradError
-from .experiments import SPECS, build_problem, forward_chain, run_experiment
+from .experiments import (
+    SPECS,
+    blame_settings,
+    build_problem,
+    forward_chain,
+    run_experiment,
+)
 from .grid import write_field_csv
 from .tape import finite_difference_check
 
@@ -250,8 +256,10 @@ def _cmd_gradcheck(args):
         count = min(args.samples, n_params)
         indices = sorted(int(i) for i in
                          rng.choice(n_params, size=count, replace=False))
-        worst = finite_difference_check(problem.objective, problem.theta0,
-                                        h=1e-5, indices=indices)
+        with blame_settings(cfg):
+            worst = finite_difference_check(problem.objective,
+                                            problem.theta0, h=1e-5,
+                                            indices=indices)
     finally:
         if restore is not None:
             tape_module._REGISTRY[restore[0]] = restore[1]

@@ -3,9 +3,10 @@
 Each experiment is one :class:`ExperimentSpec` in ``SPECS``, and all follow
 one protocol.  The spec's forward chain maps a nodal coefficient field to
 predicted nodal fields.  Run at the spec's reference coefficient it
-synthesizes the data, which are sampled and optionally perturbed; recorded
-on the tape at a coefficient model's output it is the objective that L-BFGS
-fits.  Adding an experiment means adding one spec.
+synthesizes the data, which :func:`make_observations` samples, perturbs
+and checks in one pass into one :class:`ObservationSet`; recorded on the
+tape at a coefficient model's output it is the objective that L-BFGS fits.
+Adding an experiment means adding one spec.
 
   cavity_viscosity   unknown viscosity nu(x, y); lid-driven cavity velocities
                      observed (both components).
@@ -34,6 +35,7 @@ import math
 import numbers
 import time
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 
@@ -42,7 +44,7 @@ import numpy as np
 from . import ops
 from .errors import ContractError, NumericError
 from .grid import StructuredGrid, uniform_boundary_bc
-from .models import VARIANTS, eval_field_on_grid, init_params
+from .models import VARIANTS, check_init_scale, eval_field_on_grid, init_params
 from .optimize import OptimizerConfig, lbfgs_optimize
 from .solver import (
     FlowSetup,
@@ -66,11 +68,11 @@ __all__ = [
     "ExperimentConfig",
     "InverseProblem",
     "RunReport",
+    "blame_settings",
     "build_problem",
     "forward_chain",
     "reference_field",
     "make_observations",
-    "add_noise",
     "compute_loss",
     "relative_mse",
     "shape_error",
@@ -168,16 +170,10 @@ def reference_field(experiment, coords):
     return _spec(experiment).reference(coords[:, 0], coords[:, 1])
 
 
-def _check_finite(values, components):
-    for comp in components:
-        if not np.all(np.isfinite(values[comp])):
-            raise ContractError(f"non-finite observation in {comp!r}")
-
-
 @dataclass(frozen=True)
 class ObservationSet:
     """Sampled node indices, a 1-d array of distinct nonnegative integers,
-    with observed values for each component."""
+    with finite observed values for each component."""
 
     locations: np.ndarray
     components: tuple
@@ -185,7 +181,10 @@ class ObservationSet:
     noise_epsilon: float = 0.0
 
     def __post_init__(self):
-        locations = np.asarray(self.locations)
+        try:
+            locations = np.asarray(self.locations)
+        except ValueError:  # a ragged list, rejected as not 1-d below
+            locations = np.asarray(None)
         if locations.ndim != 1 or (locations.size
                                    and locations.dtype.kind not in "iu"):
             raise ContractError(
@@ -194,71 +193,97 @@ class ObservationSet:
         locations = np.asarray(locations, dtype=np.intp)
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "components", tuple(self.components))
-        ordered = np.sort(locations)
+        # the grid's node index, and any increasing set, needs no sort
+        increasing = np.all(locations[1:] > locations[:-1])
+        ordered = locations if increasing else np.sort(locations)
         if ordered.size and ordered[0] < 0:
             raise ContractError(f"observation locations must be nonnegative, "
                                 f"got {ordered[0]}")
-        if np.any(ordered[1:] == ordered[:-1]):
+        if not increasing and np.any(ordered[1:] == ordered[:-1]):
             raise ContractError("observation locations must be distinct")
         for comp in self.components:
             if comp not in self.values:
                 raise ContractError(f"no observed values for component "
                                     f"{comp!r}")
-            vals = np.asarray(self.values[comp], dtype=np.float64)
+            try:
+                vals = np.asarray(self.values[comp], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ContractError(f"observed values of component {comp!r} "
+                                    f"must be numbers: {exc}") from None
             if vals.shape != locations.shape:
                 raise ContractError(
                     f"component {comp!r} has {vals.shape} values for "
                     f"{locations.shape} locations")
-        _check_finite(self.values, self.components)
+            if not np.all(np.isfinite(vals)):
+                raise ContractError(f"non-finite observation in {comp!r}")
 
     @property
     def n_points(self):
         return self.locations.size
 
 
-def make_observations(grid, reference_solution, n_points, components, seed):
-    """Sample distinct node indices; the full node count keeps node order."""
+def _check_noise_range(epsilon):
+    """numpy draws eta ~ Uniform[-epsilon, epsilon] only over a finite
+    width, 2 epsilon."""
+    if not math.isfinite(2.0 * float(epsilon)):
+        raise ContractError(
+            f"noise_epsilon {epsilon:g} gives eta the draw range "
+            f"[-{epsilon:g}, {epsilon:g}], whose width is beyond the "
+            f"floating-point range")
+
+
+def make_observations(grid, reference_solution, n_points, components, seed,
+                      epsilon=0.0):
+    """Observe ``components`` of ``reference_solution`` at ``n_points``
+    distinct nodes, with multiplicative noise: value * (1 + eta),
+    eta ~ Uniform[-epsilon, epsilon].
+
+    ``default_rng(seed)`` draws the nodes, unless every node is observed,
+    in node order (the grid's ``nodes``); ``default_rng(seed + 1)`` draws
+    eta, one component after another.  The set is checked as any other,
+    and so is the sum of the squares of its values, which bounds the size
+    of a loss against them.
+    """
+    for name, value in (("n_points", n_points), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
     n = grid.n_nodes
     if n_points > n:
         raise ContractError(f"cannot sample {n_points} of {n} nodes")
     if n_points < 1:
         raise ContractError("need at least one observation point")
+    # numpy seeds its generators from nonnegative integers only
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
+    if not epsilon >= 0:
+        raise ContractError(f"noise level must be nonnegative, got {epsilon}")
+    _check_noise_range(epsilon)
     if n_points == n:
-        locations = np.arange(n)
+        locations = grid.nodes
     else:
         rng = np.random.default_rng(seed)
         locations = rng.choice(n, size=n_points, replace=False)
+    # at noise level 0 every factor 1 + eta is exactly 1
+    noise = np.random.default_rng(seed + 1) if epsilon else None
+    components = tuple(components)
     values = {}
     for comp in components:
         if comp not in reference_solution:
             raise ContractError(f"reference solution lacks component {comp!r}")
         values[comp] = np.asarray(reference_solution[comp])[locations]
-    return ObservationSet(locations, tuple(components), values)
-
-
-def add_noise(obs, epsilon, seed):
-    """Multiplicative noise: value * (1 + eta), eta ~ Uniform[-eps, eps].
-
-    The noisy set is checked as any other, and so is the sum of the squares
-    of its values, which bounds the size of a loss against them.
-    """
-    if epsilon < 0:
-        raise ContractError("noise level must be nonnegative")
-    rng = np.random.default_rng(seed)
-    values = {}
-    for comp in obs.components:
-        eta = rng.uniform(-epsilon, epsilon, size=obs.n_points)
-        values[comp] = obs.values[comp] * (1.0 + eta)
-    noisy = ObservationSet(obs.locations, obs.components, values,
-                           float(epsilon))
+        if noise is not None:
+            factor = noise.uniform(-epsilon, epsilon, size=n_points)
+            factor += 1.0
+            factor *= values[comp]
+            values[comp] = factor
+    obs = ObservationSet(locations, components, values, float(epsilon))
     with np.errstate(over="ignore"):
-        squares = sum(float(values[comp] @ values[comp])
-                      for comp in obs.components)
-    if not np.isfinite(squares):
+        squares = sum(float(x @ x) for x in values.values())
+    if not math.isfinite(squares):
         raise ContractError(
-            f"noisy observations at noise level {epsilon:g} have a sum of "
-            f"squares beyond the floating-point range")
-    return noisy
+            f"observations at noise level {epsilon:g} have a sum of squares "
+            f"beyond the floating-point range")
+    return obs
 
 
 def compute_loss(tape, predicted, obs):
@@ -412,6 +437,10 @@ class ExperimentConfig:
             if not getattr(self, name) >= 0:
                 raise ContractError(
                     f"{name} must be nonnegative, got {getattr(self, name)}")
+        # nor can it draw over a range wider than the largest double
+        _check_noise_range(self.noise_epsilon)
+        if self.variant != "pointwise":
+            check_init_scale(self.init_scale)
         # checked here as well as in OptimizerConfig, so a run stops before
         # the synthesis solve
         for name in ("max_steps", "memory"):
@@ -458,6 +487,8 @@ _SPEC_DEFAULTS = tuple(f.name for f in fields(ExperimentConfig)
 # coefficient; every other field keys the shared chains.
 _DATA_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)
                          if f.metadata["data"])
+_PHYSICS_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
+                        if f.name not in _DATA_FIELDS)
 
 
 # RunReport fields written to files of their own, not to report.json.
@@ -605,14 +636,32 @@ _SHARED_REFERENCES = 4
 _REFERENCES = {}  # value key of the physics -> ForwardChain, least recently used first
 
 
-def _changed_physics(cfg):
-    """The physics settings of a config that differ from the
-    experiment's defaults, as "name = value" text."""
+def _changed_settings(cfg, names=_PHYSICS_FIELDS):
+    """The settings ``names`` of a config (by default the physics) that
+    differ from the experiment's defaults, as "name = value" text."""
     default = ExperimentConfig(cfg.experiment)
-    changed = [f"{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg)
-               if f.name != "experiment" and f.name not in _DATA_FIELDS
-               and getattr(cfg, f.name) != getattr(default, f.name)]
+    changed = [f"{name} = {getattr(cfg, name)!r}" for name in names
+               if name != "experiment"
+               and getattr(cfg, name) != getattr(default, name)]
     return ", ".join(changed) or "the default settings"
+
+
+@contextmanager
+def blame_settings(cfg):
+    """Raise a :class:`ContractError` of the block again as the config's
+    fault, naming every setting that differs from the defaults.
+
+    Wraps an objective's first evaluation: the starting parameters, the
+    bound and the physics all come from the config, so an objective that
+    fails there is the config's fault, whichever setting chose it.
+    """
+    try:
+        yield
+    except ContractError as exc:
+        raise ContractError(
+            f"{cfg.experiment} cannot be fitted with "
+            f"{_changed_settings(cfg, [f.name for f in fields(cfg)])}: "
+            f"{exc}") from exc
 
 
 def forward_chain(cfg):
@@ -631,8 +680,7 @@ def forward_chain(cfg):
     names the settings that differ from their defaults; so is a
     :class:`MemoryError` (a grid too large).
     """
-    key = tuple((f.name, repr(getattr(cfg, f.name))) for f in fields(cfg)
-                if f.name not in _DATA_FIELDS)
+    key = tuple((name, repr(getattr(cfg, name))) for name in _PHYSICS_FIELDS)
     chain = _REFERENCES.pop(key, None)
     if chain is None:
         try:
@@ -640,7 +688,7 @@ def forward_chain(cfg):
         except (NumericError, MemoryError) as exc:
             raise ContractError(
                 f"{cfg.experiment} cannot be solved at its reference "
-                f"coefficient with {_changed_physics(cfg)}: {exc}") from exc
+                f"coefficient with {_changed_settings(cfg)}: {exc}") from exc
     _REFERENCES[key] = chain
     if len(_REFERENCES) > _SHARED_REFERENCES:
         del _REFERENCES[next(iter(_REFERENCES))]
@@ -681,8 +729,8 @@ def build_problem(config):
     and the synthetic data, is shared, bit for bit and read-only, with
     recent problems of the same physics (see :func:`forward_chain`), so a
     sweep over noise levels and observation draws builds and solves it
-    once.  A warm build only draws the observations, adds their noise and
-    initialises the model.
+    once.  A warm build only draws and checks the noisy observations, in
+    one pass (:func:`make_observations`), and initialises the model.
     """
     # the checks that the forward command, which observes nothing, skips:
     # a spec default count of points must fit the grid, and data determine
@@ -703,7 +751,8 @@ def build_problem(config):
     counts = LinearSolveCounts()
 
     obs = make_observations(grid, chain.synthetic, n_points,
-                            config.components, config.obs_seed)
+                            config.components, config.obs_seed,
+                            config.noise_epsilon)
     # the data that involve the coefficient.  Every predicted field is
     # prescribed on the walls, but the pressure, which is pinned at node 0
     seen = _coefficient_fields(spec, obs.components)
@@ -716,13 +765,12 @@ def build_problem(config):
             f"{config.obs_seed} all lie where {', '.join(seen)} "
             f"are prescribed whatever the {spec.coef_name} (on the walls, "
             f"and p at node 0), so no data can determine it")
-    obs = add_noise(obs, config.noise_epsilon, config.obs_seed + 1)
     values = [obs.values[comp] for comp in seen]
     if (sum(float(x @ x) for x in values) == 0.0
             and any(x.any() for x in values)):
         raise ContractError(
             f"the observed {', '.join(seen)} underflow with "
-            f"{_changed_physics(config)}: their squares sum to 0, so the "
+            f"{_changed_settings(config)}: their squares sum to 0, so the "
             f"loss cannot see the {spec.coef_name}")
 
     # --- coefficient model and the objective
@@ -768,7 +816,7 @@ def run_experiment(config, progress=None):
         if values @ values == 0.0:
             raise ContractError(
                 f"{cfg.experiment} has the reference field {name} "
-                f"identically zero with {_changed_physics(cfg)}, so its "
+                f"identically zero with {_changed_settings(cfg)}, so its "
                 f"prediction error is undefined")
     def on_step(step, theta, loss, grad):
         if progress is not None:
@@ -776,15 +824,9 @@ def run_experiment(config, progress=None):
 
     opt_cfg = OptimizerConfig(max_steps=cfg.max_steps, memory=cfg.memory,
                               lower_bound=problem.model.lower_bound)
-    # the starting parameters, the bound and the physics all come from the
-    # config, so an objective that fails at the start is the config's fault
-    try:
+    with blame_settings(cfg):
         result = lbfgs_optimize(problem.objective, problem.theta0, opt_cfg,
                                 callback=on_step)
-    except ContractError as exc:
-        raise ContractError(
-            f"{cfg.experiment} cannot be fitted with "
-            f"{_changed_physics(cfg)}: {exc}") from exc
 
     # --- final estimate and error metrics
     problem.model.reset_diagnostics()

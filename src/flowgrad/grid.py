@@ -83,8 +83,8 @@ def _quadrature(hx, hy):
 class StructuredGrid:
     """Uniform quad mesh of the unit square with nx-by-ny nodes.
 
-    ``coords``, ``elems``, ``wall_mask`` and the ``quad`` arrays are
-    read-only.
+    ``coords``, ``elems``, ``wall_mask``, ``nodes`` (every node index, in
+    node order) and the ``quad`` arrays are read-only.
     """
 
     def __init__(self, nx, ny=None):
@@ -108,7 +108,8 @@ class StructuredGrid:
         self.wall_mask = ((iy == 0) | (iy == self.ny - 1)
                           | (ix == 0) | (ix == self.nx - 1)).ravel()
 
-        _freeze(self.coords, self.elems, self.wall_mask)
+        self.nodes = np.arange(self.n_nodes)
+        _freeze(self.coords, self.elems, self.wall_mask, self.nodes)
         self.quad = _quadrature(self.hx, self.hy)
 
     @property

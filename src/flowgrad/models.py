@@ -9,7 +9,8 @@ near the expected coefficient scale, and a hard floor clamp keeps assembled
 coefficients positive.
 
 Every variant evaluates to nodal values on the grid, so assembly sees one
-uniform representation.
+uniform representation.  A network's initial parameters are drawn layer by
+layer straight into their slices of one zeroed flat vector.
 
 A field evaluation is recorded as one ``field`` tape operator from the
 flat parameter vector to the clamped nodal values: the network output plus
@@ -35,6 +36,7 @@ from .tape import register_op
 __all__ = [
     "MlpLayout",
     "FieldModel",
+    "check_init_scale",
     "init_params",
     "eval_field_on_grid",
 ]
@@ -65,16 +67,6 @@ class MlpLayout:
             w_stop = at + fi * fo
             yield at, w_stop, w_stop + fo, fi, fo
             at = w_stop + fo
-
-    def flatten(self, layers):
-        parts = []
-        for w, b in layers:
-            parts.append(np.asarray(w, dtype=np.float64).ravel())
-            parts.append(np.asarray(b, dtype=np.float64))
-        theta = np.concatenate(parts)
-        if theta.shape != (self.n_params,):
-            raise ContractError("layer shapes do not match layout")
-        return theta
 
 
 @dataclass
@@ -111,13 +103,30 @@ class FieldModel:
                 f"{self.clamp_streak} consecutive evaluations")
 
 
+# The Xavier bound sqrt(6/(fan_in+fan_out)) of either network is widest at
+# its 20 -> 1 output layer.
+_WIDEST_XAVIER = math.sqrt(6.0 / (HIDDEN[-1] + 1))
+
+
+def check_init_scale(init_scale):
+    """Raise ContractError unless the Xavier draws of every layer at
+    ``init_scale`` span a finite range, twice their bound, as numpy's
+    uniform draw needs."""
+    bound = _WIDEST_XAVIER * float(init_scale)
+    if not math.isfinite(2.0 * bound):
+        raise ContractError(
+            f"init_scale {init_scale:g} gives the output layer's weights the "
+            f"draw range [-{bound:g}, {bound:g}], whose width is beyond the "
+            f"floating-point range")
+
+
 def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
                 n_nodes=0):
     """Build a FieldModel plus its initial flat parameter vector.
 
     MLP weights are Xavier-uniform (bound sqrt(6/(fan_in+fan_out)), scaled by
-    ``init_scale``) with zero biases; the pointwise variant starts at the
-    transform offset.
+    ``init_scale``), drawn layer by layer into one zeroed vector, so the
+    biases stay zero; the pointwise variant starts at the transform offset.
     """
     if variant not in VARIANTS:
         raise ContractError(f"unknown field-model variant {variant!r}")
@@ -128,15 +137,16 @@ def init_params(variant, seed, init_scale=1.0, offset=1.0, clamp_floor=1e-6,
         model = FieldModel(variant, n_nodes, offset, clamp_floor)
         return model, np.full(n_nodes, float(offset))
 
+    check_init_scale(init_scale)
     d_in = 2 if variant == "dnn2d" else 1
     layout = MlpLayout((d_in,) + HIDDEN + (1,))
-    layers = []
-    for fi, fo in zip(layout.sizes, layout.sizes[1:]):
-        bound = np.sqrt(6.0 / (fi + fo)) * init_scale
-        layers.append((rng.uniform(-bound, bound, size=(fi, fo)), np.zeros(fo)))
-    model = FieldModel(variant, layout.n_params, offset, clamp_floor,
+    theta = np.zeros(layout.n_params)
+    for w0, w1, _, fi, fo in layout.slices():
+        bound = math.sqrt(6.0 / (fi + fo)) * init_scale
+        theta[w0:w1] = rng.uniform(-bound, bound, size=fi * fo)
+    model = FieldModel(variant, theta.size, offset, clamp_floor,
                        layout=layout)
-    return model, layout.flatten(layers)
+    return model, theta
 
 
 def _affine(h, theta, w0, w1, b1, fi, fo):
@@ -210,7 +220,8 @@ def eval_field_on_grid(tape, model, theta_ref, grid):
     """Nodal coefficient values for any variant, clamped from below, as one
     ``field`` node.
 
-    The clamp count feeds the model's divergence diagnostics.
+    The clamp count feeds the model's divergence diagnostics.  A network
+    whose forward pass overflows raises NumericError.
     """
     theta = tape.value(theta_ref)
     if model.variant == "pointwise":
@@ -224,6 +235,10 @@ def eval_field_on_grid(tape, model, theta_ref, grid):
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite model parameter")
     ctx["floor"] = float(model.clamp_floor)
-    ref = tape.apply("field", (theta_ref,), ctx)
+    try:  # weights near the largest double overflow a layer's sums
+        with np.errstate(over="raise", invalid="raise"):
+            ref = tape.apply("field", (theta_ref,), ctx)
+    except FloatingPointError as exc:
+        raise NumericError(f"field evaluation: {exc}") from None
     model.note_clamp(ctx["clamped"], grid.n_nodes)
     return ref

@@ -194,14 +194,18 @@ class _Linearization:
         gops, n = setup.gops, setup.n
         u, v, p = (x[k * n:(k + 1) * n] for k in range(3))
         self.u, self.v, self.p = u, v, p
-        self.c = gops.convection(u, v)
-        self.k = gops.diffusion(nu)
-        self.stab = gops.diffusion(np.full(n, setup.stab_coef) / nu)
-        c, k, stab = (gops.pattern.to_scipy(d)
-                      for d in (self.c, self.k, self.stab))
-        fu = (c @ u + k @ u) + setup.gx_m @ p
-        fv = (c @ v + k @ v) + setup.gy_m @ p
-        f = np.concatenate([fu, fv, (setup.dx @ u + setup.dy @ v) + stab @ p])
+        # an entry that leaves the double range (a huge stabilization
+        # weight beta h^2 / nu) reaches F, whose finiteness is the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.c = gops.convection(u, v)
+            self.k = gops.diffusion(nu)
+            self.stab = gops.diffusion(np.full(n, setup.stab_coef) / nu)
+            c, k, stab = (gops.pattern.to_scipy(d)
+                          for d in (self.c, self.k, self.stab))
+            fu = (c @ u + k @ u) + setup.gx_m @ p
+            fv = (c @ v + k @ v) + setup.gy_m @ p
+            f = np.concatenate([fu, fv,
+                                (setup.dx @ u + setup.dy @ v) + stab @ p])
         f[setup.cidx] = 0.0
         if not np.all(np.isfinite(f)):
             raise NumericError("non-finite residual")
@@ -425,6 +429,9 @@ def _heat_solve_fwd(v, ctx):
     matrix = heat.pattern.to_scipy(data)
     rhs = heat.load - matrix @ heat.t0
     rhs[heat.plan.idx] = heat.t0[heat.plan.idx]
+    # wall temperatures near the largest double overflow A T0
+    if not np.all(np.isfinite(rhs)):
+        raise NumericError("non-finite right-hand side of the heat system")
     heat.plan.identity_rows(matrix.data)
     lu = LuFactors(matrix, counts)
     temp = lu.solve(rhs, matrix)

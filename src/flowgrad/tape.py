@@ -179,10 +179,17 @@ def finite_difference_check(f, theta0, h=1e-5, indices=None):
     ``f(theta) -> (loss, gradient)`` must evaluate the scalar objective and its
     reverse-mode gradient.  Only the loss value is used at the perturbed
     points.  Returns ``max_i |g_ad[i] - g_fd[i]| / (|g_fd[i]| + 1e-12)`` over
-    the checked ``indices`` (all coordinates when omitted).
+    the checked ``indices`` (all coordinates when omitted).  ``theta0``
+    comes from the caller, so a :class:`NumericError` there is raised again
+    as a :class:`ContractError`, as ``optimize.lbfgs_optimize`` does; one
+    at a perturbed point stays a :class:`NumericError`.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
-    _, grad = f(theta0)
+    try:
+        _, grad = f(theta0)
+    except NumericError as exc:
+        raise ContractError(
+            f"objective fails at the starting point: {exc}") from exc
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta0.shape:
         raise ContractError(

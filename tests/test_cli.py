@@ -10,6 +10,7 @@ import scipy.sparse.linalg
 
 from flowgrad import cli, config, experiments
 from flowgrad.cli import main
+from flowgrad.errors import NumericError
 from flowgrad.config import _SCHEMA, load_config
 from flowgrad.experiments import (
     EXPERIMENTS,
@@ -639,6 +640,82 @@ def test_zero_heat_source_fit_exits_2_before_solving(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("section, setting", [
+    ("observations", "noise_epsilon = 1e308"),
+    ("model", "init_scale = 1.7e308"),
+])
+def test_draw_range_beyond_the_doubles_exits_2_before_solving(
+        tmp_path, monkeypatch, capsys, experiment, section, setting):
+    # numpy cannot draw uniformly over [-b, b] once 2 b overflows: eta at
+    # this noise level, and the output layer's weights at this scale
+    calls = _count_splu(monkeypatch)
+    text = _small(experiment)
+    if f"[{section}]" not in text:  # heat's [observations] comes last
+        text += f"\n[{section}]\n"
+    cfg = _config(tmp_path, text + f"{setting}\n")
+    out = ["--out", str(tmp_path / "never")]
+    for argv in (["run"] + out, ["gradcheck"]):
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "draw range" in err and setting.split()[0] in err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
+def _count_objective_calls(monkeypatch, fail_after=None):
+    """Count the objective calls of the problems ``cli`` builds; from call
+    ``fail_after + 1`` on, each raises NumericError."""
+    calls = []
+
+    def build(cfg):
+        problem = build_problem(cfg)
+        objective = problem.objective
+
+        def counted(theta):
+            calls.append(1)
+            if fail_after is not None and len(calls) > fail_after:
+                raise NumericError("injected failure")
+            return objective(theta)
+
+        problem.objective = counted
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", build)
+    return calls
+
+
+@pytest.mark.parametrize("setting", ["offset = 1e308", "init_scale = 1e308"])
+def test_objective_failing_at_the_start_exits_2_for_run_and_gradcheck(
+        tmp_path, monkeypatch, capsys, setting):
+    # the config chose the starting point, so both commands blame it, in
+    # the same words, naming the changed model setting; gradcheck
+    # evaluates the start once
+    calls = _count_objective_calls(monkeypatch)
+    cfg = _config(tmp_path, SMALL + f"\n[model]\n{setting}\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["gradcheck", "--config", cfg]) == 2
+    assert capsys.readouterr().err == run_err
+    assert calls == [1]
+    name, _, value = setting.split()
+    assert run_err.startswith(
+        f"error: cavity_viscosity cannot be fitted with grid_n = 6, "
+        f"{name} = {float(value)!r}, max_steps = 4: objective fails at the "
+        f"starting point: ")
+    assert not out.exists()
+
+
+def test_gradcheck_failing_at_a_perturbed_point_exits_3(tmp_path, monkeypatch,
+                                                       capsys):
+    calls = _count_objective_calls(monkeypatch, fail_after=1)
+    assert main(["gradcheck", "--config", _config(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "perturbed" in err
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_wall_only_observations_exit_2_without_files(tmp_path, capsys,
                                                      experiment):
     # the one point that seed 1 draws on the 6x6 grid is node 17, on the
@@ -799,7 +876,7 @@ def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch):
 
 _SWEEP_VALUES = {
     float: ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e-12",
-            "%(x)s"),
+            "1.7e308", "%(x)s"),
     int: ("0", "-1", "1", "1000000000", "2.5", "1e3", "%(x)s"),
     str: ("dnn3d", "", "dnn%2d"),
 }

@@ -18,7 +18,6 @@ from flowgrad.experiments import (
     SPECS,
     ExperimentConfig,
     ObservationSet,
-    add_noise,
     build_problem,
     compute_loss,
     make_observations,
@@ -103,33 +102,43 @@ def test_observed_values_match_solution_at_locations():
         assert np.array_equal(obs.values[comp], sol[comp][obs.locations])
 
 
-# --- add_noise
+# --- noise, drawn by make_observations
 
 
 def test_zero_noise_is_identity():
     grid = StructuredGrid(6)
-    obs = make_observations(grid, _fake_solution(grid), 8, ("u",), seed=0)
-    noisy = add_noise(obs, 0.0, seed=11)
-    assert np.array_equal(noisy.values["u"], obs.values["u"])
+    sol = _fake_solution(grid)
+    obs = make_observations(grid, sol, 8, ("u",), seed=0, epsilon=0.0)
+    assert np.array_equal(obs.values["u"], sol["u"][obs.locations])
+    assert obs.noise_epsilon == 0.0
 
 
 def test_noise_is_bounded_multiplicative():
+    # the noise has its own stream, so the same seed draws the same nodes
     grid = StructuredGrid(8)
-    obs = make_observations(grid, _fake_solution(grid), 20, ("u", "v"), seed=1)
-    noisy = add_noise(obs, 0.05, seed=4)
+    sol = _fake_solution(grid)
+    clean = make_observations(grid, sol, 20, ("u", "v"), seed=1)
+    noisy = make_observations(grid, sol, 20, ("u", "v"), seed=1, epsilon=0.05)
+    assert np.array_equal(noisy.locations, clean.locations)
     for comp in ("u", "v"):
-        ratio = noisy.values[comp] / obs.values[comp]
+        ratio = noisy.values[comp] / clean.values[comp]
         assert np.all(np.abs(ratio - 1.0) <= 0.05)
     assert noisy.noise_epsilon == 0.05
+
+
+def _constant_solution(value):
+    """A 2 x 4 grid whose ``u`` is ``value`` at each of its 8 nodes."""
+    grid = StructuredGrid(2, 4)
+    return grid, {"u": np.full(grid.n_nodes, value)}
 
 
 def test_noise_overflow_rejected():
     # 1.7e308 (1 + eta) with |eta| <= 0.5 overflows the largest double
     # (1.8e308) for this draw
-    big = ObservationSet(np.arange(8), ("u",), {"u": np.full(8, 1.7e308)})
+    grid, sol = _constant_solution(1.7e308)
     with np.errstate(over="ignore"), pytest.raises(
             ContractError, match="non-finite observation"):
-        add_noise(big, 0.5, seed=0)
+        make_observations(grid, sol, 8, ("u",), seed=0, epsilon=0.5)
 
 
 def test_noise_whose_squares_overflow_rejected():
@@ -137,28 +146,105 @@ def test_noise_whose_squares_overflow_rejected():
     # any loss against them, is not: 1e308 (1 + eta) with |eta| <= 0.5, or
     # 1 + eta with |eta| <= 1e300
     for value, epsilon in ((1e308, 0.5), (1.0, 1e300)):
-        obs = ObservationSet(np.arange(8), ("u",), {"u": np.full(8, value)})
+        grid, sol = _constant_solution(value)
         with pytest.raises(ContractError, match="sum of squares"):
-            add_noise(obs, epsilon, seed=0)
-    obs = ObservationSet(np.arange(8), ("u",), {"u": np.full(8, 1e150)})
-    assert np.isfinite(add_noise(obs, 0.5, seed=0).values["u"]).all()
+            make_observations(grid, sol, 8, ("u",), seed=0, epsilon=epsilon)
+    grid, sol = _constant_solution(1e150)
+    obs = make_observations(grid, sol, 8, ("u",), seed=0, epsilon=0.5)
+    assert np.isfinite(obs.values["u"]).all()
+
+
+@pytest.mark.parametrize("epsilon", [9e307, 1e308, np.finfo(float).max])
+def test_noise_whose_draw_range_overflows_rejected(epsilon):
+    # numpy cannot draw eta over [-eps, eps] once 2 eps leaves the doubles
+    grid, sol = _constant_solution(1.0)
+    with pytest.raises(ContractError, match="draw range"):
+        make_observations(grid, sol, 8, ("u",), seed=0, epsilon=epsilon)
 
 
 def test_noise_deterministic_per_seed():
+    # every node is observed, so only the noise depends on the seed
     grid = StructuredGrid(6)
-    obs = make_observations(grid, _fake_solution(grid), 8, ("u",), seed=0)
-    a = add_noise(obs, 0.01, seed=7)
-    b = add_noise(obs, 0.01, seed=7)
-    c = add_noise(obs, 0.01, seed=8)
+    sol = _fake_solution(grid)
+    a, b, c = (make_observations(grid, sol, 36, ("u",), seed=seed,
+                                 epsilon=0.01) for seed in (7, 7, 8))
     assert np.array_equal(a.values["u"], b.values["u"])
     assert not np.array_equal(a.values["u"], c.values["u"])
 
 
 def test_negative_noise_rejected():
     grid = StructuredGrid(4)
-    obs = make_observations(grid, _fake_solution(grid), 4, ("u",), seed=0)
+    with pytest.raises(ContractError, match="nonnegative"):
+        make_observations(grid, _fake_solution(grid), 4, ("u",), seed=0,
+                          epsilon=-0.01)
+
+
+# Literal draws, so that a change to the code that draws cannot change the
+# data or the starting point of a fit unseen: identical configs give
+# bit-identical reports across versions.  The solution is 1 at every node,
+# so each value is its noise factor 1 + eta.
+@pytest.mark.parametrize("n,n_points,seed,epsilon,locations,u,v", [
+    (5, 6, 1, 0.05, [16, 10, 21, 9, 3, 0],
+     [0.9761612134249317, 0.9798491143414123], 0.9687901073366604),
+    (21, 22, 7, 0.01, [128, 379, 396, 263, 376, 288],
+     [0.9965394455321113, 1.0097455368667585], 0.9974277425688479),
+    (21, 40, 3, 0.05, [376, 307, 16, 198, 95, 190],
+     [1.0443056105572368, 1.0011327552814362], 1.019255204471056),
+    (6, 36, 2, 0.5, [0, 1, 2, 3, 4, 5],
+     [0.5856491671436244, 0.7368105065960997], 0.7981630906574247),
+])
+def test_observation_draws_are_pinned(n, n_points, seed, epsilon, locations,
+                                      u, v):
+    grid = StructuredGrid(n)
+    ones = {"u": np.ones(grid.n_nodes), "v": np.ones(grid.n_nodes)}
+    obs = make_observations(grid, ones, n_points, ("u", "v"), seed, epsilon)
+    assert obs.locations[:6].tolist() == locations
+    assert obs.values["u"][:2].tolist() == u
+    assert obs.values["v"][0] == v
+
+
+@pytest.mark.parametrize("variant,seed,init_scale,first,output", [
+    ("dnn2d", 21, 1.0,
+     [0.29361774545557817, 0.11055361678552533, 0.2191301966580821],
+     -0.42883666788282837),
+    ("dnn_layered", 3, 0.1,
+     [-0.04429596727065694, -0.028136140346171293, 0.03220759509102525],
+     0.014944239198655243),
+    ("dnn2d", 0, 2.0,
+     [0.2861036338158718, -0.4808998708541229, -0.9588750356974977],
+     -0.04409661588674196),
+])
+def test_initial_parameters_are_pinned(variant, seed, init_scale, first,
+                                       output):
+    # the first weights of the input layer, the first weight of the output
+    # layer (its 20 weights and 1 bias close the vector) and its zero bias
+    _, theta0 = init_params(variant, seed, init_scale=init_scale)
+    assert theta0[:3].tolist() == first
+    assert theta0[-21] == output and theta0[-1] == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda grid, sol: make_observations(grid, sol, 4, ("u",),
+                                                     seed=-1),
+                 id="negative_seed"),
+    pytest.param(lambda grid, sol: make_observations(grid, sol, 2.5, ("u",),
+                                                     seed=0),
+                 id="fractional_n_points"),
+    pytest.param(lambda grid, sol: make_observations(
+        grid, sol, 4, ("u",), seed=0, epsilon=float("nan")), id="nan_noise"),
+    pytest.param(lambda grid, sol: ObservationSet([0, 1], ("u",),
+                                                  {"u": ["a", "b"]}),
+                 id="text_values"),
+    pytest.param(lambda grid, sol: ObservationSet([[0, 1], [2]], ("u",),
+                                                  {"u": [1.0]}),
+                 id="ragged_locations"),
+])
+def test_bad_python_argument_is_a_contract_error(call):
+    # each of these raised numpy's own ValueError, TypeError or
+    # OverflowError
+    grid = StructuredGrid(4)
     with pytest.raises(ContractError):
-        add_noise(obs, -0.01, seed=0)
+        call(grid, _fake_solution(grid))
 
 
 # --- compute_loss

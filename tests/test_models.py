@@ -27,15 +27,6 @@ def test_layout_parameter_count():
     assert layout.n_params == 2 * 20 + 20 + 20 * 20 + 20 + 20 * 20 + 20 + 20 + 1
 
 
-def test_flatten_unflatten_roundtrip():
-    layout = MlpLayout((2, 20, 20, 20, 1))
-    rng = np.random.default_rng(0)
-    theta = rng.normal(size=layout.n_params)
-    layers = [(theta[w0:w1].reshape(fi, fo), theta[w1:b1])
-              for w0, w1, b1, fi, fo in layout.slices()]
-    np.testing.assert_array_equal(layout.flatten(layers), theta)
-
-
 def test_init_deterministic_and_seed_sensitive():
     _, a = init_params("dnn2d", seed=5)
     _, b = init_params("dnn2d", seed=5)
@@ -161,6 +152,16 @@ def test_bad_variant_and_missing_node_count():
         init_params("cnn", seed=0)
     with pytest.raises(ContractError):
         init_params("pointwise", seed=0)
+
+
+@pytest.mark.parametrize("variant", ["dnn2d", "dnn_layered"])
+def test_init_scale_whose_draw_range_overflows_rejected(variant):
+    # numpy draws each layer's weights over [-b, b] only while 2 b is a
+    # double; b = sqrt(6/21) init_scale at the widest, the output layer
+    _, theta0 = init_params(variant, seed=0, init_scale=1.68e308)
+    assert np.isfinite(theta0).all()
+    with pytest.raises(ContractError, match="draw range"):
+        init_params(variant, seed=0, init_scale=1.69e308)
 
 
 def test_tanh_bound_is_enforced():

@@ -253,6 +253,22 @@ def test_fd_check_reports_gradient_shape_mismatch():
         finite_difference_check(f, np.zeros(3))
 
 
+def test_fd_check_blames_the_caller_for_a_failure_at_the_start():
+    # the caller chose theta0; a failure at a perturbed point is numeric
+    def failing_at(bad):
+        def f(theta):
+            if np.array_equal(theta, bad):
+                raise NumericError("non-finite residual")
+            return float(theta @ theta), 2.0 * theta
+        return f
+
+    theta0 = np.zeros(2)
+    with pytest.raises(ContractError, match="starting point: non-finite"):
+        finite_difference_check(failing_at(theta0), theta0)
+    with pytest.raises(NumericError, match="perturbed index 1"):
+        finite_difference_check(failing_at(np.array([0.0, 1e-5])), theta0)
+
+
 def test_div_square_add_scalar_chain_matches_fd():
     def f(theta):
         t = Tape()
