@@ -211,18 +211,17 @@ def _cmd_forward(args):
 def _corrupt_backward(name):
     """Scale one operator's backward outputs by 1.001 (negative control).
 
-    The default target is the loss-side ``sum_of_squares``: every
-    observation mismatch flows through it exactly once, so the corruption
-    cannot cancel.  Any other registered operator can be named, for example
-    ``residual``, the stacked data misfit before it, or ``steady_flow``,
-    whose backward rule is the whole implicit-function adjoint of a flow
-    solve: every viscosity gradient passes through it once; or
-    ``heat_solve``, the adjoint of the heat system, which every
-    conductivity gradient of ``conjugate_heat`` passes through once; or
-    ``field``, the coefficient field's network, offset and clamp.
+    The default target is the loss, ``misfit``: every observation mismatch
+    flows through it exactly once, so the corruption cannot cancel.  Any
+    other registered operator can be named: ``steady_flow``, whose
+    backward rule is the whole implicit-function adjoint of a flow solve,
+    which every viscosity gradient passes through once; ``heat_solve``,
+    the adjoint of the heat system, which every conductivity gradient of
+    ``conjugate_heat`` passes through once; or ``field``, the coefficient
+    field's network, offset and clamp.
     """
     if name == "1":
-        name = "sum_of_squares"
+        name = "misfit"
     registry = tape_module._REGISTRY
     if name not in registry:
         raise ConfigError(f"cannot corrupt unknown operator {name!r}")

@@ -2,10 +2,13 @@
 
 Each experiment is one :class:`ExperimentSpec` in ``SPECS``, and all follow
 one protocol.  The spec's forward chain maps a nodal coefficient field to
-predicted nodal fields.  Run at the spec's reference coefficient it
-synthesizes the data, which :func:`make_observations` samples, perturbs
-and checks in one pass into one :class:`ObservationSet`; recorded on the
-tape at a coefficient model's output it is the objective that L-BFGS fits.
+predicted nodal fields, each a window of a tape node: u, v and p are
+three windows of the one flow state.  Run at the spec's reference
+coefficient it synthesizes the data, which :func:`make_observations`
+samples, perturbs and checks in one pass into one :class:`ObservationSet`;
+recorded on the tape at a coefficient model's output it is the objective
+that L-BFGS fits.  An evaluation records the parameters, the field, the
+solve and the misfit, plus the frozen flow as one constant for heat.
 Adding an experiment means adding one spec.
 
   cavity_viscosity   unknown viscosity nu(x, y); lid-driven cavity velocities
@@ -86,8 +89,10 @@ class ExperimentSpec:
 
     ``forward(tape, chain, coef, counts)`` records, from the nodal
     coefficient ``coef``, every predicted nodal field and returns them by
-    name with the :class:`NSState` of the flow used (``chain`` is a
-    :class:`ForwardChain`); its linear solves add to ``counts``.
+    name, each as a window ``(ref, start)`` of a tape node (the grid's
+    nodes from ``start`` on), with the :class:`NSState` of the flow used
+    (``chain`` is a :class:`ForwardChain`); its linear solves add to
+    ``counts``.
     ``predicts`` names the fields ``forward`` returns, which a config may
     observe.  ``variant`` to ``init_seed`` default the config fields of
     those names, but for ``n_points``, which :func:`build_problem` reads;
@@ -110,8 +115,10 @@ class ExperimentSpec:
     frozen_viscosity: float = None
 
 
-def _flow_fields(flow):
-    return {"u": flow.u, "v": flow.v, "p": flow.p}
+def _flow_windows(chain, flow):
+    """u, v and p as windows of the flow's state [u; v; p]."""
+    n = chain.grid.n_nodes
+    return {name: (flow.state, k * n) for k, name in enumerate("uvp")}
 
 
 def _coefficient_fields(spec, components):
@@ -123,13 +130,13 @@ def _coefficient_fields(spec, components):
 
 def _flow_forward(tape, chain, nu, counts):
     flow = chain.solve_flow(tape, nu, counts)
-    return _flow_fields(flow), flow
+    return _flow_windows(chain, flow), flow
 
 
 def _heat_forward(tape, chain, k, counts):
     flow = chain.frozen_flow(tape)
     temp = heat_solve(tape, chain.heat_setup, k, counts)
-    return dict(_flow_fields(flow), T=temp), flow
+    return dict(_flow_windows(chain, flow), T=(temp, 0)), flow
 
 
 # Recovery quality of the cavity inversion varies strongly across weight
@@ -286,18 +293,18 @@ def make_observations(grid, reference_solution, n_points, components, seed,
     return obs
 
 
-def compute_loss(tape, predicted, obs):
+def compute_loss(tape, predicted, obs, size):
     """Sum of squared mismatches over every observed component and point,
-    recorded as two nodes: the residual of every component in turn, stacked
-    into one vector, and its sum of squares, taken one component at a
-    time and added in component order."""
+    recorded as one ``misfit`` node that reads each predicted field, a
+    window ``(ref, start)`` of ``size`` entries, in place: the squares of
+    each component are summed on their own and the sums added in component
+    order."""
     for comp in obs.components:
         if comp not in predicted:
             raise ContractError(f"prediction lacks observed component {comp!r}")
-    r = ops.residual(tape, [predicted[comp] for comp in obs.components],
-                     obs.locations,
-                     [obs.values[comp] for comp in obs.components])
-    return ops.sum_of_squares(tape, r, len(obs.components))
+    return ops.misfit(tape, [predicted[comp] for comp in obs.components],
+                      size, obs.locations,
+                      [obs.values[comp] for comp in obs.components])
 
 
 def relative_mse(estimate, reference):
@@ -543,8 +550,8 @@ class ForwardChain:
     (``grid``) and the flow setup (``flow_setup``, a :class:`FlowSetup`)
     once.  A spec with a ``frozen_viscosity`` has its flow presolved once,
     with a flow setup it does not keep (``flow_setup`` is None): ``frozen``
-    maps its ``u``, ``v`` and ``p`` to read-only arrays, and ``heat_setup``
-    is the :class:`HeatSetup` of that flow.
+    is its state [u; v; p] as a read-only array, and ``heat_setup`` is the
+    :class:`HeatSetup` of that flow.
 
     The chain then runs itself at the reference coefficient
     (``reference_nodal``), uncounted: ``synthetic`` maps every predicted
@@ -571,12 +578,11 @@ class ForwardChain:
                                    LinearSolveCounts())
             # the presolve is the only solve of a frozen flow
             self.flow_setup = None
-            self.frozen = MappingProxyType(
-                {name: _read_only(t.value(ref))
-                 for name, ref in _flow_fields(flow).items()})
+            self.frozen = _read_only(t.value(flow.state))
             self.trace = tuple(flow.trace)
+            n = grid.n_nodes
             self.heat_setup = HeatSetup(
-                grid, self.frozen["u"], self.frozen["v"], self.constants,
+                grid, self.frozen[:n], self.frozen[n:2 * n], self.constants,
                 uniform_boundary_bc(grid, cfg.heat_bc_value))
         self.reference_nodal = _read_only(
             reference_field(cfg.experiment, grid.coords))
@@ -584,8 +590,8 @@ class ForwardChain:
         predicted, flow = self(t, t.constant(self.reference_nodal),
                                LinearSolveCounts())
         self.synthetic = MappingProxyType(
-            {name: _read_only(t.value(ref))
-             for name, ref in predicted.items()})
+            {name: _read_only(values)
+             for name, values in self._read(t, predicted).items()})
         self.trace = tuple(flow.trace)
 
     def __call__(self, tape, coef, counts):
@@ -606,8 +612,7 @@ class ForwardChain:
         It spends no Newton iterations of its own and carries the trace of
         the presolve.
         """
-        u, v, p = (tape.constant(self.frozen[name]) for name in ("u", "v", "p"))
-        return NSState(u, v, p, 0, self.trace)
+        return NSState(tape.constant(self.frozen), 0, self.trace)
 
     def jacobian(self):
         """Constrained Newton matrix of the flow at the reference solution,
@@ -621,7 +626,13 @@ class ForwardChain:
         """Every predicted field at a fixed coefficient, as nodal arrays."""
         t = Tape()
         predicted, _ = self(t, t.constant(coef_nodal), counts)
-        return {name: t.value(ref) for name, ref in predicted.items()}
+        return self._read(t, predicted)
+
+    def _read(self, tape, predicted):
+        """The nodal values of predicted windows, as views of ``tape``."""
+        n = self.grid.n_nodes
+        return {name: tape.value(ref)[start:start + n]
+                for name, (ref, start) in predicted.items()}
 
 
 def _read_only(values):
@@ -787,7 +798,7 @@ def build_problem(config):
         th = t.variable(theta)
         coef = eval_field_on_grid(t, model, th, grid)
         predicted, flow = chain(t, coef, counts)
-        loss = compute_loss(t, predicted, obs)
+        loss = compute_loss(t, predicted, obs, grid.n_nodes)
         grads = t.backward(loss)
         newton[-1] = flow.newton_iterations_used
         return float(t.value(loss)[0]), grads[th]

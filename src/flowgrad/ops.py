@@ -1,16 +1,14 @@
-"""Standard differentiable operators registered on the global tape registry.
+"""The data misfit, the one operator of the loss, registered on the global
+tape registry.
 
-Each operator is a pure forward function plus a backward rule mapping the
-downstream gradient to per-input gradients.
-
-The module-level helpers (``slice1d``, ``residual``, ...) are thin wrappers
+An operator is a pure forward function plus a backward rule mapping the
+downstream gradient to per-input gradients; ``misfit`` is a thin wrapper
 around ``tape.apply`` so calling code reads like plain arithmetic.  The
-library holds only what a recorded objective uses: slices of the flow
-state, and the loss as two nodes, the stacked data misfit (``residual``)
-and its squared norm (``sum_of_squares``).  The coefficient field is one
-operator of :mod:`flowgrad.models`, its offset and floor clamp included.
-Neither the flow residual nor the heat system is recorded; the solver
-builds both on plain arrays.
+coefficient field is one operator of :mod:`flowgrad.models`, its offset
+and floor clamp included, and the flow and heat solves are operators of
+:mod:`flowgrad.solver`, so an objective records the field, the solve and
+the misfit.  The misfit reads each predicted field in place, as a window
+of a tape node: the flow state [u; v; p] holds three.
 """
 
 import numpy as np
@@ -18,100 +16,58 @@ import numpy as np
 from .errors import ContractError
 from .tape import register_op
 
-__all__ = ["slice1d", "residual", "sum_of_squares"]
+__all__ = ["misfit"]
 
 
-# ---------------------------------------------------------------------------
-# structural ops
-
-def _slice1d_fwd(v, ctx):
-    x = v[0]
-    if x.ndim != 1:
-        raise ContractError("op 'slice1d': expects a 1-d input")
-    start, stop = ctx["start"], ctx["stop"]
-    if not 0 <= start <= stop <= x.shape[0]:
-        raise ContractError(f"op 'slice1d': range [{start}, {stop}) outside length {x.shape[0]}")
-    ctx["n"] = x.shape[0]
-    return x[start:stop].copy()
-
-
-def _slice1d_bwd(g, ctx):
-    out = np.zeros(ctx["n"])
-    out[ctx["start"]:ctx["stop"]] = g
-    return (out,)
-
-
-# ---------------------------------------------------------------------------
-# the data misfit
-
-def _residual_fwd(v, ctx):
-    idx, data = ctx["idx"], ctx["data"]
-    if len(v) != len(data):
-        raise ContractError(f"op 'residual': {len(v)} fields for "
+def _misfit_fwd(v, ctx):
+    idx, data, size = ctx["idx"], ctx["data"], ctx["size"]
+    windows = ctx["windows"]
+    if not windows or len(windows) != len(data):
+        raise ContractError(f"op 'misfit': {len(windows)} fields for "
                             f"{len(data)} data vectors")
-    for x, d in zip(v, data):
-        if x.ndim != 1 or d.shape != idx.shape:
+    if idx.size and not 0 <= idx.min() <= idx.max() < size:
+        raise ContractError(
+            f"op 'misfit': locations [{idx.min()}, {idx.max()}] outside "
+            f"length {size}")
+    # each field's squares are summed on their own, and the sums added in
+    # field order
+    total, ctx["r"] = None, []
+    for (k, start), d in zip(windows, data):
+        x = v[k]
+        if (x.ndim != 1 or not 0 <= start <= x.shape[0] - size
+                or d.shape != idx.shape):
             raise ContractError(
-                f"op 'residual': expects 1-d fields and {idx.shape} data, "
-                f"got {x.shape} and {d.shape}")
-        if idx.size and not 0 <= idx.min() <= idx.max() < x.shape[0]:
-            raise ContractError(
-                f"op 'residual': locations [{idx.min()}, {idx.max()}] "
-                f"outside length {x.shape[0]}")
-    ctx["sizes"] = [x.shape[0] for x in v]
-    return np.concatenate([x[idx] - d for x, d in zip(v, data)])
-
-
-def _residual_bwd(g, ctx):
-    idx = ctx["idx"]
-    out = []
-    for k, n in enumerate(ctx["sizes"]):
-        gk = np.zeros(n)
-        np.add.at(gk, idx, g[k * idx.size:(k + 1) * idx.size])
-        out.append(gk)
-    return tuple(out)
-
-
-def _sum_of_squares_fwd(v, ctx):
-    r = ctx["r"] = v[0]
-    parts = ctx["parts"]
-    if r.ndim != 1 or parts < 1 or r.size % parts:
-        raise ContractError(f"op 'sum_of_squares': cannot split shape "
-                            f"{r.shape} into {parts} equal parts")
-    # each part summed on its own, and the sums added in order
-    total = None
-    for part in np.split(r, parts):
-        term = (part * part).sum()
+                f"op 'misfit': expects the window [{start}, {start + size}) "
+                f"of a 1-d field and {idx.shape} data, got {x.shape} and "
+                f"{d.shape}")
+        r = x[start + idx] - d
+        ctx["r"].append(r)
+        term = (r * r).sum()
         total = term if total is None else total + term
+    ctx["sizes"] = [x.shape[0] for x in v]
     return np.array([total])
 
 
-def _sum_of_squares_bwd(g, ctx):
-    return (2.0 * ctx["r"] * g,)
+def _misfit_bwd(g, ctx):
+    idx = ctx["idx"]
+    out = [np.zeros(n) for n in ctx["sizes"]]
+    for (k, start), r in zip(ctx["windows"], ctx["r"]):
+        np.add.at(out[k][start:start + ctx["size"]], idx, 2.0 * r * g)
+    return tuple(out)
 
 
-register_op("slice1d", _slice1d_fwd, _slice1d_bwd)
-register_op("residual", _residual_fwd, _residual_bwd)
-register_op("sum_of_squares", _sum_of_squares_fwd, _sum_of_squares_bwd)
+register_op("misfit", _misfit_fwd, _misfit_bwd)
 
 
-# ---------------------------------------------------------------------------
-# tape-facing helpers
+def misfit(tape, windows, size, locations, data):
+    """Sum over the fields of sum_i (field[locations_i] - data_i)^2.
 
-def slice1d(tape, a, start, stop):
-    return tape.apply("slice1d", (a,), {"start": int(start), "stop": int(stop)})
-
-
-def residual(tape, fields, locations, data):
-    """``field[locations] - values`` for each field and its data vector in
-    turn, stacked into one vector; the locations are shared."""
-    return tape.apply("residual", tuple(fields),
-                      {"idx": np.asarray(locations, dtype=np.intp),
-                       "data": tuple(np.asarray(d, dtype=np.float64)
-                                     for d in data)})
-
-
-def sum_of_squares(tape, a, parts=1):
-    """The sum of the squares of ``a``, split into ``parts`` equal parts:
-    each part is summed on its own and the sums are added in order."""
-    return tape.apply("sum_of_squares", (a,), {"parts": int(parts)})
+    Each field is a window ``(ref, start)``: the ``size`` entries of the
+    node ``ref`` from ``start`` on, which the locations index; several
+    windows may share a node.  The locations are shared, and each window
+    has one data vector."""
+    refs = list(dict.fromkeys(ref for ref, _ in windows))
+    return tape.apply("misfit", refs, {
+        "windows": [(refs.index(ref), int(start)) for ref, start in windows],
+        "size": int(size), "idx": np.asarray(locations, dtype=np.intp),
+        "data": [np.asarray(d, dtype=np.float64) for d in data]})

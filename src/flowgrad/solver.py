@@ -10,13 +10,13 @@ linearized on plain arrays: the advection, stiffness and stabilization
 blocks come from the assembly kernels, F from sparse matrix-vector
 products, and J(x) is assembled from the same blocks.  The caller's tape
 records one ``steady_flow`` operator from the viscosity to the converged
-state, whose backward rule is the implicit-function adjoint
-(physics-constrained learning; Xu & Darve, arXiv:2002.10521): one
-transpose solve with J(x*) and one vector-Jacobian product
-(dF/dnu)^T lam, which is the only derivative ever taken of F, written out
-by hand.  The momentum Jacobian
-carries the full convection linearization: advection C(u_k, v_k) plus the
-four reaction blocks from the iterate gradients.
+state [u; v; p], and nothing else: the data misfit reads u, v and p in
+place (:mod:`flowgrad.ops`).  Its backward rule is the implicit-function
+adjoint (physics-constrained learning; Xu & Darve, arXiv:2002.10521): one
+transpose solve with J(x*) and one vector-Jacobian product (dF/dnu)^T lam,
+which is the only derivative ever taken of F, written out by hand.  The
+momentum Jacobian carries the full convection linearization: advection
+C(u_k, v_k) plus the four reaction blocks from the iterate gradients.
 
 A flow solve factorizes a Jacobian only when the factors it holds stop
 working (a Shamanskii-style reuse with refresh; Kelley, *Iterative Methods
@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .assembly import constraint_plan, operators_for
 from .errors import ContractError, NewtonDivergedError, NumericError
 from .grid import cavity_velocity_bcs
@@ -110,9 +109,10 @@ class NewtonConfig:
 
 @dataclass
 class NSState:
-    u: int
-    v: int
-    p: int
+    """A flow on a tape: ``state``, the node of [u; v; p], the Newton
+    iterations the solve spent and its residual trace."""
+
+    state: int
     newton_iterations_used: int
     trace: list = field(default_factory=list)
 
@@ -375,8 +375,8 @@ def newton_solve(tape, setup, nu, config=None, counts=None):
     post-update residual, so a state that already solves the system reports
     one iteration.  Raises on nonconvergence with the last residual attached,
     leaving ``tape`` as it was.  On convergence the tape gains one
-    ``steady_flow`` node from ``nu`` to [u; v; p] plus three slices,
-    however many iterations were needed.  ``counts``, a
+    ``steady_flow`` node from ``nu`` to [u; v; p], however many iterations
+    were needed, and the returned :class:`NSState` holds it.  ``counts``, a
     :class:`LinearSolveCounts`, accumulates the factorizations, recycled
     solves, stalls and refinement sweeps of the Newton steps and of the
     node's backward pass.
@@ -384,10 +384,7 @@ def newton_solve(tape, setup, nu, config=None, counts=None):
     ctx = {"setup": setup, "config": config or NewtonConfig(),
            "counts": counts if counts is not None else LinearSolveCounts()}
     x = tape.apply("steady_flow", (nu,), ctx)
-    n = setup.n
-    trace = ctx["trace"]
-    u, v, p = (ops.slice1d(tape, x, k * n, (k + 1) * n) for k in range(3))
-    return NSState(u, v, p, len(trace), trace)
+    return NSState(x, len(ctx["trace"]), ctx["trace"])
 
 
 class HeatSetup:

@@ -179,10 +179,12 @@ def finite_difference_check(f, theta0, h=1e-5, indices=None):
     ``f(theta) -> (loss, gradient)`` must evaluate the scalar objective and its
     reverse-mode gradient.  Only the loss value is used at the perturbed
     points.  Returns ``max_i |g_ad[i] - g_fd[i]| / (|g_fd[i]| + 1e-12)`` over
-    the checked ``indices`` (all coordinates when omitted).  ``theta0``
-    comes from the caller, so a :class:`NumericError` there is raised again
-    as a :class:`ContractError`, as ``optimize.lbfgs_optimize`` does; one
-    at a perturbed point stays a :class:`NumericError`.
+    the checked ``indices`` (all coordinates when omitted), or NaN when
+    one of those errors is NaN (a NaN gradient or loss), so no tolerance
+    passes it.  ``theta0`` comes from the caller, so a
+    :class:`NumericError` there is raised again as a
+    :class:`ContractError`, as ``optimize.lbfgs_optimize`` does; one at a
+    perturbed point stays a :class:`NumericError`.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     try:
@@ -213,5 +215,6 @@ def finite_difference_check(f, theta0, h=1e-5, indices=None):
             ) from exc
         g_fd = (lp - lm) / (2.0 * h)
         err = abs(grad.ravel()[i] - g_fd) / (abs(g_fd) + 1e-12)
-        worst = max(worst, err)
+        # np.maximum, unlike max(), keeps a NaN
+        worst = float(np.maximum(worst, err))
     return worst

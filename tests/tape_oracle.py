@@ -11,8 +11,8 @@ and pressure-gradient matrices of F.  ``mlp`` is the network operator that
 keeps its activations, an oracle for the package's ``field``, which
 recomputes them.
 ``add``, ``scale`` and ``gather`` are the generic sum, constant multiple
-and indexing the package no longer records, and ``add`` and ``div``
-broadcast a shape-``(1,)`` scalar.
+and indexing the package no longer records, ``slice1d`` a gather of a
+range, and ``add`` and ``div`` broadcast a shape-``(1,)`` scalar.
 Tests also use ``dot`` for weighted-sum losses.  Every operator is
 registered under an ``oracle.`` name, so the package's own registry checks
 leave them out.
@@ -20,7 +20,7 @@ leave them out.
 
 import numpy as np
 
-from flowgrad import kernels, ops
+from flowgrad import kernels
 from flowgrad.assembly import constraint_plan
 from flowgrad.errors import ContractError, NumericError
 from flowgrad.sparse import LinearSolveCounts, LuFactors
@@ -298,6 +298,11 @@ def gather(tape, a, idx):
                       {"idx": np.asarray(idx, dtype=np.intp)})
 
 
+def slice1d(tape, a, start, stop):
+    """``a[start:stop]``, as a gather."""
+    return gather(tape, a, np.arange(start, stop))
+
+
 def set_at(tape, a, idx, vals):
     """Copy ``a`` and overwrite the unique positions ``idx`` with ``vals``."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -344,8 +349,8 @@ def constrain_system(tape, pattern, plan, data, rhs, vals):
                         {"plan": plan, "vals": np.asarray(vals, dtype=float),
                          "n": n, "col_rows": col_rows, "col_slot": col_slot})
     nnz = tape.value(data).size
-    return (ops.slice1d(tape, packed, 0, nnz),
-            ops.slice1d(tape, packed, nnz, nnz + n))
+    return (slice1d(tape, packed, 0, nnz),
+            slice1d(tape, packed, nnz, nnz + n))
 
 
 def sparse_solve(tape, pattern, data, b):

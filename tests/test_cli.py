@@ -22,7 +22,6 @@ from flowgrad.experiments import (
 )
 from flowgrad.grid import StructuredGrid, read_field_csv
 from flowgrad.solver import LinearSolveCounts, ns_jacobian
-from flowgrad.tape import Tape
 
 SMALL = """
 [experiment]
@@ -469,14 +468,12 @@ def test_forward_writes_every_field_of_the_chain(tmp_path, experiment):
     # a chain of its own, solved again at the reference coefficient
     cfg = ExperimentConfig(experiment, grid_n=6, n_points=12)
     chain = ForwardChain(cfg)
-    t = Tape()
-    fields, _ = chain(t, t.constant(reference_field(experiment,
-                                                    chain.grid.coords)),
-                      LinearSolveCounts())
+    fields = chain.values(reference_field(experiment, chain.grid.coords),
+                          LinearSolveCounts())
     assert {p.name for p in out.glob("*.csv")} == {f"{c}.csv" for c in fields}
-    for comp, ref in fields.items():
+    for comp, expected in fields.items():
         _, values = read_field_csv(out / f"{comp}.csv")
-        assert np.array_equal(values, t.value(ref))
+        assert np.array_equal(values, expected)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -832,19 +829,24 @@ def test_gradcheck_zero_samples_exits_2(tmp_path):
                  "--samples", "0"]) == 2
 
 
-def test_gradcheck_corrupted_backward_exits_1(tmp_path, monkeypatch):
+def test_gradcheck_corrupted_backward_exits_1(tmp_path, monkeypatch,
+                                              capsys):
+    # the default target is the loss, the misfit
     monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "1")
     cfg = _config(tmp_path)
     assert main(["gradcheck", "--config", cfg, "--samples", "3"]) == 1
+    assert "of 'misfit' deliberately corrupted" in capsys.readouterr().err
     # the corruption is restored before returning
     monkeypatch.delenv("FLOWGRAD_CORRUPT_BACKWARD")
     assert main(["gradcheck", "--config", cfg, "--samples", "3"]) == 0
 
 
-def test_gradcheck_corrupted_residual_backward_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "residual")
-    assert main(["gradcheck", "--config", _config(tmp_path),
-                 "--samples", "3"]) == 1
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_gradcheck_corrupted_misfit_backward_exits_1(tmp_path, monkeypatch,
+                                                     experiment):
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "misfit")
+    cfg = _config(tmp_path, _small(experiment))
+    assert main(["gradcheck", "--config", cfg, "--samples", "3"]) == 1
 
 
 def test_gradcheck_corrupted_flow_adjoint_exits_1(tmp_path, monkeypatch):
@@ -866,10 +868,33 @@ def test_gradcheck_corrupted_network_backward_exits_1(tmp_path, monkeypatch):
                  "--samples", "3"]) == 1
 
 
-def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", "no_such_op")
+# the three loss operators the misfit replaced are unknown operators
+@pytest.mark.parametrize("name", ["no_such_op", "slice1d", "residual",
+                                  "sum_of_squares"])
+def test_gradcheck_unknown_op_exits_2(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv("FLOWGRAD_CORRUPT_BACKWARD", name)
     assert main(["gradcheck", "--config", _config(tmp_path),
                  "--samples", "2"]) == 2
+    assert f"unknown operator {name!r}" in capsys.readouterr().err
+
+
+def test_gradcheck_fails_a_nan_gradient(tmp_path, monkeypatch, capsys):
+    # the tape rejects a non-finite gradient, so the objective is wrapped
+    def nan_gradient_problem(cfg):
+        problem = build_problem(cfg)
+        objective = problem.objective
+
+        def nan_objective(theta):
+            loss, grad = objective(theta)
+            return loss, np.full(grad.size, np.nan)
+
+        problem.objective = nan_objective
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", nan_gradient_problem)
+    assert main(["gradcheck", "--config", _config(tmp_path),
+                 "--samples", "2"]) == 1
+    assert "gradcheck FAIL" in capsys.readouterr().out
 
 
 # --- input sweep: one bad setting, or a pair, at a time

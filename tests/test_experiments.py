@@ -255,8 +255,8 @@ def test_loss_zero_when_prediction_matches():
     sol = _fake_solution(grid)
     obs = make_observations(grid, sol, 6, ("u", "v"), seed=2)
     t = Tape()
-    predicted = {c: t.constant(sol[c]) for c in ("u", "v")}
-    loss = compute_loss(t, predicted, obs)
+    predicted = {c: (t.constant(sol[c]), 0) for c in ("u", "v")}
+    loss = compute_loss(t, predicted, obs, grid.n_nodes)
     assert t.value(loss)[0] == 0.0
 
 
@@ -266,7 +266,7 @@ def test_loss_single_point_difference_two_gives_four():
     t = Tape()
     pred = np.zeros(4)
     pred[obs.locations[0]] = 2.0
-    loss = compute_loss(t, {"u": t.constant(pred)}, obs)
+    loss = compute_loss(t, {"u": (t.constant(pred), 0)}, obs, 4)
     assert t.value(loss)[0] == 4.0
 
 
@@ -276,7 +276,7 @@ def test_loss_gradient_is_two_times_residual():
     obs = make_observations(grid, sol, 9, ("u",), seed=1)
     t = Tape()
     pred = t.variable(sol["u"] + 0.1)
-    loss = compute_loss(t, {"u": pred}, obs)
+    loss = compute_loss(t, {"u": (pred, 0)}, obs, grid.n_nodes)
     grad = t.backward(loss)[pred]
     expected = np.zeros(grid.n_nodes)
     expected[obs.locations] = 2 * (sol["u"][obs.locations] + 0.1 - sol["u"][obs.locations])
@@ -290,14 +290,18 @@ def test_loss_sums_each_component_then_adds_in_order():
     sol = _fake_solution(grid, seed=5)
     obs = make_observations(grid, sol, 140, ("u", "v"), seed=3)
     t = Tape()
-    pred = {c: t.constant(sol[c] * 1.37 + 0.1) for c in ("u", "v")}
-    loss = compute_loss(t, pred, obs)
+    pred = {c: sol[c] * 1.37 + 0.1 for c in ("u", "v")}
     expected = None
     for c in ("u", "v"):
-        diff = t.value(pred[c])[obs.locations] - obs.values[c]
+        diff = pred[c][obs.locations] - obs.values[c]
         term = (diff * diff).sum()
         expected = term if expected is None else expected + term
-    assert t.value(loss)[0] == expected
+    # as two nodes, and as two windows of one node
+    n = grid.n_nodes
+    both = t.constant(np.concatenate([pred["u"], pred["v"]]))
+    for windows in ({c: (t.constant(pred[c]), 0) for c in ("u", "v")},
+                    {"u": (both, 0), "v": (both, n)}):
+        assert t.value(compute_loss(t, windows, obs, n))[0] == expected
 
 
 def test_loss_missing_component_rejected():
@@ -305,7 +309,7 @@ def test_loss_missing_component_rejected():
     obs = make_observations(grid, _fake_solution(grid), 3, ("u", "v"), seed=0)
     t = Tape()
     with pytest.raises(ContractError):
-        compute_loss(t, {"u": t.constant(np.zeros(9))}, obs)
+        compute_loss(t, {"u": (t.constant(np.zeros(9)), 0)}, obs, 9)
 
 
 # --- relative_mse
@@ -606,7 +610,7 @@ def test_offset_at_clamp_floor_would_start_with_zero_gradient(
     th = t.variable(theta0)
     coef = eval_field_on_grid(t, model, th, StructuredGrid(8))
     assert np.all(t.value(coef) == cfg.clamp_floor)
-    loss = ops.sum_of_squares(t, coef)
+    loss = ops.misfit(t, [(coef, 0)], 64, np.arange(64), [np.zeros(64)])
     assert not np.any(t.backward(loss)[th])
     message = f"offset {offset} must lie above clamp_floor 1e-06"
     with pytest.raises(ContractError, match=message):
@@ -670,6 +674,43 @@ def test_full_grid_default_tracks_grid_size():
 
 # --- run_experiment protocol
 
+# Short fits at the shipped defaults but for a 6x6 grid, 5 steps and, for
+# heat, 12 observed points (its default 40 exceed 36 nodes): the initial
+# loss and the loss after each step, the evaluations and the linear solves,
+# recorded before the loss became one misfit node.  A change that claims
+# bit-identical fits keeps them.
+_PINNED_FITS = {
+    "cavity_viscosity": (
+        {}, 7, {"factorizations": 8, "recycled_solves": 15, "stalls": 0,
+                "sweeps": 66},
+        [0.0059233108783405194, 0.0042993862423147886,
+         0.0022590226806810856, 0.0017530576385365356,
+         0.0009505827480630269, 0.0004997356471337513]),
+    "conjugate_heat": (
+        {"n_points": 12}, 6, {"factorizations": 6, "recycled_solves": 0,
+                              "stalls": 0, "sweeps": 24},
+        [0.0012717469498215264, 0.00103034079981423, 0.0003908717944420099,
+         0.00020942022089213936, 0.0001299394515177497,
+         0.00010930876132313374]),
+    "passive_transport": (
+        {}, 6, {"factorizations": 12, "recycled_solves": 12, "stalls": 6,
+                "sweeps": 84},
+        [0.0011280880572817455, 0.00011414215296126661,
+         9.040301439042437e-05, 7.579574272336288e-05,
+         7.518455520862599e-05, 7.517150172947539e-05]),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_short_fit_reproduces_its_pinned_history(experiment):
+    settings, n_evals, linear_solves, losses = _PINNED_FITS[experiment]
+    rep = run_experiment(ExperimentConfig(experiment, grid_n=6, max_steps=5,
+                                          **settings))
+    assert (rep.n_evals, rep.linear_solves) == (n_evals, linear_solves)
+    np.testing.assert_allclose([rep.initial_loss, *rep.loss_history], losses,
+                               rtol=1e-12, atol=0.0)
+
+
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_reference_field_as_estimate_reproduces_observations(experiment):
@@ -681,9 +722,11 @@ def test_reference_field_as_estimate_reproduces_observations(experiment):
     t = Tape()
     predicted, _ = chain(t, t.constant(nu), problem.linear_solves)
     assert set(predicted) == set(chain.synthetic)
-    for name, ref in predicted.items():
-        np.testing.assert_array_equal(t.value(ref), chain.synthetic[name])
-    loss = compute_loss(t, predicted, problem.observations)
+    n = chain.grid.n_nodes
+    for name, (ref, start) in predicted.items():
+        np.testing.assert_array_equal(t.value(ref)[start:start + n],
+                                      chain.synthetic[name])
+    loss = compute_loss(t, predicted, problem.observations, n)
     assert t.value(loss)[0] == 0.0
     assert relative_mse(nu, nu) == 0.0
 
@@ -918,9 +961,9 @@ def test_shared_reference_is_read_only_and_owned(experiment):
     assert isinstance(chain.trace, tuple) and len(chain.trace) >= 1
     arrays = [chain.reference_nodal, *chain.synthetic.values()]
     if chain.frozen is not None:
-        with pytest.raises(TypeError):
-            chain.frozen["u"] = np.zeros(chain.grid.n_nodes)
-        arrays += [chain.frozen_nu, *chain.frozen.values()]
+        with pytest.raises(ValueError):
+            chain.frozen[0] = 1.0
+        arrays += [chain.frozen_nu, chain.frozen]
     # owned copies, not views into a tape
     assert all(a.base is None and not a.flags.writeable for a in arrays)
 
@@ -1248,7 +1291,8 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
             == flow.newton_iterations_used - 1 - stalls)
 
     forward = dataclasses.replace(counts)
-    t.backward(compute_loss(t, predicted, problem.observations))
+    t.backward(compute_loss(t, predicted, problem.observations,
+                            problem.forward.grid.n_nodes))
     assert counts.sweeps > forward.sweeps
     assert counts == dataclasses.replace(
         forward, recycled_solves=forward.recycled_solves + 1,
@@ -1257,13 +1301,18 @@ def test_transport_adjoint_recycles_re_anchored_factors(monkeypatch):
     assert not any(isinstance(v, LuFactors) for v in node.ctx.values())
 
 
-@pytest.mark.parametrize("experiment,nodes", [
-    ("cavity_viscosity", 8), ("conjugate_heat", 8),
-    ("passive_transport", 8)])
-def test_one_evaluation_records_a_short_chain(monkeypatch, experiment, nodes):
+_FLOW_CHAIN = ("var", "field", "steady_flow", "misfit")
+
+
+@pytest.mark.parametrize("experiment,ops_recorded", [
+    ("cavity_viscosity", _FLOW_CHAIN),
+    ("conjugate_heat", ("var", "field", "const", "heat_solve", "misfit")),
+    ("passive_transport", _FLOW_CHAIN)], ids=EXPERIMENTS)
+def test_one_evaluation_records_a_short_chain(monkeypatch, experiment,
+                                              ops_recorded):
     # at the shipped defaults: the parameters, the clamped field, the solve
-    # and its slices, and the loss as one residual vector and its sum of
-    # squares
+    # (after the frozen flow, one constant, for heat) and the misfit, which
+    # reads the observed fields in place
     tapes = []
 
     class RecordingTape(Tape):
@@ -1275,10 +1324,10 @@ def test_one_evaluation_records_a_short_chain(monkeypatch, experiment, nodes):
     monkeypatch.setattr(experiments, "Tape", RecordingTape)
     problem.objective(problem.theta0)
     [t] = tapes
-    assert len(t) == nodes
-    [node] = [n for n in t.nodes if n.op == "residual"]
-    assert len(node.inputs) == len(problem.config.components)
-    assert t.nodes[-1].op == "sum_of_squares"
+    assert tuple(node.op for node in t.nodes) == ops_recorded
+    misfit = t.nodes[-1]
+    assert misfit.inputs == tuple(range(2, len(t) - 1))
+    assert len(misfit.ctx["windows"]) == len(problem.config.components)
 
 
 def test_pointwise_objective_rejects_a_non_finite_parameter():

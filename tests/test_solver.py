@@ -23,7 +23,7 @@ from flowgrad.solver import (
 )
 from flowgrad.sparse import LuFactors
 from flowgrad.tape import Tape, finite_difference_check
-from tape_oracle import dot, record_heat, record_residual
+from tape_oracle import dot, record_heat, record_residual, slice1d
 
 
 def reference_viscosity(coords):
@@ -40,6 +40,18 @@ def solve_cavity(grid, nu_nodal, lid_speed=1.0, config=None):
     nu = t.constant(nu_nodal)
     state = newton_solve(t, cavity_setup(grid, lid_speed), nu, config)
     return t, state
+
+
+def fields(t, state):
+    """u, v and p of a flow state, as views of its values."""
+    return np.split(t.value(state.state), 3)
+
+
+def u_dot_u(t, state):
+    """u . u of a flow state, recorded on its tape."""
+    n = t.value(state.state).size // 3
+    u = slice1d(t, state.state, 0, n)
+    return dot(t, u, u)
 
 
 def heat_setup(grid, u, v, constants=PhysicsConstants(), bc_t=None):
@@ -68,9 +80,7 @@ def test_zero_lid_converges_in_one_iteration():
     g = StructuredGrid(7)
     t, state = solve_cavity(g, np.ones(g.n_nodes), lid_speed=0.0)
     assert state.newton_iterations_used == 1
-    assert np.all(t.value(state.u) == 0.0)
-    assert np.all(t.value(state.v) == 0.0)
-    assert np.all(t.value(state.p) == 0.0)
+    assert np.all(t.value(state.state) == 0.0)
 
 
 def test_cavity_21_converges_within_budget():
@@ -87,20 +97,20 @@ def test_cavity_21_converges_within_budget():
 def test_boundary_conditions_exact():
     g = StructuredGrid(9)
     t, state = solve_cavity(g, np.ones(g.n_nodes))
-    u, v = t.value(state.u), t.value(state.v)
+    u, v, p = fields(t, state)
     lid = np.arange(g.nx)
     rest = np.setdiff1d(g.all_boundary, lid)
     assert np.all(u[lid] == 1.0)
     assert np.all(u[rest] == 0.0)
     assert np.all(v[g.all_boundary] == 0.0)
-    assert t.value(state.p)[0] == 0.0
+    assert p[0] == 0.0
 
 
 def test_interior_flow_nontrivial():
     g = StructuredGrid(9)
     t, state = solve_cavity(g, np.ones(g.n_nodes))
     interior = np.setdiff1d(np.arange(g.n_nodes), g.all_boundary)
-    assert np.max(np.abs(t.value(state.u)[interior])) > 1e-3
+    assert np.max(np.abs(fields(t, state)[0][interior])) > 1e-3
 
 
 def test_stokes_limit():
@@ -110,7 +120,7 @@ def test_stokes_limit():
 
     def vel(nu0):
         t, state = solve_cavity(g, np.full(n, nu0))
-        return t.value(state.u).copy()
+        return fields(t, state)[0].copy()
 
     d_small = np.linalg.norm(vel(1.0) - vel(2.0))
     d_large = np.linalg.norm(vel(100.0) - vel(200.0))
@@ -123,7 +133,7 @@ def test_replug_solution_residual_small():
     g = StructuredGrid(11)
     nu_nodal = reference_viscosity(g.coords)
     t, state = solve_cavity(g, nu_nodal)
-    x = np.concatenate([t.value(r) for r in (state.u, state.v, state.p)])
+    x = t.value(state.state)
     res = ns_residual(cavity_setup(g), x, nu_nodal)
     assert np.max(np.abs(res)) < 1e-8
 
@@ -172,7 +182,7 @@ def test_newton_gradient_reaches_viscosity():
     t = Tape()
     nu = t.variable(np.ones(g.n_nodes))
     state = newton_solve(t, cavity_setup(g), nu)
-    loss = dot(t, state.u, state.u)
+    loss = u_dot_u(t, state)
     grads = t.backward(loss)
     gnu = grads[nu]
     assert np.all(np.isfinite(gnu))
@@ -248,7 +258,7 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     else:
         assert (counts.factorizations, counts.recycled_solves,
                 counts.stalls) == (1, iters - 1, 0)
-    x = np.concatenate([t.value(r) for r in (state.u, state.v, state.p)])
+    x = t.value(state.state)
     expected = _fresh_lu_newton(g, nu_nodal)
     np.testing.assert_allclose(x, expected, rtol=0.0,
                                atol=1e-8 * np.max(np.abs(expected)))
@@ -256,7 +266,7 @@ def test_newton_matches_fresh_lu_newton(low_viscosity):
     # the adjoint refines against the last anchor and pops it
     assert isinstance(_steady_flow_ctx(t)["lu"], solver.LuFactors)
     before = (counts.factorizations, counts.recycled_solves)
-    t.backward(dot(t, state.u, state.u))
+    t.backward(u_dot_u(t, state))
     assert (counts.factorizations, counts.recycled_solves) == (
         before[0], before[1] + 1)
     assert "lu" not in _steady_flow_ctx(t)
@@ -283,7 +293,7 @@ def test_adjoint_reuses_the_converged_linearization(monkeypatch,
     state = newton_solve(t, cavity_setup(g), nu, counts=counts)
     forward = state.newton_iterations_used + 1 + counts.stalls
     assert len(built) == forward and (counts.stalls > 0) == low_viscosity
-    loss = dot(t, state.u, state.u)
+    loss = u_dot_u(t, state)
     # without the anchor factors both passes factorize J(x*), so they
     # differ only in where the linearization at x* comes from
     _steady_flow_ctx(t).pop("lu")
@@ -309,8 +319,8 @@ def test_flow_factorizes_in_grid_order(monkeypatch):
     t = Tape()
     nu = t.variable(np.full(g.n_nodes, 0.01))
     state = newton_solve(t, cavity_setup(g), nu)
-    t.backward(dot(t, state.u, state.u))
-    t.backward(dot(t, state.u, state.u))
+    t.backward(u_dot_u(t, state))
+    t.backward(u_dot_u(t, state))
     assert len(specs) >= 3 and set(specs) == {"NATURAL"}
 
 
@@ -323,7 +333,7 @@ def test_adjoint_stall_refactorizes():
     nu = t.variable(reference_viscosity(g.coords))
     counts = LinearSolveCounts()
     state = newton_solve(t, cavity_setup(g), nu, counts=counts)
-    loss = dot(t, state.u, state.u)
+    loss = u_dot_u(t, state)
     ctx = _steady_flow_ctx(t)
     other = solver._Linearization(ctx["setup"], np.full(g.n_nodes, 1e-3),
                                   ctx["x"]).jacobian()
@@ -454,7 +464,8 @@ def test_shared_flow_setup_holds_one_copy_of_each_array():
 def cavity_velocities(grid, nu_nodal):
     """u and v of the converged cavity flow, as plain arrays."""
     t, state = solve_cavity(grid, nu_nodal)
-    return t.value(state.u), t.value(state.v)
+    u, v, _ = fields(t, state)
+    return u, v
 
 
 def test_heat_linear_patch():
@@ -609,8 +620,8 @@ def test_full_chain_viscosity_gradient_fd():
     rng = np.random.default_rng(7)
 
     t0, ref = solve_cavity(g, np.ones(g.n_nodes))
-    target_u = t0.value(ref.u).copy()
-    target_v = t0.value(ref.v).copy()
+    target_u, target_v, _ = fields(t0, ref)
+    n = g.n_nodes
     nu0 = reference_viscosity(g.coords)
     config = NewtonConfig(1e-11, 12)
 
@@ -618,9 +629,8 @@ def test_full_chain_viscosity_gradient_fd():
         t = Tape()
         nu = t.variable(nu_nodal)
         state = newton_solve(t, cavity_setup(g), nu, config)
-        r = ops.residual(t, (state.u, state.v), np.arange(g.n_nodes),
-                         (target_u, target_v))
-        loss = ops.sum_of_squares(t, r, 2)
+        loss = ops.misfit(t, [(state.state, 0), (state.state, n)], n,
+                          np.arange(n), (target_u, target_v))
         return float(t.value(loss)[0]), t.backward(loss)[nu]
 
     worst = finite_difference_check(f, nu0, indices=rng.choice(g.n_nodes, 6,

@@ -29,7 +29,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import flowgrad
-from flowgrad import experiments, kernels, ops, solver, sparse, tape
+from flowgrad import experiments, kernels, solver, sparse, tape
 from flowgrad.assembly import operators_for
 from flowgrad.errors import ContractError, NumericError, SingularMatrixError
 from flowgrad.experiments import reference_field
@@ -49,7 +49,7 @@ from flowgrad.sparse import (
     SymmetricOrder,
 )
 from flowgrad.tape import Tape, finite_difference_check
-from tape_oracle import dot, sparse_solve, spmv_fixed, spmv_pattern
+from tape_oracle import dot, slice1d, sparse_solve, spmv_fixed, spmv_pattern
 
 
 def _random_spd_like(n, seed, density=0.3):
@@ -450,7 +450,7 @@ def _heat_solved(n, walls):
     t = Tape()
     setup = FlowSetup(grid, 1.0, PhysicsConstants(), 0.01)
     state = newton_solve(t, setup, t.constant(np.ones(grid.n_nodes)))
-    u, v = t.value(state.u), t.value(state.v)
+    u, v, _ = np.split(t.value(state.state), 3)
     heat = HeatSetup(grid, u, v, PhysicsConstants(), walls(grid))
     k = reference_field("conjugate_heat", grid.coords)
     temp = heat_solve(t, heat, t.constant(k))
@@ -668,8 +668,8 @@ def test_sparse_solve_gradient_matches_fd():
     def f(theta):
         t = Tape()
         th = t.variable(theta)
-        data = ops.slice1d(t, th, 0, nnz)
-        rhs = ops.slice1d(t, th, nnz, nnz + n)
+        data = slice1d(t, th, 0, nnz)
+        rhs = slice1d(t, th, nnz, nnz + n)
         x = sparse_solve(t, _pattern(m), data, rhs)
         loss = dot(t, t.constant(c), x)
         return t.value(loss)[0], t.backward(loss)[th]

@@ -17,7 +17,7 @@ from flowgrad import ops, tape
 from flowgrad.errors import ContractError, GraphError, NumericError
 from flowgrad.models import MlpLayout
 from flowgrad.tape import Tape, finite_difference_check, register_op
-from tape_oracle import add, concat1d, div, dot, scale, set_at
+from tape_oracle import add, concat1d, div, dot, scale, set_at, slice1d
 
 
 def _clamp(t, x, floor):
@@ -87,12 +87,12 @@ def test_unknown_operator_rejected():
 def test_forward_reference_rejected():
     t = Tape()
     with pytest.raises(GraphError):
-        t.record("slice1d", (0, 1), np.zeros(1))
+        t.record("misfit", (0, 1), np.zeros(1))
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ContractError):
-        register_op("slice1d", lambda v, c: v[0], lambda g, c: (g,))
+        register_op("misfit", lambda v, c: v[0], lambda g, c: (g,))
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -122,10 +122,10 @@ def test_square_clamp_slice_concat_chain_matches_fd():
     def f(theta):
         t = Tape()
         x = t.variable(theta)
-        a = ops.slice1d(t, x, 0, 3)
-        b = ops.slice1d(t, x, 3, 6)
+        a = slice1d(t, x, 0, 3)
+        b = slice1d(t, x, 3, 6)
         y = concat1d(t, [scale(t, a, -2.0), _clamp(t, b, 0.1)])
-        loss = ops.sum_of_squares(t, y, 2)
+        loss = dot(t, y, y)
         return t.value(loss)[0], t.backward(loss)[x]
 
     theta = np.array([0.4, -0.8, 1.2, 0.5, 0.3, -0.6])
@@ -165,50 +165,76 @@ def test_set_at_duplicate_indices_rejected():
         set_at(t, x, np.array([1, 1]), vals)
 
 
-def test_residual_scatter_adds_duplicates():
+def test_misfit_scatter_adds_duplicates():
+    # (x0 - 0)^2 twice and (x2 - 0)^2: the gradient 2 r adds at a repeat
     t = Tape()
     x = t.variable([1.0, 2.0, 3.0])
-    r = ops.residual(t, (x,), np.array([0, 0, 2]), (np.zeros(3),))
-    loss = dot(t, r, t.constant(np.ones(3)))
-    np.testing.assert_allclose(t.backward(loss)[x], [2.0, 0.0, 1.0])
+    loss = ops.misfit(t, [(x, 0)], 3, np.array([0, 0, 2]), [np.zeros(3)])
+    assert t.value(loss)[0] == 11.0
+    np.testing.assert_array_equal(t.backward(loss)[x], [4.0, 0.0, 6.0])
 
 
-def test_residual_stacks_fields_in_order():
+def test_misfit_sums_fields_in_order():
     t = Tape()
     u = t.variable([1.0, 2.0, 3.0, 4.0])
     w = t.variable([10.0, 20.0, 30.0, 40.0])
-    r = ops.residual(t, (u, w), [3, 1], ([0.5, 0.5], [1.0, 2.0]))
-    np.testing.assert_array_equal(t.value(r), [3.5, 1.5, 39.0, 18.0])
-    grads = t.backward(ops.sum_of_squares(t, r, 2))
+    loss = ops.misfit(t, [(u, 0), (w, 0)], 4, [3, 1],
+                      ([0.5, 0.5], [1.0, 2.0]))
+    # residuals [3.5, 1.5] and [39, 18], each field's squares summed first
+    assert t.value(loss)[0] == (3.5 ** 2 + 1.5 ** 2) + (39.0 ** 2 + 18.0 ** 2)
+    grads = t.backward(loss)
     np.testing.assert_array_equal(grads[u], [0.0, 3.0, 0.0, 7.0])
     np.testing.assert_array_equal(grads[w], [0.0, 36.0, 0.0, 78.0])
 
 
+def test_misfit_reads_windows_of_one_node_in_place():
+    # u and w as the two halves of one node: one input, the same loss and
+    # the same gradient as two nodes
+    t = Tape()
+    x = t.variable([1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0])
+    loss = ops.misfit(t, [(x, 0), (x, 4)], 4, [3, 1],
+                      ([0.5, 0.5], [1.0, 2.0]))
+    assert t.nodes[loss].inputs == (x,)
+    assert t.value(loss)[0] == (3.5 ** 2 + 1.5 ** 2) + (39.0 ** 2 + 18.0 ** 2)
+    np.testing.assert_array_equal(t.backward(loss)[x],
+                                  [0.0, 3.0, 0.0, 7.0, 0.0, 36.0, 0.0, 78.0])
+
+
 @pytest.mark.parametrize("locations", [[0, 3], [-1, 0]])
-def test_residual_rejects_locations_outside_the_field(locations):
+def test_misfit_rejects_locations_outside_the_window(locations):
+    # the window [0, 3) of a node of 6: location 3 would read the next
+    # field, as a u location would read v in the flow state
     t = Tape()
-    x = t.variable([1.0, 2.0, 3.0])
+    x = t.variable([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     with pytest.raises(ContractError, match="outside length 3"):
-        ops.residual(t, (x,), locations, (np.zeros(2),))
+        ops.misfit(t, [(x, 0)], 3, locations, (np.zeros(2),))
 
 
-def test_sum_of_squares_rejects_unequal_parts():
+@pytest.mark.parametrize("start", [-1, 4])
+def test_misfit_rejects_a_window_past_its_node(start):
     t = Tape()
-    x = t.variable([1.0, 2.0, 3.0])
-    with pytest.raises(ContractError, match="into 2 equal parts"):
-        ops.sum_of_squares(t, x, 2)
+    x = t.variable(np.zeros(6))
+    with pytest.raises(ContractError, match="window"):
+        ops.misfit(t, [(x, start)], 3, [0, 2], (np.zeros(2),))
 
 
-def test_residual_sum_of_squares_chain_matches_fd():
+@pytest.mark.parametrize("data", [(), (np.zeros(2), np.zeros(2)),
+                                  (np.zeros(3),)])
+def test_misfit_rejects_data_that_do_not_match(data):
+    t = Tape()
+    x = t.variable(np.zeros(6))
+    with pytest.raises(ContractError, match="op 'misfit'"):
+        ops.misfit(t, [(x, 0)] if data else [], 3, [0, 2], data)
+
+
+def test_misfit_chain_matches_fd():
     data = (np.array([0.3, -0.1, 0.2]), np.array([1.0, 0.5, -0.5]))
 
     def f(theta):
         t = Tape()
         x = t.variable(theta)
-        a = ops.slice1d(t, x, 0, 4)
-        b = scale(t, ops.slice1d(t, x, 4, 8), 3.0)
-        loss = ops.sum_of_squares(
-            t, ops.residual(t, (a, b), [2, 0, 3], data), 2)
+        b = scale(t, slice1d(t, x, 4, 8), 3.0)
+        loss = ops.misfit(t, [(x, 0), (b, 0)], 4, [2, 0, 3], data)
         return t.value(loss)[0], t.backward(loss)[x]
 
     theta = np.random.default_rng(8).normal(size=8)
@@ -220,9 +246,7 @@ def test_package_registers_only_what_an_objective_records():
              for name, opdef in tape._REGISTRY.items()
              if opdef.forward.__module__.startswith("flowgrad.")}
     assert names == {
-        "slice1d": "flowgrad.ops", "residual": "flowgrad.ops",
-        "sum_of_squares": "flowgrad.ops",
-        "field": "flowgrad.models",
+        "misfit": "flowgrad.ops", "field": "flowgrad.models",
         "steady_flow": "flowgrad.solver", "heat_solve": "flowgrad.solver"}
 
 
@@ -269,12 +293,37 @@ def test_fd_check_blames_the_caller_for_a_failure_at_the_start():
         finite_difference_check(failing_at(np.array([0.0, 1e-5])), theta0)
 
 
+def test_fd_check_fails_a_nan_gradient():
+    # max(0.0, nan) is 0.0, so a plain running max passes a NaN gradient
+    def f(theta):
+        return float(theta @ theta), np.full(theta.size, np.nan)
+
+    assert np.isnan(finite_difference_check(f, np.ones(3)))
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_fd_check_keeps_a_nan_error_past_later_indices(bad):
+    # a NaN loss at a perturbed point of ``bad``, and a NaN gradient there
+    def nan_loss(theta):
+        loss = np.nan if theta[bad] != 1.0 else float(theta @ theta)
+        return loss, 2.0 * theta
+
+    def nan_gradient(theta):
+        grad = 2.0 * theta
+        grad[bad] = np.nan
+        return float(theta @ theta), grad
+
+    for f in (nan_loss, nan_gradient):
+        assert np.isnan(finite_difference_check(f, np.ones(3)))
+
+
 def test_div_square_add_scalar_chain_matches_fd():
     def f(theta):
         t = Tape()
         x = t.variable(theta)
         y = div(t, add(t, x, t.constant([0.5])), add(t, x, t.constant([3.0])))
-        loss = ops.sum_of_squares(t, scale(t, y, -1.0))
+        z = scale(t, y, -1.0)
+        loss = dot(t, z, z)
         return t.value(loss)[0], t.backward(loss)[x]
 
     assert finite_difference_check(f, np.array([0.5, 1.5, -1.0])) < 1e-6
@@ -330,13 +379,13 @@ def test_every_registered_operator_is_applied_in_the_package():
 
 
 def test_operator_named_only_in_a_message_is_not_applied(tmp_path):
-    # a copy of the package whose loss passes the residual's name to a
+    # a copy of the package whose loss passes the misfit's name to a
     # check as a plain string instead of recording the operator
     for path in Path(flowgrad.__file__).parent.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     experiments = tmp_path / "experiments.py"
     text = experiments.read_text()
-    assert text.count("ops.residual(tape,") == 1
-    experiments.write_text(text.replace("ops.residual(tape,",
-                                        '_check("residual", tape,'))
-    assert _unapplied_operators(tmp_path) == ["residual"]
+    assert text.count("ops.misfit(tape,") == 1
+    experiments.write_text(text.replace("ops.misfit(tape,",
+                                        '_check("misfit", tape,'))
+    assert _unapplied_operators(tmp_path) == ["misfit"]
